@@ -82,9 +82,9 @@ func dialRetry(target string, attempts int, rng *workload.RNG) (net.Conn, error)
 // per-op latency distribution, and the server's reclamation counters
 // fetched over STATS after the last phase.
 type LoadResult struct {
-	Conns    int
-	Ops      uint64
-	Errs     uint64
+	Conns int
+	Ops   uint64
+	Errs  uint64
 	// BadValues counts GET replies that failed payload verification — a
 	// nonzero count means the server returned torn or freed value bytes.
 	BadValues uint64
@@ -184,7 +184,7 @@ func loadWorker(i int, cfg LoadConfig, start time.Time, hist *harness.LatencyHis
 	var rd *resp.Reader
 	var wr *resp.Writer
 	var keyBuf, valBuf []byte
-	setCmd := []byte("SET")
+	getCmd, setCmd, delCmd := []byte("GET"), []byte("SET"), []byte("DEL")
 	drop := func() {
 		if conn != nil {
 			conn.Close()
@@ -218,13 +218,13 @@ func loadWorker(i int, cfg LoadConfig, start time.Time, hist *harness.LatencyHis
 		t0 := time.Now()
 		switch op {
 		case workload.OpSearch:
-			wr.CommandBytes([]byte("GET"), keyBuf)
+			wr.CommandBytes(getCmd, keyBuf)
 		case workload.OpInsert:
 			n := cfg.ValueSize.Sample(rng)
 			valBuf = workload.AppendPayload(valBuf[:0], k, rng.Next(), n)
 			wr.CommandBytes(setCmd, keyBuf, valBuf)
 		case workload.OpDelete:
-			wr.CommandBytes([]byte("DEL"), keyBuf)
+			wr.CommandBytes(delCmd, keyBuf)
 		}
 		if err := wr.Flush(); err != nil {
 			errs++
@@ -241,6 +241,8 @@ func loadWorker(i int, cfg LoadConfig, start time.Time, hist *harness.LatencyHis
 			errs++
 			continue
 		}
+		// rp.Bulk is the reader's scratch: verified here, before the next
+		// ReadReply reuses it.
 		if op == workload.OpSearch && rp.Kind == '$' && rp.Bulk != nil &&
 			!workload.VerifyPayload(rp.Bulk, k) {
 			bad++

@@ -11,6 +11,11 @@
 // quiet server decays to its live connection count. STATS surfaces
 // exactly those counters over the wire.
 //
+// A command allocates nothing (resp reuses its buffers, dispatch works on
+// the bytes), and the idle deadline, the write deadline and the
+// MemoryLimit sampler's clock are handled per socket read and per socket
+// write, so a pipelined batch pays for them once.
+//
 // Protocol: RESP arrays or inline commands; integer keys (int64) and
 // arbitrary byte-string values (stored in the SkipMap's reclaimed value
 // arena — values up to 7 bytes stay inline in the node's value word,
@@ -64,7 +69,7 @@ type Config struct {
 	// 0 = library default (QSENSE_SHARDS, then min(GOMAXPROCS, 8)).
 	Shards int
 
-	// IdleTimeout, when > 0, is the per-command read deadline: a
+	// IdleTimeout, when > 0, is the deadline of each socket read: a
 	// connection that sends nothing for this long is disconnected and its
 	// leased map handle released — the defense against stalled readers
 	// over TCP (a parked client would otherwise hold its guard slot, and
@@ -72,10 +77,12 @@ type Config struct {
 	// the pre-hardening behavior: reads block until the peer speaks or
 	// Shutdown wakes them.
 	IdleTimeout time.Duration
-	// WriteTimeout, when > 0, bounds each reply flush: a client that
-	// stops draining its socket (slowloris-style) is disconnected — with
-	// its lease released — instead of wedging the handler in a blocked
-	// write. 0 = no write deadlines.
+	// WriteTimeout, when > 0, is the deadline of each socket write,
+	// whether a flush of the drained pipeline or a large reply
+	// overflowing the buffer: a client that stops draining its socket
+	// (slowloris-style) is disconnected — with its lease released —
+	// instead of wedging the handler in a blocked write. 0 = no write
+	// deadlines.
 	WriteTimeout time.Duration
 	// MemoryLimit, when > 0, is the graceful-degradation threshold: once
 	// the map's pending (retired-but-unreclaimed) node count plus its
@@ -278,21 +285,62 @@ func (s *Server) LiveConns() int {
 	return len(s.conns)
 }
 
+// conn is one connection's state, and the net.Conn its resp reader and
+// writer sit on: deadlines are armed and the clock is read where the system
+// calls are, once per socket read or write (a pipelined batch) rather than
+// once per command, which also covers a large reply's auto-flush inside
+// dispatch.
+type conn struct {
+	net.Conn
+	s      *Server
+	now    time.Time // when the last socket read returned: overLimit's clock
+	valBuf []byte    // scratch for GET copies
+}
+
+// Read gives the peer IdleTimeout to send something: the stalled-reader
+// defense.
+func (c *conn) Read(p []byte) (int, error) {
+	if d := c.s.cfg.IdleTimeout; d > 0 {
+		c.Conn.SetReadDeadline(time.Now().Add(d))
+		if c.s.draining.Load() {
+			// Shutdown's wake-up may have landed before the line above and
+			// been overwritten by it; issue it again.
+			c.Conn.SetReadDeadline(time.Now())
+		}
+	}
+	n, err := c.Conn.Read(p)
+	c.now = time.Now()
+	return n, err
+}
+
+// Write gives the peer WriteTimeout to take p.
+func (c *conn) Write(p []byte) (int, error) {
+	if d := c.s.cfg.WriteTimeout; d > 0 {
+		c.Conn.SetWriteDeadline(time.Now().Add(d))
+	}
+	n, err := c.Conn.Write(p)
+	if err != nil && isTimeout(err) && !c.s.draining.Load() {
+		c.s.writeTimeouts.Add(1)
+	}
+	return n, err
+}
+
 // handle owns one connection: one leased SkipMap handle for the
 // connection's lifetime, a read-dispatch loop, and a flush whenever the
 // pipeline drains.
-func (s *Server) handle(c net.Conn) {
+func (s *Server) handle(nc net.Conn) {
 	defer s.wg.Done()
 	defer func() {
 		s.mu.Lock()
-		delete(s.conns, c)
+		delete(s.conns, nc)
 		s.mu.Unlock()
-		c.Close()
+		nc.Close()
 	}()
+	c := &conn{Conn: nc, s: s}
+	wr := resp.NewWriter(c)
 	h, err := s.m.AcquireWait(s.ctx)
 	if err != nil {
 		// Shutdown cancelled the wait at a full HardMaxConns cap.
-		wr := resp.NewWriter(c)
 		wr.Error("ERR server draining")
 		wr.Flush()
 		return
@@ -311,25 +359,7 @@ func (s *Server) handle(c net.Conn) {
 		}
 	}()
 	rd := resp.NewReader(c)
-	wr := resp.NewWriter(c)
-	flush := func() error {
-		if s.cfg.WriteTimeout > 0 {
-			c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		}
-		err := wr.Flush()
-		if err != nil && isTimeout(err) && !s.draining.Load() {
-			s.writeTimeouts.Add(1)
-		}
-		return err
-	}
-	var valBuf []byte // per-connection scratch for GET copies
 	for {
-		if s.cfg.IdleTimeout > 0 && !s.draining.Load() {
-			// Per-command read deadline: the stalled-reader defense. Not
-			// re-armed while draining, so Shutdown's past-deadline wake-up
-			// (SetReadDeadline(now)) cannot be overwritten.
-			c.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-		}
 		args, err := rd.ReadCommand()
 		if err != nil {
 			// Framing violations get a reply; EOF, drain deadlines and
@@ -337,30 +367,19 @@ func (s *Server) handle(c net.Conn) {
 			// server is the hardening path: count it, best-effort notify.
 			if resp.IsProtocol(err) {
 				wr.Error("ERR " + err.Error())
-				flush()
+				wr.Flush()
 			} else if isTimeout(err) && !s.draining.Load() {
 				s.idleTimeouts.Add(1)
 				wr.Error("ERR idle timeout, closing")
-				flush()
+				wr.Flush()
 			}
 			return
 		}
-		if s.cfg.WriteTimeout > 0 && !s.draining.Load() {
-			// Armed before dispatch, not only at the explicit flush below:
-			// a bulk reply larger than the writer's buffer auto-flushes
-			// inside dispatch, and without a deadline that hidden write
-			// could wedge the handler on a stalled client forever.
-			c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		}
-		quit := s.dispatch(h, wr, args, &valBuf)
-		if rd.Buffered() == 0 {
-			if err := flush(); err != nil {
+		quit := s.dispatch(c, h, wr, args) || s.draining.Load()
+		if quit || rd.Buffered() == 0 {
+			if err := wr.Flush(); err != nil || quit {
 				return
 			}
-		}
-		if quit || s.draining.Load() {
-			flush()
-			return
 		}
 	}
 }
@@ -373,14 +392,14 @@ func isTimeout(err error) bool {
 
 // overLimit is the MemoryLimit sampler: at most once per memSampleEvery,
 // one winning goroutine (CAS on the sample clock) refreshes the verdict
-// from the map's pending count; everyone else reads the cached bit.
-func (s *Server) overLimit() bool {
+// from the map's pending count; everyone else reads the cached bit. now is
+// the connection's clock, read once per socket read.
+func (s *Server) overLimit(now time.Time) bool {
 	if s.cfg.MemoryLimit <= 0 {
 		return false
 	}
-	now := time.Now().UnixNano()
 	last := s.memCheck.Load()
-	if now-last >= int64(memSampleEvery) && s.memCheck.CompareAndSwap(last, now) {
+	if t := now.UnixNano(); t-last >= int64(memSampleEvery) && s.memCheck.CompareAndSwap(last, t) {
 		// Pending already counts retired-but-unreclaimed value nodes (they
 		// retire through the same domain); live spilled values occupy pool
 		// slots too, so they join the pressure signal.
@@ -391,29 +410,37 @@ func (s *Server) overLimit() bool {
 }
 
 // dispatch executes one command; true means the connection should close.
-// valBuf is the connection's GET scratch: the reply writer copies the bytes
-// into its own buffer before dispatch returns, so the slice is reusable
-// across commands.
-func (s *Server) dispatch(h qsense.MapHandle, wr *resp.Writer, args [][]byte, valBuf *[]byte) bool {
-	switch cmd := string(bytes.ToUpper(args[0])); cmd {
+// The reply writer copies a GET's bytes into its own buffer before dispatch
+// returns, so c.valBuf is reusable across commands.
+func (s *Server) dispatch(c *conn, h qsense.MapHandle, wr *resp.Writer, args [][]byte) bool {
+	// The verb in upper case, on the stack: clearing 0x20 maps a-z onto A-Z
+	// and no other byte onto a letter. One too long to be a verb stays "".
+	var upper [8]byte
+	verb := upper[:0]
+	if len(args[0]) <= len(upper) {
+		for _, b := range args[0] {
+			verb = append(verb, b&^0x20)
+		}
+	}
+	switch string(verb) {
 	case "PING":
 		wr.SimpleString("PONG")
 	case "QUIT":
 		wr.SimpleString("OK")
 		return true
 	case "GET":
-		k, ok := wantKey(wr, cmd, args, 2)
+		k, ok := wantKey(wr, "get", args, 2)
 		if !ok {
 			return false
 		}
-		if v, found := h.GetAppend(k, (*valBuf)[:0]); found {
-			*valBuf = v[:0]
+		if v, found := h.GetAppend(k, c.valBuf[:0]); found {
+			c.valBuf = v[:0]
 			wr.Bulk(v)
 		} else {
 			wr.Null()
 		}
 	case "SET":
-		k, ok := wantKey(wr, cmd, args, 3)
+		k, ok := wantKey(wr, "set", args, 3)
 		if !ok {
 			return false
 		}
@@ -421,7 +448,7 @@ func (s *Server) dispatch(h qsense.MapHandle, wr *resp.Writer, args [][]byte, va
 			wr.Error(fmt.Sprintf("ERR value too large (%d bytes, limit %d)", len(args[2]), s.cfg.MaxBulk))
 			return false
 		}
-		if s.overLimit() {
+		if s.overLimit(c.now) {
 			// Graceful degradation: shedding the commands that allocate
 			// (and, via Delete, retire) lets reclamation catch up while
 			// reads keep serving.
@@ -432,11 +459,11 @@ func (s *Server) dispatch(h qsense.MapHandle, wr *resp.Writer, args [][]byte, va
 		h.Put(k, args[2])
 		wr.SimpleString("OK")
 	case "DEL":
-		k, ok := wantKey(wr, cmd, args, 2)
+		k, ok := wantKey(wr, "del", args, 2)
 		if !ok {
 			return false
 		}
-		if s.overLimit() {
+		if s.overLimit(c.now) {
 			s.busyRejected.Add(1)
 			wr.Error("BUSY retry later")
 			return false
@@ -449,7 +476,7 @@ func (s *Server) dispatch(h qsense.MapHandle, wr *resp.Writer, args [][]byte, va
 	case "STATS":
 		wr.Bulk(s.statsText())
 	default:
-		wr.Error("ERR unknown command '" + sanitize(cmd) + "'")
+		wr.Error("ERR unknown command '" + sanitize(string(args[0])) + "'")
 	}
 	return false
 }
@@ -460,7 +487,7 @@ func (s *Server) dispatch(h qsense.MapHandle, wr *resp.Writer, args [][]byte, va
 // reporting absent.
 func wantKey(wr *resp.Writer, cmd string, args [][]byte, arity int) (int64, bool) {
 	if len(args) != arity {
-		wr.Error("ERR wrong number of arguments for '" + strings.ToLower(cmd) + "'")
+		wr.Error("ERR wrong number of arguments for '" + cmd + "'")
 		return 0, false
 	}
 	k, err := strconv.ParseInt(string(args[1]), 10, 64)

@@ -4,8 +4,9 @@
 // telnet convenience), replies leave as simple strings, errors, integers,
 // bulk strings and nulls. The reader is strict about framing and bounded
 // in what it will buffer — a garbage or hostile peer costs one error, not
-// memory — and buffered, so pipelined commands parse back to back without
-// extra reads.
+// memory: payload space grows as bytes arrive, never on a declared length
+// — and buffered, so pipelined commands parse back to back without extra
+// reads. Neither direction allocates in steady state.
 package resp
 
 import (
@@ -14,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 )
 
@@ -26,6 +28,12 @@ const (
 	MaxBulk = 512 << 10
 	// maxInline bounds one inline command line.
 	maxInline = 4 << 10
+	// bulkChunk is the least payload space readBody asks for at a time.
+	bulkChunk = 4 << 10
+	// scratchKeep is the largest command or reply whose payload scratch is
+	// kept for the next one (kvd's default Config.MaxBulk): one big SET
+	// must not pin its buffer for the connection's life.
+	scratchKeep = 64 << 10
 )
 
 // ProtocolError is a framing violation: the stream can no longer be
@@ -45,9 +53,16 @@ func IsProtocol(err error) bool {
 	return errors.As(err, &pe)
 }
 
-// Reader parses RESP commands from a stream.
+// Reader parses RESP commands (the server half) or replies (the client
+// half) from a stream. Every slice it returns — command arguments,
+// Reply.Bulk — lives in storage the Reader owns and reuses: it is valid
+// until the next ReadCommand or ReadReply call and must be copied to be
+// kept.
 type Reader struct {
-	br *bufio.Reader
+	br   *bufio.Reader
+	args [][]byte // the returned command
+	buf  []byte   // payload bytes of the current command or reply
+	str  string   // text of the last simple-string or error reply
 }
 
 // NewReader wraps r for command parsing.
@@ -58,11 +73,21 @@ func NewReader(r io.Reader) *Reader { return &Reader{br: bufio.NewReader(r)} }
 // moment to flush replies.
 func (r *Reader) Buffered() int { return r.br.Buffered() }
 
+// reset empties the payload scratch for the next command or reply,
+// letting go of one grown past scratchKeep.
+func (r *Reader) reset() {
+	if len(r.buf) > scratchKeep {
+		r.buf = nil
+	}
+	r.buf = r.buf[:0]
+}
+
 // ReadCommand reads one command: either a RESP array of bulk strings or
 // an inline command line. It blocks until a full command (or an error) is
 // available; partial reads resume transparently across calls to the
-// underlying reader. The returned slices are valid until the next call.
+// underlying reader.
 func (r *Reader) ReadCommand() ([][]byte, error) {
+	r.reset()
 	for {
 		first, err := r.br.ReadByte()
 		if err != nil {
@@ -88,48 +113,77 @@ func (r *Reader) ReadCommand() ([][]byte, error) {
 		if n < 0 || n > MaxArgs {
 			return nil, protoErrf("resp: array of %d elements (max %d)", n, MaxArgs)
 		}
-		args := make([][]byte, 0, n)
-		for i := int64(0); i < n; i++ {
-			arg, err := r.readBulk()
-			if err != nil {
-				return nil, err
-			}
-			args = append(args, arg)
-		}
-		if len(args) == 0 {
+		if n == 0 {
 			continue // empty array: ignore, per server convention
 		}
-		return args, nil
+		r.args = r.args[:0]
+		for i := int64(0); i < n; i++ {
+			from := len(r.buf)
+			if err := r.readBulk(); err != nil {
+				return nil, err
+			}
+			r.args = append(r.args, r.buf[from:])
+		}
+		// buf may have moved while it grew: re-slice each argument from
+		// where its bytes ended up.
+		from := 0
+		for i, a := range r.args {
+			end := from + len(a)
+			r.args[i] = r.buf[from:end:end]
+			from = end
+		}
+		return r.args, nil
 	}
 }
 
-// readBulk reads one $<len>\r\n<bytes>\r\n frame.
-func (r *Reader) readBulk() ([]byte, error) {
+// readBulk reads one $<len>\r\n<bytes>\r\n frame, appending the bytes to
+// buf.
+func (r *Reader) readBulk() error {
 	prefix, err := r.br.ReadByte()
 	if err != nil {
-		return nil, unexpectedEOF(err)
+		return unexpectedEOF(err)
 	}
 	if prefix != '$' {
-		return nil, protoErrf("resp: expected bulk string, got %q", prefix)
+		return protoErrf("resp: expected bulk string, got %q", prefix)
 	}
 	n, err := r.readInt()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if n < 0 || n > MaxBulk {
-		return nil, protoErrf("resp: bulk length %d (max %d)", n, MaxBulk)
+		return protoErrf("resp: bulk length %d (max %d)", n, MaxBulk)
 	}
-	buf := make([]byte, n+2)
-	if _, err := io.ReadFull(r.br, buf); err != nil {
-		return nil, unexpectedEOF(err)
-	}
-	if buf[n] != '\r' || buf[n+1] != '\n' {
-		return nil, protoErrf("resp: bulk string missing CRLF terminator")
-	}
-	return buf[:n], nil
+	return r.readBody(int(n))
 }
 
-// readInt reads the decimal line that follows a type prefix.
+// readBody appends n payload bytes to buf and consumes their CRLF. Space
+// is added a chunk at a time (append's growth makes the chunks larger as
+// buf does), so buf grows with the bytes that arrive, not with the length
+// declared.
+func (r *Reader) readBody(n int) error {
+	for need := n + 2; need > 0; {
+		if len(r.buf) == cap(r.buf) {
+			r.buf = slices.Grow(r.buf, min(need, bulkChunk))
+		}
+		at := len(r.buf)
+		got, err := r.br.Read(r.buf[at:min(at+need, cap(r.buf))])
+		r.buf = r.buf[:at+got]
+		need -= got
+		if err != nil {
+			return unexpectedEOF(err)
+		}
+	}
+	end := len(r.buf) - 2
+	if r.buf[end] != '\r' || r.buf[end+1] != '\n' {
+		return protoErrf("resp: bulk string missing CRLF terminator")
+	}
+	r.buf = r.buf[:end]
+	return nil
+}
+
+// readInt reads the decimal line that follows a type prefix. (strconv
+// copies its argument into the error it returns, so the conversion stays
+// on the stack.)
 func (r *Reader) readInt() (int64, error) {
 	line, err := r.readLine()
 	if err != nil {
@@ -137,7 +191,7 @@ func (r *Reader) readInt() (int64, error) {
 	}
 	n, err := strconv.ParseInt(string(line), 10, 64)
 	if err != nil {
-		return 0, protoErrf("resp: bad length %q", line)
+		return 0, protoErrf("resp: bad integer %q", line)
 	}
 	return n, nil
 }
@@ -161,7 +215,8 @@ func (r *Reader) readLine() ([]byte, error) {
 	return line, nil
 }
 
-// readInline parses a space-separated inline command.
+// readInline parses a space-separated inline command — the telnet
+// convenience, and the one path that allocates.
 func (r *Reader) readInline() ([][]byte, error) {
 	line, err := r.readLine()
 	if err != nil {
@@ -195,8 +250,9 @@ type Reply struct {
 // IsError reports an -ERR style reply.
 func (rp Reply) IsError() bool { return rp.Kind == '-' }
 
-// ReadReply reads one reply. The Bulk slice is valid until the next call.
+// ReadReply reads one reply.
 func (r *Reader) ReadReply() (Reply, error) {
+	r.reset()
 	prefix, err := r.br.ReadByte()
 	if err != nil {
 		return Reply{}, err
@@ -207,15 +263,15 @@ func (r *Reader) ReadReply() (Reply, error) {
 		if err != nil {
 			return Reply{}, err
 		}
-		return Reply{Kind: prefix, Str: string(line)}, nil
+		// A run of identical replies (+OK after +OK) shares one string.
+		if string(line) != r.str {
+			r.str = string(line)
+		}
+		return Reply{Kind: prefix, Str: r.str}, nil
 	case ':':
-		line, err := r.readLine()
+		n, err := r.readInt()
 		if err != nil {
 			return Reply{}, err
-		}
-		n, err := strconv.ParseInt(string(line), 10, 64)
-		if err != nil {
-			return Reply{}, protoErrf("resp: bad integer reply %q", line)
 		}
 		return Reply{Kind: ':', Int: n}, nil
 	case '$':
@@ -229,14 +285,10 @@ func (r *Reader) ReadReply() (Reply, error) {
 		if n < 0 || n > MaxBulk {
 			return Reply{}, protoErrf("resp: bulk reply length %d (max %d)", n, MaxBulk)
 		}
-		buf := make([]byte, n+2)
-		if _, err := io.ReadFull(r.br, buf); err != nil {
-			return Reply{}, unexpectedEOF(err)
+		if err := r.readBody(int(n)); err != nil {
+			return Reply{}, err
 		}
-		if buf[n] != '\r' || buf[n+1] != '\n' {
-			return Reply{}, protoErrf("resp: bulk reply missing CRLF terminator")
-		}
-		return Reply{Kind: '$', Bulk: buf[:n]}, nil
+		return Reply{Kind: '$', Bulk: r.buf}, nil
 	default:
 		return Reply{}, protoErrf("resp: unknown reply type %q", prefix)
 	}
@@ -245,11 +297,17 @@ func (r *Reader) ReadReply() (Reply, error) {
 // Writer emits RESP replies, buffered; call Flush when the pipeline is
 // drained.
 type Writer struct {
-	bw *bufio.Writer
+	bw  *bufio.Writer
+	num [24]byte // scratch for one "<prefix><int64>\r\n" header
 }
 
 // NewWriter wraps w for reply writing.
 func NewWriter(w io.Writer) *Writer { return &Writer{bw: bufio.NewWriter(w)} }
+
+// header writes <prefix><n>\r\n.
+func (w *Writer) header(prefix byte, n int64) {
+	w.bw.Write(append(strconv.AppendInt(append(w.num[:0], prefix), n, 10), '\r', '\n'))
+}
 
 // SimpleString writes +s.
 func (w *Writer) SimpleString(s string) {
@@ -266,30 +324,26 @@ func (w *Writer) Error(msg string) {
 }
 
 // Int writes :n.
-func (w *Writer) Int(n int64) {
-	w.bw.WriteByte(':')
-	w.bw.WriteString(strconv.FormatInt(n, 10))
-	w.bw.WriteString("\r\n")
-}
+func (w *Writer) Int(n int64) { w.header(':', n) }
 
 // Bulk writes $len b.
 func (w *Writer) Bulk(b []byte) {
-	w.bw.WriteByte('$')
-	w.bw.WriteString(strconv.Itoa(len(b)))
-	w.bw.WriteString("\r\n")
+	w.header('$', int64(len(b)))
 	w.bw.Write(b)
 	w.bw.WriteString("\r\n")
 }
 
 // BulkString is Bulk for a string.
-func (w *Writer) BulkString(s string) { w.Bulk([]byte(s)) }
+func (w *Writer) BulkString(s string) {
+	w.header('$', int64(len(s)))
+	w.bw.WriteString(s)
+	w.bw.WriteString("\r\n")
+}
 
 // Command writes one client command as an array of bulk strings — the
 // client half of the protocol, used by the load generator.
 func (w *Writer) Command(args ...string) {
-	w.bw.WriteByte('*')
-	w.bw.WriteString(strconv.Itoa(len(args)))
-	w.bw.WriteString("\r\n")
+	w.header('*', int64(len(args)))
 	for _, a := range args {
 		w.BulkString(a)
 	}
@@ -299,9 +353,7 @@ func (w *Writer) Command(args ...string) {
 // byte-valued SET path, which would otherwise pay a string conversion per
 // payload.
 func (w *Writer) CommandBytes(args ...[]byte) {
-	w.bw.WriteByte('*')
-	w.bw.WriteString(strconv.Itoa(len(args)))
-	w.bw.WriteString("\r\n")
+	w.header('*', int64(len(args)))
 	for _, a := range args {
 		w.Bulk(a)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -96,22 +97,25 @@ func TestReadCommandInline(t *testing.T) {
 	}
 }
 
+// garbageCommands each draw a ProtocolError; FuzzReadCommand starts from
+// them too.
+var garbageCommands = []string{
+	"*notanumber\r\n",                      // bad array length
+	"*2\r\n$3\r\nGET\r\n:5\r\n",            // non-bulk element
+	"*1\r\n$-1\r\n",                        // negative bulk length
+	"*1\r\n$x\r\n",                         // bad bulk length
+	"*1\r\n$3\r\nabcde\r\n",                // bulk body not CRLF-framed
+	"*99999\r\n",                           // array over MaxArgs
+	fmt.Sprintf("*1\r\n$%d\r\n", 1<<30),    // bulk over MaxBulk
+	"*1\r\n$3\r\nab",                       // EOF mid-command
+	"*2\r\n$3\r\nGET\r\n",                  // EOF between elements
+	"GET 5\n",                              // inline missing CR
+	strings.Repeat("x", 8<<10) + " \r\n",   // oversized inline line
+	"*" + strings.Repeat("9", 30) + "\r\n", // length overflows int64
+}
+
 func TestReadCommandGarbage(t *testing.T) {
-	cases := []string{
-		"*notanumber\r\n",                      // bad array length
-		"*2\r\n$3\r\nGET\r\n:5\r\n",            // non-bulk element
-		"*1\r\n$-1\r\n",                        // negative bulk length
-		"*1\r\n$x\r\n",                         // bad bulk length
-		"*1\r\n$3\r\nabcde\r\n",                // bulk body not CRLF-framed
-		"*99999\r\n",                           // array over MaxArgs
-		fmt.Sprintf("*1\r\n$%d\r\n", 1<<30),    // bulk over MaxBulk
-		"*1\r\n$3\r\nab",                       // EOF mid-command
-		"*2\r\n$3\r\nGET\r\n",                  // EOF between elements
-		"GET 5\n",                              // inline missing CR
-		strings.Repeat("x", 8<<10) + " \r\n",   // oversized inline line
-		"*" + strings.Repeat("9", 30) + "\r\n", // length overflows int64
-	}
-	for _, in := range cases {
+	for _, in := range garbageCommands {
 		r := NewReader(strings.NewReader(in))
 		if _, err := r.ReadCommand(); !IsProtocol(err) {
 			t.Fatalf("input %.40q: want ProtocolError, got %v", in, err)
@@ -173,5 +177,122 @@ func TestWriterReplies(t *testing.T) {
 	want := "+OK\r\n-ERR nope\r\n:-7\r\n$5\r\nhello\r\n$0\r\n\r\n$-1\r\n"
 	if got := buf.String(); got != want {
 		t.Fatalf("got %q want %q", got, want)
+	}
+}
+
+// pipeline encodes n rounds of GET / SET (64-byte value) / DEL.
+func pipeline(n int) []byte {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	val := bytes.Repeat([]byte("v"), 64)
+	for i := 0; i < n; i++ {
+		key := strconv.AppendInt(nil, int64(i)*7919, 10)
+		w.CommandBytes([]byte("GET"), key)
+		w.CommandBytes([]byte("SET"), key, val)
+		w.CommandBytes([]byte("DEL"), key)
+	}
+	w.Flush()
+	return buf.Bytes()
+}
+
+// TestZeroAllocs: in steady state the command reader, the reply reader and
+// every writer call allocate nothing. The reader outlives its stream here
+// as it outlives a batch on a connection: bufio retries after io.EOF.
+func TestZeroAllocs(t *testing.T) {
+	const rounds = 100
+	stream := pipeline(rounds)
+	src := bytes.NewReader(nil)
+	rd := NewReader(src)
+	if n := testing.AllocsPerRun(20, func() {
+		src.Reset(stream)
+		for i := 0; i < 3*rounds; i++ {
+			if _, err := rd.ReadCommand(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n != 0 {
+		t.Errorf("ReadCommand: %v allocations per %d commands, want 0", n, 3*rounds)
+	}
+
+	val := bytes.Repeat([]byte("v"), 64)
+	var out bytes.Buffer
+	wr := NewWriter(&out)
+	writeReplies := func() {
+		wr.SimpleString("OK")
+		wr.Int(1)
+		wr.Bulk(val)
+		wr.Null()
+		wr.BulkString("PONG")
+		wr.Flush()
+	}
+	writeReplies()
+	replies := bytes.Clone(out.Bytes())
+	if n := testing.AllocsPerRun(20, func() {
+		for i := 0; i < rounds; i++ {
+			out.Reset()
+			writeReplies()
+			wr.CommandBytes(val[:3], val[:5], val)
+			wr.Flush()
+		}
+	}); n != 0 {
+		t.Errorf("Writer: %v allocations per %d rounds of replies and a command, want 0", n, rounds)
+	}
+
+	if n := testing.AllocsPerRun(20, func() {
+		for i := 0; i < rounds; i++ {
+			src.Reset(replies)
+			for j := 0; j < 5; j++ {
+				if _, err := rd.ReadReply(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}); n != 0 {
+		t.Errorf("ReadReply: %v allocations per %d replies, want 0", n, 5*rounds)
+	}
+}
+
+// TestScratchFollowsArrival: payload space is claimed as bytes arrive, so
+// a peer that declares the largest command the limits allow and sends none
+// of it costs one chunk, not 32 MiB.
+func TestScratchFollowsArrival(t *testing.T) {
+	var in strings.Builder
+	fmt.Fprintf(&in, "*%d\r\n", MaxArgs)
+	for i := 0; i < MaxArgs-1; i++ {
+		in.WriteString("$0\r\n\r\n")
+	}
+	fmt.Fprintf(&in, "$%d\r\nonly these bytes", MaxBulk)
+	r := NewReader(strings.NewReader(in.String()))
+	if _, err := r.ReadCommand(); !IsProtocol(err) {
+		t.Fatalf("want ProtocolError for the truncated command, got %v", err)
+	}
+	if cap(r.buf) > 2*bulkChunk {
+		t.Fatalf("scratch grew to %d bytes for %d declared and 16 sent", cap(r.buf), MaxBulk)
+	}
+}
+
+// TestScratchReleasedAfterBigCommand: a command past scratchKeep parses
+// intact (its arguments survive the scratch moving as it grows), and its
+// buffer is let go when the next command is read.
+func TestScratchReleasedAfterBigCommand(t *testing.T) {
+	big := bytes.Repeat([]byte("0123456789abcdef"), 300<<10/16)
+	var in bytes.Buffer
+	w := NewWriter(&in)
+	w.CommandBytes([]byte("SET"), []byte("42"), big)
+	w.Command("GET", "42")
+	w.Flush()
+	r := NewReader(&in)
+	args, err := r.ReadCommand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(args) != 3 || string(args[0]) != "SET" || string(args[1]) != "42" || !bytes.Equal(args[2], big) {
+		t.Fatalf("big SET mangled: %d args, %q %q, %d value bytes", len(args), args[0], args[1], len(args[2]))
+	}
+	if args, err = r.ReadCommand(); err != nil || cmdString(args) != "GET 42" {
+		t.Fatalf("after big SET: %q, %v", cmdString(args), err)
+	}
+	if cap(r.buf) > scratchKeep {
+		t.Fatalf("scratch still %d bytes after the big command was done with", cap(r.buf))
 	}
 }
