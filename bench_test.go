@@ -347,15 +347,15 @@ func BenchmarkListOps(b *testing.B) {
 }
 
 // BenchmarkSkipListOps measures raw skip list operation latency — the
-// structure with the paper's widest hazard pointer budget (2*levels+2,
-// §7.3) and therefore the most protect/validate work per operation. The
-// hp point is the CI perf-smoke guard for the upper-level claim-then-link
-// protocol (see the skiplist package doc): its per-level claim CAS and
-// the splice path's scratch-slot protection must stay within noise of the
-// pre-protocol baseline; qsbr runs alongside as the protection-free
-// ceiling.
+// structure with the paper's widest hazard pointer budget (2*levels+3,
+// §7.3) and therefore the most protect/validate work per operation. qsbr
+// is the protection-free ceiling; cadence, qsense and hp pay one
+// publication per node visited plus two stores per operation (skiplist's
+// TestPublicationsPerOp pins the count), so their distance to qsbr is the
+// CI perf-smoke guard for search's slot discipline and, on the hp row, for
+// the claim-then-link protocol's per-level claim CAS.
 func BenchmarkSkipListOps(b *testing.B) {
-	for _, scheme := range []string{"qsbr", "hp"} {
+	for _, scheme := range []string{"qsbr", "cadence", "qsense", "hp"} {
 		b.Run(scheme, func(b *testing.B) {
 			s := skiplist.New(skiplist.Config{Levels: 16})
 			d, err := reclaim.New(scheme, reclaim.Config{

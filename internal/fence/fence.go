@@ -14,8 +14,9 @@
 // do not (Cadence, QSense). The default of 50ns corresponds to ~100 cycles
 // on the paper's 2.1 GHz testbed — the low end of "hundreds of processor
 // cycles" (§3.2) — so the reproduced HP penalty is, if anything,
-// understated. DESIGN.md §2 and EXPERIMENTS.md discuss the substitution and
-// its observable effects.
+// understated. The substitution's observable effect is that every hp curve
+// carries the model: with it, hp's distance to Cadence tracks the number of
+// publications per operation; without it (a zero Model) the two coincide.
 package fence
 
 import (

@@ -86,18 +86,15 @@ func NewCadence(cfg Config) (*Cadence, error) {
 	return d, nil
 }
 
-// Guard implements Domain (deprecated positional access): pins slot w and
-// marks its hazard record live for scans and rooster flushes.
+// Guard implements Domain (deprecated positional access): pins slot w. Its
+// hazard record joins flush passes and scans with its first Protect.
 func (d *Cadence) Guard(w int) Guard {
-	if d.slots.pin(w) {
-		d.recs.at(w).leased.Store(true)
-	}
+	d.slots.pin(w)
 	return d.guards.at(w)
 }
 
-// Acquire implements Domain: lease a slot, drain any hazard state a racing
-// rooster flush may have re-published after the previous release, and make
-// the record visible to scans and flush passes again.
+// Acquire implements Domain: lease a slot and drain any hazard state a
+// racing rooster flush may have re-published after the previous release.
 func (d *Cadence) Acquire() (Guard, error) {
 	w, err := d.slots.lease()
 	if err != nil {
@@ -118,9 +115,7 @@ func (d *Cadence) AcquireWait(ctx context.Context) (Guard, error) {
 
 func (d *Cadence) join(w int) Guard {
 	g := d.guards.at(w)
-	g.rec.clearPending()
-	g.rec.clearShared()
-	g.rec.leased.Store(true)
+	g.rec.reset()
 	g.tc.refresh(d.tune)
 	return g
 }
@@ -128,15 +123,14 @@ func (d *Cadence) join(w int) Guard {
 // Release implements Domain: drain both hazard arrays, run one deferred
 // scan so everything provably safe frees immediately, move the remainder
 // (protected or not yet old enough) to the orphan list — adopted by any
-// worker's later scan or by a rooster pass — hide the record, recycle.
+// worker's later scan or by a rooster pass — and recycle the slot.
 func (d *Cadence) Release(gd Guard) {
 	g, ok := gd.(*cadenceGuard)
 	if !ok || g.d != d {
 		panic(errForeignGuard)
 	}
 	d.slots.unlease(g.id, func() {
-		g.rec.clearPending()
-		g.rec.clearShared()
+		g.rec.reset()
 		if len(g.rl) > 0 {
 			g.scan()
 		}
@@ -145,7 +139,6 @@ func (d *Cadence) Release(gd Guard) {
 			g.rl = nil
 		}
 		d.cnt.releaseTally(&g.tally, d.cfg.MemoryLimit)
-		g.rec.leased.Store(false)
 	})
 }
 
@@ -192,7 +185,7 @@ func (g *cadenceGuard) Protect(i int, r mem.Ref) {
 	g.d.cfg.fire(FaultProtect, g.id)
 }
 
-func (g *cadenceGuard) ClearHPs() { g.rec.clearPending() }
+func (g *cadenceGuard) ClearHPs() { g.rec.deactivate(&g.rec.pendingActive) }
 
 // Retire timestamps the node and schedules it (Algorithm 5, free_node_later
 // in stand-alone form).

@@ -10,9 +10,10 @@ import (
 // HP is Michael's classic hazard pointer scheme (§3.2).
 //
 // Protect publishes straight to the globally visible slot and then performs
-// a full memory barrier — the per-node fence whose cost (modeled by
-// internal/fence, see DESIGN.md §2) is the scheme's notorious overhead and
-// the paper's motivation for Cadence. Every R retires the guard scans: it
+// a full memory barrier — the per-node fence whose cost is the scheme's
+// notorious overhead and the paper's motivation for Cadence (internal/fence
+// models its latency: Go's atomic store already orders, but costs no more
+// than Cadence's, so the gap the paper measures has to be put back). Every R retires the guard scans: it
 // snapshots the shared hazard pointers of every OCCUPIED slot (the
 // occupancy index of occupancy.go, so scan cost tracks live workers, not
 // the arena's high-water size) and frees the retired nodes not found in the
@@ -68,18 +69,16 @@ func NewHP(cfg Config) (*HP, error) {
 	return d, nil
 }
 
-// Guard implements Domain (deprecated positional access): pins slot w and
-// marks its hazard record live for scans.
+// Guard implements Domain (deprecated positional access): pins slot w. Its
+// hazard record joins scans with its first Protect.
 func (d *HP) Guard(w int) Guard {
-	if d.slots.pin(w) {
-		d.recs.at(w).leased.Store(true)
-	}
+	d.slots.pin(w)
 	return d.guards.at(w)
 }
 
 // Acquire implements Domain. HP needs no join protocol — a guard protects
-// only what it publishes — so leasing is just slot bookkeeping plus making
-// the record visible to scans.
+// only what it publishes — so leasing is just slot bookkeeping plus a
+// record that starts empty.
 func (d *HP) Acquire() (Guard, error) {
 	w, err := d.slots.lease()
 	if err != nil {
@@ -100,8 +99,7 @@ func (d *HP) AcquireWait(ctx context.Context) (Guard, error) {
 
 func (d *HP) join(w int) Guard {
 	g := d.guards.at(w)
-	g.rec.clearShared()
-	g.rec.leased.Store(true)
+	g.rec.reset()
 	g.tc.refresh(d.tune)
 	return g
 }
@@ -109,15 +107,15 @@ func (d *HP) join(w int) Guard {
 // Release implements Domain: clear the guard's hazard pointers, scan once to
 // drain the retire list (everything not protected by other workers frees
 // immediately), move the protected remainder to the orphan list — any
-// worker's next scan adopts whatever its snapshot no longer protects — hide
-// the record from scans, and recycle the slot.
+// worker's next scan adopts whatever its snapshot no longer protects — and
+// recycle the slot.
 func (d *HP) Release(gd Guard) {
 	g, ok := gd.(*hpGuard)
 	if !ok || g.d != d {
 		panic(errForeignGuard)
 	}
 	d.slots.unlease(g.id, func() {
-		g.rec.clearShared()
+		g.rec.reset()
 		if len(g.rl) > 0 {
 			g.scan()
 		}
@@ -126,7 +124,6 @@ func (d *HP) Release(gd Guard) {
 			g.rl = nil
 		}
 		d.cnt.releaseTally(&g.tally, d.cfg.MemoryLimit)
-		g.rec.leased.Store(false)
 	})
 }
 
@@ -169,7 +166,7 @@ func (g *hpGuard) Protect(i int, r mem.Ref) {
 	g.d.cfg.fire(FaultProtect, g.id)
 }
 
-func (g *hpGuard) ClearHPs() { g.rec.clearShared() }
+func (g *hpGuard) ClearHPs() { g.rec.deactivate(&g.rec.sharedActive) }
 
 func (g *hpGuard) Retire(r mem.Ref) {
 	if r.IsNil() {

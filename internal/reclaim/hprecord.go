@@ -19,25 +19,40 @@ type hpSlot struct {
 //
 // shared is the array scans read — the paper's globally visible HP array.
 // pending models the store buffer: Cadence and QSense publish here without a
-// fence, and only a rooster flush pass copies pending into shared (DESIGN.md
-// §2). Classic HP bypasses pending and stores straight to shared, paying the
-// modeled fence. An unflushed pending entry is invisible to scans, exactly
-// as a fenceless HP store sitting in a TSO store buffer is invisible to a
-// reclaimer on another core.
+// fence, and only a rooster flush pass copies pending into shared — the
+// behavioural analog of a context switch draining a TSO store buffer. Classic
+// HP bypasses pending and stores straight to shared, paying the modeled
+// fence. An unflushed pending entry is invisible to scans, exactly as a
+// fenceless HP store sitting in a store buffer is invisible to a reclaimer
+// on another core.
 //
-// leased mirrors the record's slot lease (slots.go): scans and rooster
-// flushes skip unleased records. An unleased record's slots are all nil
-// (Release drains both arrays), so the skip changes no scan outcome; it
-// keeps scan cost proportional to the leased worker count rather than the
-// arena size, which matters when MaxWorkers is sized generously. Skipping
-// a record whose lease races the snapshot is safe for the same reason a
-// protection published after a snapshot may be missed: the new tenant's
-// link re-validation (§3.2) rejects any node that was unlinked — and thus
-// retired — before it could be scanned.
+// Each array has a record-level ACTIVE word, so that ending an operation is
+// one store instead of K. The owner raises the word of the array it
+// publishes to on the first Protect of an operation (on is its private
+// mirror, a plain field) and deactivate lowers it without touching a slot;
+// slot values left behind are stale. A reader of an array — a scan of
+// shared, a rooster flush of pending — loads the word first and skips the
+// record when it is clear:
+//
+//   - Reading "inactive" just before an activation is the case of reading
+//     a nil slot just before a store: the owner validates after its
+//     activation and its publication, so a node the reader could be
+//     deciding about (already unlinked) fails that validation.
+//   - Reading "active" with a stale slot value over-protects one node per
+//     slot, K per leased record at most — the N·K term of the paper's bound
+//     already counts them. They last until the slot is next written or the
+//     guard is released: reset (join and Release) zeroes every slot and
+//     both words, so an unleased record contributes nothing and needs no
+//     flag of its own. A flush racing a Release can re-raise a shared word
+//     over stale slots; the record is unoccupied, so no walk visits it, and
+//     the next tenant's join resets it — stale entries delay reclamation,
+//     never unblock it.
 type hprec struct {
-	leased  atomic.Bool
-	pending []hpSlot
-	shared  []hpSlot
+	on            bool
+	pendingActive atomic.Bool
+	sharedActive  atomic.Bool
+	pending       []hpSlot
+	shared        []hpSlot
 }
 
 func newHPRec(k int) *hprec {
@@ -47,40 +62,67 @@ func newHPRec(k int) *hprec {
 // publishPending is the fence-free assign_HP of Cadence/QSense.
 func (h *hprec) publishPending(i int, r mem.Ref) {
 	h.pending[i].v.Store(uint64(r.Untagged()))
+	if !h.on {
+		h.on = true
+		h.pendingActive.Store(true)
+	}
 }
 
 // publishShared is classic HP's assign_HP minus the fence; the caller pays
 // the fence model.
 func (h *hprec) publishShared(i int, r mem.Ref) {
 	h.shared[i].v.Store(uint64(r.Untagged()))
+	if !h.on {
+		h.on = true
+		h.sharedActive.Store(true)
+	}
 }
 
-// FlushHP copies pending slots into shared slots; called by rooster passes.
-// It also refreshes pending copies into shared for the worker's own later
-// clears: flushing a zero clears the shared slot too, so protections do not
-// outlive their release by more than one pass. Unleased records are skipped
-// (their slots are already drained); a flush racing a Release can at worst
-// re-publish a stale shared entry, which the next pass after re-lease
-// clears — stale entries delay reclamation, never unblock it.
+// deactivate is ClearHPs: the owner lowers the word it raised.
+func (h *hprec) deactivate(active *atomic.Bool) {
+	if h.on {
+		h.on = false
+		active.Store(false)
+	}
+}
+
+// FlushHP makes shared say what pending says; called by rooster passes. An
+// inactive record is published as inactive with one store (none when it
+// already was); an active one has its CHANGED slots copied and only then
+// its shared word raised, so a scan that sees "active" sees this pass's
+// slots. A cleared or overwritten pending slot is copied like any other, so
+// protections do not outlive their release by more than one pass.
 func (h *hprec) FlushHP() {
-	if !h.leased.Load() {
+	if !h.pendingActive.Load() {
+		if h.sharedActive.Load() {
+			h.sharedActive.Store(false)
+		}
 		return
 	}
 	for i := range h.pending {
-		h.shared[i].v.Store(h.pending[i].v.Load())
+		if v := h.pending[i].v.Load(); h.shared[i].v.Load() != v {
+			h.shared[i].v.Store(v)
+		}
+	}
+	if !h.sharedActive.Load() {
+		h.sharedActive.Store(true)
 	}
 }
 
-func (h *hprec) clearPending() {
+// reset zeroes every slot and both active words (join and Release: the
+// record leaves and enters a lease contributing nothing).
+func (h *hprec) reset() {
 	for i := range h.pending {
-		h.pending[i].v.Store(0)
+		if h.pending[i].v.Load() != 0 {
+			h.pending[i].v.Store(0)
+		}
+		if h.shared[i].v.Load() != 0 {
+			h.shared[i].v.Store(0)
+		}
 	}
-}
-
-func (h *hprec) clearShared() {
-	for i := range h.shared {
-		h.shared[i].v.Store(0)
-	}
+	h.on = false
+	h.pendingActive.Store(false)
+	h.sharedActive.Store(false)
 }
 
 // hpSnapshot is a sorted snapshot of every worker's shared hazard pointers,

@@ -163,13 +163,13 @@ func (d *QSense) allActive() bool {
 	return all
 }
 
-// Guard implements Domain (deprecated positional access): pins slot w,
-// activates its membership and marks its hazard record live for scans.
+// Guard implements Domain (deprecated positional access): pins slot w and
+// activates its membership. Its hazard record joins flush passes and scans
+// with its first Protect.
 func (d *QSense) Guard(w int) Guard {
 	first := d.slots.pin(w) // also bounds-checks the positional range
 	g := d.guards.at(w)
 	if first {
-		g.rec.leased.Store(true)
 		g.mem.activate(g.adopt)
 	}
 	return g
@@ -200,10 +200,8 @@ func (d *QSense) AcquireWait(ctx context.Context) (Guard, error) {
 
 func (d *QSense) join(w int) Guard {
 	g := d.guards.at(w)
-	g.rec.clearPending()
-	g.rec.clearShared()
+	g.rec.reset()
 	g.presence.Store(false) // never inherit a previous tenant's liveness claim
-	g.rec.leased.Store(true)
 	g.mem.activate(g.adopt)
 	g.tc.refresh(d.tune)
 	if !d.fallback.Load() {
@@ -225,8 +223,7 @@ func (d *QSense) Release(gd Guard) {
 		panic(errForeignGuard)
 	}
 	d.slots.unlease(g.id, func() {
-		g.rec.clearPending()
-		g.rec.clearShared()
+		g.rec.reset()
 		if !d.fallback.Load() {
 			g.quiescent()
 		}
@@ -236,7 +233,6 @@ func (d *QSense) Release(gd Guard) {
 		g.orphanLimbo()
 		g.Leave()
 		d.cnt.releaseTally(&g.tally, d.cfg.MemoryLimit)
-		g.rec.leased.Store(false)
 	})
 }
 
@@ -391,7 +387,7 @@ func (g *qsenseGuard) Protect(i int, r mem.Ref) {
 	g.d.cfg.fire(FaultProtect, g.id)
 }
 
-func (g *qsenseGuard) ClearHPs() { g.rec.clearPending() }
+func (g *qsenseGuard) ClearHPs() { g.rec.deactivate(&g.rec.pendingActive) }
 
 // Retire is free_node_later (Algorithm 5, lines 36–61).
 func (g *qsenseGuard) Retire(r mem.Ref) {

@@ -431,10 +431,11 @@ func (o *shardedOrphans) adoptHook(mgr *rooster.Manager, f *shardedPool, recs *s
 	}
 }
 
-// snapshotShared collects the non-nil shared HPs of all occupied records
-// across every shard, skipping pools with zero live occupancy (see the
-// file comment for the soundness edge), and reports how many records it
-// visited. One snapshot serves all shards: Michael's argument needs every
+// snapshotShared collects the non-nil shared HPs of all occupied, active
+// records across every shard (hprecord.go: why an inactive record may be
+// skipped whatever its slots hold), skipping pools with zero live occupancy
+// (see the file comment for the soundness edge), and reports how many
+// records it visited. One snapshot serves all shards: Michael's argument needs every
 // scanned node retired before the snapshot and every relevant protection
 // published (and flushed) before the unlink — properties that do not care
 // which shard the protector's slot lives on.
@@ -448,7 +449,7 @@ func snapshotShared(f *shardedPool, recs *shardedArena[*hprec], buf []uint64) (h
 		ra := recs.shards[s]
 		visited += p.walkOccupied(func(local int) bool {
 			r := ra.at(local)
-			if !r.leased.Load() {
+			if !r.sharedActive.Load() {
 				return true
 			}
 			for i := range r.shared {

@@ -291,8 +291,8 @@ func (p *slotPool) countLease() {
 // A pin can slip in between unlease's slotFree store and its push; the
 // pinned slot then sits in the freelist until tryAcquire pops and discards
 // it. What cannot happen is a pin DURING the drain: the releasing state
-// refuses it, so a drain's trailing cleanup (e.g. hiding an hprec from
-// scans) can never clobber a new pin's setup.
+// refuses it, so a drain's trailing cleanup (e.g. resetting an hprec) can
+// never clobber a new pin's setup.
 func (p *slotPool) unlease(i int, drain func()) bool {
 	nx, st := p.slot(i)
 	if !st.CompareAndSwap(slotLeased, slotReleasing) {

@@ -4,12 +4,12 @@
 // the context switch it forces drains the switched-out worker's store
 // buffer, so any hazard pointer stored before the switch becomes globally
 // visible. Go offers neither core pinning nor visibility-delayed stores, so
-// this package implements the behavioural analog described in DESIGN.md §2:
-// workers publish hazard pointers into private *pending* slots, and rooster
-// goroutines periodically copy pending slots into the *shared* slots that
-// reclamation scans read. An unflushed hazard pointer is genuinely invisible
-// to scans — the moral equivalent of a store stuck in a store buffer — and
-// the flush pass is the moral equivalent of the context switch.
+// this package implements a behavioural analog: workers publish hazard
+// pointers into private *pending* slots, and rooster goroutines periodically
+// copy pending slots into the *shared* slots that reclamation scans read. An
+// unflushed hazard pointer is genuinely invisible to scans — the moral
+// equivalent of a store stuck in a store buffer — and the flush pass is the
+// moral equivalent of the context switch.
 //
 // Deferred reclamation is expressed in flush passes ("ticks") rather than
 // wall-clock time: a retired node stamped at tick s is old enough once the

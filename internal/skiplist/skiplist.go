@@ -23,8 +23,9 @@
 // structure because every protect/validate pair is conclusive: a
 // validation that passes proves the protection was published before the
 // node's retirement, so no scan can free the node while it is in use.
-// Conclusiveness rests on three invariants; the first is local to search,
-// the other two are enforced by Insert's claim-then-link protocol:
+// Conclusiveness rests on four invariants; the first is local to search,
+// the next two are enforced by Insert's claim-then-link protocol, the last
+// by the key the cleanup searches are given:
 //
 //  1. Clean-edge validation. A marked node is never walked through; it is
 //     unlinked from the still-clean predecessor edge (search below). A
@@ -66,6 +67,20 @@
 //     the clean edge before installing it, and a qsensedebug build
 //     asserts the installed ref is live (mem.Pool.Valid) — defense in
 //     depth in case a protocol hole remains.
+//
+//  4. Equal-key shadowing. Two nodes with the same key can be linked at
+//     once: an Insert(k) whose search passed level l before the old node n
+//     (key k) was marked there, and level 0 after n was marked, finds k
+//     absent, links n' and — n still being succs[l] — claims n'.next[l] = n
+//     and links n' in front of it. A cleanup search that stops at the first
+//     key >= k stops at n' and never reaches n at level l; retiring n then
+//     leaves n'.next[l] leading to a retired node (a use-after-free under
+//     every scheme, qsbr included). Every search that must leave a marked
+//     node unreachable — Delete's physical cleanup, finishInsert, and
+//     upsertWord's two pruning passes — is therefore prune, which searches
+//     key+1: it walks through every node of key k and splices the marked
+//     one out from the clean side, whichever node shadows it. Searches that look a key up or position a link keep the
+//     plain key: they want the first node of key k, which is the live one.
 //
 // The historical violation of invariant 2 — Insert pre-stored every
 // upper next word from the level-0 search and re-claimed a level only
@@ -222,17 +237,15 @@ func (s *SkipList) NewHandle(g reclaim.Guard, seed uint64) *Handle {
 	return &Handle{s: s, guard: g, cache: s.pool.NewCache(0), rng: seed*2654435761 + 1}
 }
 
-// Slot layout: 2l / 2l+1 hold the (pred, succ) pair of level l; slot
-// 2*levels is the scratch slot that covers a frozen successor from just
-// before its installing splice until the level's own pair picks it up;
-// 2*levels+1 pins the operation's own node across helper searches;
-// 2*levels+2 covers a spilled value node while its payload is copied out
-// (value.go).
-func (h *Handle) hpLeft(l int) int  { return 2 * l }
-func (h *Handle) hpRight(l int) int { return 2*l + 1 }
-func (h *Handle) hpScratch() int    { return 2 * h.s.levels }
-func (h *Handle) hpPin() int        { return 2*h.s.levels + 1 }
-func (h *Handle) hpVal() int        { return 2*h.s.levels + 2 }
+// Slot layout: 2l and 2l+1 are level l's pair, taken alternately by the
+// nodes the walk visits on that level (search below); slot 2*levels is the
+// scratch slot that covers a frozen successor from just before its
+// installing splice until the level's own pair picks it up; 2*levels+1 pins
+// the operation's own node across helper searches; 2*levels+2 covers a
+// spilled value node while its payload is copied out (value.go).
+func (h *Handle) hpScratch() int { return 2 * h.s.levels }
+func (h *Handle) hpPin() int     { return 2*h.s.levels + 1 }
+func (h *Handle) hpVal() int     { return 2*h.s.levels + 2 }
 
 func isMarked(w uint64) bool { return w&markBit != 0 }
 
@@ -250,9 +263,9 @@ func (h *Handle) randomLevel() int {
 
 // search positions h.preds/h.succs around key at every level, unlinking
 // marked nodes it encounters (Fraser's search with Michael-style eager
-// unlinking). On return preds[l] and succs[l] are protected by level l's
-// slot pair (which of the two holds which rotates as the walk advances —
-// see below).
+// unlinking). On return preds[l] and succs[l] are each protected by the one
+// slot they were validated into — level l's pair or a higher level's, see
+// below.
 //
 // A marked node is unlinked immediately rather than walked through: a
 // node's marked next word is frozen, so re-validating a link THROUGH it
@@ -263,34 +276,53 @@ func (h *Handle) randomLevel() int {
 // through a clean edge cannot have passed its deleter's cleanup search yet,
 // so its retirement (and any scan) must come after our publication.
 //
-// Slot-role rotation. When the walk advances (left = right), the node's
-// protection must NOT be copied from the right slot to the left slot:
-// scans snapshot slots one at a time, so a concurrent snapshot can read
-// the destination before the copy and the source after it is overwritten,
-// missing a node that was covered the whole time — a use-after-free the
-// stress tests reproduce. Instead the two slot INDICES swap roles, so a
-// node stays in the one slot it was validated into for as long as it is
-// protected. (Copies with a stable source are fine: the descend re-uses
-// the level above's left slot, which is never overwritten again this
-// search, and Delete's pin copy happens strictly before the node's
-// retirement — both leave a conclusive slot for every snapshot to see.)
+// One publication per node visited. The rule is that a node stays in the
+// ONE slot it was validated into for as long as this pass's result is used,
+// and a level's slot pair is written only while the walk is on that level
+// (the scratch slot is never a node's only cover past the next loop
+// iteration). Three things follow:
+//
+//   - Slot-role rotation. When the walk advances (left = right) the
+//     protection is not copied from the right slot to the left slot: scans
+//     snapshot slots one at a time, so a snapshot can read the destination
+//     before the copy and the source after it is overwritten, missing a
+//     node that was covered the whole time — a use-after-free the stress
+//     tests reproduce. The two slot INDICES swap roles instead.
+//   - No descend copy. Entering level l, left is the head (never retired)
+//     or already sits in the slot of a level above, which this pass never
+//     writes again — so it, and preds[l] until the operation searches
+//     again, is covered without a publication, and both of level l's slots
+//     start free: the first right takes one, the rotation hands out the
+//     other.
+//   - No re-publication of a shared terminator. When right is the
+//     successor the level above ended on in this same pass it is still in
+//     that level's slot, validated there; it is neither published again nor
+//     is the edge re-validated (re-validation exists only to make a new
+//     publication conclusive). Its mark at THIS level is still checked. Its
+//     key is >= key, so the walk never advances onto it and the rotation
+//     never mistakes the borrowed slot for one of this level's.
+//
+// (Delete's pin copy has a stable source and happens strictly before the
+// node's retirement, so every snapshot still sees a conclusive slot.)
 func (h *Handle) search(key int64) {
 	pool := h.s.pool
 retry:
 	for {
 		left := h.s.head
+		var above mem.Ref // succs[lvl+1] of this pass; nil at the top level
 		for lvl := h.s.levels - 1; lvl >= 0; lvl-- {
-			ls, rs := h.hpLeft(lvl), h.hpRight(lvl)
-			h.guard.Protect(ls, left)
+			rs := 2 * lvl // right's slot: level lvl's pair is rs and rs^1
 			lw := pool.Get(left).next[lvl].Load()
 			if isMarked(lw) {
 				continue retry // left was deleted under us
 			}
 			right := mem.Ref(lw).Untagged()
 			for {
-				h.guard.Protect(rs, right)
-				if pool.Get(left).next[lvl].Load() != lw {
-					continue retry
+				if right != above {
+					h.guard.Protect(rs, right)
+					if pool.Get(left).next[lvl].Load() != lw {
+						continue retry
+					}
 				}
 				rw := pool.Get(right).next[lvl].Load()
 				if isMarked(rw) {
@@ -306,9 +338,9 @@ retry:
 					// a stale frozen ref is never written into the
 					// chain even if a protocol hole remains. The
 					// scratch protection stays the stable source
-					// until the level pair re-covers the node below
-					// (a copy FROM a stable slot is snapshot-safe;
-					// see the rotation note).
+					// until the next iteration re-covers the node in
+					// this level's slot (a copy FROM a stable slot
+					// is snapshot-safe).
 					next := mem.Ref(rw).Untagged()
 					h.guard.Protect(h.hpScratch(), next)
 					if pool.Get(left).next[lvl].Load() != lw {
@@ -324,19 +356,27 @@ retry:
 				}
 				if pool.Get(right).key < key {
 					left = right
-					ls, rs = rs, ls // right keeps its slot, now in the left role
+					rs ^= 1 // left keeps its slot; the next right takes the pair's other one
 					lw = rw
 					right = mem.Ref(rw).Untagged()
 					continue
 				}
 				h.preds[lvl] = left
 				h.succs[lvl] = right
+				above = right
 				break
 			}
 		}
 		return
 	}
 }
+
+// prune leaves every marked node of key unreachable at every level. It
+// searches key+1, not key (invariant 4 in the package doc): the walk then
+// passes through every node of key, so a marked one is spliced out even
+// when an unmarked node of the same key is linked in front of it. Keys are
+// <= MaxKey, so key+1 <= tailKey.
+func (h *Handle) prune(key int64) { h.search(key + 1) }
 
 // Contains reports whether key is in the set. Reserved keys (outside
 // [MinKey, MaxKey]) are never present.
@@ -433,7 +473,7 @@ func (h *Handle) upsertWord(key int64, w uint64, vlen int, upsert bool) (inserte
 			w := nptr.next[l].Load()
 			for w != uint64(h.succs[l]) {
 				if isMarked(w) {
-					h.search(key) // final cleanup pass, then done
+					h.prune(key) // final cleanup pass, then done
 					h.finishInsert(nref, nptr, key)
 					return true, true
 				}
@@ -456,7 +496,7 @@ func (h *Handle) upsertWord(key int64, w uint64, vlen int, upsert bool) (inserte
 	}
 	// Deletion may have raced the top link; ensure cleanup before unpinning.
 	if isMarked(nptr.next[0].Load()) {
-		h.search(key)
+		h.prune(key)
 	}
 	h.finishInsert(nref, nptr, key)
 	return true, true
@@ -465,13 +505,13 @@ func (h *Handle) upsertWord(key int64, w uint64, vlen int, upsert bool) (inserte
 // finishInsert ends the linking phase: no further level can be (re-)linked
 // after it. If the deleter already finished its cleanup in the meantime, it
 // abandoned the retirement to us (see the state constants); the node is
-// marked at every level, so one more search strictly unlinks it, and we
-// retire it while still holding the pin.
+// marked at every level, so one more prune unlinks it, and we retire it
+// while still holding the pin.
 func (h *Handle) finishInsert(nref mem.Ref, nptr *node, key int64) {
 	if nptr.state.CompareAndSwap(stLinking, stDone) {
 		return
 	}
-	h.search(key)
+	h.prune(key)
 	h.s.sRetires.Add(1)
 	h.guard.Retire(nref)
 }
@@ -524,7 +564,7 @@ func (h *Handle) Delete(key int64) bool {
 			// tombstone linearize after this delete (value.go); later
 			// upserts observe it and refuse to resurrect the node.
 			h.retireDisplaced(pool.Get(n).val.Swap(valTombstone))
-			h.search(key) // physical cleanup at every level
+			h.prune(key) // physical cleanup at every level
 			// Retirement ownership: if n's inserter is still linking
 			// upper levels, it can re-link a level our search already
 			// passed — retiring now would leave a reachable retired

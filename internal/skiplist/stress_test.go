@@ -24,6 +24,7 @@ package skiplist
 import (
 	"os"
 	"strconv"
+	"sync"
 	"testing"
 )
 
@@ -47,6 +48,85 @@ func TestSkipListUAFReproHPRC(t *testing.T) {
 				if t.Failed() {
 					t.Fatalf("failed at repetition %d/%d", rep+1, reps)
 				}
+			}
+		})
+	}
+}
+
+// TestSkipListSameKeyShadowing regression-tests invariant 4 of the package
+// doc (equal-key shadowing): two goroutines run unpartitioned
+// PutBytes/Delete/GetAppend over a handful of hot keys, so an insert of key
+// k keeps landing in front of a node of key k that is being deleted. With
+// cleanup searches that stop at the first key >= k the shadowed node is
+// retired while the new node's upper link still leads to it, and the run
+// dies within seconds on two cores under every scheme — qsbr included, it
+// is not a reclamation bug. Bounded by operation count, not wall time.
+func TestSkipListSameKeyShadowing(t *testing.T) {
+	const (
+		workers  = 2
+		hotKeys  = 8
+		coldKeys = 4096
+	)
+	opsEach := 200000
+	if testing.Short() {
+		opsEach = 50000
+	}
+	for _, scheme := range []string{"qsbr", "hp", "qsense"} {
+		t.Run(scheme, func(t *testing.T) {
+			s, d, hs := newSet(t, scheme, workers, 16)
+			defer d.Close()
+			// Cold odd keys between the hot even ones lengthen every
+			// descent, widening the window between an insert's pass over
+			// an upper level and its arrival at level 0.
+			for k := int64(1); k < 2*coldKeys; k += 2 {
+				hs[0].Insert(k)
+			}
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					defer func() {
+						if r := recover(); r != nil {
+							t.Errorf("worker %d: %v", w, r)
+						}
+					}()
+					h := hs[w]
+					rng := uint64(w)*0x9E3779B9 + 1
+					val := make([]byte, 64)
+					var buf []byte
+					for i := 0; i < opsEach && !t.Failed(); i++ {
+						rng ^= rng << 13
+						rng ^= rng >> 7
+						rng ^= rng << 17
+						k := int64(rng>>8%hotKeys) * (2 * coldKeys / hotKeys)
+						switch rng % 8 {
+						case 0, 1, 2:
+							for j := range val {
+								val[j] = byte(rng>>16) + byte(k) + byte(j)
+							}
+							h.PutBytes(k, val)
+						case 3, 4, 5:
+							h.Delete(k)
+						default:
+							v, ok := h.GetAppend(k, buf[:0])
+							buf = v
+							for j := range v {
+								if ok && (len(v) != len(val) || v[j] != v[0]+byte(j)) {
+									t.Errorf("key %d: torn or freed value read", k)
+									return
+								}
+							}
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			if t.Failed() {
+				return // the structure is corrupt; Validate could loop
+			}
+			if n, msg := s.Validate(); msg != "" || n < coldKeys || n > coldKeys+hotKeys {
+				t.Fatalf("validate: n=%d %s", n, msg)
 			}
 		})
 	}
