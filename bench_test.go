@@ -1,9 +1,9 @@
 // Package qsense_test regenerates every figure of the paper's evaluation
-// (§7) as Go benchmarks, plus the ablations DESIGN.md calls out. The
+// (§7) as Go benchmarks, plus the fence-cost and deferral ablations. The
 // figure benchmarks report throughput via the "Mops/s" metric — the y-axis
 // of Figures 3 and 5; ns/op is not the interesting number there.
 //
-// Shapes to look for (EXPERIMENTS.md records a full run):
+// Shapes to look for:
 //
 //	Fig3, Fig5Top:  none ≈ qsbr > qsense >> hp, qsense 2-3x over hp
 //	Fig5Bottom:     qsbr FAILS (OOM) under stalls; qsense switches & survives

@@ -1,5 +1,5 @@
 // qsense-calibrate reports this machine's characteristics for the fence
-// cost model (DESIGN.md §2): the calibrated spin-loop rate, the measured
+// cost model (internal/fence): the calibrated spin-loop rate, the measured
 // cost of atomic publication (what every scheme pays per hazard pointer
 // store in Go), and the effective cost of fenced publication at several
 // modeled fence latencies. Use it to pick a -fence value comparable to the
@@ -37,5 +37,5 @@ func main() {
 		}
 		fmt.Printf("fenced publication, model %-6v (classic HP): %v\n", cost, time.Since(t0)/n)
 	}
-	fmt.Printf("\ndefault fence model: %v (see DESIGN.md §2 for the rationale)\n", fence.DefaultCost)
+	fmt.Printf("\ndefault fence model: %v (the latency a hardware fence costs HP per Protect; Go's atomic store already orders, so internal/fence spins it)\n", fence.DefaultCost)
 }

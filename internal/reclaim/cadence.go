@@ -1,8 +1,6 @@
 package reclaim
 
 import (
-	"context"
-
 	"qsense/internal/mem"
 	"qsense/internal/rooster"
 )
@@ -17,8 +15,8 @@ import (
 //     every interval T. A hazard pointer therefore becomes visible to scans
 //     at most one full pass after it is stored — the analog of the paper's
 //     context-switch-drains-store-buffer argument. The domain registers one
-//     flush target (recFlusher) that walks the occupancy index, so a pass
-//     flushes only live records however large the arena once grew.
+//     flush target per shard (recFlusher) that walks the occupancy index, so
+//     a pass flushes only live records however large the arena once grew.
 //  2. Deferred reclamation. Retire stamps the node with the current rooster
 //     tick; scan only frees nodes whose stamp is at least two completed
 //     passes old (rooster.OldEnough — Figure 4's T+ε condition in tick
@@ -29,149 +27,67 @@ import (
 // demonstrably produces use-after-free violations (see cadence tests and
 // the §4.1 model in internal/tso).
 type Cadence struct {
-	cfg     Config
-	cnt     counters
-	tune    *tuner
-	mgr     *rooster.Manager
-	slots   *shardedPool
-	orphans shardedOrphans
-	recs    *shardedArena[*hprec]
-	guards  *shardedArena[*cadenceGuard]
+	domainCore
+	recs   *shardedArena[*hprec]
+	guards *shardedArena[*cadenceGuard]
 }
 
 type cadenceGuard struct {
+	guardCore
 	d         *Cadence
-	id        int
 	rec       *hprec
 	rl        []retired
 	sinceScan int
-	tally     tally
-	tc        tunerCache
 	scanBuf   []uint64
 }
 
 // NewCadence builds a stand-alone Cadence domain and starts its rooster
 // manager (unless Config.ManualRooster).
 func NewCadence(cfg Config) (*Cadence, error) {
-	if err := cfg.Validate(true); err != nil {
+	d := &Cadence{}
+	if err := d.init(nameCadence, cfg, true); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	d := &Cadence{cfg: cfg, mgr: rooster.NewManager(cfg.Rooster)}
-	d.tune = newTuner(cfg, &d.cnt)
-	d.orphans.init(cfg.Shards)
-	d.recs = newShardedArena(cfg.Shards, cfg.Workers, cfg.HardMaxWorkers, func(i int) *hprec {
-		return newHPRec(cfg.HPs)
+	d.tune = newTuner(d.cfg, &d.cnt)
+	d.mgr = rooster.NewManager(d.cfg.Rooster)
+	d.recs, d.guards = openHazardGuards(&d.domainCore, func(rec *hprec) *cadenceGuard {
+		return &cadenceGuard{d: d, rec: rec}
 	})
-	d.guards = newShardedArena(cfg.Shards, cfg.Workers, cfg.HardMaxWorkers, func(i int) *cadenceGuard {
-		return &cadenceGuard{d: d, id: i, rec: d.recs.at(i),
-			tc: tunerCache{r: cfg.R, c: cfg.C}}
-	})
-	d.slots = newShardedPool(cfg.Shards, cfg.Workers, cfg.HardMaxWorkers, d.tune, func(s, hi int) {
-		d.recs.growShard(s, hi)
-		d.guards.growShard(s, hi)
-	})
-	// One occupancy-walking flush target PER SHARD covers every record,
-	// current and future: growth publishes records before their slots can
-	// lease, each target walks exactly its own pool's occupied slots, and
-	// an idle shard's target returns on one load — so rooster registration
-	// is a construction-time affair and flush passes cost O(live).
-	for s, p := range d.slots.pools {
-		d.mgr.Register(&recFlusher{p: p, recs: d.recs.shards[s], cnt: &d.cnt})
-	}
-	d.mgr.AddHook(1, d.orphans.adoptHook(d.mgr, d.slots, d.recs, d.cfg, &d.cnt))
-	if !cfg.ManualRooster {
-		d.mgr.Start()
-	}
+	d.startRooster()
 	return d, nil
-}
-
-// Guard implements Domain (deprecated positional access): pins slot w. Its
-// hazard record joins flush passes and scans with its first Protect.
-func (d *Cadence) Guard(w int) Guard {
-	d.slots.pin(w)
-	return d.guards.at(w)
-}
-
-// Acquire implements Domain: lease a slot and drain any hazard state a
-// racing rooster flush may have re-published after the previous release.
-func (d *Cadence) Acquire() (Guard, error) {
-	w, err := d.slots.lease()
-	if err != nil {
-		return nil, err
-	}
-	return d.join(w), nil
-}
-
-// AcquireWait implements Domain: Acquire that parks until a slot frees or
-// ctx is done.
-func (d *Cadence) AcquireWait(ctx context.Context) (Guard, error) {
-	w, err := d.slots.leaseWait(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return d.join(w), nil
-}
-
-func (d *Cadence) join(w int) Guard {
-	g := d.guards.at(w)
-	g.rec.reset()
-	g.tc.refresh(d.tune)
-	return g
-}
-
-// Release implements Domain: drain both hazard arrays, run one deferred
-// scan so everything provably safe frees immediately, move the remainder
-// (protected or not yet old enough) to the orphan list — adopted by any
-// worker's later scan or by a rooster pass — and recycle the slot.
-func (d *Cadence) Release(gd Guard) {
-	g, ok := gd.(*cadenceGuard)
-	if !ok || g.d != d {
-		panic(errForeignGuard)
-	}
-	d.slots.unlease(g.id, func() {
-		g.rec.reset()
-		if len(g.rl) > 0 {
-			g.scan()
-		}
-		if len(g.rl) > 0 {
-			d.orphans.at(g.id).add(nil, g.rl, 0, &d.cnt)
-			g.rl = nil
-		}
-		d.cnt.releaseTally(&g.tally, d.cfg.MemoryLimit)
-	})
-}
-
-// Name implements Domain.
-func (d *Cadence) Name() string { return "cadence" }
-
-// Failed implements Domain.
-func (d *Cadence) Failed() bool { return d.cnt.failed.Load() }
-
-// Stats implements Domain.
-func (d *Cadence) Stats() Stats {
-	s := Stats{Scheme: "cadence", RoosterPasses: d.mgr.Tick()}
-	d.cnt.fill(&s, d.slots, func(i int) *tally { return &d.guards.at(i).tally })
-	d.slots.fillArena(&s)
-	return s
 }
 
 // Rooster exposes the manager so tests can drive passes deterministically.
 func (d *Cadence) Rooster() *rooster.Manager { return d.mgr }
 
-// Close implements Domain: stops the rooster, frees all pending retires and
-// drains the orphan list. Only call after all workers have stopped.
-func (d *Cadence) Close() {
-	d.mgr.Stop()
-	d.guards.forEach(func(g *cadenceGuard) {
-		for _, r := range g.rl {
-			d.cfg.Free(r.ref)
-		}
-		d.cnt.tallyFree(&g.tally, len(g.rl))
-		g.rl = g.rl[:0]
-		d.cnt.drainTally(&g.tally)
-	})
-	d.orphans.drain(d.cfg.Free, &d.cnt)
+// join: drain any hazard state a racing rooster flush may have
+// re-published after the previous release.
+func (g *cadenceGuard) join() {
+	g.rec.reset()
+	g.tc.refresh(g.d.tune)
+}
+
+// drain: clear both hazard arrays, run one deferred scan so everything
+// provably safe frees immediately and move the remainder (protected or not
+// yet old enough) to the orphan list — adopted by any worker's later scan
+// or by a rooster pass.
+func (g *cadenceGuard) drain() {
+	g.rec.reset()
+	if len(g.rl) > 0 {
+		g.scan()
+	}
+	if len(g.rl) > 0 {
+		g.d.orphans.at(g.id).add(nil, g.rl, 0, &g.d.cnt)
+		g.rl = nil
+	}
+}
+
+func (g *cadenceGuard) closeFree() {
+	for _, r := range g.rl {
+		g.d.cfg.Free(r.ref)
+	}
+	g.d.cnt.tallyFree(&g.tally, len(g.rl))
+	g.rl = g.rl[:0]
 }
 
 func (g *cadenceGuard) Begin() {}
@@ -202,8 +118,6 @@ func (g *cadenceGuard) Retire(r mem.Ref) {
 		g.scan()
 	}
 }
-
-func (g *cadenceGuard) slotID() int { return g.id }
 
 // scan runs one deferred scan over the guard's retire list and then adopts
 // eligible orphans against the same snapshot. Order matters: the tick is

@@ -1,7 +1,6 @@
 package reclaim
 
 import (
-	"context"
 	"sync/atomic"
 
 	"qsense/internal/mem"
@@ -36,18 +35,14 @@ import (
 // both happened, so no critical section that could have obtained a
 // reference (one announced at g-2 or earlier) survives.
 type EBR struct {
-	cfg     Config
-	cnt     counters
-	tune    *tuner
-	epoch   atomic.Uint64
-	slots   *shardedPool
-	orphans shardedOrphans
-	guards  *shardedArena[*ebrGuard]
+	domainCore
+	epoch  atomic.Uint64
+	guards *shardedArena[*ebrGuard]
 }
 
 type ebrGuard struct {
-	d  *EBR
-	id int
+	guardCore
+	d *EBR
 	// word packs (announced epoch << 1) | active. Peers read it in
 	// tryAdvance; the owner writes it in Begin/ClearHPs.
 	word         atomic.Uint64
@@ -55,59 +50,29 @@ type ebrGuard struct {
 	adoptSeen    uint64 // last epoch at which this guard tried orphan adoption
 	limbo        [3][]mem.Ref
 	sinceAdvance int
-	tally        tally
-	tc           tunerCache
 	_            [40]byte // keep adjacent guards' hot words apart
 }
 
-// NewEBR builds an epoch-based reclamation domain.
+// NewEBR builds an epoch-based reclamation domain. Guards are born inactive
+// (outside any critical section), so pinning needs no membership work: an
+// idle guard never blocks grace periods.
 func NewEBR(cfg Config) (*EBR, error) {
-	if err := cfg.Validate(true); err != nil {
+	d := &EBR{}
+	if err := d.init(nameEBR, cfg, true); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	d := &EBR{cfg: cfg}
-	d.tune = newTuner(cfg, &d.cnt)
-	d.orphans.init(cfg.Shards)
-	d.guards = newShardedArena(cfg.Shards, cfg.Workers, cfg.HardMaxWorkers, func(i int) *ebrGuard {
-		return &ebrGuard{d: d, id: i, tc: tunerCache{r: cfg.R, c: cfg.C}}
+	d.tune = newTuner(d.cfg, &d.cnt)
+	d.guards = openGuards(&d.domainCore, nil, func(int) *ebrGuard {
+		return &ebrGuard{d: d}
 	})
-	d.slots = newShardedPool(cfg.Shards, cfg.Workers, cfg.HardMaxWorkers, d.tune, d.guards.growShard)
 	return d, nil
 }
 
-// Guard implements Domain (deprecated positional access). EBR guards are
-// born inactive (outside any critical section), so pinning needs no
-// membership work: an idle guard never blocks grace periods.
-func (d *EBR) Guard(w int) Guard {
-	d.slots.pin(w)
-	return d.guards.at(w)
-}
-
-// Acquire implements Domain: lease a slot and catch it up — free the limbo
-// bucket the current epoch proves aged (what Begin would do on its next
-// announcement) and nudge the global epoch, which under pure handle churn
-// is the main advance driver.
-func (d *EBR) Acquire() (Guard, error) {
-	w, err := d.slots.lease()
-	if err != nil {
-		return nil, err
-	}
-	return d.join(w), nil
-}
-
-// AcquireWait implements Domain: Acquire that parks until a slot frees or
-// ctx is done.
-func (d *EBR) AcquireWait(ctx context.Context) (Guard, error) {
-	w, err := d.slots.leaseWait(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return d.join(w), nil
-}
-
-func (d *EBR) join(w int) Guard {
-	g := d.guards.at(w)
+// join catches a leased slot up: free the limbo bucket the current epoch
+// proves aged (what Begin would do on its next announcement) and nudge the
+// global epoch, which under pure handle churn is the main advance driver.
+func (g *ebrGuard) join() {
+	d := g.d
 	if e := d.epoch.Load(); e != g.lastSeen {
 		g.lastSeen = e
 		g.freeBucket(int(e % 3))
@@ -122,55 +87,27 @@ func (d *EBR) join(w int) Guard {
 	}
 	d.cnt.flushTally(&g.tally, d.cfg.MemoryLimit)
 	g.tc.refresh(d.tune)
-	return g
 }
 
-// Release implements Domain: exit the critical section (the guard goes
-// inactive, so it cannot block grace periods while the slot sits vacant),
-// help the epoch along, move the remaining limbo to the orphan list —
-// stamped with the current global epoch, so any worker's Begin adopts it
-// three advances later — and recycle the slot.
-func (d *EBR) Release(gd Guard) {
-	g, ok := gd.(*ebrGuard)
-	if !ok || g.d != d {
-		panic(errForeignGuard)
+// drain: exit the critical section (the guard goes inactive, so it cannot
+// block grace periods while the slot sits vacant), help the epoch along and
+// move the remaining limbo to the guard's OWN shard's orphan list in one
+// batch stamped with the current global epoch, so any worker's Begin adopts
+// it three advances later.
+func (g *ebrGuard) drain() {
+	g.ClearHPs()
+	g.tryAdvance()
+	g.d.orphans.at(g.id).addRefBuckets(&g.limbo, g.d.epoch.Load(), &g.d.cnt)
+}
+
+func (g *ebrGuard) closeFree() {
+	for b := range g.limbo {
+		g.freeBucket(b)
 	}
-	d.slots.unlease(g.id, func() {
-		g.ClearHPs()
-		g.tryAdvance()
-		g.orphanLimbo()
-		d.cnt.releaseTally(&g.tally, d.cfg.MemoryLimit)
-	})
 }
-
-// Name implements Domain.
-func (d *EBR) Name() string { return "ebr" }
-
-// Failed implements Domain.
-func (d *EBR) Failed() bool { return d.cnt.failed.Load() }
 
 // GlobalEpoch exposes the global epoch for tests.
 func (d *EBR) GlobalEpoch() uint64 { return d.epoch.Load() }
-
-// Stats implements Domain.
-func (d *EBR) Stats() Stats {
-	s := Stats{Scheme: "ebr"}
-	d.cnt.fill(&s, d.slots, func(i int) *tally { return &d.guards.at(i).tally })
-	d.slots.fillArena(&s)
-	return s
-}
-
-// Close implements Domain: frees all limbo contents and drains the orphan
-// list. Call only once all workers have stopped.
-func (d *EBR) Close() {
-	d.guards.forEach(func(g *ebrGuard) {
-		for b := range g.limbo {
-			g.freeBucket(b)
-		}
-		d.cnt.drainTally(&g.tally)
-	})
-	d.orphans.drain(d.cfg.Free, &d.cnt)
-}
 
 // Begin enters a critical section: announce the current global epoch and
 // become active. The announcement uses a sequentially consistent store so
@@ -254,15 +191,6 @@ func (g *ebrGuard) tryAdvance() {
 	if g.d.epoch.CompareAndSwap(e, e+1) {
 		g.d.cnt.epochs.Add(1)
 	}
-}
-
-func (g *ebrGuard) slotID() int { return g.id }
-
-// orphanLimbo moves the guard's remaining limbo to its OWN shard's orphan
-// list in one batch stamped with the current global epoch (release drain
-// only) — one CAS moves the whole backlog.
-func (g *ebrGuard) orphanLimbo() {
-	g.d.orphans.at(g.id).addRefBuckets(&g.limbo, g.d.epoch.Load(), &g.d.cnt)
 }
 
 func (g *ebrGuard) freeBucket(b int) {

@@ -1,8 +1,6 @@
 package reclaim
 
 import (
-	"context"
-
 	"qsense/internal/fence"
 	"qsense/internal/mem"
 )
@@ -21,138 +19,66 @@ import (
 // (tune.go). HP is wait-free and robust: no worker can block another's
 // reclamation beyond the K nodes it actually protects.
 type HP struct {
-	cfg     Config
-	cnt     counters
-	tune    *tuner
-	slots   *shardedPool
-	orphans shardedOrphans
-	recs    *shardedArena[*hprec]
-	guards  *shardedArena[*hpGuard]
+	domainCore
+	recs   *shardedArena[*hprec]
+	guards *shardedArena[*hpGuard]
 }
 
 type hpGuard struct {
+	guardCore
 	d         *HP
-	id        int
 	rec       *hprec
 	fence     *fence.Model // per guard: a fence stalls only its own core
 	rl        []retired
 	sinceScan int
-	tally     tally
-	tc        tunerCache
 	scanBuf   []uint64
 }
 
 // NewHP builds a hazard pointer domain.
 func NewHP(cfg Config) (*HP, error) {
-	if err := cfg.Validate(true); err != nil {
+	d := &HP{}
+	if err := d.init(nameHP, cfg, true); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	cost := cfg.FenceCost
+	cost := d.cfg.FenceCost
 	if cost == 0 {
 		cost = fence.DefaultCost
 	}
-	d := &HP{cfg: cfg}
-	d.tune = newTuner(cfg, &d.cnt)
-	d.orphans.init(cfg.Shards)
-	d.recs = newShardedArena(cfg.Shards, cfg.Workers, cfg.HardMaxWorkers, func(i int) *hprec {
-		return newHPRec(cfg.HPs)
-	})
-	d.guards = newShardedArena(cfg.Shards, cfg.Workers, cfg.HardMaxWorkers, func(i int) *hpGuard {
-		return &hpGuard{d: d, id: i, rec: d.recs.at(i), fence: fence.NewModel(cost),
-			tc: tunerCache{r: cfg.R, c: cfg.C}}
-	})
-	d.slots = newShardedPool(cfg.Shards, cfg.Workers, cfg.HardMaxWorkers, d.tune, func(s, hi int) {
-		d.recs.growShard(s, hi) // records first: guards (and scans) index into them
-		d.guards.growShard(s, hi)
+	d.tune = newTuner(d.cfg, &d.cnt)
+	d.recs, d.guards = openHazardGuards(&d.domainCore, func(rec *hprec) *hpGuard {
+		return &hpGuard{d: d, rec: rec, fence: fence.NewModel(cost)}
 	})
 	return d, nil
 }
 
-// Guard implements Domain (deprecated positional access): pins slot w. Its
-// hazard record joins scans with its first Protect.
-func (d *HP) Guard(w int) Guard {
-	d.slots.pin(w)
-	return d.guards.at(w)
-}
-
-// Acquire implements Domain. HP needs no join protocol — a guard protects
-// only what it publishes — so leasing is just slot bookkeeping plus a
-// record that starts empty.
-func (d *HP) Acquire() (Guard, error) {
-	w, err := d.slots.lease()
-	if err != nil {
-		return nil, err
-	}
-	return d.join(w), nil
-}
-
-// AcquireWait implements Domain: Acquire that parks until a slot frees or
-// ctx is done.
-func (d *HP) AcquireWait(ctx context.Context) (Guard, error) {
-	w, err := d.slots.leaseWait(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return d.join(w), nil
-}
-
-func (d *HP) join(w int) Guard {
-	g := d.guards.at(w)
+// join: HP needs no join protocol — a guard protects only what it
+// publishes — so a fresh tenant just starts from an empty record.
+func (g *hpGuard) join() {
 	g.rec.reset()
-	g.tc.refresh(d.tune)
-	return g
+	g.tc.refresh(g.d.tune)
 }
 
-// Release implements Domain: clear the guard's hazard pointers, scan once to
-// drain the retire list (everything not protected by other workers frees
-// immediately), move the protected remainder to the orphan list — any
-// worker's next scan adopts whatever its snapshot no longer protects — and
-// recycle the slot.
-func (d *HP) Release(gd Guard) {
-	g, ok := gd.(*hpGuard)
-	if !ok || g.d != d {
-		panic(errForeignGuard)
+// drain: clear the guard's hazard pointers, scan once to drain the retire
+// list (everything not protected by other workers frees immediately) and
+// move the protected remainder to the orphan list — any worker's next scan
+// adopts whatever its snapshot no longer protects.
+func (g *hpGuard) drain() {
+	g.rec.reset()
+	if len(g.rl) > 0 {
+		g.scan()
 	}
-	d.slots.unlease(g.id, func() {
-		g.rec.reset()
-		if len(g.rl) > 0 {
-			g.scan()
-		}
-		if len(g.rl) > 0 {
-			d.orphans.at(g.id).add(nil, g.rl, 0, &d.cnt)
-			g.rl = nil
-		}
-		d.cnt.releaseTally(&g.tally, d.cfg.MemoryLimit)
-	})
+	if len(g.rl) > 0 {
+		g.d.orphans.at(g.id).add(nil, g.rl, 0, &g.d.cnt)
+		g.rl = nil
+	}
 }
 
-// Name implements Domain.
-func (d *HP) Name() string { return "hp" }
-
-// Failed implements Domain.
-func (d *HP) Failed() bool { return d.cnt.failed.Load() }
-
-// Stats implements Domain.
-func (d *HP) Stats() Stats {
-	s := Stats{Scheme: "hp"}
-	d.cnt.fill(&s, d.slots, func(i int) *tally { return &d.guards.at(i).tally })
-	d.slots.fillArena(&s)
-	return s
-}
-
-// Close implements Domain: frees every node still in a retire list and
-// drains the orphan list. Only call after all workers have stopped.
-func (d *HP) Close() {
-	d.guards.forEach(func(g *hpGuard) {
-		for _, r := range g.rl {
-			d.cfg.Free(r.ref)
-		}
-		d.cnt.tallyFree(&g.tally, len(g.rl))
-		g.rl = g.rl[:0]
-		d.cnt.drainTally(&g.tally)
-	})
-	d.orphans.drain(d.cfg.Free, &d.cnt)
+func (g *hpGuard) closeFree() {
+	for _, r := range g.rl {
+		g.d.cfg.Free(r.ref)
+	}
+	g.d.cnt.tallyFree(&g.tally, len(g.rl))
+	g.rl = g.rl[:0]
 }
 
 func (g *hpGuard) Begin() {}
@@ -181,8 +107,6 @@ func (g *hpGuard) Retire(r mem.Ref) {
 	}
 }
 
-func (g *hpGuard) slotID() int { return g.id }
-
 // scan is Michael's scan: snapshot shared HPs, free unprotected retirees.
 // The same snapshot then adopts any orphaned backlog released slots left
 // behind, so a vacated slot's protected remainder frees as soon as its
@@ -197,17 +121,8 @@ func (g *hpGuard) scan() {
 	snap, visited := snapshotShared(g.d.slots, g.d.recs, g.scanBuf)
 	g.d.cnt.tallyScanned(&g.tally, visited)
 	g.scanBuf = snap.vals // reuse the buffer next scan
-	kept := g.rl[:0]
-	freed := 0
-	for _, n := range g.rl {
-		if snap.contains(n.ref) {
-			kept = append(kept, n)
-		} else {
-			g.d.cfg.Free(n.ref)
-			freed++
-		}
-	}
-	g.rl = kept
+	var freed int
+	g.rl, freed = filterDeferred(g.d.cfg, nil, 0, snap, g.rl)
 	g.d.cnt.tallyFree(&g.tally, freed)
 	g.d.orphans.adoptDetachedAll(batches, snap, nil, 0, g.d.cfg, &g.d.cnt)
 	g.d.cnt.flushTally(&g.tally, g.d.cfg.MemoryLimit)

@@ -1,7 +1,6 @@
 package reclaim
 
 import (
-	"context"
 	"sync/atomic"
 
 	"qsense/internal/mem"
@@ -61,12 +60,9 @@ import (
 // AdoptedNodes, and when no inbox is active the republisher frees it on the
 // spot. A vacated slot never strands retired nodes.
 type Hyaline struct {
-	cfg     Config
-	cnt     counters
+	domainCore
 	era     EraSource    // birth-era clock for delivery filtering (localEra fallback)
 	outRefs atomic.Int64 // sum of unacknowledged deliveries (Stats)
-	slots   *shardedPool
-	orphans shardedOrphans
 	guards  *shardedArena[*hguard]
 }
 
@@ -95,8 +91,8 @@ type hentry struct {
 var hInactive = &hentry{}
 
 type hguard struct {
+	guardCore
 	d     *Hyaline
-	id    int
 	inbox atomic.Pointer[hentry]
 	// upper is the guard's era reservation bound, read by publishers to
 	// filter deliveries: stored (down or up — the guard holds no references
@@ -104,127 +100,71 @@ type hguard struct {
 	// operation runs. Meaningless while the inbox is inactive.
 	upper atomic.Uint64
 	batch []mem.Ref
-	tally tally
 	_     [40]byte // keep adjacent guards' hot words apart
 }
 
 // NewHyaline builds a Hyaline domain. It has no scan or fallback
-// thresholds, so like None it registers no tuner (Stats.EffectiveR/C stay
-// zero); Q is its one knob — the publish batch size.
+// thresholds, so like None it has no tuner (Stats.EffectiveR/C stay zero);
+// Q is its one knob — the publish batch size. A pinned guard's inbox stays
+// inactive until its first Begin.
 func NewHyaline(cfg Config) (*Hyaline, error) {
-	if err := cfg.Validate(true); err != nil {
+	d := &Hyaline{}
+	if err := d.init(nameHyaline, cfg, true); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	d := &Hyaline{cfg: cfg, era: cfg.Era}
-	if d.era == nil {
+	if d.era = d.cfg.Era; d.era == nil {
 		// All-zero births: the delivery filter never engages (every batch's
 		// minimum birth is 0) and publish degenerates to deliver-to-all.
 		d.era = &localEra{}
 	}
-	d.orphans.init(cfg.Shards)
-	d.guards = newShardedArena(cfg.Shards, cfg.Workers, cfg.HardMaxWorkers, func(i int) *hguard {
-		g := &hguard{d: d, id: i}
+	// HyalineBatchRefs can transiently read negative while an
+	// acknowledgment races the publisher's post-push add; clamp — it
+	// converges to the true outstanding-delivery sum at every quiescent
+	// point.
+	d.extraStats = func(s *Stats) { s.HyalineBatchRefs = max(0, d.outRefs.Load()) }
+	d.guards = openGuards(&d.domainCore, nil, func(int) *hguard {
+		g := &hguard{d: d}
 		g.inbox.Store(hInactive)
 		return g
 	})
-	d.slots = newShardedPool(cfg.Shards, cfg.Workers, cfg.HardMaxWorkers, nil, d.guards.growShard)
 	return d, nil
-}
-
-// Guard implements Domain (deprecated positional access). A pinned guard's
-// inbox stays inactive until its first Begin.
-func (d *Hyaline) Guard(w int) Guard {
-	d.slots.pin(w)
-	return d.guards.at(w)
-}
-
-// Acquire implements Domain.
-func (d *Hyaline) Acquire() (Guard, error) {
-	w, err := d.slots.lease()
-	if err != nil {
-		return nil, err
-	}
-	return d.join(w), nil
-}
-
-// AcquireWait implements Domain: Acquire that parks until a slot frees or
-// ctx is done.
-func (d *Hyaline) AcquireWait(ctx context.Context) (Guard, error) {
-	w, err := d.slots.leaseWait(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return d.join(w), nil
 }
 
 // join catches a leased slot up: adopt any stranded backlog (handle churn
 // must be an adoption driver, like the epoch schemes' joins). The inbox
 // stays inactive until Begin — a freshly leased, not-yet-operating slot
 // must not accumulate deliveries it would only acknowledge later.
-func (d *Hyaline) join(w int) Guard {
-	g := d.guards.at(w)
-	if !d.orphans.empty() {
+func (g *hguard) join() {
+	if !g.d.orphans.empty() {
 		g.adoptOrphans()
 	}
-	d.cnt.flushTally(&g.tally, d.cfg.MemoryLimit)
-	return g
+	g.d.cnt.flushTally(&g.tally, g.d.cfg.MemoryLimit)
 }
 
-// Release implements Domain: deactivate (acknowledging any deliveries) and
-// move the leftover local batch to this guard's own shard's orphan list,
-// from which any worker's next quiescent boundary republishes it through
-// the inboxes.
-func (d *Hyaline) Release(gd Guard) {
-	g, ok := gd.(*hguard)
-	if !ok || g.d != d {
-		panic(errForeignGuard)
+// drain: deactivate (acknowledging any deliveries) and move the leftover
+// local batch to this guard's own shard's orphan list in one CAS, from
+// which any worker's next quiescent boundary republishes it through the
+// inboxes: the nodes count OrphanedNodes now and AdoptedNodes when an
+// adopter's republication crosses zero.
+func (g *hguard) drain() {
+	g.ClearHPs()
+	if len(g.batch) > 0 {
+		g.d.orphans.at(g.id).add(g.batch, nil, 0, &g.d.cnt)
+		g.batch = nil
 	}
-	d.slots.unlease(g.id, func() {
-		g.ClearHPs()
-		g.handoff()
-		d.cnt.releaseTally(&g.tally, d.cfg.MemoryLimit)
-	})
 }
 
-// Name implements Domain.
-func (d *Hyaline) Name() string { return "hyaline" }
-
-// Failed implements Domain.
-func (d *Hyaline) Failed() bool { return d.cnt.failed.Load() }
-
-// Stats implements Domain. HyalineBatchRefs can transiently read negative
-// while an acknowledgment races the publisher's post-push add; clamp — it
-// converges to the true outstanding-delivery sum at every quiescent point.
-func (d *Hyaline) Stats() Stats {
-	s := Stats{Scheme: "hyaline"}
-	d.cnt.fill(&s, d.slots, func(i int) *tally { return &d.guards.at(i).tally })
-	d.slots.fillArena(&s)
-	if v := d.outRefs.Load(); v > 0 {
-		s.HyalineBatchRefs = v
+// closeFree acknowledges the inbox (each batch's counter crosses zero under
+// exactly one of Close's acks) and frees the unpublished local batch.
+func (g *hguard) closeFree() {
+	if h := g.inbox.Swap(hInactive); h != nil && h != hInactive {
+		g.ack(h)
 	}
-	return s
-}
-
-// Close implements Domain: acknowledge every inbox (each batch's counter
-// crosses zero under exactly one of these acks), free the unpublished
-// local batches and drain the orphan lists. Call only once all workers
-// have stopped.
-func (d *Hyaline) Close() {
-	d.guards.forEach(func(g *hguard) {
-		if h := g.inbox.Swap(hInactive); h != nil && h != hInactive {
-			g.ack(h)
-		}
-		if len(g.batch) > 0 {
-			for _, r := range g.batch {
-				d.cfg.Free(r)
-			}
-			d.cnt.tallyFree(&g.tally, len(g.batch))
-			g.batch = nil
-		}
-		d.cnt.drainTally(&g.tally)
-	})
-	d.orphans.drain(d.cfg.Free, &d.cnt)
+	for _, r := range g.batch {
+		g.d.cfg.Free(r)
+	}
+	g.d.cnt.tallyFree(&g.tally, len(g.batch))
+	g.batch = nil
 }
 
 // Begin enters an operation — Hyaline's quiescent boundary: activate the
@@ -298,20 +238,6 @@ func (g *hguard) Retire(r mem.Ref) {
 	}
 	g.batch = append(g.batch, r.Untagged())
 	g.d.cnt.tallyRetire(&g.tally, g.d.cfg.MemoryLimit)
-}
-
-func (g *hguard) slotID() int { return g.id }
-
-// handoff moves the leftover local batch to this guard's own shard's
-// orphan list in one CAS (release drain only): the nodes count
-// OrphanedNodes now and AdoptedNodes when an adopter's republication
-// crosses zero.
-func (g *hguard) handoff() {
-	if len(g.batch) == 0 {
-		return
-	}
-	g.d.orphans.at(g.id).add(g.batch, nil, 0, &g.d.cnt)
-	g.batch = nil
 }
 
 // adoptOrphans detaches every shard's orphan chain and republishes each

@@ -1,7 +1,6 @@
 package reclaim
 
 import (
-	"context"
 	"sync/atomic"
 
 	"qsense/internal/mem"
@@ -50,13 +49,9 @@ import (
 // era 0 — safe but epoch-equivalent (see EraSource); the public layer
 // wires each container's pool clock so real interval reclamation engages.
 type IBR struct {
-	cfg     Config
-	cnt     counters
-	tune    *tuner
-	era     EraSource
-	slots   *shardedPool
-	orphans shardedOrphans
-	guards  *shardedArena[*ibrGuard]
+	domainCore
+	era    EraSource
+	guards *shardedArena[*ibrGuard]
 	// eraQ is the adaptive retires-per-era-advance cadence (see the type
 	// comment); eraQFloor/eraQCap bound it. Plain Store races between
 	// concurrent scanners are benign — every written value is in range.
@@ -76,8 +71,8 @@ const ibrWidthTarget = 4
 const resInactive = ^uint64(0)
 
 type ibrGuard struct {
-	d  *IBR
-	id int
+	guardCore
+	d *IBR
 	// lower/upper are the published reservation. The owner writes them
 	// (Begin, Protect, ClearHPs); scanning peers read them. Torn reads are
 	// conservative by construction: lower only moves while the owner holds
@@ -92,8 +87,6 @@ type ibrGuard struct {
 	sinceEra  int // retires since the last era advance (Q cadence)
 	sinceScan int // retires since the last scan (R cadence)
 	resBuf    []eraInterval
-	tally     tally
-	tc        tunerCache
 	_         [40]byte // keep adjacent guards' hot words apart
 }
 
@@ -106,64 +99,34 @@ func (l *localEra) Era() uint64             { return l.e.Load() }
 func (l *localEra) AdvanceEra() uint64      { return l.e.Add(1) }
 func (l *localEra) BirthEra(mem.Ref) uint64 { return 0 }
 
-// NewIBR builds an interval-based reclamation domain.
+// NewIBR builds an interval-based reclamation domain. Guards are born with
+// an inactive reservation, so pinning needs no membership work.
 func NewIBR(cfg Config) (*IBR, error) {
-	if err := cfg.Validate(true); err != nil {
+	d := &IBR{}
+	if err := d.init(nameIBR, cfg, true); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	d := &IBR{cfg: cfg, era: cfg.Era}
-	if d.era == nil {
+	if d.era = d.cfg.Era; d.era == nil {
 		d.era = &localEra{}
 	}
-	d.eraQFloor = int64(cfg.Q / 4)
-	if d.eraQFloor < 1 {
-		d.eraQFloor = 1
-	}
-	d.eraQCap = int64(cfg.Q) * 16
-	d.eraQ.Store(int64(cfg.Q))
-	d.tune = newTuner(cfg, &d.cnt)
-	d.orphans.init(cfg.Shards)
-	d.guards = newShardedArena(cfg.Shards, cfg.Workers, cfg.HardMaxWorkers, func(i int) *ibrGuard {
-		g := &ibrGuard{d: d, id: i, tc: tunerCache{r: cfg.R, c: cfg.C}}
+	d.eraQFloor = max(1, int64(d.cfg.Q/4))
+	d.eraQCap = int64(d.cfg.Q) * 16
+	d.eraQ.Store(int64(d.cfg.Q))
+	d.tune = newTuner(d.cfg, &d.cnt)
+	d.extraStats = d.widthStats
+	d.guards = openGuards(&d.domainCore, nil, func(int) *ibrGuard {
+		g := &ibrGuard{d: d}
 		g.lower.Store(resInactive) // zero value would reserve [0,0] forever
 		return g
 	})
-	d.slots = newShardedPool(cfg.Shards, cfg.Workers, cfg.HardMaxWorkers, d.tune, d.guards.growShard)
 	return d, nil
-}
-
-// Guard implements Domain (deprecated positional access). IBR guards are
-// born with an inactive reservation, so pinning needs no membership work.
-func (d *IBR) Guard(w int) Guard {
-	d.slots.pin(w)
-	return d.guards.at(w)
-}
-
-// Acquire implements Domain.
-func (d *IBR) Acquire() (Guard, error) {
-	w, err := d.slots.lease()
-	if err != nil {
-		return nil, err
-	}
-	return d.join(w), nil
-}
-
-// AcquireWait implements Domain: Acquire that parks until a slot frees or
-// ctx is done.
-func (d *IBR) AcquireWait(ctx context.Context) (Guard, error) {
-	w, err := d.slots.leaseWait(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return d.join(w), nil
 }
 
 // join catches a leased slot up: under a standing orphan backlog, advance
 // the era (handle churn must be an adoption driver, like EBR's Acquire
 // advance) and sweep once per new era.
-func (d *IBR) join(w int) Guard {
-	g := d.guards.at(w)
+func (g *ibrGuard) join() {
+	d := g.d
 	if !d.orphans.empty() {
 		e := d.advanceEra()
 		if e != g.adoptSeen {
@@ -173,31 +136,27 @@ func (d *IBR) join(w int) Guard {
 	}
 	d.cnt.flushTally(&g.tally, d.cfg.MemoryLimit)
 	g.tc.refresh(d.tune)
-	return g
 }
 
-// Release implements Domain: deactivate the reservation and move the whole
-// remaining limbo to the releasing guard's own shard's orphan list as one
-// interval-stamped batch — per-node [birth, retire] evidence travels with
-// the batch, so any worker's later scan adopts whatever the then-active
-// reservations miss, and a vacated slot never strands retired nodes.
-func (d *IBR) Release(gd Guard) {
-	g, ok := gd.(*ibrGuard)
-	if !ok || g.d != d {
-		panic(errForeignGuard)
+// drain: deactivate the reservation and move the whole remaining limbo to
+// the releasing guard's own shard's orphan list as one interval-stamped
+// batch — per-node [birth, retire] evidence travels with the batch, so any
+// worker's later scan adopts whatever the then-active reservations miss.
+func (g *ibrGuard) drain() {
+	g.ClearHPs()
+	if len(g.limbo) > 0 {
+		g.d.orphans.at(g.id).add(nil, g.limbo, g.d.era.Era(), &g.d.cnt)
+		g.limbo = nil
 	}
-	d.slots.unlease(g.id, func() {
-		g.ClearHPs()
-		g.orphanLimbo()
-		d.cnt.releaseTally(&g.tally, d.cfg.MemoryLimit)
-	})
 }
 
-// Name implements Domain.
-func (d *IBR) Name() string { return "ibr" }
-
-// Failed implements Domain.
-func (d *IBR) Failed() bool { return d.cnt.failed.Load() }
+func (g *ibrGuard) closeFree() {
+	for _, n := range g.limbo {
+		g.d.cfg.Free(n.ref)
+	}
+	g.d.cnt.tallyFree(&g.tally, len(g.limbo))
+	g.limbo = nil
+}
 
 // Era exposes the current era for tests.
 func (d *IBR) Era() uint64 { return d.era.Era() }
@@ -232,37 +191,17 @@ func (d *IBR) retuneEraQ(res []eraInterval) {
 	}
 }
 
-// Stats implements Domain. IBRIntervalWidth is the widest active
-// reservation (upper-lower) at snapshot time — how much era history the
-// slowest current reader pins.
-func (d *IBR) Stats() Stats {
-	s := Stats{Scheme: "ibr"}
-	d.cnt.fill(&s, d.slots, func(i int) *tally { return &d.guards.at(i).tally })
-	d.slots.fillArena(&s)
-	var w uint64
+// widthStats fills IBRIntervalWidth: the widest active reservation
+// (upper-lower) at snapshot time — how much era history the slowest current
+// reader pins.
+func (d *IBR) widthStats(s *Stats) {
 	d.slots.walkOccupied(func(i int) bool {
 		g := d.guards.at(i)
-		if lo, hi := g.lower.Load(), g.upper.Load(); lo <= hi && hi-lo > w {
-			w = hi - lo
+		if lo, hi := g.lower.Load(), g.upper.Load(); lo <= hi && hi-lo > s.IBRIntervalWidth {
+			s.IBRIntervalWidth = hi - lo
 		}
 		return true
 	})
-	s.IBRIntervalWidth = w
-	return s
-}
-
-// Close implements Domain: frees all limbo contents and drains the orphan
-// lists. Call only once all workers have stopped.
-func (d *IBR) Close() {
-	d.guards.forEach(func(g *ibrGuard) {
-		for _, n := range g.limbo {
-			d.cfg.Free(n.ref)
-		}
-		d.cnt.tallyFree(&g.tally, len(g.limbo))
-		g.limbo = nil
-		d.cnt.drainTally(&g.tally)
-	})
-	d.orphans.drain(d.cfg.Free, &d.cnt)
 }
 
 func (d *IBR) advanceEra() uint64 {
@@ -390,16 +329,4 @@ func (g *ibrGuard) scan() {
 		d.orphans.adoptIntervalAll(batches, res, d.cfg.Free, &d.cnt)
 	}
 	d.cnt.flushTally(&g.tally, d.cfg.MemoryLimit)
-}
-
-func (g *ibrGuard) slotID() int { return g.id }
-
-// orphanLimbo moves the guard's remaining limbo to its OWN shard's orphan
-// list in one interval-stamped batch (release drain only).
-func (g *ibrGuard) orphanLimbo() {
-	if len(g.limbo) == 0 {
-		return
-	}
-	g.d.orphans.at(g.id).add(nil, g.limbo, g.d.era.Era(), &g.d.cnt)
-	g.limbo = nil
 }

@@ -50,7 +50,7 @@ type Leaver interface {
 	Join()
 }
 
-// membership is the per-guard state shared by qsbrGuard and qsenseGuard.
+// membership is the per-member liveness state.
 type membership struct {
 	active      atomic.Bool
 	lastQuiesce atomic.Int64 // unix nanos of the last quiescent state
@@ -60,7 +60,7 @@ type membership struct {
 // init prepares a slot that no worker owns yet: inactive, so an unleased
 // slot never blocks grace periods or the presence scan. The slot becomes
 // active when a worker claims it — Domain.Acquire or the positional
-// Guard(w) pin both run the guard's activate path.
+// Guard(w) pin both run the member's activate path.
 func (m *membership) init() {
 	m.active.Store(false)
 	m.lastQuiesce.Store(time.Now().UnixNano())
@@ -87,88 +87,170 @@ func (m *membership) skipOrEvict(evictAfter time.Duration, evictions *atomic.Uin
 	return false
 }
 
+// epochDomain is the domain half of the QSBR protocol, shared by QSBR and
+// QSense: the kernel plus the global epoch and a way to reach a peer's
+// member through the scheme's concretely typed guard arena.
+type epochDomain struct {
+	domainCore
+	epoch atomic.Uint64 // global epoch e_G
+	peer  func(i int) *epochMember
+}
+
+// GlobalEpoch exposes the global epoch for tests.
+func (d *epochDomain) GlobalEpoch() uint64 { return d.epoch.Load() }
+
+// epochMember is one worker's half of the QSBR protocol — local epoch,
+// membership, quiescent states, Leave/Join — embedded by qsbrGuard and
+// qsenseGuard. The two differ only in what a limbo bucket holds (plain refs
+// against tick-stamped nodes), so the guard supplies the bucket-free step.
+type epochMember struct {
+	adoptSeen uint64 // last epoch at which this member tried orphan adoption
+	mem       membership
+	ed        *epochDomain
+	buckets   interface{ freeBucket(b int) } // the embedding guard's three limbo buckets
+	local     atomic.Uint64                  // local epoch, read by peers in the advance check
+	guardCore                                // last: id next to the guard's own first fields
+}
+
+var _ Leaver = (*epochMember)(nil)
+
+// init wires the member to its domain and to the embedding guard's limbo;
+// the member starts inactive.
+func (m *epochMember) init(d *epochDomain, buckets interface{ freeBucket(b int) }) {
+	m.ed, m.buckets = d, buckets
+	m.mem.init()
+}
+
+// Leave implements Leaver.
+func (m *epochMember) Leave() {
+	m.mem.leftEpoch = m.ed.epoch.Load()
+	m.mem.active.Store(false)
+}
+
+// Join implements Leaver.
+func (m *epochMember) Join() {
+	m.rejoin()
+	m.mem.active.Store(true)
+}
+
 // activate is the quiet join used when a worker claims an inactive slot
 // (first pin, or an Acquire lease): adopt the global epoch, free limbo
 // buckets that aged out while the slot was inactive, and start
 // participating. Unlike Join it does not count a Rejoin — claiming a slot
-// is lease bookkeeping (Stats.AcquiredHandles), not crash recovery.
-// adopt/free run only on the false->true transition, so repeated positional
-// Guard(w) calls stay cheap and never reset a live worker's epoch.
-func (m *membership) activate(adopt func()) {
-	if m.active.CompareAndSwap(false, true) {
-		adopt()
+// is lease bookkeeping (Stats.AcquiredHandles), not crash recovery. adopt
+// runs only on the false->true transition, so it never resets a live
+// worker's epoch.
+func (m *epochMember) activate() {
+	if m.mem.active.CompareAndSwap(false, true) {
+		m.adopt()
 	}
 }
 
-// --- QSBR ---
+// pinned is the kernel's first-pin hook: a positional guard participates in
+// grace periods from its pin on, exactly like a fixed worker of the paper's
+// model.
+func (m *epochMember) pinned() { m.activate() }
 
-var _ Leaver = (*qsbrGuard)(nil)
-
-// Leave implements Leaver.
-func (g *qsbrGuard) Leave() {
-	g.mem.leftEpoch = g.d.epoch.Load()
-	g.mem.active.Store(false)
-}
-
-// Join implements Leaver.
-func (g *qsbrGuard) Join() {
-	g.rejoin()
-	g.mem.active.Store(true)
-}
-
-// adopt catches the guard up with the protocol: adopt the current global
+// adopt catches the member up with the protocol: adopt the current global
 // epoch and free buckets that aged out while the worker was away (three
 // epoch advances prove full grace periods for everything a previous tenant
 // or the departed worker left in limbo). The tally flush keeps the shared
 // counters exact at this pass boundary.
-func (g *qsbrGuard) adopt() {
-	global := g.d.epoch.Load()
-	g.local.Store(global)
-	g.mem.stampQuiesce()
-	if global >= g.mem.leftEpoch+3 {
-		for b := range g.limbo {
-			g.freeBucket(b)
-		}
-		g.d.cnt.flushTally(&g.tally, g.d.cfg.MemoryLimit)
+func (m *epochMember) adopt() {
+	global := m.ed.epoch.Load()
+	m.local.Store(global)
+	m.mem.stampQuiesce()
+	if global >= m.mem.leftEpoch+3 {
+		m.freeAll()
+		m.ed.cnt.flushTally(&m.tally, m.ed.cfg.MemoryLimit)
+	}
+}
+
+// freeAll frees all three buckets: every one has passed a grace period
+// (adopt's three-epoch bound, or Close with every worker stopped).
+func (m *epochMember) freeAll() {
+	for b := 0; b < 3; b++ {
+		m.buckets.freeBucket(b)
 	}
 }
 
 // rejoin is adopt plus the Rejoins count — the Join/eviction-recovery path.
-func (g *qsbrGuard) rejoin() {
-	g.adopt()
-	g.d.cnt.rejoins.Add(1)
+func (m *epochMember) rejoin() {
+	m.adopt()
+	m.ed.cnt.rejoins.Add(1)
 }
 
-// --- QSense ---
-
-var _ Leaver = (*qsenseGuard)(nil)
-
-// Leave implements Leaver.
-func (g *qsenseGuard) Leave() {
-	g.mem.leftEpoch = g.d.epoch.Load()
-	g.mem.active.Store(false)
-}
-
-// Join implements Leaver.
-func (g *qsenseGuard) Join() {
-	g.rejoin()
-	g.mem.active.Store(true)
-}
-
-// adopt mirrors qsbrGuard.adopt for the hybrid's guards.
-func (g *qsenseGuard) adopt() {
-	global := g.d.epoch.Load()
-	g.local.Store(global)
-	g.mem.stampQuiesce()
-	if global >= g.mem.leftEpoch+3 {
-		for b := range g.limbo {
-			g.freeBucket(b)
-		}
-		g.d.cnt.flushTally(&g.tally, g.d.cfg.MemoryLimit)
+// quiescent declares a quiescent state (§3.1).
+//
+// Epoch arithmetic. Retires go into bucket (local mod 3). A worker's local
+// epoch can lag the global by one while it is between quiescent states, so a
+// node in bucket e may have been retired while the global epoch was already
+// e+1 — and a reader whose critical section began at global epoch e+1 can
+// hold a reference to it. The global reaching e+2 therefore does NOT prove a
+// grace period for bucket e (such a reader pins the global at <= e+2 without
+// quiescing). The global reaching e+3 does: it requires every worker to have
+// adopted e+2 at a quiescent state, after which no critical section with
+// epoch <= e+1 survives. Hence: on adopting epoch g, free bucket (g mod 3) —
+// whose contents were retired at epoch g-3 — just before refilling it.
+func (m *epochMember) quiescent() {
+	d := m.ed
+	if !m.mem.active.Load() {
+		// Evicted (or left without Join) and now back: recover.
+		m.rejoin()
+		m.mem.active.Store(true)
 	}
+	m.mem.stampQuiesce()
+	d.slots.quiesceAt(m.id)
+	global := d.epoch.Load()
+	// Orphan adoption, at most once per epoch advance: batch maturity only
+	// changes when the epoch does, so retrying within one epoch would just
+	// churn the shared list head.
+	if global != m.adoptSeen && !d.orphans.empty() {
+		m.adoptSeen = global
+		d.orphans.adoptEpoch(global, d.cfg.Free, &d.cnt)
+	}
+	if m.local.Load() != global {
+		m.local.Store(global)
+		m.buckets.freeBucket(int(global % 3))
+		m.finishPass()
+		return
+	}
+	// Already current: try to advance the global epoch. Only OCCUPIED
+	// slots are walked (vacant guards are inactive by construction, so
+	// skipping them changes no outcome — occupancy.go); inactive peers
+	// are skipped; stale peers are evicted first when enabled. A tenant
+	// whose lease races this walk joined quiescent at the current epoch or
+	// later, which cannot invalidate the grace period — the same argument
+	// arena.go makes for slots published after a bound load.
+	ok := true
+	visited := d.slots.walkOccupied(func(i int) bool {
+		if i == m.id {
+			return true
+		}
+		peer := d.peer(i)
+		if peer.mem.skipOrEvict(d.cfg.EvictAfter, &d.cnt.evictions) {
+			return true
+		}
+		if peer.local.Load() != global {
+			ok = false
+			return false
+		}
+		return true
+	})
+	d.cnt.tallyScanned(&m.tally, visited)
+	if ok && d.epoch.CompareAndSwap(global, global+1) {
+		d.cnt.epochs.Add(1)
+		// Adopt immediately so a solitary worker still reclaims.
+		m.local.Store(global + 1)
+		m.buckets.freeBucket(int((global + 1) % 3))
+	}
+	m.finishPass()
 }
 
-func (g *qsenseGuard) rejoin() {
-	g.adopt()
-	g.d.cnt.rejoins.Add(1)
+// finishPass closes a reclamation pass: the tally flushes (shared counters
+// exact again) and the cached thresholds refresh if a capacity transition
+// re-tuned them.
+func (m *epochMember) finishPass() {
+	m.ed.cnt.flushTally(&m.tally, m.ed.cfg.MemoryLimit)
+	m.tc.refresh(m.ed.tune)
 }

@@ -1,300 +1,40 @@
 package reclaim
 
-import (
-	"context"
-	"sync/atomic"
-
-	"qsense/internal/mem"
-)
-
-// counters carries the stat counters shared by all schemes. Lease and
-// quiescent-state counts are NOT here: they accrue per shard on the slot
-// pools (slots.go) so the hot Acquire/Release/quiescent paths never touch
-// a domain-wide cache line, and the façade sums them into Stats.
-type counters struct {
-	retired   atomic.Uint64
-	freed     atomic.Uint64
-	scans     atomic.Uint64
-	scanned   atomic.Uint64 // per-slot records visited by reclamation walks
-	epochs    atomic.Uint64
-	toFall    atomic.Uint64
-	toFast    atomic.Uint64
-	evictions atomic.Uint64
-	rejoins   atomic.Uint64
-	orphaned  atomic.Uint64
-	adopted   atomic.Uint64
-	retunesR  atomic.Uint64
-	retunesC  atomic.Uint64
-	failed    atomic.Bool
-}
-
-// pending loads freed BEFORE retired: freed never exceeds retired in real
-// time and retired only grows, so this order keeps the difference >= 0
-// even when the loads are arbitrarily far apart (a reader descheduled
-// between them would otherwise see frees of retires it never counted).
-func (c *counters) pending() int64 {
-	freed := c.freed.Load()
-	return int64(c.retired.Load()) - int64(freed)
-}
-
-// tally is a guard's private retire/free ledger — the amortization that
-// keeps Retire from paying one shared RMW per node. retires/frees are
-// owner-only plain fields; res mirrors the unflushed retire count in a
-// single-writer atomic that Stats snapshots sum (so Stats.Retired stays
-// exact even between flushes, without Retire touching shared cache lines).
-//
-// Flush discipline: retires flush to the shared counters every
-// tallyFlushEvery events and at every reclamation pass boundary (scan,
-// sweep, quiescent state, epoch-bucket free), on Release and on Close.
-// Frees only ever accrue INSIDE a pass and are flushed before the pass
-// returns, so between passes the free residue is always zero and the
-// shared freed counter is exact. The only observable staleness is the
-// MemoryLimit check: it runs against the shared counters at flush time, so
-// breach detection can lag by up to tallyFlushEvery-1 retires per live
-// guard (documented on Config.MemoryLimit).
-type tally struct {
-	retires int
-	frees   int
-	scanned int          // walk visits; rides along with the next flush
-	res     atomic.Int64 // unflushed retires; single-writer, read by Stats
-}
-
-// tallyFlushEvery bounds how many retires a guard batches before flushing
-// to the shared counters (and re-checking MemoryLimit).
-const tallyFlushEvery = 32
-
-// tallyRetire counts one Retire in the guard's private ledger, flushing to
-// the shared counters every tallyFlushEvery events. With a MemoryLimit set
-// the breach check still runs per retire — against the shared counters plus
-// this guard's own unflushed count, so only OTHER guards' residues (at most
-// tallyFlushEvery-1 each) can delay detection — but it costs loads, not the
-// RMW the pre-tally noteRetire paid; without a limit the hot path touches
-// no shared counter at all.
-func (c *counters) tallyRetire(t *tally, limit int) {
-	t.retires++
-	t.res.Store(int64(t.retires))
-	if limit > 0 && c.pending()+int64(t.retires) > int64(limit) {
-		c.failed.Store(true)
-	}
-	if t.retires >= tallyFlushEvery || t.frees > 0 {
-		c.flushTally(t, limit)
-	}
-}
-
-// tallyFree counts n frees in the guard's private ledger. The caller's
-// reclamation pass MUST flush before returning control to the application
-// (every pass boundary calls flushTally), so shared freed stays exact at
-// pass boundaries.
-func (c *counters) tallyFree(t *tally, n int) {
-	t.frees += n
-}
-
-// tallyScanned counts walk visits by a guard-driven pass (HP snapshot
-// collection, epoch-advance checks). The count rides along with the next
-// retire/free flush — or flushes on its own past a coarse threshold — so a
-// pure lease-churn quiescent (nothing retired, one slot visited) pays no
-// shared RMW for its walk. ScannedRecords is a diagnostic: opportunistic
-// flushing trades per-snapshot exactness (it may lag by a guard's small
-// residue) for a clean hot path; Close drains the residues, so post-Close
-// reads are exact. Domain-level walks (rooster flushes, presence sweeps)
-// add to the shared counter directly — they are already per-pass.
-func (c *counters) tallyScanned(t *tally, n int) {
-	t.scanned += n
-	if t.scanned >= 4096 {
-		c.scanned.Add(uint64(t.scanned))
-		t.scanned = 0
-	}
-}
-
-// flushTally publishes the guard's ledger to the shared counters — retires
-// first, so shared freed can never overtake shared retired — and re-checks
-// the memory limit against the flushed totals. A ledger with nothing
-// retired or freed returns immediately (walk-visit residue waits for the
-// next real flush).
-func (c *counters) flushTally(t *tally, limit int) {
-	if t.retires == 0 && t.frees == 0 {
-		return
-	}
-	if t.retires > 0 {
-		c.retired.Add(uint64(t.retires))
-		t.retires = 0
-		t.res.Store(0)
-		if limit > 0 && c.pending() > int64(limit) {
-			c.failed.Store(true)
-		}
-	}
-	if t.frees > 0 {
-		c.freed.Add(uint64(t.frees))
-		t.frees = 0
-	}
-	if t.scanned > 0 {
-		c.scanned.Add(uint64(t.scanned))
-		t.scanned = 0
-	}
-}
-
-// releaseTally is the slot-release flush: everything except a TINY
-// walk-visit residue, which stays on the guard's ledger and rides along
-// with a future tenant's flush — so a lease-churn release pays no shared
-// RMW for the one or two slots its own quiescent/advance walk visited,
-// while a burst drain's large per-release walk counts (hundreds of visits)
-// are published before the slot vanishes from the index.
-func (c *counters) releaseTally(t *tally, limit int) {
-	c.flushTally(t, limit)
-	if t.scanned >= 64 {
-		c.scanned.Add(uint64(t.scanned))
-		t.scanned = 0
-	}
-}
-
-// drainTally is the terminal flush (Close): everything, walk-visit residue
-// included.
-func (c *counters) drainTally(t *tally) {
-	c.flushTally(t, 0)
-	if t.scanned > 0 {
-		c.scanned.Add(uint64(t.scanned))
-		t.scanned = 0
-	}
-}
-
-// noteAdopted records n orphans freed by an adopter; adopted frees are
-// ordinary frees for the Pending arithmetic. (Orphan batches only exist
-// past a Release, which flushed the releasing guard's tally, so an adopted
-// node's retire is always already in the shared counter.)
-func (c *counters) noteAdopted(n int) {
-	if n == 0 {
-		return
-	}
-	c.freed.Add(uint64(n))
-	c.adopted.Add(uint64(n))
-}
-
-// fill snapshots the counters. tallyAt (may be nil) resolves a slot's
-// guard tally so the occupied guards' unflushed retire residues can be
-// summed into Retired; the residues are read AFTER freed and BEFORE the
-// shared retired counter, which preserves the no-impossible-snapshot
-// ordering: freed is loaded first (bounded by true retires at that
-// instant), every unflushed retire is then either still in a residue we
-// read or already in the shared counter we read last — a flush racing the
-// snapshot can only OVER-count Retired transiently (by at most one
-// guard's residue), never show Freed > Retired.
-func (c *counters) fill(s *Stats, p *shardedPool, tallyAt func(i int) *tally) {
-	s.AdoptedNodes = c.adopted.Load()
-	s.Freed = c.freed.Load()
-	var res int64
-	if tallyAt != nil {
-		p.walkOccupied(func(i int) bool {
-			res += tallyAt(i).res.Load()
-			return true
-		})
-	}
-	s.Retired = c.retired.Load() + uint64(res)
-	s.Pending = int64(s.Retired) - int64(s.Freed)
-	s.OrphanedNodes = c.orphaned.Load()
-	s.Scans = c.scans.Load()
-	s.ScannedRecords = c.scanned.Load()
-	s.EpochAdvances = c.epochs.Load()
-	s.SwitchesToFallback = c.toFall.Load()
-	s.SwitchesToFast = c.toFast.Load()
-	s.Evictions = c.evictions.Load()
-	s.Rejoins = c.rejoins.Load()
-	s.RRetunes = c.retunesR.Load()
-	s.CRetunes = c.retunesC.Load()
-	s.Failed = c.failed.Load()
-}
+import "qsense/internal/mem"
 
 // None is the leaky baseline used throughout the paper's evaluation
 // ("None"): Retire leaks the node. It provides the no-reclamation upper
-// bound on throughput; long runs grow memory without bound.
+// bound on throughput; long runs grow memory without bound. The leak still
+// counts against MemoryLimit: a leaky implementation is the first to
+// exhaust memory on long runs.
 type None struct {
-	cfg    Config
-	cnt    counters
-	slots  *shardedPool
+	domainCore
 	guards *shardedArena[*noneGuard]
 }
 
 type noneGuard struct {
-	d     *None
-	id    int
-	tally tally
+	guardCore
+	d *None
 }
 
 // NewNone builds the leaky baseline domain.
 func NewNone(cfg Config) (*None, error) {
-	if err := cfg.Validate(false); err != nil {
+	d := &None{}
+	if err := d.init(nameNone, cfg, false); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	d := &None{cfg: cfg}
-	d.guards = newShardedArena(cfg.Shards, cfg.Workers, cfg.HardMaxWorkers, func(i int) *noneGuard {
-		return &noneGuard{d: d, id: i}
+	d.guards = openGuards(&d.domainCore, nil, func(int) *noneGuard {
+		return &noneGuard{d: d}
 	})
-	d.slots = newShardedPool(cfg.Shards, cfg.Workers, cfg.HardMaxWorkers, nil, d.guards.growShard)
 	return d, nil
 }
 
-// Guard implements Domain (deprecated positional access; pins the slot).
-func (d *None) Guard(w int) Guard {
-	d.slots.pin(w)
-	return d.guards.at(w)
-}
+// None has no reclamation state to join, drain or free: leaked nodes stay
+// leaked, and only the retire tallies flush (the kernel's half).
+func (g *noneGuard) join()      {}
+func (g *noneGuard) drain()     {}
+func (g *noneGuard) closeFree() {}
 
-// Acquire implements Domain. None has no reclamation state to join.
-func (d *None) Acquire() (Guard, error) {
-	w, err := d.slots.lease()
-	if err != nil {
-		return nil, err
-	}
-	return d.guards.at(w), nil
-}
-
-// AcquireWait implements Domain: Acquire that parks until a slot frees or
-// ctx is done. Orphan adoption is a no-op for None — Retire leaks, so a
-// released slot has no backlog to strand in the first place.
-func (d *None) AcquireWait(ctx context.Context) (Guard, error) {
-	w, err := d.slots.leaseWait(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return d.guards.at(w), nil
-}
-
-// Release implements Domain.
-func (d *None) Release(g Guard) {
-	ng, ok := g.(*noneGuard)
-	if !ok || ng.d != d {
-		panic(errForeignGuard)
-	}
-	d.slots.unlease(ng.id, func() {
-		d.cnt.releaseTally(&ng.tally, d.cfg.MemoryLimit)
-	})
-}
-
-// Name implements Domain.
-func (d *None) Name() string { return "none" }
-
-// Failed implements Domain. The leak still counts against MemoryLimit: a
-// leaky implementation is the first to exhaust memory on long runs.
-func (d *None) Failed() bool { return d.cnt.failed.Load() }
-
-// Stats implements Domain.
-func (d *None) Stats() Stats {
-	s := Stats{Scheme: "none"}
-	d.cnt.fill(&s, d.slots, func(i int) *tally { return &d.guards.at(i).tally })
-	d.slots.fillArena(&s)
-	return s
-}
-
-// Close implements Domain. Leaked nodes stay leaked; only the retire
-// tallies are flushed so post-Close Stats read from the shared counters
-// alone.
-func (d *None) Close() {
-	d.guards.forEach(func(g *noneGuard) {
-		d.cnt.drainTally(&g.tally)
-	})
-}
-
-func (g *noneGuard) slotID() int              { return g.id }
 func (g *noneGuard) Begin()                   {}
 func (g *noneGuard) Protect(i int, r mem.Ref) {}
 func (g *noneGuard) ClearHPs()                {}

@@ -303,11 +303,19 @@ func (p *slotPool) detachFreeLocked() uint32 {
 func (p *slotPool) unparkOneLocked() bool {
 	pf := int(p.parkedFrom.Load())
 	hi := p.high.Load()
-	if top, _ := segOf(hi-1, p.init); pf > top {
+	top, _ := segOf(hi-1, p.init)
+	if pf > top {
 		return false
 	}
 	lo, end := segBounds(pf, p.init, p.cap)
-	p.parkedFrom.Store(int32(pf + 1))
+	next := pf + 1
+	if pf == top {
+		// Nothing left parked: back to the "none parked" sentinel, not
+		// top+1 — a segment grown later would otherwise be born inside the
+		// parked suffix and its tenants skipped by every walk.
+		next = len(p.segs)
+	}
+	p.parkedFrom.Store(int32(next))
 	p.parkedSlots.Add(-int64(end - lo))
 	p.unparks.Add(1)
 	for i := int(end) - 1; i >= int(lo); i-- {

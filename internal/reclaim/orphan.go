@@ -139,7 +139,7 @@ func (l *orphanList) detach() *orphanBatch {
 
 // adoptEpoch frees every batch whose epoch evidence has matured: the global
 // epoch moved >= 3 past the batch's stamp, proving a full grace period (see
-// qsbr.go's epoch arithmetic and membership.go's Join bound). Immature
+// the epoch arithmetic on epochMember.quiescent and Join's bound). Immature
 // batches go back on the list.
 func (l *orphanList) adoptEpoch(global uint64, free func(mem.Ref), cnt *counters) {
 	if l.empty() {

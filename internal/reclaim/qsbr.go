@@ -1,11 +1,6 @@
 package reclaim
 
-import (
-	"context"
-	"sync/atomic"
-
-	"qsense/internal/mem"
-)
+import "qsense/internal/mem"
 
 // QSBR is quiescent-state-based reclamation (§3.1), the paper's fast path.
 //
@@ -22,134 +17,57 @@ import (
 // the global epoch and no memory is ever reclaimed again (the robustness
 // problem of §3.1); with MemoryLimit set, the domain then reports Failed.
 type QSBR struct {
-	cfg     Config
-	cnt     counters
-	epoch   atomic.Uint64 // global epoch e_G
-	slots   *shardedPool
-	orphans shardedOrphans
-	guards  *shardedArena[*qsbrGuard]
+	epochDomain
+	guards *shardedArena[*qsbrGuard]
 }
 
 type qsbrGuard struct {
-	d         *QSBR
-	id        int
-	local     atomic.Uint64 // local epoch, read by peers in tryAdvance
-	limbo     [3][]mem.Ref
-	calls     int
-	adoptSeen uint64 // last epoch at which this guard tried orphan adoption
-	tally     tally
-	mem       membership
-	_         [40]byte // keep hot fields of adjacent guards apart
+	epochMember
+	d     *QSBR
+	calls int
+	limbo [3][]mem.Ref
+	_     [40]byte // keep hot fields of adjacent guards apart
 }
 
 // NewQSBR builds a QSBR domain.
 func NewQSBR(cfg Config) (*QSBR, error) {
-	if err := cfg.Validate(true); err != nil {
+	d := &QSBR{}
+	if err := d.init(nameQSBR, cfg, true); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	d := &QSBR{cfg: cfg}
-	d.orphans.init(cfg.Shards)
-	d.guards = newShardedArena(cfg.Shards, cfg.Workers, cfg.HardMaxWorkers, func(i int) *qsbrGuard {
-		g := &qsbrGuard{d: d, id: i}
-		g.mem.init()
+	d.peer = func(i int) *epochMember { return &d.guards.at(i).epochMember }
+	d.guards = openGuards(&d.domainCore, nil, func(int) *qsbrGuard {
+		g := &qsbrGuard{d: d}
+		g.epochMember.init(&d.epochDomain, g)
 		return g
 	})
-	d.slots = newShardedPool(cfg.Shards, cfg.Workers, cfg.HardMaxWorkers, nil, d.guards.growShard)
 	return d, nil
 }
 
-// Guard implements Domain (deprecated positional access): pins slot w and
-// activates its membership, so the guard participates in grace periods from
-// this point on, exactly like a fixed worker of the paper's model.
-func (d *QSBR) Guard(w int) Guard {
-	first := d.slots.pin(w) // also bounds-checks the positional range
-	g := d.guards.at(w)
-	if first {
-		g.mem.activate(g.adopt)
-	}
-	return g
-}
-
-// Acquire implements Domain: lease a slot and join the protocol. The fresh
-// tenant holds no shared references, so the lease doubles as a quiescent
-// state — under pure handle churn (goroutines too short-lived to ever reach
-// a Q-th Begin) these lease-point quiescent states are what keep the global
-// epoch advancing and limbo buckets draining.
-func (d *QSBR) Acquire() (Guard, error) {
-	w, err := d.slots.lease()
-	if err != nil {
-		return nil, err
-	}
-	return d.join(w), nil
-}
-
-// AcquireWait implements Domain: Acquire that parks until a slot frees or
-// ctx is done.
-func (d *QSBR) AcquireWait(ctx context.Context) (Guard, error) {
-	w, err := d.slots.leaseWait(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return d.join(w), nil
-}
-
-func (d *QSBR) join(w int) Guard {
-	g := d.guards.at(w)
-	g.mem.activate(g.adopt)
+// join: the fresh tenant holds no shared references, so the lease doubles
+// as a quiescent state — under pure handle churn (goroutines too
+// short-lived to ever reach a Q-th Begin) these lease-point quiescent
+// states are what keep the global epoch advancing and limbo buckets
+// draining.
+func (g *qsbrGuard) join() {
+	g.activate()
 	g.quiescent()
-	return g
 }
 
-// Release implements Domain: declare a final quiescent state (the caller
-// holds no shared references, per the Release contract), Leave so the slot
-// stops blocking grace periods, move the guard's remaining limbo backlog to
-// the domain's orphan list — stamped with the current global epoch, so any
-// worker's later quiescent state adopts and frees it once three epochs pass
-// — and recycle the slot. The vacated slot strands nothing, whether or not
-// it is ever leased again.
-func (d *QSBR) Release(gd Guard) {
-	g, ok := gd.(*qsbrGuard)
-	if !ok || g.d != d {
-		panic(errForeignGuard)
-	}
-	d.slots.unlease(g.id, func() {
-		g.quiescent()
-		g.Leave()
-		g.orphanLimbo()
-		d.cnt.releaseTally(&g.tally, d.cfg.MemoryLimit)
-	})
+// drain: declare a final quiescent state (the caller holds no shared
+// references, per the Release contract), Leave so the slot stops blocking
+// grace periods, and move the remaining limbo backlog to the guard's OWN
+// shard's orphan list in one batch stamped with the current global epoch —
+// any worker's later quiescent state adopts and frees it once three epochs
+// pass, so the vacated slot strands nothing, whether or not it is ever
+// leased again.
+func (g *qsbrGuard) drain() {
+	g.quiescent()
+	g.Leave()
+	g.d.orphans.at(g.id).addRefBuckets(&g.limbo, g.d.epoch.Load(), &g.d.cnt)
 }
 
-// Name implements Domain.
-func (d *QSBR) Name() string { return "qsbr" }
-
-// Failed implements Domain.
-func (d *QSBR) Failed() bool { return d.cnt.failed.Load() }
-
-// Stats implements Domain.
-func (d *QSBR) Stats() Stats {
-	s := Stats{Scheme: "qsbr"}
-	d.cnt.fill(&s, d.slots, func(i int) *tally { return &d.guards.at(i).tally })
-	d.slots.fillArena(&s)
-	return s
-}
-
-// Close implements Domain: frees all limbo contents and drains the orphan
-// lists. Only call once all workers have stopped — at that point every
-// bucket has trivially passed a grace period.
-func (d *QSBR) Close() {
-	d.guards.forEach(func(g *qsbrGuard) {
-		for b := range g.limbo {
-			g.freeBucket(b)
-		}
-		d.cnt.drainTally(&g.tally)
-	})
-	d.orphans.drain(d.cfg.Free, &d.cnt)
-}
-
-// GlobalEpoch exposes the global epoch for tests.
-func (d *QSBR) GlobalEpoch() uint64 { return d.epoch.Load() }
+func (g *qsbrGuard) closeFree() { g.freeAll() }
 
 func (g *qsbrGuard) Begin() {
 	g.calls++
@@ -161,87 +79,6 @@ func (g *qsbrGuard) Begin() {
 	// robustness problem, exercised by internal/fault).
 	g.d.cfg.fire(FaultQuiesce, g.id)
 	g.quiescent()
-}
-
-// quiescent declares a quiescent state (§3.1).
-//
-// Epoch arithmetic. Retires go into bucket (local mod 3). A worker's local
-// epoch can lag the global by one while it is between quiescent states, so a
-// node in bucket e may have been retired while the global epoch was already
-// e+1 — and a reader whose critical section began at global epoch e+1 can
-// hold a reference to it. The global reaching e+2 therefore does NOT prove a
-// grace period for bucket e (such a reader pins the global at <= e+2 without
-// quiescing). The global reaching e+3 does: it requires every worker to have
-// adopted e+2 at a quiescent state, after which no critical section with
-// epoch <= e+1 survives. Hence: on adopting epoch g, free bucket (g mod 3) —
-// whose contents were retired at epoch g-3 — just before refilling it.
-func (g *qsbrGuard) quiescent() {
-	if !g.mem.active.Load() {
-		// Evicted (or left without Join) and now back: recover.
-		g.rejoin()
-		g.mem.active.Store(true)
-	}
-	g.mem.stampQuiesce()
-	g.d.slots.quiesceAt(g.id)
-	global := g.d.epoch.Load()
-	// Orphan adoption, at most once per epoch advance: batch maturity only
-	// changes when the epoch does, so retrying within one epoch would just
-	// churn the shared list head.
-	if global != g.adoptSeen && !g.d.orphans.empty() {
-		g.adoptSeen = global
-		g.d.orphans.adoptEpoch(global, g.d.cfg.Free, &g.d.cnt)
-	}
-	local := g.local.Load()
-	if local != global {
-		g.local.Store(global)
-		g.freeBucket(int(global % 3))
-		g.d.cnt.flushTally(&g.tally, g.d.cfg.MemoryLimit)
-		return
-	}
-	// Already current: try to advance the global epoch. Only OCCUPIED
-	// slots are walked (vacant guards are inactive by construction, so
-	// skipping them changes no outcome — occupancy.go); inactive peers
-	// are skipped; stale peers are evicted first when enabled. A tenant
-	// whose lease races this walk joined quiescent at the current epoch or
-	// later, which cannot invalidate the grace period — the same argument
-	// arena.go makes for slots published after a bound load.
-	ok := true
-	visited := g.d.slots.walkOccupied(func(i int) bool {
-		if i == g.id {
-			return true
-		}
-		peer := g.d.guards.at(i)
-		if peer.mem.skipOrEvict(g.d.cfg.EvictAfter, &g.d.cnt.evictions) {
-			return true
-		}
-		if peer.local.Load() != global {
-			ok = false
-			return false
-		}
-		return true
-	})
-	g.d.cnt.tallyScanned(&g.tally, visited)
-	if !ok {
-		g.d.cnt.flushTally(&g.tally, g.d.cfg.MemoryLimit)
-		return
-	}
-	if g.d.epoch.CompareAndSwap(global, global+1) {
-		g.d.cnt.epochs.Add(1)
-		// Adopt immediately so a solitary worker still reclaims.
-		g.local.Store(global + 1)
-		g.freeBucket(int((global + 1) % 3))
-	}
-	g.d.cnt.flushTally(&g.tally, g.d.cfg.MemoryLimit)
-}
-
-func (g *qsbrGuard) slotID() int { return g.id }
-
-// orphanLimbo moves the guard's remaining limbo onto its OWN shard's
-// orphan list in one batch stamped with the current global epoch (release
-// drain only) — the whole backlog crosses in one CAS, and the orphaned
-// load stays on the shard that generated it.
-func (g *qsbrGuard) orphanLimbo() {
-	g.d.orphans.at(g.id).addRefBuckets(&g.limbo, g.d.epoch.Load(), &g.d.cnt)
 }
 
 func (g *qsbrGuard) freeBucket(b int) {

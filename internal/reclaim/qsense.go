@@ -1,7 +1,6 @@
 package reclaim
 
 import (
-	"context"
 	"fmt"
 	"sync/atomic"
 
@@ -45,37 +44,26 @@ import (
 // nodes list and are scanned (deferred, HP-checked) every R retires; in fast
 // mode they are freed wholesale on epoch advance, wrappers and all.
 type QSense struct {
-	cfg      Config
-	cnt      counters
-	tune     *tuner
-	mgr      *rooster.Manager
+	epochDomain
 	fallback atomic.Bool
-	epoch    atomic.Uint64
-	slots    *shardedPool
-	orphans  shardedOrphans
 	recs     *shardedArena[*hprec]
 	guards   *shardedArena[*qsenseGuard]
 }
 
 type qsenseGuard struct {
+	epochMember
 	d   *QSense
-	id  int
 	rec *hprec
 	// presence is the §5.2 switch-back flag, set every Q-th Begin and
 	// cleared by the rooster's periodic reset. It lives on the guard (not
 	// a separate fixed array) so it grows with the elastic arena.
 	presence  atomic.Bool
-	local     atomic.Uint64 // local epoch, read by peers
 	limbo     [3][]retired
 	total     int // nodes across the three buckets
 	calls     int
 	sinceScan int
-	adoptSeen uint64 // last epoch at which this guard tried orphan adoption
-	prevFall  bool   // prev_seen_fallback_flag
-	tally     tally
-	tc        tunerCache
+	prevFall  bool // prev_seen_fallback_flag
 	scanBuf   []uint64
-	mem       membership
 	_         [40]byte // keep hot fields of adjacent guards apart
 }
 
@@ -85,43 +73,28 @@ type qsenseGuard struct {
 // grows past the initial Workers, the tuner keeps enforcing the bound
 // against the live worker count by raising the effective C as needed.
 func NewQSense(cfg Config) (*QSense, error) {
-	if err := cfg.Validate(true); err != nil {
+	d := &QSense{}
+	if err := d.init(nameQSense, cfg, true); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	if legal := LegalC(cfg); cfg.C < legal {
-		return nil, fmt.Errorf("reclaim: C=%d is not legal (need >= %d; see §6.2)", cfg.C, legal)
+	if legal := LegalC(d.cfg); d.cfg.C < legal {
+		return nil, fmt.Errorf("reclaim: C=%d is not legal (need >= %d; see §6.2)", d.cfg.C, legal)
 	}
-	d := &QSense{cfg: cfg, mgr: rooster.NewManager(cfg.Rooster)}
-	d.tune = newTuner(cfg, &d.cnt)
-	d.orphans.init(cfg.Shards)
-	d.recs = newShardedArena(cfg.Shards, cfg.Workers, cfg.HardMaxWorkers, func(i int) *hprec {
-		return newHPRec(cfg.HPs)
-	})
-	d.guards = newShardedArena(cfg.Shards, cfg.Workers, cfg.HardMaxWorkers, func(i int) *qsenseGuard {
-		g := &qsenseGuard{d: d, id: i, rec: d.recs.at(i),
-			tc: tunerCache{r: cfg.R, c: cfg.C}}
-		g.mem.init()
+	d.tune = newTuner(d.cfg, &d.cnt)
+	d.mgr = rooster.NewManager(d.cfg.Rooster)
+	d.peer = func(i int) *epochMember { return &d.guards.at(i).epochMember }
+	d.extraStats = func(s *Stats) { s.InFallback = d.fallback.Load() }
+	d.mgr.AddHook(d.cfg.PresenceResetTicks, d.resetPresence)
+	// A QSense orphan batch carries both evidence forms; the rooster's
+	// adoption hook uses the deferred-scan one, which works on either path
+	// — in particular in fallback mode, where the frozen epoch never
+	// matures the other.
+	d.recs, d.guards = openHazardGuards(&d.domainCore, func(rec *hprec) *qsenseGuard {
+		g := &qsenseGuard{d: d, rec: rec}
+		g.epochMember.init(&d.epochDomain, g)
 		return g
 	})
-	d.slots = newShardedPool(cfg.Shards, cfg.Workers, cfg.HardMaxWorkers, d.tune, func(s, hi int) {
-		d.recs.growShard(s, hi)
-		d.guards.growShard(s, hi)
-	})
-	// One occupancy-walking flush target per shard (see cadence.go):
-	// rooster passes flush only occupied records, idle shards cost one
-	// load, and growth never touches the rooster.
-	for s, p := range d.slots.pools {
-		d.mgr.Register(&recFlusher{p: p, recs: d.recs.shards[s], cnt: &d.cnt})
-	}
-	d.mgr.AddHook(cfg.PresenceResetTicks, d.resetPresence)
-	// A QSense orphan batch carries both evidence forms; the hook uses the
-	// deferred-scan one, which works on either path — in particular in
-	// fallback mode, where the frozen epoch never matures the other.
-	d.mgr.AddHook(1, d.orphans.adoptHook(d.mgr, d.slots, d.recs, d.cfg, &d.cnt))
-	if !cfg.ManualRooster {
-		d.mgr.Start()
-	}
+	d.startRooster()
 	return d, nil
 }
 
@@ -163,119 +136,46 @@ func (d *QSense) allActive() bool {
 	return all
 }
 
-// Guard implements Domain (deprecated positional access): pins slot w and
-// activates its membership. Its hazard record joins flush passes and scans
-// with its first Protect.
-func (d *QSense) Guard(w int) Guard {
-	first := d.slots.pin(w) // also bounds-checks the positional range
-	g := d.guards.at(w)
-	if first {
-		g.mem.activate(g.adopt)
-	}
-	return g
-}
-
-// Acquire implements Domain: lease a slot, drain any stale hazard state the
-// previous tenant's release raced, join the epoch protocol (adopting the
-// global epoch and freeing aged-out limbo), and — on the fast path — declare
-// the lease itself as a quiescent state so epochs keep rotating even when
-// every goroutine is too short-lived to reach a Q-th Begin.
-func (d *QSense) Acquire() (Guard, error) {
-	w, err := d.slots.lease()
-	if err != nil {
-		return nil, err
-	}
-	return d.join(w), nil
-}
-
-// AcquireWait implements Domain: Acquire that parks until a slot frees or
-// ctx is done.
-func (d *QSense) AcquireWait(ctx context.Context) (Guard, error) {
-	w, err := d.slots.leaseWait(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return d.join(w), nil
-}
-
-func (d *QSense) join(w int) Guard {
-	g := d.guards.at(w)
+// join: drain any stale hazard state the previous tenant's release raced,
+// join the epoch protocol (adopting the global epoch and freeing aged-out
+// limbo), and — on the fast path — declare the lease itself as a quiescent
+// state so epochs keep rotating even when every goroutine is too
+// short-lived to reach a Q-th Begin.
+func (g *qsenseGuard) join() {
 	g.rec.reset()
 	g.presence.Store(false) // never inherit a previous tenant's liveness claim
-	g.mem.activate(g.adopt)
-	g.tc.refresh(d.tune)
-	if !d.fallback.Load() {
+	g.activate()
+	g.tc.refresh(g.d.tune)
+	if !g.d.fallback.Load() {
 		g.quiescent()
 	}
-	return g
 }
 
-// Release implements Domain: drain the guard's hazard pointers, declare a
-// final quiescent state (the caller holds no references, per the Release
-// contract), run a Cadence scan over the remaining limbo so everything
-// provably safe frees now, move what survives to the orphan list — the
-// batch carries both evidence forms, so fast-path quiescent states (epoch)
-// and fallback/rooster scans (tick + HP) can both adopt it — then Leave and
-// recycle the slot.
-func (d *QSense) Release(gd Guard) {
-	g, ok := gd.(*qsenseGuard)
-	if !ok || g.d != d {
-		panic(errForeignGuard)
+// drain: drop the guard's hazard pointers, declare a final quiescent state
+// (the caller holds no references, per the Release contract), run a Cadence
+// scan over the remaining limbo so everything provably safe frees now, move
+// what survives to the orphan list — the batch carries both evidence forms,
+// so fast-path quiescent states (epoch) and fallback/rooster scans (tick +
+// HP) can both adopt it — then Leave.
+func (g *qsenseGuard) drain() {
+	g.rec.reset()
+	if !g.d.fallback.Load() {
+		g.quiescent()
 	}
-	d.slots.unlease(g.id, func() {
-		g.rec.reset()
-		if !d.fallback.Load() {
-			g.quiescent()
-		}
-		if g.total > 0 {
-			g.scanAll()
-		}
-		g.orphanLimbo()
-		g.Leave()
-		d.cnt.releaseTally(&g.tally, d.cfg.MemoryLimit)
-	})
+	if g.total > 0 {
+		g.scanAll()
+	}
+	g.orphanLimbo()
+	g.Leave()
 }
 
-// Name implements Domain.
-func (d *QSense) Name() string { return "qsense" }
-
-// Failed implements Domain. With a legal C this never trips (Property 4).
-func (d *QSense) Failed() bool { return d.cnt.failed.Load() }
+func (g *qsenseGuard) closeFree() { g.freeAll() }
 
 // InFallback reports whether the domain currently runs the fallback path.
 func (d *QSense) InFallback() bool { return d.fallback.Load() }
 
 // Rooster exposes the manager so tests can drive passes deterministically.
 func (d *QSense) Rooster() *rooster.Manager { return d.mgr }
-
-// GlobalEpoch exposes the global epoch for tests.
-func (d *QSense) GlobalEpoch() uint64 { return d.epoch.Load() }
-
-// Stats implements Domain.
-func (d *QSense) Stats() Stats {
-	s := Stats{Scheme: "qsense", InFallback: d.fallback.Load(), RoosterPasses: d.mgr.Tick()}
-	d.cnt.fill(&s, d.slots, func(i int) *tally { return &d.guards.at(i).tally })
-	d.slots.fillArena(&s)
-	return s
-}
-
-// Close implements Domain: stops the rooster, frees all limbo contents and
-// drains the orphan list. Only call after all workers have stopped.
-func (d *QSense) Close() {
-	d.mgr.Stop()
-	d.guards.forEach(func(g *qsenseGuard) {
-		for b := range g.limbo {
-			for _, n := range g.limbo[b] {
-				d.cfg.Free(n.ref)
-			}
-			d.cnt.tallyFree(&g.tally, len(g.limbo[b]))
-			g.limbo[b] = g.limbo[b][:0]
-		}
-		g.total = 0
-		d.cnt.drainTally(&g.tally)
-	})
-	d.orphans.drain(d.cfg.Free, &d.cnt)
-}
 
 // Begin is manage_qsense_state (Algorithm 5, lines 12–34).
 func (g *qsenseGuard) Begin() {
@@ -307,62 +207,6 @@ func (g *qsenseGuard) Begin() {
 		return
 	}
 	g.prevFall = true
-}
-
-// quiescent is QSBR's quiescent state over timestamped buckets. The epoch
-// arithmetic (free bucket g mod 3 on adopting g) is derived in qsbr.go; the
-// advance check walks only occupied slots (see qsbr.go for why a racing
-// lease cannot invalidate the grace period).
-func (g *qsenseGuard) quiescent() {
-	if !g.mem.active.Load() {
-		g.rejoin()
-		g.mem.active.Store(true)
-	}
-	g.mem.stampQuiesce()
-	g.d.slots.quiesceAt(g.id)
-	global := g.d.epoch.Load()
-	// Orphan adoption, at most once per epoch advance (see qsbr.go).
-	if global != g.adoptSeen && !g.d.orphans.empty() {
-		g.adoptSeen = global
-		g.d.orphans.adoptEpoch(global, g.d.cfg.Free, &g.d.cnt)
-	}
-	local := g.local.Load()
-	if local != global {
-		g.local.Store(global)
-		g.freeBucket(int(global % 3))
-		g.finishPass()
-		return
-	}
-	ok := true
-	visited := g.d.slots.walkOccupied(func(i int) bool {
-		if i == g.id {
-			return true
-		}
-		peer := g.d.guards.at(i)
-		if peer.mem.skipOrEvict(g.d.cfg.EvictAfter, &g.d.cnt.evictions) {
-			return true
-		}
-		if peer.local.Load() != global {
-			ok = false
-			return false
-		}
-		return true
-	})
-	g.d.cnt.tallyScanned(&g.tally, visited)
-	if ok && g.d.epoch.CompareAndSwap(global, global+1) {
-		g.d.cnt.epochs.Add(1)
-		g.local.Store(global + 1)
-		g.freeBucket(int((global + 1) % 3))
-	}
-	g.finishPass()
-}
-
-// finishPass closes a reclamation pass: the tally flushes (shared counters
-// exact again) and the cached thresholds refresh if a capacity transition
-// re-tuned them.
-func (g *qsenseGuard) finishPass() {
-	g.d.cnt.flushTally(&g.tally, g.d.cfg.MemoryLimit)
-	g.tc.refresh(g.d.tune)
 }
 
 func (g *qsenseGuard) freeBucket(b int) {
@@ -435,8 +279,6 @@ func (g *qsenseGuard) Retire(r mem.Ref) {
 		g.scanAll()
 	}
 }
-
-func (g *qsenseGuard) slotID() int { return g.id }
 
 // scanAll runs the Cadence scan over all three limbo buckets with one
 // snapshot, then adopts eligible orphans against the same snapshot. Tick

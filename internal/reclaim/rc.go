@@ -1,7 +1,6 @@
 package reclaim
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 
@@ -33,126 +32,63 @@ import (
 // validation (the node was unlinked before retire, and generation tagging
 // defeats ABA on the link word), so it releases without dereferencing.
 type RC struct {
-	cfg     Config
-	cnt     counters
-	tune    *tuner
-	table   countTable
-	slots   *shardedPool
-	orphans shardedOrphans
-	guards  *shardedArena[*rcGuard]
+	domainCore
+	table  countTable
+	guards *shardedArena[*rcGuard]
 }
 
 type rcGuard struct {
+	guardCore
 	d          *RC
-	id         int
 	held       []mem.Ref // held[i] = ref currently counted for HP slot i
 	rl         []mem.Ref
 	sinceSweep int
-	tally      tally
-	tc         tunerCache
 }
 
 // NewRC builds a reference counting domain. Config.HPs bounds the number
 // of simultaneously counted references per worker, exactly like hazard
 // pointer slots. RC's reclamation is per-node (count claims), so it has no
 // slot-proportional walks to convert; only its sweep cadence R re-tunes
-// with occupancy.
+// with occupancy. Counts are per-node, not per-worker, so pinning needs no
+// scheme work.
 func NewRC(cfg Config) (*RC, error) {
-	if err := cfg.Validate(true); err != nil {
+	d := &RC{}
+	if err := d.init(nameRC, cfg, true); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	d := &RC{cfg: cfg}
-	d.tune = newTuner(cfg, &d.cnt)
-	d.orphans.init(cfg.Shards)
-	d.guards = newShardedArena(cfg.Shards, cfg.Workers, cfg.HardMaxWorkers, func(i int) *rcGuard {
-		return &rcGuard{d: d, id: i, held: make([]mem.Ref, cfg.HPs),
-			tc: tunerCache{r: cfg.R, c: cfg.C}}
+	d.tune = newTuner(d.cfg, &d.cnt)
+	d.guards = openGuards(&d.domainCore, nil, func(int) *rcGuard {
+		return &rcGuard{d: d, held: make([]mem.Ref, d.cfg.HPs)}
 	})
-	d.slots = newShardedPool(cfg.Shards, cfg.Workers, cfg.HardMaxWorkers, d.tune, d.guards.growShard)
 	return d, nil
 }
 
-// Guard implements Domain (deprecated positional access). Counts are
-// per-node, not per-worker, so pinning needs no scheme work.
-func (d *RC) Guard(w int) Guard {
-	d.slots.pin(w)
-	return d.guards.at(w)
-}
+// join: a fresh RC guard holds no counted references; nothing to join
+// beyond refreshing the cached sweep threshold.
+func (g *rcGuard) join() { g.tc.refresh(g.d.tune) }
 
-// Acquire implements Domain. A fresh RC guard holds no counted references;
-// nothing to join beyond refreshing the cached sweep threshold.
-func (d *RC) Acquire() (Guard, error) {
-	w, err := d.slots.lease()
-	if err != nil {
-		return nil, err
+// drain: drop every counted reference, sweep the retire list so everything
+// unheld frees now and move the still-held remainder to the orphan list —
+// any worker's later sweep claims each node the moment its holders release
+// it.
+func (g *rcGuard) drain() {
+	g.ClearHPs()
+	if len(g.rl) > 0 {
+		g.sweep()
 	}
-	g := d.guards.at(w)
-	g.tc.refresh(d.tune)
-	return g, nil
-}
-
-// AcquireWait implements Domain: Acquire that parks until a slot frees or
-// ctx is done.
-func (d *RC) AcquireWait(ctx context.Context) (Guard, error) {
-	w, err := d.slots.leaseWait(ctx)
-	if err != nil {
-		return nil, err
+	if len(g.rl) > 0 {
+		g.d.orphans.at(g.id).add(g.rl, nil, 0, &g.d.cnt)
+		g.rl = nil
 	}
-	g := d.guards.at(w)
-	g.tc.refresh(d.tune)
-	return g, nil
 }
 
-// Release implements Domain: drop every counted reference, sweep the retire
-// list so everything unheld frees now, move the still-held remainder to the
-// orphan list — any worker's later sweep claims each node the moment its
-// holders release it — and recycle the slot.
-func (d *RC) Release(gd Guard) {
-	g, ok := gd.(*rcGuard)
-	if !ok || g.d != d {
-		panic(errForeignGuard)
+// closeFree ignores counts: every worker has stopped.
+func (g *rcGuard) closeFree() {
+	for _, r := range g.rl {
+		g.d.cfg.Free(r)
 	}
-	d.slots.unlease(g.id, func() {
-		g.ClearHPs()
-		if len(g.rl) > 0 {
-			g.sweep()
-		}
-		if len(g.rl) > 0 {
-			d.orphans.at(g.id).add(g.rl, nil, 0, &d.cnt)
-			g.rl = nil
-		}
-		d.cnt.releaseTally(&g.tally, d.cfg.MemoryLimit)
-	})
-}
-
-// Name implements Domain.
-func (d *RC) Name() string { return "rc" }
-
-// Failed implements Domain.
-func (d *RC) Failed() bool { return d.cnt.failed.Load() }
-
-// Stats implements Domain.
-func (d *RC) Stats() Stats {
-	s := Stats{Scheme: "rc"}
-	d.cnt.fill(&s, d.slots, func(i int) *tally { return &d.guards.at(i).tally })
-	d.slots.fillArena(&s)
-	return s
-}
-
-// Close implements Domain: frees every node still awaiting reclamation,
-// ignoring counts, and drains the orphan list (call only once all workers
-// have stopped).
-func (d *RC) Close() {
-	d.guards.forEach(func(g *rcGuard) {
-		for _, r := range g.rl {
-			d.cfg.Free(r)
-		}
-		d.cnt.tallyFree(&g.tally, len(g.rl))
-		g.rl = g.rl[:0]
-		d.cnt.drainTally(&g.tally)
-	})
-	d.orphans.drain(d.cfg.Free, &d.cnt)
+	g.d.cnt.tallyFree(&g.tally, len(g.rl))
+	g.rl = g.rl[:0]
 }
 
 func (g *rcGuard) Begin() {}
@@ -201,8 +137,6 @@ func (g *rcGuard) Retire(r mem.Ref) {
 		g.sweep()
 	}
 }
-
-func (g *rcGuard) slotID() int { return g.id }
 
 // sweep frees the retired nodes whose count the claim CAS can take to the
 // next generation (i.e. nobody holds them); the rest stay for later. The

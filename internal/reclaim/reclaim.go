@@ -1,18 +1,20 @@
 // Package reclaim implements the paper's concurrent memory reclamation
-// schemes over the mem substrate:
+// schemes — and the related-work baselines it is measured against — over
+// the mem substrate. Schemes lists the nine names New accepts.
 //
-//   - None — the leaky baseline ("None" in the evaluation): nothing is freed.
-//   - QSBR — quiescent-state-based reclamation (§3.1): the fast path. Three
-//     logical epochs, per-worker limbo lists, wholesale frees on epoch
-//     advance. Fast but blocking: a delayed worker stalls reclamation.
-//   - HP — Michael's hazard pointers (§3.2): per-worker pointers published
-//     with a memory fence per node visited; robust but slow.
-//   - Cadence — the paper's novel fallback (§5.1): hazard pointers without
-//     per-node fences, made safe by rooster flush passes plus deferred
-//     reclamation.
-//   - QSense — the paper's hybrid (§5.2, Algorithm 5): QSBR in the common
-//     case, Cadence under prolonged process delays, switching automatically
-//     in both directions.
+// Anatomy of a scheme. core.go holds the lease-lifecycle kernel,
+// domainCore, which every scheme's domain embeds and which implements the
+// whole Domain interface once: it owns the name, the defaulted Config, the
+// counters and per-guard retire tallies, the optional threshold tuner and
+// rooster, the sharded slot pool and orphan lists, and with them
+// Guard/Acquire/AcquireWait/Release/Name/Failed/Stats/Close. A scheme file
+// is a policy behind that lifecycle: a constructor that builds its guards,
+// and four hooks — join (what a fresh tenant does before its first
+// operation), drain (what Release frees, and strands on the orphan list,
+// while the slot is in the releasing state), closeFree (free the backlog
+// unconditionally) and an optional extraStats — next to the paper's calls
+// on its concrete guard type, so the per-operation path never crosses an
+// interface the caller did not already hold.
 //
 // The three functions of the paper's interface map to:
 //
@@ -163,7 +165,7 @@ type Config struct {
 	// behaviour exactly. Values below Workers are raised to Workers.
 	HardMaxWorkers int
 	// HPs is the number of hazard pointers per worker (K). The linked
-	// list uses 3, the BST 6, the skip list 2*levels+2 (§7.3).
+	// list uses 3, the BST 6, the skip list 2*levels+3 (§7.3: 35 at 16 levels).
 	HPs int
 	// Free returns a retired node's memory to its pool.
 	Free func(mem.Ref)
@@ -378,45 +380,74 @@ func LegalC(c Config) int {
 	return m + 1
 }
 
-// New constructs the named scheme. Valid names: "none", "qsbr", "hp",
-// "cadence", "qsense" (the paper's five), plus the related-work baselines
-// "ebr" (epoch-based reclamation, Fraser style), "rc" (lock-free reference
-// counting), "ibr" (interval-based reclamation, 2GEIBR style) and "hyaline"
-// (snapshot-free batch-refcount reclamation).
+// Scheme names: the one place each string lives. A constructor hands its
+// name to the kernel, so Domain.Name, Stats.Scheme and New all agree.
+const (
+	nameNone    = "none"
+	nameQSBR    = "qsbr"
+	nameHP      = "hp"
+	nameCadence = "cadence"
+	nameQSense  = "qsense"
+	nameEBR     = "ebr"
+	nameRC      = "rc"
+	nameIBR     = "ibr"
+	nameHyaline = "hyaline"
+)
+
+// schemes lists the constructors in evaluation order: the paper's five
+// first, then the §8 related-work baselines (epoch-based reclamation,
+// Fraser style; lock-free reference counting), then the post-paper scheme
+// families (interval-based reclamation, 2GEIBR style; Hyaline's
+// snapshot-free batch refcounts).
+var schemes = []struct {
+	name string
+	new  func(Config) (Domain, error)
+}{
+	{nameNone, asDomain(NewNone)},
+	{nameQSBR, asDomain(NewQSBR)},
+	{nameHP, asDomain(NewHP)},
+	{nameCadence, asDomain(NewCadence)},
+	{nameQSense, asDomain(NewQSense)},
+	{nameEBR, asDomain(NewEBR)},
+	{nameRC, asDomain(NewRC)},
+	{nameIBR, asDomain(NewIBR)},
+	{nameHyaline, asDomain(NewHyaline)},
+}
+
+// asDomain adapts a concrete constructor to the factory's signature,
+// keeping a failed construction's nil pointer out of the interface value.
+func asDomain[D Domain](mk func(Config) (D, error)) func(Config) (Domain, error) {
+	return func(cfg Config) (Domain, error) {
+		d, err := mk(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return d, nil
+	}
+}
+
+// New constructs the named scheme; Schemes lists the valid names.
 func New(name string, cfg Config) (Domain, error) {
-	switch name {
-	case "none":
-		return NewNone(cfg)
-	case "qsbr":
-		return NewQSBR(cfg)
-	case "hp":
-		return NewHP(cfg)
-	case "cadence":
-		return NewCadence(cfg)
-	case "qsense":
-		return NewQSense(cfg)
-	case "ebr":
-		return NewEBR(cfg)
-	case "rc":
-		return NewRC(cfg)
-	case "ibr":
-		return NewIBR(cfg)
-	case "hyaline":
-		return NewHyaline(cfg)
+	for _, s := range schemes {
+		if s.name == name {
+			return s.new(cfg)
+		}
 	}
 	return nil, fmt.Errorf("reclaim: unknown scheme %q (valid: %v)", name, Schemes())
 }
 
-// Schemes lists the scheme names accepted by New, in evaluation order: the
-// paper's five first, then the §8 related-work baselines, then the
-// post-paper scheme families (interval-based reclamation and Hyaline).
+// Schemes lists the scheme names accepted by New, in evaluation order.
 func Schemes() []string {
-	return []string{"none", "qsbr", "hp", "cadence", "qsense", "ebr", "rc", "ibr", "hyaline"}
+	names := make([]string, len(schemes))
+	for i, s := range schemes {
+		names[i] = s.name
+	}
+	return names
 }
 
 // PaperSchemes lists only the five schemes of the paper's evaluation
 // (Figures 3 and 5); the experiment drivers default to these.
-func PaperSchemes() []string { return []string{"none", "qsbr", "hp", "cadence", "qsense"} }
+func PaperSchemes() []string { return Schemes()[:5] }
 
 // Stats is a point-in-time snapshot of a domain's counters.
 type Stats struct {
@@ -503,5 +534,5 @@ type Stats struct {
 // leases: slot w's guard is the same object for every tenant. The public
 // containers key their per-slot structure-handle caches by it.
 func SlotIndex(g Guard) int {
-	return g.(interface{ slotID() int }).slotID()
+	return g.(policy).core().id
 }

@@ -310,9 +310,6 @@ func (p *slotPool) unlease(i int, drain func()) bool {
 	return true
 }
 
-// errForeignGuard is the Release misuse panic shared by the schemes.
-const errForeignGuard = "reclaim: Release of a guard from another domain"
-
 // pin claims slot i forever for the positional Guard(w) path. Reports
 // whether this call performed the transition (first pin). The positional
 // range is the INITIAL arena only — grown slots belong to Acquire — and

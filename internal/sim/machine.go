@@ -6,7 +6,7 @@
 // core, and the cure is either an explicit fence (classic HP) or a bounded
 // wait for a context switch (Cadence's rooster processes). Go has no
 // relaxed stores, no fences, and no visibility delay, so the repository
-// carries two substitutes (DESIGN.md §2): internal/tso, a small
+// carries two substitutes: internal/tso, a small
 // model checker that explores interleavings of hand-written litmus
 // programs, and this package, a full machine on which the actual data
 // structures and reclamation schemes execute with explicit cycle costs.

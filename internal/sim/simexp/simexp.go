@@ -9,8 +9,7 @@
 //
 // Wall-clock experiments (internal/harness) validate the native
 // implementation on a real machine; these validate the algorithms on the
-// memory model the paper actually argues about. EXPERIMENTS.md reports
-// both.
+// memory model the paper actually argues about.
 package simexp
 
 import (
