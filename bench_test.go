@@ -11,6 +11,7 @@ package qsense_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -307,6 +308,40 @@ func BenchmarkArenaAlloc(b *testing.B) {
 			c.Free(r)
 		}
 	})
+}
+
+// BenchmarkPoolDeref prices the mem layer's read side, beside
+// BenchmarkProtect for the reclaim layer: one dereference of a random one of
+// 2^16 live slots, by walking the directory (Pool.Get — what a traversal pays
+// for the first touch of a node) and by re-checking a slot already resolved
+// (Resolved.Get — what it pays for every later use). Both check the
+// generation; the difference is the directory walk.
+func BenchmarkPoolDeref(b *testing.B) {
+	const n = 1 << 16
+	pool := mem.NewPool[benchNode](mem.Config{Name: "bench"})
+	refs := make([]mem.Ref, n)
+	slots := make([]mem.Resolved[benchNode], n)
+	for i := range refs {
+		refs[i], _ = pool.Alloc()
+	}
+	rand.New(rand.NewSource(29)).Shuffle(n, func(i, j int) { refs[i], refs[j] = refs[j], refs[i] })
+	for i, r := range refs {
+		slots[i] = pool.Resolve(r)
+	}
+	var sum uint64
+	b.Run("resolve", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sum += pool.Get(refs[i&(n-1)]).v
+		}
+	})
+	b.Run("recheck", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sum += slots[i&(n-1)].Get(refs[i&(n-1)]).v
+		}
+	})
+	if sum != 0 {
+		b.Fatal("benchNode values are zero")
+	}
 }
 
 // BenchmarkListOps measures raw structure operation latency under the two

@@ -50,9 +50,21 @@ type slab[T any] struct {
 
 // Pool is a typed slab allocator handing out generation-tagged Refs.
 // All methods are safe for concurrent use.
+//
+// Layout rule: cfg and dir are read by every resolve of every traversal and
+// never written after NewPool; every word below the pad is written by some
+// worker's Alloc, Free or grow. The pad keeps the two groups on different
+// cache lines wherever the struct lands (TestPoolLayout pins it). With dir
+// beside freeHead/allocs/frees, each Alloc or Free on one core invalidates
+// the line every resolve on the other core reads: 6 % of lib-mixed's
+// throughput and 8 % of its CPU per operation on the 2-vCPU ruler box. It is
+// the reads beside the counters that cost, not the counters' own contention
+// — striping them was neutral.
 type Pool[T any] struct {
-	cfg      Config
-	dir      []atomic.Pointer[slab[T]] // fixed directory, entries published once
+	cfg Config
+	dir []atomic.Pointer[slab[T]] // fixed directory, entries published once
+	_   [64]byte
+
 	nSlabs   atomic.Uint32
 	freeHead atomic.Uint64 // packed (aba, idx+1); 0 idx part = empty
 	era      atomic.Uint64 // birth-era clock; slots are stamped at Alloc
@@ -79,21 +91,55 @@ func (p *Pool[T]) slotAt(idx uint32) *slot[T] {
 	return &p.dir[idx>>slabShift].Load().slots[idx&slabMask]
 }
 
-// Get resolves r to its slot value. It panics with *Violation if r is stale
-// (the slot has been freed, or freed and reallocated, since r was created) —
-// the analog of a use-after-free fault. It panics with a plain message on a
-// nil Ref (the analog of a null-pointer dereference). Tag bits must be
-// cleared by the caller (use Ref.Untagged).
-func (p *Pool[T]) Get(r Ref) *T {
+// Resolved is a slot whose address Resolve has already computed: what a
+// traversal carries so that using a node again costs one load and compare on
+// the node's own cache line instead of another directory walk. It is not a
+// licence to skip the check — Get re-checks the generation on every use.
+// The zero Resolved names no slot and must not be used.
+type Resolved[T any] struct {
+	gen *atomic.Uint32
+	val *T
+}
+
+// Resolve walks the directory to r's slot and checks its generation. It
+// panics with *Violation if r is stale (the slot has been freed, or freed
+// and reallocated, since r was created) — the analog of a use-after-free
+// fault. It panics with a plain message on a nil Ref (the analog of a
+// null-pointer dereference). Tag bits must be cleared by the caller (use
+// Ref.Untagged).
+func (p *Pool[T]) Resolve(r Ref) Resolved[T] {
 	if r.IsNil() {
 		panic("mem: nil Ref dereference")
 	}
 	idx := r.index()
 	s := &p.dir[idx>>slabShift].Load().slots[idx&slabMask]
-	if g := s.gen.Load() & genMask; g != r.gen() {
-		panic(&Violation{Op: "get", Ref: r, Want: r.gen(), Got: g})
+	res := Resolved[T]{&s.gen, &s.val}
+	res.Get(r)
+	return res
+}
+
+// Get is Resolve for callers that use the slot once.
+func (p *Pool[T]) Get(r Ref) *T { return p.Resolve(r).val }
+
+// Get returns the slot's value after re-checking that the slot still holds
+// r's generation; r must be the Ref the slot was resolved from. It panics
+// with *Violation exactly as Resolve does. It must stay inlinable — that is
+// the whole saving — and sits exactly at go1.24's budget of 80: r.gen() is
+// written out, the report is built out of line (`go build -gcflags=-m
+// ./internal/skiplist` shows "inlining call to mem.Resolved").
+func (s Resolved[T]) Get(r Ref) *T {
+	if s.gen.Load()&genMask != uint32(r>>genShift) {
+		stale(r, s.gen)
 	}
-	return &s.val
+	return s.val
+}
+
+// stale raises the use-after-free report. It reloads the generation, so Got
+// is the slot's state when the report is built.
+//
+//go:noinline
+func stale(r Ref, gen *atomic.Uint32) {
+	panic(&Violation{Op: "get", Ref: r, Want: r.gen(), Got: gen.Load() & genMask})
 }
 
 // TryGet is Get returning an error instead of panicking; intended for tests

@@ -19,6 +19,18 @@
 // the same word they CAS, exactly as the C implementations pack them into
 // pointer low bits.
 //
+// Turning a Ref into memory has two prices. Pool.Resolve (and Pool.Get, the
+// same code) walks directory → slab → slot and checks the generation: three
+// dependent loads before the node's own line is touched. A traversal that
+// uses a node more than once keeps the Resolved it got back and calls
+// Resolved.Get for every later use: the same generation check, on the
+// address already in hand — one load and compare on the node's own cache
+// line, inlined into the caller. The check stays on every use, not only the
+// first, because the pool exists to make a stale access loud: a reclamation
+// bug frees the node between two uses as readily as before the first, and a
+// carried raw pointer would read the recycled slot without a word. What a
+// Resolved saves is the re-walk, never the check.
+//
 // Nodes are not limited to fixed-shape links: a node type may embed a Value
 // (a length-prefixed byte payload) so variable-length data — the SkipMap's
 // spilled byte values — lives in pool slots under the same generation

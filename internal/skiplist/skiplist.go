@@ -178,11 +178,19 @@ type Config struct {
 }
 
 // SkipList is the shared structure. Obtain one Handle per worker.
+//
+// Layout rule (the one mem.Pool states): pool, levels, head and tail are
+// read by every search and never written after New; the gauges below the pad
+// take 2–5 Adds per SET/DEL. Side by side, one worker's writes invalidate
+// the line the other worker's every search starts from: 5 % of lib-mixed's
+// throughput on the 2-vCPU ruler box. TestSkipListLayout pins the pad;
+// making the gauges per-handle instead was neutral to negative.
 type SkipList struct {
 	pool   *mem.Pool[node]
 	levels int
 	head   mem.Ref
 	tail   mem.Ref
+	_      [64]byte
 
 	// value-arena gauges (ValueStats in value.go)
 	vBytes   atomic.Int64
@@ -229,6 +237,9 @@ type Handle struct {
 	rng   uint64
 	preds [MaxLevel]mem.Ref
 	succs [MaxLevel]mem.Ref
+	// preds/succs as search resolved them; every use re-checks (predp[l].Get)
+	predp [MaxLevel]mem.Resolved[node]
+	succp [MaxLevel]mem.Resolved[node]
 }
 
 // NewHandle binds a worker's guard to the skip list. Seed differentiates
@@ -304,27 +315,47 @@ func (h *Handle) randomLevel() int {
 //
 // (Delete's pin copy has a stable source and happens strictly before the
 // node's retirement, so every snapshot still sees a conclusive slot.)
+//
+// One resolution per node visited, at the only point where a first touch is
+// conclusive (after the edge re-validation); every later use re-checks the
+// carried slot. Before the re-validation right may already be freed without
+// anything being wrong — the publication has not taken effect yet — so a
+// generation fault there would accuse a correct scheme; after it, the node
+// is covered and a mismatch is a reclamation bug. That is where the walk
+// pays the pool's directory → slab → slot resolve, once, and from then on
+// lp, rp and ap carry left, right and the level above's terminator as
+// mem.Resolved; preds/succs leave the same way, in predp/succp, for the
+// operation to use. Every one of those uses is Resolved.Get: the generation
+// compare on the node's own cache line, inlined — a node freed under the
+// walk faults at its next use, whichever that is (TestDetectionNotThinned).
+// Only the repeated directory walks are saved: at four per hop they were
+// 45 % of lib-mixed's CPU, and what remains of them (≈ 30 %) is the one
+// cache miss that touching a node for the first time costs anyway.
 func (h *Handle) search(key int64) {
 	pool := h.s.pool
+	headp := pool.Resolve(h.s.head)
 retry:
 	for {
-		left := h.s.head
+		left, lp := h.s.head, headp
 		var above mem.Ref // succs[lvl+1] of this pass; nil at the top level
+		var ap mem.Resolved[node]
 		for lvl := h.s.levels - 1; lvl >= 0; lvl-- {
 			rs := 2 * lvl // right's slot: level lvl's pair is rs and rs^1
-			lw := pool.Get(left).next[lvl].Load()
+			lw := lp.Get(left).next[lvl].Load()
 			if isMarked(lw) {
 				continue retry // left was deleted under us
 			}
 			right := mem.Ref(lw).Untagged()
 			for {
+				rp := ap
 				if right != above {
 					h.guard.Protect(rs, right)
-					if pool.Get(left).next[lvl].Load() != lw {
+					if lp.Get(left).next[lvl].Load() != lw {
 						continue retry
 					}
+					rp = pool.Resolve(right) // the hop's one directory walk
 				}
-				rw := pool.Get(right).next[lvl].Load()
+				rw := rp.Get(right).next[lvl].Load()
 				if isMarked(rw) {
 					// right is logically deleted at this level:
 					// splice it out from the clean side. Its
@@ -343,27 +374,27 @@ retry:
 					// is snapshot-safe).
 					next := mem.Ref(rw).Untagged()
 					h.guard.Protect(h.hpScratch(), next)
-					if pool.Get(left).next[lvl].Load() != lw {
+					if lp.Get(left).next[lvl].Load() != lw {
 						continue retry
 					}
 					assertFrozenLive(pool, next)
-					if !pool.Get(left).next[lvl].CompareAndSwap(lw, uint64(next)) {
+					if !lp.Get(left).next[lvl].CompareAndSwap(lw, uint64(next)) {
 						continue retry
 					}
 					lw = uint64(next)
 					right = next
 					continue
 				}
-				if pool.Get(right).key < key {
-					left = right
+				if rp.Get(right).key < key {
+					left, lp = right, rp
 					rs ^= 1 // left keeps its slot; the next right takes the pair's other one
 					lw = rw
 					right = mem.Ref(rw).Untagged()
 					continue
 				}
-				h.preds[lvl] = left
-				h.succs[lvl] = right
-				above = right
+				h.preds[lvl], h.predp[lvl] = left, lp
+				h.succs[lvl], h.succp[lvl] = right, rp
+				above, ap = right, rp
 				break
 			}
 		}
@@ -386,7 +417,7 @@ func (h *Handle) Contains(key int64) bool {
 	}
 	h.guard.Begin()
 	h.search(key)
-	found := h.s.pool.Get(h.succs[0]).key == key
+	found := h.succp[0].Get(h.succs[0]).key == key
 	h.guard.ClearHPs()
 	return found
 }
@@ -417,18 +448,20 @@ func (h *Handle) upsertWord(key int64, w uint64, vlen int, upsert bool) (inserte
 	pool := h.s.pool
 	topLevel := h.randomLevel()
 	var nref mem.Ref
-	var nptr *node
+	var np mem.Resolved[node] // our node; pinned below, re-checked at every use all the same
 	for {
 		h.search(key)
-		if existing := pool.Get(h.succs[0]); existing.key == key {
-			consumed = upsert && h.updateValue(existing, w, vlen)
+		if h.succp[0].Get(h.succs[0]).key == key {
+			consumed = upsert && h.updateValue(h.succs[0], h.succp[0], w, vlen)
 			if !nref.IsNil() {
 				h.cache.Free(nref) // never linked: free directly
 			}
 			return false, consumed
 		}
 		if nref.IsNil() {
+			var nptr *node
 			nref, nptr = h.cache.Alloc()
+			np = pool.Resolve(nref)
 			nptr.key = key
 			nptr.topLevel = int32(topLevel)
 			nptr.val.Store(w)
@@ -441,11 +474,11 @@ func (h *Handle) upsertWord(key int64, w uint64, vlen int, upsert bool) (inserte
 				nptr.next[l].Store(0)
 			}
 		}
-		nptr.next[0].Store(uint64(h.succs[0]))
+		np.Get(nref).next[0].Store(uint64(h.succs[0]))
 		// Pin our node: a concurrent deleter may retire it the moment
 		// it is reachable, but we keep dereferencing it below.
 		h.guard.Protect(h.hpPin(), nref)
-		if !pool.Get(h.preds[0]).next[0].CompareAndSwap(uint64(h.succs[0]), uint64(nref)) {
+		if !h.predp[0].Get(h.preds[0]).next[0].CompareAndSwap(uint64(h.succs[0]), uint64(nref)) {
 			continue // contention at level 0: retry with fresh position
 		}
 		h.s.noteInstall(w, vlen)
@@ -470,35 +503,35 @@ func (h *Handle) upsertWord(key int64, w uint64, vlen int, upsert bool) (inserte
 	// below — observes the top-down mark and prunes.
 	for l := 1; l < topLevel; l++ {
 		for {
-			w := nptr.next[l].Load()
+			w := np.Get(nref).next[l].Load()
 			for w != uint64(h.succs[l]) {
 				if isMarked(w) {
 					h.prune(key) // final cleanup pass, then done
-					h.finishInsert(nref, nptr, key)
+					h.finishInsert(nref, np, key)
 					return true, true
 				}
-				if nptr.next[l].CompareAndSwap(w, uint64(h.succs[l])) {
+				if np.Get(nref).next[l].CompareAndSwap(w, uint64(h.succs[l])) {
 					break
 				}
-				w = nptr.next[l].Load() // a deleter marked under us
+				w = np.Get(nref).next[l].Load() // a deleter marked under us
 			}
-			if pool.Get(h.preds[l]).next[l].CompareAndSwap(uint64(h.succs[l]), uint64(nref)) {
+			if h.predp[l].Get(h.preds[l]).next[l].CompareAndSwap(uint64(h.succs[l]), uint64(nref)) {
 				break
 			}
 			h.search(key) // refresh preds/succs for the next claim
 			if h.succs[0] != nref {
 				// Our node was deleted and already pruned by the
 				// search we just ran.
-				h.finishInsert(nref, nptr, key)
+				h.finishInsert(nref, np, key)
 				return true, true
 			}
 		}
 	}
 	// Deletion may have raced the top link; ensure cleanup before unpinning.
-	if isMarked(nptr.next[0].Load()) {
+	if isMarked(np.Get(nref).next[0].Load()) {
 		h.prune(key)
 	}
-	h.finishInsert(nref, nptr, key)
+	h.finishInsert(nref, np, key)
 	return true, true
 }
 
@@ -507,8 +540,8 @@ func (h *Handle) upsertWord(key int64, w uint64, vlen int, upsert bool) (inserte
 // abandoned the retirement to us (see the state constants); the node is
 // marked at every level, so one more prune unlinks it, and we retire it
 // while still holding the pin.
-func (h *Handle) finishInsert(nref mem.Ref, nptr *node, key int64) {
-	if nptr.state.CompareAndSwap(stLinking, stDone) {
+func (h *Handle) finishInsert(nref mem.Ref, np mem.Resolved[node], key int64) {
+	if np.Get(nref).state.CompareAndSwap(stLinking, stDone) {
 		return
 	}
 	h.prune(key)
@@ -528,11 +561,9 @@ func (h *Handle) Delete(key int64) bool {
 	}
 	h.guard.Begin()
 	defer h.guard.ClearHPs()
-	pool := h.s.pool
 	h.search(key)
-	n := h.succs[0]
-	np := pool.Get(n)
-	if np.key != key {
+	n, np := h.succs[0], h.succp[0]
+	if np.Get(n).key != key {
 		return false
 	}
 	// Pin n before marking: the cleanup search recycles level 0's slot
@@ -540,30 +571,30 @@ func (h *Handle) Delete(key int64) bool {
 	// deleter retires it after the search), so every conclusive snapshot
 	// sees it.
 	h.guard.Protect(h.hpPin(), n)
-	topLevel := int(np.topLevel)
+	topLevel := int(np.Get(n).topLevel)
 	for l := topLevel - 1; l >= 1; l-- {
 		for {
-			w := pool.Get(n).next[l].Load()
+			w := np.Get(n).next[l].Load()
 			if isMarked(w) {
 				break
 			}
-			if pool.Get(n).next[l].CompareAndSwap(w, w|markBit) {
+			if np.Get(n).next[l].CompareAndSwap(w, w|markBit) {
 				break
 			}
 		}
 	}
 	for {
-		w := pool.Get(n).next[0].Load()
+		w := np.Get(n).next[0].Load()
 		if isMarked(w) {
 			return false // another deleter owns it
 		}
-		if pool.Get(n).next[0].CompareAndSwap(w, w|markBit) {
+		if np.Get(n).next[0].CompareAndSwap(w, w|markBit) {
 			// Winning the level-0 mark also wins the value: displace it
 			// with the tombstone and retire a spilled value node exactly
 			// once, while the pin still protects n. Readers that load the
 			// tombstone linearize after this delete (value.go); later
 			// upserts observe it and refuse to resurrect the node.
-			h.retireDisplaced(pool.Get(n).val.Swap(valTombstone))
+			h.retireDisplaced(np.Get(n).val.Swap(valTombstone))
 			h.prune(key) // physical cleanup at every level
 			// Retirement ownership: if n's inserter is still linking
 			// upper levels, it can re-link a level our search already
@@ -571,8 +602,7 @@ func (h *Handle) Delete(key int64) bool {
 			// node. Hand the retirement over (state constants above);
 			// the inserter prunes and retires in finishInsert. A node
 			// whose insert has completed is strictly unreachable here.
-			np := pool.Get(n)
-			if np.state.Load() == stLinking && np.state.CompareAndSwap(stLinking, stAbandoned) {
+			if st := &np.Get(n).state; st.Load() == stLinking && st.CompareAndSwap(stLinking, stAbandoned) {
 				return true
 			}
 			h.s.sRetires.Add(1)

@@ -146,13 +146,14 @@ func (h *Handle) unspill(w uint64) { h.cache.Free(mem.Ref(w)) }
 // tombstone): the caller's update linearizes immediately before that delete
 // and neww was not consumed. vlen is neww's spilled payload length (see
 // noteInstall).
-func (h *Handle) updateValue(np *node, neww uint64, vlen int) bool {
+func (h *Handle) updateValue(n mem.Ref, np mem.Resolved[node], neww uint64, vlen int) bool {
 	for {
-		old := np.val.Load()
+		val := &np.Get(n).val
+		old := val.Load()
 		if old == valTombstone {
 			return false
 		}
-		if np.val.CompareAndSwap(old, neww) {
+		if val.CompareAndSwap(old, neww) {
 			h.s.noteInstall(neww, vlen)
 			h.retireDisplaced(old)
 			return true
@@ -164,9 +165,9 @@ func (h *Handle) updateValue(np *node, neww uint64, vlen int) bool {
 // protects) with search, appending to dst. False if the node was deleted
 // (tombstone) — the read linearizes after that delete. Spilled payloads are
 // copied under the hpVal protection per the linearization argument above.
-func (h *Handle) readValue(np *node, dst []byte) ([]byte, bool) {
+func (h *Handle) readValue(n mem.Ref, np mem.Resolved[node], dst []byte) ([]byte, bool) {
 	for {
-		w := np.val.Load()
+		w := np.Get(n).val.Load()
 		switch {
 		case w == valTombstone:
 			return dst, false
@@ -177,7 +178,7 @@ func (h *Handle) readValue(np *node, dst []byte) ([]byte, bool) {
 		default:
 			r := mem.Ref(w)
 			h.guard.Protect(h.hpVal(), r)
-			if np.val.Load() != w {
+			if np.Get(n).val.Load() != w {
 				continue // displaced under us: the protection is inconclusive
 			}
 			return h.s.pool.Get(r).payload.Append(dst), true
@@ -217,11 +218,11 @@ func (h *Handle) GetAppend(key int64, dst []byte) ([]byte, bool) {
 	h.guard.Begin()
 	defer h.guard.ClearHPs()
 	h.search(key)
-	np := h.s.pool.Get(h.succs[0])
-	if np.key != key {
+	n, np := h.succs[0], h.succp[0]
+	if np.Get(n).key != key {
 		return dst, false
 	}
-	return h.readValue(np, dst)
+	return h.readValue(n, np, dst)
 }
 
 // Put sets key's value to val's minimal little-endian byte encoding — the
@@ -251,12 +252,12 @@ func (h *Handle) Get(key int64) (uint64, bool) {
 	h.guard.Begin()
 	defer h.guard.ClearHPs()
 	h.search(key)
-	np := h.s.pool.Get(h.succs[0])
-	if np.key != key {
+	n, np := h.succs[0], h.succp[0]
+	if np.Get(n).key != key {
 		return 0, false
 	}
 	for {
-		w := np.val.Load()
+		w := np.Get(n).val.Load()
 		switch {
 		case w == valTombstone:
 			return 0, false
@@ -267,7 +268,7 @@ func (h *Handle) Get(key int64) (uint64, bool) {
 		default:
 			r := mem.Ref(w)
 			h.guard.Protect(h.hpVal(), r)
-			if np.val.Load() != w {
+			if np.Get(n).val.Load() != w {
 				continue
 			}
 			var v uint64
