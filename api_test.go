@@ -22,18 +22,28 @@ var apiSchemes = func() []qsense.Scheme {
 	return out
 }()
 
+// lease calls a container's or domain's Acquire and fails the test on error.
+func lease[H any](t testing.TB, acquire func() (H, error)) H {
+	t.Helper()
+	h, err := acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
 // TestPublicSetContainers: the four set containers share semantics across
 // every scheme through the public API alone.
 func TestPublicSetContainers(t *testing.T) {
 	type mkSet func(qsense.Options) (interface {
-		Handle(int) qsense.SetHandle
+		Acquire() (qsense.SetHandle, error)
 		Stats() qsense.Stats
 		Close()
 		Len() int
 	}, error)
 	containers := map[string]mkSet{
 		"set": func(o qsense.Options) (interface {
-			Handle(int) qsense.SetHandle
+			Acquire() (qsense.SetHandle, error)
 			Stats() qsense.Stats
 			Close()
 			Len() int
@@ -41,7 +51,7 @@ func TestPublicSetContainers(t *testing.T) {
 			return qsense.NewSet(o)
 		},
 		"skipset": func(o qsense.Options) (interface {
-			Handle(int) qsense.SetHandle
+			Acquire() (qsense.SetHandle, error)
 			Stats() qsense.Stats
 			Close()
 			Len() int
@@ -49,7 +59,7 @@ func TestPublicSetContainers(t *testing.T) {
 			return qsense.NewSkipSet(o)
 		},
 		"treeset": func(o qsense.Options) (interface {
-			Handle(int) qsense.SetHandle
+			Acquire() (qsense.SetHandle, error)
 			Stats() qsense.Stats
 			Close()
 			Len() int
@@ -57,7 +67,7 @@ func TestPublicSetContainers(t *testing.T) {
 			return qsense.NewTreeSet(o)
 		},
 		"hashset": func(o qsense.Options) (interface {
-			Handle(int) qsense.SetHandle
+			Acquire() (qsense.SetHandle, error)
 			Stats() qsense.Stats
 			Close()
 			Len() int
@@ -68,12 +78,12 @@ func TestPublicSetContainers(t *testing.T) {
 	for name, mk := range containers {
 		for _, scheme := range apiSchemes {
 			t.Run(name+"/"+string(scheme), func(t *testing.T) {
-				s, err := mk(qsense.Options{Workers: 1, Scheme: scheme})
+				s, err := mk(qsense.Options{MaxWorkers: 1, Scheme: scheme})
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer s.Close()
-				h := s.Handle(0)
+				h := lease(t, s.Acquire)
 				for k := int64(1); k <= 50; k++ {
 					if !h.Insert(k) {
 						t.Fatalf("insert %d failed", k)
@@ -106,24 +116,24 @@ func TestPublicSetContainers(t *testing.T) {
 
 // TestPublicQueueStack: FIFO/LIFO via the public API.
 func TestPublicQueueStack(t *testing.T) {
-	q, err := qsense.NewQueue(qsense.Options{Workers: 2})
+	q, err := qsense.NewQueue(qsense.Options{MaxWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer q.Close()
-	h := q.Handle(0)
+	h := lease(t, q.Acquire)
 	h.Enqueue(1)
 	h.Enqueue(2)
-	if v, ok := q.Handle(1).Dequeue(); !ok || v != 1 {
+	if v, ok := lease(t, q.Acquire).Dequeue(); !ok || v != 1 {
 		t.Fatalf("dequeue = %d,%v", v, ok)
 	}
 
-	s, err := qsense.NewStack(qsense.Options{Workers: 1, Scheme: qsense.SchemeHP})
+	s, err := qsense.NewStack(qsense.Options{MaxWorkers: 1, Scheme: qsense.SchemeHP})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	sh := s.Handle(0)
+	sh := lease(t, s.Acquire)
 	sh.Push(1)
 	sh.Push(2)
 	if v, ok := sh.Pop(); !ok || v != 2 {
@@ -138,16 +148,15 @@ func TestPublicConcurrentSet(t *testing.T) {
 	// Epoch rotation needs every worker to pass several quiescent states;
 	// on an oversubscribed scheduler each rotation costs ~a timeslice, so
 	// the churn must be long enough for a few rotations (Q=8 helps too).
-	set, err := qsense.NewSet(qsense.Options{Workers: workers, Q: 8})
+	set, err := qsense.NewSet(qsense.Options{MaxWorkers: workers, Q: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(w int, h qsense.SetHandle) {
 			defer wg.Done()
-			h := set.Handle(w)
 			rng := uint64(w)*0x9E3779B9 + 1
 			for i := 0; i < 100000; i++ {
 				rng = rng*6364136223846793005 + 1442695040888963407
@@ -161,7 +170,7 @@ func TestPublicConcurrentSet(t *testing.T) {
 					h.Contains(k)
 				}
 			}
-		}(w)
+		}(w, lease(t, set.Acquire))
 	}
 	wg.Wait()
 	st := set.Stats()
@@ -185,7 +194,7 @@ func TestCustomStructureViaPublicAPI(t *testing.T) {
 		t.Run(string(scheme), func(t *testing.T) {
 			pool := qsense.NewPool[cell](qsense.PoolOptions{Name: "cells"})
 			dom, err := qsense.NewDomain(qsense.Options{
-				Workers: 3, HPs: 1, Scheme: scheme,
+				MaxWorkers: 3, HPs: 1, Scheme: scheme,
 			}, pool.FreeFunc())
 			if err != nil {
 				t.Fatal(err)
@@ -193,11 +202,12 @@ func TestCustomStructureViaPublicAPI(t *testing.T) {
 			var slot atomic.Uint64 // holds a Ref
 
 			var wg sync.WaitGroup
-			for w := 0; w < 3; w++ {
+			var gs [3]qsense.Guard
+			for w := range gs {
+				gs[w] = lease(t, dom.Acquire)
 				wg.Add(1)
-				go func(w int) {
+				go func(w int, g qsense.Guard) {
 					defer wg.Done()
-					g := dom.Guard(w)
 					for i := 0; i < 5000; i++ {
 						g.Begin()
 						if i%2 == 0 {
@@ -224,11 +234,11 @@ func TestCustomStructureViaPublicAPI(t *testing.T) {
 						}
 						g.End()
 					}
-				}(w)
+				}(w, gs[w])
 			}
 			wg.Wait()
 			if r := qsense.Ref(slot.Swap(0)); !r.IsNil() {
-				dom.Guard(0).Retire(r)
+				gs[0].Retire(r)
 			}
 			dom.Close()
 			if live := pool.Live(); live != 0 {
@@ -245,7 +255,7 @@ func TestOptionsDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer set.Close()
-	if !set.Handle(0).Insert(1) {
+	if !lease(t, set.Acquire).Insert(1) {
 		t.Fatal("insert failed")
 	}
 	if got := set.Stats().Scheme; got != "qsense" {

@@ -150,13 +150,14 @@ func benchContainer(b *testing.B, workers int, run func(w, n int)) {
 func BenchmarkQueueThroughput(b *testing.B) {
 	for _, scheme := range []qsense.Scheme{qsense.SchemeQSense, qsense.SchemeQSBR, qsense.SchemeHP, qsense.SchemeEBR, qsense.SchemeRC} {
 		b.Run(string(scheme), func(b *testing.B) {
-			q, err := qsense.NewQueue(qsense.Options{Workers: 2, Scheme: scheme})
+			q, err := qsense.NewQueue(qsense.Options{MaxWorkers: 2, Scheme: scheme})
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer q.Close()
+			hs := [2]qsense.QueueHandle{lease(b, q.Acquire), lease(b, q.Acquire)}
 			benchContainer(b, 2, func(w, n int) {
-				h := q.Handle(w)
+				h := hs[w]
 				for i := 0; i < n; i++ {
 					h.Enqueue(uint64(i))
 					h.Dequeue()
@@ -170,13 +171,14 @@ func BenchmarkQueueThroughput(b *testing.B) {
 func BenchmarkStackThroughput(b *testing.B) {
 	for _, scheme := range []qsense.Scheme{qsense.SchemeQSense, qsense.SchemeQSBR, qsense.SchemeHP, qsense.SchemeEBR, qsense.SchemeRC} {
 		b.Run(string(scheme), func(b *testing.B) {
-			s, err := qsense.NewStack(qsense.Options{Workers: 2, Scheme: scheme})
+			s, err := qsense.NewStack(qsense.Options{MaxWorkers: 2, Scheme: scheme})
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer s.Close()
+			hs := [2]qsense.StackHandle{lease(b, s.Acquire), lease(b, s.Acquire)}
 			benchContainer(b, 2, func(w, n int) {
-				h := s.Handle(w)
+				h := hs[w]
 				for i := 0; i < n; i++ {
 					h.Push(uint64(i))
 					h.Pop()
@@ -193,17 +195,17 @@ func BenchmarkStackThroughput(b *testing.B) {
 func BenchmarkSetTraversalBySchemes(b *testing.B) {
 	for _, scheme := range []qsense.Scheme{qsense.SchemeNone, qsense.SchemeQSBR, qsense.SchemeEBR, qsense.SchemeQSense, qsense.SchemeHP, qsense.SchemeRC} {
 		b.Run(string(scheme), func(b *testing.B) {
-			set, err := qsense.NewSet(qsense.Options{Workers: 2, Scheme: scheme})
+			set, err := qsense.NewSet(qsense.Options{MaxWorkers: 2, Scheme: scheme})
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer set.Close()
-			h0 := set.Handle(0)
+			hs := [2]qsense.SetHandle{lease(b, set.Acquire), lease(b, set.Acquire)}
 			for k := int64(0); k < 2000; k += 2 {
-				h0.Insert(k)
+				hs[0].Insert(k)
 			}
 			benchContainer(b, 2, func(w, n int) {
-				h := set.Handle(w)
+				h := hs[w]
 				rng := uint64(w)*0x9E3779B9 + 1
 				for i := 0; i < n; i++ {
 					rng = rng*6364136223846793005 + 1442695040888963407

@@ -168,7 +168,7 @@ func BenchmarkProtect(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer d.Close()
-			g := d.Guard(0)
+			g := lease(b, d.Acquire)
 			r, _ := pool.Alloc()
 			defer pool.Free(r)
 			b.ResetTimer()
@@ -229,7 +229,7 @@ func BenchmarkRetire(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer d.Close()
-			g := d.Guard(0)
+			g := lease(b, d.Acquire)
 			cache := pool.NewCache(0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -360,7 +360,7 @@ func BenchmarkListOps(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer d.Close()
-			h := l.NewHandle(d.Guard(0))
+			h := l.NewHandle(lease(b, d.Acquire))
 			for k := int64(0); k < 1000; k += 2 {
 				h.Insert(k)
 			}
@@ -401,7 +401,7 @@ func BenchmarkSkipListOps(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer d.Close()
-			h := s.NewHandle(d.Guard(0), 1)
+			h := s.NewHandle(lease(b, d.Acquire), 1)
 			for k := int64(0); k < 2000; k += 2 {
 				h.Insert(k)
 			}

@@ -4,10 +4,10 @@
 // vs HP). Results print as aligned tables with §7.3-style overhead
 // summaries and can be written to CSV.
 //
-// It also hosts the leasing follow-up experiment: -experiment
-// leasevspinned runs each scheme twice over the same workload — pinned
-// positional guards vs short Acquire/Release leases — and reports the
-// lease overhead and its epoch-advance interaction.
+// It also hosts the leasing follow-up experiment: -experiment leasechurn
+// runs each scheme twice over the same workload — one lease held per worker
+// for the run vs short Acquire/Release leases — and reports the lease
+// overhead and its epoch-advance interaction.
 //
 // Examples:
 //
@@ -15,7 +15,7 @@
 //	qsense-bench -figure 5top -ds skiplist -threads 1,2,4,8 -duration 2s
 //	qsense-bench -figure 5top -ds bst -paper   # full 2M-key BST
 //	qsense-bench -ds list -schemes qsbr,qsense -updates 30 -range 512
-//	qsense-bench -experiment leasevspinned -ds list -threads 8 -leaseevery 1
+//	qsense-bench -experiment leasechurn -ds list -threads 8 -leaseevery 1
 package main
 
 import (
@@ -44,8 +44,8 @@ func main() {
 		paper      = flag.Bool("paper", false, "use the paper's full parameters (2M-key BST)")
 		csvPath    = flag.String("csv", "", "also write results to this CSV file")
 		seed       = flag.Uint64("seed", 1, "workload seed")
-		experiment = flag.String("experiment", "", `extra experiment: "leasevspinned"`)
-		leaseEvery = flag.Int("leaseevery", 1, "leasevspinned: 64-op batches per lease (1 = re-lease every batch)")
+		experiment = flag.String("experiment", "", `extra experiment: "leasechurn"`)
+		leaseEvery = flag.Int("leaseevery", 1, "leasechurn: 64-op batches per lease (1 = re-lease every batch)")
 		jsonOut    = flag.Bool("json", false, "also write results to BENCH_<experiment>.json (for CI artifacts / perf tracking)")
 		force      = flag.Bool("force", false, "overwrite an existing BENCH_<experiment>.json (refused otherwise)")
 	)
@@ -62,12 +62,12 @@ func main() {
 	}
 
 	switch *experiment {
-	case "leasevspinned":
-		runLeaseVsPinned(*ds, schemeList, workers, *leaseEvery, *keyRange, *paper, *duration, *seed, *jsonOut, *force)
+	case "leasechurn":
+		runLeaseChurn(*ds, schemeList, workers, *leaseEvery, *keyRange, *paper, *duration, *seed, *jsonOut, *force)
 		return
 	case "":
 	default:
-		fatal(fmt.Errorf("unknown experiment %q (want leasevspinned)", *experiment))
+		fatal(fmt.Errorf("unknown experiment %q (want leasechurn)", *experiment))
 	}
 
 	var sc harness.ScalabilityConfig
@@ -145,15 +145,15 @@ func writeBenchJSON(name string, force bool, meta harness.BenchJSON, curves []ha
 	fmt.Printf("wrote %s\n", path)
 }
 
-// runLeaseVsPinned drives the leased-vs-pinned comparison at each worker
+// runLeaseChurn drives the held-vs-churned lease comparison at each worker
 // count and prints a per-scheme summary table.
-func runLeaseVsPinned(ds string, schemes []string, workers []int, leaseEvery int, keyRange int64, paper bool, duration time.Duration, seed uint64, jsonOut, force bool) {
+func runLeaseChurn(ds string, schemes []string, workers []int, leaseEvery int, keyRange int64, paper bool, duration time.Duration, seed uint64, jsonOut, force bool) {
 	if keyRange <= 0 {
 		keyRange = defaultRange(ds, paper)
 	}
-	fmt.Printf("qsense-bench leasevspinned: %s, %d keys, 50%% updates, lease every %d batch(es) of 64 ops, %v per run, GOMAXPROCS=%d\n",
+	fmt.Printf("qsense-bench leasechurn: %s, %d keys, 50%% updates, lease every %d batch(es) of 64 ops, %v per run, GOMAXPROCS=%d\n",
 		ds, keyRange, leaseEvery, duration, runtime.GOMAXPROCS(0))
-	// Accumulate pinned/leased throughput series per scheme so -json can
+	// Accumulate held/churned throughput series per scheme so -json can
 	// emit the experiment in the same curve format as the figures.
 	curveIx := map[string]int{}
 	var curves []harness.Curve
@@ -168,22 +168,22 @@ func runLeaseVsPinned(ds string, schemes []string, workers []int, leaseEvery int
 	}
 	for _, w := range workers {
 		fmt.Printf("-- %d workers --\n", w)
-		results, err := harness.RunLeaseVsPinned(ds, schemes, w, leaseEvery, keyRange, duration, seed, os.Stdout)
+		results, err := harness.RunLeaseChurn(ds, schemes, w, leaseEvery, keyRange, duration, seed, os.Stdout)
 		if err != nil {
 			fatal(err)
 		}
 		for _, r := range results {
-			if r.Leased.Reclaim.AcquiredHandles != r.Leased.Reclaim.ReleasedHandles {
+			if r.Churned.Reclaim.AcquiredHandles != r.Churned.Reclaim.ReleasedHandles {
 				fmt.Printf("WARNING: %s leaked %d leases\n", r.Scheme,
-					r.Leased.Reclaim.AcquiredHandles-r.Leased.Reclaim.ReleasedHandles)
+					r.Churned.Reclaim.AcquiredHandles-r.Churned.Reclaim.ReleasedHandles)
 			}
-			addPoint(r.Scheme+"-pinned", w, r.Pinned)
-			addPoint(r.Scheme+"-leased", w, r.Leased)
+			addPoint(r.Scheme+"-held", w, r.Held)
+			addPoint(r.Scheme+"-churned", w, r.Churned)
 		}
 	}
 	if jsonOut {
-		writeBenchJSON("leasevspinned", force, harness.BenchJSON{
-			Experiment: "leasevspinned", DS: ds, KeyRange: keyRange, UpdatePct: 50,
+		writeBenchJSON("leasechurn", force, harness.BenchJSON{
+			Experiment: "leasechurn", DS: ds, KeyRange: keyRange, UpdatePct: 50,
 			DurationMS: duration.Milliseconds(), GoMaxProcs: runtime.GOMAXPROCS(0),
 			Extra: map[string]string{"lease_every": fmt.Sprint(leaseEvery)},
 		}, curves)

@@ -2,8 +2,6 @@ package qsense
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 
 	"qsense/internal/bst"
 	"qsense/internal/hashmap"
@@ -35,8 +33,7 @@ type SetHandle interface {
 	Delete(key int64) bool
 	// Release returns the handle's reclamation slot to the container so
 	// another goroutine can Acquire it. The handle must not be used
-	// afterwards. Extra calls, and calls on handles from the deprecated
-	// positional Handle(w), are no-ops.
+	// afterwards; extra calls are no-ops.
 	Release()
 }
 
@@ -48,36 +45,22 @@ type setOps interface {
 	Delete(key int64) bool
 }
 
-// leasedSet pairs a structure handle with its guard lease. The pinned flag
-// marks a positional handle whose Release is a no-op, as in
-// QueueHandle/StackHandle and Guard.
+// leasedSet is a structure handle for the length of one lease.
 type leasedSet struct {
 	setOps
-	d        reclaim.Domain
-	g        reclaim.Guard
-	pinned   bool
-	released atomic.Bool
-}
-
-// Release implements SetHandle. The once-flag matters: the slot may be
-// re-leased to another goroutine the moment it is released, so a second
-// Release must not touch it.
-func (h *leasedSet) Release() {
-	if h.pinned || !h.released.CompareAndSwap(false, true) {
-		return
-	}
-	h.d.Release(h.g)
+	lease
 }
 
 // leaseCore carries the domain plumbing shared by every leased container:
 // guard leasing, the per-slot structure-handle cache, stats and close. It
-// is generic over the structure operation surface O, so the set containers
-// (setOps) and the value-carrying map containers (mapOps) run on one
-// machinery; the container types add only their handle wrapping.
-type leaseCore[O comparable] struct {
-	d     reclaim.Domain
-	arena int
-	mk    func(g reclaim.Guard, seed uint64) O
+// is generic over the structure's operation surface O and the public handle
+// type H that wraps it for one lease, so the sets (setOps, SetHandle), the
+// map (mapOps, MapHandle), Queue and Stack run on one machinery; a
+// container adds only its constructor and Len.
+type leaseCore[O comparable, H any] struct {
+	d    reclaim.Domain
+	mk   func(g reclaim.Guard, seed uint64) O
+	wrap func(ops O, d reclaim.Domain, g reclaim.Guard) H
 
 	// handles caches one structure handle per guard slot, built on the
 	// slot's first lease and reused by every later tenant, so the Acquire
@@ -94,119 +77,63 @@ type leaseCore[O comparable] struct {
 	handles *reclaim.SlotTable[O]
 }
 
-func newLeaseCore[O comparable](opts Options, hps int, free func(Ref), era reclaim.EraSource, mk func(g reclaim.Guard, seed uint64) O) (*leaseCore[O], error) {
-	d, err := newDomain(withHPs(opts, hps), func(r mem.Ref) { free(Ref(r)) }, era)
+func newLeaseCore[O comparable, H any](opts Options, hps int, free func(mem.Ref), era reclaim.EraSource,
+	mk func(g reclaim.Guard, seed uint64) O, wrap func(O, reclaim.Domain, reclaim.Guard) H) (*leaseCore[O, H], error) {
+	d, err := newDomain(withHPs(opts, hps), free, era)
 	if err != nil {
 		return nil, err
 	}
-	return &leaseCore[O]{
-		d: d.d, arena: opts.arena(), mk: mk,
+	return &leaseCore[O, H]{
+		d: d.d, mk: mk, wrap: wrap,
 		handles: reclaim.NewSlotTable[O](opts.arena(), opts.HardMaxWorkers),
 	}, nil
-}
-
-// acquire leases a guard and returns the slot's structure handle with it.
-func (c *leaseCore[O]) acquire() (O, reclaim.Guard, error) {
-	g, err := c.d.Acquire()
-	if err != nil {
-		var zero O
-		return zero, nil, err
-	}
-	return c.structureFor(g), g, nil
-}
-
-// acquireWait is acquire that blocks while every slot is leased, woken by
-// the next Release; ctx cancellation unblocks it.
-func (c *leaseCore[O]) acquireWait(ctx context.Context) (O, reclaim.Guard, error) {
-	g, err := c.d.AcquireWait(ctx)
-	if err != nil {
-		var zero O
-		return zero, nil, err
-	}
-	return c.structureFor(g), g, nil
-}
-
-// structureFor returns slot g's cached structure handle, building it on the
-// slot's first lease. Seeds derive from the slot index (stable, distinct),
-// exactly as the positional path always did.
-func (c *leaseCore[O]) structureFor(g reclaim.Guard) O {
-	w := reclaim.SlotIndex(g)
-	p := c.handles.Get(w)
-	var zero O
-	if *p == zero {
-		*p = c.mk(g, uint64(w)+1)
-	}
-	return *p
-}
-
-// Stats returns the reclamation counters.
-func (c *leaseCore[O]) Stats() Stats { return fromReclaimStats(c.d.Stats()) }
-
-// Close reclaims all pending memory and stops background machinery. Call
-// only after all workers have stopped.
-func (c *leaseCore[O]) Close() { c.d.Close() }
-
-// setCore is leaseCore specialized to the set containers, adding the
-// SetHandle wrapping and the deprecated positional-handle shim.
-type setCore struct {
-	*leaseCore[setOps]
-
-	mu     sync.Mutex
-	legacy []SetHandle // lazily built positional handles (pinned slots)
 }
 
 // Acquire leases a handle for the calling goroutine, growing the guard
 // arena when all slots are in use. It returns ErrNoSlots only at an
 // Options.HardMaxWorkers cap; AcquireWait blocks there instead.
-func (c *setCore) Acquire() (SetHandle, error) {
-	ops, g, err := c.acquire()
-	if err != nil {
-		return nil, err
-	}
-	return &leasedSet{setOps: ops, d: c.d, g: g}, nil
+func (c *leaseCore[O, H]) Acquire() (H, error) {
+	return c.leased(c.d.Acquire())
 }
 
 // AcquireWait is Acquire that blocks while every slot is leased, woken by
 // the next Release. It returns ctx.Err() if ctx is done before a slot
 // frees; with context.Background() it waits indefinitely.
-func (c *setCore) AcquireWait(ctx context.Context) (SetHandle, error) {
-	ops, g, err := c.acquireWait(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &leasedSet{setOps: ops, d: c.d, g: g}, nil
+func (c *leaseCore[O, H]) AcquireWait(ctx context.Context) (H, error) {
+	return c.leased(c.d.AcquireWait(ctx))
 }
 
-// Handle returns worker w's handle, pinning slot w permanently: it never
-// returns to the Acquire pool. The positional range is the INITIAL arena
-// only — 0 <= w < Options.Workers when set, else MaxWorkers (clamped to
-// any smaller HardMaxWorkers); slots minted by elastic growth belong to
-// Acquire. Out-of-range w panics.
-//
-// Deprecated: positional handles exist for fixed-worker callers that need
-// deterministic worker↔slot assignment. New code should use Acquire and
-// Release.
-func (c *setCore) Handle(w int) SetHandle {
-	if w < 0 || w >= c.arena {
-		panic("qsense: positional Handle(w) outside the initial arena — set Options.Workers to size the positional range")
+// leased wraps slot g's cached structure handle, built on the slot's first
+// lease, for the new tenant. Seeds derive from the slot index (stable,
+// distinct).
+func (c *leaseCore[O, H]) leased(g reclaim.Guard, err error) (H, error) {
+	if err != nil {
+		var none H
+		return none, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.legacy == nil {
-		c.legacy = make([]SetHandle, c.arena)
+	w := reclaim.SlotIndex(g)
+	p := c.handles.Get(w)
+	var unbuilt O
+	if *p == unbuilt {
+		*p = c.mk(g, uint64(w)+1)
 	}
-	if c.legacy[w] == nil {
-		c.legacy[w] = &leasedSet{setOps: c.structureFor(c.d.Guard(w)), d: c.d, pinned: true}
-	}
-	return c.legacy[w]
+	return c.wrap(*p, c.d, g), nil
 }
 
-func newSetCore(opts Options, hps int, free func(Ref), era reclaim.EraSource, mk func(g reclaim.Guard, seed uint64) setOps) (*setCore, error) {
-	lc, err := newLeaseCore[setOps](opts, hps, free, era, mk)
-	if err != nil {
-		return nil, err
-	}
-	return &setCore{leaseCore: lc}, nil
+// Stats returns the reclamation counters.
+func (c *leaseCore[O, H]) Stats() Stats { return fromReclaimStats(c.d.Stats()) }
+
+// Close reclaims all pending memory and stops background machinery. Call
+// only after all workers have stopped.
+func (c *leaseCore[O, H]) Close() { c.d.Close() }
+
+// setCore is leaseCore for the four set containers.
+type setCore = leaseCore[setOps, SetHandle]
+
+func newSetCore(opts Options, hps int, free func(mem.Ref), era reclaim.EraSource, mk func(g reclaim.Guard, seed uint64) setOps) (*setCore, error) {
+	return newLeaseCore(opts, hps, free, era, mk, func(ops setOps, d reclaim.Domain, g reclaim.Guard) SetHandle {
+		return &leasedSet{setOps: ops, lease: lease{d: d, g: g}}
+	})
 }
 
 func withHPs(opts Options, hps int) Options {
@@ -226,7 +153,7 @@ type Set struct {
 // NewSet builds a linked-list set wired to a reclamation domain.
 func NewSet(opts Options) (*Set, error) {
 	l := list.New(list.Config{MaxSlots: opts.MaxNodes})
-	core, err := newSetCore(opts, list.HPs, func(r Ref) { l.FreeNode(toMem(r)) }, l.Pool(),
+	core, err := newSetCore(opts, list.HPs, l.FreeNode, l.Pool(),
 		func(g reclaim.Guard, _ uint64) setOps { return l.NewHandle(g) })
 	if err != nil {
 		return nil, err
@@ -247,7 +174,7 @@ type SkipSet struct {
 // NewSkipSet builds a skip-list set wired to a reclamation domain.
 func NewSkipSet(opts Options) (*SkipSet, error) {
 	sl := skiplist.New(skiplist.Config{MaxSlots: opts.MaxNodes})
-	core, err := newSetCore(opts, skiplist.HPsFor(sl.Levels()), func(r Ref) { sl.FreeNode(toMem(r)) }, sl.Pool(),
+	core, err := newSetCore(opts, skiplist.HPsFor(sl.Levels()), sl.FreeNode, sl.Pool(),
 		func(g reclaim.Guard, seed uint64) setOps { return sl.NewHandle(g, seed*0x9E3779B9+1) })
 	if err != nil {
 		return nil, err
@@ -307,13 +234,11 @@ type mapOps interface {
 	Delete(key int64) bool
 }
 
-// leasedMap pairs a map structure handle with its guard lease and adapts
+// leasedMap is a map structure handle for the length of one lease, adapting
 // the structure's method names to the public MapHandle surface.
 type leasedMap struct {
-	ops      mapOps
-	d        reclaim.Domain
-	g        reclaim.Guard
-	released atomic.Bool
+	ops mapOps
+	lease
 }
 
 func (h *leasedMap) Get(key int64) ([]byte, bool) { return h.ops.GetAppend(key, nil) }
@@ -325,63 +250,28 @@ func (h *leasedMap) PutUint64(key int64, val uint64) bool { return h.ops.Put(key
 func (h *leasedMap) GetUint64(key int64) (uint64, bool)   { return h.ops.Get(key) }
 func (h *leasedMap) Delete(key int64) bool                { return h.ops.Delete(key) }
 
-// Release implements MapHandle (see leasedSet.Release for the once-flag
-// rationale).
-func (h *leasedMap) Release() {
-	if !h.released.CompareAndSwap(false, true) {
-		return
-	}
-	h.d.Release(h.g)
-}
-
-// mapCore is leaseCore specialized to the map containers. The map API is
-// lease-only by design: it postdates the fixed-worker model, so there is no
-// positional Handle(w) shim.
-type mapCore struct {
-	*leaseCore[mapOps]
-}
-
-// Acquire leases a handle for the calling goroutine, growing the guard
-// arena when all slots are in use. It returns ErrNoSlots only at an
-// Options.HardMaxWorkers cap; AcquireWait blocks there instead.
-func (c *mapCore) Acquire() (MapHandle, error) {
-	ops, g, err := c.acquire()
-	if err != nil {
-		return nil, err
-	}
-	return &leasedMap{ops: ops, d: c.d, g: g}, nil
-}
-
-// AcquireWait is Acquire that blocks while every slot is leased, woken by
-// the next Release. It returns ctx.Err() if ctx is done before a slot
-// frees; with context.Background() it waits indefinitely.
-func (c *mapCore) AcquireWait(ctx context.Context) (MapHandle, error) {
-	ops, g, err := c.acquireWait(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &leasedMap{ops: ops, d: c.d, g: g}, nil
-}
-
 // SkipMap is a lock-free sorted key→value map: the Fraser skip list of
 // SkipSet with a per-node value word. It is the structure qsense-kvd
 // serves over TCP — a goroutine-per-connection server Acquires one handle
 // per connection (AcquireWait under a HardMaxWorkers admission cap) and
 // the guard arena grows and parks with the connection count.
 type SkipMap struct {
-	*mapCore
+	*leaseCore[mapOps, MapHandle]
 	s *skiplist.SkipList
 }
 
 // NewSkipMap builds a skip-list map wired to a reclamation domain.
 func NewSkipMap(opts Options) (*SkipMap, error) {
 	sl := skiplist.New(skiplist.Config{MaxSlots: opts.MaxNodes})
-	lc, err := newLeaseCore[mapOps](opts, skiplist.HPsFor(sl.Levels()), func(r Ref) { sl.FreeNode(toMem(r)) }, sl.Pool(),
-		func(g reclaim.Guard, seed uint64) mapOps { return sl.NewHandle(g, seed*0x9E3779B9+1) })
+	lc, err := newLeaseCore(opts, skiplist.HPsFor(sl.Levels()), sl.FreeNode, sl.Pool(),
+		func(g reclaim.Guard, seed uint64) mapOps { return sl.NewHandle(g, seed*0x9E3779B9+1) },
+		func(ops mapOps, d reclaim.Domain, g reclaim.Guard) MapHandle {
+			return &leasedMap{ops: ops, lease: lease{d: d, g: g}}
+		})
 	if err != nil {
 		return nil, err
 	}
-	return &SkipMap{mapCore: &mapCore{leaseCore: lc}, s: sl}, nil
+	return &SkipMap{leaseCore: lc, s: sl}, nil
 }
 
 // Len counts entries; only meaningful while no workers are active.
@@ -422,7 +312,7 @@ type TreeSet struct {
 // NewTreeSet builds a BST set wired to a reclamation domain.
 func NewTreeSet(opts Options) (*TreeSet, error) {
 	tr := bst.New(bst.Config{MaxSlots: opts.MaxNodes})
-	core, err := newSetCore(opts, bst.HPs, func(r Ref) { tr.FreeNode(toMem(r)) }, tr.Pool(),
+	core, err := newSetCore(opts, bst.HPs, tr.FreeNode, tr.Pool(),
 		func(g reclaim.Guard, _ uint64) setOps { return tr.NewHandle(g) })
 	if err != nil {
 		return nil, err
@@ -443,7 +333,7 @@ type HashSet struct {
 // NewHashSet builds a hash set wired to a reclamation domain.
 func NewHashSet(opts Options) (*HashSet, error) {
 	m := hashmap.New(hashmap.Config{MaxSlots: opts.MaxNodes})
-	core, err := newSetCore(opts, hashmap.HPs, func(r Ref) { m.FreeNode(toMem(r)) }, m.Pool(),
+	core, err := newSetCore(opts, hashmap.HPs, m.FreeNode, m.Pool(),
 		func(g reclaim.Guard, _ uint64) setOps { return m.NewHandle(g) })
 	if err != nil {
 		return nil, err
@@ -456,30 +346,29 @@ func (s *HashSet) Len() int { return s.m.Len() }
 
 // Queue is a lock-free FIFO queue (Michael–Scott) of uint64 values.
 type Queue struct {
+	*leaseCore[*queue.Handle, QueueHandle]
 	q *queue.Queue
-	d reclaim.Domain
-
-	mu      sync.Mutex
-	handles *reclaim.SlotTable[*queue.Handle] // per-slot structure handles (see setCore.handles)
 }
 
 // NewQueue builds a queue wired to a reclamation domain.
 func NewQueue(opts Options) (*Queue, error) {
 	q := queue.New(queue.Config{MaxSlots: opts.MaxNodes})
-	d, err := newDomain(withHPs(opts, queue.HPs), q.FreeNode, q.Pool())
+	lc, err := newLeaseCore(opts, queue.HPs, q.FreeNode, q.Pool(),
+		func(g reclaim.Guard, _ uint64) *queue.Handle { return q.NewHandle(g) },
+		func(h *queue.Handle, d reclaim.Domain, g reclaim.Guard) QueueHandle {
+			return QueueHandle{h: h, l: &lease{d: d, g: g}}
+		})
 	if err != nil {
 		return nil, err
 	}
-	return &Queue{q: q, d: d.d, handles: reclaim.NewSlotTable[*queue.Handle](opts.arena(), opts.HardMaxWorkers)}, nil
+	return &Queue{leaseCore: lc, q: q}, nil
 }
 
 // QueueHandle is a goroutine's leased view of a Queue. A handle must be
 // used by one goroutine at a time and Released when done.
 type QueueHandle struct {
-	h        *queue.Handle
-	d        reclaim.Domain
-	g        reclaim.Guard
-	released *atomic.Bool // nil for pinned (positional) handles
+	h *queue.Handle
+	l *lease
 }
 
 // Enqueue appends v at the tail.
@@ -490,87 +379,36 @@ func (h QueueHandle) Dequeue() (v uint64, ok bool) { return h.h.Dequeue() }
 
 // Release returns the handle's reclamation slot to the queue. The handle
 // must not be used afterwards; extra calls are no-ops.
-func (h QueueHandle) Release() {
-	if h.released == nil || !h.released.CompareAndSwap(false, true) {
-		return
-	}
-	h.d.Release(h.g)
-}
-
-// Acquire leases a handle for the calling goroutine.
-func (q *Queue) Acquire() (QueueHandle, error) {
-	g, err := q.d.Acquire()
-	if err != nil {
-		return QueueHandle{}, err
-	}
-	return QueueHandle{h: q.structureFor(g), d: q.d, g: g, released: new(atomic.Bool)}, nil
-}
-
-// AcquireWait is Acquire that blocks while every slot is leased; it returns
-// ctx.Err() if ctx is done before a slot frees.
-func (q *Queue) AcquireWait(ctx context.Context) (QueueHandle, error) {
-	g, err := q.d.AcquireWait(ctx)
-	if err != nil {
-		return QueueHandle{}, err
-	}
-	return QueueHandle{h: q.structureFor(g), d: q.d, g: g, released: new(atomic.Bool)}, nil
-}
-
-// structureFor returns slot g's cached queue handle (slot-owner exclusive;
-// see setCore.handles for the ordering argument).
-func (q *Queue) structureFor(g reclaim.Guard) *queue.Handle {
-	p := q.handles.Get(reclaim.SlotIndex(g))
-	if *p == nil {
-		*p = q.q.NewHandle(g)
-	}
-	return *p
-}
-
-// Handle returns worker w's handle, pinning slot w permanently. w must lie
-// in the initial arena (see setCore.Handle); out-of-range w panics.
-//
-// Deprecated: use Acquire and Release.
-func (q *Queue) Handle(w int) QueueHandle {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return QueueHandle{h: q.structureFor(q.d.Guard(w)), d: q.d}
-}
-
-// Stats returns the reclamation counters.
-func (q *Queue) Stats() Stats { return fromReclaimStats(q.d.Stats()) }
+func (h QueueHandle) Release() { h.l.Release() }
 
 // Len counts elements; only meaningful while no workers are active.
 func (q *Queue) Len() int { return q.q.Len() }
 
-// Close reclaims pending memory; call after all workers stopped.
-func (q *Queue) Close() { q.d.Close() }
-
 // Stack is a lock-free LIFO stack (Treiber) of uint64 values.
 type Stack struct {
+	*leaseCore[*stack.Handle, StackHandle]
 	s *stack.Stack
-	d reclaim.Domain
-
-	mu      sync.Mutex
-	handles *reclaim.SlotTable[*stack.Handle] // per-slot structure handles (see setCore.handles)
 }
 
 // NewStack builds a stack wired to a reclamation domain.
 func NewStack(opts Options) (*Stack, error) {
 	s := stack.New(stack.Config{MaxSlots: opts.MaxNodes})
-	d, err := newDomain(withHPs(opts, stack.HPs), s.FreeNode, s.Pool())
+	lc, err := newLeaseCore(opts, stack.HPs, s.FreeNode, s.Pool(),
+		func(g reclaim.Guard, _ uint64) *stack.Handle { return s.NewHandle(g) },
+		func(h *stack.Handle, d reclaim.Domain, g reclaim.Guard) StackHandle {
+			return StackHandle{h: h, l: &lease{d: d, g: g}}
+		})
 	if err != nil {
 		return nil, err
 	}
-	return &Stack{s: s, d: d.d, handles: reclaim.NewSlotTable[*stack.Handle](opts.arena(), opts.HardMaxWorkers)}, nil
+	return &Stack{leaseCore: lc, s: s}, nil
 }
 
 // StackHandle is a goroutine's leased view of a Stack. A handle must be
 // used by one goroutine at a time and Released when done.
 type StackHandle struct {
-	h        *stack.Handle
-	d        reclaim.Domain
-	g        reclaim.Guard
-	released *atomic.Bool // nil for pinned (positional) handles
+	h *stack.Handle
+	l *lease
 }
 
 // Push adds v on top.
@@ -581,57 +419,7 @@ func (h StackHandle) Pop() (v uint64, ok bool) { return h.h.Pop() }
 
 // Release returns the handle's reclamation slot to the stack. The handle
 // must not be used afterwards; extra calls are no-ops.
-func (h StackHandle) Release() {
-	if h.released == nil || !h.released.CompareAndSwap(false, true) {
-		return
-	}
-	h.d.Release(h.g)
-}
-
-// Acquire leases a handle for the calling goroutine.
-func (s *Stack) Acquire() (StackHandle, error) {
-	g, err := s.d.Acquire()
-	if err != nil {
-		return StackHandle{}, err
-	}
-	return StackHandle{h: s.structureFor(g), d: s.d, g: g, released: new(atomic.Bool)}, nil
-}
-
-// AcquireWait is Acquire that blocks while every slot is leased; it returns
-// ctx.Err() if ctx is done before a slot frees.
-func (s *Stack) AcquireWait(ctx context.Context) (StackHandle, error) {
-	g, err := s.d.AcquireWait(ctx)
-	if err != nil {
-		return StackHandle{}, err
-	}
-	return StackHandle{h: s.structureFor(g), d: s.d, g: g, released: new(atomic.Bool)}, nil
-}
-
-// structureFor returns slot g's cached stack handle (slot-owner exclusive;
-// see setCore.handles for the ordering argument).
-func (s *Stack) structureFor(g reclaim.Guard) *stack.Handle {
-	p := s.handles.Get(reclaim.SlotIndex(g))
-	if *p == nil {
-		*p = s.s.NewHandle(g)
-	}
-	return *p
-}
-
-// Handle returns worker w's handle, pinning slot w permanently. w must lie
-// in the initial arena (see setCore.Handle); out-of-range w panics.
-//
-// Deprecated: use Acquire and Release.
-func (s *Stack) Handle(w int) StackHandle {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return StackHandle{h: s.structureFor(s.d.Guard(w)), d: s.d}
-}
-
-// Stats returns the reclamation counters.
-func (s *Stack) Stats() Stats { return fromReclaimStats(s.d.Stats()) }
+func (h StackHandle) Release() { h.l.Release() }
 
 // Len counts elements; only meaningful while no workers are active.
 func (s *Stack) Len() int { return s.s.Len() }
-
-// Close reclaims pending memory; call after all workers stopped.
-func (s *Stack) Close() { s.d.Close() }

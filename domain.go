@@ -22,9 +22,6 @@ type Ref uint64
 // TagBits is the number of low bits of a Ref reserved for structure use.
 const TagBits = mem.TagBits
 
-// toMem converts a public Ref to the substrate's representation.
-func toMem(r Ref) mem.Ref { return mem.Ref(r) }
-
 // IsNil reports whether r refers to no node (ignoring tag bits).
 func (r Ref) IsNil() bool { return mem.Ref(r).IsNil() }
 
@@ -145,11 +142,7 @@ func newDomain(opts Options, free func(mem.Ref), era reclaim.EraSource) (*Domain
 // callers may then retry after another goroutine Releases, or use
 // AcquireWait to block instead.
 func (d *Domain) Acquire() (Guard, error) {
-	g, err := d.d.Acquire()
-	if err != nil {
-		return Guard{}, err
-	}
-	return Guard{g: g, d: d.d, released: new(atomic.Bool)}, nil
+	return d.leased(d.d.Acquire())
 }
 
 // AcquireWait is Acquire that blocks while the arena is exhausted at an
@@ -159,24 +152,15 @@ func (d *Domain) Acquire() (Guard, error) {
 // context.Background() it waits indefinitely. On an elastic domain (no
 // hard cap) it behaves exactly like Acquire — growth preempts waiting.
 func (d *Domain) AcquireWait(ctx context.Context) (Guard, error) {
-	g, err := d.d.AcquireWait(ctx)
+	return d.leased(d.d.AcquireWait(ctx))
+}
+
+func (d *Domain) leased(g reclaim.Guard, err error) (Guard, error) {
 	if err != nil {
 		return Guard{}, err
 	}
-	return Guard{g: g, d: d.d, released: new(atomic.Bool)}, nil
+	return Guard{g: g, l: &lease{d: d.d, g: g}}, nil
 }
-
-// Guard returns worker w's guard, pinning slot w permanently: it never
-// returns to the Acquire pool. The positional range is the INITIAL arena
-// only — 0 <= w < Options.Workers when set, else MaxWorkers (clamped to
-// any smaller HardMaxWorkers); slots minted by elastic growth belong to
-// Acquire, and out-of-range w panics. Each guard must be used by one
-// goroutine at a time.
-//
-// Deprecated: positional guards exist for fixed-worker callers that need
-// deterministic worker↔slot assignment (the experiment harness). New code
-// should lease guards with Acquire and return them with Guard.Release.
-func (d *Domain) Guard(w int) Guard { return Guard{g: d.d.Guard(w), d: d.d} }
 
 // Stats returns a snapshot of the domain's counters.
 func (d *Domain) Stats() Stats { return fromReclaimStats(d.d.Stats()) }
@@ -188,15 +172,33 @@ func (d *Domain) Failed() bool { return d.d.Failed() }
 // reclamation. Call only after all workers have stopped.
 func (d *Domain) Close() { d.d.Close() }
 
+// lease is one tenancy of a guard slot — what every public handle kind
+// (Guard, SetHandle, MapHandle, QueueHandle, StackHandle) holds besides its
+// operations, and the one place a slot is given back.
+type lease struct {
+	d        reclaim.Domain
+	g        reclaim.Guard
+	released atomic.Bool
+}
+
+// Release returns the slot exactly once. The once-flag matters: the slot
+// may be re-leased to another goroutine the moment it is released, so a
+// second Release must not touch it. A nil lease (the zero value of a
+// public handle type) releases nothing.
+func (l *lease) Release() {
+	if l == nil || !l.released.CompareAndSwap(false, true) {
+		return
+	}
+	l.d.Release(l.g)
+}
+
 // Guard is a worker's reclamation handle — the paper's three-call
 // interface (§4.2). Methods must be called only by the owning worker.
-// Guards come from Domain.Acquire (leased; call Release when done) or the
-// deprecated positional Domain.Guard (pinned; Release is a no-op). The
-// zero Guard is invalid.
+// Guards are leased from Domain.Acquire; call Release when done. The zero
+// Guard is invalid.
 type Guard struct {
-	g        reclaim.Guard
-	d        reclaim.Domain
-	released *atomic.Bool // nil for pinned (positional) guards
+	g reclaim.Guard
+	l *lease
 }
 
 // Begin is the paper's manage_qsense_state: call it at a point where the
@@ -228,14 +230,8 @@ func (g Guard) End() { g.g.ClearHPs() }
 // released slot never strands memory, even if it is never leased again.
 // Call exactly once, from the owning goroutine, at a
 // point where the worker holds no references to shared nodes; the guard
-// must not be used afterwards. Extra calls and calls on pinned
-// (positional) guards are no-ops.
-func (g Guard) Release() {
-	if g.released == nil || !g.released.CompareAndSwap(false, true) {
-		return
-	}
-	g.d.Release(g.g)
-}
+// must not be used afterwards. Extra calls are no-ops.
+func (g Guard) Release() { g.l.Release() }
 
 // Leave removes this worker from grace-period accounting while it parks
 // (blocking I/O, waiting on a queue) without giving up its slot. Call only

@@ -3,7 +3,6 @@ package qsense_test
 import (
 	"context"
 	"errors"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -182,62 +181,4 @@ func TestHardCapBelowInitial(t *testing.T) {
 	}
 	a.Release()
 	b.Release()
-}
-
-// TestDeprecatedWorkersBeatsHardCap: a legacy fixed-worker caller adding a
-// smaller HardMaxWorkers must keep its positional handles in range — the
-// Workers contract raises the cap rather than shrinking the arena under it.
-func TestDeprecatedWorkersBeatsHardCap(t *testing.T) {
-	set, err := qsense.NewSet(qsense.Options{Workers: 3, HardMaxWorkers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer set.Close()
-	for w := 0; w < 3; w++ {
-		h := set.Handle(w) // must not panic: slots [0,3) exist
-		h.Insert(int64(w))
-	}
-	if st := set.Stats(); st.ArenaSize != 3 {
-		t.Fatalf("ArenaSize = %d, want 3 (Workers wins over the smaller cap)", st.ArenaSize)
-	}
-	if _, err := set.Acquire(); !errors.Is(err, qsense.ErrNoSlots) {
-		t.Fatalf("err = %v, want ErrNoSlots (all slots pinned, cap raised to Workers)", err)
-	}
-}
-
-// TestPositionalHandleOutsideInitialArenaPanics: with a hard cap below
-// MaxWorkers the initial arena shrinks to the cap, and a positional
-// Handle(w) beyond it must fail loudly with the contract in the message
-// rather than an opaque index panic.
-func TestPositionalHandleOutsideInitialArenaPanics(t *testing.T) {
-	set, err := qsense.NewSet(qsense.Options{MaxWorkers: 8, HardMaxWorkers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer set.Close()
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("Handle(4) beyond the 2-slot initial arena did not panic")
-		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, "positional Handle") {
-			t.Fatalf("panic %v does not explain the positional contract", r)
-		}
-	}()
-	set.Handle(4)
-}
-
-// TestDeprecatedWorkersAloneSizesArenaExactly: Options{Workers: N} with
-// nothing else set must produce an arena of exactly N — the paper's fixed
-// N, whose C legality and memory bounds a legacy caller computed — not the
-// machine default.
-func TestDeprecatedWorkersAloneSizesArenaExactly(t *testing.T) {
-	set, err := qsense.NewSet(qsense.Options{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer set.Close()
-	if st := set.Stats(); st.ArenaSize != 3 {
-		t.Fatalf("ArenaSize = %d with Workers=3 alone, want exactly 3", st.ArenaSize)
-	}
 }

@@ -28,7 +28,11 @@ func newSet(t *testing.T, scheme string, workers int) (*Tree, reclaim.Domain, []
 	}
 	hs := make([]*Handle, workers)
 	for i := range hs {
-		hs[i] = tr.NewHandle(d.Guard(i))
+		g, err := d.Acquire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs[i] = tr.NewHandle(g)
 	}
 	return tr, d, hs
 }

@@ -99,8 +99,15 @@ func TestTrapIsOneShot(t *testing.T) {
 	}
 	defer d.Close()
 
+	victim, err := d.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthy, err := d.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
 	inj.StallNext(reclaim.FaultQuiesce)
-	victim := d.Guard(0)
 	victimDone := make(chan struct{})
 	go func() { victim.Begin(); close(victimDone) }() // Q=1: every Begin hits the sync point
 	if _, ok := inj.AwaitStalled(5 * time.Second); !ok {
@@ -110,9 +117,8 @@ func TestTrapIsOneShot(t *testing.T) {
 	// A healthy guard must pass the (now disarmed) point without delay.
 	done := make(chan struct{})
 	go func() {
-		h := d.Guard(1)
 		for i := 0; i < 100; i++ {
-			h.Begin()
+			healthy.Begin()
 		}
 		close(done)
 	}()

@@ -12,12 +12,11 @@ import (
 )
 
 // builtSet bundles a constructed data structure with its reclamation domain
-// and per-worker handles.
+// and per-slot handles.
 type builtSet struct {
-	handles     []SetHandle // pinned positional handles (nil when cfg.Leased)
 	dom         reclaim.Domain
-	mkHandle    func(g reclaim.Guard, w int) SetHandle
-	cache       *reclaim.SlotTable[SetHandle] // per-slot handles for leased mode
+	mkHandle    func(g reclaim.Guard, slot int) SetHandle
+	cache       *reclaim.SlotTable[SetHandle]
 	poolLive    func() uint64
 	closeDomain func()
 	closed      bool
@@ -29,14 +28,14 @@ func (b *builtSet) close() {
 	}
 }
 
-// leasedHandle returns the slot-cached structure handle for a leased guard,
+// handle returns the slot-cached structure handle for a leased guard,
 // building it on the slot's first lease (same per-slot caching as the
 // public containers: slot ownership serializes access to one entry).
-func (b *builtSet) leasedHandle(g reclaim.Guard) SetHandle {
-	w := reclaim.SlotIndex(g)
-	p := b.cache.Get(w)
+func (b *builtSet) handle(g reclaim.Guard) SetHandle {
+	slot := reclaim.SlotIndex(g)
+	p := b.cache.Get(slot)
 	if *p == nil {
-		*p = b.mkHandle(g, w)
+		*p = b.mkHandle(g, slot)
 	}
 	return *p
 }
@@ -65,17 +64,12 @@ func HPsForDS(ds string, skipLevels int) (int, error) {
 }
 
 // buildSet wires DS + scheme: the structure is created first, then the
-// domain (which needs the structure's free function), then the per-worker
-// handles bound to the domain's guards — the integration pattern from the
-// paper's Appendix B.
-//
-// Two handle modes exist. The default stays on the deprecated positional
-// Guard(w) accessor: the paper's experiments assume a fixed worker↔slot
-// assignment (delay plans target worker 0, per-worker series are reported
-// by index), and pinning keeps runs reproducible. With cfg.Leased the
-// workers instead lease guards with Acquire/Release on a short cadence —
-// the leasevspinned experiment measuring the lease overhead and its
-// epoch-advance interaction.
+// domain (which needs the structure's free function); a structure handle is
+// bound to a slot's guard when a worker first leases that slot — the
+// integration pattern from the paper's Appendix B. Nothing here depends on
+// WHICH slot a worker holds: delay plans and per-worker series are keyed by
+// worker index, so the paper's fixed processes are workers that lease once
+// (Config.LeaseEvery).
 func buildSet(cfg *Config) (*builtSet, error) {
 	rc := cfg.Reclaim
 	rc.Workers = cfg.Workers
@@ -110,7 +104,7 @@ func buildSet(cfg *Config) (*builtSet, error) {
 	case "skiplist":
 		s := skiplist.New(skiplist.Config{Levels: cfg.SkipLevels})
 		rc.Free, rc.Era = s.FreeNode, s.Pool()
-		b.mkHandle = func(g reclaim.Guard, w int) SetHandle { return s.NewHandle(g, cfg.Seed+uint64(w)+1) }
+		b.mkHandle = func(g reclaim.Guard, slot int) SetHandle { return s.NewHandle(g, cfg.Seed+uint64(slot)+1) }
 		b.poolLive = func() uint64 { return s.Pool().Stats().Live }
 	case "bst":
 		t := bst.New(bst.Config{})
@@ -130,14 +124,7 @@ func buildSet(cfg *Config) (*builtSet, error) {
 		return nil, err
 	}
 	b.dom = dom
-	if cfg.Leased {
-		b.cache = reclaim.NewSlotTable[SetHandle](rc.Workers, rc.HardMaxWorkers)
-	} else {
-		b.handles = make([]SetHandle, cfg.Workers)
-		for i := range b.handles {
-			b.handles[i] = b.mkHandle(dom.Guard(i), i)
-		}
-	}
+	b.cache = reclaim.NewSlotTable[SetHandle](rc.Workers, rc.HardMaxWorkers)
 	b.closeDomain = func() {
 		if !b.closed {
 			b.closed = true

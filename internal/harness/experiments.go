@@ -122,63 +122,62 @@ func RunScalability(sc ScalabilityConfig, log io.Writer) ([]Curve, error) {
 	return curves, nil
 }
 
-// LeaseVsPinnedResult pairs one scheme's pinned-guard run with its
-// short-lease run (the leasing follow-up experiment): how much throughput
-// the Acquire/Release cadence costs, and how the epoch machinery behaves
-// when workers blink in and out of the protocol instead of standing still.
-type LeaseVsPinnedResult struct {
-	Scheme string
-	Pinned Result
-	Leased Result
+// LeaseChurnResult pairs one scheme's held-lease run with its short-lease
+// run (the leasing follow-up experiment): how much throughput the
+// Acquire/Release cadence costs, and how the epoch machinery behaves when
+// workers blink in and out of the protocol instead of standing still.
+type LeaseChurnResult struct {
+	Scheme  string
+	Held    Result
+	Churned Result
 }
 
-// LeaseOverheadPct is the leased run's throughput deficit vs pinned, in
-// percent (negative = leased was faster, i.e. within noise).
-func (r LeaseVsPinnedResult) LeaseOverheadPct() float64 {
-	if r.Pinned.Mops <= 0 {
+// LeaseOverheadPct is the churned run's throughput deficit vs held, in
+// percent (negative = churned was faster, i.e. within noise).
+func (r LeaseChurnResult) LeaseOverheadPct() float64 {
+	if r.Held.Mops <= 0 {
 		return 0
 	}
-	return (1 - r.Leased.Mops/r.Pinned.Mops) * 100
+	return (1 - r.Churned.Mops/r.Held.Mops) * 100
 }
 
-// RunLeaseVsPinned runs each scheme twice over the same workload — once on
-// pinned positional guards (the paper's fixed-worker model) and once with
-// workers re-leasing their guard every leaseEvery 64-op batches (the
-// goroutine-per-request shape). Short leases stress exactly the paths the
-// paper's model never exercises: the per-lease join (a quiescent state, so
-// epochs rotate on lease churn alone), the release drain, and orphan
-// adoption of whatever backlog a released slot leaves behind. The logged
-// epoch-advance and adoption counters make that interaction visible next
-// to the raw throughput cost (one CAS pair plus join/drain per lease).
-func RunLeaseVsPinned(ds string, schemes []string, workers, leaseEvery int, keyRange int64, duration time.Duration, seed uint64, log io.Writer) ([]LeaseVsPinnedResult, error) {
-	out := make([]LeaseVsPinnedResult, 0, len(schemes))
+// RunLeaseChurn runs each scheme twice over the same workload — once with
+// every worker holding one lease for the run (the paper's fixed-worker
+// model) and once with workers re-leasing their guard every leaseEvery
+// 64-op batches (the goroutine-per-request shape). Short leases stress
+// exactly the paths the paper's model never exercises: the per-lease join
+// (a quiescent state, so epochs rotate on lease churn alone), the release
+// drain, and orphan adoption of whatever backlog a released slot leaves
+// behind. The logged epoch-advance and adoption counters make that
+// interaction visible next to the raw throughput cost (one CAS pair plus
+// join/drain per lease).
+func RunLeaseChurn(ds string, schemes []string, workers, leaseEvery int, keyRange int64, duration time.Duration, seed uint64, log io.Writer) ([]LeaseChurnResult, error) {
+	out := make([]LeaseChurnResult, 0, len(schemes))
 	for _, scheme := range schemes {
 		rc := defaultReclaim(0)
 		rc.C = 1 << 20 // common case: stay on the fast path (see RunScalability)
-		base := Config{
+		cfg := Config{
 			DS: ds, Scheme: scheme, Workers: workers,
 			KeyRange: keyRange, UpdatePct: 50,
 			Duration: duration, Reclaim: rc, Seed: seed,
 		}
-		pinned, err := Run(base)
+		held, err := Run(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("%s/%s pinned: %w", ds, scheme, err)
+			return nil, fmt.Errorf("%s/%s held: %w", ds, scheme, err)
 		}
-		leasedCfg := base
-		leasedCfg.Leased = true
-		leasedCfg.LeaseEvery = leaseEvery
-		leased, err := Run(leasedCfg)
+		cfg.LeaseEvery = max(leaseEvery, 1)
+		churned, err := Run(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("%s/%s leased: %w", ds, scheme, err)
+			return nil, fmt.Errorf("%s/%s churned: %w", ds, scheme, err)
 		}
-		r := LeaseVsPinnedResult{Scheme: scheme, Pinned: pinned, Leased: leased}
+		r := LeaseChurnResult{Scheme: scheme, Held: held, Churned: churned}
 		out = append(out, r)
 		if log != nil {
-			fmt.Fprintf(log, "%-8s pinned %8.3f Mops/s | leased %8.3f Mops/s (%+5.1f%%) | epochs %d->%d | leases %d | orphaned/adopted %d/%d\n",
-				scheme, pinned.Mops, leased.Mops, r.LeaseOverheadPct(),
-				pinned.Reclaim.EpochAdvances, leased.Reclaim.EpochAdvances,
-				leased.Reclaim.AcquiredHandles,
-				leased.Reclaim.OrphanedNodes, leased.Reclaim.AdoptedNodes)
+			fmt.Fprintf(log, "%-8s held %8.3f Mops/s | churned %8.3f Mops/s (%+5.1f%%) | epochs %d->%d | leases %d | orphaned/adopted %d/%d\n",
+				scheme, held.Mops, churned.Mops, r.LeaseOverheadPct(),
+				held.Reclaim.EpochAdvances, churned.Reclaim.EpochAdvances,
+				churned.Reclaim.AcquiredHandles,
+				churned.Reclaim.OrphanedNodes, churned.Reclaim.AdoptedNodes)
 		}
 	}
 	return out, nil

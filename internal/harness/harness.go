@@ -1,8 +1,9 @@
 // Package harness runs the paper's experiments (§7): timed throughput runs
-// of concurrent set operations over the three data structures, under any of
-// the five reclamation schemes, with optional process-delay injection and
-// per-second throughput sampling. The cmd/ tools and the repository's
-// benchmarks are thin wrappers around this package.
+// of concurrent set operations over four data structures (the paper's
+// three and the hash table), under any of the nine reclamation schemes,
+// with optional process-delay injection and per-second throughput
+// sampling. The cmd/ tools and the repository's benchmarks are thin
+// wrappers around this package.
 package harness
 
 import (
@@ -16,7 +17,7 @@ import (
 	"qsense/internal/workload"
 )
 
-// SetHandle is a worker's view of a concurrent set; all three data
+// SetHandle is a worker's view of a concurrent set; all four data
 // structure handles implement it.
 type SetHandle interface {
 	Contains(key int64) bool
@@ -26,8 +27,8 @@ type SetHandle interface {
 
 // Config describes one experiment run.
 type Config struct {
-	DS        string // "list", "skiplist", "bst"
-	Scheme    string // "none", "qsbr", "hp", "cadence", "qsense"
+	DS        string // "list", "skiplist", "bst", "hashmap"
+	Scheme    string // one of reclaim.Schemes()
 	Workers   int
 	KeyRange  int64
 	UpdatePct int
@@ -37,15 +38,14 @@ type Config struct {
 	// MemoryLimit...). Workers, HPs and Free are filled by the harness.
 	Reclaim reclaim.Config
 
-	// Leased switches workers from pinned positional guards to
-	// Acquire/Release leases recycled every LeaseEvery op batches — the
-	// leasevspinned experiment. Delay injection stalls the worker while
-	// unleased (a parked goroutine holds no slot), so the stall measures
-	// the schemes with the stalled worker OUT of the protocol, where the
-	// pinned mode measures it IN.
-	Leased bool
-	// LeaseEvery is how many 64-op batches a leased worker runs per
-	// lease. Default 1: maximal lease churn.
+	// LeaseEvery is how many 64-op batches a worker runs per guard lease.
+	// 0 (the default) is the paper's fixed-process model: each worker
+	// leases once and holds its guard for the whole run, so a delayed
+	// worker stalls INSIDE the protocol, slot in hand. n > 0 re-leases
+	// every n batches (the leasechurn experiment; 1 = maximal churn) and
+	// stalls between leases — a parked goroutine holds no slot — so the
+	// stall measures the schemes with the stalled worker OUT of the
+	// protocol.
 	LeaseEvery int
 
 	// SkipLevels sets the skip list height (default 16).
@@ -119,16 +119,14 @@ func Run(cfg Config) (Result, error) {
 	defer set.close()
 
 	if !cfg.NoFill {
-		if cfg.Leased {
-			g, err := set.dom.Acquire()
-			if err != nil {
-				return Result{}, err
-			}
-			fill(set.leasedHandle(g), cfg.KeyRange, cfg.Seed)
-			set.dom.Release(g)
-		} else {
-			fill(set.handles[0], cfg.KeyRange, cfg.Seed)
+		// Released before the workers start: the fill is not one of the
+		// paper's N processes, and must not make the arena grow past N.
+		g, err := set.dom.Acquire()
+		if err != nil {
+			return Result{}, err
 		}
+		fill(set.handle(g), cfg.KeyRange, cfg.Seed)
+		set.dom.Release(g)
 	}
 
 	ops := make([]padCounter, cfg.Workers)
@@ -176,88 +174,61 @@ func Run(cfg Config) (Result, error) {
 	return res, nil
 }
 
-// runWorker is the per-worker operation loop. It checks the wall clock, the
-// delay plan and the failure flag once per small batch so the hot path
-// stays just the data structure operation.
+// runWorker is the per-worker operation loop: lease a guard, run batches
+// through the slot's cached handle, release. With LeaseEvery == 0 the one
+// lease spans the run; otherwise the run pays one lease/release pair (plus
+// the scheme's join and drain paths) every LeaseEvery*64 operations, and
+// the epoch machinery sees the worker appear and disappear at that cadence.
+// The wall clock, the delay plan and the failure flag are checked once per
+// batch so the hot path stays just the data structure operation.
 func runWorker(cfg *Config, set *builtSet, w int, opCount *atomic.Uint64, stop *atomic.Bool, failedAt *atomic.Int64, start time.Time) {
-	if cfg.Leased {
-		runWorkerLeased(cfg, set, w, opCount, stop, failedAt, start)
-		return
-	}
-	h := set.handles[w]
 	rng := workload.NewRNG(cfg.Seed + uint64(w)*7919 + 1)
 	mix := workload.Mix{UpdatePct: cfg.UpdatePct}
-	const batch = 64
-	local := uint64(0)
-	for !stop.Load() {
-		// Delay injection (§7.2): the stalled worker sleeps, holding no
-		// references and declaring no quiescent states.
-		if cfg.Delays != nil && cfg.Delays.Worker == w {
-			if stalled, until := cfg.Delays.StalledAt(time.Since(start)); stalled {
-				for time.Since(start) < until && !stop.Load() {
-					time.Sleep(time.Millisecond)
-				}
-				continue
-			}
+	hold := cfg.LeaseEvery <= 0
+	// stall sleeps through a planned delay of this worker (§7.2) — holding
+	// no references and declaring no quiescent states — and reports whether
+	// there was one.
+	stall := func() bool {
+		if cfg.Delays == nil || cfg.Delays.Worker != w {
+			return false
 		}
-		// Failure emulation: a failed domain means the process is out
-		// of memory; all workers halt (the paper's QSBR lines end).
-		if set.dom.Failed() {
-			failedAt.CompareAndSwap(0, int64(time.Since(start)))
-			return
+		stalled, until := cfg.Delays.StalledAt(time.Since(start))
+		for stalled && time.Since(start) < until && !stop.Load() {
+			time.Sleep(time.Millisecond)
 		}
-		local = runBatch(h, rng, mix, cfg.KeyRange, local)
-		opCount.Store(local)
-	}
-	opCount.Store(local)
-}
-
-// runWorkerLeased is runWorker in leased mode: the worker Acquires a guard,
-// runs LeaseEvery batches through the slot's cached handle, and Releases —
-// so the run pays one lease/release pair (plus the scheme's join and drain
-// paths) every LeaseEvery*64 operations, and the epoch machinery sees the
-// worker appear and disappear at that cadence.
-func runWorkerLeased(cfg *Config, set *builtSet, w int, opCount *atomic.Uint64, stop *atomic.Bool, failedAt *atomic.Int64, start time.Time) {
-	rng := workload.NewRNG(cfg.Seed + uint64(w)*7919 + 1)
-	mix := workload.Mix{UpdatePct: cfg.UpdatePct}
-	leaseEvery := cfg.LeaseEvery
-	if leaseEvery <= 0 {
-		leaseEvery = 1
+		return stalled
 	}
 	local := uint64(0)
 	for !stop.Load() {
-		// Delay injection happens between leases: a parked goroutine
-		// holds no slot, so the stall exercises the schemes with the
-		// stalled worker fully OUT of the protocol.
-		if cfg.Delays != nil && cfg.Delays.Worker == w {
-			if stalled, until := cfg.Delays.StalledAt(time.Since(start)); stalled {
-				for time.Since(start) < until && !stop.Load() {
-					time.Sleep(time.Millisecond)
-				}
-				continue
-			}
+		if !hold {
+			stall() // between leases: the stalled worker holds no slot
 		}
-		if set.dom.Failed() {
-			failedAt.CompareAndSwap(0, int64(time.Since(start)))
-			return
-		}
-		// AcquireWait, not Acquire: a leased run against a hard-capped
-		// domain should queue at the cap (the backpressure semantics),
-		// not silently drop workers from the measurement. The background
-		// context never cancels, so err is impossible — fail loudly
-		// rather than deflate Ops if that ever changes.
+		// AcquireWait, not Acquire: a run against a hard-capped domain
+		// should queue at the cap (the backpressure semantics), not
+		// silently drop workers from the measurement. The background
+		// context never cancels, so err is impossible — fail loudly rather
+		// than deflate Ops if that ever changes.
 		g, err := set.dom.AcquireWait(context.Background())
 		if err != nil {
-			panic(fmt.Sprintf("harness: leased worker lost its guard: %v", err))
+			panic(fmt.Sprintf("harness: worker lost its guard: %v", err))
 		}
-		h := set.leasedHandle(g)
-		for b := 0; b < leaseEvery && !stop.Load(); b++ {
+		h := set.handle(g)
+		for b := 0; (hold || b < cfg.LeaseEvery) && !stop.Load(); b++ {
+			if hold && stall() {
+				continue // the stalled worker kept its slot
+			}
+			// Failure emulation: a failed domain means the process is out
+			// of memory; all workers halt (the paper's QSBR lines end).
+			if set.dom.Failed() {
+				failedAt.CompareAndSwap(0, int64(time.Since(start)))
+				set.dom.Release(g)
+				return
+			}
 			local = runBatch(h, rng, mix, cfg.KeyRange, local)
 			opCount.Store(local)
 		}
 		set.dom.Release(g)
 	}
-	opCount.Store(local)
 }
 
 // runBatch runs one 64-op batch and returns the updated local op count.

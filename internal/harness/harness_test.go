@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -271,48 +272,61 @@ func TestFillReachesTarget(t *testing.T) {
 }
 
 func TestRunLeasedMode(t *testing.T) {
-	// The leasevspinned experiment's leased half: workers re-lease their
-	// guard every batch, so the run must record lease churn (balanced
-	// acquire/release counters) and still drain every retiree at close.
+	// Both ends of Config.LeaseEvery. Held (0): every worker leases once,
+	// after the fill lease was returned, so the arena stays at the paper's
+	// N — what LegalC and the §6 bound are computed from. Churned (1):
+	// workers re-lease their guard every batch, so the run must record
+	// lease churn. Either way the counters balance and every retiree is
+	// drained at close.
+	const workers = 2
 	for _, scheme := range []string{"qsbr", "qsense", "hp"} {
 		t.Run(scheme, func(t *testing.T) {
-			cfg := quickCfg("list", scheme, 2)
-			cfg.Leased = true
-			cfg.LeaseEvery = 1
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Ops == 0 {
-				t.Fatal("no operations performed")
-			}
-			// The fill lease plus at least one lease per worker.
-			if res.Reclaim.AcquiredHandles < 3 {
-				t.Fatalf("AcquiredHandles = %d: workers did not lease", res.Reclaim.AcquiredHandles)
-			}
-			if res.Reclaim.AcquiredHandles != res.Reclaim.ReleasedHandles {
-				t.Fatalf("leases leaked: %d acquired vs %d released",
-					res.Reclaim.AcquiredHandles, res.Reclaim.ReleasedHandles)
-			}
-			if res.Reclaim.Retired > 0 && res.Reclaim.Pending != 0 {
-				t.Fatalf("pending %d after close", res.Reclaim.Pending)
+			for _, every := range []int{0, 1} {
+				t.Run(fmt.Sprintf("every=%d", every), func(t *testing.T) {
+					cfg := quickCfg("list", scheme, workers)
+					cfg.LeaseEvery = every
+					res, err := Run(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Ops == 0 {
+						t.Fatal("no operations performed")
+					}
+					st := res.Reclaim
+					if every == 0 {
+						if st.AcquiredHandles != workers+1 {
+							t.Fatalf("AcquiredHandles = %d, want the fill lease plus one per worker (%d)", st.AcquiredHandles, workers+1)
+						}
+						if st.ArenaSize != workers {
+							t.Fatalf("ArenaSize = %d: the arena grew past the paper's N = %d", st.ArenaSize, workers)
+						}
+					} else if st.AcquiredHandles < workers+1 {
+						t.Fatalf("AcquiredHandles = %d: workers did not lease", st.AcquiredHandles)
+					}
+					if st.AcquiredHandles != st.ReleasedHandles {
+						t.Fatalf("leases leaked: %d acquired vs %d released", st.AcquiredHandles, st.ReleasedHandles)
+					}
+					if st.Retired > 0 && st.Pending != 0 {
+						t.Fatalf("pending %d after close", st.Pending)
+					}
+				})
 			}
 		})
 	}
 }
 
-func TestRunLeaseVsPinned(t *testing.T) {
-	out, err := RunLeaseVsPinned("list", []string{"qsbr"}, 2, 1, 128, 60*time.Millisecond, 42, nil)
+func TestRunLeaseChurn(t *testing.T) {
+	out, err := RunLeaseChurn("list", []string{"qsbr"}, 2, 1, 128, 60*time.Millisecond, 42, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != 1 || out[0].Scheme != "qsbr" {
 		t.Fatalf("unexpected results: %+v", out)
 	}
-	if out[0].Pinned.Ops == 0 || out[0].Leased.Ops == 0 {
-		t.Fatalf("empty runs: pinned %d ops, leased %d ops", out[0].Pinned.Ops, out[0].Leased.Ops)
+	if out[0].Held.Ops == 0 || out[0].Churned.Ops == 0 {
+		t.Fatalf("empty runs: held %d ops, churned %d ops", out[0].Held.Ops, out[0].Churned.Ops)
 	}
-	if out[0].Leased.Reclaim.AcquiredHandles == 0 {
-		t.Fatal("leased run recorded no leases")
+	if held, churned := out[0].Held.Reclaim.AcquiredHandles, out[0].Churned.Reclaim.AcquiredHandles; churned <= held {
+		t.Fatalf("churned run leased %d times, no more than the held run's %d", churned, held)
 	}
 }

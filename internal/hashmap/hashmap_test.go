@@ -27,7 +27,11 @@ func newMap(t *testing.T, scheme string, workers, buckets int) (*Map, reclaim.Do
 	}
 	hs := make([]*Handle, workers)
 	for i := range hs {
-		hs[i] = m.NewHandle(d.Guard(i))
+		g, err := d.Acquire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs[i] = m.NewHandle(g)
 	}
 	return m, d, hs
 }

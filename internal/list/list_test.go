@@ -29,7 +29,11 @@ func newSet(t *testing.T, scheme string, workers int) (*List, reclaim.Domain, []
 	}
 	hs := make([]*Handle, workers)
 	for i := range hs {
-		hs[i] = l.NewHandle(d.Guard(i))
+		g, err := d.Acquire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs[i] = l.NewHandle(g)
 	}
 	return l, d, hs
 }

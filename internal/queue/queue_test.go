@@ -29,7 +29,11 @@ func newQueue(t *testing.T, scheme string, workers int) (*Queue, reclaim.Domain,
 	}
 	hs := make([]*Handle, workers)
 	for i := range hs {
-		hs[i] = q.NewHandle(d.Guard(i))
+		g, err := d.Acquire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs[i] = q.NewHandle(g)
 	}
 	return q, d, hs
 }

@@ -27,7 +27,8 @@ func newCadenceDomain(t *testing.T, pool *mem.Pool[tnode], workers, k, r int, di
 func TestCadenceDeferralProtectsUnflushedHP(t *testing.T) {
 	pool := newTestPool()
 	d := newCadenceDomain(t, pool, 2, 1, 1, false)
-	reclaimer, reader := d.Guard(0), d.Guard(1)
+	gs := acquire(t, d, 2)
+	reclaimer, reader := gs[0], gs[1]
 
 	r := allocNode(pool, 7)
 	reader.Protect(0, r) // pending only: invisible to scans
@@ -76,7 +77,8 @@ func TestCadenceDeferralProtectsUnflushedHP(t *testing.T) {
 func TestCadenceWithoutDeferralIsUnsafe(t *testing.T) {
 	pool := newTestPool()
 	d := newCadenceDomain(t, pool, 2, 1, 1, true /* DisableDeferral */)
-	reclaimer, reader := d.Guard(0), d.Guard(1)
+	gs := acquire(t, d, 2)
+	reclaimer, reader := gs[0], gs[1]
 
 	r := allocNode(pool, 7)
 	reader.Protect(0, r) // pending, not flushed
@@ -93,7 +95,7 @@ func TestCadenceWithoutDeferralIsUnsafe(t *testing.T) {
 func TestCadenceUnprotectedFreedAfterTwoPasses(t *testing.T) {
 	pool := newTestPool()
 	d := newCadenceDomain(t, pool, 1, 1, 1, false)
-	g := d.Guard(0)
+	g := acquire(t, d, 1)[0]
 	r := allocNode(pool, 1)
 	g.Retire(r)
 	for pass := 0; pass < 2; pass++ {
@@ -115,7 +117,7 @@ func TestCadenceNoRoosterNoReclamation(t *testing.T) {
 	// is ever old enough; once it beats again, reclamation resumes.
 	pool := newTestPool()
 	d := newCadenceDomain(t, pool, 1, 1, 2, false)
-	g := d.Guard(0)
+	g := acquire(t, d, 1)[0]
 	for i := 0; i < 100; i++ {
 		g.Retire(allocNode(pool, uint64(i)))
 	}
@@ -137,11 +139,11 @@ func TestCadenceStalledWorkerDelaysOnlyItsNodes(t *testing.T) {
 	pool := newTestPool()
 	const workers, k, r = 4, 2, 8
 	d := newCadenceDomain(t, pool, workers, k, r, false)
-	stalled := d.Guard(0)
+	stalled := acquire(t, d, 1)[0]
 	pinned := allocNode(pool, 99)
 	stalled.Protect(0, pinned)
 	d.Rooster().Step() // make the protection visible
-	active := d.Guard(1)
+	active := acquire(t, d, 1)[0]
 	active.Retire(pinned) // removed, but protected by the stalled worker
 
 	const perStep = 100
@@ -170,7 +172,7 @@ func TestCadenceStalledWorkerDelaysOnlyItsNodes(t *testing.T) {
 func TestCadenceScanThresholdR(t *testing.T) {
 	pool := newTestPool()
 	d := newCadenceDomain(t, pool, 1, 1, 5, false)
-	g := d.Guard(0)
+	g := acquire(t, d, 1)[0]
 	for i := 0; i < 4; i++ {
 		g.Retire(allocNode(pool, uint64(i)))
 	}
@@ -201,7 +203,7 @@ func TestCadenceStartedRoosterTimerDriven(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := d.Guard(0)
+	g := acquire(t, d, 1)[0]
 	deadline := 2000
 	for i := 0; d.Stats().Freed == 0 && i < deadline; i++ {
 		g.Begin()

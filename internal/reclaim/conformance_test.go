@@ -62,7 +62,7 @@ func TestConformanceSingleWorker(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g := d.Guard(0)
+			g := acquire(t, d, 1)[0]
 			for i := 0; i < 5000; i++ {
 				g.Begin()
 				r := allocNode(pool, uint64(i))
@@ -89,13 +89,14 @@ func TestConformanceRetireNilPanics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		g := acquire(t, d, 1)[0]
 		func() {
 			defer func() {
 				if recover() == nil {
 					t.Fatalf("%s: Retire(nil) must panic", name)
 				}
 			}()
-			d.Guard(0).Retire(0)
+			g.Retire(0)
 		}()
 		d.Close()
 	}
@@ -116,7 +117,7 @@ func TestConformanceReclaimsDuringRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g := d.Guard(0)
+			g := acquire(t, d, 1)[0]
 			step := func() {
 				switch dom := d.(type) {
 				case *Cadence:

@@ -134,19 +134,6 @@ func (d *domainCore) startRooster() {
 	}
 }
 
-// Guard implements Domain (deprecated positional access): pins slot w, so
-// the guard participates from this point on exactly like a fixed worker of
-// the paper's model. A scheme whose pinned guards must announce themselves
-// (the epoch members' membership) implements pinned, run on the first pin.
-func (d *domainCore) Guard(w int) Guard {
-	first := d.slots.pin(w) // also bounds-checks the positional range
-	c := d.cores.at(w)
-	if p, ok := c.pol.(interface{ pinned() }); ok && first {
-		p.pinned()
-	}
-	return c.pub
-}
-
 // Acquire implements Domain: lease a slot and run the scheme's join step.
 func (d *domainCore) Acquire() (Guard, error) {
 	return d.joined(d.slots.lease())
@@ -171,8 +158,8 @@ func (d *domainCore) joined(w int, err error) (Guard, error) {
 const errForeignGuard = "reclaim: Release of a guard from another domain"
 
 // Release implements Domain: run the scheme's drain while the slot is in
-// the releasing state, flush the guard's tally and recycle the slot. A
-// pinned or already-released guard is refused by unlease (no-op).
+// the releasing state, flush the guard's tally and recycle the slot. An
+// already-released guard is refused by unlease (no-op).
 func (d *domainCore) Release(gd Guard) {
 	g, ok := gd.(policy)
 	if !ok || g.core().dom != d {

@@ -20,11 +20,11 @@ func TestEBRIdleWorkerDoesNotBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idle := d.Guard(1)
+	idle := acquire(t, d, 1)[0]
 	idle.Begin()
 	idle.ClearHPs() // operation over; worker now stalls forever
 
-	g := d.Guard(0)
+	g := acquire(t, d, 1)[0]
 	for i := 0; i < 200; i++ {
 		g.Begin()
 		g.Retire(allocNode(pool, uint64(i)))
@@ -49,10 +49,10 @@ func TestEBRMidOperationStallBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stuck := d.Guard(1)
+	stuck := acquire(t, d, 1)[0]
 	stuck.Begin() // enters a critical section and never leaves
 
-	g := d.Guard(0)
+	g := acquire(t, d, 1)[0]
 	for i := 0; i < 400; i++ {
 		g.Begin()
 		g.Retire(allocNode(pool, uint64(i)))
@@ -79,8 +79,8 @@ func TestEBRSafetyUnderProtectedUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reader := d.Guard(0)
-	writer := d.Guard(1)
+	gs := acquire(t, d, 2)
+	reader, writer := gs[0], gs[1]
 
 	reader.Begin() // reader's CS observes epoch e and holds a node
 	held := allocNode(pool, 42)
@@ -107,7 +107,7 @@ func TestEBRFreesBatchAfterGracePeriods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := d.Guard(0)
+	g := acquire(t, d, 1)[0]
 	for i := 0; i < 64; i++ {
 		g.Begin()
 		g.Retire(allocNode(pool, uint64(i)))
@@ -129,7 +129,8 @@ func TestRCProtectedNodeSurvives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reader, writer := d.Guard(0).(*rcGuard), d.Guard(1)
+	gs := acquire(t, d, 2)
+	reader, writer := gs[0].(*rcGuard), gs[1]
 	r := allocNode(pool, 7)
 	reader.Protect(0, r)
 	writer.Retire(r) // R=1: sweeps immediately, must keep r
@@ -161,7 +162,7 @@ func TestRCStaleAcquireFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := d.Guard(0).(*rcGuard)
+	g := acquire(t, d, 1)[0].(*rcGuard)
 	r := allocNode(pool, 1)
 	g.Retire(r) // swept immediately: freed
 	if pool.Valid(r) {
@@ -193,7 +194,7 @@ func TestRCProtectSameRefIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := d.Guard(0).(*rcGuard)
+	g := acquire(t, d, 1)[0].(*rcGuard)
 	r := allocNode(pool, 3)
 	for i := 0; i < 5; i++ {
 		g.Protect(0, r)

@@ -171,8 +171,9 @@ func TestHardMaxBackpressure(t *testing.T) {
 // goroutines than initial slots Acquire concurrently (never failing), churn
 // a shared mailbox under full HP discipline — so segment publication
 // interleaves with HP scans, epoch advances, rooster flushes — and Release
-// mid-stream so orphan adoption runs against a growing arena too. A pinned
-// positional guard participates throughout to cover the pin/growth mix.
+// mid-stream so orphan adoption runs against a growing arena too. One lease
+// is held throughout — the paper's fixed worker — to cover a long tenancy
+// operating across every growth.
 func TestGrowthChurnRace(t *testing.T) {
 	for _, scheme := range Schemes() {
 		t.Run(scheme, func(t *testing.T) {
@@ -194,8 +195,8 @@ func TestGrowthChurnRace(t *testing.T) {
 			var wg sync.WaitGroup
 			errs := make(chan error, workers+1)
 
-			// The pinned fixed worker, operating across every growth.
-			pinned := d.Guard(0)
+			// The fixed worker, operating across every growth.
+			held := acquire(t, d, 1)[0]
 			var stop sync.WaitGroup
 			stop.Add(1)
 			done := make(chan struct{})
@@ -214,16 +215,16 @@ func TestGrowthChurnRace(t *testing.T) {
 				for {
 					select {
 					case <-done:
-						pinned.ClearHPs()
+						held.ClearHPs()
 						return
 					default:
 					}
-					pinned.Begin()
+					held.Begin()
 					rng = rng*6364136223846793005 + 1442695040888963407
 					if rng&1 == 0 {
-						mb.put(pinned, int(rng>>33)%len(mb.slots), rng)
+						mb.put(held, int(rng>>33)%len(mb.slots), rng)
 					} else {
-						mb.take(pinned, int(rng>>33)%len(mb.slots))
+						mb.take(held, int(rng>>33)%len(mb.slots))
 					}
 				}
 			}()
@@ -266,6 +267,7 @@ func TestGrowthChurnRace(t *testing.T) {
 			wg.Wait()
 			close(done)
 			stop.Wait()
+			d.Release(held)
 			close(errs)
 			for err := range errs {
 				t.Fatalf("%s: %v", scheme, err)
@@ -339,42 +341,10 @@ func TestGrowthAdoptsOrphans(t *testing.T) {
 	d.Release(grown)
 }
 
-// TestHighWaterCountsPinsAndLeases: the occupancy peak must reflect leases
-// and pins together, whichever side raises it last. The positional pin is
-// taken FIRST: under QSENSE_SHARDS=4 each shard owns exactly one of the four
-// slots, and a lease placed by the stack-address hash may land on slot 3's
-// shard — pinning an already-leased slot is a caller error (slots.go), so
-// the pin must not race the leases for the same geometry.
-func TestHighWaterCountsPinsAndLeases(t *testing.T) {
-	pool := newTestPool()
-	d, err := NewQSBR(Config{Workers: 4, HPs: 1, Free: freeInto(pool), Q: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	d.Guard(3) // pin slot 3 before any lease can land on it
-	if _, err := d.Acquire(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Acquire(); err != nil {
-		t.Fatal(err)
-	}
-	if st := d.Stats(); st.HighWaterWorkers != 3 {
-		t.Fatalf("HighWaterWorkers = %d after 2 leases + 1 pin, want 3", st.HighWaterWorkers)
-	}
-	g, err := d.Acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Release(g)
-	if st := d.Stats(); st.HighWaterWorkers != 4 {
-		t.Fatalf("HighWaterWorkers = %d after a 4th concurrent occupant, want 4", st.HighWaterWorkers)
-	}
-}
-
-// TestHighWaterNeverExceedsArena hammers the racy occupancy estimate from
-// both sides (lease churn + late pins) and checks the invariant the clamp
-// enforces: HighWaterWorkers <= ArenaSize, whatever interleaving happened.
+// TestHighWaterNeverExceedsArena hammers the racy occupancy estimate with
+// lease churn at the cap, then one more lease, and checks the invariant the
+// clamp enforces: HighWaterWorkers <= ArenaSize, whatever interleaving
+// happened.
 func TestHighWaterNeverExceedsArena(t *testing.T) {
 	pool := newTestPool()
 	d, err := NewQSBR(Config{Workers: 4, HardMaxWorkers: 8, HPs: 1, Free: freeInto(pool), Q: 1})
@@ -397,7 +367,7 @@ func TestHighWaterNeverExceedsArena(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	d.Guard(0) // a pin on top of the churn
+	acquire(t, d, 1) // one more occupant on top of the churn
 	st := d.Stats()
 	if st.HighWaterWorkers > st.ArenaSize {
 		t.Fatalf("HighWaterWorkers %d exceeds ArenaSize %d", st.HighWaterWorkers, st.ArenaSize)

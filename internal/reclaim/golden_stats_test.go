@@ -30,7 +30,7 @@ func goldenProject(s Stats) string {
 }
 
 // goldenDrive runs a fixed, fully deterministic single-goroutine operation
-// sequence against a fresh domain: a pinned positional guard, a burst of
+// sequence against a fresh domain: one lease held throughout, a burst of
 // leases that forces one arena growth, retire/advance churn with manual
 // rooster steps, a Release that strands a backlog (orphan handoff), churn
 // that adopts it, then full release (exercising segment parking) and Close.
@@ -59,8 +59,9 @@ func goldenDrive(t *testing.T, scheme string, shards int) (pre, post string) {
 		}
 	}
 
-	// A pinned positional guard that stays active the whole run.
-	g0 := d.Guard(0)
+	// One lease held for the whole run (never released: acq ends one
+	// ahead of rel). At Shards=1 it sits on slot 0.
+	g0 := acquire(t, d, 1)[0]
 	g0.Begin()
 
 	// Lease past Workers=4: the fifth Acquire grows the arena once.
@@ -129,34 +130,46 @@ func goldenDrive(t *testing.T, scheme string, shards int) (pre, post string) {
 // goldenDrive on the pre-sharding implementation (single slot pool, single
 // orphan list). TestGoldenStatsShards1 asserts the refactored code at
 // Shards=1 reproduces them exactly.
+//
+// Provenance of the current literals: the pre-sharding capture, moved by
+// one stated delta when the drive's fixed worker became a lease (its
+// positional Guard(0) was deleted with the pinned slot state). That one-line
+// edit of the drive, run on the last commit that still had Guard(0), moves
+// only: acq 5 -> 6 for all nine schemes (the held lease, never released);
+// quiesce +1, epochs +1 and post-Close scanned +1 under qsbr and qsense (the
+// join's solitary quiescent state advances the epoch, and its one-slot walk
+// is residue until Close drains it); epochs +1 and post-Close scanned +1
+// under ebr (the join's advance attempt, alone in the arena). Every other
+// field of both projections is byte-identical to the earlier capture, and
+// the lease-only kernel reproduces the edited parent's strings exactly.
 var goldenStats = map[string][2]string{
 	"none": {
-		"ret=224 freed=0 pend=224 scans=0 scanned=0 quiesce=0 epochs=0 tofall=0 tofast=0 evict=0 rejoin=0 acq=5 rel=5 arena=8 hw=6 grows=1 parked=4 parks=1 unparks=0 effR=0 effC=0 retR=0 retC=0 orph=0 adopt=0 fall=false passes=0 failed=false",
-		"ret=224 freed=0 pend=224 scans=0 scanned=0 quiesce=0 epochs=0 tofall=0 tofast=0 evict=0 rejoin=0 acq=5 rel=5 arena=8 hw=6 grows=1 parked=4 parks=1 unparks=0 effR=0 effC=0 retR=0 retC=0 orph=0 adopt=0 fall=false passes=0 failed=false",
+		"ret=224 freed=0 pend=224 scans=0 scanned=0 quiesce=0 epochs=0 tofall=0 tofast=0 evict=0 rejoin=0 acq=6 rel=5 arena=8 hw=6 grows=1 parked=4 parks=1 unparks=0 effR=0 effC=0 retR=0 retC=0 orph=0 adopt=0 fall=false passes=0 failed=false",
+		"ret=224 freed=0 pend=224 scans=0 scanned=0 quiesce=0 epochs=0 tofall=0 tofast=0 evict=0 rejoin=0 acq=6 rel=5 arena=8 hw=6 grows=1 parked=4 parks=1 unparks=0 effR=0 effC=0 retR=0 retC=0 orph=0 adopt=0 fall=false passes=0 failed=false",
 	},
 	"qsbr": {
-		"ret=224 freed=204 pend=20 scans=0 scanned=143 quiesce=142 epochs=25 tofall=0 tofast=0 evict=0 rejoin=0 acq=5 rel=5 arena=8 hw=6 grows=1 parked=4 parks=1 unparks=0 effR=0 effC=0 retR=0 retC=0 orph=33 adopt=13 fall=false passes=0 failed=false",
-		"ret=224 freed=224 pend=0 scans=0 scanned=143 quiesce=142 epochs=25 tofall=0 tofast=0 evict=0 rejoin=0 acq=5 rel=5 arena=8 hw=6 grows=1 parked=4 parks=1 unparks=0 effR=0 effC=0 retR=0 retC=0 orph=33 adopt=13 fall=false passes=0 failed=false",
+		"ret=224 freed=204 pend=20 scans=0 scanned=143 quiesce=143 epochs=26 tofall=0 tofast=0 evict=0 rejoin=0 acq=6 rel=5 arena=8 hw=6 grows=1 parked=4 parks=1 unparks=0 effR=0 effC=0 retR=0 retC=0 orph=33 adopt=13 fall=false passes=0 failed=false",
+		"ret=224 freed=224 pend=0 scans=0 scanned=144 quiesce=143 epochs=26 tofall=0 tofast=0 evict=0 rejoin=0 acq=6 rel=5 arena=8 hw=6 grows=1 parked=4 parks=1 unparks=0 effR=0 effC=0 retR=0 retC=0 orph=33 adopt=13 fall=false passes=0 failed=false",
 	},
 	"ebr": {
-		"ret=224 freed=152 pend=72 scans=0 scanned=93 quiesce=0 epochs=11 tofall=0 tofast=0 evict=0 rejoin=0 acq=5 rel=5 arena=8 hw=6 grows=1 parked=4 parks=1 unparks=0 effR=8 effC=8192 retR=0 retC=0 orph=97 adopt=25 fall=false passes=0 failed=false",
-		"ret=224 freed=224 pend=0 scans=0 scanned=97 quiesce=0 epochs=11 tofall=0 tofast=0 evict=0 rejoin=0 acq=5 rel=5 arena=8 hw=6 grows=1 parked=4 parks=1 unparks=0 effR=8 effC=8192 retR=0 retC=0 orph=97 adopt=25 fall=false passes=0 failed=false",
+		"ret=224 freed=152 pend=72 scans=0 scanned=93 quiesce=0 epochs=12 tofall=0 tofast=0 evict=0 rejoin=0 acq=6 rel=5 arena=8 hw=6 grows=1 parked=4 parks=1 unparks=0 effR=8 effC=8192 retR=0 retC=0 orph=97 adopt=25 fall=false passes=0 failed=false",
+		"ret=224 freed=224 pend=0 scans=0 scanned=98 quiesce=0 epochs=12 tofall=0 tofast=0 evict=0 rejoin=0 acq=6 rel=5 arena=8 hw=6 grows=1 parked=4 parks=1 unparks=0 effR=8 effC=8192 retR=0 retC=0 orph=97 adopt=25 fall=false passes=0 failed=false",
 	},
 	"hp": {
-		"ret=224 freed=224 pend=0 scans=28 scanned=156 quiesce=0 epochs=0 tofall=0 tofast=0 evict=0 rejoin=0 acq=5 rel=5 arena=8 hw=6 grows=1 parked=4 parks=1 unparks=0 effR=8 effC=8192 retR=0 retC=0 orph=0 adopt=0 fall=false passes=0 failed=false",
-		"ret=224 freed=224 pend=0 scans=28 scanned=156 quiesce=0 epochs=0 tofall=0 tofast=0 evict=0 rejoin=0 acq=5 rel=5 arena=8 hw=6 grows=1 parked=4 parks=1 unparks=0 effR=8 effC=8192 retR=0 retC=0 orph=0 adopt=0 fall=false passes=0 failed=false",
+		"ret=224 freed=224 pend=0 scans=28 scanned=156 quiesce=0 epochs=0 tofall=0 tofast=0 evict=0 rejoin=0 acq=6 rel=5 arena=8 hw=6 grows=1 parked=4 parks=1 unparks=0 effR=8 effC=8192 retR=0 retC=0 orph=0 adopt=0 fall=false passes=0 failed=false",
+		"ret=224 freed=224 pend=0 scans=28 scanned=156 quiesce=0 epochs=0 tofall=0 tofast=0 evict=0 rejoin=0 acq=6 rel=5 arena=8 hw=6 grows=1 parked=4 parks=1 unparks=0 effR=8 effC=8192 retR=0 retC=0 orph=0 adopt=0 fall=false passes=0 failed=false",
 	},
 	"cadence": {
-		"ret=224 freed=180 pend=44 scans=33 scanned=210 quiesce=0 epochs=0 tofall=0 tofast=0 evict=0 rejoin=0 acq=5 rel=5 arena=8 hw=6 grows=1 parked=4 parks=1 unparks=0 effR=8 effC=8192 retR=0 retC=0 orph=63 adopt=19 fall=false passes=8 failed=false",
-		"ret=224 freed=224 pend=0 scans=33 scanned=230 quiesce=0 epochs=0 tofall=0 tofast=0 evict=0 rejoin=0 acq=5 rel=5 arena=8 hw=6 grows=1 parked=4 parks=1 unparks=0 effR=8 effC=8192 retR=0 retC=0 orph=63 adopt=19 fall=false passes=8 failed=false",
+		"ret=224 freed=180 pend=44 scans=33 scanned=210 quiesce=0 epochs=0 tofall=0 tofast=0 evict=0 rejoin=0 acq=6 rel=5 arena=8 hw=6 grows=1 parked=4 parks=1 unparks=0 effR=8 effC=8192 retR=0 retC=0 orph=63 adopt=19 fall=false passes=8 failed=false",
+		"ret=224 freed=224 pend=0 scans=33 scanned=230 quiesce=0 epochs=0 tofall=0 tofast=0 evict=0 rejoin=0 acq=6 rel=5 arena=8 hw=6 grows=1 parked=4 parks=1 unparks=0 effR=8 effC=8192 retR=0 retC=0 orph=63 adopt=19 fall=false passes=8 failed=false",
 	},
 	"qsense": {
-		"ret=224 freed=204 pend=20 scans=5 scanned=192 quiesce=142 epochs=25 tofall=0 tofast=0 evict=0 rejoin=0 acq=5 rel=5 arena=8 hw=6 grows=1 parked=4 parks=1 unparks=0 effR=8 effC=17 retR=0 retC=2 orph=33 adopt=13 fall=false passes=8 failed=false",
-		"ret=224 freed=224 pend=0 scans=5 scanned=212 quiesce=142 epochs=25 tofall=0 tofast=0 evict=0 rejoin=0 acq=5 rel=5 arena=8 hw=6 grows=1 parked=4 parks=1 unparks=0 effR=8 effC=17 retR=0 retC=2 orph=33 adopt=13 fall=false passes=8 failed=false",
+		"ret=224 freed=204 pend=20 scans=5 scanned=192 quiesce=143 epochs=26 tofall=0 tofast=0 evict=0 rejoin=0 acq=6 rel=5 arena=8 hw=6 grows=1 parked=4 parks=1 unparks=0 effR=8 effC=17 retR=0 retC=2 orph=33 adopt=13 fall=false passes=8 failed=false",
+		"ret=224 freed=224 pend=0 scans=5 scanned=213 quiesce=143 epochs=26 tofall=0 tofast=0 evict=0 rejoin=0 acq=6 rel=5 arena=8 hw=6 grows=1 parked=4 parks=1 unparks=0 effR=8 effC=17 retR=0 retC=2 orph=33 adopt=13 fall=false passes=8 failed=false",
 	},
 	"rc": {
-		"ret=224 freed=224 pend=0 scans=28 scanned=0 quiesce=0 epochs=0 tofall=0 tofast=0 evict=0 rejoin=0 acq=5 rel=5 arena=8 hw=6 grows=1 parked=4 parks=1 unparks=0 effR=8 effC=8192 retR=0 retC=0 orph=0 adopt=0 fall=false passes=0 failed=false",
-		"ret=224 freed=224 pend=0 scans=28 scanned=0 quiesce=0 epochs=0 tofall=0 tofast=0 evict=0 rejoin=0 acq=5 rel=5 arena=8 hw=6 grows=1 parked=4 parks=1 unparks=0 effR=8 effC=8192 retR=0 retC=0 orph=0 adopt=0 fall=false passes=0 failed=false",
+		"ret=224 freed=224 pend=0 scans=28 scanned=0 quiesce=0 epochs=0 tofall=0 tofast=0 evict=0 rejoin=0 acq=6 rel=5 arena=8 hw=6 grows=1 parked=4 parks=1 unparks=0 effR=8 effC=8192 retR=0 retC=0 orph=0 adopt=0 fall=false passes=0 failed=false",
+		"ret=224 freed=224 pend=0 scans=28 scanned=0 quiesce=0 epochs=0 tofall=0 tofast=0 evict=0 rejoin=0 acq=6 rel=5 arena=8 hw=6 grows=1 parked=4 parks=1 unparks=0 effR=8 effC=8192 retR=0 retC=0 orph=0 adopt=0 fall=false passes=0 failed=false",
 	},
 	// ibr and hyaline were born after the sharding refactor, so their goldens
 	// are the Shards=1 capture at introduction rather than a pre-refactor
@@ -165,12 +178,12 @@ var goldenStats = map[string][2]string{
 	// re-captured when the era cadence became adaptive (eraQ relaxes under
 	// the drive's narrow reservations, so far fewer epoch advances).
 	"ibr": {
-		"ret=224 freed=189 pend=35 scans=34 scanned=181 quiesce=0 epochs=26 tofall=0 tofast=0 evict=0 rejoin=0 acq=5 rel=5 arena=8 hw=6 grows=1 parked=4 parks=1 unparks=0 effR=8 effC=8192 retR=0 retC=0 orph=60 adopt=25 fall=false passes=0 failed=false",
-		"ret=224 freed=224 pend=0 scans=34 scanned=186 quiesce=0 epochs=26 tofall=0 tofast=0 evict=0 rejoin=0 acq=5 rel=5 arena=8 hw=6 grows=1 parked=4 parks=1 unparks=0 effR=8 effC=8192 retR=0 retC=0 orph=60 adopt=25 fall=false passes=0 failed=false",
+		"ret=224 freed=189 pend=35 scans=34 scanned=181 quiesce=0 epochs=26 tofall=0 tofast=0 evict=0 rejoin=0 acq=6 rel=5 arena=8 hw=6 grows=1 parked=4 parks=1 unparks=0 effR=8 effC=8192 retR=0 retC=0 orph=60 adopt=25 fall=false passes=0 failed=false",
+		"ret=224 freed=224 pend=0 scans=34 scanned=186 quiesce=0 epochs=26 tofall=0 tofast=0 evict=0 rejoin=0 acq=6 rel=5 arena=8 hw=6 grows=1 parked=4 parks=1 unparks=0 effR=8 effC=8192 retR=0 retC=0 orph=60 adopt=25 fall=false passes=0 failed=false",
 	},
 	"hyaline": {
-		"ret=224 freed=216 pend=8 scans=0 scanned=575 quiesce=0 epochs=0 tofall=0 tofast=0 evict=0 rejoin=0 acq=5 rel=5 arena=8 hw=6 grows=1 parked=4 parks=1 unparks=0 effR=0 effC=0 retR=0 retC=0 orph=18 adopt=10 fall=false passes=0 failed=false",
-		"ret=224 freed=224 pend=0 scans=0 scanned=575 quiesce=0 epochs=0 tofall=0 tofast=0 evict=0 rejoin=0 acq=5 rel=5 arena=8 hw=6 grows=1 parked=4 parks=1 unparks=0 effR=0 effC=0 retR=0 retC=0 orph=18 adopt=10 fall=false passes=0 failed=false",
+		"ret=224 freed=216 pend=8 scans=0 scanned=575 quiesce=0 epochs=0 tofall=0 tofast=0 evict=0 rejoin=0 acq=6 rel=5 arena=8 hw=6 grows=1 parked=4 parks=1 unparks=0 effR=0 effC=0 retR=0 retC=0 orph=18 adopt=10 fall=false passes=0 failed=false",
+		"ret=224 freed=224 pend=0 scans=0 scanned=575 quiesce=0 epochs=0 tofall=0 tofast=0 evict=0 rejoin=0 acq=6 rel=5 arena=8 hw=6 grows=1 parked=4 parks=1 unparks=0 effR=0 effC=0 retR=0 retC=0 orph=18 adopt=10 fall=false passes=0 failed=false",
 	},
 }
 

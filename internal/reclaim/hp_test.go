@@ -18,7 +18,7 @@ func newHPDomain(t *testing.T, pool *mem.Pool[tnode], workers, k, r int) *HP {
 func TestHPScanFreesUnprotected(t *testing.T) {
 	pool := newTestPool()
 	d := newHPDomain(t, pool, 1, 2, 4)
-	g := d.Guard(0)
+	g := acquire(t, d, 1)[0]
 	var refs []mem.Ref
 	for i := 0; i < 4; i++ { // 4th retire triggers the scan (R=4)
 		r := allocNode(pool, uint64(i))
@@ -38,8 +38,8 @@ func TestHPScanFreesUnprotected(t *testing.T) {
 func TestHPProtectedNodeSurvivesScan(t *testing.T) {
 	pool := newTestPool()
 	d := newHPDomain(t, pool, 2, 2, 4)
-	victim := d.Guard(0)
-	reader := d.Guard(1)
+	gs := acquire(t, d, 2)
+	victim, reader := gs[0], gs[1]
 	r := allocNode(pool, 7)
 	reader.Protect(0, r) // reader holds a hazardous reference
 	victim.Retire(r)
@@ -66,7 +66,7 @@ func TestHPOwnGuardProtectionRespected(t *testing.T) {
 	// A guard's own hazard pointers must also pin nodes it retires.
 	pool := newTestPool()
 	d := newHPDomain(t, pool, 1, 2, 2)
-	g := d.Guard(0)
+	g := acquire(t, d, 1)[0]
 	r := allocNode(pool, 1)
 	g.Protect(1, r)
 	g.Retire(r)
@@ -90,7 +90,7 @@ func TestHPProtectTagBitsIgnored(t *testing.T) {
 	// mark bits; protection applies to the node regardless.
 	pool := newTestPool()
 	d := newHPDomain(t, pool, 1, 1, 2)
-	g := d.Guard(0)
+	g := acquire(t, d, 1)[0]
 	r := allocNode(pool, 1)
 	g.Protect(0, r.WithTag(1))
 	g.Retire(r.WithTag(3)) // retire also strips tags
@@ -105,7 +105,7 @@ func TestHPProtectTagBitsIgnored(t *testing.T) {
 func TestHPScanThreshold(t *testing.T) {
 	pool := newTestPool()
 	d := newHPDomain(t, pool, 1, 1, 10)
-	g := d.Guard(0)
+	g := acquire(t, d, 1)[0]
 	for i := 0; i < 9; i++ {
 		g.Retire(allocNode(pool, uint64(i)))
 	}
@@ -125,10 +125,10 @@ func TestHPBoundedPendingUnderStall(t *testing.T) {
 	pool := newTestPool()
 	const workers, k, r = 4, 2, 8
 	d := newHPDomain(t, pool, workers, k, r)
-	stalled := d.Guard(0)
+	stalled := acquire(t, d, 1)[0]
 	pinned := allocNode(pool, 99)
 	stalled.Protect(0, pinned) // stalls forever holding a reference
-	active := d.Guard(1)
+	active := acquire(t, d, 1)[0]
 	bound := int64(workers*k + workers*r)
 	for i := 0; i < 10000; i++ {
 		active.Retire(allocNode(pool, uint64(i)))
@@ -146,7 +146,7 @@ func TestHPBeginIsCheap(t *testing.T) {
 	// HP has no quiescent machinery; Begin must not allocate or count.
 	pool := newTestPool()
 	d := newHPDomain(t, pool, 1, 1, 4)
-	g := d.Guard(0)
+	g := acquire(t, d, 1)[0]
 	allocs := testing.AllocsPerRun(100, func() { g.Begin() })
 	if allocs != 0 {
 		t.Fatalf("Begin allocates %v times", allocs)
@@ -159,8 +159,8 @@ func TestHPBeginIsCheap(t *testing.T) {
 func TestHPCloseDrains(t *testing.T) {
 	pool := newTestPool()
 	d := newHPDomain(t, pool, 2, 1, 100)
-	g := d.Guard(0)
-	other := d.Guard(1)
+	gs := acquire(t, d, 2)
+	g, other := gs[0], gs[1]
 	r := allocNode(pool, 5)
 	other.Protect(0, r)
 	g.Retire(r)
@@ -183,8 +183,9 @@ func TestHPManyGuardsSnapshotAll(t *testing.T) {
 	const workers = 8
 	d := newHPDomain(t, pool, workers, 1, 2)
 	r := allocNode(pool, 1)
-	d.Guard(workers-1).Protect(0, r)
-	g := d.Guard(0)
+	gs := acquire(t, d, workers)
+	gs[workers-1].Protect(0, r)
+	g := gs[0]
 	g.Retire(r)
 	for i := 0; i < 10; i++ {
 		g.Retire(allocNode(pool, uint64(i)))

@@ -24,7 +24,7 @@ func TestInactiveRecordIsInvisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	g := d.Guard(0).(*hpGuard)
+	g := acquire(t, d, 1)[0].(*hpGuard)
 	a, b, c := allocNode(pool, 1), allocNode(pool, 2), allocNode(pool, 3)
 	g.Protect(0, a)
 	g.Protect(1, b)
@@ -38,7 +38,7 @@ func TestInactiveRecordIsInvisible(t *testing.T) {
 	if got := sharedSnapshot(d.slots, d.recs); len(got) != 0 {
 		t.Fatalf("inactive record contributed %v", got)
 	}
-	d.Guard(1).Retire(a) // R=1: scans now
+	acquire(t, d, 1)[0].Retire(a) // R=1: scans now
 	if pool.Valid(a) {
 		t.Fatal("stale slot of an inactive record kept a node alive")
 	}
@@ -62,7 +62,7 @@ func TestFlushFollowsActiveWord(t *testing.T) {
 	pool := newTestPool()
 	d := newCadenceDomain(t, pool, 2, 2, 1, false)
 	defer d.Close()
-	g := d.Guard(0).(*cadenceGuard)
+	g := acquire(t, d, 1)[0].(*cadenceGuard)
 	a, b := allocNode(pool, 1), allocNode(pool, 2)
 
 	g.Protect(0, a)

@@ -105,8 +105,7 @@ type hguard struct {
 
 // NewHyaline builds a Hyaline domain. It has no scan or fallback
 // thresholds, so like None it has no tuner (Stats.EffectiveR/C stay zero);
-// Q is its one knob — the publish batch size. A pinned guard's inbox stays
-// inactive until its first Begin.
+// Q is its one knob — the publish batch size.
 func NewHyaline(cfg Config) (*Hyaline, error) {
 	d := &Hyaline{}
 	if err := d.init(nameHyaline, cfg, true); err != nil {

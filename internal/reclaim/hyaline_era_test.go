@@ -14,8 +14,8 @@ func TestHyalineEraFilterSkipsStaleReader(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	reader := d.Guard(0)
-	writer := d.Guard(1)
+	gs := acquire(t, d, 2)
+	reader, writer := gs[0], gs[1]
 
 	reader.Begin() // inbox active, era bound frozen at the current clock
 

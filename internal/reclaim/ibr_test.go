@@ -28,8 +28,8 @@ func TestIBRAdaptiveEraQ(t *testing.T) {
 	// Build a wide reservation: the reader Begins, then keeps Protecting
 	// while the era clock advances, so upper tracks the clock while lower
 	// stays pinned at the Begin era.
-	reader := d.Guard(0)
-	writer := d.Guard(1)
+	gs := acquire(t, d, 2)
+	reader, writer := gs[0], gs[1]
 	reader.Begin()
 	probe := allocNode(pool, 1)
 	for i := 0; i < 2*ibrWidthTarget; i++ {

@@ -59,8 +59,8 @@ type membership struct {
 
 // init prepares a slot that no worker owns yet: inactive, so an unleased
 // slot never blocks grace periods or the presence scan. The slot becomes
-// active when a worker claims it — Domain.Acquire or the positional
-// Guard(w) pin both run the member's activate path.
+// active when a worker leases it: Domain.Acquire's join step runs the
+// member's activate path.
 func (m *membership) init() {
 	m.active.Store(false)
 	m.lastQuiesce.Store(time.Now().UnixNano())
@@ -133,23 +133,17 @@ func (m *epochMember) Join() {
 	m.mem.active.Store(true)
 }
 
-// activate is the quiet join used when a worker claims an inactive slot
-// (first pin, or an Acquire lease): adopt the global epoch, free limbo
-// buckets that aged out while the slot was inactive, and start
-// participating. Unlike Join it does not count a Rejoin — claiming a slot
-// is lease bookkeeping (Stats.AcquiredHandles), not crash recovery. adopt
-// runs only on the false->true transition, so it never resets a live
-// worker's epoch.
+// activate is the quiet join used when a worker leases an inactive slot:
+// adopt the global epoch, free limbo buckets that aged out while the slot
+// was inactive, and start participating. Unlike Join it does not count a
+// Rejoin — claiming a slot is lease bookkeeping (Stats.AcquiredHandles),
+// not crash recovery. adopt runs only on the false->true transition, so it
+// never resets a live worker's epoch.
 func (m *epochMember) activate() {
 	if m.mem.active.CompareAndSwap(false, true) {
 		m.adopt()
 	}
 }
-
-// pinned is the kernel's first-pin hook: a positional guard participates in
-// grace periods from its pin on, exactly like a fixed worker of the paper's
-// model.
-func (m *epochMember) pinned() { m.activate() }
 
 // adopt catches the member up with the protocol: adopt the current global
 // epoch and free buckets that aged out while the worker was away (three

@@ -11,13 +11,13 @@ package reclaim
 // *active* participants. This file restores that property in two layers:
 //
 //  1. An active-slot index, in two tiers. Segment 0 — the initial arena,
-//     never parked, home of every no-growth workload and all positional
-//     pins — needs no separate index at all: its slot STATE array already
-//     publishes occupancy (the lease CAS free->leased is the publication),
-//     so walks simply load its <= Config.Workers state words and the lease
-//     path pays nothing. Grown segments carry an occupancy bitmap, one bit
-//     per slot: tryAcquire sets a grown slot's bit immediately after
-//     winning the lease CAS — BEFORE the guard is handed to the caller —
+//     never parked, home of every no-growth workload — needs no separate
+//     index at all: its slot STATE array already publishes occupancy (the
+//     lease's state store free->leased is the publication), so walks simply
+//     load its <= Config.Workers state words and the lease path pays
+//     nothing. Grown segments carry an occupancy bitmap, one bit per slot:
+//     tryPop sets a grown slot's bit immediately after winning the
+//     freelist pop — BEFORE the guard is handed to the caller —
 //     and unlease clears it only AFTER the release drain has emptied the
 //     guard, so the index is exact up to in-flight drains. walkOccupied
 //     then visits only occupied slots: a walk over a drained 16k-slot
@@ -29,7 +29,7 @@ package reclaim
 //     burst ever touched.
 //
 //  2. Segment parking: when a trailing segment's slots are all free and
-//     occupancy sits below the low-water mark (live leases+pins <= half the
+//     occupancy sits below the low-water mark (live leases <= half the
 //     capacity BELOW the segment), the segment is parked — its slots are
 //     pulled out of the freelist and every walk skips the segment outright,
 //     bitmap words included, so even the per-walk word-scan cost decays
@@ -52,7 +52,7 @@ package reclaim
 //	release drain (protections cleared, epoch Leave, limbo orphaned)
 //	  ≺  bit clear  ≺  slot free  ≺  freelist push.
 //
-// (For segment 0 read "state CAS to leased" for "bit set" and "state store
+// (For segment 0 read "state store to leased" for "bit set" and "state store
 // to free, after the drain" for "bit clear" — the same two edges, one
 // tier down.) So if a walk's bitmap-word load (or state load, or
 // parked-bound load) misses a slot, that load precedes the tenant's bit
@@ -82,8 +82,8 @@ package reclaim
 import "math/bits"
 
 // markOccupied publishes slot i to reclamation walks; called by tryPop
-// after winning the lease CAS (and by pin), before the guard reaches the
-// tenant. The pool-wide live count is maintained for EVERY slot — it is
+// after winning the freelist pop, before the guard reaches the tenant. The
+// pool-wide live count is maintained for EVERY slot — it is
 // the exact occupancy that shard selection, walk skipping, high-water and
 // parking all read — while the two-tier index splits as before: segment-0
 // slots need nothing further (their state word IS the index), grown slots
@@ -113,8 +113,8 @@ func (p *slotPool) clearOccupied(i int) {
 	p.live.Add(-1)
 }
 
-// walkOccupied calls visit for every occupied (leased, pinned or draining)
-// slot of every unparked segment, in ascending index order, and returns the
+// walkOccupied calls visit for every occupied (leased or draining) slot of
+// every unparked segment, in ascending index order, and returns the
 // number of slots visited. visit returning false stops the walk. This is
 // THE iteration primitive for every reclamation pass — HP snapshot
 // collection, epoch-advance checks, presence sweeps and resets, rooster
@@ -157,9 +157,9 @@ func (p *slotPool) walkOccupied(visit func(i int) bool) int {
 	return visited
 }
 
-// occupancyEstimate reads the current occupancy (live leases + pins) —
-// the pool's exact live count, clamped to [0, high] against transient
-// reorderings with a concurrent grow's high publication.
+// occupancyEstimate reads the current occupancy — the pool's exact live
+// count, clamped to [0, high] against transient reorderings with a
+// concurrent grow's high publication.
 func (p *slotPool) occupancyEstimate() int64 {
 	occ := p.live.Load()
 	if occ < 0 {
@@ -173,9 +173,10 @@ func (p *slotPool) occupancyEstimate() int64 {
 
 // parkCandidate returns the highest unparked segment index (>= 1) that the
 // cheap, lock-free preconditions currently allow parking, or -1.
-// Preconditions: the segment exists and is beyond segment 0 (positional
-// pins live there and never release), its live count is zero (no leased
-// slot — so a drain's releases skip park attempts in O(1) while the
+// Preconditions: the segment exists and is beyond segment 0 (the initial
+// arena, Config.Workers, is the floor capacity never shrinks below — and
+// its state-array index has no parked form), its live count is zero (no
+// leased slot — so a drain's releases skip park attempts in O(1) while the
 // trailing segment is still partially occupied), and occupancy sits at or
 // below the low-water mark — half the capacity that would remain below
 // the parked segment, which doubles as the unpark hysteresis (growth

@@ -244,8 +244,8 @@ func TestParkedSegmentOrphanAdoption(t *testing.T) {
 
 // TestParkUnparkChurnRace is the -race stress for the parking machinery:
 // bursts of concurrent leases grow and unpark the arena while full drains
-// park it again, with a pinned positional guard retiring through every
-// transition (its segment-0 slot must stay visible to every walk) and
+// park it again, with one lease held for the whole run retiring through
+// every transition (its segment-0 slot must stay visible to every walk) and
 // releases mid-backlog exercising orphan adoption against parked segments.
 func TestParkUnparkChurnRace(t *testing.T) {
 	for _, scheme := range Schemes() {
@@ -280,7 +280,7 @@ func TestParkUnparkChurnRace(t *testing.T) {
 				}
 			}
 
-			pinned := d.Guard(0)
+			held := acquire(t, d, 1)[0]
 			done := make(chan struct{})
 			var stop sync.WaitGroup
 			stop.Add(1)
@@ -290,16 +290,16 @@ func TestParkUnparkChurnRace(t *testing.T) {
 				for {
 					select {
 					case <-done:
-						pinned.ClearHPs()
+						held.ClearHPs()
 						return
 					default:
 					}
-					pinned.Begin()
+					held.Begin()
 					rng = rng*6364136223846793005 + 1442695040888963407
 					if rng&1 == 0 {
-						mb.put(pinned, int(rng>>33)%len(mb.slots), rng)
+						mb.put(held, int(rng>>33)%len(mb.slots), rng)
 					} else {
-						mb.take(pinned, int(rng>>33)%len(mb.slots))
+						mb.take(held, int(rng>>33)%len(mb.slots))
 					}
 				}
 			})()
@@ -470,7 +470,7 @@ func TestRetireTallyExactStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	g := d.Guard(0)
+	g := acquire(t, d, 1)[0]
 	for i := 1; i <= tallyFlushEvery+5; i++ {
 		g.Retire(allocNode(pool, uint64(i)))
 		if got := d.Stats().Retired; got != uint64(i) {

@@ -50,9 +50,10 @@ func runScript(t *testing.T, scheme string, steps []scriptStep) bool {
 		held[i] = allocNode(pool, uint64(i))
 		liveNotRetired++
 	}
+	gs := acquire(t, d, workers)
 	for _, s := range steps {
-		g := d.Guard(int(s.Guard) % workers)
 		w := int(s.Guard) % workers
+		g := gs[w]
 		switch s.Action % 6 {
 		case 0:
 			g.Begin()
@@ -142,10 +143,10 @@ func TestStatsSnapshotConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := acquire(t, d, 1)[0]
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		g := d.Guard(0)
 		for i := 0; i < 30000; i++ {
 			g.Begin()
 			g.Retire(allocNode(pool, uint64(i)))
@@ -158,7 +159,7 @@ func TestStatsSnapshotConsistency(t *testing.T) {
 			if bad > 0 {
 				t.Fatalf("%d inconsistent snapshots (freed > retired)", bad)
 			}
-			d.Guard(1).Begin() // participate so Close leaves nothing odd
+			acquire(t, d, 1)[0].Begin() // participate so Close leaves nothing odd
 			d.Close()
 			return
 		default:

@@ -21,7 +21,7 @@ func TestQSBRSingleWorkerReclaimsAfterThreeQuiescentStates(t *testing.T) {
 	// worker needs three quiescent states.
 	pool := newTestPool()
 	d := newQSBR(t, pool, 1, 1, 0)
-	g := d.Guard(0)
+	g := acquire(t, d, 1)[0]
 	r := allocNode(pool, 1)
 	g.Retire(r)
 	if pool.Valid(r) == false {
@@ -45,24 +45,26 @@ func TestQSBRSingleWorkerReclaimsAfterThreeQuiescentStates(t *testing.T) {
 func TestQSBRQuiescenceThresholdBatches(t *testing.T) {
 	pool := newTestPool()
 	d := newQSBR(t, pool, 1, 10, 0)
-	g := d.Guard(0)
+	g := acquire(t, d, 1)[0]
+	base := d.Stats().QuiescentStates // after the lease: its join is a quiescent state
 	g.Retire(allocNode(pool, 1))
 	for i := 0; i < 9; i++ {
 		g.Begin()
 	}
-	if d.Stats().QuiescentStates != 0 {
+	if d.Stats().QuiescentStates != base {
 		t.Fatal("quiescent state declared before Q calls")
 	}
 	g.Begin() // 10th call
-	if d.Stats().QuiescentStates != 1 {
-		t.Fatalf("quiescent states = %d, want 1", d.Stats().QuiescentStates)
+	if got := d.Stats().QuiescentStates - base; got != 1 {
+		t.Fatalf("quiescent states = %d, want 1", got)
 	}
 }
 
 func TestQSBRGracePeriodNeedsAllWorkers(t *testing.T) {
 	pool := newTestPool()
 	d := newQSBR(t, pool, 2, 1, 0)
-	a, b := d.Guard(0), d.Guard(1)
+	gs := acquire(t, d, 2)
+	a, b := gs[0], gs[1]
 	// Both quiesce once so everyone is at the global epoch.
 	a.Begin()
 	b.Begin()
@@ -92,7 +94,8 @@ func TestQSBRRetiredNodeNotFreedWhileReaderInCriticalSection(t *testing.T) {
 	// retired and has not quiesced since keeps it alive.
 	pool := newTestPool()
 	d := newQSBR(t, pool, 2, 1, 0)
-	writer, reader := d.Guard(0), d.Guard(1)
+	gs := acquire(t, d, 2)
+	writer, reader := gs[0], gs[1]
 	writer.Begin()
 	reader.Begin()
 	r := allocNode(pool, 42)
@@ -121,10 +124,11 @@ func TestQSBREpochAdvanceRoundRobin(t *testing.T) {
 	pool := newTestPool()
 	const workers = 4
 	d := newQSBR(t, pool, workers, 1, 0)
-	start := d.GlobalEpoch()
+	gs := acquire(t, d, workers)
+	start := d.GlobalEpoch() // after the leases: a join is a quiescent state and may advance it
 	for round := 0; round < 5; round++ {
-		for w := 0; w < workers; w++ {
-			d.Guard(w).Begin()
+		for _, g := range gs {
+			g.Begin()
 		}
 	}
 	if d.GlobalEpoch() < start+4 {
@@ -142,8 +146,8 @@ func TestQSBRBlockingGrowsUnboundedAndFails(t *testing.T) {
 	pool := newTestPool()
 	const limit = 500
 	d := newQSBR(t, pool, 2, 1, limit)
-	active := d.Guard(0)
-	stalled := d.Guard(1)
+	gs := acquire(t, d, 2)
+	active, stalled := gs[0], gs[1]
 	stalled.Begin() // participates once, then stalls forever
 	for i := 0; i < 2*limit; i++ {
 		active.Begin()
@@ -165,7 +169,7 @@ func TestQSBRBlockingGrowsUnboundedAndFails(t *testing.T) {
 func TestQSBRCloseDrainsAllBuckets(t *testing.T) {
 	pool := newTestPool()
 	d := newQSBR(t, pool, 1, 1, 0)
-	g := d.Guard(0)
+	g := acquire(t, d, 1)[0]
 	for i := 0; i < 10; i++ {
 		g.Retire(allocNode(pool, uint64(i)))
 		g.Begin()
@@ -182,7 +186,7 @@ func TestQSBRCloseDrainsAllBuckets(t *testing.T) {
 func TestQSBRProtectIsNoOp(t *testing.T) {
 	pool := newTestPool()
 	d := newQSBR(t, pool, 1, 1, 0)
-	g := d.Guard(0)
+	g := acquire(t, d, 1)[0]
 	r := allocNode(pool, 1)
 	g.Protect(0, r) // must not prevent reclamation: QSBR ignores HPs
 	g.Retire(r)
@@ -200,7 +204,7 @@ func TestQSBRBucketRotation(t *testing.T) {
 	// freed in retirement order as epochs advance.
 	pool := newTestPool()
 	d := newQSBR(t, pool, 1, 1, 0)
-	g := d.Guard(0)
+	g := acquire(t, d, 1)[0]
 	var refs []mem.Ref
 	for e := 0; e < 3; e++ {
 		r := allocNode(pool, uint64(e))

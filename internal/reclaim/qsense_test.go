@@ -22,7 +22,7 @@ func TestQSenseFastPathReclaimsLikeQSBR(t *testing.T) {
 	// advance, no hazard-pointer scans, no rooster required.
 	pool := newTestPool()
 	d := newQSenseDomain(t, pool, Config{Workers: 1, HPs: 1, Q: 1})
-	g := d.Guard(0)
+	g := acquire(t, d, 1)[0]
 	r := allocNode(pool, 1)
 	g.Retire(r)
 	g.Begin()
@@ -54,7 +54,8 @@ func TestQSenseFallbackTriggerAtC(t *testing.T) {
 	cfg := Config{Workers: 2, HPs: 1, Q: 1, R: 1}
 	cfg.C = LegalC(cfg)
 	d := newQSenseDomain(t, pool, cfg)
-	active, stalled := d.Guard(0), d.Guard(1)
+	gs := acquire(t, d, 2)
+	active, stalled := gs[0], gs[1]
 	stalled.Begin() // participates once, then stalls: quiescence impossible
 	for i := 0; i < cfg.C-1; i++ {
 		active.Retire(allocNode(pool, uint64(i)))
@@ -83,7 +84,8 @@ func TestQSenseFallbackReclaimsDespiteStalledWorker(t *testing.T) {
 	cfg := Config{Workers: 2, HPs: 1, Q: 1, R: 2}
 	cfg.C = LegalC(cfg)
 	d := newQSenseDomain(t, pool, cfg)
-	active, stalled := d.Guard(0), d.Guard(1)
+	gs := acquire(t, d, 2)
+	active, stalled := gs[0], gs[1]
 	stalled.Begin()
 	for i := 0; i < cfg.C+10; i++ { // push past C into fallback
 		active.Retire(allocNode(pool, uint64(i)))
@@ -112,7 +114,8 @@ func TestQSenseSwitchBackWhenAllActive(t *testing.T) {
 	cfg := Config{Workers: 2, HPs: 1, Q: 1, R: 1}
 	cfg.C = LegalC(cfg)
 	d := newQSenseDomain(t, pool, cfg)
-	active, stalled := d.Guard(0), d.Guard(1)
+	gs := acquire(t, d, 2)
+	active, stalled := gs[0], gs[1]
 	stalled.Begin()
 	for i := 0; i < cfg.C+1; i++ {
 		active.Retire(allocNode(pool, uint64(i)))
@@ -149,7 +152,8 @@ func TestQSensePresenceResetBlocksPrematureSwitchBack(t *testing.T) {
 	cfg := Config{Workers: 2, HPs: 1, Q: 1, R: 1, PresenceResetTicks: 1}
 	cfg.C = LegalC(cfg)
 	d := newQSenseDomain(t, pool, cfg)
-	active, stalled := d.Guard(0), d.Guard(1)
+	gs := acquire(t, d, 2)
+	active, stalled := gs[0], gs[1]
 	stalled.Begin()
 	for i := 0; i < cfg.C+1; i++ {
 		active.Retire(allocNode(pool, uint64(i)))
@@ -174,7 +178,8 @@ func TestQSenseProtectionSurvivesPathSwitch(t *testing.T) {
 	cfg := Config{Workers: 2, HPs: 1, Q: 1, R: 1}
 	cfg.C = LegalC(cfg)
 	d := newQSenseDomain(t, pool, cfg)
-	active, reader := d.Guard(0), d.Guard(1)
+	gs := acquire(t, d, 2)
+	active, reader := gs[0], gs[1]
 	reader.Begin()
 	r := allocNode(pool, 7)
 	reader.Protect(0, r) // published fence-free on the fast path
@@ -216,7 +221,8 @@ func TestQSenseLivenessBound2NC(t *testing.T) {
 	cfg := Config{Workers: 2, HPs: 1, Q: 2, R: 4}
 	cfg.C = LegalC(cfg)
 	d := newQSenseDomain(t, pool, cfg)
-	active, stalled := d.Guard(0), d.Guard(1)
+	gs := acquire(t, d, 2)
+	active, stalled := gs[0], gs[1]
 	stalled.Begin()
 	bound := int64(2 * cfg.Workers * cfg.C)
 	for step := 0; step < 200; step++ {
@@ -242,7 +248,8 @@ func TestQSenseRepeatedSwitchCycles(t *testing.T) {
 	cfg := Config{Workers: 2, HPs: 1, Q: 1, R: 1}
 	cfg.C = LegalC(cfg)
 	d := newQSenseDomain(t, pool, cfg)
-	active, flaky := d.Guard(0), d.Guard(1)
+	gs := acquire(t, d, 2)
+	active, flaky := gs[0], gs[1]
 	flaky.Begin()
 	for cycle := 0; cycle < 3; cycle++ {
 		// Stall phase: drive into fallback.
@@ -278,15 +285,16 @@ func TestQSenseRepeatedSwitchCycles(t *testing.T) {
 func TestQSenseQuiescenceBatchingQ(t *testing.T) {
 	pool := newTestPool()
 	d := newQSenseDomain(t, pool, Config{Workers: 1, HPs: 1, Q: 5})
-	g := d.Guard(0)
+	g := acquire(t, d, 1)[0]
+	base := d.Stats().QuiescentStates // after the lease: its join is a quiescent state
 	for i := 0; i < 4; i++ {
 		g.Begin()
 	}
-	if d.Stats().QuiescentStates != 0 {
+	if d.Stats().QuiescentStates != base {
 		t.Fatal("quiesced before Q calls")
 	}
 	g.Begin()
-	if d.Stats().QuiescentStates != 1 {
+	if d.Stats().QuiescentStates != base+1 {
 		t.Fatal("no quiescent state at Q calls")
 	}
 	d.Close()
@@ -297,7 +305,8 @@ func TestQSenseFallbackScanEveryR(t *testing.T) {
 	cfg := Config{Workers: 2, HPs: 1, Q: 1, R: 3}
 	cfg.C = LegalC(cfg)
 	d := newQSenseDomain(t, pool, cfg)
-	active, stalled := d.Guard(0), d.Guard(1)
+	gs := acquire(t, d, 2)
+	active, stalled := gs[0], gs[1]
 	stalled.Begin()
 	for i := 0; i < cfg.C; i++ {
 		active.Retire(allocNode(pool, uint64(i)))

@@ -7,7 +7,7 @@
 // whole Domain interface once: it owns the name, the defaulted Config, the
 // counters and per-guard retire tallies, the optional threshold tuner and
 // rooster, the sharded slot pool and orphan lists, and with them
-// Guard/Acquire/AcquireWait/Release/Name/Failed/Stats/Close. A scheme file
+// Acquire/AcquireWait/Release/Name/Failed/Stats/Close. A scheme file
 // is a policy behind that lifecycle: a constructor that builds its guards,
 // and four hooks — join (what a fresh tenant does before its first
 // operation), drain (what Release frees, and strands on the orphan list,
@@ -34,9 +34,10 @@
 // demand, failing with ErrNoSlots only at an optional Config.HardMaxWorkers
 // cap. Backlog a Release cannot yet prove safe moves to a per-domain
 // orphan list (orphan.go) and is adopted by other workers' reclamation
-// passes, so a vacated slot never strands retired nodes. The positional
-// Guard(w) accessor remains for callers that pin slots deterministically
-// (tests, the experiment harness).
+// passes, so a vacated slot never strands retired nodes. A lease is the
+// only tenancy: the paper's fixed process is a worker that Acquires once
+// and holds its guard for the whole run (what the experiment harness does
+// by default).
 package reclaim
 
 import (
@@ -80,20 +81,12 @@ type Guard interface {
 
 // Domain manages reclamation state shared by all workers of one structure.
 type Domain interface {
-	// Guard returns slot w's guard (0 <= w < Config.Workers), pinning the
-	// slot: it is permanently excluded from the Acquire freelist and
-	// participates exactly like a fixed worker of the paper's model.
-	//
-	// Deprecated: positional guards exist for fixed-worker callers (the
-	// experiment harness, deterministic tests). New code should lease
-	// guards with Acquire/Release.
-	Guard(w int) Guard
 	// Acquire leases a free guard slot to the calling goroutine, running
 	// the scheme's join path (epoch adoption, aged-limbo frees) so a
 	// recycled slot resumes cleanly. When the freelist is empty the arena
 	// grows by a publish-once slot segment, so by default Acquire does not
 	// fail; it returns ErrNoSlots only once the arena has reached
-	// Config.HardMaxWorkers with every slot leased or pinned.
+	// Config.HardMaxWorkers with every slot leased.
 	Acquire() (Guard, error)
 	// AcquireWait is Acquire that blocks while the arena is exhausted at
 	// its hard cap: the caller parks on the slot pool's waiter channel and
@@ -109,7 +102,7 @@ type Domain interface {
 	// orphan list, where any worker's later reclamation pass adopts and
 	// frees it — a vacated slot never strands retired nodes, even if it
 	// is never leased again. The guard must not be used after Release.
-	// Releasing a pinned or already-released guard is a no-op — but note
+	// Releasing an already-released guard is a no-op — but note
 	// the guard's slot may have been re-leased by then, so call Release
 	// exactly once, from the owning goroutine. (The public API wraps
 	// guards with a once-flag; internal callers keep the discipline
@@ -158,11 +151,11 @@ type Config struct {
 	// goroutines may share the arena through Acquire/Release over time.
 	Workers int
 	// HardMaxWorkers caps elastic growth: once the arena holds this many
-	// slots and all are leased or pinned, Acquire returns ErrNoSlots and
-	// AcquireWait blocks — the pre-elastic backpressure semantics. 0 (the
+	// slots and all are leased, Acquire returns ErrNoSlots and AcquireWait
+	// blocks — the pre-elastic backpressure semantics. 0 (the
 	// default) leaves the domain elastic up to the library ceiling
-	// MaxArenaSlots; set it equal to Workers to reproduce the fixed-arena
-	// behaviour exactly. Values below Workers are raised to Workers.
+	// MaxArenaSlots; set it equal to Workers to reproduce the paper's
+	// fixed arena exactly. A cap below Workers is a configuration error.
 	HardMaxWorkers int
 	// HPs is the number of hazard pointers per worker (K). The linked
 	// list uses 3, the BST 6, the skip list 2*levels+3 (§7.3: 35 at 16 levels).
@@ -310,9 +303,6 @@ func (c Config) withDefaults() Config {
 	if c.HardMaxWorkers <= 0 {
 		c.HardMaxWorkers = MaxArenaSlots
 	}
-	if c.HardMaxWorkers < c.Workers {
-		c.HardMaxWorkers = c.Workers
-	}
 	if c.Q <= 0 {
 		c.Q = 32
 	}
@@ -348,6 +338,9 @@ func (c Config) withDefaults() Config {
 func (c Config) Validate(needFree bool) error {
 	if c.Workers <= 0 {
 		return errors.New("reclaim: Config.Workers must be positive")
+	}
+	if c.HardMaxWorkers > 0 && c.HardMaxWorkers < c.Workers {
+		return errors.New("reclaim: Config.HardMaxWorkers is below Config.Workers, the initial arena")
 	}
 	if c.HPs <= 0 {
 		return errors.New("reclaim: Config.HPs must be positive")
@@ -482,7 +475,7 @@ type Stats struct {
 	AcquiredHandles, ReleasedHandles uint64
 	// ArenaSize is the current guard-slot arena size (published slots —
 	// Config.Workers until growth engages); HighWaterWorkers is the peak
-	// number of simultaneously occupied (leased + pinned) slots; and
+	// number of simultaneously leased slots; and
 	// ArenaGrowths counts elastic segment publications past construction.
 	ArenaSize, HighWaterWorkers int
 	ArenaGrowths                uint64

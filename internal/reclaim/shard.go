@@ -19,15 +19,16 @@ package reclaim
 //
 // Global slot indices interleave across shards: global = local*S + shard,
 // so shard = global mod S and local = global div S. Two properties fall
-// out. First, the initial globals are exactly [0, Workers) and dense —
-// global w < Workers maps to local w/S, which lies below shard (w mod S)'s
-// initial size |{g < Workers : g ≡ w (mod S)}| — so the positional
-// Guard(w) contract and every SlotTable keyed by SlotIndex survive
-// unchanged. Second, every published global stays below HardMaxWorkers, so
-// side tables sized for the unsharded geometry need no resizing. At S=1
-// the encoding is the identity and every façade method degenerates to the
-// single pool's behaviour, byte-identical in Stats (regression-asserted by
-// TestGoldenStatsShards1).
+// out, and both serve the one outside consumer of slot indices, a
+// SlotTable keyed by SlotIndex. First, the initial globals are exactly
+// [0, Workers) and dense — global w < Workers maps to local w/S, which lies
+// below shard (w mod S)'s initial size |{g < Workers : g ≡ w (mod S)}| —
+// so a table's segment 0 covers precisely the slots a domain that never
+// grows hands out, whatever the shard count. Second, every published global
+// stays below HardMaxWorkers, so a table sized for the unsharded geometry
+// needs no resizing. At S=1 the encoding is the identity and every façade
+// method degenerates to the single pool's behaviour, byte-identical in
+// Stats (regression-asserted by TestGoldenStatsShards1).
 //
 // # Shard selection
 //
@@ -191,18 +192,6 @@ func (f *shardedPool) wakeWaiters() {
 func (f *shardedPool) unlease(i int, drain func()) bool {
 	S := len(f.pools)
 	return f.pools[i%S].unlease(i/S, drain)
-}
-
-// pin claims GLOBAL slot i forever (positional Guard(w) path). The dense
-// [0, Workers) contract decodes exactly onto the shards' initial segments
-// (see the file comment), so the per-pool bounds check still rejects
-// precisely the out-of-range globals.
-func (f *shardedPool) pin(i int) bool {
-	if i < 0 {
-		f.pools[0].pin(i) // delegate for the contract panic
-	}
-	S := len(f.pools)
-	return f.pools[i%S].pin(i / S)
 }
 
 // quiesceAt counts one quiescent state on GLOBAL slot id's shard, keeping

@@ -24,18 +24,18 @@ package reclaim
 // server's goroutine-per-request world) can share the arena without anyone
 // predicting its peak.
 //
-// Each slot is in one of three states:
+// A lease is the only way to occupy a slot, so each slot is in one of three
+// states and moves through them in a cycle:
 //
-//	free   — in the freelist (or held aside by a parked segment),
-//	         available to Acquire.
-//	leased — popped by Acquire; exactly one goroutine owns the guard.
-//	pinned — claimed forever by the deprecated positional Guard(w) path,
-//	         which the fixed-worker experiment harness still uses to pin
-//	         slots deterministically. A pinned slot never returns to the
-//	         freelist; if Acquire pops one (pinned after it was already
-//	         listed) it is discarded, not handed out.
+//	free      — in the freelist (or held aside by a parked segment),
+//	            available to Acquire.
+//	leased    — popped by Acquire; exactly one goroutine owns the guard,
+//	            for as long as it likes: a worker that leases once and holds
+//	            the guard for its whole run is the paper's fixed process.
+//	releasing — Release claimed the slot and the scheme's drain is running;
+//	            invisible to Acquire until the drain's last store, then free.
 //
-// Leased and pinned slots are additionally indexed in their segment's
+// Leased and releasing slots are additionally indexed in their segment's
 // occupancy bitmap (occupancy.go), which is what keeps every reclamation
 // walk proportional to live occupancy rather than the arena's high-water
 // size.
@@ -49,13 +49,12 @@ package reclaim
 // everything released so far, never from mere churn.
 import (
 	"errors"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
 // ErrNoSlots is returned by Acquire when the arena has grown to its
-// HardMaxWorkers cap and every slot is leased or pinned. Callers can wait
+// HardMaxWorkers cap and every slot is leased. Callers can wait
 // with AcquireWait, retry after other workers Release, or build the domain
 // with a larger (or absent) cap. Elastic domains — no cap configured —
 // only see it at the library ceiling MaxArenaSlots.
@@ -65,7 +64,6 @@ const (
 	slotFree int32 = iota
 	slotLeased
 	slotReleasing // release claimed; guard state is being drained
-	slotPinned
 )
 
 // slotSeg is one published segment of allocator state; next and state are
@@ -76,7 +74,7 @@ const (
 // (occupancy.go).
 type slotSeg struct {
 	next  []atomic.Uint32 // next[off] = freelist successor's index+1 (global)
-	state []atomic.Int32  // slotFree / slotLeased / slotPinned
+	state []atomic.Int32  // slotFree / slotLeased / slotReleasing
 	occ   []atomic.Uint64 // occupancy bitmap
 	live  atomic.Int32    // occupied slots here; parking's cheap precheck
 }
@@ -103,11 +101,10 @@ type slotPool struct {
 
 	all *shardedPool // owning façade: retunes, waiter wakeups (shard.go)
 
-	// live is this pool's exact occupancy (leases + pins), maintained on
-	// every occupancy transition including segment 0's. It is what shard
-	// selection compares, what walks use to skip an idle shard outright,
-	// and what the high-water and parking estimates read — replacing the
-	// old acquired-released+pinned arithmetic with one exact counter.
+	// live is this pool's exact occupancy, maintained on every occupancy
+	// transition including segment 0's. It is what shard selection
+	// compares, what walks use to skip an idle shard outright, and what the
+	// high-water and parking estimates read.
 	live atomic.Int64
 
 	// Per-shard lease/quiesce tallies, summed into Stats by the façade.
@@ -125,7 +122,7 @@ type slotPool struct {
 	onGrow func(hi int)
 
 	grows     atomic.Uint64 // segment publications past the initial one
-	highWater atomic.Int64  // peak simultaneous occupancy (leases + pins)
+	highWater atomic.Int64  // peak simultaneous occupancy
 
 	// Segment parking (occupancy.go): segments [parkedFrom, top] are
 	// parked — all-free, out of the freelist, skipped by every walk.
@@ -185,12 +182,11 @@ func (p *slotPool) pushSlotVia(nx *atomic.Uint32, i int) {
 	}
 }
 
-// tryPop pops a free slot and marks it leased, discarding pinned slots it
-// encounters. Returns -1 when the freelist is empty — growth (and shard
-// stealing before it) is the façade's decision, not this pool's. The
-// occupancy index (including the pool live count) is updated before the
-// index is returned, so a tenant's every action is preceded by its slot
-// becoming visible to walks (occupancy.go).
+// tryPop pops a free slot and marks it leased. Returns -1 when the freelist
+// is empty — growth (and shard stealing before it) is the façade's decision,
+// not this pool's. The occupancy index (including the pool live count) is
+// updated before the index is returned, so a tenant's every action is
+// preceded by its slot becoming visible to walks (occupancy.go).
 func (p *slotPool) tryPop() int {
 	for {
 		h := p.head.Load()
@@ -206,13 +202,11 @@ func (p *slotPool) tryPop() int {
 		if !p.head.CompareAndSwap(h, (h>>32+1)<<32|uint64(nxt)) {
 			continue
 		}
-		if st.CompareAndSwap(slotFree, slotLeased) {
-			p.markOccupied(i)
-			return i
-		}
-		// Pinned after it was listed: drop it and keep popping. (A
-		// popped slot can never be leased — leased slots are not in the
-		// list.)
+		// Only free slots are ever listed (unlease stores slotFree before
+		// its push), and the pop made this caller the slot's sole owner.
+		st.Store(slotLeased)
+		p.markOccupied(i)
+		return i
 	}
 }
 
@@ -280,19 +274,15 @@ func (p *slotPool) countLease() {
 }
 
 // unlease runs the release protocol for slot i: claim the release (exactly
-// one caller wins; pinned and already-released slots are refused), run the
-// scheme's drain while the slot is in the releasing state — invisible to
-// both Acquire and pin — then clear the occupancy bit (reclamation walks
+// one caller wins; an already-released slot is refused), run the scheme's
+// drain while the slot is in the releasing state — off the freelist, so no
+// new tenant's join can interleave with the drain's trailing cleanup (e.g.
+// resetting an hprec) — then clear the occupancy bit (reclamation walks
 // stop visiting the drained record) and recycle it. Finally it gives
 // segment parking a chance: if this release left the trailing segment
 // all-free with occupancy under the low-water mark, the segment retires
 // from every walk (occupancy.go). Reports whether this call performed the
 // release.
-// A pin can slip in between unlease's slotFree store and its push; the
-// pinned slot then sits in the freelist until tryAcquire pops and discards
-// it. What cannot happen is a pin DURING the drain: the releasing state
-// refuses it, so a drain's trailing cleanup (e.g. resetting an hprec) can
-// never clobber a new pin's setup.
 func (p *slotPool) unlease(i int, drain func()) bool {
 	nx, st := p.slot(i)
 	if !st.CompareAndSwap(slotLeased, slotReleasing) {
@@ -308,40 +298,4 @@ func (p *slotPool) unlease(i int, drain func()) bool {
 	}
 	p.maybePark()
 	return true
-}
-
-// pin claims slot i forever for the positional Guard(w) path. Reports
-// whether this call performed the transition (first pin). The positional
-// range is the INITIAL arena only — grown slots belong to Acquire — and
-// under sharding the dense global range [0, Workers) decodes exactly onto
-// the shards' initial segments (shard.go), so an out-of-range LOCAL index
-// here means an out-of-range global: it fails loudly with the contract
-// spelled out, instead of as an index panic deeper in the directory.
-// (Segment 0 also never parks, so a pinned slot is visible to every walk
-// forever.) A slot mid-release is waited out; pinning a slot some
-// goroutine holds via Acquire is a caller error that would silently alias
-// the guard across two goroutines — it panics rather than corrupt.
-func (p *slotPool) pin(i int) bool {
-	if i < 0 || uint32(i) >= p.init {
-		panic("reclaim: positional Guard(w) outside the initial arena [0, Workers) — size Config.Workers (public Options.Workers) to cover every pinned slot")
-	}
-	_, st := p.slot(i)
-	for {
-		switch st.Load() {
-		case slotFree:
-			if st.CompareAndSwap(slotFree, slotPinned) {
-				p.markOccupied(i)
-				// markOccupied maintained the live count, so the pin's
-				// occupancy reading is the same accounting countLease uses.
-				p.noteHighWater(p.live.Load())
-				return true
-			}
-		case slotReleasing:
-			runtime.Gosched() // another goroutine is draining this slot
-		case slotPinned:
-			return false
-		case slotLeased:
-			panic("reclaim: positional Guard(w) on a slot currently leased via Acquire — do not mix the two APIs over one slot")
-		}
-	}
 }

@@ -38,6 +38,23 @@ func allocNode(p *mem.Pool[tnode], v uint64) mem.Ref {
 	return r
 }
 
+// acquire leases n guards from d, failing the test on error. At Shards=1 a
+// fresh domain hands out slot i to the i-th call (low indices are on top of
+// the freelist); a test that needs a particular slot or shard reads
+// SlotIndex.
+func acquire(t testing.TB, d Domain, n int) []Guard {
+	t.Helper()
+	gs := make([]Guard, n)
+	for i := range gs {
+		g, err := d.Acquire()
+		if err != nil {
+			t.Fatalf("acquire %d of %d: %v", i+1, n, err)
+		}
+		gs[i] = g
+	}
+	return gs
+}
+
 // violationOf runs f and returns the *mem.Violation it panicked with, or nil.
 func violationOf(f func()) (viol *mem.Violation) {
 	defer func() {
@@ -116,6 +133,7 @@ func (m *mailbox) drain(g Guard) {
 func runMailboxStress(t *testing.T, pool *mem.Pool[tnode], d Domain, workers, iters int) {
 	t.Helper()
 	mb := newMailbox(pool, 64)
+	gs := acquire(t, d, workers)
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
@@ -131,7 +149,7 @@ func runMailboxStress(t *testing.T, pool *mem.Pool[tnode], d Domain, workers, it
 					panic(r)
 				}
 			}()
-			g := d.Guard(id)
+			g := gs[id]
 			rng := uint64(id)*0x9e3779b9 + 1
 			for i := 0; i < iters; i++ {
 				g.Begin()
@@ -152,7 +170,7 @@ func runMailboxStress(t *testing.T, pool *mem.Pool[tnode], d Domain, workers, it
 		t.Fatalf("%s: safety violation under stress: %v", d.Name(), err)
 	}
 	// Cleanup: empty the mailbox through worker 0's guard, then close.
-	mb.drain(d.Guard(0))
+	mb.drain(gs[0])
 	d.Close()
 	st := d.Stats()
 	if d.Name() != "none" {

@@ -116,7 +116,11 @@ func sabotage(t *testing.T, op func(h *Handle), key int64, k int, pick victim) (
 		t.Fatal(err)
 	}
 	defer d.Close()
-	g = &sabotageGuard{Guard: d.Guard(0), key: key, pick: pick}
+	lease, err := d.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g = &sabotageGuard{Guard: lease, key: key, pick: pick}
 	g.h = s.NewHandle(g, 1)
 	for k := int64(0); k < sabKeys; k += 2 {
 		g.h.PutBytes(k, sabVal)

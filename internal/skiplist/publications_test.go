@@ -34,7 +34,11 @@ func TestPublicationsPerOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	g := &countingGuard{Guard: d.Guard(0)}
+	lease, err := d.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &countingGuard{Guard: lease}
 	h := s.NewHandle(g, 1)
 	val := make([]byte, 64)
 	for k := int64(0); k < keys; k++ {

@@ -27,7 +27,11 @@ func newSet(t *testing.T, scheme string, workers, levels int) (*SkipList, reclai
 	}
 	hs := make([]*Handle, workers)
 	for i := range hs {
-		hs[i] = s.NewHandle(d.Guard(i), uint64(i+1))
+		g, err := d.Acquire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs[i] = s.NewHandle(g, uint64(i+1))
 	}
 	return s, d, hs
 }

@@ -28,7 +28,11 @@ func newStack(t *testing.T, scheme string, workers int) (*Stack, reclaim.Domain,
 	}
 	hs := make([]*Handle, workers)
 	for i := range hs {
-		hs[i] = s.NewHandle(d.Guard(i))
+		g, err := d.Acquire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs[i] = s.NewHandle(g)
 	}
 	return s, d, hs
 }

@@ -405,3 +405,151 @@ func TestOrphanStatsPublic(t *testing.T) {
 	}
 	worker.Release()
 }
+
+// onceTenant is one lease of any public handle kind, reduced to what
+// TestReleaseExactlyOnce needs of it.
+type onceTenant struct {
+	release func()
+	operate func() bool // true if the handle still works
+}
+
+// onceContainer is a one-slot container or domain of one handle kind.
+type onceContainer struct {
+	acquire func() (onceTenant, error)
+	stats   func() qsense.Stats
+	close   func()
+}
+
+func onceKind[H interface{ Release() }](acquire func() (H, error), operate func(H) bool, stats func() qsense.Stats, close func()) onceContainer {
+	return onceContainer{func() (onceTenant, error) {
+		h, err := acquire()
+		if err != nil {
+			return onceTenant{}, err
+		}
+		return onceTenant{h.Release, func() bool { return operate(h) }}, nil
+	}, stats, close}
+}
+
+// TestReleaseExactlyOnce: every public handle kind gives its slot back once
+// and only once. On a one-slot arena the first handle is released, another
+// goroutine's Acquire takes the same slot, and the first handle's SECOND
+// Release must then touch nothing — the new tenant stays the only lease and
+// keeps operating. The zero values of the exported handle types release
+// nothing.
+func TestReleaseExactlyOnce(t *testing.T) {
+	one := qsense.Options{MaxWorkers: 1, HardMaxWorkers: 1, HPs: 1}
+	must := func(t *testing.T, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	kinds := map[string]func(*testing.T) onceContainer{
+		"SetHandle": func(t *testing.T) onceContainer {
+			s, err := qsense.NewSet(one)
+			must(t, err)
+			return onceKind(s.Acquire, func(h qsense.SetHandle) bool { return h.Insert(7) && h.Delete(7) }, s.Stats, s.Close)
+		},
+		"MapHandle": func(t *testing.T) onceContainer {
+			m, err := qsense.NewSkipMap(one)
+			must(t, err)
+			return onceKind(m.Acquire, func(h qsense.MapHandle) bool { return h.PutUint64(7, 1) && h.Delete(7) }, m.Stats, m.Close)
+		},
+		"QueueHandle": func(t *testing.T) onceContainer {
+			q, err := qsense.NewQueue(one)
+			must(t, err)
+			return onceKind(q.Acquire, func(h qsense.QueueHandle) bool {
+				h.Enqueue(7)
+				v, ok := h.Dequeue()
+				return ok && v == 7
+			}, q.Stats, q.Close)
+		},
+		"StackHandle": func(t *testing.T) onceContainer {
+			s, err := qsense.NewStack(one)
+			must(t, err)
+			return onceKind(s.Acquire, func(h qsense.StackHandle) bool {
+				h.Push(7)
+				v, ok := h.Pop()
+				return ok && v == 7
+			}, s.Stats, s.Close)
+		},
+		"Guard": func(t *testing.T) onceContainer {
+			pool := qsense.NewPool[uint64](qsense.PoolOptions{Name: "once"})
+			d, err := qsense.NewDomain(one, pool.FreeFunc())
+			must(t, err)
+			return onceKind(d.Acquire, func(g qsense.Guard) bool {
+				r, _ := pool.Alloc()
+				g.Begin()
+				g.Protect(0, r)
+				g.Retire(r)
+				g.End()
+				return true
+			}, d.Stats, d.Close)
+		},
+	}
+	for name, build := range kinds {
+		t.Run(name, func(t *testing.T) {
+			c := build(t)
+			defer c.close()
+			first, err := c.acquire()
+			must(t, err)
+			first.release()
+
+			type leased struct {
+				onceTenant
+				err error
+			}
+			got := make(chan leased)
+			go func() {
+				next, err := c.acquire()
+				got <- leased{next, err}
+			}()
+			next := <-got
+			if next.err != nil {
+				t.Fatalf("the released slot did not come back: %v", next.err)
+			}
+
+			first.release() // stale: the slot is the new tenant's now
+			if st := c.stats(); st.AcquiredHandles-st.ReleasedHandles != 1 {
+				t.Fatalf("a second Release changed the lease count: %d acquired, %d released",
+					st.AcquiredHandles, st.ReleasedHandles)
+			}
+			if _, err := c.acquire(); !errors.Is(err, qsense.ErrNoSlots) {
+				t.Fatalf("a second Release put the tenant's slot back on the freelist: err = %v", err)
+			}
+			if !next.operate() {
+				t.Fatal("the new tenant's handle stopped working")
+			}
+			next.release()
+			if st := c.stats(); st.AcquiredHandles != 2 || st.ReleasedHandles != 2 {
+				t.Fatalf("lease counters %d/%d, want 2/2", st.AcquiredHandles, st.ReleasedHandles)
+			}
+		})
+	}
+
+	qsense.QueueHandle{}.Release()
+	qsense.StackHandle{}.Release()
+	qsense.Guard{}.Release()
+}
+
+// TestAcquireAllocatesOnce: a lease costs one allocation — the handle that
+// carries its once-flag — and nothing per structure (the slot's structure
+// handle is cached). The ruler's containers.lease_ns and
+// containers.allocs_per_op probes cross this path.
+func TestAcquireAllocatesOnce(t *testing.T) {
+	m, err := qsense.NewSkipMap(qsense.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	allocs := testing.AllocsPerRun(1000, func() {
+		h, err := m.Acquire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Release()
+	})
+	if allocs > 1 {
+		t.Fatalf("SkipMap Acquire+Release allocates %v times, want at most 1", allocs)
+	}
+}

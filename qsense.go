@@ -59,6 +59,11 @@
 // other workers' reclamation passes (Stats.OrphanedNodes/AdoptedNodes), so
 // a slot that never re-leases strands no memory.
 //
+// A lease is the only way to occupy a slot, and it may last as long as the
+// caller likes. The paper's fixed set of N processes is N goroutines that
+// each Acquire once and hold their handle for the whole run; with
+// MaxWorkers and HardMaxWorkers both N the arena is exactly the paper's.
+//
 // # Sharding
 //
 // The domain core — slot pool, orphan list, retire tallies, flush target —
@@ -74,10 +79,6 @@
 // idle ones scans like a domain one-eighth the size. Shards = 1 is exactly
 // the unsharded behaviour. Stats.Shards reports the resolved count and
 // Stats.ShardImbalance the live-occupancy spread (max−min) across shards.
-//
-// The positional Handle(w) accessor from the fixed-worker API survives as a
-// deprecated shim: it pins slot w permanently, which the experiment harness
-// uses to keep worker↔slot assignment deterministic.
 //
 // # Custom structures
 //
@@ -122,7 +123,7 @@ import (
 
 // ErrNoSlots is returned by the Acquire methods only when the domain was
 // built with Options.HardMaxWorkers and the arena has grown to that cap
-// with every guard slot leased or pinned. By default domains are elastic —
+// with every guard slot leased. By default domains are elastic —
 // the arena grows on demand and Acquire does not fail. Callers at a hard
 // cap can block with AcquireWait, retry once another goroutine Releases,
 // or construct the domain/container with a larger (or no) cap.
@@ -189,7 +190,7 @@ type Options struct {
 	// burst of goroutines beyond it makes the arena grow (by publish-once
 	// slot segments; existing guards never move) rather than fail; set
 	// HardMaxWorkers to bound that growth. Default
-	// 2*runtime.GOMAXPROCS(0) (or Workers, if that is larger).
+	// 2*runtime.GOMAXPROCS(0).
 	MaxWorkers int
 	// HardMaxWorkers, when > 0, caps arena growth: once the arena holds
 	// this many slots and all are leased, Acquire returns ErrNoSlots and
@@ -197,16 +198,8 @@ type Options struct {
 	// callers that would rather shed or queue load than admit it. 0 (the
 	// default) means elastic: growth up to a large library ceiling, and
 	// Acquire effectively never fails. A cap below the initial size
-	// lowers the initial size to the cap — except below a deprecated
-	// fixed Workers count, which raises the cap instead so positional
-	// handles stay in range.
+	// lowers the initial size to the cap.
 	HardMaxWorkers int
-	// Workers is the fixed worker count of the pre-leasing API.
-	//
-	// Deprecated: the positional Handle(w)/Guard(w) accessors it sizes
-	// survive only as a pinning shim. New code should leave it zero and
-	// use Acquire/Release under MaxWorkers.
-	Workers int
 	// Scheme is the reclamation algorithm. Default SchemeQSense.
 	Scheme Scheme
 	// HPs is the number of hazard pointer slots per worker. Containers
@@ -323,25 +316,14 @@ func (o Options) scheme() string {
 }
 
 // arena is the initial guard-slot arena size: MaxWorkers (or the machine
-// default), lowered to HardMaxWorkers when a smaller cap is set — but
-// never below a deprecated fixed Workers count, whose positional
-// Handle(w)/Guard(w) contract guarantees slots [0, Workers) exist. When
-// Workers exceeds the cap, the internal layer raises the cap to match
-// (reclaim.Config.withDefaults), so the two layers resolve the conflict
-// identically: the positional range always wins.
+// default), lowered to HardMaxWorkers when a smaller cap is set.
 func (o Options) arena() int {
 	n := o.MaxWorkers
-	if n <= 0 && o.Workers <= 0 {
-		// Machine default only when the caller sized nothing: a bare
-		// deprecated Workers count must stay exactly the paper's N (its C
-		// legality and memory bounds scale with N).
+	if n <= 0 {
 		n = 2 * runtime.GOMAXPROCS(0)
 	}
 	if o.HardMaxWorkers > 0 && n > o.HardMaxWorkers {
 		n = o.HardMaxWorkers
-	}
-	if o.Workers > n {
-		n = o.Workers
 	}
 	return n
 }
@@ -380,7 +362,7 @@ type Stats struct {
 	OrphanedNodes, AdoptedNodes uint64
 	// ArenaSize is the current guard-slot arena size (MaxWorkers until
 	// growth engages); HighWaterWorkers is the peak number of
-	// simultaneously leased/pinned slots; ArenaGrowths counts elastic
+	// simultaneously leased slots; ArenaGrowths counts elastic
 	// segment publications. ArenaGrowths > 0 on a long-lived domain is a
 	// hint that MaxWorkers undershoots the real concurrency.
 	ArenaSize, HighWaterWorkers int
