@@ -5,8 +5,13 @@
 //
 // Shapes to look for:
 //
-//	Fig3, Fig5Top:  none ≈ qsbr > qsense >> hp, qsense 2-3x over hp
+//	Fig3, Fig5Top:  none ≈ qsbr > qsense ≈ hp >> hp@model50ns, qsense 2-3x over the latter
 //	Fig5Bottom:     qsbr FAILS (OOM) under stalls; qsense switches & survives
+//
+// hp is hazard pointers at what this machine charges for the publication
+// store; hp@model50ns (harness.HPModelled) adds the paper's 2016 mfence as a
+// modelled stall and is the curve the paper drew. Every benchmark that runs
+// the model carries it in its sub-benchmark name.
 package qsense_test
 
 import (
@@ -55,9 +60,9 @@ func scalabilityReclaim() reclaim.Config {
 }
 
 // BenchmarkFig3 — Figure 3: linked list, 2000 keys, 10% updates,
-// None vs QSense vs HP.
+// None vs QSense vs HP (real and modelled).
 func BenchmarkFig3(b *testing.B) {
-	for _, scheme := range []string{"none", "qsense", "hp"} {
+	for _, scheme := range harness.Fig3(nil, 0).Schemes {
 		for _, p := range benchThreads {
 			b.Run(fmt.Sprintf("%s/p%d", scheme, p), func(b *testing.B) {
 				runFigurePoint(b, harness.Config{
@@ -73,7 +78,7 @@ func BenchmarkFig3(b *testing.B) {
 // BenchmarkFig5Top — Figure 5 top row: list (2000 keys), skip list
 // (20000 keys), BST (200k keys scaled; the paper uses 2M — pass
 // -benchtime with cmd/qsense-bench -paper for the full size), 50% updates,
-// None vs QSBR vs QSense vs HP.
+// None vs QSBR vs QSense vs HP (real and modelled).
 func BenchmarkFig5Top(b *testing.B) {
 	ranges := map[string]int64{
 		"list":     harness.PaperListRange,
@@ -81,7 +86,7 @@ func BenchmarkFig5Top(b *testing.B) {
 		"bst":      harness.DefaultBSTRange,
 	}
 	for _, ds := range harness.DataStructures() {
-		for _, scheme := range []string{"none", "qsbr", "qsense", "hp"} {
+		for _, scheme := range harness.Fig5Top(ds, nil, 0, false).Schemes {
 			for _, p := range benchThreads {
 				b.Run(fmt.Sprintf("%s/%s/p%d", ds, scheme, p), func(b *testing.B) {
 					if testing.Short() && ds == "bst" {
@@ -101,11 +106,12 @@ func BenchmarkFig5Top(b *testing.B) {
 // BenchmarkFig5Bottom — Figure 5 bottom row: 8 workers, 50% updates, one
 // worker stalled half the time (compressed schedule), retired-node budget
 // standing in for RAM. QSBR runs out of memory; QSense switches paths and
-// survives; HP is robust but slow. The reported metrics show it: qsbr's
-// "survived" metric is 0 and its Mops/s collapses.
+// survives; HP is robust, and slow where the paper's fence is modelled. The
+// reported metrics show it: qsbr's "survived" metric is 0 and its Mops/s
+// collapses.
 func BenchmarkFig5Bottom(b *testing.B) {
 	for _, ds := range harness.DataStructures() {
-		for _, scheme := range []string{"qsbr", "qsense", "hp"} {
+		for _, scheme := range harness.Fig5Bottom(ds, 0, 0).Schemes {
 			b.Run(ds+"/"+scheme, func(b *testing.B) {
 				if testing.Short() {
 					b.Skip("delay schedule takes seconds; skipped in -short")
@@ -153,20 +159,35 @@ type benchNode struct {
 	_ [48]byte
 }
 
+// curveDomain builds the domain a curve name stands for (harness.ParseCurve):
+// a scheme, or hp with the modelled fence the name carries.
+func curveDomain(b *testing.B, curve string, cfg reclaim.Config) reclaim.Domain {
+	b.Helper()
+	scheme, fenceCost, err := harness.ParseCurve(curve)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg.FenceCost = fenceCost
+	d, err := reclaim.New(scheme, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return d
+}
+
 // BenchmarkProtect measures assign_HP per scheme — the paper's central
-// per-node cost (§3.2): a no-op for QSBR, a bare store for Cadence/QSense,
-// a store+fence for HP.
+// per-node cost (§3.2): a no-op for QSBR, one sequentially consistent store
+// for Cadence/QSense and for HP (in Go the store is the fence, so the three
+// cost the same), and that store plus the paper's modelled mfence for
+// hp@model50ns — the row that keeps the paper's number tracked.
 func BenchmarkProtect(b *testing.B) {
 	pool := mem.NewPool[benchNode](mem.Config{Name: "bench"})
-	for _, scheme := range reclaim.Schemes() {
+	for _, scheme := range append(reclaim.Schemes(), harness.HPModelled) {
 		b.Run(scheme, func(b *testing.B) {
-			d, err := reclaim.New(scheme, reclaim.Config{
+			d := curveDomain(b, scheme, reclaim.Config{
 				Workers: 1, HPs: 2, Free: func(r mem.Ref) { pool.Free(r) },
 				ManualRooster: true,
 			})
-			if err != nil {
-				b.Fatal(err)
-			}
 			defer d.Close()
 			g := lease(b, d.Acquire)
 			r, _ := pool.Alloc()
@@ -194,21 +215,15 @@ func BenchmarkFenceCost(b *testing.B) {
 }
 
 // BenchmarkHPFenceAblation runs the Figure 3 list point (2 workers) with
-// HP's fence cost swept: at 0 the fence is free and HP's gap to QSense is
-// only the scan machinery; at the default it is the paper's penalty.
+// HP's modelled fence swept: plain hp pays only the publication store and
+// its gap to QSense is the scan machinery; at 50ns it is the paper's penalty.
 func BenchmarkHPFenceAblation(b *testing.B) {
-	for _, cost := range []time.Duration{-1, 20 * time.Nanosecond, 50 * time.Nanosecond, 100 * time.Nanosecond} {
-		name := "free"
-		if cost > 0 {
-			name = cost.String()
-		}
-		b.Run(name, func(b *testing.B) {
-			rc := scalabilityReclaim()
-			rc.FenceCost = cost
+	for _, curve := range []string{"hp", "hp@model20ns", harness.HPModelled, "hp@model100ns"} {
+		b.Run(curve, func(b *testing.B) {
 			runFigurePoint(b, harness.Config{
-				DS: "list", Scheme: "hp", Workers: 2,
+				DS: "list", Scheme: curve, Workers: 2,
 				KeyRange: harness.PaperListRange, UpdatePct: 10,
-				Reclaim: rc, Seed: 11,
+				Reclaim: scalabilityReclaim(), Seed: 11,
 			})
 		})
 	}
@@ -388,18 +403,16 @@ func BenchmarkListOps(b *testing.B) {
 // publication per node visited plus two stores per operation (skiplist's
 // TestPublicationsPerOp pins the count), so their distance to qsbr is the
 // CI perf-smoke guard for search's slot discipline and, on the hp row, for
-// the claim-then-link protocol's per-level claim CAS.
+// the claim-then-link protocol's per-level claim CAS. hp@model50ns is hp
+// with the paper's fence modelled on every one of those publications.
 func BenchmarkSkipListOps(b *testing.B) {
-	for _, scheme := range []string{"qsbr", "cadence", "qsense", "hp"} {
+	for _, scheme := range []string{"qsbr", "cadence", "qsense", "hp", harness.HPModelled} {
 		b.Run(scheme, func(b *testing.B) {
 			s := skiplist.New(skiplist.Config{Levels: 16})
-			d, err := reclaim.New(scheme, reclaim.Config{
+			d := curveDomain(b, scheme, reclaim.Config{
 				Workers: 1, HPs: skiplist.HPsFor(s.Levels()), Free: s.FreeNode,
 				Rooster: rooster.Config{Interval: 2 * time.Millisecond},
 			})
-			if err != nil {
-				b.Fatal(err)
-			}
 			defer d.Close()
 			h := s.NewHandle(lease(b, d.Acquire), 1)
 			for k := int64(0); k < 2000; k += 2 {

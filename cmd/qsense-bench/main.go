@@ -4,6 +4,11 @@
 // vs HP). Results print as aligned tables with §7.3-style overhead
 // summaries and can be written to CSV.
 //
+// hp costs what this machine charges for its publication store. The figure
+// presets add a second curve, hp@model50ns, that pays the paper's 2016
+// mfence as a modelled stall on top — the curve the paper drew — and
+// -schemes takes the same name; every table, CSV and JSON carries it.
+//
 // It also hosts the leasing follow-up experiment: -experiment leasechurn
 // runs each scheme twice over the same workload — one lease held per worker
 // for the run vs short Acquire/Release leases — and reports the lease
@@ -15,6 +20,7 @@
 //	qsense-bench -figure 5top -ds skiplist -threads 1,2,4,8 -duration 2s
 //	qsense-bench -figure 5top -ds bst -paper   # full 2M-key BST
 //	qsense-bench -ds list -schemes qsbr,qsense -updates 30 -range 512
+//	qsense-bench -ds skiplist -schemes qsbr,cadence,hp,hp@model50ns
 //	qsense-bench -experiment leasechurn -ds list -threads 8 -leaseevery 1
 package main
 
@@ -36,7 +42,7 @@ func main() {
 		figure  = flag.String("figure", "", `preset: "3" or "5top" (overrides ds/schemes/updates/range)`)
 		ds      = flag.String("ds", "list", "data structure: list, skiplist, bst")
 		schemes = flag.String("schemes", "none,qsbr,qsense,hp,ibr,hyaline",
-			"comma-separated schemes (valid: "+strings.Join(qsense.SchemeNames(), ", ")+")")
+			"comma-separated schemes (valid: "+strings.Join(qsense.SchemeNames(), ", ")+", and "+harness.HPModelled+")")
 		threads    = flag.String("threads", "1,2,4,8", "comma-separated worker counts (paper: 1..32)")
 		duration   = flag.Duration("duration", time.Second, "measurement time per point")
 		updates    = flag.Int("updates", 50, "update percentage (rest are searches)")
@@ -99,7 +105,10 @@ func main() {
 	title := fmt.Sprintf("Throughput (Mops/s): %s, %d%% updates, range %d", sc.DS, sc.UpdatePct, sc.KeyRange)
 	harness.RenderCurvesTable(os.Stdout, title, curves)
 	if s := harness.SpeedupOver(curves, "qsense", "hp"); s > 0 {
-		fmt.Printf("qsense vs hp: %.2fx (paper reports 2-3x)\n", s)
+		fmt.Printf("qsense vs hp: %.2fx (this machine's fence)\n", s)
+	}
+	if s := harness.SpeedupOver(curves, "qsense", harness.HPModelled); s > 0 {
+		fmt.Printf("qsense vs %s: %.2fx (the paper's fence; it reports 2-3x)\n", harness.HPModelled, s)
 	}
 
 	if *csvPath != "" {
@@ -204,17 +213,17 @@ func defaultRange(ds string, paper bool) int64 {
 	}
 }
 
-// parseSchemes validates a comma-separated scheme list against the
-// library's registry, so a typo fails up front with the valid names
-// instead of mid-sweep.
+// parseSchemes validates a comma-separated list of curve names (a scheme,
+// or hp@model<cost>) against the library's registry, so a typo fails up
+// front with the valid names instead of mid-sweep.
 func parseSchemes(s string) ([]string, error) {
 	var out []string
 	for _, p := range strings.Split(s, ",") {
-		sch, err := qsense.ParseScheme(strings.TrimSpace(p))
-		if err != nil {
+		curve := strings.TrimSpace(p)
+		if _, _, err := harness.ParseCurve(curve); err != nil {
 			return nil, err
 		}
-		out = append(out, string(sch))
+		out = append(out, curve)
 	}
 	return out, nil
 }

@@ -1,9 +1,10 @@
 // qsense-calibrate reports this machine's characteristics for the fence
 // cost model (internal/fence): the calibrated spin-loop rate, the measured
-// cost of atomic publication (what every scheme pays per hazard pointer
-// store in Go), and the effective cost of fenced publication at several
-// modeled fence latencies. Use it to pick a -fence value comparable to the
-// mfence penalty on hardware you care about.
+// cost of atomic publication (what hp, Cadence and QSense all pay per hazard
+// pointer store in Go — the store is the fence), and what a publication
+// costs with a modelled stall added, at several stall lengths. Use it to
+// read an hp@model<cost> curve (cmd/qsense-bench) against the mfence penalty
+// of hardware you care about.
 package main
 
 import (
@@ -26,16 +27,16 @@ func main() {
 		slot.Store(uint64(i))
 	}
 	per := time.Since(t0) / n
-	fmt.Printf("atomic store (unfenced publication, Cadence/QSense): %v\n", per)
+	fmt.Printf("atomic store (a publication under hp, cadence and qsense alike): %v\n", per)
 
-	for _, cost := range []time.Duration{0, 10 * time.Nanosecond, fence.DefaultCost, 50 * time.Nanosecond, 100 * time.Nanosecond} {
+	for _, cost := range []time.Duration{10 * time.Nanosecond, fence.DefaultCost, 100 * time.Nanosecond} {
 		m := fence.NewModel(cost)
 		t0 = time.Now()
 		for i := 0; i < n; i++ {
 			slot.Store(uint64(i))
 			m.Full()
 		}
-		fmt.Printf("fenced publication, model %-6v (classic HP): %v\n", cost, time.Since(t0)/n)
+		fmt.Printf("publication + modelled stall %-6v (hp@model%v): %v\n", cost, cost, time.Since(t0)/n)
 	}
-	fmt.Printf("\ndefault fence model: %v (the latency a hardware fence costs HP per Protect; Go's atomic store already orders, so internal/fence spins it)\n", fence.DefaultCost)
+	fmt.Printf("\nno scheme pays a modelled fence by default: hp costs the atomic store above. The paper's %v mfence is spun only by the curves named hp@model%v (qsense-bench -figure …, the hp@model… benchmark rows).\n", fence.DefaultCost, fence.DefaultCost)
 }

@@ -1,7 +1,9 @@
 // qsense-delays reproduces the bottom row of the paper's Figure 5: eight
 // workers at 50% updates, with one worker stalled for 10 seconds out of
 // every 20 (scaled by -scale). QSBR exhausts its memory budget and dies;
-// QSense falls back to Cadence and recovers; HP plods along.
+// QSense falls back to Cadence and recovers; HP plods along — on the paper's
+// hardware, which is the curve hp@model50ns; plain hp runs at what this
+// machine charges for a fence and keeps pace with Cadence.
 //
 // Per-interval throughput prints as ASCII charts ('f' marks QSense fallback
 // windows, 'X' marks failure) and can be written to CSV.
@@ -60,18 +62,16 @@ func main() {
 	if q, ok := results["qsense"]; ok {
 		fast, fb := harness.FallbackWindows(q)
 		fmt.Printf("\nqsense fast-path mean %.3f Mops/s, fallback (Cadence) mean %.3f Mops/s\n", fast, fb)
-		if hp, ok := results["hp"]; ok && fb > 0 {
+		for _, hp := range []string{"hp", harness.HPModelled} {
 			var hpMean float64
-			n := 0
-			for _, s := range hp.Samples {
-				hpMean += s.Mops
-				n++
+			for _, s := range results[hp].Samples {
+				hpMean += s.Mops / float64(len(results[hp].Samples))
 			}
-			if n > 0 {
-				hpMean /= float64(n)
-				fmt.Printf("cadence (fallback) vs hp: %.2fx (paper reports ~3x)\n", fb/hpMean)
+			if fb > 0 && hpMean > 0 {
+				fmt.Printf("cadence (fallback) vs %s: %.2fx\n", hp, fb/hpMean)
 			}
 		}
+		fmt.Printf("(the paper reports ~3x, on the hardware %s models)\n", harness.HPModelled)
 	}
 
 	if *csvPath != "" {

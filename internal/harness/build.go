@@ -2,6 +2,8 @@ package harness
 
 import (
 	"fmt"
+	"strings"
+	"time"
 
 	"qsense"
 	"qsense/internal/bst"
@@ -63,6 +65,33 @@ func HPsForDS(ds string, skipLevels int) (int, error) {
 	return 0, fmt.Errorf("harness: unknown data structure %q", ds)
 }
 
+// HPModelled names hazard pointers on the paper's hardware: hp plus a
+// modelled stall of fence.DefaultCost after every Protect — what an mfence
+// cost the paper's 2016 Opterons, and what this machine's publication store
+// does not charge. The figure presets run it beside plain hp.
+const HPModelled = "hp@model50ns"
+
+// ParseCurve splits a curve name — what Config.Scheme and a scheme list
+// hold — into the reclamation scheme and the modelled fence stall it asks
+// for: "hp@model50ns" is hp with reclaim.Config.FenceCost = 50ns, a
+// registered scheme name is that scheme at cost 0, anything else is an
+// error. The name is the harness's only way to ask for the model, so the
+// sub-benchmark, table column, CSV header and JSON curve a modelled run
+// lands in all say so.
+func ParseCurve(name string) (scheme string, fenceCost time.Duration, err error) {
+	scheme, model, modelled := strings.Cut(name, "@model")
+	if modelled {
+		fenceCost, err = time.ParseDuration(model)
+		if err != nil || fenceCost <= 0 || scheme != "hp" {
+			return "", 0, fmt.Errorf("harness: bad curve %q (only hp pays a fence: want hp@model<cost>, e.g. %s)", name, HPModelled)
+		}
+	}
+	if _, err := qsense.ParseScheme(scheme); err != nil {
+		return "", 0, err
+	}
+	return scheme, fenceCost, nil
+}
+
 // buildSet wires DS + scheme: the structure is created first, then the
 // domain (which needs the structure's free function); a structure handle is
 // bound to a slot's guard when a worker first leases that slot — the
@@ -71,9 +100,16 @@ func HPsForDS(ds string, skipLevels int) (int, error) {
 // worker index, so the paper's fixed processes are workers that lease once
 // (Config.LeaseEvery).
 func buildSet(cfg *Config) (*builtSet, error) {
+	scheme, fenceCost, err := ParseCurve(cfg.Scheme)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Reclaim.FenceCost != 0 {
+		return nil, fmt.Errorf("harness: Reclaim.FenceCost is set through the curve name (Scheme %q), never beside it", HPModelled)
+	}
+	cfg.Reclaim.FenceCost = fenceCost // Result.Cfg reports what the run paid
 	rc := cfg.Reclaim
 	rc.Workers = cfg.Workers
-	var err error
 	rc.HPs, err = HPsForDS(cfg.DS, cfg.SkipLevels)
 	if err != nil {
 		return nil, err
@@ -88,8 +124,8 @@ func buildSet(cfg *Config) (*builtSet, error) {
 	// The applicability matrix is the authority on scheme×structure
 	// pairings — reject an unsound combination with the reason rather
 	// than running it to a crash or a silent unsoundness.
-	if !qsense.Applicable(qsense.Scheme(cfg.Scheme), cfg.DS) {
-		return nil, fmt.Errorf("harness: scheme %q cannot run structure %q (see qsense.Applicability)", cfg.Scheme, cfg.DS)
+	if !qsense.Applicable(qsense.Scheme(scheme), cfg.DS) {
+		return nil, fmt.Errorf("harness: scheme %q cannot run structure %q (see qsense.Applicability)", scheme, cfg.DS)
 	}
 
 	// Each structure's pool doubles as the era clock (reclaim.Config.Era)
@@ -119,7 +155,7 @@ func buildSet(cfg *Config) (*builtSet, error) {
 	default:
 		return nil, fmt.Errorf("harness: unknown data structure %q", cfg.DS)
 	}
-	dom, err := reclaim.New(cfg.Scheme, rc)
+	dom, err := reclaim.New(scheme, rc)
 	if err != nil {
 		return nil, err
 	}

@@ -38,7 +38,8 @@ type Point struct {
 	Res     Result
 }
 
-// Curve is a scheme's scalability series.
+// Curve is a scheme's scalability series. Scheme is the curve name the
+// points were run under (ParseCurve), fence model included.
 type Curve struct {
 	Scheme string
 	Points []Point
@@ -49,25 +50,26 @@ type ScalabilityConfig struct {
 	DS        string
 	KeyRange  int64
 	UpdatePct int
-	Schemes   []string
+	Schemes   []string // curve names: a scheme, or HPModelled (ParseCurve)
 	Workers   []int
 	Duration  time.Duration
 	Seed      uint64
 }
 
 // Fig3 returns the configuration of Figure 3: linked list, 2000 keys, 10%
-// updates, None vs QSense vs HP.
+// updates, None vs QSense vs HP — HP twice, at this machine's price and at
+// the paper's (HPModelled), which is the curve the figure drew.
 func Fig3(workers []int, duration time.Duration) ScalabilityConfig {
 	return ScalabilityConfig{
 		DS: "list", KeyRange: PaperListRange, UpdatePct: 10,
-		Schemes: []string{"none", "qsense", "hp"},
+		Schemes: []string{"none", "qsense", "hp", HPModelled},
 		Workers: workers, Duration: duration,
 	}
 }
 
 // Fig5Top returns the configuration of one Figure 5 (top) panel: 50%
-// updates, None vs QSBR vs QSense vs HP, paper key ranges (BST scaled
-// unless paperScale).
+// updates, None vs QSBR vs QSense vs HP (real and HPModelled, as in Fig3),
+// paper key ranges (BST scaled unless paperScale).
 func Fig5Top(ds string, workers []int, duration time.Duration, paperScale bool) ScalabilityConfig {
 	var kr int64
 	switch ds {
@@ -83,7 +85,7 @@ func Fig5Top(ds string, workers []int, duration time.Duration, paperScale bool) 
 	}
 	return ScalabilityConfig{
 		DS: ds, KeyRange: kr, UpdatePct: 50,
-		Schemes: []string{"none", "qsbr", "qsense", "hp"},
+		Schemes: []string{"none", "qsbr", "qsense", "hp", HPModelled},
 		Workers: workers, Duration: duration,
 	}
 }
@@ -114,7 +116,7 @@ func RunScalability(sc ScalabilityConfig, log io.Writer) ([]Curve, error) {
 			}
 			c.Points = append(c.Points, Point{Workers: w, Res: res})
 			if log != nil {
-				fmt.Fprintf(log, "%-8s %-8s workers=%-3d %8.3f Mops/s\n", sc.DS, scheme, w, res.Mops)
+				fmt.Fprintf(log, "%-8s %-12s workers=%-3d %8.3f Mops/s\n", sc.DS, scheme, w, res.Mops)
 			}
 		}
 		curves = append(curves, c)
@@ -188,7 +190,7 @@ func RunLeaseChurn(ds string, schemes []string, workers, leaseEvery int, keyRang
 type DelayConfig struct {
 	DS       string
 	KeyRange int64
-	Schemes  []string
+	Schemes  []string // curve names, as in ScalabilityConfig
 	Workers  int
 	// Scale stretches the paper's 100s/10s schedule: 1.0 is the paper,
 	// 0.2 runs the same five stall cycles in 20 seconds.
@@ -237,7 +239,8 @@ func DelayReclaim(ds string, workers, memoryLimit int) (reclaim.Config, error) {
 	return rc, nil
 }
 
-// Fig5Bottom returns one Figure 5 (bottom) panel configuration.
+// Fig5Bottom returns one Figure 5 (bottom) panel configuration: QSBR vs
+// QSense vs HP (real and HPModelled, as in Fig3).
 func Fig5Bottom(ds string, scale float64, memoryLimit int) DelayConfig {
 	var kr int64
 	switch ds {
@@ -250,7 +253,7 @@ func Fig5Bottom(ds string, scale float64, memoryLimit int) DelayConfig {
 	}
 	return DelayConfig{
 		DS: ds, KeyRange: kr,
-		Schemes: []string{"qsbr", "qsense", "hp"},
+		Schemes: []string{"qsbr", "qsense", "hp", HPModelled},
 		Workers: 8, Scale: scale, MemoryLimit: memoryLimit,
 	}
 }
@@ -285,7 +288,7 @@ func RunDelays(dc DelayConfig, log io.Writer) (map[string]Result, error) {
 			if res.Failed {
 				status = fmt.Sprintf("FAILED (out of memory) at %v", res.FailedAt.Round(sample))
 			}
-			fmt.Fprintf(log, "%-8s %-8s %8.3f Mops/s avg, switches %d/%d, %s\n",
+			fmt.Fprintf(log, "%-8s %-12s %8.3f Mops/s avg, switches %d/%d, %s\n",
 				dc.DS, scheme, res.Mops, res.Reclaim.SwitchesToFallback, res.Reclaim.SwitchesToFast, status)
 		}
 	}

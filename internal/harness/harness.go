@@ -28,14 +28,15 @@ type SetHandle interface {
 // Config describes one experiment run.
 type Config struct {
 	DS        string // "list", "skiplist", "bst", "hashmap"
-	Scheme    string // one of reclaim.Schemes()
+	Scheme    string // one of reclaim.Schemes(), or a modelled curve (ParseCurve)
 	Workers   int
 	KeyRange  int64
 	UpdatePct int
 	Duration  time.Duration
 
 	// Reclaim carries scheme tuning (Q, R, C, rooster interval,
-	// MemoryLimit...). Workers, HPs and Free are filled by the harness.
+	// MemoryLimit...). Workers, HPs and Free are filled by the harness,
+	// and so is FenceCost, from Scheme: a Config that sets it is refused.
 	Reclaim reclaim.Config
 
 	// LeaseEvery is how many 64-op batches a worker runs per guard lease.

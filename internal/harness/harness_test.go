@@ -2,11 +2,14 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"qsense/internal/fence"
 	"qsense/internal/reclaim"
 	"qsense/internal/rooster"
 	"qsense/internal/workload"
@@ -176,12 +179,12 @@ func TestFigConfigs(t *testing.T) {
 	if f3.DS != "list" || f3.UpdatePct != 10 || f3.KeyRange != PaperListRange {
 		t.Fatalf("Fig3 config wrong: %+v", f3)
 	}
-	if len(f3.Schemes) != 3 {
-		t.Fatal("Fig3 compares three schemes")
+	if want := []string{"none", "qsense", "hp", HPModelled}; !slices.Equal(f3.Schemes, want) {
+		t.Fatalf("Fig3 compares three schemes, hp at both prices: got %v, want %v", f3.Schemes, want)
 	}
 	for _, ds := range DataStructures() {
 		f5 := Fig5Top(ds, []int{1}, time.Second, false)
-		if f5.UpdatePct != 50 || len(f5.Schemes) != 4 {
+		if want := []string{"none", "qsbr", "qsense", "hp", HPModelled}; f5.UpdatePct != 50 || !slices.Equal(f5.Schemes, want) {
 			t.Fatalf("Fig5Top(%s) wrong: %+v", ds, f5)
 		}
 	}
@@ -191,6 +194,99 @@ func TestFigConfigs(t *testing.T) {
 	fb := Fig5Bottom("skiplist", 0.2, 1000)
 	if fb.Workers != 8 || fb.KeyRange != PaperSkipRange {
 		t.Fatalf("Fig5Bottom wrong: %+v", fb)
+	}
+}
+
+func TestParseCurve(t *testing.T) {
+	if scheme, cost, err := ParseCurve(HPModelled); err != nil || scheme != "hp" || cost != fence.DefaultCost {
+		t.Fatalf("ParseCurve(%q) = %q, %v, %v; want hp at fence.DefaultCost", HPModelled, scheme, cost, err)
+	}
+	for _, scheme := range reclaim.Schemes() {
+		if got, cost, err := ParseCurve(scheme); err != nil || got != scheme || cost != 0 {
+			t.Errorf("ParseCurve(%q) = %q, %v, %v; a plain scheme carries no model", scheme, got, cost, err)
+		}
+	}
+	// Only hp reads FenceCost: a model on any other scheme's name, or one
+	// that costs nothing, would label a curve with a price it never paid.
+	for _, bad := range []string{"cadence@model50ns", "@model50ns", "hp@model", "hp@model0s", "hp@model-5ns", "hp@modelfast", "hpx", ""} {
+		if scheme, cost, err := ParseCurve(bad); err == nil {
+			t.Errorf("ParseCurve(%q) = %q, %v; want an error", bad, scheme, cost)
+		}
+	}
+}
+
+// TestFenceModelIsAlwaysNamed: a run pays the modelled fence only when its
+// curve name says so, and the name reaches every output a figure has.
+func TestFenceModelIsAlwaysNamed(t *testing.T) {
+	res, err := Run(quickCfg("list", "hp", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cost := res.Cfg.Reclaim.FenceCost; cost != 0 {
+		t.Fatalf("plain hp ran with a %v fence model", cost)
+	}
+	unnamed := quickCfg("list", "hp", 1)
+	unnamed.Reclaim.FenceCost = fence.DefaultCost
+	if _, err := Run(unnamed); err == nil {
+		t.Fatal("a fence model set beside the curve name, not through it, was accepted")
+	}
+
+	sc := Fig3([]int{1, 2}, 20*time.Millisecond)
+	sc.KeyRange = 64
+	var log bytes.Buffer
+	curves, err := RunScalability(sc, &log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, c := range curves {
+		names = append(names, c.Scheme)
+		for _, p := range c.Points {
+			if cost := p.Res.Cfg.Reclaim.FenceCost; (cost > 0) != (c.Scheme == HPModelled) {
+				t.Errorf("curve %q, %d workers: ran with FenceCost %v", c.Scheme, p.Workers, cost)
+			}
+		}
+	}
+	if !slices.Equal(names, sc.Schemes) {
+		t.Fatalf("figure driver emitted %v, want %v", names, sc.Schemes)
+	}
+
+	var js, csv, tbl bytes.Buffer
+	if err := WriteCurvesJSON(&js, BenchJSON{Experiment: "fig3"}, curves); err != nil {
+		t.Fatal(err)
+	}
+	var decoded BenchJSON
+	if err := json.Unmarshal(js.Bytes(), &decoded); err != nil {
+		t.Fatal(err)
+	}
+	var jsonNames []string
+	for _, c := range decoded.Curves {
+		jsonNames = append(jsonNames, c.Scheme)
+	}
+	if err := WriteCurvesCSV(&csv, curves); err != nil {
+		t.Fatal(err)
+	}
+	csvHeader, _, _ := strings.Cut(csv.String(), "\n")
+	RenderCurvesTable(&tbl, "fig3", curves)
+	tblHeader := strings.Split(tbl.String(), "\n")[2] // blank, title, header
+	var logNames []string
+	for _, line := range strings.Split(strings.TrimSpace(log.String()), "\n") {
+		if name := strings.Fields(line)[1]; !slices.Contains(logNames, name) {
+			logNames = append(logNames, name)
+		}
+	}
+	for _, out := range []struct {
+		where string
+		got   []string
+	}{
+		{"JSON curves", jsonNames},
+		{"CSV header", strings.Split(strings.ReplaceAll(csvHeader, "_mops", ""), ",")[1:]},
+		{"table header", strings.Fields(tblHeader)[1:]},
+		{"progress log", logNames},
+	} {
+		if !slices.Equal(out.got, sc.Schemes) {
+			t.Errorf("%s names %v, want %v", out.where, out.got, sc.Schemes)
+		}
 	}
 }
 

@@ -227,7 +227,7 @@ func RenderCurvesTable(w io.Writer, title string, curves []Curve) {
 	fmt.Fprintf(w, "\n%s\n", title)
 	fmt.Fprintf(w, "%-8s", "workers")
 	for _, c := range curves {
-		fmt.Fprintf(w, "%12s", c.Scheme)
+		fmt.Fprintf(w, "%14s", c.Scheme)
 	}
 	fmt.Fprintln(w)
 	if len(curves) == 0 {
@@ -237,9 +237,9 @@ func RenderCurvesTable(w io.Writer, title string, curves []Curve) {
 		fmt.Fprintf(w, "%-8d", curves[0].Points[i].Workers)
 		for _, c := range curves {
 			if i < len(c.Points) {
-				fmt.Fprintf(w, "%12.3f", c.Points[i].Res.Mops)
+				fmt.Fprintf(w, "%14.3f", c.Points[i].Res.Mops)
 			} else {
-				fmt.Fprintf(w, "%12s", "-")
+				fmt.Fprintf(w, "%14s", "-")
 			}
 		}
 		fmt.Fprintln(w)

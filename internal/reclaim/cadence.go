@@ -26,20 +26,11 @@ import (
 // Dropping either mechanism is unsafe; the DisableDeferral ablation
 // demonstrably produces use-after-free violations (see cadence tests and
 // the §4.1 model in internal/tso).
-type Cadence struct {
-	domainCore
-	recs   *shardedArena[*hprec]
-	guards *shardedArena[*cadenceGuard]
-}
+type Cadence struct{ hazardDomain }
 
-type cadenceGuard struct {
-	guardCore
-	d         *Cadence
-	rec       *hprec
-	rl        []retired
-	sinceScan int
-	scanBuf   []uint64
-}
+// cadenceGuard is hazardGuard (hp.go) under a rooster: what the scheme adds
+// is the fence-free publication and the retire stamp below.
+type cadenceGuard struct{ hazardGuard }
 
 // NewCadence builds a stand-alone Cadence domain and starts its rooster
 // manager (unless Config.ManualRooster).
@@ -50,8 +41,8 @@ func NewCadence(cfg Config) (*Cadence, error) {
 	}
 	d.tune = newTuner(d.cfg, &d.cnt)
 	d.mgr = rooster.NewManager(d.cfg.Rooster)
-	d.recs, d.guards = openHazardGuards(&d.domainCore, func(rec *hprec) *cadenceGuard {
-		return &cadenceGuard{d: d, rec: rec}
+	d.recs, _ = openHazardGuards(&d.domainCore, func(rec *hprec) *cadenceGuard {
+		return &cadenceGuard{hazardGuard{d: &d.hazardDomain, rec: rec}}
 	})
 	d.startRooster()
 	return d, nil
@@ -59,38 +50,6 @@ func NewCadence(cfg Config) (*Cadence, error) {
 
 // Rooster exposes the manager so tests can drive passes deterministically.
 func (d *Cadence) Rooster() *rooster.Manager { return d.mgr }
-
-// join: drain any hazard state a racing rooster flush may have
-// re-published after the previous release.
-func (g *cadenceGuard) join() {
-	g.rec.reset()
-	g.tc.refresh(g.d.tune)
-}
-
-// drain: clear both hazard arrays, run one deferred scan so everything
-// provably safe frees immediately and move the remainder (protected or not
-// yet old enough) to the orphan list — adopted by any worker's later scan
-// or by a rooster pass.
-func (g *cadenceGuard) drain() {
-	g.rec.reset()
-	if len(g.rl) > 0 {
-		g.scan()
-	}
-	if len(g.rl) > 0 {
-		g.d.orphans.at(g.id).add(nil, g.rl, 0, &g.d.cnt)
-		g.rl = nil
-	}
-}
-
-func (g *cadenceGuard) closeFree() {
-	for _, r := range g.rl {
-		g.d.cfg.Free(r.ref)
-	}
-	g.d.cnt.tallyFree(&g.tally, len(g.rl))
-	g.rl = g.rl[:0]
-}
-
-func (g *cadenceGuard) Begin() {}
 
 // Protect publishes without a fence (Algorithm 3, assign_HP: "No need for a
 // memory barrier here").
@@ -106,37 +65,8 @@ func (g *cadenceGuard) ClearHPs() { g.rec.deactivate(&g.rec.pendingActive) }
 // Retire timestamps the node and schedules it (Algorithm 5, free_node_later
 // in stand-alone form).
 func (g *cadenceGuard) Retire(r mem.Ref) {
-	if r.IsNil() {
-		panic("reclaim: retire of nil Ref")
-	}
 	g.d.mgr.Poll() // cooperative rooster: run an overdue pass inline
-	g.rl = append(g.rl, retired{ref: r.Untagged(), stamp: g.d.mgr.Tick()})
-	g.d.cnt.tallyRetire(&g.tally, g.d.cfg.MemoryLimit)
-	g.sinceScan++
-	if g.sinceScan >= g.tc.r {
-		g.sinceScan = 0
-		g.scan()
-	}
-}
-
-// scan runs one deferred scan over the guard's retire list and then adopts
-// eligible orphans against the same snapshot. Order matters: the tick is
-// captured and every shard's orphan chain detached BEFORE the snapshot
-// (see Manager.OldEnoughAt and orphanList.adoptDetached for the two halves
-// of the argument).
-func (g *cadenceGuard) scan() {
-	g.d.cnt.scans.Add(1)
-	tick := g.d.mgr.Tick()
-	batches := g.d.orphans.detachAll()
-	snap, visited := snapshotShared(g.d.slots, g.d.recs, g.scanBuf)
-	g.d.cnt.tallyScanned(&g.tally, visited)
-	g.scanBuf = snap.vals
-	var freed int
-	g.rl, freed = filterDeferred(g.d.cfg, g.d.mgr, tick, snap, g.rl)
-	g.d.cnt.tallyFree(&g.tally, freed)
-	g.d.orphans.adoptDetachedAll(batches, snap, g.d.mgr, tick, g.d.cfg, &g.d.cnt)
-	g.d.cnt.flushTally(&g.tally, g.d.cfg.MemoryLimit)
-	g.tc.refresh(g.d.tune)
+	g.retire(r, g.d.mgr.Tick())
 }
 
 // filterDeferred is the body of Cadence's scan (Algorithm 3, lines 14–33):

@@ -189,6 +189,13 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New("none", Config{Workers: 1, HPs: 1}); err != nil {
 		t.Errorf("none without Free: %v", err)
 	}
+	// 0 already means "no modelled fence": a negative cost is refused by
+	// every constructor, not only the one scheme that reads the field.
+	for _, scheme := range Schemes() {
+		if _, err := New(scheme, Config{Workers: 1, HPs: 1, Free: free, FenceCost: -1}); err == nil {
+			t.Errorf("%s: negative FenceCost accepted", scheme)
+		}
+	}
 }
 
 func TestConfigDefaults(t *testing.T) {

@@ -3,16 +3,51 @@ package reclaim
 import (
 	"testing"
 
+	"qsense/internal/fence"
 	"qsense/internal/mem"
 )
 
 func newHPDomain(t *testing.T, pool *mem.Pool[tnode], workers, k, r int) *HP {
 	t.Helper()
-	d, err := NewHP(Config{Workers: workers, HPs: k, Free: freeInto(pool), R: r, FenceCost: -1})
+	d, err := NewHP(Config{Workers: workers, HPs: k, Free: freeInto(pool), R: r})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// TestHPFenceModelIsOptIn: the zero Config — every default path — builds
+// guards with no fence model at all, on the initial arena and on a grown
+// segment alike; only an explicit FenceCost > 0 gives each guard its own.
+func TestHPFenceModelIsOptIn(t *testing.T) {
+	pool := newTestPool()
+	for _, cost := range []struct {
+		name string
+		cfg  Config
+		want bool
+	}{
+		{"zero value", Config{}, false},
+		{"fence.DefaultCost", Config{FenceCost: fence.DefaultCost}, true},
+	} {
+		cfg := cost.cfg
+		cfg.Workers, cfg.HPs, cfg.Free = 1, 1, freeInto(pool)
+		d, err := NewHP(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[*fence.Model]bool{}
+		for _, g := range acquire(t, d, 3) { // 3 leases of 1 slot: the arena grows
+			m := g.(*hpGuard).fence
+			if (m != nil) != cost.want {
+				t.Errorf("%s: guard %d carries model %v, want one: %v", cost.name, SlotIndex(g), m, cost.want)
+			}
+			if m != nil && (seen[m] || m.Cost() != fence.DefaultCost) {
+				t.Errorf("%s: guard %d's model is shared or mis-sized (%v)", cost.name, SlotIndex(g), m.Cost())
+			}
+			seen[m] = true
+		}
+		d.Close()
+	}
 }
 
 func TestHPScanFreesUnprotected(t *testing.T) {

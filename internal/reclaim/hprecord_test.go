@@ -19,7 +19,7 @@ func sharedSnapshot(slots *shardedPool, recs *shardedArena[*hprec]) []uint64 {
 // overwritten one names only the new node.
 func TestInactiveRecordIsInvisible(t *testing.T) {
 	pool := newTestPool()
-	d, err := NewHP(Config{Workers: 2, HPs: 2, Free: freeInto(pool), R: 1, FenceCost: -1})
+	d, err := NewHP(Config{Workers: 2, HPs: 2, Free: freeInto(pool), R: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -215,8 +215,14 @@ type Config struct {
 	// path indefinitely. Default 50 (100ms at the default 2ms interval).
 	PresenceResetTicks int
 
-	// FenceCost is the modeled fence latency paid by HP on every
-	// Protect. 0 means fence.DefaultCost; negative means free (ablation).
+	// FenceCost, when > 0, adds a modelled stall of this length
+	// (internal/fence's calibrated busy-spin) to every HP Protect, on top
+	// of the publication's own sequentially consistent store. 0 — every
+	// default path — is what the hardware charges: that store and nothing
+	// else. Only a harness reproducing the paper's hardware sets it (to
+	// fence.DefaultCost), and names it in everything it emits
+	// (hp@model50ns). Negative is a configuration error; every other
+	// scheme ignores the field.
 	FenceCost time.Duration
 
 	// DisableDeferral removes Cadence's old-enough check. UNSAFE: only
@@ -347,6 +353,9 @@ func (c Config) Validate(needFree bool) error {
 	}
 	if needFree && c.Free == nil {
 		return errors.New("reclaim: Config.Free is required")
+	}
+	if c.FenceCost < 0 {
+		return errors.New("reclaim: Config.FenceCost is negative (0 already means no modelled fence)")
 	}
 	return nil
 }

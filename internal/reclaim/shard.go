@@ -110,7 +110,9 @@ func (f *shardedPool) shards() int { return len(f.pools) }
 // the address of a stack local: goroutine stacks are disjoint, so distinct
 // goroutines spread across shards, while one goroutine's repeated leases
 // mostly land on the same pair — per-goroutine affinity with zero shared
-// state and no per-domain RMW.
+// state and no per-domain RMW. The two choices are always two shards: two
+// slices of one hash coincide once in S, which at 2 shards left the
+// occupancy comparison nothing to compare half the time.
 func (f *shardedPool) pickShard() int {
 	S := uint64(len(f.pools))
 	if S == 1 {
@@ -120,6 +122,9 @@ func (f *shardedPool) pickShard() int {
 	h := uint64(uintptr(unsafe.Pointer(&b))) * 0x9e3779b97f4a7c15
 	s1 := int((h >> 40) % S)
 	s2 := int((h >> 16) % S)
+	if s2 == s1 {
+		s2 = (s1 + 1) % int(S)
+	}
 	if f.pools[s2].live.Load() < f.pools[s1].live.Load() {
 		return s2
 	}

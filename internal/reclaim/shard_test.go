@@ -303,3 +303,59 @@ func TestShardStealChurnWithParkedShard(t *testing.T) {
 		})
 	}
 }
+
+// atDepth runs f under n extra stack frames: pickShard hashes the address
+// of a stack local, so each depth is a different seed.
+//
+//go:noinline
+func atDepth(n int, f func()) byte {
+	var pad [96]byte
+	pad[n%len(pad)] = byte(n)
+	if n == 0 {
+		f()
+	} else {
+		pad[0] += atDepth(n-1, f)
+	}
+	return pad[n%len(pad)]
+}
+
+// TestTwoLeasesTakeTwoShards: pickShard's two choices are two shards, so the
+// second lease of a 2-shard domain always sees the first one's occupancy and
+// goes to the other shard, whatever stack address seeded either hash. While
+// the two slices of the hash could coincide, half of all seeds put both
+// leases on one shard — and which half moved with Acquire's frame sizes.
+func TestTwoLeasesTakeTwoShards(t *testing.T) {
+	pool := newTestPool()
+	for depth := 0; depth < 64; depth++ {
+		for _, goroutines := range []int{1, 2} {
+			// Two slots per shard: either shard could take both leases.
+			d, err := NewHP(Config{Workers: 4, Shards: 2, HPs: 1, Free: freeInto(pool)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lease := func() {
+				atDepth(depth, func() {
+					if _, err := d.Acquire(); err != nil {
+						t.Error(err)
+					}
+				})
+			}
+			for g := 0; g < 2; g++ {
+				if goroutines == 1 {
+					lease()
+					continue
+				}
+				done := make(chan struct{}) // one after the other, a stack each
+				go func() {
+					defer close(done)
+					lease()
+				}()
+				<-done
+			}
+			if st := d.Stats(); st.ShardImbalance != 0 {
+				t.Fatalf("depth %d, %d goroutine(s): ShardImbalance = %d with two leases on two shards", depth, goroutines, st.ShardImbalance)
+			}
+			d.Close()
+		}
+	}
+}

@@ -29,7 +29,7 @@ func TestPublicationsPerOp(t *testing.T) {
 		ops  = 20000
 	)
 	s := New(Config{})
-	d, err := reclaim.New("hp", reclaim.Config{Workers: 1, HPs: HPsFor(s.Levels()), Free: s.FreeNode, FenceCost: -1})
+	d, err := reclaim.New("hp", reclaim.Config{Workers: 1, HPs: HPsFor(s.Levels()), Free: s.FreeNode})
 	if err != nil {
 		t.Fatal(err)
 	}
