@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet bench-smoke plots plots-check clean-plots
+.PHONY: build test race vet mutants bench-smoke plots plots-check clean-plots
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,11 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Each committed mutant of the search fingers' validation must still apply
+# and must fail every test named beside it.
+mutants:
+	bash internal/skiplist/testdata/mutants/kill.sh
 
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...

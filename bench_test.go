@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"qsense"
 	"qsense/internal/fence"
 	"qsense/internal/harness"
 	"qsense/internal/list"
@@ -571,5 +572,45 @@ func BenchmarkLeaseChurnSharded(b *testing.B) {
 				})
 			})
 		}
+	}
+}
+
+// BenchmarkSkipMapGet prices one GET of a leased MapHandle at the ruler's
+// kv-read shape (2^18 keys, half of them stored, 64-byte values, qsense)
+// under the two key streams that sit either side of the search fingers
+// (skiplist package doc, "Fingers"). zipf is the mechanism: zipf(0.99) ranks
+// scattered over the range, where a handle's 2^12 fingers answer a third of
+// the stream with one node touch instead of a 24-node walk. uniform is the
+// bypass: under 2 % of the stream finds its finger, so it prices the walk
+// plus a failed table lookup and must stay where the walk alone was.
+func BenchmarkSkipMapGet(b *testing.B) {
+	const keys = 1 << 18
+	for _, stream := range []struct {
+		name  string
+		theta float64
+	}{{"zipf", 0.99}, {"uniform", 0}} {
+		b.Run(stream.name, func(b *testing.B) {
+			m, err := qsense.NewSkipMap(qsense.Options{Scheme: qsense.SchemeQSense})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer m.Close()
+			h := lease(b, m.Acquire)
+			defer h.Release()
+			val := make([]byte, 64)
+			for k := int64(0); k < keys; k += 2 {
+				h.Put(k, val)
+			}
+			rng := workload.NewRNG(31)
+			draws := make([]int64, 1<<20) // drawn outside the timer
+			for i := range draws {
+				draws[i] = rng.ZipfKey(keys, stream.theta) * 0x9E3779B1 % keys
+			}
+			var buf []byte
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf, _ = h.GetAppend(draws[i&(len(draws)-1)], buf[:0])
+			}
+		})
 	}
 }

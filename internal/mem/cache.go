@@ -59,8 +59,7 @@ func (c *Cache[T]) Free(r Ref) {
 		panic(&Violation{Op: "free", Ref: r, Want: r.gen(), Got: s.gen.Load() & genMask})
 	}
 	if c.pool.cfg.Poison {
-		var zero T
-		s.val = zero
+		poison(&s.val)
 	}
 	c.pool.frees.Add(1)
 	if len(c.buf) == c.cap {

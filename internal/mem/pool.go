@@ -24,8 +24,9 @@ type Config struct {
 	// MaxSlots bounds the pool size; Alloc panics with ErrExhausted once
 	// reached. Rounded up to a multiple of SlabSize. Default 1<<25.
 	MaxSlots int
-	// Poison zeroes a slot's value on Free, so stale readers that hold a
-	// raw pointer (rather than a Ref) observe cleared memory in tests.
+	// Poison clears a slot's value on Free (see poison), so stale readers
+	// that hold a raw pointer (rather than a Ref) observe cleared memory in
+	// tests.
 	Poison bool
 	// Name appears in violation and exhaustion messages.
 	Name string
@@ -134,6 +135,22 @@ func (s Resolved[T]) Get(r Ref) *T {
 	return s.val
 }
 
+// Peek is Resolve for an optimistic reader holding a Ref it kept across
+// operations and protected by nothing (the skip list's search fingers): a
+// stale r is reported, not raised — nothing is wrong yet, the hint is merely
+// old. raw is for the atomic loads the reader validates afterwards with
+// Live; plain fields, and everything once Live has passed, go through Get.
+// r must have come from this pool's Alloc.
+func (p *Pool[T]) Peek(r Ref) (res Resolved[T], raw *T, live bool) {
+	s := p.slotAt(r.index())
+	res = Resolved[T]{&s.gen, &s.val}
+	return res, &s.val, res.Live(r)
+}
+
+// Live is Get's check, reported instead of raised. Generations only grow:
+// true means every load of the slot since r's Alloc saw r's incarnation.
+func (s Resolved[T]) Live(r Ref) bool { return s.gen.Load()&genMask == uint32(r>>genShift) }
+
 // stale raises the use-after-free report. It reloads the generation, so Got
 // is the slot's state when the report is built.
 //
@@ -203,11 +220,24 @@ func (p *Pool[T]) Free(r Ref) {
 		panic(&Violation{Op: "free", Ref: r, Want: r.gen(), Got: s.gen.Load() & genMask})
 	}
 	if p.cfg.Poison {
-		var zero T
-		s.val = zero
+		poison(&s.val)
 	}
 	p.frees.Add(1)
 	p.pushFree(idx)
+}
+
+// poison clears a freed slot so that a stale raw pointer reads cleared
+// memory. An optimistic reader (Peek) may be loading the slot's atomic
+// fields at that moment, and a plain store beside an atomic load is a data
+// race: a node type with such readers supplies Scrub, which clears its
+// atomic fields with atomic stores; any other type is assigned its zero.
+func poison[T any](v *T) {
+	if s, ok := any(v).(interface{ Scrub() }); ok {
+		s.Scrub()
+		return
+	}
+	var zero T
+	*v = zero
 }
 
 func encodeIdx(idx uint32) uint64 {

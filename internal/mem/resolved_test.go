@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 )
@@ -39,7 +41,14 @@ func TestResolvedRecheckFaults(t *testing.T) {
 		if got, err := p.TryGet(r); got != v || err != nil || !p.Valid(r) || p.BirthEra(r) != 1 {
 			t.Fatalf("%s: live ref: TryGet %p %v, Valid %v, BirthEra %d", c.name, got, err, p.Valid(r), p.BirthEra(r))
 		}
+		if ps, raw, live := p.Peek(r); ps != s || raw != v || !live || !s.Live(r) {
+			t.Fatalf("%s: live ref: Peek %v %p %v, Live %v", c.name, ps, raw, live, s.Live(r))
+		}
 		with := c.stale(p, r)
+		// Peek and Live report what Get is about to raise, and raise nothing.
+		if ps, raw, live := p.Peek(with); ps != s || raw != v || live || s.Live(with) {
+			t.Errorf("%s: stale ref: Peek %v %p %v, Live %v", c.name, ps, raw, live, s.Live(with))
+		}
 		viol := mustViolate(t, c.name, func() { s.Get(with) })
 		want := Violation{Op: "get", Ref: r, Want: r.gen(), Got: r.gen() + c.bump}
 		if *viol != want {
@@ -94,5 +103,55 @@ func TestPoolLayout(t *testing.T) {
 		if off < readEnd+64 {
 			t.Errorf("Pool.%s at offset %d: written words must start >= 64 bytes after cfg/dir end (%d)", name, off, readEnd)
 		}
+	}
+}
+
+// scrubbed is a node type with an optimistic reader: it clears its own atomic
+// word atomically.
+type scrubbed struct {
+	word  atomic.Uint64
+	plain uint64
+}
+
+func (s *scrubbed) Scrub() { s.word.Store(0); s.plain = 0 }
+
+// TestPoisonIsRaceClean: with Poison on, a reader that Peeks a slot and loads
+// its atomic word while the slot is being freed (and validates afterwards, as
+// a search finger does) does not race with the clearing — the type's Scrub
+// stores atomically — and both paths to Free, the pool's and a cache's, still
+// leave a stale raw pointer reading cleared memory. Meaningful under -race.
+func TestPoisonIsRaceClean(t *testing.T) {
+	p := NewPool[scrubbed](Config{Name: "t", Poison: true})
+	c := p.NewCache(4)
+	for i := 0; i < 2000; i++ {
+		r, v := c.Alloc()
+		v.word.Store(7)
+		v.plain = 7
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, raw, live := p.Peek(r)
+			if w := raw.word.Load(); live && res.Live(r) && w != 7 {
+				t.Errorf("validated load of a live slot read %d, want 7", w)
+			}
+		}()
+		if i%2 == 0 {
+			p.Free(r)
+		} else {
+			c.Free(r)
+		}
+		wg.Wait()
+		if v.word.Load() != 0 || v.plain != 0 {
+			t.Fatalf("freed slot reads %d/%d through a stale pointer, want cleared", v.word.Load(), v.plain)
+		}
+	}
+	// A type without Scrub is assigned its zero value, as before.
+	q := NewPool[tnode](Config{Name: "t", Poison: true})
+	r, v := q.Alloc()
+	*v = tnode{key: 9}
+	q.Free(r)
+	if *v != (tnode{}) {
+		t.Fatalf("freed slot reads %+v through a stale pointer, want the zero value", *v)
 	}
 }

@@ -21,8 +21,8 @@ type hpSlot struct {
 // pending models the store buffer: Cadence and QSense publish here without a
 // fence, and only a rooster flush pass copies pending into shared — the
 // behavioural analog of a context switch draining a TSO store buffer. Classic
-// HP bypasses pending and stores straight to shared, paying the modeled
-// fence. An unflushed pending entry is invisible to scans, exactly as a
+// HP bypasses pending and stores straight to shared, a sequentially
+// consistent store: the fence is the store's own. An unflushed pending entry is invisible to scans, exactly as a
 // fenceless HP store sitting in a store buffer is invisible to a reclaimer
 // on another core.
 //
@@ -68,8 +68,9 @@ func (h *hprec) publishPending(i int, r mem.Ref) {
 	}
 }
 
-// publishShared is classic HP's assign_HP minus the fence; the caller pays
-// the fence model.
+// publishShared is classic HP's assign_HP: the sequentially consistent store
+// is the fence. (A harness that asked for the paper's modelled stall adds it
+// after the call — hpGuard.Protect.)
 func (h *hprec) publishShared(i int, r mem.Ref) {
 	h.shared[i].v.Store(uint64(r.Untagged()))
 	if !h.on {

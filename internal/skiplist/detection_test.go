@@ -125,6 +125,9 @@ func sabotage(t *testing.T, op func(h *Handle), key int64, k int, pick victim) (
 	for k := int64(0); k < sabKeys; k += 2 {
 		g.h.PutBytes(k, sabVal)
 	}
+	// A cold handle: these rows are about the walk. The fill left a finger
+	// on most keys; the finger rows are TestFingerDetection's.
+	g.h.fingers = nil
 	// The next tower drawn is sabTower high: case (c) needs upper levels.
 	for g.h.rng = 1; ; g.h.rng++ {
 		if probe := *g.h; probe.randomLevel() == sabTower {

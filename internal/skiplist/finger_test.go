@@ -1,0 +1,399 @@
+package skiplist
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+	"time"
+
+	"qsense/internal/lincheck"
+	"qsense/internal/mem"
+	"qsense/internal/reclaim"
+)
+
+// hookGuard runs hook just before the at-th Protect of the operation in
+// flight is published — the one place another worker's whole burst can land
+// between two adjacent loads of the code under test. Over a real guard it
+// is a legal schedule: nothing is protected until Protect returns.
+type hookGuard struct {
+	reclaim.Guard
+	at, calls int
+	hook      func(slot int, r mem.Ref)
+}
+
+func (g *hookGuard) Protect(slot int, r mem.Ref) {
+	if g.calls++; g.calls == g.at {
+		g.hook(slot, r)
+	}
+	g.Guard.Protect(slot, r)
+}
+
+// arm schedules hook for the at-th Protect from now.
+func (g *hookGuard) arm(at int, hook func(slot int, r mem.Ref)) { g.calls, g.at, g.hook = 0, at, hook }
+
+// fingerRig is a small list (keys 10, 20 … 100, spilled values) over the
+// scheme that never frees, so the test decides when a retired node's slot is
+// recycled: a is the handle under test, b plays every other worker. b
+// allocates straight from the pool's LIFO free list, so the slot the test
+// frees is the slot b's next insert gets.
+type fingerRig struct {
+	t    *testing.T
+	s    *SkipList
+	a, b *Handle
+	ga   *hookGuard
+}
+
+func rigVal(k int64, gen byte) []byte { return bytes.Repeat([]byte{byte(k), gen}, 16) }
+
+func newFingerRig(t *testing.T) *fingerRig {
+	s := New(Config{})
+	d, err := reclaim.New("none", reclaim.Config{Workers: 2, HPs: HPsFor(s.Levels()), Free: s.FreeNode})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	var gs [2]reclaim.Guard
+	for i := range gs {
+		if gs[i], err = d.Acquire(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := &fingerRig{t: t, s: s, ga: &hookGuard{Guard: gs[0]}}
+	r.a, r.b = s.NewHandle(r.ga, 1), s.NewHandle(gs[1], 2)
+	r.b.cache = s.pool.NewCache(1) // capacity 1 never refills: Alloc falls through to the pool
+	for k := int64(10); k <= 100; k += 10 {
+		r.b.PutBytes(k, rigVal(k, 0))
+	}
+	return r
+}
+
+// node returns key's node as a fresh walk by b finds it.
+func (r *fingerRig) node(key int64) mem.Ref {
+	r.b.search(key)
+	if n := r.b.succs[0]; r.s.pool.Get(n).key == key {
+		return n
+	}
+	r.t.Fatalf("key %d is not in the list", key)
+	return 0
+}
+
+// get is a's GetAppend with the Protect calls it made and what it panicked
+// with.
+func (r *fingerRig) get(key int64) (val []byte, ok bool, protects int, rec any) {
+	defer func() { rec = recover() }()
+	before := r.ga.calls
+	val, ok = r.a.GetAppend(key, nil)
+	return val, ok, r.ga.calls - before, nil
+}
+
+// TestFingerDetection is TestDetectionNotThinned for the operations a finger
+// answers. A finger is refused — silently, the walk's answer returned —
+// whenever the remembered node is gone at validation; past validation the
+// node is protected like one a search found, and freeing it faults.
+func TestFingerDetection(t *testing.T) {
+	const k = 50
+
+	// Every row starts from a finger on k's node that has just answered a GET
+	// in two publications (the pin, the value node).
+	prime := func(t *testing.T) (*fingerRig, mem.Ref) {
+		r := newFingerRig(t)
+		n := r.node(k)
+		r.get(k)
+		if f := r.a.fingerOf(k); f.ref != n || !f.succ.IsNil() {
+			t.Fatalf("after a GET the finger is %+v, want key's node %v", *f, n)
+		}
+		if v, ok, protects, rec := r.get(k); !ok || !bytes.Equal(v, rigVal(k, 0)) || protects != 2 || rec != nil {
+			t.Fatalf("hot GET: %x %v in %d publications, panic %v", v, ok, protects, rec)
+		}
+		return r, n
+	}
+	// retireAndFree is a whole delete by another worker followed by the
+	// reclamation of the node: unlinked, then its slot back in the pool.
+	retireAndFree := func(r *fingerRig, key int64, n mem.Ref) {
+		if !r.b.Delete(key) {
+			r.t.Fatalf("delete %d failed", key)
+		}
+		r.s.pool.Free(n)
+	}
+	// reuse inserts key through b and checks the new node landed in old's slot.
+	reuse := func(r *fingerRig, key int64, old mem.Ref) mem.Ref {
+		if !r.b.PutBytes(key, []byte{1}) { // inline: the node is the only allocation
+			r.t.Fatalf("insert %d failed", key)
+		}
+		n := r.node(key)
+		if n.Index() != old.Index() || n == old {
+			r.t.Fatalf("insert %d took %v, want the slot of %v under a new generation", key, n, old)
+		}
+		return n
+	}
+
+	t.Run("freed at the finger's own Protect", func(t *testing.T) {
+		r, n := prime(t)
+		r.ga.arm(1, func(int, mem.Ref) { retireAndFree(r, k, n) })
+		if v, ok, protects, rec := r.get(k); ok || rec != nil || protects <= 2 {
+			t.Fatalf("got %x %v in %d publications, panic %v; want the walk's answer: absent", v, ok, protects, rec)
+		}
+		if f := r.a.fingerOf(k); f.ref == n {
+			t.Fatalf("the refused finger is still in the table: %+v", *f)
+		}
+	})
+
+	// The second generation check's row: the slot is recycled — same key,
+	// same slot, next[0] unmarked — between the first check and the load.
+	t.Run("freed and re-allocated at the finger's own Protect", func(t *testing.T) {
+		r, n := prime(t)
+		r.ga.arm(1, func(int, mem.Ref) { retireAndFree(r, k, n); reuse(r, k, n) })
+		if v, ok, protects, rec := r.get(k); !ok || !bytes.Equal(v, []byte{1}) || rec != nil || protects <= 2 {
+			t.Fatalf("got %x %v in %d publications, panic %v; want the walk's answer: 01", v, ok, protects, rec)
+		}
+	})
+
+	t.Run("freed and re-allocated with the same key between two operations", func(t *testing.T) {
+		r, n := prime(t)
+		retireAndFree(r, k, n)
+		n2 := reuse(r, k, n)
+		if v, ok, protects, rec := r.get(k); !ok || !bytes.Equal(v, []byte{1}) || rec != nil || protects <= 2 {
+			t.Fatalf("got %x %v in %d publications, panic %v; want the walk's answer: 01", v, ok, protects, rec)
+		}
+		if f := r.a.fingerOf(k); f.ref != n2 {
+			t.Fatalf("finger %+v, want the new node %v", *f, n2)
+		}
+	})
+
+	// The mark check's row: deleted and re-inserted, the old node retired
+	// but not yet freed — its generation still matches, only the mark says
+	// it is no longer the key's node.
+	t.Run("deleted and re-inserted, not yet freed", func(t *testing.T) {
+		r, _ := prime(t)
+		r.b.Delete(k)
+		r.b.PutBytes(k, rigVal(k, 1))
+		if v, ok, _, rec := r.get(k); !ok || !bytes.Equal(v, rigVal(k, 1)) || rec != nil {
+			t.Fatalf("got %x %v, panic %v; want the re-inserted value", v, ok, rec)
+		}
+		r.b.Delete(k)
+		if v, ok, _, rec := r.get(k); ok || rec != nil {
+			t.Fatalf("got %x %v, panic %v; want absent", v, ok, rec)
+		}
+		if r.a.PutBytes(k, rigVal(k, 2)) != true {
+			t.Fatal("a put on a deleted key must insert, not overwrite the dead node")
+		}
+	})
+
+	t.Run("freed after validation", func(t *testing.T) {
+		for name, victim := range map[string]func(r *fingerRig, n mem.Ref) mem.Ref{
+			"node":       func(_ *fingerRig, n mem.Ref) mem.Ref { return n },
+			"value node": func(r *fingerRig, n mem.Ref) mem.Ref { return mem.Ref(r.s.pool.Get(n).val.Load()) },
+		} {
+			r, n := prime(t)
+			r.ga.arm(2, func(slot int, _ mem.Ref) {
+				if slot != r.a.hpVal() {
+					t.Fatalf("second publication of a hot GET is slot %d, want the value slot", slot)
+				}
+				r.s.pool.Free(victim(r, n))
+			})
+			if v, ok, _, rec := r.get(k); !faulted(rec) {
+				t.Errorf("%s freed at the value publication: got %x %v, panic %v; want *mem.Violation{Op: get}", name, v, ok, rec)
+			}
+		}
+	})
+
+	// The gap form, same two rows. 55 is absent between 50 and 60.
+	primeGap := func(t *testing.T) (*fingerRig, mem.Ref) {
+		r := newFingerRig(t)
+		p, s := r.node(50), r.node(60)
+		r.get(55)
+		if f := r.a.fingerOf(55); f.ref != p || f.succ != s {
+			t.Fatalf("after an absent GET the finger is %+v, want the edge %v -> %v", *f, p, s)
+		}
+		if v, ok, protects, rec := r.get(55); ok || protects != 1 || rec != nil {
+			t.Fatalf("absent GET by gap: %x %v in %d publications, panic %v", v, ok, protects, rec)
+		}
+		return r, p
+	}
+	t.Run("gap closed by an insert", func(t *testing.T) {
+		r, _ := primeGap(t)
+		r.b.PutBytes(55, rigVal(55, 0))
+		if v, ok, _, rec := r.get(55); !ok || !bytes.Equal(v, rigVal(55, 0)) || rec != nil {
+			t.Fatalf("got %x %v, panic %v; want the inserted value", v, ok, rec)
+		}
+	})
+	// The second check again, as a wrong answer instead of a fault: 55 is
+	// inserted behind a new predecessor before the GET begins, and at the
+	// GET's publication the old predecessor's slot comes back as key 57 —
+	// whose next[0] is the remembered successor.
+	t.Run("gap predecessor recycled at the finger's own Protect", func(t *testing.T) {
+		r, p := primeGap(t)
+		r.b.Delete(50)
+		r.b.PutBytes(55, rigVal(55, 0))
+		r.ga.arm(1, func(int, mem.Ref) { r.s.pool.Free(p); reuse(r, 57, p) })
+		if v, ok, _, rec := r.get(55); !ok || !bytes.Equal(v, rigVal(55, 0)) || rec != nil {
+			t.Fatalf("got %x %v, panic %v; want the value put before the GET began", v, ok, rec)
+		}
+	})
+}
+
+// TestFingersPinNothing: a finger is a hint, not a protection. A handle
+// whose table is full of fingers on nodes that are then all deleted holds
+// reclamation back by nothing: with its lease returned (the containers keep
+// the handle, table and all, for the slot's next tenant) Pending drains
+// exactly as far as it does without the table.
+func TestFingersPinNothing(t *testing.T) {
+	const keys = 1 << (fingerBits + 2) // enough to fill nearly every entry
+	pendingAfter := func(t *testing.T, scheme string, keepFingers bool) int64 {
+		s, d, hs := newSet(t, scheme, 2, 16)
+		defer d.Close()
+		a, b := hs[0], hs[1]
+		for k := int64(0); k < keys; k++ {
+			b.PutBytes(k, sabVal)
+		}
+		for k := int64(0); k < keys; k++ {
+			a.GetAppend(k, nil)
+		}
+		held := 0
+		for _, f := range a.fingers {
+			if !f.ref.IsNil() {
+				held++
+			}
+		}
+		if held < 1<<fingerBits*9/10 {
+			t.Fatalf("only %d of %d finger entries filled", held, 1<<fingerBits)
+		}
+		if !keepFingers {
+			a.fingers = nil
+		}
+		d.Release(a.guard)
+		for k := int64(0); k < keys; k++ {
+			b.Delete(k)
+		}
+		// b alone drives the epochs, scans and rooster passes from here, with
+		// a trickle of retires of its own (scans are counted in retires).
+		const residue = 128 // a few scan thresholds (R = 32) of b's own trickle
+		live := func() uint64 { return s.pool.Stats().Live }
+		for deadline := time.Now().Add(5 * time.Second); live() > residue && time.Now().Before(deadline); {
+			for i := 0; i < 100; i++ {
+				b.Insert(-1)
+				b.Delete(-1)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if live() > residue {
+			t.Errorf("%s, fingers kept=%v: %d of %d deleted nodes still not freed", scheme, keepFingers, live(), 2*keys)
+		}
+		return d.Stats().Pending
+	}
+	for _, scheme := range reclaim.Schemes() {
+		if scheme == "none" {
+			continue // frees nothing, fingers or no fingers
+		}
+		t.Run(scheme, func(t *testing.T) {
+			with, without := pendingAfter(t, scheme, true), pendingAfter(t, scheme, false)
+			t.Logf("pending with %d stale fingers: %d; without: %d", 1<<fingerBits, with, without)
+		})
+	}
+}
+
+// fingerSeeds are schedules of exploreFingers recorded when they killed a
+// mutant of probe (testdata/mutants; kill.sh replays them): the first of each
+// row faults with a *mem.Violation once the second generation check is
+// removed, seed 1 of every scheme has no linearization once the mark check
+// is. They run before the seeds every run counts through. A seed that fails
+// is printed; add it here.
+var fingerSeeds = map[string][]uint64{
+	"hp": {4, 1}, "rc": {1}, "qsbr": {1}, "ebr": {2, 1}, "ibr": {4, 1}, "hyaline": {1},
+}
+
+// TestFingerInterleavings is the linearizability checker under a seeded
+// scheduler of the one kind this package can build without touching the hot
+// path: handle a's operations are cut at a Protect — before the publication
+// takes effect — and handle b runs a burst of whole operations there, on the
+// same goroutine, so that a seed is a schedule. A few keys, a tiny scan
+// threshold and b allocating straight from the free list make a finger's
+// node go stale, come back as another node, and be asked for, many times a
+// run. Every history must be linearizable and no operation may fault: the
+// schemes are correct, so a *mem.Violation here accuses the structure.
+func TestFingerInterleavings(t *testing.T) {
+	fresh := uint64(300)
+	if testing.Short() {
+		fresh = 60
+	}
+	// Deterministic schemes only: cadence and qsense free by the rooster's
+	// clock, and are the concurrent checker's (linearizability_test.go).
+	for _, scheme := range []string{"hp", "rc", "qsbr", "ebr", "ibr", "hyaline"} {
+		t.Run(scheme, func(t *testing.T) {
+			seeds := fingerSeeds[scheme]
+			for s := uint64(1); s <= fresh; s++ {
+				seeds = append(seeds, s)
+			}
+			for _, seed := range seeds {
+				if err := exploreFingers(t, scheme, seed); err != nil {
+					t.Fatalf("scheme %s, seed %d: %v", scheme, seed, err)
+				}
+			}
+		})
+	}
+}
+
+func exploreFingers(t *testing.T, scheme string, seed uint64) (err error) {
+	const (
+		keys  = 6
+		steps = 400
+	)
+	s := New(Config{Poison: true})
+	d, err := reclaim.New(scheme, reclaim.Config{Workers: 2, HPs: HPsFor(s.Levels()), Free: s.FreeNode, Q: 1, R: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	var gs [2]reclaim.Guard
+	for i := range gs {
+		if gs[i], err = d.Acquire(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ga := &hookGuard{Guard: gs[0]}
+	a, b := s.NewHandle(ga, 1), s.NewHandle(gs[1], 2)
+	b.cache = s.pool.NewCache(1)
+	clock := lincheck.NewClock()
+	la, lb := &lincheck.Log{Who: 0, Clock: clock}, &lincheck.Log{Who: 1, Clock: clock}
+
+	rng := seed*0x9E3779B97F4A7C15 + 1
+	next := func(n uint64) uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng >> 11 % n
+	}
+	written := uint64(0)
+	step := func(h *Handle, l *lincheck.Log) {
+		key := int64(1 + next(keys))
+		switch next(4) {
+		case 0:
+			written++
+			v := written | next(2)<<60 // bit 60 set: 8 bytes, spilled
+			l.Record(lincheck.Put, key, func(o *lincheck.Op) { o.Arg, o.OK = v, h.Put(key, v) })
+		case 1:
+			l.Record(lincheck.Del, key, func(o *lincheck.Op) { o.OK = h.Delete(key) })
+		default:
+			l.Record(lincheck.Get, key, func(o *lincheck.Op) { o.Out, o.OK = h.Get(key) })
+		}
+	}
+	defer func() {
+		if rec := recover(); rec != nil {
+			err = fmt.Errorf("panic: %v", rec)
+		}
+	}()
+	for i := 0; i < steps; i++ {
+		if next(2) == 0 {
+			step(b, lb)
+			continue
+		}
+		burst := next(4)
+		ga.arm(int(1+next(3)), func(int, mem.Ref) {
+			for ; burst > 0; burst-- {
+				step(b, lb)
+			}
+		})
+		step(a, la)
+	}
+	return lincheck.Check(la, lb)
+}

@@ -23,6 +23,10 @@ func (g *countingGuard) ClearHPs()                { g.clears++; g.Guard.ClearHPs
 // these calls (plus the one store that raises the record's active word), so
 // the count is the thing to regress on, not a timing. With the descend copy
 // and the re-publications a GET over 2^16 keys made ~54 Protect calls.
+//
+// The walk's rows run with the key's finger forgotten, so they keep pricing
+// the walk (24 / 23 / 51 / 24 at 2^16 keys); the rows between them price the
+// same operation answered by the finger the row above just left.
 func TestPublicationsPerOp(t *testing.T) {
 	const (
 		keys = 1 << 16
@@ -54,22 +58,34 @@ func TestPublicationsPerOp(t *testing.T) {
 	// Each sample is one operation on a random key of the full 2^16-key
 	// list: DEL removes a present key and SET(insert) puts it back.
 	var buf []byte
+	get := func(k int64) { buf, _ = h.GetAppend(k, buf[:0]) }
+	put := func(k int64) { h.PutBytes(k, val) }
 	samples := []struct {
 		name        string
+		byFinger    bool
 		maxProtects float64
 		op          func(k int64)
 	}{
-		{"GET", 32, func(k int64) { buf, _ = h.GetAppend(k, buf[:0]) }},
-		{"SET(overwrite)", 32, func(k int64) { h.PutBytes(k, val) }},
+		{"GET", false, 32, get},
+		// The pin and the value node.
+		{"GET(by finger)", true, 2, get},
+		{"SET(overwrite)", false, 32, put},
+		{"SET(overwrite, by finger)", true, 1, put},
 		// Two searches (locate, then prune) and the pin.
-		{"DEL", 64, func(k int64) { h.Delete(k) }},
+		{"DEL", false, 64, func(k int64) { h.Delete(k) }},
+		{"GET(absent)", false, 32, get},
+		// The edge's predecessor, nothing else.
+		{"GET(absent, by gap finger)", true, 1, get},
 		// One search and the pin; more only after a failed link CAS.
-		{"SET(insert)", 34, func(k int64) { h.PutBytes(k, val) }},
+		{"SET(insert)", false, 34, put},
 	}
 	protects := make([]int, len(samples))
 	for i := 0; i < ops; i++ {
 		k := next()
 		for j, sm := range samples {
+			if !sm.byFinger {
+				h.forget(k)
+			}
 			g.protects, g.clears = 0, 0
 			sm.op(k)
 			protects[j] += g.protects

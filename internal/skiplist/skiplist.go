@@ -82,6 +82,56 @@
 //     one out from the clean side, whichever node shadows it. Searches that look a key up or position a link keep the
 //     plain key: they want the first node of key k, which is the live one.
 //
+// # Fingers
+//
+// A walk is ≈ 24 dependent cache misses and half the keys asked for were
+// asked for a moment ago, so a handle remembers, per key, the level-0
+// position its last walk or link found (fingerBits): the key's node, or the
+// edge pred → succ the key falls strictly inside. Contains/Get/GetAppend and
+// an upsert of a present key try the finger first (probe) and walk only if
+// it fails; Delete and inserts need preds at every level and always walk. A
+// finger is a hint: it holds no protection between operations
+// (TestFingersPinNothing) and outlives leases with its handle, so what it
+// names may be retired, freed, or recycled — into the same key, even. probe
+// validates in this order:
+//
+//	Peek (generation) → Protect(pin) → load next[0] → generation again
+//	→ word unmarked, and: node's key == key | word == succ
+//
+// Generations only grow, so the second check passing means the load read the
+// remembered incarnation, and after the publication. Unmarked at level 0
+// means not logically deleted, and every retire of a node (Delete,
+// finishInsert) follows its level-0 mark: the node was unretired after we
+// published — the fact search's edge re-validation establishes per hop, and
+// conclusive for the same reason in each scheme family. hp, cadence, qsense
+// on its fallback path: a scan that frees the node starts after a retire
+// that follows our publication. qsbr, ebr, qsense's fast path: that retire
+// follows this operation's Begin, so the grace period it must wait out
+// contains the rest of this operation. ibr: the node was born before the
+// finger was made, so at or below the upper bound Protect just raised, and
+// its retire era cannot precede the reservation's lower bound (Begin) — the
+// lifetime meets the reservation.
+// hyaline: enter (Begin) precedes the retire, so the batch waits for this
+// guard. rc: acquire succeeds only on the generation asked for, and a held
+// count blocks the free. From there the node sits in the pin slot and is
+// used through Resolved.Get like any node search found: freed now, it faults
+// (TestFingerDetection). For the edge form the same validation of pred, plus
+// the word still being succ — a generation-tagged Ref, so the very node
+// whose key was above key — shows an unmarked pred leading past key in a
+// sorted level 0 at the instant of the load: key is absent.
+//
+// The first check only spares a publication for fingers that are long dead;
+// the second is the proof, and it must come after the load. Without it the
+// slot can be freed and re-allocated between the first check and the
+// load — the publication in between is not yet conclusive — and next[0] of
+// the new tenant read as the old node's: a fault on a correct scheme at
+// best, an "absent" for a present key at worst (both are rows of
+// TestFingerDetection; testdata/mutants holds the two edits, and kill.sh
+// shows the tests that fail on each). A 30-bit generation that wraps hands
+// out a bit-identical live Ref, as it can for every Ref in this repository;
+// for a finger on a key's node the key compare after validation is what
+// makes that harmless.
+//
 // The historical violation of invariant 2 — Insert pre-stored every
 // upper next word from the level-0 search and re-claimed a level only
 // after a failed link CAS there, so a level's first link attempt could
@@ -145,6 +195,18 @@ type node struct {
 	// header, so ibr stamps value lifetimes like structural ones). On a
 	// value node the link words above are never published.
 	payload mem.Value
+}
+
+// Scrub is the pool's poison (mem.Config.Poison) for a node: everything
+// zero, the atomic words by atomic store — a finger probe may be loading
+// next[0] of a slot that is being freed, which a plain store would race.
+func (n *node) Scrub() {
+	n.key, n.topLevel, n.payload = 0, 0, mem.Value{}
+	n.state.Store(0)
+	n.val.Store(0)
+	for l := range n.next {
+		n.next[l].Store(0)
+	}
 }
 
 // Retirement ownership. An inserter keeps linking upper levels after its
@@ -240,6 +302,9 @@ type Handle struct {
 	// preds/succs as search resolved them; every use re-checks (predp[l].Get)
 	predp [MaxLevel]mem.Resolved[node]
 	succp [MaxLevel]mem.Resolved[node]
+	// fingers is nil until the first remember, so a lease that never looks
+	// a key up costs what it did.
+	fingers []finger
 }
 
 // NewHandle binds a worker's guard to the skip list. Seed differentiates
@@ -409,6 +474,88 @@ retry:
 // <= MaxKey, so key+1 <= tailKey.
 func (h *Handle) prune(key int64) { h.search(key + 1) }
 
+// fingerBits sizes a handle's finger table: 2^12 entries of 24 bytes,
+// 96 KiB per handle that has looked a key up. A constant, not a knob: on
+// the ruler's zipf(0.99) stream the share of GETs a table answered was 15 %
+// at 2^8, 22–27 % at 2^10, 28–34 % at 2^12 and 35–40 % at 2^14 — four times
+// the memory for the last six points.
+const fingerBits = 12
+
+// A finger is the level-0 position this handle last saw for key: key's own
+// node (succ nil), or the edge ref → succ that key falls strictly inside.
+// It is a hint and protects nothing between operations; probe decides
+// whether it still holds (package doc, "Fingers").
+type finger struct {
+	key       int64
+	ref, succ mem.Ref
+}
+
+func (h *Handle) fingerOf(key int64) *finger {
+	return &h.fingers[uint64(key)*0x9E3779B97F4A7C15>>(64-fingerBits)]
+}
+
+func (h *Handle) remember(key int64, ref, succ mem.Ref) {
+	if h.fingers == nil {
+		h.fingers = make([]finger, 1<<fingerBits)
+	}
+	*h.fingerOf(key) = finger{key, ref, succ}
+}
+
+func (h *Handle) forget(key int64) {
+	if h.fingers != nil && h.fingerOf(key).key == key {
+		*h.fingerOf(key) = finger{}
+	}
+}
+
+// probe answers "where is key at level 0" from the finger, if the finger
+// still holds (ok): found with key's node in n/np, covered by the pin slot
+// and to be used through np.Get like a node search found, or !found. The
+// order is the argument (package doc, "Fingers"): publish, load next[0],
+// then the generation — the same incarnation, seen unmarked (or still
+// leading to succ) after the publication, is not yet retired. A finger that
+// fails is dropped and the caller walks.
+func (h *Handle) probe(key int64) (n mem.Ref, np mem.Resolved[node], found, ok bool) {
+	if h.fingers == nil {
+		return
+	}
+	f := h.fingerOf(key)
+	if f.key != key || f.ref.IsNil() {
+		return
+	}
+	np, raw, live := h.s.pool.Peek(f.ref)
+	if live {
+		h.guard.Protect(h.hpPin(), f.ref)
+		w := raw.next[0].Load()
+		if np.Live(f.ref) && !isMarked(w) {
+			if f.succ.IsNil() && np.Get(f.ref).key == key {
+				return f.ref, np, true, true
+			}
+			if !f.succ.IsNil() && w == uint64(f.succ) {
+				return 0, np, false, true
+			}
+		}
+	}
+	*f = finger{}
+	return
+}
+
+// locate finds key's level-0 position — by finger or, failing that, by
+// search, remembering what the walk found. When found, n is key's node,
+// protected and resolved (np) for the rest of the operation.
+func (h *Handle) locate(key int64) (n mem.Ref, np mem.Resolved[node], found bool) {
+	if n, np, found, ok := h.probe(key); ok {
+		return n, np, found
+	}
+	h.search(key)
+	n, np = h.succs[0], h.succp[0]
+	if np.Get(n).key != key {
+		h.remember(key, h.preds[0], n)
+		return n, np, false
+	}
+	h.remember(key, n, 0)
+	return n, np, true
+}
+
 // Contains reports whether key is in the set. Reserved keys (outside
 // [MinKey, MaxKey]) are never present.
 func (h *Handle) Contains(key int64) bool {
@@ -416,8 +563,7 @@ func (h *Handle) Contains(key int64) bool {
 		return false
 	}
 	h.guard.Begin()
-	h.search(key)
-	found := h.succp[0].Get(h.succs[0]).key == key
+	_, _, found := h.locate(key)
 	h.guard.ClearHPs()
 	return found
 }
@@ -445,6 +591,9 @@ func (h *Handle) upsertWord(key int64, w uint64, vlen int, upsert bool) (inserte
 	}
 	h.guard.Begin()
 	defer h.guard.ClearHPs()
+	if n, np, found, ok := h.probe(key); ok && found {
+		return false, upsert && h.updateValue(n, np, w, vlen)
+	}
 	pool := h.s.pool
 	topLevel := h.randomLevel()
 	var nref mem.Ref
@@ -452,6 +601,7 @@ func (h *Handle) upsertWord(key int64, w uint64, vlen int, upsert bool) (inserte
 	for {
 		h.search(key)
 		if h.succp[0].Get(h.succs[0]).key == key {
+			h.remember(key, h.succs[0], 0)
 			consumed = upsert && h.updateValue(h.succs[0], h.succp[0], w, vlen)
 			if !nref.IsNil() {
 				h.cache.Free(nref) // never linked: free directly
@@ -482,6 +632,7 @@ func (h *Handle) upsertWord(key int64, w uint64, vlen int, upsert bool) (inserte
 			continue // contention at level 0: retry with fresh position
 		}
 		h.s.noteInstall(w, vlen)
+		h.remember(key, nref, 0)
 		break // linked: the insert has taken effect
 	}
 	// Link the upper levels, one claim-then-link step per attempt: claim
@@ -595,6 +746,7 @@ func (h *Handle) Delete(key int64) bool {
 			// tombstone linearize after this delete (value.go); later
 			// upserts observe it and refuse to resurrect the node.
 			h.retireDisplaced(np.Get(n).val.Swap(valTombstone))
+			h.forget(key)
 			h.prune(key) // physical cleanup at every level
 			// Retirement ownership: if n's inserter is still linking
 			// upper levels, it can re-link a level our search already

@@ -1,0 +1,49 @@
+#!/usr/bin/env bash
+# The acceptance test of the search fingers' tests: each patch here removes
+# one step of probe's validation (internal/skiplist package doc, "Fingers"),
+# and every test named beside it must FAIL on the patched tree. A patch that
+# no longer applies fails loudly (git apply --check) instead of rotting; a
+# named test that passes on a mutant is a test that checks nothing.
+#
+# Runs on a copy of the tracked files under a temporary directory; the
+# working tree is not touched. Usage: bash internal/skiplist/testdata/mutants/kill.sh
+set -euo pipefail
+root="$(git -C "$(dirname "${BASH_SOURCE[0]}")" rev-parse --show-toplevel)"
+here="$root/internal/skiplist/testdata/mutants"
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+
+# patch | package | test that must fail ("recorded seeds": fingerSeeds in
+# finger_test.go for the interleaving checker, seed=1 for the public one)
+kills=(
+	"no-second-generation-check.patch|./internal/skiplist|TestFingerDetection"
+	"no-second-generation-check.patch|./internal/skiplist|TestFingerInterleavings"
+	"no-mark-check.patch|./internal/skiplist|TestFingerDetection"
+	"no-mark-check.patch|./internal/skiplist|TestFingerInterleavings"
+	"no-mark-check.patch|.|TestSkipMapLinearizable"
+	"no-mark-check.patch|.|TestSkipMapFingerAcrossQuiescence"
+)
+
+cd "$root"
+git ls-files -z | xargs -0 cp --parents -t "$tmp"
+applied=""
+for kill in "${kills[@]}"; do
+	IFS='|' read -r patch pkg name <<<"$kill"
+	if [[ "$patch" != "$applied" ]]; then
+		[[ -n "$applied" ]] && git -C "$tmp" apply -R "$here/$applied"
+		git -C "$tmp" apply --check "$here/$patch"
+		git -C "$tmp" apply "$here/$patch"
+		applied="$patch"
+	fi
+	start=$SECONDS
+	if out="$(cd "$tmp" && go test -count=1 -run "^$name\$" "$pkg" 2>&1)"; then
+		echo "SURVIVED: $patch passes $name ($pkg)"
+		exit 1
+	fi
+	if ! grep -q -- "--- FAIL: $name" <<<"$out"; then
+		echo "BROKEN: $patch under $name ($pkg) did not fail as a test:"
+		echo "$out" | tail -20
+		exit 1
+	fi
+	echo "killed: $patch by $name ($pkg) in $((SECONDS - start))s: $(grep -m1 -E 'seed|finger_test|lincheck:' <<<"$out" | cut -c1-160 | sed 's/^ *//')"
+done

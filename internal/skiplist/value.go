@@ -217,9 +217,8 @@ func (h *Handle) GetAppend(key int64, dst []byte) ([]byte, bool) {
 	}
 	h.guard.Begin()
 	defer h.guard.ClearHPs()
-	h.search(key)
-	n, np := h.succs[0], h.succp[0]
-	if np.Get(n).key != key {
+	n, np, found := h.locate(key)
+	if !found {
 		return dst, false
 	}
 	return h.readValue(n, np, dst)
@@ -251,9 +250,8 @@ func (h *Handle) Get(key int64) (uint64, bool) {
 	}
 	h.guard.Begin()
 	defer h.guard.ClearHPs()
-	h.search(key)
-	n, np := h.succs[0], h.succp[0]
-	if np.Get(n).key != key {
+	n, np, found := h.locate(key)
+	if !found {
 		return 0, false
 	}
 	for {
