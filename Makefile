@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet mutants bench-smoke plots plots-check clean-plots
+.PHONY: build test race vet mutants bench-smoke
 
 build:
 	$(GO) build ./...
@@ -23,14 +23,3 @@ mutants:
 
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
-
-# Render the committed perf trajectory (bench/BENCH_*.json) as SVG curves
-# under bench/plots/. Stdlib-only python3; plots-check is the CI dry-run.
-plots:
-	python3 bench/plot.py
-
-plots-check:
-	python3 bench/plot.py --check
-
-clean-plots:
-	rm -rf bench/plots

@@ -17,6 +17,7 @@ package qsense_test
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -611,6 +612,103 @@ func BenchmarkSkipMapGet(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				buf, _ = h.GetAppend(draws[i&(len(draws)-1)], buf[:0])
 			}
+		})
+	}
+}
+
+// --- public-API container benchmarks ---
+
+// benchContainer drives W workers over a container op loop and reports
+// wall-clock throughput.
+func benchContainer(b *testing.B, workers int, run func(w, n int)) {
+	b.Helper()
+	var wg sync.WaitGroup
+	per := b.N/workers + 1
+	b.ResetTimer()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			run(w, per)
+		}(w)
+	}
+	wg.Wait()
+}
+
+// BenchmarkQueueThroughput: enqueue+dequeue pairs per scheme (2 workers).
+func BenchmarkQueueThroughput(b *testing.B) {
+	for _, scheme := range []qsense.Scheme{qsense.SchemeQSense, qsense.SchemeQSBR, qsense.SchemeHP, qsense.SchemeEBR, qsense.SchemeRC} {
+		b.Run(string(scheme), func(b *testing.B) {
+			q, err := qsense.NewQueue(qsense.Options{MaxWorkers: 2, Scheme: scheme})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer q.Close()
+			hs := [2]qsense.QueueHandle{lease(b, q.Acquire), lease(b, q.Acquire)}
+			benchContainer(b, 2, func(w, n int) {
+				h := hs[w]
+				for i := 0; i < n; i++ {
+					h.Enqueue(uint64(i))
+					h.Dequeue()
+				}
+			})
+		})
+	}
+}
+
+// BenchmarkStackThroughput: push+pop pairs per scheme (2 workers).
+func BenchmarkStackThroughput(b *testing.B) {
+	for _, scheme := range []qsense.Scheme{qsense.SchemeQSense, qsense.SchemeQSBR, qsense.SchemeHP, qsense.SchemeEBR, qsense.SchemeRC} {
+		b.Run(string(scheme), func(b *testing.B) {
+			s, err := qsense.NewStack(qsense.Options{MaxWorkers: 2, Scheme: scheme})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			hs := [2]qsense.StackHandle{lease(b, s.Acquire), lease(b, s.Acquire)}
+			benchContainer(b, 2, func(w, n int) {
+				h := hs[w]
+				for i := 0; i < n; i++ {
+					h.Push(uint64(i))
+					h.Pop()
+				}
+			})
+		})
+	}
+}
+
+// BenchmarkSetTraversalBySchemes: the related-work ladder on one list
+// point (2 workers, paper key range, 10% updates): rc's two RMWs per node
+// sit below hp's fence, which sits below the epoch schemes — §8's cost
+// ranking, measured.
+func BenchmarkSetTraversalBySchemes(b *testing.B) {
+	for _, scheme := range []qsense.Scheme{qsense.SchemeNone, qsense.SchemeQSBR, qsense.SchemeEBR, qsense.SchemeQSense, qsense.SchemeHP, qsense.SchemeRC} {
+		b.Run(string(scheme), func(b *testing.B) {
+			set, err := qsense.NewSet(qsense.Options{MaxWorkers: 2, Scheme: scheme})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer set.Close()
+			hs := [2]qsense.SetHandle{lease(b, set.Acquire), lease(b, set.Acquire)}
+			for k := int64(0); k < 2000; k += 2 {
+				hs[0].Insert(k)
+			}
+			benchContainer(b, 2, func(w, n int) {
+				h := hs[w]
+				rng := uint64(w)*0x9E3779B9 + 1
+				for i := 0; i < n; i++ {
+					rng = rng*6364136223846793005 + 1442695040888963407
+					k := int64(rng>>33) % 2000
+					switch {
+					case rng%100 < 5:
+						h.Insert(k)
+					case rng%100 < 10:
+						h.Delete(k)
+					default:
+						h.Contains(k)
+					}
+				}
+			})
 		})
 	}
 }

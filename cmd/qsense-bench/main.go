@@ -1,13 +1,15 @@
 // qsense-bench reproduces the paper's scalability experiments: Figure 3
 // (linked list, 10% updates, None vs QSense vs HP) and the top row of
 // Figure 5 (list / skip list / BST at 50% updates, None vs QSBR vs QSense
-// vs HP). Results print as aligned tables with §7.3-style overhead
-// summaries and can be written to CSV.
+// vs HP). It is an exploratory driver: results print as a progress log and
+// aligned tables with §7.3-style overhead summaries, and no file is
+// written. A number meant to be compared across commits comes from the
+// repository benchmark (benchmark/, BENCHMARK.json), not from here.
 //
 // hp costs what this machine charges for its publication store. The figure
 // presets add a second curve, hp@model50ns, that pays the paper's 2016
 // mfence as a modelled stall on top — the curve the paper drew — and
-// -schemes takes the same name; every table, CSV and JSON carries it.
+// -schemes takes the same name; the log and every table carry it.
 //
 // It also hosts the leasing follow-up experiment: -experiment leasechurn
 // runs each scheme twice over the same workload — one lease held per worker
@@ -48,12 +50,9 @@ func main() {
 		updates    = flag.Int("updates", 50, "update percentage (rest are searches)")
 		keyRange   = flag.Int64("range", 0, "key range (0 = the figure's default)")
 		paper      = flag.Bool("paper", false, "use the paper's full parameters (2M-key BST)")
-		csvPath    = flag.String("csv", "", "also write results to this CSV file")
 		seed       = flag.Uint64("seed", 1, "workload seed")
 		experiment = flag.String("experiment", "", `extra experiment: "leasechurn"`)
 		leaseEvery = flag.Int("leaseevery", 1, "leasechurn: 64-op batches per lease (1 = re-lease every batch)")
-		jsonOut    = flag.Bool("json", false, "also write results to BENCH_<experiment>.json (for CI artifacts / perf tracking)")
-		force      = flag.Bool("force", false, "overwrite an existing BENCH_<experiment>.json (refused otherwise)")
 	)
 	flag.Parse()
 
@@ -69,7 +68,7 @@ func main() {
 
 	switch *experiment {
 	case "leasechurn":
-		runLeaseChurn(*ds, schemeList, workers, *leaseEvery, *keyRange, *paper, *duration, *seed, *jsonOut, *force)
+		runLeaseChurn(*ds, schemeList, workers, *leaseEvery, *keyRange, *paper, *duration, *seed)
 		return
 	case "":
 	default:
@@ -110,71 +109,16 @@ func main() {
 	if s := harness.SpeedupOver(curves, "qsense", harness.HPModelled); s > 0 {
 		fmt.Printf("qsense vs %s: %.2fx (the paper's fence; it reports 2-3x)\n", harness.HPModelled, s)
 	}
-
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := harness.WriteCurvesCSV(f, curves); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *csvPath)
-	}
-	if *jsonOut {
-		// The filename follows the experiment that actually ran — figure
-		// presets and the default sweep each have their own name, exactly
-		// like -experiment runs, so no combination of flags can file one
-		// experiment's curves under another's name.
-		name := "scalability_" + sc.DS
-		switch *figure {
-		case "3":
-			name = "fig3"
-		case "5top":
-			name = "fig5top"
-		}
-		writeBenchJSON(name, *force, harness.BenchJSON{
-			Experiment: name, DS: sc.DS, KeyRange: sc.KeyRange,
-			UpdatePct: sc.UpdatePct, DurationMS: sc.Duration.Milliseconds(),
-			GoMaxProcs: runtime.GOMAXPROCS(0),
-		}, curves)
-	}
-}
-
-// writeBenchJSON writes curves as BENCH_<name>.json in the working
-// directory — the artifact CI uploads to seed the perf trajectory. An
-// existing file is refused unless -force, so a rerun cannot silently
-// clobber committed history.
-func writeBenchJSON(name string, force bool, meta harness.BenchJSON, curves []harness.Curve) {
-	path := "BENCH_" + name + ".json"
-	if err := harness.WriteCurvesJSONFile(path, force, meta, curves); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s\n", path)
 }
 
 // runLeaseChurn drives the held-vs-churned lease comparison at each worker
 // count and prints a per-scheme summary table.
-func runLeaseChurn(ds string, schemes []string, workers []int, leaseEvery int, keyRange int64, paper bool, duration time.Duration, seed uint64, jsonOut, force bool) {
+func runLeaseChurn(ds string, schemes []string, workers []int, leaseEvery int, keyRange int64, paper bool, duration time.Duration, seed uint64) {
 	if keyRange <= 0 {
 		keyRange = defaultRange(ds, paper)
 	}
 	fmt.Printf("qsense-bench leasechurn: %s, %d keys, 50%% updates, lease every %d batch(es) of 64 ops, %v per run, GOMAXPROCS=%d\n",
 		ds, keyRange, leaseEvery, duration, runtime.GOMAXPROCS(0))
-	// Accumulate held/churned throughput series per scheme so -json can
-	// emit the experiment in the same curve format as the figures.
-	curveIx := map[string]int{}
-	var curves []harness.Curve
-	addPoint := func(name string, w int, res harness.Result) {
-		i, ok := curveIx[name]
-		if !ok {
-			i = len(curves)
-			curveIx[name] = i
-			curves = append(curves, harness.Curve{Scheme: name})
-		}
-		curves[i].Points = append(curves[i].Points, harness.Point{Workers: w, Res: res})
-	}
 	for _, w := range workers {
 		fmt.Printf("-- %d workers --\n", w)
 		results, err := harness.RunLeaseChurn(ds, schemes, w, leaseEvery, keyRange, duration, seed, os.Stdout)
@@ -186,16 +130,7 @@ func runLeaseChurn(ds string, schemes []string, workers []int, leaseEvery int, k
 				fmt.Printf("WARNING: %s leaked %d leases\n", r.Scheme,
 					r.Churned.Reclaim.AcquiredHandles-r.Churned.Reclaim.ReleasedHandles)
 			}
-			addPoint(r.Scheme+"-held", w, r.Held)
-			addPoint(r.Scheme+"-churned", w, r.Churned)
 		}
-	}
-	if jsonOut {
-		writeBenchJSON("leasechurn", force, harness.BenchJSON{
-			Experiment: "leasechurn", DS: ds, KeyRange: keyRange, UpdatePct: 50,
-			DurationMS: duration.Milliseconds(), GoMaxProcs: runtime.GOMAXPROCS(0),
-			Extra: map[string]string{"lease_every": fmt.Sprint(leaseEvery)},
-		}, curves)
 	}
 }
 

@@ -6,13 +6,15 @@
 // machine charges for a fence and keeps pace with Cadence.
 //
 // Per-interval throughput prints as ASCII charts ('f' marks QSense fallback
-// windows, 'X' marks failure) and can be written to CSV.
+// windows, 'X' marks failure). Like qsense-bench it is an exploratory
+// driver: it writes no file, and a number meant to be compared across
+// commits comes from the repository benchmark (benchmark/).
 //
 // Examples:
 //
 //	qsense-delays -ds list                  # 20s compressed schedule
 //	qsense-delays -ds skiplist -scale 1     # the paper's full 100s run
-//	qsense-delays -ds bst -csv bst.csv
+//	qsense-delays -ds bst -chart=false      # the summary lines only
 package main
 
 import (
@@ -27,12 +29,11 @@ import (
 
 func main() {
 	var (
-		ds      = flag.String("ds", "list", "data structure: list, skiplist, bst")
-		scale   = flag.Float64("scale", 0.2, "time scale: 1.0 = the paper's 100s schedule")
-		limit   = flag.Int("limit", 0, "retired-node budget standing in for RAM (0 = automatic: above QSense's 2NC bound, below one stall's backlog)")
-		csvPath = flag.String("csv", "", "also write the time series to this CSV file")
-		chart   = flag.Bool("chart", true, "print ASCII charts")
-		seed    = flag.Uint64("seed", 1, "workload seed")
+		ds    = flag.String("ds", "list", "data structure: list, skiplist, bst")
+		scale = flag.Float64("scale", 0.2, "time scale: 1.0 = the paper's 100s schedule")
+		limit = flag.Int("limit", 0, "retired-node budget standing in for RAM (0 = automatic: above QSense's 2NC bound, below one stall's backlog)")
+		chart = flag.Bool("chart", true, "print ASCII charts")
+		seed  = flag.Uint64("seed", 1, "workload seed")
 	)
 	flag.Parse()
 
@@ -72,19 +73,5 @@ func main() {
 			}
 		}
 		fmt.Printf("(the paper reports ~3x, on the hardware %s models)\n", harness.HPModelled)
-	}
-
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "qsense-delays:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := harness.WriteSeriesCSV(f, results, dc.Schemes); err != nil {
-			fmt.Fprintln(os.Stderr, "qsense-delays:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *csvPath)
 	}
 }

@@ -14,11 +14,15 @@
 // mix shaped by a burst-then-idle phase plan (connection storms, then
 // near-idle troughs — the traffic the elastic arena and the occupancy
 // parking machinery exist for), records per-op round-trip latency into
-// HDR-style buckets, and emits throughput + p50/p99/p999 curves as
-// BENCH_kvd_<exp>.json. With no -target it self-hosts a fresh in-process
-// server per measured point, sweeping -schemes x -conns:
+// HDR-style buckets, and prints throughput with p50/p99/p999 per point and
+// a throughput table. It is an exploratory driver and writes no file (the
+// repository benchmark under benchmark/ is what gets compared across
+// commits); it exits non-zero when a point's healthy connections completed
+// no operation or a GET reply failed payload verification. With no -target
+// it self-hosts a fresh in-process server per measured point, sweeping
+// -schemes x -conns:
 //
-//	qsense-kvd -load -schemes qsense,hp -conns 4,16,64 -burst 2s -idle 1s -cycles 2 -json
+//	qsense-kvd -load -schemes qsense,hp -conns 4,16,64 -burst 2s -idle 1s -cycles 2
 //	qsense-kvd -load -target host:6380 -conns 32 -theta 0.99 -updates 20
 package main
 
@@ -37,7 +41,6 @@ import (
 	"qsense"
 	"qsense/internal/harness"
 	"qsense/internal/kvd"
-	"qsense/internal/reclaim"
 	"qsense/internal/workload"
 )
 
@@ -72,9 +75,6 @@ func main() {
 		vtheta   = flag.Float64("vtheta", 0.99, "zipf skew of the value-size extension in (0,1); <=0 = uniform")
 		stalls   = flag.Int("stall-conns", 0, "extra connections that dial, hold their lease and send nothing (stalled-reader chaos)")
 		stallLeg = flag.Int("stall-leg", 0, "append one extra curve: the first scheme rerun with this many stalled connections")
-		jsonOut  = flag.Bool("json", false, "write BENCH_kvd_<exp>.json (for CI artifacts / perf tracking)")
-		exp      = flag.String("exp", "zipf_burst", "experiment name used in the BENCH JSON filename")
-		force    = flag.Bool("force", false, "overwrite an existing BENCH_kvd_<exp>.json (refused otherwise)")
 	)
 	flag.Parse()
 
@@ -83,8 +83,7 @@ func main() {
 			target: *target, schemes: *schemes, conns: *conns,
 			keyRange: *keyRange, theta: *theta, updates: *updates,
 			burst: *burst, idle: *idle, cycles: *cycles, idleLoad: *idleLoad,
-			seed: *seed, jsonOut: *jsonOut, exp: *exp, force: *force,
-			maxNodes: *maxNodes, initial: *initial, shards: *shards,
+			seed: *seed, maxNodes: *maxNodes, initial: *initial, shards: *shards,
 			stallConns: *stalls, stallLeg: *stallLeg, idleTO: *idleTO,
 			vsizes: *vsizes, vmax: *vmax, vtheta: *vtheta,
 		})
@@ -139,8 +138,6 @@ type loadOpts struct {
 	burst, idle            time.Duration
 	idleLoad               float64
 	seed                   uint64
-	jsonOut, force         bool
-	exp                    string
 	maxNodes, initial      int
 	shards                 int
 	stallConns, stallLeg   int
@@ -150,11 +147,14 @@ type loadOpts struct {
 	vtheta                 float64
 }
 
-// runLoad sweeps schemes x value sizes x connection counts and renders/emits
+// runLoad sweeps schemes x value sizes x connection counts and renders the
 // curves. With -stall-leg it appends one more curve — the first scheme rerun
-// with that many stalled connections — so a single invocation produces a
-// baseline JSON that carries the stalled-reader leg alongside the clean ones.
+// with that many stalled connections — so a single table carries the
+// stalled-reader leg alongside the clean ones.
 func runLoad(o loadOpts) {
+	if o.stallLeg > 0 && o.target != "" {
+		fatal(fmt.Errorf("-stall-leg reruns a self-hosted scheme and cannot be combined with -target (use -stall-conns)"))
+	}
 	connCounts, err := parseInts(o.conns)
 	if err != nil {
 		fatal(err)
@@ -219,14 +219,7 @@ func runLoad(o loadOpts) {
 			h := res.Latency
 			fmt.Printf("%-14s conns=%-4d %8.3f Mops/s  p50 %7s  p99 %7s  p999 %7s  (%d ops, %d errs)\n",
 				label, nc, res.Mops, h.Quantile(0.50), h.Quantile(0.99), h.Quantile(0.999), res.Ops, res.Errs)
-			curve.Points = append(curve.Points, harness.Point{Workers: nc, Res: harness.Result{
-				Ops: res.Ops, Duration: res.Duration, Mops: res.Mops,
-				Latency: h, Reclaim: reclaimFromStats(res.Stats),
-				ValueBytes:    res.Stats["value_bytes"],
-				ValueRetires:  uint64(res.Stats["value_retires"]),
-				StructRetires: uint64(res.Stats["struct_retires"]),
-				BadValues:     res.BadValues,
-			}})
+			curve.Points = append(curve.Points, harness.Point{Workers: nc, Res: harness.Result{Mops: res.Mops}})
 		}
 		return curve
 	}
@@ -241,57 +234,13 @@ func runLoad(o loadOpts) {
 			curves = append(curves, leg(label, sc, vs, o.stallConns))
 		}
 	}
-	if o.stallLeg > 0 && o.target == "" {
+	if o.stallLeg > 0 {
 		sc := schemeList[0]
 		curves = append(curves, leg(fmt.Sprintf("%s+stall%d", sc, o.stallLeg), sc, valSizes[0], o.stallLeg))
 	}
 	harness.RenderCurvesTable(os.Stdout,
 		fmt.Sprintf("Throughput (Mops/s): kvd skipmap, %d%% updates, range %d, theta %.2f", o.updates, o.keyRange, o.theta),
 		curves)
-	if o.jsonOut {
-		name := "kvd_" + o.exp
-		path := "BENCH_" + name + ".json"
-		if err := harness.WriteCurvesJSONFile(path, o.force, harness.BenchJSON{
-			Experiment: name, DS: "skipmap", KeyRange: o.keyRange, UpdatePct: o.updates,
-			DurationMS: plan.Total().Milliseconds(), GoMaxProcs: runtime.GOMAXPROCS(0),
-			Extra: map[string]string{
-				"theta":     fmt.Sprintf("%.2f", o.theta),
-				"burst_ms":  fmt.Sprint(o.burst.Milliseconds()),
-				"idle_ms":   fmt.Sprint(o.idle.Milliseconds()),
-				"cycles":    fmt.Sprint(o.cycles),
-				"idle_load": fmt.Sprintf("%.2f", o.idleLoad),
-				"vsizes":    o.vsizes,
-				"vmax":      fmt.Sprint(o.vmax),
-			},
-		}, curves); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", path)
-	}
-}
-
-// reclaimFromStats rebuilds the reclamation counters the BENCH JSON wants
-// from a parsed STATS reply (zero-valued when the fetch failed).
-func reclaimFromStats(st map[string]int64) reclaim.Stats {
-	if st == nil {
-		return reclaim.Stats{}
-	}
-	return reclaim.Stats{
-		Retired:          uint64(st["retired"]),
-		Freed:            uint64(st["freed"]),
-		Pending:          st["pending"],
-		Scans:            uint64(st["scans"]),
-		ScannedRecords:   uint64(st["scanned_records"]),
-		ArenaSize:        int(st["arena_size"]),
-		ParkedSlots:      int(st["parked_slots"]),
-		RRetunes:         uint64(st["r_retunes"]),
-		CRetunes:         uint64(st["c_retunes"]),
-		IBRIntervalWidth: uint64(st["ibr_interval_width"]),
-		HyalineBatchRefs: st["hyaline_batch_refs"],
-		Shards:           int(st["shards"]),
-		ShardImbalance:   int(st["shard_imbalance"]),
-		Failed:           st["failed"] != 0,
-	}
 }
 
 func parseInts(s string) ([]int, error) {

@@ -121,7 +121,7 @@ func (c *leaseCore[O, H]) leased(g reclaim.Guard, err error) (H, error) {
 }
 
 // Stats returns the reclamation counters.
-func (c *leaseCore[O, H]) Stats() Stats { return fromReclaimStats(c.d.Stats()) }
+func (c *leaseCore[O, H]) Stats() Stats { return Stats(c.d.Stats()) }
 
 // Close reclaims all pending memory and stops background machinery. Call
 // only after all workers have stopped.

@@ -163,7 +163,7 @@ func (d *Domain) leased(g reclaim.Guard, err error) (Guard, error) {
 }
 
 // Stats returns a snapshot of the domain's counters.
-func (d *Domain) Stats() Stats { return fromReclaimStats(d.d.Stats()) }
+func (d *Domain) Stats() Stats { return Stats(d.d.Stats()) }
 
 // Failed reports whether the domain breached Options.MemoryLimit.
 func (d *Domain) Failed() bool { return d.d.Failed() }

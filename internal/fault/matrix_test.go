@@ -1,13 +1,10 @@
 package fault
 
 import (
-	"os"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"qsense/internal/harness"
 	"qsense/internal/mem"
 	"qsense/internal/reclaim"
 	"qsense/internal/rooster"
@@ -79,94 +76,15 @@ var matrixCases = []matrixCase{
 	{scheme: "hyaline", point: reclaim.FaultInbox, robust: true},
 }
 
-// pendingSampler polls Stats().Pending on a fixed tick for the
-// pending-vs-time trace behind BENCH_robustness.json.
-type pendingSampler struct {
-	mu      sync.Mutex
-	points  []harness.RobustnessPoint
-	stop    chan struct{}
-	stopped sync.WaitGroup
-}
-
-func startSampler(d reclaim.Domain) *pendingSampler {
-	s := &pendingSampler{stop: make(chan struct{})}
-	start := time.Now()
-	s.stopped.Add(1)
-	go func() {
-		defer s.stopped.Done()
-		tick := time.NewTicker(10 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-s.stop:
-				return
-			case <-tick.C:
-				p := d.Stats().Pending
-				s.mu.Lock()
-				s.points = append(s.points, harness.RobustnessPoint{
-					ElapsedMS: float64(time.Since(start).Milliseconds()),
-					Pending:   p,
-				})
-				s.mu.Unlock()
-			}
-		}
-	}()
-	return s
-}
-
-func (s *pendingSampler) finish() []harness.RobustnessPoint {
-	close(s.stop)
-	s.stopped.Wait()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	pts := s.points
-	// Downsample long traces: the JSON is a committed artifact, not a log.
-	const maxPts = 80
-	if len(pts) > maxPts {
-		stride := (len(pts) + maxPts - 1) / maxPts
-		ds := make([]harness.RobustnessPoint, 0, maxPts+1)
-		for i := 0; i < len(pts); i += stride {
-			ds = append(ds, pts[i])
-		}
-		if last := pts[len(pts)-1]; len(ds) == 0 || ds[len(ds)-1] != last {
-			ds = append(ds, last)
-		}
-		pts = ds
-	}
-	return pts
-}
-
 func TestRobustnessMatrix(t *testing.T) {
-	var (
-		seriesMu sync.Mutex
-		series   []harness.RobustnessSeries
-	)
 	for _, tc := range matrixCases {
-		tc := tc
-		t.Run(tc.scheme, func(t *testing.T) {
-			pts, ceil := runMatrixCase(t, tc)
-			seriesMu.Lock()
-			series = append(series, harness.RobustnessSeries{
-				Scheme:  tc.scheme,
-				Robust:  tc.robust,
-				Ceiling: ceil,
-				Points:  pts,
-			})
-			seriesMu.Unlock()
-		})
-	}
-	if path := os.Getenv("QSENSE_ROBUSTNESS_JSON"); path != "" && !t.Failed() {
-		if err := harness.WriteRobustnessJSONFile(path, series); err != nil {
-			t.Fatalf("writing %s: %v", path, err)
-		}
-		t.Logf("wrote %s (%d schemes)", path, len(series))
+		t.Run(tc.scheme, func(t *testing.T) { runMatrixCase(t, tc) })
 	}
 }
 
 // runMatrixCase stalls one victim, storms, asserts the scheme-appropriate
-// bound, then releases the victim and asserts recovery. Returns the sampled
-// trace and the ceiling it was judged against.
-func runMatrixCase(t *testing.T, tc matrixCase) ([]harness.RobustnessPoint, int64) {
+// bound, then releases the victim and asserts recovery.
+func runMatrixCase(t *testing.T, tc matrixCase) {
 	t.Helper()
 	pool := mem.NewPool[fnode](mem.Config{MaxSlots: 1 << 18, Poison: true, Name: "matrix-" + tc.scheme})
 	inj := New()
@@ -224,7 +142,6 @@ func runMatrixCase(t *testing.T, tc matrixCase) ([]harness.RobustnessPoint, int6
 	}
 
 	// --- Storm from healthy goroutines while the victim stays parked.
-	sampler := startSampler(d)
 	target := 5 * int(mxCeiling())
 	res := RunStorm(d, PoolAlloc(pool), StormConfig{
 		Workers: mxStorm,
@@ -302,8 +219,6 @@ func runMatrixCase(t *testing.T, tc matrixCase) ([]harness.RobustnessPoint, int6
 	if !recovered {
 		t.Errorf("pending %d never drained under %d after the victim was released", d.Stats().Pending, ceil)
 	}
-	pts := sampler.finish()
 	t.Logf("%s: storm retired %d in %v; pending after storm %d (ceiling %d), evictions %d, stalls %d",
 		tc.scheme, res.Retired, res.Elapsed.Round(time.Millisecond), st.Pending, ceil, st.Evictions, inj.Stalls())
-	return pts, ceil
 }

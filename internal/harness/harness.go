@@ -84,19 +84,6 @@ type Result struct {
 	PoolLive uint64 // nodes still allocated after Close (leak for "none")
 	Failed   bool
 	FailedAt time.Duration
-	// Latency carries per-op latency buckets when the producing experiment
-	// measures them (the kvd macro-benchmark); nil for the in-process
-	// throughput experiments.
-	Latency *LatencyHist
-	// Value-arena counters, filled by experiments over byte-valued
-	// structures (the kvd macro-benchmark): live payload bytes at the end
-	// of the run and the retire-traffic split between value and
-	// structural nodes.
-	ValueBytes    int64
-	ValueRetires  uint64
-	StructRetires uint64
-	// BadValues counts reads that failed payload verification (kvd load).
-	BadValues uint64
 }
 
 // padCounter is a per-worker op counter padded to a cache line.

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"slices"
 	"strings"
@@ -251,22 +250,7 @@ func TestFenceModelIsAlwaysNamed(t *testing.T) {
 		t.Fatalf("figure driver emitted %v, want %v", names, sc.Schemes)
 	}
 
-	var js, csv, tbl bytes.Buffer
-	if err := WriteCurvesJSON(&js, BenchJSON{Experiment: "fig3"}, curves); err != nil {
-		t.Fatal(err)
-	}
-	var decoded BenchJSON
-	if err := json.Unmarshal(js.Bytes(), &decoded); err != nil {
-		t.Fatal(err)
-	}
-	var jsonNames []string
-	for _, c := range decoded.Curves {
-		jsonNames = append(jsonNames, c.Scheme)
-	}
-	if err := WriteCurvesCSV(&csv, curves); err != nil {
-		t.Fatal(err)
-	}
-	csvHeader, _, _ := strings.Cut(csv.String(), "\n")
+	var tbl bytes.Buffer
 	RenderCurvesTable(&tbl, "fig3", curves)
 	tblHeader := strings.Split(tbl.String(), "\n")[2] // blank, title, header
 	var logNames []string
@@ -279,8 +263,6 @@ func TestFenceModelIsAlwaysNamed(t *testing.T) {
 		where string
 		got   []string
 	}{
-		{"JSON curves", jsonNames},
-		{"CSV header", strings.Split(strings.ReplaceAll(csvHeader, "_mops", ""), ",")[1:]},
 		{"table header", strings.Fields(tblHeader)[1:]},
 		{"progress log", logNames},
 	} {
@@ -295,17 +277,6 @@ func TestRenderCSVAndTable(t *testing.T) {
 		{Scheme: "none", Points: []Point{{1, Result{Mops: 2}}, {2, Result{Mops: 4}}}},
 		{Scheme: "hp", Points: []Point{{1, Result{Mops: 1}}, {2, Result{Mops: 2}}}},
 	}
-	var csv bytes.Buffer
-	if err := WriteCurvesCSV(&csv, curves); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("csv lines = %d", len(lines))
-	}
-	if lines[0] != "workers,none_mops,hp_mops" {
-		t.Fatalf("header = %q", lines[0])
-	}
 	var tbl bytes.Buffer
 	RenderCurvesTable(&tbl, "test", curves)
 	if !strings.Contains(tbl.String(), "overhead vs none") {
@@ -317,36 +288,18 @@ func TestRenderCSVAndTable(t *testing.T) {
 }
 
 func TestSeriesCSVAndChart(t *testing.T) {
-	mk := func(mops ...float64) Result {
-		var r Result
-		for i, m := range mops {
-			r.Samples = append(r.Samples, Sample{T: time.Duration(i+1) * time.Second, Mops: m, InFallback: i == 1})
-		}
-		return r
-	}
-	results := map[string]Result{"qsbr": mk(3, 0), "qsense": mk(3, 2), "hp": mk(1, 1)}
-	var csv bytes.Buffer
-	if err := WriteSeriesCSV(&csv, results, []string{"qsbr", "qsense", "hp"}); err != nil {
-		t.Fatal(err)
-	}
-	out := csv.String()
-	if !strings.HasPrefix(out, "t_seconds,qsbr_mops,qsense_mops,hp_mops,qsense_fallback") {
-		t.Fatalf("header wrong: %q", out)
-	}
-	if !strings.Contains(out, ",1\n") {
-		t.Fatal("fallback indicator missing")
-	}
+	res := Result{Samples: []Sample{
+		{T: time.Second, Mops: 3},
+		{T: 2 * time.Second, Mops: 2, InFallback: true},
+	}}
 	var chart bytes.Buffer
-	RenderSeriesChart(&chart, "qsense", results["qsense"], 20)
+	RenderSeriesChart(&chart, "qsense", res, 20)
 	if !strings.Contains(chart.String(), "#") {
 		t.Fatal("chart has no bars")
 	}
-	fast, fb := FallbackWindows(results["qsense"])
+	fast, fb := FallbackWindows(res)
 	if fast != 3 || fb != 2 {
 		t.Fatalf("window means = %v/%v", fast, fb)
-	}
-	if m := MeanMops(results["hp"], 0, 10); m != 1 {
-		t.Fatalf("mean = %v", m)
 	}
 }
 

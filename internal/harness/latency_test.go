@@ -66,6 +66,19 @@ func TestLatencyQuantiles(t *testing.T) {
 	if m := h.Mean(); m < time.Millisecond || m > 5*time.Millisecond {
 		t.Fatalf("mean = %v implausible", m)
 	}
+	// Monotone in q from a positive floor up to Max: a non-empty
+	// histogram can never print a p99 under its p50.
+	prev := time.Duration(0)
+	for _, q := range []float64{0.001, 0.25, 0.50, 0.90, 0.99, 0.999, 1} {
+		got := h.Quantile(q)
+		if got <= 0 || got < prev {
+			t.Fatalf("Quantile(%v) = %v after %v: not positive and non-decreasing", q, got, prev)
+		}
+		prev = got
+	}
+	if prev != h.Max() {
+		t.Fatalf("Quantile(1) = %v, Max = %v", prev, h.Max())
+	}
 }
 
 func TestLatencyMergeAndEmpty(t *testing.T) {

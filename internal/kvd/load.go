@@ -47,7 +47,7 @@ type LoadConfig struct {
 	// the fault matrix's stalled reader: against a server without
 	// IdleTimeout the leases stay pinned for the run; with IdleTimeout
 	// set the server is expected to evict them (visible as idle_timeouts
-	// in the final STATS). Healthy workers keep running either way.
+	// in the server's STATS). Healthy workers keep running either way.
 	StallConns int
 }
 
@@ -78,9 +78,13 @@ func dialRetry(target string, attempts int, rng *workload.RNG) (net.Conn, error)
 	return nil, fmt.Errorf("kvd: dial %s: %w (after %d attempts)", target, lastErr, attempts)
 }
 
-// LoadResult is the outcome of RunLoad: closed-loop throughput, the merged
-// per-op latency distribution, and the server's reclamation counters
-// fetched over STATS after the last phase.
+// replyTimeout is how long the generator waits for replies it is owed — a
+// prefill batch's, or whatever is in flight when the plan ends — before it
+// treats the server as mute and gives the connection up.
+const replyTimeout = 2 * time.Second
+
+// LoadResult is the outcome of RunLoad: closed-loop throughput and the
+// merged per-op latency distribution.
 type LoadResult struct {
 	Conns int
 	Ops   uint64
@@ -91,13 +95,14 @@ type LoadResult struct {
 	Duration  time.Duration
 	Mops      float64
 	Latency   *harness.LatencyHist
-	Stats     map[string]int64
 }
 
 // RunLoad drives the configured workload to completion. Each connection is
 // closed-loop — one command in flight, per-op round-trip latency recorded
 // into an HDR-style histogram — so the latency numbers are honest
 // request-to-reply times, not queueing artifacts of an open-loop injector.
+// A run whose healthy connections completed no operation is an error, not a
+// zero-throughput point: the server never answered.
 func RunLoad(cfg LoadConfig) (LoadResult, error) {
 	if cfg.Conns <= 0 {
 		cfg.Conns = 1
@@ -162,12 +167,10 @@ func RunLoad(cfg LoadConfig) (LoadResult, error) {
 		res.BadValues += bad[i]
 		res.Latency.Merge(&hists[i])
 	}
-	res.Mops = float64(res.Ops) / res.Duration.Seconds() / 1e6
-	// Snapshot the server's counters after the last phase: this is where a
-	// burst-then-idle plan shows parked slots and a decayed live count.
-	if st, err := FetchStats(cfg.Target); err == nil {
-		res.Stats = st
+	if res.Ops == 0 {
+		return LoadResult{}, fmt.Errorf("kvd load: %d connections completed no operation against %s (%d errors)", cfg.Conns, cfg.Target, res.Errs)
 	}
+	res.Mops = float64(res.Ops) / res.Duration.Seconds() / 1e6
 	return res, nil
 }
 
@@ -208,6 +211,10 @@ func loadWorker(i int, cfg LoadConfig, start time.Time, hist *harness.LatencyHis
 				errs++
 				continue
 			}
+			// The run ends with its plan: a reply still owed replyTimeout
+			// after that is not coming, and the blocked read must not
+			// outlive the run.
+			c.SetDeadline(start.Add(cfg.Plan.Total() + replyTimeout))
 			conn = c
 			rd = resp.NewReader(c)
 			wr = resp.NewWriter(c)
@@ -270,7 +277,11 @@ func Prefill(target string, keyRange int64, seed uint64, size workload.SizeDist)
 	wr := resp.NewWriter(c)
 	const batch = 128
 	inFlight := 0
-	drain := func() error {
+	// flush sends the buffered batch and reads its replies.
+	flush := func() error {
+		if err := wr.Flush(); err != nil {
+			return err
+		}
 		for ; inFlight > 0; inFlight-- {
 			rp, err := rd.ReadReply()
 			if err != nil {
@@ -285,44 +296,19 @@ func Prefill(target string, keyRange int64, seed uint64, size workload.SizeDist)
 	setCmd := []byte("SET")
 	var keyBuf, valBuf []byte
 	for k := int64(0); k < keyRange; k += 2 {
+		if inFlight == 0 {
+			// Each batch, writes and replies, within replyTimeout: a mute
+			// server fails the prefill instead of hanging it.
+			c.SetDeadline(time.Now().Add(replyTimeout))
+		}
 		keyBuf = strconv.AppendInt(keyBuf[:0], k, 10)
 		valBuf = workload.AppendPayload(valBuf[:0], k, rng.Next(), size.Sample(rng))
 		wr.CommandBytes(setCmd, keyBuf, valBuf)
 		if inFlight++; inFlight == batch {
-			if err := wr.Flush(); err != nil {
-				return err
-			}
-			if err := drain(); err != nil {
+			if err := flush(); err != nil {
 				return err
 			}
 		}
 	}
-	if err := wr.Flush(); err != nil {
-		return err
-	}
-	return drain()
-}
-
-// FetchStats issues STATS on a fresh connection and parses the numeric
-// counters.
-func FetchStats(target string) (map[string]int64, error) {
-	c, err := dialRetry(target, 8, workload.NewRNG(0x57A75))
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-	rd := resp.NewReader(c)
-	wr := resp.NewWriter(c)
-	wr.Command("STATS")
-	if err := wr.Flush(); err != nil {
-		return nil, err
-	}
-	rp, err := rd.ReadReply()
-	if err != nil {
-		return nil, err
-	}
-	if rp.IsError() || rp.Kind != '$' || rp.Bulk == nil {
-		return nil, fmt.Errorf("unexpected STATS reply kind %q", rp.Kind)
-	}
-	return ParseStats(rp.Bulk), nil
+	return flush()
 }

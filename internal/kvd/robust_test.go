@@ -2,6 +2,7 @@ package kvd
 
 import (
 	"context"
+	"net"
 	"strconv"
 	"strings"
 	"sync"
@@ -261,4 +262,52 @@ func TestRunLoadStallConns(t *testing.T) {
 		t.Fatalf("expected >= 5 leases (2 workers + 3 stalls), saw %d", st.AcquiredHandles)
 	}
 	leasesBalanced(t, s, "after stall-conns load")
+}
+
+// TestRunLoadMuteServer: a listener that accepts and never replies is a
+// failed run, not a zero-throughput point. The workers' reads end
+// replyTimeout after the plan does and RunLoad reports that nothing
+// completed; with the prefill on, its first batch times out the same way.
+// Either error is what makes `qsense-kvd -load` exit non-zero by itself.
+func TestRunLoadMuteServer(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := make(chan []net.Conn)
+	go func() {
+		var held []net.Conn
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				accepted <- held
+				return
+			}
+			held = append(held, c)
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		for _, c := range <-accepted {
+			c.Close()
+		}
+	})
+	for _, noPrefill := range []bool{true, false} {
+		t.Run("noPrefill="+strconv.FormatBool(noPrefill), func(t *testing.T) {
+			t.Parallel()
+			plan := workload.Steady(100 * time.Millisecond)
+			t0 := time.Now()
+			res, err := RunLoad(LoadConfig{
+				Target: ln.Addr().String(), Conns: 2, KeyRange: 64, UpdatePct: 20,
+				Plan: plan, Seed: 7, NoPrefill: noPrefill,
+			})
+			if err == nil {
+				t.Fatalf("a server that never replied produced a result: %+v", res)
+			}
+			if el := time.Since(t0); el > plan.Total()+replyTimeout+3*time.Second {
+				t.Fatalf("gave up only after %v", el)
+			}
+			t.Log(err)
+		})
+	}
 }

@@ -553,8 +553,9 @@ type statKV struct {
 	v int64
 }
 
-// statsFields flattens the numeric Stats fields under the snake_case names
-// the BENCH JSON uses.
+// statsFields flattens the numeric Stats fields, one STATS line each, named
+// the snake_case of the field (TestStatsFieldsCoverStats keeps the two lists
+// together).
 func statsFields(st qsense.Stats) []statKV {
 	b2i := func(b bool) int64 {
 		if b {

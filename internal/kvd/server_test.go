@@ -405,9 +405,6 @@ func TestRunLoadSmoke(t *testing.T) {
 	if p50 := res.Latency.Quantile(0.50); p50 <= 0 {
 		t.Fatalf("p50 %v", p50)
 	}
-	if res.Stats == nil || res.Stats["acquired_handles"] == 0 {
-		t.Fatalf("missing server stats: %v", res.Stats)
-	}
 }
 
 // TestServerOversizedValue: a SET whose value exceeds the server's MaxBulk

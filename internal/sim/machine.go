@@ -34,10 +34,17 @@
 // (how far a process may run past the global minimum before yielding).
 // Execution is serialized in real time — one process runs at a time — so
 // all interleaving is controlled by virtual time and the seed; a run is
-// bit-for-bit reproducible, which the figure-shape tests rely on. With
+// bit-for-bit reproducible, which the safety tests built on it rely on. With
 // Quantum = 0 the interleaving granularity is a single operation (each op
 // may overshoot the global minimum by at most its own cost); larger quanta
 // trade granularity for simulation speed.
+//
+// What this tree guards is a proof, not a number: that a hazard-pointer
+// store sitting in a store buffer is invisible to a scan (simsmr's
+// Algorithm 2 and stall tests) and that the skip list's claim-then-link
+// closes the stale-link window (simskip), both with the real control flow.
+// It is not a measurement tool — the cycle costs order events, they price
+// nothing, and no figure or benchmark number comes from here.
 package sim
 
 import (

@@ -1,6 +1,7 @@
 // Package simlist is the Harris–Michael lock-free sorted linked list
 // (paper reference [24], Appendix B) running on the TSO machine simulator —
-// the workload of Figures 3 and 5 (left panels), executed in virtual time.
+// the structure under which simsmr's conformance, stall and pending-bound
+// tests run the schemes. It guards that proof and measures nothing.
 //
 // It mirrors internal/list exactly: nodes carry (key, next) with the
 // logical-deletion mark in the next word's low tag bit, and every traversal
@@ -214,26 +215,6 @@ func (h *Handle) Contains(key uint64) bool {
 	found := h.l.pool.Load(h.p, cur, fKey) == key
 	h.g.ClearHPs()
 	return found
-}
-
-// Read looks up key and, if found, invokes use while the node is still
-// covered by this handle's hazard pointer — the paper's R5 ("use n's
-// memory"): an application reading through a protected reference for an
-// arbitrary amount of time. use receives a loader; every call is one
-// simulated load of the node's key field, i.e. one access hazard. This is
-// the access pattern under which the unsafe ablations (NoFence,
-// DisableDeferral) materialize as use-after-free violations.
-func (h *Handle) Read(key uint64, use func(load func() uint64)) bool {
-	h.g.Begin()
-	defer h.g.ClearHPs()
-	_, cur := h.search(key)
-	if h.l.pool.Load(h.p, cur, fKey) != key {
-		return false
-	}
-	if use != nil {
-		use(func() uint64 { return h.l.pool.Load(h.p, cur, fKey) })
-	}
-	return true
 }
 
 // Insert adds key; false if already present.

@@ -11,6 +11,9 @@
 // (free list, generations) is host-side bookkeeping, charged via the
 // Alloc/Free cost model — exactly as a real allocator's internals are not
 // part of the concurrent algorithm under test.
+//
+// It guards the simulator's proofs by turning a too-early free into a
+// *mem.Violation in the reader; it is not a measurement tool.
 package simmem
 
 import (

@@ -16,6 +16,9 @@
 // beating the inserter's claim) must take the abandon path — the mark
 // observed during a claim means the level is permanently dead and the
 // node is never published there.
+//
+// It guards that one proof — claim-then-link is safe where the stale
+// pre-store was not — and is not a measurement tool.
 package simskip
 
 import (

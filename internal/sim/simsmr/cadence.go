@@ -73,9 +73,6 @@ func (d *Cadence) Pending() int { return d.cnt.pending() }
 // Failed implements Domain.
 func (d *Cadence) Failed() bool { return d.cnt.failed }
 
-// InFallback implements Domain.
-func (d *Cadence) InFallback() bool { return false }
-
 // Stats implements Domain.
 func (d *Cadence) Stats() Stats {
 	s := Stats{Scheme: "cadence"}

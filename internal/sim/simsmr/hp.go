@@ -54,9 +54,6 @@ func (d *HP) Pending() int { return d.cnt.pending() }
 // Failed implements Domain.
 func (d *HP) Failed() bool { return d.cnt.failed }
 
-// InFallback implements Domain.
-func (d *HP) InFallback() bool { return false }
-
 // Stats implements Domain.
 func (d *HP) Stats() Stats {
 	s := Stats{Scheme: "hp"}

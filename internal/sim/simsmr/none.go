@@ -38,9 +38,6 @@ func (d *None) Pending() int { return d.cnt.pending() }
 // Failed implements Domain.
 func (d *None) Failed() bool { return d.cnt.failed }
 
-// InFallback implements Domain.
-func (d *None) InFallback() bool { return false }
-
 // Stats implements Domain.
 func (d *None) Stats() Stats {
 	s := Stats{Scheme: "none"}

@@ -65,9 +65,6 @@ func (d *QSBR) Pending() int { return d.cnt.pending() }
 // Failed implements Domain.
 func (d *QSBR) Failed() bool { return d.cnt.failed }
 
-// InFallback implements Domain.
-func (d *QSBR) InFallback() bool { return false }
-
 // Stats implements Domain.
 func (d *QSBR) Stats() Stats {
 	s := Stats{Scheme: "qsbr"}

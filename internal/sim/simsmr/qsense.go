@@ -83,15 +83,12 @@ func (d *QSense) Pending() int { return d.cnt.pending() }
 // Failed implements Domain.
 func (d *QSense) Failed() bool { return d.cnt.failed }
 
-// InFallback reports the current path (drained flag value).
-func (d *QSense) InFallback() bool { return d.cfg.Machine.Peek(d.fallback) != 0 }
-
 // GlobalEpoch exposes the global epoch for tests (drained value).
 func (d *QSense) GlobalEpoch() uint64 { return d.cfg.Machine.Peek(d.epoch) }
 
 // Stats implements Domain.
 func (d *QSense) Stats() Stats {
-	s := Stats{Scheme: "qsense", InFallback: d.InFallback()}
+	s := Stats{Scheme: "qsense"}
 	d.cnt.fill(&s)
 	return s
 }

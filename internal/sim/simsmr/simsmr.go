@@ -21,6 +21,12 @@
 // lists, counters) needs no synchronization; only protocol state that the
 // algorithms genuinely share (hazard pointer slots, epochs, flags) lives in
 // simulated memory and pays simulated costs.
+//
+// The proof it guards: Algorithm 2's illegal interleaving is reachable
+// without the fence or the deferral and unreachable with either
+// (algorithm2_test.go), and a stalled process kills qsbr while qsense
+// switches paths and survives (stress_test.go). It is not a measurement
+// tool; nothing here produces a throughput figure.
 package simsmr
 
 import (
@@ -123,8 +129,6 @@ type Domain interface {
 	Pending() int
 	// Failed reports the MemoryLimit breach (OOM stand-in).
 	Failed() bool
-	// InFallback reports qsense's current path (false elsewhere).
-	InFallback() bool
 	Stats() Stats
 	// CollectAll force-frees every node still awaiting reclamation,
 	// host-side and cost-free. Call only after Machine.Run returned.
@@ -142,7 +146,6 @@ type Stats struct {
 	EpochAdvances      uint64
 	SwitchesToFallback uint64
 	SwitchesToFast     uint64
-	InFallback         bool
 	Failed             bool
 }
 

@@ -99,8 +99,16 @@ func TestSchemeConformanceOnList(t *testing.T) {
 				}
 				st := d.Stats()
 				if scheme == "none" {
+					// The leak is the reason reclamation exists: every
+					// retired node is still allocated, none reachable.
+					if st.Retired == 0 {
+						t.Fatal("workload retired nothing; the leak is unobservable")
+					}
 					if st.Freed != 0 {
 						t.Fatalf("leaky scheme freed %d nodes", st.Freed)
+					}
+					if live, reach := l.Pool().Stats().Live, l.CountReachable(); live != reach+int(st.Retired) {
+						t.Fatalf("none: %d live, want %d reachable + %d retired", live, reach, st.Retired)
 					}
 					return
 				}

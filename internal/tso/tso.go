@@ -13,6 +13,11 @@
 // The exhaustive explorer enumerates every interleaving of process steps
 // and buffer drains (with state memoization), so a property that holds in
 // the explored system holds for all TSO executions of these programs.
+//
+// It guards the litmus proofs Go cannot express — Algorithm 2's naive
+// hybrid is unsafe, the fence or rooster-plus-deferral makes it safe, the
+// skip list's stale link is unsafe and claim-then-link safe — and is not a
+// measurement tool.
 package tso
 
 import (

@@ -331,7 +331,9 @@ func (o Options) arena() int {
 	return n
 }
 
-// Stats is a snapshot of a domain's reclamation counters.
+// Stats is a snapshot of a domain's reclamation counters. Its fields are
+// internal/reclaim's Stats in the same sequence, so a snapshot is a plain
+// conversion and a counter added on one side only does not compile.
 type Stats struct {
 	Scheme string
 	// Retired counts nodes handed to Retire; Freed counts completed
@@ -345,12 +347,10 @@ type Stats struct {
 	// with how large the arena once was — divide by Scans (or
 	// EpochAdvances) to see the per-pass cost the paper's N·K term
 	// models.
-	Scans, QuiescentStates, EpochAdvances uint64
-	ScannedRecords                        uint64
-	// SwitchesToFallback/SwitchesToFast count QSense path switches;
-	// InFallback is the current path.
+	Scans, ScannedRecords, QuiescentStates, EpochAdvances uint64
+	// SwitchesToFallback/SwitchesToFast count QSense path switches
+	// (InFallback, below, is the current path).
 	SwitchesToFallback, SwitchesToFast uint64
-	InFallback                         bool
 	// Evictions counts workers excluded as crashed (Options with
 	// eviction enabled on epoch schemes); Rejoins counts Leave/Join and
 	// crash-recovery re-entries.
@@ -358,11 +358,6 @@ type Stats struct {
 	// AcquiredHandles and ReleasedHandles count handle leases granted
 	// and returned; their difference is the number leased right now.
 	AcquiredHandles, ReleasedHandles uint64
-	// OrphanedNodes counts retired nodes a Release could not yet prove
-	// safe and moved to the domain's orphan list; AdoptedNodes counts
-	// orphans since freed by other workers' reclamation passes. Orphans
-	// remain Pending (and count against MemoryLimit) until adopted.
-	OrphanedNodes, AdoptedNodes uint64
 	// ArenaSize is the current guard-slot arena size (MaxWorkers until
 	// growth engages); HighWaterWorkers is the peak number of
 	// simultaneously leased slots; ArenaGrowths counts elastic
@@ -384,9 +379,17 @@ type Stats struct {
 	// means growth forced C up to stay legal per the paper's §6.2 bound.
 	EffectiveR, EffectiveC int
 	RRetunes, CRetunes     uint64
-	// RoosterPasses counts completed rooster flush passes (Cadence,
-	// QSense).
-	RoosterPasses uint64
+	// OrphanedNodes counts retired nodes a Release could not yet prove
+	// safe and moved to the domain's orphan list; AdoptedNodes counts
+	// orphans since freed by other workers' reclamation passes. Orphans
+	// remain Pending (and count against MemoryLimit) until adopted.
+	OrphanedNodes, AdoptedNodes uint64
+	// Shards is the resolved Options.Shards the domain runs with;
+	// ShardImbalance is the live-occupancy spread (max−min) across shards
+	// at snapshot time, 0 for a single-shard domain. A persistently large
+	// imbalance under steady load suggests goroutine affinity is defeating
+	// the two-choice placement.
+	Shards, ShardImbalance int
 	// IBRIntervalWidth is the widest active reservation interval
 	// (upper−lower, in eras) across live workers at snapshot time — how
 	// far SchemeIBR's slowest in-flight operation lags the era clock, and
@@ -399,50 +402,11 @@ type Stats struct {
 	// delivered batches and returns to 0 as their next boundaries
 	// acknowledge. 0 on other schemes.
 	HyalineBatchRefs int64
-	// Shards is the resolved Options.Shards the domain runs with;
-	// ShardImbalance is the live-occupancy spread (max−min) across shards
-	// at snapshot time, 0 for a single-shard domain. A persistently large
-	// imbalance under steady load suggests goroutine affinity is defeating
-	// the two-choice placement.
-	Shards, ShardImbalance int
+	// InFallback reports QSense's current path.
+	InFallback bool
+	// RoosterPasses counts completed rooster flush passes (Cadence,
+	// QSense).
+	RoosterPasses uint64
 	// Failed reports a MemoryLimit breach.
 	Failed bool
-}
-
-func fromReclaimStats(s reclaim.Stats) Stats {
-	return Stats{
-		Scheme:             s.Scheme,
-		Retired:            s.Retired,
-		Freed:              s.Freed,
-		Pending:            s.Pending,
-		Scans:              s.Scans,
-		ScannedRecords:     s.ScannedRecords,
-		QuiescentStates:    s.QuiescentStates,
-		EpochAdvances:      s.EpochAdvances,
-		SwitchesToFallback: s.SwitchesToFallback,
-		SwitchesToFast:     s.SwitchesToFast,
-		InFallback:         s.InFallback,
-		Evictions:          s.Evictions,
-		Rejoins:            s.Rejoins,
-		AcquiredHandles:    s.AcquiredHandles,
-		ReleasedHandles:    s.ReleasedHandles,
-		OrphanedNodes:      s.OrphanedNodes,
-		AdoptedNodes:       s.AdoptedNodes,
-		ArenaSize:          s.ArenaSize,
-		HighWaterWorkers:   s.HighWaterWorkers,
-		ArenaGrowths:       s.ArenaGrowths,
-		ParkedSlots:        s.ParkedSlots,
-		SegmentParks:       s.SegmentParks,
-		SegmentUnparks:     s.SegmentUnparks,
-		EffectiveR:         s.EffectiveR,
-		EffectiveC:         s.EffectiveC,
-		RRetunes:           s.RRetunes,
-		CRetunes:           s.CRetunes,
-		RoosterPasses:      s.RoosterPasses,
-		IBRIntervalWidth:   s.IBRIntervalWidth,
-		HyalineBatchRefs:   s.HyalineBatchRefs,
-		Shards:             s.Shards,
-		ShardImbalance:     s.ShardImbalance,
-		Failed:             s.Failed,
-	}
 }
