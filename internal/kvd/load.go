@@ -86,9 +86,8 @@ const replyTimeout = 2 * time.Second
 // LoadResult is the outcome of RunLoad: closed-loop throughput and the
 // merged per-op latency distribution.
 type LoadResult struct {
-	Conns int
-	Ops   uint64
-	Errs  uint64
+	Ops  uint64
+	Errs uint64
 	// BadValues counts GET replies that failed payload verification — a
 	// nonzero count means the server returned torn or freed value bytes.
 	BadValues uint64
@@ -160,7 +159,7 @@ func RunLoad(cfg LoadConfig) (LoadResult, error) {
 	wg.Wait()
 	close(stallStop)
 	stallWg.Wait()
-	res := LoadResult{Conns: cfg.Conns, Duration: time.Since(start), Latency: &harness.LatencyHist{}}
+	res := LoadResult{Duration: time.Since(start), Latency: &harness.LatencyHist{}}
 	for i := range hists {
 		res.Ops += ops[i]
 		res.Errs += errs[i]

@@ -131,7 +131,7 @@ func TestIdleTimeoutReleasesStalledLease(t *testing.T) {
 	if _, err := stalled.rd.ReadReply(); err == nil {
 		t.Fatal("stalled conn still open after idle timeout")
 	}
-	stats := ParseStats(healthy.do(t, "STATS").Bulk)
+	stats := parseStats(healthy.do(t, "STATS").Bulk)
 	if stats["idle_timeouts"] == 0 {
 		t.Fatal("idle_timeouts counter not incremented")
 	}
@@ -175,7 +175,7 @@ func TestMemoryPressureBusyAndRecovery(t *testing.T) {
 	if rp := w.do(t, "PING"); rp.Str != "PONG" {
 		t.Fatalf("PING failed under memory pressure: %+v", rp)
 	}
-	if stats := ParseStats(w.do(t, "STATS").Bulk); stats["busy_rejected"] == 0 {
+	if stats := parseStats(w.do(t, "STATS").Bulk); stats["busy_rejected"] == 0 {
 		t.Fatal("busy_rejected counter not incremented")
 	}
 
@@ -233,7 +233,7 @@ func TestPanicRecoveryKeepsServing(t *testing.T) {
 	if rp := fresh.do(t, "PING"); rp.Str != "PONG" {
 		t.Fatalf("server stopped serving after a handler panic: %+v", rp)
 	}
-	stats := ParseStats(fresh.do(t, "STATS").Bulk)
+	stats := parseStats(fresh.do(t, "STATS").Bulk)
 	if stats["panics_recovered"] == 0 {
 		t.Fatal("panics_recovered counter not incremented — did the insert ever panic?")
 	}

@@ -525,8 +525,7 @@ func sanitize(s string) string {
 }
 
 // statsText renders the STATS reply: one "key: value" line per counter,
-// numeric except the scheme line, in a fixed order parseable by
-// ParseStats.
+// numeric except the scheme line, in a fixed order.
 func (s *Server) statsText() []byte {
 	st := s.m.Stats()
 	var b bytes.Buffer
@@ -597,20 +596,4 @@ func statsFields(st qsense.Stats) []statKV {
 		{"shard_imbalance", int64(st.ShardImbalance)},
 		{"failed", b2i(st.Failed)},
 	}
-}
-
-// ParseStats parses a STATS reply body back into its numeric fields
-// (the scheme line is skipped).
-func ParseStats(text []byte) map[string]int64 {
-	out := map[string]int64{}
-	for _, line := range strings.Split(string(text), "\n") {
-		k, v, ok := strings.Cut(line, ": ")
-		if !ok {
-			continue
-		}
-		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-			out[k] = n
-		}
-	}
-	return out
 }

@@ -125,7 +125,7 @@ func TestServerCommands(t *testing.T) {
 			if rp.Kind != '$' {
 				t.Fatalf("STATS: %+v", rp)
 			}
-			st := ParseStats(rp.Bulk)
+			st := parseStats(rp.Bulk)
 			if st["conns_live"] != 1 || st["acquired_handles"] < 1 {
 				t.Fatalf("STATS counters: %v", st)
 			}

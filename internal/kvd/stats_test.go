@@ -2,12 +2,29 @@ package kvd
 
 import (
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"unicode"
 
 	"qsense"
 )
+
+// parseStats parses a STATS reply body back into its numeric fields
+// (the scheme line is skipped).
+func parseStats(text []byte) map[string]int64 {
+	out := map[string]int64{}
+	for _, line := range strings.Split(string(text), "\n") {
+		k, v, ok := strings.Cut(line, ": ")
+		if !ok {
+			continue
+		}
+		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
+			out[k] = n
+		}
+	}
+	return out
+}
 
 // snakeCase is the STATS spelling of a qsense.Stats field name:
 // HighWaterWorkers → high_water_workers, RRetunes → r_retunes,

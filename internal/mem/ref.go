@@ -72,9 +72,9 @@ func makeRef(idx uint32, gen uint32) Ref {
 }
 
 // MakeRef builds a canonical (untagged) Ref from a slot index and
-// generation. It exists for substrates that manage their own slots with the
-// same packing (internal/sim/simmem) and for tests; Pool-produced Refs
-// always come from Alloc.
+// generation. Its only callers are internal/reclaim's tests, which forge
+// Refs of one slot across generations; Pool-produced Refs always come from
+// Alloc.
 func MakeRef(idx, gen uint32) Ref { return makeRef(idx, gen) }
 
 // IsNil reports whether r refers to no slot (ignoring tag bits).

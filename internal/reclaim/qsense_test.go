@@ -174,43 +174,69 @@ func TestQSenseProtectionSurvivesPathSwitch(t *testing.T) {
 	// §4.1: hazard pointers are maintained during the fast path so that
 	// references held across the switch stay protected. A node protected
 	// before the switch must survive fallback scans indefinitely.
-	pool := newTestPool()
-	cfg := Config{Workers: 2, HPs: 1, Q: 1, R: 1}
-	cfg.C = LegalC(cfg)
-	d := newQSenseDomain(t, pool, cfg)
-	gs := acquire(t, d, 2)
-	active, reader := gs[0], gs[1]
-	reader.Begin()
-	r := allocNode(pool, 7)
-	reader.Protect(0, r) // published fence-free on the fast path
-	d.Rooster().Step()   // flushed while still in fast path
-	active.Retire(r)
-	for i := 0; i < cfg.C+5; i++ { // force the switch and many scans
-		active.Retire(allocNode(pool, uint64(i)))
+	//
+	// Two arms. "flushed": a rooster pass publishes the protection while
+	// still on the fast path, so the fallback's snapshot sees it.
+	// "unflushed" is Algorithm 2's interleaving on the hybrid: the
+	// protection is still pending (in the "store buffer") when the node is
+	// retired and the C-switch scans — no snapshot can see it, and only
+	// deferral (the node is not old enough before a full pass) keeps it.
+	for _, arm := range []struct {
+		name    string
+		flushed bool
+	}{{"flushed", true}, {"unflushed", false}} {
+		t.Run(arm.name, func(t *testing.T) {
+			pool := newTestPool()
+			cfg := Config{Workers: 2, HPs: 1, Q: 1, R: 1}
+			cfg.C = LegalC(cfg)
+			d := newQSenseDomain(t, pool, cfg)
+			gs := acquire(t, d, 2)
+			active, reader := gs[0], gs[1]
+			reader.Begin()
+			r := allocNode(pool, 7)
+			reader.Protect(0, r) // published fence-free on the fast path
+			if arm.flushed {
+				d.Rooster().Step() // flushed while still in fast path
+			}
+			active.Retire(r)
+			for i := 0; i < cfg.C+5; i++ { // force the switch and many scans
+				active.Retire(allocNode(pool, uint64(i)))
+			}
+			if !d.InFallback() {
+				t.Fatal("setup: not in fallback")
+			}
+			st := d.Stats()
+			if st.SwitchesToFallback < 1 || st.Scans == 0 {
+				t.Fatalf("setup: switches to fallback = %d, scans = %d", st.SwitchesToFallback, st.Scans)
+			}
+			if !arm.flushed && st.RoosterPasses != 0 {
+				t.Fatalf("setup: %d rooster passes before the switch; the protection may have been flushed", st.RoosterPasses)
+			}
+			if !pool.Valid(r) {
+				t.Fatal("the switch's scans freed a node whose protection no snapshot could see yet: deferral broken")
+			}
+			for s := 0; s < 4; s++ {
+				d.Rooster().Step()
+				active.Retire(allocNode(pool, uint64(s)))
+			}
+			if !pool.Valid(r) {
+				t.Fatal("pre-switch protection lost across the path switch")
+			}
+			if pool.Get(r).val != 7 {
+				t.Fatal("node corrupted")
+			}
+			// Release: the node drains like any Cadence retiree.
+			reader.Protect(0, 0)
+			for s := 0; s < 3; s++ {
+				d.Rooster().Step()
+				active.Retire(allocNode(pool, uint64(s)))
+			}
+			if pool.Valid(r) {
+				t.Fatal("released node never reclaimed in fallback")
+			}
+			d.Close()
+		})
 	}
-	if !d.InFallback() {
-		t.Fatal("setup: not in fallback")
-	}
-	for s := 0; s < 4; s++ {
-		d.Rooster().Step()
-		active.Retire(allocNode(pool, uint64(s)))
-	}
-	if !pool.Valid(r) {
-		t.Fatal("pre-switch protection lost across the path switch")
-	}
-	if pool.Get(r).val != 7 {
-		t.Fatal("node corrupted")
-	}
-	// Release: the node drains like any Cadence retiree.
-	reader.Protect(0, 0)
-	for s := 0; s < 3; s++ {
-		d.Rooster().Step()
-		active.Retire(allocNode(pool, uint64(s)))
-	}
-	if pool.Valid(r) {
-		t.Fatal("released node never reclaimed in fallback")
-	}
-	d.Close()
 }
 
 func TestQSenseLivenessBound2NC(t *testing.T) {

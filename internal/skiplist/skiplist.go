@@ -137,10 +137,9 @@
 // after a failed link CAS there, so a level's first link attempt could
 // publish the node frozen at a long-dead pre-stored successor — is the
 // hp/rc use-after-free TestSkipListUAFReproHPRC reproduces against old
-// binaries. internal/tso's SkipList litmus systems and
-// internal/sim/simskip model that schedule below Go's memory model: the
-// stale-link protocol reaches the violation, the claim-then-link
-// protocol does not, in any interleaving.
+// binaries. internal/tso's SkipList litmus systems explore that schedule
+// below Go's memory model: the stale-link protocol reaches the violation,
+// the claim-then-link protocol does not, in any interleaving.
 package skiplist
 
 import (

@@ -33,6 +33,14 @@ func TestSkipListStaleLinkUnsafe(t *testing.T) {
 	if !out.Any(spliceInstall) {
 		t.Fatal("splice-install flavor of the violation not reached")
 	}
+	// The violation is a property of the schedule, not of the model: the
+	// same system also links M cleanly in other interleavings.
+	cleanLink := func(o Outcome) bool {
+		return !SkipListSpliceUAF(o) && o.Mem[CellSkipEdgeP] == RefM
+	}
+	if !out.Any(cleanLink) {
+		t.Fatal("stale-link protocol never completes an insert — schedule too hostile")
+	}
 }
 
 // TestSkipListClaimLinkSafe: the claim-then-link protocol removes the
@@ -71,6 +79,20 @@ func TestSkipListClaimLinkLiveness(t *testing.T) {
 	}
 	if !out.Any(abandoned) {
 		t.Fatal("the mark never wins the claim — abandon path unexercised")
+	}
+	// Mark observed during the claim => level permanently dead: in EVERY
+	// interleaving where the inserter's claim lost (its r1 == 0), M was
+	// never published — the searcher never walked to it and the
+	// predecessor edge does not hold it.
+	neverPublished := func(o Outcome) bool {
+		if o.Regs[SkipProcInserter][1] != 0 {
+			return true
+		}
+		return o.Regs[SkipProcInserter][2] == 0 && o.Regs[SkipProcSearcher][0] != RefM &&
+			o.Mem[CellSkipEdgeP] != RefM
+	}
+	if !out.All(neverPublished) {
+		t.Fatal("inserter published M after its claim observed the mark")
 	}
 	transient := func(o Outcome) bool {
 		// M linked while its word is frozen at the FRESH successor: the

@@ -1,6 +1,17 @@
 // Package tso is a small model checker for the x86-TSO memory model, used
 // to verify the paper's §4.1 reasoning mechanically.
 //
+// Why a TSO model in a Go repository: the paper's correctness argument
+// (§4.1, §5.1) lives entirely below the level Go exposes. It is about
+// store buffers — a hazard-pointer store that has not yet drained is
+// invisible to a reclaimer on another core, and the cure is either an
+// explicit fence (classic HP) or a bounded wait for a context switch
+// (Cadence's rooster processes). Go has no relaxed stores, no fences and
+// no visibility delay, so the argument is stated twice: here, over
+// hand-written litmus programs with every interleaving explored, and on
+// the real schemes, whose hprec.pending → shared split is the store
+// buffer and whose rooster pass is the drain (the tests named below).
+//
 // Each process owns a FIFO store buffer. A Store goes into the buffer; a
 // buffered entry drains to shared memory at a nondeterministic later point
 // (a separate scheduler action). Loads snoop the own buffer first (store
@@ -14,10 +25,24 @@
 // and buffer drains (with state memoization), so a property that holds in
 // the explored system holds for all TSO executions of these programs.
 //
-// It guards the litmus proofs Go cannot express — Algorithm 2's naive
-// hybrid is unsafe, the fence or rooster-plus-deferral makes it safe, the
-// skip list's stale link is unsafe and claim-then-link safe — and is not a
-// measurement tool.
+// It guards the litmus proofs Go cannot express and is not a measurement
+// tool. Each system, and the test that states the same proof on the code
+// users run:
+//
+//   - NaiveHybridSystem (unsafe) and CadenceNoDeferralSystem (unsafe):
+//     reclaim.TestCadenceWithoutDeferralIsUnsafe — an unflushed
+//     protection plus an immediate scan is a detected use-after-free.
+//   - ClassicHPSystem (safe): reclaim.TestHPProtectedNodeSurvivesScan — a
+//     published protection is in every scan's snapshot, and its release
+//     lets the next scan free the node.
+//   - CadenceSystem (safe): reclaim.TestCadenceDeferralProtectsUnflushedHP,
+//     and TestQSenseProtectionSurvivesPathSwitch for the hybrid, whose
+//     "unflushed" arm is Algorithm 2's interleaving across the C-switch.
+//   - SkipListStaleLinkSystem (unsafe) and SkipListClaimLinkSystem (safe):
+//     skiplist.TestSkipListUAFReproHPRC, the native batch that crashed on
+//     the stale-link binaries.
+//
+// cmd/qsense-tso prints the six verdicts.
 package tso
 
 import (

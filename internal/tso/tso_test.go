@@ -61,15 +61,16 @@ func TestMessagePassing(t *testing.T) {
 	}
 }
 
-// TestStoreForwarding: a process reads its own buffered store.
+// TestStoreForwarding: a process reads its own buffered store — the
+// youngest one when several to the same cell are still buffered.
 func TestStoreForwarding(t *testing.T) {
 	sys := System{
-		Procs:   []Program{{Store(0, 7), Load(0, 0)}},
+		Procs:   []Program{{Store(0, 1), Store(0, 2), Store(0, 7), Load(0, 0)}},
 		MemSize: 1,
 	}
 	out, _ := Explore(sys, 0)
 	if !out.All(func(o Outcome) bool { return o.Regs[0][0] == 7 }) {
-		t.Fatal("store forwarding broken: own store invisible to own load")
+		t.Fatal("store forwarding broken: own load did not see the youngest own store")
 	}
 }
 
@@ -91,6 +92,21 @@ func TestCASDrainsAndSwaps(t *testing.T) {
 	})
 	if !ok {
 		t.Fatal("CAS atomicity violated in some interleaving")
+	}
+	// A CAS is a fence: the store buffered before it is in memory by the
+	// time the CAS's own result is, so a peer that saw the swap sees the
+	// store too.
+	const x, y = 0, 1
+	sys = System{
+		Procs: []Program{
+			{Store(y, 9), CAS(x, 0, 1, 0)},
+			{Load(0, x), Load(1, y)},
+		},
+		MemSize: 2,
+	}
+	out, _ = Explore(sys, 0)
+	if out.Any(func(o Outcome) bool { return o.Regs[1][0] == 1 && o.Regs[1][1] != 9 }) {
+		t.Fatal("CAS did not drain the store buffer: its result was visible before an older store")
 	}
 }
 
