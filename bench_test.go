@@ -616,6 +616,58 @@ func BenchmarkSkipMapGet(b *testing.B) {
 	}
 }
 
+// BenchmarkSkipMapMixed prices one operation of lib-mixed's mix — 50 % GET,
+// 25 % SET, 25 % DEL — on a leased MapHandle over a half-filled 2^16-key map
+// with 64-byte values, qsense, keys and operations drawn outside the timer.
+// zipf exercises both of the writers' savings (skiplist package doc,
+// "Fingers"; value.go's self shape): a DEL or SET of a hot key starts from
+// the finger the last operation on it left, and a value too long to inline
+// that was never overwritten is read from its own node. uniform mostly
+// misses its fingers, so its delta is the self value's alone: one slot per
+// insert, one retire per DEL, one publication less per GET of such a key.
+func BenchmarkSkipMapMixed(b *testing.B) {
+	const keys = 1 << 16
+	for _, stream := range []struct {
+		name  string
+		theta float64
+	}{{"zipf", 0.99}, {"uniform", 0}} {
+		b.Run(stream.name, func(b *testing.B) {
+			m, err := qsense.NewSkipMap(qsense.Options{Scheme: qsense.SchemeQSense})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer m.Close()
+			h := lease(b, m.Acquire)
+			defer h.Release()
+			val := make([]byte, 64)
+			for k := int64(0); k < keys; k += 2 {
+				h.Put(k, val)
+			}
+			type op struct {
+				key  int64
+				kind uint64 // 0, 1: GET; 2: SET; 3: DEL
+			}
+			rng := workload.NewRNG(37)
+			ops := make([]op, 1<<20) // drawn outside the timer
+			for i := range ops {
+				ops[i] = op{rng.ZipfKey(keys, stream.theta) * 0x9E3779B1 % keys, rng.Next() % 4}
+			}
+			var buf []byte
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				switch o := ops[i&(len(ops)-1)]; o.kind {
+				case 2:
+					h.Put(o.key, val)
+				case 3:
+					h.Delete(o.key)
+				default:
+					buf, _ = h.GetAppend(o.key, buf[:0])
+				}
+			}
+		})
+	}
+}
+
 // --- public-API container benchmarks ---
 
 // benchContainer drives W workers over a container op loop and reports

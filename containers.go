@@ -203,8 +203,9 @@ type MapHandle interface {
 	// Put sets key's value to a copy of val: true if key was newly
 	// inserted, false if an existing key's value was replaced (the
 	// displaced value is retired through the map's reclamation domain).
-	// Values up to 7 bytes are stored inline in the node's value word;
-	// longer values spill to a reclaimed value node.
+	// Values up to 7 bytes are stored inline in the node's value word; a
+	// longer first value lives in the key's own node, and a longer
+	// replacement spills to a reclaimed value node.
 	Put(key int64, val []byte) bool
 	// PutUint64 sets key's value to val's minimal little-endian
 	// encoding — the uint64 fast path (values below 2^56 never
@@ -278,14 +279,14 @@ func NewSkipMap(opts Options) (*SkipMap, error) {
 func (m *SkipMap) Len() int { return m.s.Len() }
 
 // ValueStats is a snapshot of a SkipMap's value-arena gauges: how many
-// payload bytes are live (inline + spilled), how many spilled value nodes
-// exist, and how the retire traffic splits between value nodes and
+// payload bytes are live, how many values are too long to inline, and how
+// the retire traffic splits between value nodes and
 // structural (link-bearing) nodes. Under update-heavy workloads
 // ValueRetires dominates StructRetires — the regime the reclamation
 // schemes are benchmarked in.
 type ValueStats struct {
 	Bytes         int64  // live value payload bytes
-	Spilled       int64  // live spilled (>7 byte) value nodes
+	Spilled       int64  // live values over 7 bytes (own node or value node)
 	ValueRetires  uint64 // value nodes retired through the domain
 	StructRetires uint64 // structural nodes retired through the domain
 }

@@ -104,7 +104,7 @@ const (
 	sabTower   = 4 // height of the tower the inserting SET builds
 )
 
-var sabVal = make([]byte, 64) // spilled, so a GET also publishes a value node
+var sabVal = make([]byte, 64) // too long to inline: each node holds its own (self)
 
 // sabotage runs op on a fresh copy of the fixed list — the even keys of
 // [0, 2^12), the same towers every time — with pick's victim freed on the

@@ -31,7 +31,8 @@ func (g *hookGuard) Protect(slot int, r mem.Ref) {
 // arm schedules hook for the at-th Protect from now.
 func (g *hookGuard) arm(at int, hook func(slot int, r mem.Ref)) { g.calls, g.at, g.hook = 0, at, hook }
 
-// fingerRig is a small list (keys 10, 20 … 100, spilled values) over the
+// fingerRig is a small list (keys 10, 20 … 100, each holding its own 32-byte
+// value: self) over the
 // scheme that never frees, so the test decides when a retired node's slot is
 // recycled: a is the handle under test, b plays every other worker. b
 // allocates straight from the pool's LIFO free list, so the slot the test
@@ -86,6 +87,14 @@ func (r *fingerRig) get(key int64) (val []byte, ok bool, protects int, rec any) 
 	return val, ok, r.ga.calls - before, nil
 }
 
+// del is get for a's Delete.
+func (r *fingerRig) del(key int64) (ok bool, protects int, rec any) {
+	defer func() { rec = recover() }()
+	before := r.ga.calls
+	ok = r.a.Delete(key)
+	return ok, r.ga.calls - before, nil
+}
+
 // TestFingerDetection is TestDetectionNotThinned for the operations a finger
 // answers. A finger is refused — silently, the walk's answer returned —
 // whenever the remembered node is gone at validation; past validation the
@@ -94,7 +103,7 @@ func TestFingerDetection(t *testing.T) {
 	const k = 50
 
 	// Every row starts from a finger on k's node that has just answered a GET
-	// in two publications (the pin, the value node).
+	// in one publication, the pin: the rig's values are the node's own (self).
 	prime := func(t *testing.T) (*fingerRig, mem.Ref) {
 		r := newFingerRig(t)
 		n := r.node(k)
@@ -102,7 +111,7 @@ func TestFingerDetection(t *testing.T) {
 		if f := r.a.fingerOf(k); f.ref != n || !f.succ.IsNil() {
 			t.Fatalf("after a GET the finger is %+v, want key's node %v", *f, n)
 		}
-		if v, ok, protects, rec := r.get(k); !ok || !bytes.Equal(v, rigVal(k, 0)) || protects != 2 || rec != nil {
+		if v, ok, protects, rec := r.get(k); !ok || !bytes.Equal(v, rigVal(k, 0)) || protects != 1 || rec != nil {
 			t.Fatalf("hot GET: %x %v in %d publications, panic %v", v, ok, protects, rec)
 		}
 		return r, n
@@ -130,7 +139,7 @@ func TestFingerDetection(t *testing.T) {
 	t.Run("freed at the finger's own Protect", func(t *testing.T) {
 		r, n := prime(t)
 		r.ga.arm(1, func(int, mem.Ref) { retireAndFree(r, k, n) })
-		if v, ok, protects, rec := r.get(k); ok || rec != nil || protects <= 2 {
+		if v, ok, protects, rec := r.get(k); ok || rec != nil || protects <= 1 {
 			t.Fatalf("got %x %v in %d publications, panic %v; want the walk's answer: absent", v, ok, protects, rec)
 		}
 		if f := r.a.fingerOf(k); f.ref == n {
@@ -143,7 +152,7 @@ func TestFingerDetection(t *testing.T) {
 	t.Run("freed and re-allocated at the finger's own Protect", func(t *testing.T) {
 		r, n := prime(t)
 		r.ga.arm(1, func(int, mem.Ref) { retireAndFree(r, k, n); reuse(r, k, n) })
-		if v, ok, protects, rec := r.get(k); !ok || !bytes.Equal(v, []byte{1}) || rec != nil || protects <= 2 {
+		if v, ok, protects, rec := r.get(k); !ok || !bytes.Equal(v, []byte{1}) || rec != nil || protects <= 1 {
 			t.Fatalf("got %x %v in %d publications, panic %v; want the walk's answer: 01", v, ok, protects, rec)
 		}
 	})
@@ -152,7 +161,7 @@ func TestFingerDetection(t *testing.T) {
 		r, n := prime(t)
 		retireAndFree(r, k, n)
 		n2 := reuse(r, k, n)
-		if v, ok, protects, rec := r.get(k); !ok || !bytes.Equal(v, []byte{1}) || rec != nil || protects <= 2 {
+		if v, ok, protects, rec := r.get(k); !ok || !bytes.Equal(v, []byte{1}) || rec != nil || protects <= 1 {
 			t.Fatalf("got %x %v in %d publications, panic %v; want the walk's answer: 01", v, ok, protects, rec)
 		}
 		if f := r.a.fingerOf(k); f.ref != n2 {
@@ -179,12 +188,18 @@ func TestFingerDetection(t *testing.T) {
 		}
 	})
 
+	// An overwrite spills to a value node, so the hot GET publishes it too:
+	// the pin, then the value slot — where the free lands.
 	t.Run("freed after validation", func(t *testing.T) {
 		for name, victim := range map[string]func(r *fingerRig, n mem.Ref) mem.Ref{
 			"node":       func(_ *fingerRig, n mem.Ref) mem.Ref { return n },
 			"value node": func(r *fingerRig, n mem.Ref) mem.Ref { return mem.Ref(r.s.pool.Get(n).val.Load()) },
 		} {
 			r, n := prime(t)
+			r.b.PutBytes(k, rigVal(k, 1))
+			if w := r.s.pool.Get(n).val.Load(); shapeOf(w, n) != shapeSpilled {
+				t.Fatalf("after an overwrite the value word is %#x, want a value node", w)
+			}
 			r.ga.arm(2, func(slot int, _ mem.Ref) {
 				if slot != r.a.hpVal() {
 					t.Fatalf("second publication of a hot GET is slot %d, want the value slot", slot)
@@ -194,6 +209,28 @@ func TestFingerDetection(t *testing.T) {
 			if v, ok, _, rec := r.get(k); !faulted(rec) {
 				t.Errorf("%s freed at the value publication: got %x %v, panic %v; want *mem.Violation{Op: get}", name, v, ok, rec)
 			}
+		}
+	})
+	// A self value is read with no publication after the pin, so there is
+	// no Protect to land on: the row is the hot GET cut by hand between its
+	// value-word load and its payload read.
+	t.Run("self value, node freed after validation", func(t *testing.T) {
+		r, n := prime(t)
+		r.a.guard.Begin()
+		defer r.a.guard.ClearHPs()
+		m, np, found := r.a.locate(k)
+		w := np.Get(m).val.Load()
+		if !found || m != n || shapeOf(w, n) != shapeSelf {
+			t.Fatalf("locate: %v %v, value word %#x; want key's node %v holding its own value", m, found, w, n)
+		}
+		r.s.pool.Free(n)
+		var rec any
+		func() {
+			defer func() { rec = recover() }()
+			r.a.payload(m, np, w).Bytes()
+		}()
+		if !faulted(rec) {
+			t.Fatalf("payload read of a freed node: panic %v, want *mem.Violation{Op: get}", rec)
 		}
 	})
 
@@ -228,6 +265,57 @@ func TestFingerDetection(t *testing.T) {
 		r.ga.arm(1, func(int, mem.Ref) { r.s.pool.Free(p); reuse(r, 57, p) })
 		if v, ok, _, rec := r.get(55); !ok || !bytes.Equal(v, rigVal(55, 0)) || rec != nil {
 			t.Fatalf("got %x %v, panic %v; want the value put before the GET began", v, ok, rec)
+		}
+	})
+
+	// Delete takes the same fingers, and leaves one behind.
+	t.Run("DEL: freed at the finger's own Protect", func(t *testing.T) {
+		r, n := prime(t)
+		r.ga.arm(1, func(int, mem.Ref) { retireAndFree(r, k, n) })
+		if ok, protects, rec := r.del(k); ok || rec != nil || protects <= 1 {
+			t.Fatalf("got %v in %d publications, panic %v; want the walk's answer: absent", ok, protects, rec)
+		}
+	})
+	t.Run("DEL: by finger, leaving the edge", func(t *testing.T) {
+		r, _ := prime(t)
+		p, s := r.node(40), r.node(60)
+		if ok, _, rec := r.del(k); !ok || rec != nil {
+			t.Fatalf("got %v, panic %v; want deleted", ok, rec)
+		}
+		if f := r.a.fingerOf(k); f.ref != p || f.succ != s {
+			t.Fatalf("after the DEL the finger is %+v, want the edge %v -> %v", *f, p, s)
+		}
+		if v, ok, protects, rec := r.get(k); ok || protects != 1 || rec != nil {
+			t.Fatalf("GET after the DEL: %x %v in %d publications, panic %v; want absent by the edge", v, ok, protects, rec)
+		}
+		if ok, protects, rec := r.del(k); ok || protects != 1 || rec != nil {
+			t.Fatalf("DEL after the DEL: %v in %d publications, panic %v; want absent by the edge", ok, protects, rec)
+		}
+	})
+	t.Run("DEL: gap closed by an insert", func(t *testing.T) {
+		r, _ := primeGap(t)
+		r.b.PutBytes(55, rigVal(55, 0))
+		if ok, _, rec := r.del(55); !ok || rec != nil {
+			t.Fatalf("got %v, panic %v; want the inserted key deleted", ok, rec)
+		}
+		if v, ok, _, rec := r.get(55); ok || rec != nil {
+			t.Fatalf("GET after the DEL: %x %v, panic %v; want absent", v, ok, rec)
+		}
+	})
+	// b re-inserts the key while a's cleanup walk is under way: what the
+	// walk then finds below key+1 is b's node, and a's finger must say so —
+	// an edge over it would answer a's next GET "absent".
+	t.Run("DEL: key re-inserted inside its prune", func(t *testing.T) {
+		r, n := prime(t)
+		r.ga.arm(2, func(int, mem.Ref) { r.b.PutBytes(k, rigVal(k, 1)) })
+		if ok, _, rec := r.del(k); !ok || rec != nil {
+			t.Fatalf("got %v, panic %v; want deleted", ok, rec)
+		}
+		if f := r.a.fingerOf(k); !f.succ.IsNil() || f.ref == n {
+			t.Fatalf("after the DEL the finger is %+v, want b's new node", *f)
+		}
+		if v, ok, protects, rec := r.get(k); !ok || !bytes.Equal(v, rigVal(k, 1)) || protects != 1 || rec != nil {
+			t.Fatalf("GET after the DEL: %x %v in %d publications, panic %v; want b's value by finger", v, ok, protects, rec)
 		}
 	})
 }
@@ -277,7 +365,7 @@ func TestFingersPinNothing(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 		if live() > residue {
-			t.Errorf("%s, fingers kept=%v: %d of %d deleted nodes still not freed", scheme, keepFingers, live(), 2*keys)
+			t.Errorf("%s, fingers kept=%v: %d of %d deleted nodes still not freed", scheme, keepFingers, live(), keys)
 		}
 		return d.Stats().Pending
 	}
@@ -293,13 +381,16 @@ func TestFingersPinNothing(t *testing.T) {
 }
 
 // fingerSeeds are schedules of exploreFingers recorded when they killed a
-// mutant of probe (testdata/mutants; kill.sh replays them): the first of each
-// row faults with a *mem.Violation once the second generation check is
-// removed, seed 1 of every scheme has no linearization once the mark check
-// is. They run before the seeds every run counts through. A seed that fails
-// is printed; add it here.
+// mutant (testdata/mutants; kill.sh replays them): the first of each row
+// faults with a *mem.Violation once probe's second generation check is
+// removed (no seed up to 300 does under hyaline); seed 1 of every scheme has
+// no linearization once probe's mark check is, and faults on a double free
+// once a displaced self value is retired; seed 2 of every scheme has no
+// linearization once Delete leaves an edge over the node prune found. They
+// run before the seeds every run counts through. A seed that fails is
+// printed; add it here.
 var fingerSeeds = map[string][]uint64{
-	"hp": {4, 1}, "rc": {1}, "qsbr": {1}, "ebr": {2, 1}, "ibr": {4, 1}, "hyaline": {1},
+	"hp": {19, 1, 2}, "rc": {9, 1, 2}, "qsbr": {1, 2}, "ebr": {12, 1, 2}, "ibr": {12, 1, 2}, "hyaline": {1, 2},
 }
 
 // TestFingerInterleavings is the linearizability checker under a seeded
@@ -338,12 +429,17 @@ func exploreFingers(t *testing.T, scheme string, seed uint64) (err error) {
 		keys  = 6
 		steps = 400
 	)
+	defer func() {
+		if rec := recover(); rec != nil {
+			err = fmt.Errorf("panic: %v", rec)
+		}
+	}()
 	s := New(Config{Poison: true})
 	d, err := reclaim.New(scheme, reclaim.Config{Workers: 2, HPs: HPsFor(s.Levels()), Free: s.FreeNode, Q: 1, R: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
+	defer d.Close() // inside the recover: a node retired twice faults when Close frees the rest
 	var gs [2]reclaim.Guard
 	for i := range gs {
 		if gs[i], err = d.Acquire(); err != nil {
@@ -377,18 +473,16 @@ func exploreFingers(t *testing.T, scheme string, seed uint64) (err error) {
 			l.Record(lincheck.Get, key, func(o *lincheck.Op) { o.Out, o.OK = h.Get(key) })
 		}
 	}
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("panic: %v", rec)
-		}
-	}()
 	for i := 0; i < steps; i++ {
 		if next(2) == 0 {
 			step(b, lb)
 			continue
 		}
+		// Cut at one of a's first eight Protects: a finger's pin is the
+		// first, and a Delete's prune walk on a list this small is the
+		// next few.
 		burst := next(4)
-		ga.arm(int(1+next(3)), func(int, mem.Ref) {
+		ga.arm(int(1+next(8)), func(int, mem.Ref) {
 			for ; burst > 0; burst-- {
 				step(b, lb)
 			}

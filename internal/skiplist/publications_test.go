@@ -16,6 +16,13 @@ type countingGuard struct {
 func (g *countingGuard) Protect(i int, r mem.Ref) { g.protects++; g.Guard.Protect(i, r) }
 func (g *countingGuard) ClearHPs()                { g.clears++; g.Guard.ClearHPs() }
 
+// forget drops key's finger, so that the next operation on key walks.
+func (h *Handle) forget(key int64) {
+	if h.fingers != nil && h.fingerOf(key).key == key {
+		*h.fingerOf(key) = finger{}
+	}
+}
+
 // TestPublicationsPerOp pins the contract of search's slot discipline: one
 // Protect per node the walk visits — no descend copy, no re-publication of a
 // terminator the level above already covers — and one ClearHPs per
@@ -25,8 +32,9 @@ func (g *countingGuard) ClearHPs()                { g.clears++; g.Guard.ClearHPs
 // and the re-publications a GET over 2^16 keys made ~54 Protect calls.
 //
 // The walk's rows run with the key's finger forgotten, so they keep pricing
-// the walk (24 / 23 / 51 / 24 at 2^16 keys); the rows between them price the
-// same operation answered by the finger the row above just left.
+// the walk (GET 24, SET(overwrite) 23, DEL 51, GET(absent) 23 at 2^16 keys);
+// the rows between them price the same operation answered by the finger the
+// row above just left.
 func TestPublicationsPerOp(t *testing.T) {
 	const (
 		keys = 1 << 16
@@ -56,28 +64,41 @@ func TestPublicationsPerOp(t *testing.T) {
 		return int64(rng % keys)
 	}
 	// Each sample is one operation on a random key of the full 2^16-key
-	// list: DEL removes a present key and SET(insert) puts it back.
+	// list, in this order: a key that holds its first value (its own, self)
+	// is overwritten (a value node), deleted, inserted (self again), deleted
+	// by finger and inserted back.
 	var buf []byte
 	get := func(k int64) { buf, _ = h.GetAppend(k, buf[:0]) }
 	put := func(k int64) { h.PutBytes(k, val) }
+	del := func(k int64) { h.Delete(k) }
 	samples := []struct {
-		name        string
-		byFinger    bool
-		maxProtects float64
-		op          func(k int64)
+		name     string
+		byFinger bool
+		min, max float64
+		op       func(k int64)
 	}{
-		{"GET", false, 32, get},
+		{"SET(overwrite)", false, 0, 32, put},
+		{"SET(overwrite, by finger)", true, 1, 1, put},
+		{"GET", false, 0, 32, get},
 		// The pin and the value node.
-		{"GET(by finger)", true, 2, get},
-		{"SET(overwrite)", false, 32, put},
-		{"SET(overwrite, by finger)", true, 1, put},
+		{"GET(by finger)", true, 2, 2, get},
 		// Two searches (locate, then prune) and the pin.
-		{"DEL", false, 64, func(k int64) { h.Delete(k) }},
-		{"GET(absent)", false, 32, get},
+		{"DEL", false, 0, 64, del},
+		{"GET(absent)", false, 0, 32, get},
 		// The edge's predecessor, nothing else.
-		{"GET(absent, by gap finger)", true, 1, get},
+		{"GET(absent, by gap finger)", true, 1, 1, get},
 		// One search and the pin; more only after a failed link CAS.
-		{"SET(insert)", false, 34, put},
+		{"SET(insert)", false, 0, 34, put},
+		// The pin alone: the value is the node's own.
+		{"GET(by finger, never overwritten)", true, 1, 1, get},
+		// The pin and prune's walk to key+1, which splices the node out.
+		{"DEL(by finger)", true, 0, 29, del},
+		// The edge prune left.
+		{"GET(absent, right after a DEL)", true, 1, 1, get},
+		{"DEL(absent, by gap finger)", true, 1, 1, del},
+		// An insert walks either way, so it leaves the edge untried: the
+		// walk's count, not one more.
+		{"SET(insert, beside a gap finger)", true, 0, 34, put},
 	}
 	protects := make([]int, len(samples))
 	for i := 0; i < ops; i++ {
@@ -97,11 +118,60 @@ func TestPublicationsPerOp(t *testing.T) {
 	for j, sm := range samples {
 		mean := float64(protects[j]) / ops
 		t.Logf("%s: %.1f Protect calls + 1 ClearHPs per op", sm.name, mean)
-		if mean > sm.maxProtects {
-			t.Errorf("%s: %.1f Protect calls per op, want <= %.0f", sm.name, mean, sm.maxProtects)
+		if mean < sm.min || mean > sm.max {
+			t.Errorf("%s: %.1f Protect calls per op, want %.0f..%.0f", sm.name, mean, sm.min, sm.max)
 		}
 	}
 	if n, msg := s.Validate(); msg != "" || n != keys {
 		t.Fatalf("validate: n=%d %s", n, msg)
+	}
+}
+
+// TestSlotsPerSpilledValue pins what a self value saves, in pool slots and
+// retires: a key's first value, too long to inline, lives in the node the
+// insert links — one slot, and a DEL retires that node alone — while an
+// overwrite still spills to a value node, which its DEL retires too. Over
+// none, which frees nothing, Live counts every slot an operation took.
+func TestSlotsPerSpilledValue(t *testing.T) {
+	s := New(Config{})
+	d, err := reclaim.New("none", reclaim.Config{Workers: 1, HPs: HPsFor(s.Levels()), Free: s.FreeNode})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	lease, err := d.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.NewHandle(lease, 1)
+	val := make([]byte, 64)
+	type counts struct{ slots, structRetires, valueRetires int }
+	cost := func(op func()) counts {
+		live, vs := s.pool.Stats().Live, s.ValueStats()
+		op()
+		after := s.ValueStats()
+		return counts{int(s.pool.Stats().Live - live), int(after.StructRetires - vs.StructRetires), int(after.ValueRetires - vs.ValueRetires)}
+	}
+	for k := int64(0); k < 1000; k++ {
+		if c := cost(func() { h.PutBytes(k, val) }); c != (counts{1, 0, 0}) {
+			t.Fatalf("insert of a spilled value: %+v, want 1 slot", c)
+		}
+		if k%2 == 0 {
+			if c := cost(func() { h.PutBytes(k, val) }); c != (counts{1, 0, 0}) {
+				t.Fatalf("overwrite with a spilled value: %+v, want 1 slot (the value node)", c)
+			}
+		}
+	}
+	for k := int64(0); k < 1000; k++ {
+		want := counts{0, 1, 0} // never overwritten: the node, and its value with it
+		if k%2 == 0 {
+			want = counts{0, 1, 1} // the node and the overwrite's value node
+		}
+		if c := cost(func() { h.Delete(k) }); c != want {
+			t.Fatalf("DEL of key %d: %+v, want %+v", k, c, want)
+		}
+	}
+	if vs := s.ValueStats(); vs.Bytes != 0 || vs.Spilled != 0 {
+		t.Fatalf("gauges after deleting every key: %+v", vs)
 	}
 }

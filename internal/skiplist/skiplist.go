@@ -4,9 +4,10 @@
 // bit 0 of each per-level next word is the logical-deletion mark for that
 // level. Every node additionally carries a byte value (PutBytes/GetAppend,
 // with Put/Get as the uint64 fast path): small values live inline in the
-// node's value word, larger ones spill to a reclaimed value node in the
-// same pool — see value.go for the encoding and its linearization
-// argument. The same structure backs both the set containers and the
+// node's value word; a larger first value lives in the node's own payload,
+// and a larger overwrite spills to a reclaimed value node in the same
+// pool — see value.go for the encoding and its linearization argument.
+// The same structure backs both the set containers and the
 // value-carrying SkipMap the network server is built on.
 //
 // Hazard pointer budget: searches keep a (pred, succ) pair protected per
@@ -86,14 +87,19 @@
 //
 // A walk is ≈ 24 dependent cache misses and half the keys asked for were
 // asked for a moment ago, so a handle remembers, per key, the level-0
-// position its last walk or link found (fingerBits): the key's node, or the
-// edge pred → succ the key falls strictly inside. Contains/Get/GetAppend and
-// an upsert of a present key try the finger first (probe) and walk only if
-// it fails; Delete and inserts need preds at every level and always walk. A
-// finger is a hint: it holds no protection between operations
-// (TestFingersPinNothing) and outlives leases with its handle, so what it
-// names may be retired, freed, or recycled — into the same key, even. probe
-// validates in this order:
+// position its last walk, link or delete found (fingerBits): the key's node,
+// or the edge pred → succ the key falls strictly inside. Contains/Get/
+// GetAppend, Delete and an upsert of a present key try the finger first
+// (probe) and walk only if it fails. An insert needs preds at every level
+// and always walks, so it leaves an edge finger untried; a Delete that
+// found its node by finger skips the first walk, not prune's. What prune
+// found is the finger Delete leaves: the edge preds[0] → succs[0] when
+// preds[0]'s key is below key, and otherwise preds[0] itself as key's node —
+// another worker re-inserted key behind the deleter, and an edge over that
+// node would answer "absent" for a present key. A finger is a hint: it holds
+// no protection between operations (TestFingersPinNothing) and outlives
+// leases with its handle, so what it names may be retired, freed, or
+// recycled — into the same key, even. probe validates in this order:
 //
 //	Peek (generation) → Protect(pin) → load next[0] → generation again
 //	→ word unmarked, and: node's key == key | word == succ
@@ -126,8 +132,9 @@
 // load — the publication in between is not yet conclusive — and next[0] of
 // the new tenant read as the old node's: a fault on a correct scheme at
 // best, an "absent" for a present key at worst (both are rows of
-// TestFingerDetection; testdata/mutants holds the two edits, and kill.sh
-// shows the tests that fail on each). A 30-bit generation that wraps hands
+// TestFingerDetection; testdata/mutants holds the two edits, beside the edge
+// over a re-inserted key and a retired self value, and kill.sh shows the
+// tests that fail on each). A 30-bit generation that wraps hands
 // out a bit-identical live Ref, as it can for every Ref in this repository;
 // for a finger on a key's node the key compare after validation is what
 // makes that harmless.
@@ -180,19 +187,20 @@ type node struct {
 	key      int64
 	topLevel int32
 	state    atomic.Uint32 // insert/delete retirement ownership (below)
-	// val is the node's value word — inline payload, spilled value-node
-	// Ref, or tombstone (value.go). Written before the level-0 link CAS
-	// publishes the node, then only by updateValue's CAS on a node still
-	// reachable through a clean edge and by Delete's tombstone swap — all
-	// ordered against any reader by the atomic link/val accesses, so a
-	// reader never sees an uninitialized word. Set-only callers
-	// (Insert/Contains) leave it 0.
+	// val is the node's value word — inline payload, the node's own Ref
+	// (self), a spilled value-node Ref, or tombstone (value.go). Written
+	// before the level-0 link CAS publishes the node, then only by
+	// updateValue's CAS on a node still reachable through a clean edge and
+	// by Delete's tombstone swap — all ordered against any reader by the
+	// atomic link/val accesses, so a reader never sees an uninitialized
+	// word. Set-only callers (Insert/Contains) leave it 0.
 	val  atomic.Uint64
 	next [MaxLevel]atomic.Uint64
-	// payload backs spilled values: a node doubles as a value node when an
-	// upsert needs more than MaxInline bytes (same pool, same birth-era
-	// header, so ibr stamps value lifetimes like structural ones). On a
-	// value node the link words above are never published.
+	// payload holds values longer than MaxInline: a node's own first value
+	// (self), written before its link and never after; and the bytes of a
+	// spilled overwrite, in a node that serves as a value node (same pool,
+	// same birth-era header, so ibr stamps value lifetimes like structural
+	// ones). On a value node the link words above are never published.
 	payload mem.Value
 }
 
@@ -500,25 +508,21 @@ func (h *Handle) remember(key int64, ref, succ mem.Ref) {
 	*h.fingerOf(key) = finger{key, ref, succ}
 }
 
-func (h *Handle) forget(key int64) {
-	if h.fingers != nil && h.fingerOf(key).key == key {
-		*h.fingerOf(key) = finger{}
-	}
-}
-
 // probe answers "where is key at level 0" from the finger, if the finger
 // still holds (ok): found with key's node in n/np, covered by the pin slot
 // and to be used through np.Get like a node search found, or !found. The
 // order is the argument (package doc, "Fingers"): publish, load next[0],
 // then the generation — the same incarnation, seen unmarked (or still
 // leading to succ) after the publication, is not yet retired. A finger that
-// fails is dropped and the caller walks.
-func (h *Handle) probe(key int64) (n mem.Ref, np mem.Resolved[node], found, ok bool) {
+// fails is dropped and the caller walks. A caller that walks on "absent"
+// anyway — an insert — passes edges false, and an edge finger is left
+// untried.
+func (h *Handle) probe(key int64, edges bool) (n mem.Ref, np mem.Resolved[node], found, ok bool) {
 	if h.fingers == nil {
 		return
 	}
 	f := h.fingerOf(key)
-	if f.key != key || f.ref.IsNil() {
+	if f.key != key || f.ref.IsNil() || !edges && !f.succ.IsNil() {
 		return
 	}
 	np, raw, live := h.s.pool.Peek(f.ref)
@@ -539,12 +543,18 @@ func (h *Handle) probe(key int64) (n mem.Ref, np mem.Resolved[node], found, ok b
 }
 
 // locate finds key's level-0 position — by finger or, failing that, by
-// search, remembering what the walk found. When found, n is key's node,
-// protected and resolved (np) for the rest of the operation.
+// walk. When found, n is key's node, protected and resolved (np) for the
+// rest of the operation.
 func (h *Handle) locate(key int64) (n mem.Ref, np mem.Resolved[node], found bool) {
-	if n, np, found, ok := h.probe(key); ok {
+	if n, np, found, ok := h.probe(key, true); ok {
 		return n, np, found
 	}
+	return h.walk(key)
+}
+
+// walk is locate's miss path: search, and remember what the walk found. A
+// node found is covered by level 0's slot pair, not the pin.
+func (h *Handle) walk(key int64) (n mem.Ref, np mem.Resolved[node], found bool) {
 	h.search(key)
 	n, np = h.succs[0], h.succp[0]
 	if np.Get(n).key != key {
@@ -568,44 +578,46 @@ func (h *Handle) Contains(key int64) bool {
 }
 
 // Insert adds key; false if already present or reserved.
-func (h *Handle) Insert(key int64) bool {
-	ins, _ := h.upsertWord(key, 0, 0, false)
-	return ins
-}
+func (h *Handle) Insert(key int64) bool { return h.upsertWord(key, 0, nil, false) }
 
-// upsertWord is the shared insert/put core: it links a new node whose
-// value word is w (inserted=true), or — when upsert is set — installs w
-// into an existing node via updateValue (inserted=false). vlen is w's
-// spilled payload length, threaded through for the gauges (noteInstall).
-// consumed reports whether w entered a reachable node: false only when the
-// key existed and the upsert lost to a concurrent delete
-// (update-then-delete) or upsert was false; a caller holding a spilled w
-// must then free it. The public byte/uint64 entry points live in value.go.
-func (h *Handle) upsertWord(key int64, w uint64, vlen int, upsert bool) (inserted, consumed bool) {
+// upsertWord is the shared insert/put core. The value is the word w or,
+// when spill is set, spill's bytes (longer than MaxInline). Absent key: it
+// links a new node holding the value — a spilled one in the node's own
+// payload, under a self word (value.go) — and returns true. Present key: when
+// upsert is set it installs the value into the existing node (overwrite) and
+// returns false either way. The public byte/uint64 entry points live in
+// value.go.
+func (h *Handle) upsertWord(key int64, w uint64, spill []byte, upsert bool) bool {
 	if reserved(key) {
 		// Inserting tailKey would upsert the tail sentinel's value word;
 		// inserting headKey would link a node Validate cannot order
 		// against the head. Both are rejected, not "already present".
-		return false, false
+		return false
 	}
 	h.guard.Begin()
 	defer h.guard.ClearHPs()
-	if n, np, found, ok := h.probe(key); ok && found {
-		return false, upsert && h.updateValue(n, np, w, vlen)
+	if n, np, found, _ := h.probe(key, false); found {
+		if upsert {
+			h.overwrite(n, np, w, spill)
+		}
+		return false
 	}
 	pool := h.s.pool
 	topLevel := h.randomLevel()
 	var nref mem.Ref
 	var np mem.Resolved[node] // our node; pinned below, re-checked at every use all the same
+	vw := w                   // the word our node carries
 	for {
 		h.search(key)
 		if h.succp[0].Get(h.succs[0]).key == key {
 			h.remember(key, h.succs[0], 0)
-			consumed = upsert && h.updateValue(h.succs[0], h.succp[0], w, vlen)
+			if upsert {
+				h.overwrite(h.succs[0], h.succp[0], w, spill)
+			}
 			if !nref.IsNil() {
 				h.cache.Free(nref) // never linked: free directly
 			}
-			return false, consumed
+			return false
 		}
 		if nref.IsNil() {
 			var nptr *node
@@ -613,7 +625,11 @@ func (h *Handle) upsertWord(key int64, w uint64, vlen int, upsert bool) (inserte
 			np = pool.Resolve(nref)
 			nptr.key = key
 			nptr.topLevel = int32(topLevel)
-			nptr.val.Store(w)
+			if spill != nil {
+				nptr.payload.Set(spill) // written once, before the link publishes it
+				vw = uint64(nref)
+			}
+			nptr.val.Store(vw)
 			nptr.state.Store(stLinking) // recycled slots carry stale states
 			for l := 1; l < topLevel; l++ {
 				// Upper next words stay nil until the level's link
@@ -630,7 +646,7 @@ func (h *Handle) upsertWord(key int64, w uint64, vlen int, upsert bool) (inserte
 		if !h.predp[0].Get(h.preds[0]).next[0].CompareAndSwap(uint64(h.succs[0]), uint64(nref)) {
 			continue // contention at level 0: retry with fresh position
 		}
-		h.s.noteInstall(w, vlen)
+		h.s.noteInstall(vw, len(spill))
 		h.remember(key, nref, 0)
 		break // linked: the insert has taken effect
 	}
@@ -658,7 +674,7 @@ func (h *Handle) upsertWord(key int64, w uint64, vlen int, upsert bool) (inserte
 				if isMarked(w) {
 					h.prune(key) // final cleanup pass, then done
 					h.finishInsert(nref, np, key)
-					return true, true
+					return true
 				}
 				if np.Get(nref).next[l].CompareAndSwap(w, uint64(h.succs[l])) {
 					break
@@ -673,7 +689,7 @@ func (h *Handle) upsertWord(key int64, w uint64, vlen int, upsert bool) (inserte
 				// Our node was deleted and already pruned by the
 				// search we just ran.
 				h.finishInsert(nref, np, key)
-				return true, true
+				return true
 			}
 		}
 	}
@@ -682,7 +698,7 @@ func (h *Handle) upsertWord(key int64, w uint64, vlen int, upsert bool) (inserte
 		h.prune(key)
 	}
 	h.finishInsert(nref, np, key)
-	return true, true
+	return true
 }
 
 // finishInsert ends the linking phase: no further level can be (re-)linked
@@ -711,16 +727,19 @@ func (h *Handle) Delete(key int64) bool {
 	}
 	h.guard.Begin()
 	defer h.guard.ClearHPs()
-	h.search(key)
-	n, np := h.succs[0], h.succp[0]
-	if np.Get(n).key != key {
+	n, np, found, ok := h.probe(key, true) // a finger's node is already in the pin slot
+	if !ok {
+		// Pin n before marking: the cleanup search recycles level 0's
+		// slot pair. The pin copy is published strictly before n's
+		// retirement (this deleter retires it after the search), so every
+		// conclusive snapshot sees it.
+		if n, np, found = h.walk(key); found {
+			h.guard.Protect(h.hpPin(), n)
+		}
+	}
+	if !found {
 		return false
 	}
-	// Pin n before marking: the cleanup search recycles level 0's slot
-	// pair. The pin copy is published strictly before n's retirement (this
-	// deleter retires it after the search), so every conclusive snapshot
-	// sees it.
-	h.guard.Protect(h.hpPin(), n)
 	topLevel := int(np.Get(n).topLevel)
 	for l := topLevel - 1; l >= 1; l-- {
 		for {
@@ -744,9 +763,16 @@ func (h *Handle) Delete(key int64) bool {
 			// once, while the pin still protects n. Readers that load the
 			// tombstone linearize after this delete (value.go); later
 			// upserts observe it and refuse to resurrect the node.
-			h.retireDisplaced(np.Get(n).val.Swap(valTombstone))
-			h.forget(key)
+			h.retireDisplaced(n, np, np.Get(n).val.Swap(valTombstone))
 			h.prune(key) // physical cleanup at every level
+			// What prune found is where key is now: the edge over it, or —
+			// if another worker re-inserted key behind us — its new node
+			// (an edge over that node would answer "absent").
+			if p := h.preds[0]; h.predp[0].Get(p).key < key {
+				h.remember(key, p, h.succs[0])
+			} else {
+				h.remember(key, p, 0)
+			}
 			// Retirement ownership: if n's inserter is still linking
 			// upper levels, it can re-link a level our search already
 			// passed — retiring now would leave a reachable retired

@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
-# The acceptance test of the search fingers' tests: each patch here removes
-# one step of probe's validation (internal/skiplist package doc, "Fingers"),
-# and every test named beside it must FAIL on the patched tree. A patch that
-# no longer applies fails loudly (git apply --check) instead of rotting; a
-# named test that passes on a mutant is a test that checks nothing.
+# The acceptance test of the search fingers' and self values' tests: each
+# patch here is one wrong step — two remove a check of probe's validation
+# (internal/skiplist package doc, "Fingers"), delete-edge-over-key has Delete
+# leave an edge over the node prune found, self-value-retired retires a
+# displaced self value (value.go) — and every test named beside it must FAIL
+# on the patched tree. A patch that no longer applies fails loudly (git apply
+# --check) instead of rotting; a named test that passes on a mutant is a test
+# that checks nothing.
 #
 # Runs on a copy of the tracked files under a temporary directory; the
 # working tree is not touched. Usage: bash internal/skiplist/testdata/mutants/kill.sh
@@ -22,6 +25,11 @@ kills=(
 	"no-mark-check.patch|./internal/skiplist|TestFingerInterleavings"
 	"no-mark-check.patch|.|TestSkipMapLinearizable"
 	"no-mark-check.patch|.|TestSkipMapFingerAcrossQuiescence"
+	"delete-edge-over-key.patch|./internal/skiplist|TestFingerDetection"
+	"delete-edge-over-key.patch|./internal/skiplist|TestFingerInterleavings"
+	"self-value-retired.patch|./internal/skiplist|TestFingerInterleavings"
+	"self-value-retired.patch|./internal/skiplist|TestSlotsPerSpilledValue"
+	"self-value-retired.patch|.|TestSkipMapLinearizable"
 )
 
 cd "$root"

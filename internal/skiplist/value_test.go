@@ -1,12 +1,76 @@
 package skiplist
 
 import (
+	"bytes"
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"qsense/internal/mem"
 	"qsense/internal/reclaim"
 )
+
+// FuzzValueWord holds shapeOf to the encoding table in value.go: every word
+// decodes to exactly one of empty / inline / tombstone / self / spilled, by
+// the rule the table states for it; every word the encoders produce decodes
+// to the shape it was made as; and inline words round-trip through
+// inlineWord/appendInline (and Put's uintWord through Get's decode).
+func FuzzValueWord(f *testing.F) {
+	self := uint64(mem.MakeRef(7, 3))
+	f.Add(uint64(0), self, []byte(nil))                                // empty
+	f.Add(inlineWord([]byte("tiny")), self, []byte("tiny"))            // inline
+	f.Add(uint64(valTombstone), self, []byte{})                        // tombstone
+	f.Add(self, self, []byte("1234567"))                               // self
+	f.Add(uint64(mem.MakeRef(9, 5)), self, bytes.Repeat([]byte{9}, 8)) // spilled
+	f.Add(uint64(6), uint64(mem.MakeRef(0, 1)), []byte{0xff})          // bit 1 without bit 0: no encoder's
+	f.Fuzz(func(t *testing.T, w, n uint64, b []byte) {
+		node := mem.Ref(n).Untagged()
+		rules := map[shape]bool{
+			shapeEmpty:     w == 0,
+			shapeInline:    w&valInlineBit != 0,
+			shapeTombstone: w == valTombstone,
+			shapeSelf:      w != 0 && w == uint64(node),
+		}
+		rules[shapeSpilled] = !rules[shapeEmpty] && !rules[shapeInline] && !rules[shapeTombstone] && !rules[shapeSelf]
+		holds := 0
+		for _, ok := range rules {
+			if ok {
+				holds++
+			}
+		}
+		if got := shapeOf(w, node); holds != 1 || !rules[got] {
+			t.Fatalf("word %#x of node %v: shapeOf says %d, %d shapes' rules hold: %v", w, node, got, holds, rules)
+		}
+
+		if len(b) > MaxInline {
+			b = b[:MaxInline]
+		}
+		iw := inlineWord(b)
+		if shapeOf(iw, node) != shapeInline || inlineLen(iw) != len(b) || !bytes.Equal(appendInline(nil, iw), b) {
+			t.Fatalf("inline %x: word %#x decodes to shape %d, %x", b, iw, shapeOf(iw, node), appendInline(nil, iw))
+		}
+		if shapeOf(w, node) == shapeInline && inlineLen(w) <= MaxInline {
+			// Re-encoding keeps exactly the bits the decoder reads.
+			read := uint64(valInlineBit|valLenMask<<valLenShift) | (1<<(8*inlineLen(w))-1)<<valDataShift
+			if got := inlineWord(appendInline(nil, w)); got != w&read {
+				t.Fatalf("inline word %#x re-encodes as %#x, want %#x", w, got, w&read)
+			}
+		}
+		if v := w >> (64 - 8*MaxInline); shapeOf(uintWord(v), node) != shapeInline || uintWord(v)>>valDataShift != v ||
+			uintWord(v) != inlineWord(bytes.TrimRight(binary.LittleEndian.AppendUint64(nil, v), "\x00")) {
+			t.Fatalf("Put(%#x): word %#x", v, uintWord(v))
+		}
+
+		r := mem.Ref(w).Untagged()
+		if r.IsNil() {
+			return
+		}
+		if want := map[bool]shape{true: shapeSelf, false: shapeSpilled}[r == node]; shapeOf(uint64(r), node) != want {
+			t.Fatalf("Ref %v in node %v decodes to shape %d, want %d", r, node, shapeOf(uint64(r), node), want)
+		}
+	})
+}
 
 func TestSkipListValueSemantics(t *testing.T) {
 	for _, scheme := range reclaim.Schemes() {
@@ -166,8 +230,22 @@ func TestSkipListByteValues(t *testing.T) {
 			if v, ok := h.GetAppend(2, nil); !ok || len(v) != 0 {
 				t.Fatalf("empty-value GetAppend = %q,%v", v, ok)
 			}
+			// Self: a long first value lives in its own node, and counts as
+			// spilled all the same.
+			if !h.PutBytes(3, long) {
+				t.Fatal("spilled insert")
+			}
+			if v, ok := h.GetAppend(3, nil); !ok || string(v) != string(long) {
+				t.Fatalf("self GetAppend = %q,%v", v, ok)
+			}
+			if v, ok := h.Get(3); !ok || v != binary.LittleEndian.Uint64(long) {
+				t.Fatalf("self Get = %#x,%v", v, ok)
+			}
+			if vs := s.ValueStats(); vs.Spilled != 2 || vs.Bytes != int64(len(long)+len("spilled again, still too long")) {
+				t.Fatalf("gauges with a self value = %+v", vs)
+			}
 			// Delete drops the gauges back to zero and retires the value node.
-			if !h.Delete(1) || !h.Delete(2) {
+			if !h.Delete(1) || !h.Delete(2) || !h.Delete(3) {
 				t.Fatal("delete")
 			}
 			if _, ok := h.GetAppend(1, nil); ok {

@@ -150,7 +150,12 @@ func TestSkipMapLinearizable(t *testing.T) {
 func TestSkipMapFingerAcrossQuiescence(t *testing.T) {
 	const (
 		kHot, kGone, kGap, kNew = 40, 50, 65, 75 // 10, 20 … 90 present at the start; kGap and kNew absent
-		rounds                  = 12000          // × ≥ 2 retires: past qsense's default C of 8192
+		// Each round deletes a key, inserts it and overwrites it — ids
+		// alternate, so the insert is inline and the overwrite spills to a
+		// value node — and the key's next DEL retires both: rounds × 2
+		// retires, past qsense's default C of 8192. (A DEL + insert round
+		// is one retire now that a first value lives in its node.)
+		rounds = 12000
 	)
 	for _, scheme := range apiSchemes {
 		for _, quiet := range []string{"idle", "released"} {
@@ -189,6 +194,7 @@ func TestSkipMapFingerAcrossQuiescence(t *testing.T) {
 				for i := 0; i < rounds; i++ {
 					k := int64(10 + 10*(i%9))
 					b.del(k)
+					put(b, k)
 					put(b, k)
 				}
 				b.del(kGone)
