@@ -11,10 +11,11 @@
 // quiet server decays to its live connection count. STATS surfaces
 // exactly those counters over the wire.
 //
-// A command allocates nothing (resp reuses its buffers, dispatch works on
-// the bytes), and the idle deadline, the write deadline and the
-// MemoryLimit sampler's clock are handled per socket read and per socket
-// write, so a pipelined batch pays for them once.
+// A command allocates nothing (resp parses a buffered command in place and
+// reuses its buffers otherwise, dispatch works on the bytes and parses a
+// plain decimal key without strconv), and the idle deadline, the write
+// deadline and the MemoryLimit sampler's clock are handled per socket read
+// and per socket write, so a pipelined batch pays for them once.
 //
 // What a connection costs in memory: its goroutine, two 4 KiB resp buffers,
 // a guard slot and — from its first GET or SET on — the 96 KiB finger table
@@ -499,7 +500,7 @@ func wantKey(wr *resp.Writer, cmd string, args [][]byte, arity int) (int64, bool
 		wr.Error("ERR wrong number of arguments for '" + cmd + "'")
 		return 0, false
 	}
-	k, err := strconv.ParseInt(string(args[1]), 10, 64)
+	k, err := parseKey(args[1])
 	if err != nil {
 		wr.Error("ERR key is not an integer")
 		return 0, false
@@ -509,6 +510,31 @@ func wantKey(wr *resp.Writer, cmd string, args [][]byte, arity int) (int64, bool
 		return 0, false
 	}
 	return k, true
+}
+
+// parseKey is strconv.ParseInt(string(b), 10, 64) with the common case
+// done by a loop: an optional '-' and 1 to 18 digits cannot overflow.
+// Anything else — a '+', 19 or more digits, any other byte — goes to
+// strconv, so the keys accepted and the errors are exactly strconv's.
+func parseKey(b []byte) (int64, error) {
+	digits := b
+	if len(b) > 0 && b[0] == '-' {
+		digits = b[1:]
+	}
+	if len(digits) == 0 || len(digits) > 18 {
+		return strconv.ParseInt(string(b), 10, 64)
+	}
+	var n int64
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			return strconv.ParseInt(string(b), 10, 64)
+		}
+		n = n*10 + int64(c-'0')
+	}
+	if len(digits) < len(b) {
+		n = -n
+	}
+	return n, nil
 }
 
 // sanitize keeps control bytes out of error replies.

@@ -1,7 +1,6 @@
 package queue
 
 import (
-	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -159,31 +158,37 @@ func TestQueueConcurrentConservation(t *testing.T) {
 
 // TestQueueReclaimsDuringRun: dequeue-heavy traffic must recycle dummies
 // online, not just at Close.
+//
+// The two workers run in rounds of 64 iterations and wait for each other at
+// the end of every round. Left alone, one worker can run its whole loop
+// while the other is descheduled — on GOMAXPROCS=1, or on a loaded machine —
+// and the other's stale local epoch then pins every retire, so the
+// quiescence-based schemes free nothing. A yield does not prevent that; the
+// barrier does: every round both workers pass quiescent states, so epochs
+// advance while the run is under way.
 func TestQueueReclaimsDuringRun(t *testing.T) {
+	const rounds, perRound = 125, 64
 	for _, scheme := range []string{"qsbr", "hp", "cadence", "qsense", "ebr", "rc"} {
 		scheme := scheme
 		t.Run(scheme, func(t *testing.T) {
 			_, d, hs := newQueue(t, scheme, 2)
 			defer d.Close()
+			// arrived[w] takes worker w's token for the round it finished;
+			// a worker goes on once it has the other's.
+			arrived := [2]chan struct{}{make(chan struct{}, 1), make(chan struct{}, 1)}
 			var wg sync.WaitGroup
 			for w := 0; w < 2; w++ {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
 					h := hs[w]
-					for i := 0; i < 8000; i++ {
-						h.Enqueue(uint64(i))
-						h.Dequeue()
-						if i%64 == 0 {
-							// On GOMAXPROCS=1 the whole loop fits in one
-							// scheduler timeslice, so without yields the
-							// two workers run back-to-back and the
-							// quiescence-based schemes can never rotate
-							// epochs (each worker sees the other's stale
-							// local epoch forever). Yielding restores the
-							// interleaving the test is about.
-							runtime.Gosched()
+					for round := 0; round < rounds; round++ {
+						for i := 0; i < perRound; i++ {
+							h.Enqueue(uint64(i))
+							h.Dequeue()
 						}
+						arrived[w] <- struct{}{}
+						<-arrived[1-w]
 					}
 				}(w)
 			}

@@ -103,6 +103,22 @@ func FuzzReadCommand(f *testing.F) {
 	f.Add(pipeline(3), uint16(7))
 	f.Add([]byte("  SET   5   99\r\n\r\nGET 5\r\n*0\r\n*1\r\n$4\r\nPING\r\n"), uint16(3))
 	f.Add(append(pipeline(1), "*1\r\n$3\r\nab"...), uint16(5000))
+	// Each way the in-place parse declines, whole in the buffer (4096) and
+	// trickled (1): a command cut at the 4 KiB buffer edge, leading zeros, a
+	// sign, ten digits, an empty array, a bulk string without its CRLF, an
+	// inline command between two arrays.
+	for _, in := range []string{
+		string(getBatch(200)),
+		"*02\r\n$3\r\nGET\r\n$0003\r\n123\r\n",
+		"*1\r\n$+3\r\nabc\r\n*+1\r\n$1\r\nx\r\n",
+		"*1\r\n$0000000003\r\nabc\r\n*1\r\n$1000000000\r\n",
+		"*0\r\n*1\r\n$4\r\nPING\r\n",
+		"*1\r\n$3\r\nabcXY*1\r\n$4\r\nPING\r\n",
+		"*1\r\n$4\r\nPING\r\nGET 5\r\n*1\r\n$4\r\nPING\r\n",
+	} {
+		f.Add([]byte(in), uint16(4095))
+		f.Add([]byte(in), uint16(0))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, chunk uint16) {
 		want, wantEnd := refCommands(data)
 		r := NewReader(&chunked{data: data, n: int(chunk) + 1})

@@ -6,7 +6,9 @@
 // in what it will buffer — a garbage or hostile peer costs one error, not
 // memory: payload space grows as bytes arrive, never on a declared length
 // — and buffered, so pipelined commands parse back to back without extra
-// reads. Neither direction allocates in steady state.
+// reads. A command that already lies wholly in the read buffer is parsed in
+// place: its arguments alias the buffered bytes, nothing is copied. Neither
+// direction allocates in steady state.
 package resp
 
 import (
@@ -55,9 +57,10 @@ func IsProtocol(err error) bool {
 
 // Reader parses RESP commands (the server half) or replies (the client
 // half) from a stream. Every slice it returns — command arguments,
-// Reply.Bulk — lives in storage the Reader owns and reuses: it is valid
-// until the next ReadCommand or ReadReply call and must be copied to be
-// kept.
+// Reply.Bulk — lives in storage the Reader owns and reuses: the payload
+// scratch, or, for a command that was wholly buffered when ReadCommand was
+// called, the read buffer itself. It is valid until the next ReadCommand or
+// ReadReply call and must be copied to be kept.
 type Reader struct {
 	br   *bufio.Reader
 	args [][]byte // the returned command
@@ -85,9 +88,13 @@ func (r *Reader) reset() {
 // ReadCommand reads one command: either a RESP array of bulk strings or
 // an inline command line. It blocks until a full command (or an error) is
 // available; partial reads resume transparently across calls to the
-// underlying reader.
+// underlying reader. An array command that is already wholly buffered is
+// parsed in place (inPlace); everything else takes the general path below.
 func (r *Reader) ReadCommand() ([][]byte, error) {
 	r.reset()
+	if args := r.inPlace(); args != nil {
+		return args, nil
+	}
 	for {
 		first, err := r.br.ReadByte()
 		if err != nil {
@@ -134,6 +141,60 @@ func (r *Reader) ReadCommand() ([][]byte, error) {
 		}
 		return r.args, nil
 	}
+}
+
+// inPlace parses one array command that lies wholly in the read buffer
+// without copying it: each argument is a sub-slice of the buffered bytes
+// with its capacity cut at its length, and the command's bytes are consumed
+// only once it has parsed. It never reads the socket. Anything else — a
+// command not yet wholly buffered, an inline command, *0, a length with a
+// sign, a leading zero or ten digits, a missing CRLF, a MaxArgs or MaxBulk
+// breach — returns nil having consumed nothing, and the general path parses
+// it, so every framing error, limit and message is that path's.
+func (r *Reader) inPlace() [][]byte {
+	buf, _ := r.br.Peek(r.br.Buffered())
+	if len(buf) == 0 || buf[0] != '*' {
+		return nil
+	}
+	n, at, ok := length(buf, 1)
+	if !ok || n == 0 || n > MaxArgs {
+		return nil
+	}
+	r.args = r.args[:0]
+	for range n {
+		if at >= len(buf) || buf[at] != '$' {
+			return nil
+		}
+		size, from, ok := length(buf, at+1)
+		if !ok || size > MaxBulk {
+			return nil
+		}
+		end := from + size
+		if end+2 > len(buf) || buf[end] != '\r' || buf[end+1] != '\n' {
+			return nil
+		}
+		r.args = append(r.args, buf[from:end:end])
+		at = end + 2
+	}
+	r.br.Discard(at)
+	return r.args
+}
+
+// length parses the length that starts at buf[at] and its CRLF: one to nine
+// digits, no sign, no leading zero but in "0" itself. next is where the
+// frame after the CRLF starts.
+func length(buf []byte, at int) (n, next int, ok bool) {
+	start := at
+	for ; at < len(buf) && at-start < 10 && '0' <= buf[at] && buf[at] <= '9'; at++ {
+		n = n*10 + int(buf[at]-'0')
+	}
+	if digits := at - start; digits == 0 || digits > 9 || digits > 1 && buf[start] == '0' {
+		return 0, 0, false
+	}
+	if at+1 >= len(buf) || buf[at] != '\r' || buf[at+1] != '\n' {
+		return 0, 0, false
+	}
+	return n, at + 2, true
 }
 
 // readBulk reads one $<len>\r\n<bytes>\r\n frame, appending the bytes to

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -67,6 +68,8 @@ func (tr *trickle) Read(p []byte) (int, error) {
 	tr.data = tr.data[1:]
 	return 1, nil
 }
+
+func (tr *trickle) Reset(data []byte) { tr.data = data }
 
 func TestReadCommandPartialReads(t *testing.T) {
 	in := "*2\r\n$4\r\nINCR\r\n$3\r\n123\r\n*1\r\n$4\r\nPING\r\n"
@@ -294,5 +297,89 @@ func TestScratchReleasedAfterBigCommand(t *testing.T) {
 	}
 	if cap(r.buf) > scratchKeep {
 		t.Fatalf("scratch still %d bytes after the big command was done with", cap(r.buf))
+	}
+}
+
+// getBatch encodes n GETs of six-digit keys: 25 bytes each, so 64 of them
+// (1600 bytes) are one pipelined batch that fits the 4 KiB read buffer and
+// 200 of them cut command 164 at its edge.
+func getBatch(n int) []byte {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for i := range n {
+		w.CommandBytes([]byte("GET"), strconv.AppendInt(nil, 100000+int64(i)*7919%900000, 10))
+	}
+	w.Flush()
+	return buf.Bytes()
+}
+
+// TestReadCommandInPlace: a batch that one socket read left wholly in the
+// buffer parses without claiming payload scratch, every argument a view of
+// the buffered bytes; and a batch that straddles the buffer's edge parses to
+// the same arguments as a 1-byte trickle, which never finds a command whole.
+func TestReadCommandInPlace(t *testing.T) {
+	batch := getBatch(64)
+	r := NewReader(bytes.NewReader(batch))
+	buffered, err := r.br.Peek(len(batch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := 0
+	for i := range 64 {
+		args, err := r.ReadCommand()
+		if err != nil || len(args) != 2 || string(args[0]) != "GET" {
+			t.Fatalf("command %d: %q, %v", i, args, err)
+		}
+		for j, a := range args {
+			off := at + bytes.Index(buffered[at:], a)
+			if &buffered[off] != &a[0] || cap(a) != len(a) {
+				t.Fatalf("command %d arg %d is not the buffered bytes at %d (capacity %d of %d)", i, j, off, cap(a), len(a))
+			}
+			at = off + len(a)
+		}
+	}
+	if cap(r.buf) != 0 {
+		t.Fatalf("payload scratch of %d bytes claimed for a wholly buffered batch", cap(r.buf))
+	}
+
+	batch = getBatch(200)
+	whole, trickled := NewReader(bytes.NewReader(batch)), NewReader(&trickle{data: batch})
+	for i := range 200 {
+		want, err := trickled.ReadCommand()
+		if err != nil {
+			t.Fatalf("trickled command %d: %v", i, err)
+		}
+		want = slices.Clone(want)
+		if got, err := whole.ReadCommand(); err != nil || cmdString(got) != cmdString(want) {
+			t.Fatalf("command %d: %q, %v; trickled %q", i, cmdString(got), err, cmdString(want))
+		}
+	}
+}
+
+// BenchmarkReadCommand prices parsing one pipelined batch of 64 GETs (an
+// op is the batch). buffered is the in-place parse: one read brings the
+// batch, its first command takes the general path and the other 63 are
+// parsed where they lie. trickle is the bypass: 1-byte reads, so no command
+// is ever whole in the buffer and all 64 take the general path.
+func BenchmarkReadCommand(b *testing.B) {
+	batch := getBatch(64)
+	for _, src := range []struct {
+		name string
+		r    interface {
+			io.Reader
+			Reset([]byte)
+		}
+	}{{"buffered", bytes.NewReader(nil)}, {"trickle", &trickle{}}} {
+		b.Run(src.name, func(b *testing.B) {
+			r := NewReader(src.r)
+			for b.Loop() {
+				src.r.Reset(batch)
+				for range 64 {
+					if _, err := r.ReadCommand(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

@@ -243,3 +243,21 @@ func TestSkipListLayout(t *testing.T) {
 		}
 	}
 }
+
+// TestFingerTableLayout pins what fingerSet's comment promises: the table is
+// still 96 KiB, and it starts on a cache line, so every set — 96 bytes, at 0
+// or 32 mod 64 — has its four keys on one line.
+func TestFingerTableLayout(t *testing.T) {
+	if size := unsafe.Sizeof(fingerSet{}) * (1 << fingerBits / fingerWays); size != 96<<10 {
+		t.Errorf("finger table is %d bytes, want 96 KiB", size)
+	}
+	if unsafe.Offsetof(fingerSet{}.key) != 0 || unsafe.Sizeof(fingerSet{}.key) != 32 {
+		t.Errorf("a set's keys are not its first 32 bytes")
+	}
+	_, d, hs := newSet(t, "none", 1, 0)
+	defer d.Close()
+	hs[0].Contains(1)
+	if at := uintptr(unsafe.Pointer(&hs[0].fingers[0])); at%64 != 0 {
+		t.Errorf("finger table at %#x, not on a cache line", at)
+	}
+}

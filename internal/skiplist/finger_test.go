@@ -9,6 +9,7 @@ import (
 	"qsense/internal/lincheck"
 	"qsense/internal/mem"
 	"qsense/internal/reclaim"
+	"qsense/internal/workload"
 )
 
 // hookGuard runs hook just before the at-th Protect of the operation in
@@ -68,6 +69,20 @@ func newFingerRig(t *testing.T) *fingerRig {
 	return r
 }
 
+// fingerOf is key's finger in h's table with the way's hit count stripped:
+// key's node ref (succ nil), the edge ref → succ, or both nil if h keeps no
+// finger for key.
+func (h *Handle) fingerOf(key int64) (ref, succ mem.Ref) {
+	if h.fingers == nil {
+		return 0, 0
+	}
+	t := h.setOf(key)
+	if i := t.way(key); i >= 0 {
+		return t.ref[i].Untagged(), t.succ[i]
+	}
+	return 0, 0
+}
+
 // node returns key's node as a fresh walk by b finds it.
 func (r *fingerRig) node(key int64) mem.Ref {
 	r.b.search(key)
@@ -108,8 +123,8 @@ func TestFingerDetection(t *testing.T) {
 		r := newFingerRig(t)
 		n := r.node(k)
 		r.get(k)
-		if f := r.a.fingerOf(k); f.ref != n || !f.succ.IsNil() {
-			t.Fatalf("after a GET the finger is %+v, want key's node %v", *f, n)
+		if ref, succ := r.a.fingerOf(k); ref != n || !succ.IsNil() {
+			t.Fatalf("after a GET the finger is %v -> %v, want key's node %v", ref, succ, n)
 		}
 		if v, ok, protects, rec := r.get(k); !ok || !bytes.Equal(v, rigVal(k, 0)) || protects != 1 || rec != nil {
 			t.Fatalf("hot GET: %x %v in %d publications, panic %v", v, ok, protects, rec)
@@ -142,8 +157,8 @@ func TestFingerDetection(t *testing.T) {
 		if v, ok, protects, rec := r.get(k); ok || rec != nil || protects <= 1 {
 			t.Fatalf("got %x %v in %d publications, panic %v; want the walk's answer: absent", v, ok, protects, rec)
 		}
-		if f := r.a.fingerOf(k); f.ref == n {
-			t.Fatalf("the refused finger is still in the table: %+v", *f)
+		if ref, succ := r.a.fingerOf(k); ref == n {
+			t.Fatalf("the refused finger is still in the table: %v -> %v", ref, succ)
 		}
 	})
 
@@ -164,8 +179,8 @@ func TestFingerDetection(t *testing.T) {
 		if v, ok, protects, rec := r.get(k); !ok || !bytes.Equal(v, []byte{1}) || rec != nil || protects <= 1 {
 			t.Fatalf("got %x %v in %d publications, panic %v; want the walk's answer: 01", v, ok, protects, rec)
 		}
-		if f := r.a.fingerOf(k); f.ref != n2 {
-			t.Fatalf("finger %+v, want the new node %v", *f, n2)
+		if ref, succ := r.a.fingerOf(k); ref != n2 {
+			t.Fatalf("finger %v -> %v, want the new node %v", ref, succ, n2)
 		}
 	})
 
@@ -239,8 +254,8 @@ func TestFingerDetection(t *testing.T) {
 		r := newFingerRig(t)
 		p, s := r.node(50), r.node(60)
 		r.get(55)
-		if f := r.a.fingerOf(55); f.ref != p || f.succ != s {
-			t.Fatalf("after an absent GET the finger is %+v, want the edge %v -> %v", *f, p, s)
+		if ref, succ := r.a.fingerOf(55); ref != p || succ != s {
+			t.Fatalf("after an absent GET the finger is %v -> %v, want the edge %v -> %v", ref, succ, p, s)
 		}
 		if v, ok, protects, rec := r.get(55); ok || protects != 1 || rec != nil {
 			t.Fatalf("absent GET by gap: %x %v in %d publications, panic %v", v, ok, protects, rec)
@@ -282,8 +297,8 @@ func TestFingerDetection(t *testing.T) {
 		if ok, _, rec := r.del(k); !ok || rec != nil {
 			t.Fatalf("got %v, panic %v; want deleted", ok, rec)
 		}
-		if f := r.a.fingerOf(k); f.ref != p || f.succ != s {
-			t.Fatalf("after the DEL the finger is %+v, want the edge %v -> %v", *f, p, s)
+		if ref, succ := r.a.fingerOf(k); ref != p || succ != s {
+			t.Fatalf("after the DEL the finger is %v -> %v, want the edge %v -> %v", ref, succ, p, s)
 		}
 		if v, ok, protects, rec := r.get(k); ok || protects != 1 || rec != nil {
 			t.Fatalf("GET after the DEL: %x %v in %d publications, panic %v; want absent by the edge", v, ok, protects, rec)
@@ -311,8 +326,8 @@ func TestFingerDetection(t *testing.T) {
 		if ok, _, rec := r.del(k); !ok || rec != nil {
 			t.Fatalf("got %v, panic %v; want deleted", ok, rec)
 		}
-		if f := r.a.fingerOf(k); !f.succ.IsNil() || f.ref == n {
-			t.Fatalf("after the DEL the finger is %+v, want b's new node", *f)
+		if ref, succ := r.a.fingerOf(k); !succ.IsNil() || ref.IsNil() || ref == n {
+			t.Fatalf("after the DEL the finger is %v -> %v, want b's new node", ref, succ)
 		}
 		if v, ok, protects, rec := r.get(k); !ok || !bytes.Equal(v, rigVal(k, 1)) || protects != 1 || rec != nil {
 			t.Fatalf("GET after the DEL: %x %v in %d publications, panic %v; want b's value by finger", v, ok, protects, rec)
@@ -326,7 +341,7 @@ func TestFingerDetection(t *testing.T) {
 // the handle, table and all, for the slot's next tenant) Pending drains
 // exactly as far as it does without the table.
 func TestFingersPinNothing(t *testing.T) {
-	const keys = 1 << (fingerBits + 2) // enough to fill nearly every entry
+	const keys = 1 << (fingerBits + 2) // enough to fill every way of every set
 	pendingAfter := func(t *testing.T, scheme string, keepFingers bool) int64 {
 		s, d, hs := newSet(t, scheme, 2, 16)
 		defer d.Close()
@@ -338,13 +353,15 @@ func TestFingersPinNothing(t *testing.T) {
 			a.GetAppend(k, nil)
 		}
 		held := 0
-		for _, f := range a.fingers {
-			if !f.ref.IsNil() {
-				held++
+		for _, set := range a.fingers {
+			for _, r := range set.ref {
+				if !r.IsNil() {
+					held++
+				}
 			}
 		}
-		if held < 1<<fingerBits*9/10 {
-			t.Fatalf("only %d of %d finger entries filled", held, 1<<fingerBits)
+		if held != 1<<fingerBits {
+			t.Fatalf("only %d of %d finger ways filled", held, 1<<fingerBits)
 		}
 		if !keepFingers {
 			a.fingers = nil
@@ -383,7 +400,8 @@ func TestFingersPinNothing(t *testing.T) {
 // fingerSeeds are schedules of exploreFingers recorded when they killed a
 // mutant (testdata/mutants; kill.sh replays them): the first of each row
 // faults with a *mem.Violation once probe's second generation check is
-// removed (no seed up to 300 does under hyaline); seed 1 of every scheme has
+// removed (no seed up to 300 does under hyaline), and on a double free once
+// probe returns a way's Ref with its hit count; seed 1 of every scheme has
 // no linearization once probe's mark check is, and faults on a double free
 // once a displaced self value is retired; seed 2 of every scheme has no
 // linearization once Delete leaves an edge over the node prune found. They
@@ -490,4 +508,95 @@ func exploreFingers(t *testing.T, scheme string, seed uint64) (err error) {
 		step(a, la)
 	}
 	return lincheck.Check(la, lb)
+}
+
+// TestFingerAdmission pins admit's order: an empty way first; in a full set
+// whose ways have all been hit three times, a new key is refused three
+// times, each refusal decaying every count, and admitted at its fourth miss.
+func TestFingerAdmission(t *testing.T) {
+	var h Handle
+	var set fingerSet
+	for i := range fingerWays - 1 {
+		set.key[i], set.ref[i] = int64(i), mem.MakeRef(uint32(i), 1).WithTag(3)
+	}
+	if i := h.admit(&set); i != fingerWays-1 {
+		t.Fatalf("admit took way %d, want the empty way %d", i, fingerWays-1)
+	}
+	set.ref[fingerWays-1] = mem.MakeRef(fingerWays-1, 1).WithTag(3)
+	for miss := 1; miss <= 3; miss++ {
+		if i := h.admit(&set); i >= 0 {
+			t.Fatalf("miss %d took way %d of a set hit three times over", miss, i)
+		}
+		for i, r := range set.ref {
+			if r.Tag() != uint64(3-miss) || r.Untagged() != mem.MakeRef(uint32(i), 1) {
+				t.Fatalf("after refusal %d way %d holds %v, want its ref with count %d", miss, i, r, 3-miss)
+			}
+		}
+	}
+	if i := h.admit(&set); i < 0 {
+		t.Fatal("a fourth miss was refused")
+	}
+}
+
+// raceDetector is set by race_test.go when the race detector is built in.
+var raceDetector bool
+
+// TestFingerHitRate pins, as exact counts, the share of lookups a handle's
+// finger table answers over the ruler's key space: 2^18 keys with every
+// other one stored, each lookup a probe and, when it fails, the walk that
+// remembers what it found — locate, less the value read. zipf(0.99) ranks
+// are scattered by the ruler's odd multiplier; each stream has a fresh
+// table, 1 Mi lookups of warm-up and 1 Mi measured. Then the hot set moves
+// (another multiplier) and the zipf table answers the first 1 Mi lookups of
+// the new stream with no warm-up: what its hot entries still hold is what
+// the decay must let go. Over none nothing is retired, so a finger that is
+// found always validates and the counts are the table's policy alone. A
+// direct-mapped table of the same 2^12 fingers answered 573 890 of the zipf
+// stream, 16 304 of the uniform one and 560 707 after the move.
+func TestFingerHitRate(t *testing.T) {
+	if raceDetector {
+		t.Skip("5 Mi single-goroutine lookups; the race detector has nothing to find in them")
+	}
+	const (
+		keys    = 1 << 18
+		lookups = 1 << 20
+	)
+	s, d, hs := newSet(t, "none", 1, 0)
+	defer d.Close()
+	for k := int64(0); k < keys; k += 2 {
+		hs[0].Insert(k)
+	}
+	zipf := hs[0]
+	for _, row := range []struct {
+		name    string
+		h       *Handle
+		theta   float64
+		scatter int64
+		warmup  bool
+		want    int
+	}{
+		{"zipf", zipf, 0.99, 0x9E3779B1, true, 672_551},
+		{"uniform", s.NewHandle(zipf.guard, 2), 0, 0x9E3779B1, true, 16_332},
+		{"hot set moved", zipf, 0.99, 0x2545F491, false, 654_882},
+	} {
+		rng := workload.NewRNG(99)
+		n, hits := lookups, 0
+		if row.warmup {
+			n *= 2
+		}
+		for i := range n {
+			key := rng.ZipfKey(keys, row.theta) * row.scatter % keys
+			row.h.guard.Begin()
+			if _, _, _, ok := row.h.probe(key, true); !ok {
+				row.h.walk(key)
+			} else if i >= n-lookups {
+				hits++
+			}
+			row.h.guard.ClearHPs()
+		}
+		t.Logf("%s: %d of %d lookups answered by a finger (%.2f %%)", row.name, hits, lookups, 100*float64(hits)/lookups)
+		if hits != row.want {
+			t.Errorf("%s: %d lookups answered, want exactly %d", row.name, hits, row.want)
+		}
+	}
 }

@@ -16,10 +16,11 @@ type countingGuard struct {
 func (g *countingGuard) Protect(i int, r mem.Ref) { g.protects++; g.Guard.Protect(i, r) }
 func (g *countingGuard) ClearHPs()                { g.clears++; g.Guard.ClearHPs() }
 
-// forget drops key's finger, so that the next operation on key walks.
+// forget empties key's whole set of fingers, so that the next operation on
+// key walks and what that walk remembers is admitted.
 func (h *Handle) forget(key int64) {
-	if h.fingers != nil && h.fingerOf(key).key == key {
-		*h.fingerOf(key) = finger{}
+	if h.fingers != nil {
+		*h.setOf(key) = fingerSet{}
 	}
 }
 

@@ -87,14 +87,19 @@
 //
 // A walk is ≈ 24 dependent cache misses and half the keys asked for were
 // asked for a moment ago, so a handle remembers, per key, the level-0
-// position its last walk, link or delete found (fingerBits): the key's node,
-// or the edge pred → succ the key falls strictly inside. Contains/Get/
-// GetAppend, Delete and an upsert of a present key try the finger first
-// (probe) and walk only if it fails. An insert needs preds at every level
-// and always walks, so it leaves an edge finger untried; a Delete that
-// found its node by finger skips the first walk, not prune's. What prune
-// found is the finger Delete leaves: the edge preds[0] → succs[0] when
-// preds[0]'s key is below key, and otherwise preds[0] itself as key's node —
+// position its last walk, link or delete found: the key's node, or the edge
+// pred → succ the key falls strictly inside. The table holds 2^12 of them in
+// sets of four ways (fingerBits, fingerSet), and keeps the ones that get hit:
+// each way counts its validated answers in its Ref's two tag bits, a key is
+// admitted over a way whose count is zero, and a refused key decays the
+// whole set — LFU with decay, in the 96 KiB a direct-mapped table of the
+// same 2^12 fingers took. Contains/Get/GetAppend, Delete and an upsert of
+// a present key try the finger first (probe) and walk only if it fails. An
+// insert needs preds at every level and always walks, so it leaves an edge
+// finger untried; a Delete that found its node by finger skips the first
+// walk, not prune's. What prune found is the finger Delete leaves: the edge
+// preds[0] → succs[0] when preds[0]'s key is below key, and otherwise
+// preds[0] itself as key's node —
 // another worker re-inserted key behind the deleter, and an edge over that
 // node would answer "absent" for a present key. A finger is a hint: it holds
 // no protection between operations (TestFingersPinNothing) and outlives
@@ -133,11 +138,13 @@
 // the new tenant read as the old node's: a fault on a correct scheme at
 // best, an "absent" for a present key at worst (both are rows of
 // TestFingerDetection; testdata/mutants holds the two edits, beside the edge
-// over a re-inserted key and a retired self value, and kill.sh shows the
-// tests that fail on each). A 30-bit generation that wraps hands
-// out a bit-identical live Ref, as it can for every Ref in this repository;
-// for a finger on a key's node the key compare after validation is what
-// makes that harmless.
+// over a re-inserted key, a retired self value and a Ref handed out with its
+// hit count, and kill.sh shows the tests that fail on each). probe strips
+// the count before its first check and bumps it only after validation
+// succeeds: what is validated and used is always the bare Ref. A 30-bit
+// generation that wraps hands out a bit-identical live Ref, as it can for
+// every Ref in this repository; for a finger on a key's node the key compare
+// after validation is what makes that harmless.
 //
 // The historical violation of invariant 2 — Insert pre-stored every
 // upper next word from the level-0 search and re-claimed a level only
@@ -311,7 +318,8 @@ type Handle struct {
 	succp [MaxLevel]mem.Resolved[node]
 	// fingers is nil until the first remember, so a lease that never looks
 	// a key up costs what it did.
-	fingers []finger
+	fingers []fingerSet
+	victim  uint // where admit's next scan for a zero count starts
 }
 
 // NewHandle binds a worker's guard to the skip list. Seed differentiates
@@ -481,31 +489,91 @@ retry:
 // <= MaxKey, so key+1 <= tailKey.
 func (h *Handle) prune(key int64) { h.search(key + 1) }
 
-// fingerBits sizes a handle's finger table: 2^12 entries of 24 bytes,
-// 96 KiB per handle that has looked a key up. A constant, not a knob: on
-// the ruler's zipf(0.99) stream the share of GETs a table answered was 15 %
-// at 2^8, 22–27 % at 2^10, 28–34 % at 2^12 and 35–40 % at 2^14 — four times
-// the memory for the last six points.
+// fingerBits sizes a handle's finger table: 2^12 fingers of 24 bytes in 2^10
+// sets of fingerWays, 96 KiB per handle that has looked a key up — what the
+// direct-mapped table of 2^12 entries it replaced took, since the hit counts
+// live in bits every Ref already has. A constant, not a knob. Of 1 Mi
+// lookups over the ruler's 2^18 keys, half of them stored (TestFingerHitRate
+// pins the counts), the table answers 672 551 of a zipf(0.99) stream
+// (64.1 %; direct-mapped 573 890, 54.7 %), 16 332 of a uniform one (1.6 %;
+// 16 304) and 654 882 of a zipf stream whose hot set just moved (62.5 %;
+// 560 707). Direct-mapped at 2^14 entries it answered 64.5 % of the zipf
+// stream: four times the memory for what four ways and hit counts buy.
 const fingerBits = 12
 
-// A finger is the level-0 position this handle last saw for key: key's own
-// node (succ nil), or the edge ref → succ that key falls strictly inside.
-// It is a hint and protects nothing between operations; probe decides
-// whether it still holds (package doc, "Fingers").
-type finger struct {
-	key       int64
-	ref, succ mem.Ref
+// fingerWays is the table's associativity.
+const fingerWays = 4
+
+// A fingerSet holds the fingers of up to fingerWays keys that hash alike.
+// Way i is the level-0 position this handle last saw for key[i]: the key's
+// own node ref[i] (succ[i] nil), or the edge ref[i] → succ[i] that the key
+// falls strictly inside; an empty way has ref[i] nil. A finger is a hint and
+// protects nothing between operations; probe decides whether it still holds
+// (package doc, "Fingers").
+//
+// ref[i]'s tag bits — mem.TagBits, reserved for the structure and otherwise
+// clear on every Ref a finger stores — count the way's hits, 0..3: probe
+// bumps the count after a validation succeeds, and remember decays it
+// (admit). The keys come first: a set is 96 bytes and the table one
+// page-aligned large allocation, so a set starts at 0 or 32 mod 64 and its
+// four keys share one cache line — a miss reads that line alone.
+type fingerSet struct {
+	key       [fingerWays]int64
+	ref, succ [fingerWays]mem.Ref
 }
 
-func (h *Handle) fingerOf(key int64) *finger {
-	return &h.fingers[uint64(key)*0x9E3779B97F4A7C15>>(64-fingerBits)]
+func (h *Handle) setOf(key int64) *fingerSet {
+	return &h.fingers[uint64(key)*0x9E3779B97F4A7C15>>(64-fingerBits+2)]
 }
 
+// way is the way that holds key's finger, or -1.
+func (t *fingerSet) way(key int64) int {
+	for i := range fingerWays {
+		if t.key[i] == key && !t.ref[i].IsNil() {
+			return i
+		}
+	}
+	return -1
+}
+
+// remember stores key's finger. A key that has a way keeps it, and its
+// count; a key that has none is admitted (admit) or refused.
 func (h *Handle) remember(key int64, ref, succ mem.Ref) {
 	if h.fingers == nil {
-		h.fingers = make([]finger, 1<<fingerBits)
+		h.fingers = make([]fingerSet, 1<<fingerBits/fingerWays)
 	}
-	*h.fingerOf(key) = finger{key, ref, succ}
+	t := h.setOf(key)
+	i := t.way(key)
+	if i >= 0 {
+		ref = ref.WithTag(t.ref[i].Tag())
+	} else if i = h.admit(t); i < 0 {
+		return
+	}
+	t.key[i], t.ref[i], t.succ[i] = key, ref, succ
+}
+
+// admit picks the way a key without one takes in t: an empty way, else one
+// whose count is zero, scanning from a start that rotates per handle. When
+// every way has been hit since its last decay it returns -1 — the key is
+// refused — and decrements every count, so a key that keeps being asked for
+// is admitted by its fourth miss at the latest, and a set whose keys went cold
+// empties its counts as the new ones knock (LFU with decay).
+func (h *Handle) admit(t *fingerSet) int {
+	for i := range fingerWays {
+		if t.ref[i].IsNil() {
+			return i
+		}
+	}
+	h.victim++
+	for j := range uint(fingerWays) {
+		if i := int((h.victim + j) % fingerWays); t.ref[i].Tag() == 0 {
+			return i
+		}
+	}
+	for i := range fingerWays {
+		t.ref[i] = t.ref[i].WithTag(t.ref[i].Tag() - 1)
+	}
+	return -1
 }
 
 // probe answers "where is key at level 0" from the finger, if the finger
@@ -521,25 +589,39 @@ func (h *Handle) probe(key int64, edges bool) (n mem.Ref, np mem.Resolved[node],
 	if h.fingers == nil {
 		return
 	}
-	f := h.fingerOf(key)
-	if f.key != key || f.ref.IsNil() || !edges && !f.succ.IsNil() {
+	t := h.setOf(key)
+	i := t.way(key)
+	if i < 0 {
 		return
 	}
-	np, raw, live := h.s.pool.Peek(f.ref)
+	ref, succ := t.ref[i].Untagged(), t.succ[i] // the tag bits are the way's count
+	if !edges && !succ.IsNil() {
+		return
+	}
+	np, raw, live := h.s.pool.Peek(ref)
 	if live {
-		h.guard.Protect(h.hpPin(), f.ref)
+		h.guard.Protect(h.hpPin(), ref)
 		w := raw.next[0].Load()
-		if np.Live(f.ref) && !isMarked(w) {
-			if f.succ.IsNil() && np.Get(f.ref).key == key {
-				return f.ref, np, true, true
+		if np.Live(ref) && !isMarked(w) {
+			if succ.IsNil() && np.Get(ref).key == key {
+				t.hit(i)
+				return ref, np, true, true
 			}
-			if !f.succ.IsNil() && w == uint64(f.succ) {
+			if !succ.IsNil() && w == uint64(succ) {
+				t.hit(i)
 				return 0, np, false, true
 			}
 		}
 	}
-	*f = finger{}
+	t.key[i], t.ref[i], t.succ[i] = 0, 0, 0
 	return
+}
+
+// hit counts a validated answer from way i, saturating at 3.
+func (t *fingerSet) hit(i int) {
+	if c := t.ref[i].Tag(); c < 3 {
+		t.ref[i] = t.ref[i].WithTag(c + 1)
+	}
 }
 
 // locate finds key's level-0 position — by finger or, failing that, by

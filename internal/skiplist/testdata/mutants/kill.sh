@@ -3,7 +3,10 @@
 # patch here is one wrong step — two remove a check of probe's validation
 # (internal/skiplist package doc, "Fingers"), delete-edge-over-key has Delete
 # leave an edge over the node prune found, self-value-retired retires a
-# displaced self value (value.go) — and every test named beside it must FAIL
+# displaced self value (value.go), finger-hits-leak has probe return the Ref
+# with its way's hit count in the tag bits (so a self word no longer reads as
+# the node's own, and a DEL by finger retires the node twice) — and every
+# test named beside it must FAIL
 # on the patched tree. A patch that no longer applies fails loudly (git apply
 # --check) instead of rotting; a named test that passes on a mutant is a test
 # that checks nothing.
@@ -30,6 +33,9 @@ kills=(
 	"self-value-retired.patch|./internal/skiplist|TestFingerInterleavings"
 	"self-value-retired.patch|./internal/skiplist|TestSlotsPerSpilledValue"
 	"self-value-retired.patch|.|TestSkipMapLinearizable"
+	"finger-hits-leak.patch|./internal/skiplist|TestFingerDetection"
+	"finger-hits-leak.patch|./internal/skiplist|TestFingerInterleavings"
+	"finger-hits-leak.patch|./internal/skiplist|TestPublicationsPerOp"
 )
 
 cd "$root"
