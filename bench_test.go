@@ -535,44 +535,39 @@ func BenchmarkLeaseChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkLeaseChurnSharded is BenchmarkLeaseChurn under PARALLEL churn,
-// at 1 vs 4 shards: every goroutine hammers Acquire/Release, so the
-// single-shard configuration serializes on one freelist head while the
-// sharded one spreads the CAS traffic by power-of-two-choices. Run with
-// -cpu=8 to see the separation; on fewer cores the goroutines time-slice
-// one CPU and the shard count cannot matter. The 1-shard series doubles as
-// the regression guard against the pre-sharding lease hot path.
-func BenchmarkLeaseChurnSharded(b *testing.B) {
+// BenchmarkLeaseChurnParallel is BenchmarkLeaseChurn under PARALLEL churn:
+// every goroutine hammers Acquire/Release on one freelist head — the path a
+// server's connection churn takes. Run with -cpu=2 or more; on one core the
+// goroutines time-slice and the benchmark reads like the serial one.
+func BenchmarkLeaseChurnParallel(b *testing.B) {
 	for _, scheme := range reclaim.Schemes() {
-		for _, shards := range []int{1, 4} {
-			b.Run(fmt.Sprintf("%s/shards=%d", scheme, shards), func(b *testing.B) {
-				pool := mem.NewPool[benchNode](mem.Config{Name: "bench"})
-				d, err := reclaim.New(scheme, reclaim.Config{
-					Workers: 16, HPs: 2, Free: func(r mem.Ref) { pool.Free(r) },
-					Q: 32, R: 64, Shards: shards,
-					Rooster: rooster.Config{Interval: 2 * time.Millisecond},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer d.Close()
-				r, _ := pool.Alloc()
-				defer pool.Free(r)
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					for pb.Next() {
-						g, err := d.Acquire()
-						if err != nil {
-							panic(err) // elastic domain: Acquire cannot fail
-						}
-						g.Begin()
-						g.Protect(0, r)
-						g.ClearHPs()
-						d.Release(g)
-					}
-				})
+		b.Run(scheme, func(b *testing.B) {
+			pool := mem.NewPool[benchNode](mem.Config{Name: "bench"})
+			d, err := reclaim.New(scheme, reclaim.Config{
+				Workers: 16, HPs: 2, Free: func(r mem.Ref) { pool.Free(r) },
+				Q: 32, R: 64,
+				Rooster: rooster.Config{Interval: 2 * time.Millisecond},
 			})
-		}
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer d.Close()
+			r, _ := pool.Alloc()
+			defer pool.Free(r)
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					g, err := d.Acquire()
+					if err != nil {
+						panic(err) // elastic domain: Acquire cannot fail
+					}
+					g.Begin()
+					g.Protect(0, r)
+					g.ClearHPs()
+					d.Release(g)
+				}
+			})
+		})
 	}
 }
 

@@ -52,7 +52,6 @@ func main() {
 		maxConns = flag.Int("max-conns", 0, "admission cap: connections past it queue (0 = elastic, never refuse)")
 		initial  = flag.Int("initial-conns", 0, "initial guard-arena size hint (0 = machine default)")
 		maxNodes = flag.Int("max-nodes", 0, "map node-pool bound (0 = library default)")
-		shards   = flag.Int("shards", 0, "reclamation-domain shards (0 = QSENSE_SHARDS, then min(GOMAXPROCS, 8))")
 		idleTO   = flag.Duration("idle-timeout", 0, "disconnect a connection silent for this long, releasing its lease (0 = never)")
 		writeTO  = flag.Duration("write-timeout", 0, "disconnect a client that stops draining replies for this long (0 = never)")
 		memLimit = flag.Int("mem-limit", 0, "pending-node soft limit: past it SET/DEL answer -BUSY while reads keep serving (0 = off)")
@@ -83,15 +82,14 @@ func main() {
 			target: *target, schemes: *schemes, conns: *conns,
 			keyRange: *keyRange, theta: *theta, updates: *updates,
 			burst: *burst, idle: *idle, cycles: *cycles, idleLoad: *idleLoad,
-			seed: *seed, maxNodes: *maxNodes, initial: *initial, shards: *shards,
+			seed: *seed, maxNodes: *maxNodes, initial: *initial,
 			stallConns: *stalls, stallLeg: *stallLeg, idleTO: *idleTO,
 			vsizes: *vsizes, vmax: *vmax, vtheta: *vtheta,
 		})
 		return
 	}
 	runServer(kvd.Config{
-		Scheme: *scheme, InitialConns: *initial, HardMaxConns: *maxConns,
-		MaxNodes: *maxNodes, Shards: *shards,
+		Scheme: *scheme, InitialConns: *initial, HardMaxConns: *maxConns, MaxNodes: *maxNodes,
 		IdleTimeout: *idleTO, WriteTimeout: *writeTO, MemoryLimit: *memLimit,
 	}, *addr)
 }
@@ -106,7 +104,7 @@ func runServer(cfg kvd.Config, addr string) {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("qsense-kvd: scheme=%s shards=%d listening on %s\n", cfg.Scheme, s.Stats().Shards, a)
+	fmt.Printf("qsense-kvd: scheme=%s listening on %s\n", cfg.Scheme, a)
 	done := make(chan error, 1)
 	go func() { done <- s.Serve() }()
 	sig := make(chan os.Signal, 1)
@@ -126,8 +124,8 @@ func runServer(cfg kvd.Config, addr string) {
 	}
 	st := s.Stats()
 	s.Close()
-	fmt.Printf("qsense-kvd: served %d leases over %d shards (imbalance %d), arena %d (high water %d, %d growths), %d slots parked\n",
-		st.AcquiredHandles, st.Shards, st.ShardImbalance, st.ArenaSize, st.HighWaterWorkers, st.ArenaGrowths, st.ParkedSlots)
+	fmt.Printf("qsense-kvd: served %d leases, arena %d (high water %d, %d growths), %d slots parked\n",
+		st.AcquiredHandles, st.ArenaSize, st.HighWaterWorkers, st.ArenaGrowths, st.ParkedSlots)
 }
 
 type loadOpts struct {
@@ -139,7 +137,6 @@ type loadOpts struct {
 	idleLoad               float64
 	seed                   uint64
 	maxNodes, initial      int
-	shards                 int
 	stallConns, stallLeg   int
 	idleTO                 time.Duration
 	vsizes                 string
@@ -189,7 +186,7 @@ func runLoad(o loadOpts) {
 			if target == "" {
 				// Fresh server per point: counters (growth, parking) then
 				// describe exactly this point's storm, not history.
-				s, err := kvd.New(kvd.Config{Scheme: sc, InitialConns: o.initial, MaxNodes: o.maxNodes, Shards: o.shards, IdleTimeout: o.idleTO})
+				s, err := kvd.New(kvd.Config{Scheme: sc, InitialConns: o.initial, MaxNodes: o.maxNodes, IdleTimeout: o.idleTO})
 				if err != nil {
 					fatal(err)
 				}

@@ -70,10 +70,7 @@ type leaseCore[O comparable, H any] struct {
 	// to an entry is exclusive to the slot's current owner, ordered by
 	// the slot pool's lease/release atomics. The table is segmented like
 	// the guard arena itself, so it covers slots minted by elastic
-	// growth. Under a sharded domain the key is still the one
-	// reclaim.SlotIndex word: the (shard, local slot) pair interleaved as
-	// local*Shards+shard, dense in [0, HardMaxWorkers) whatever the shard
-	// count, so the cache needs no shard awareness.
+	// growth; the key is reclaim.SlotIndex, the guard's slot index.
 	handles *reclaim.SlotTable[O]
 }
 

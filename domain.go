@@ -96,10 +96,7 @@ func (p *Pool[T]) BirthEra(r Ref) uint64 { return p.p.BirthEra(mem.Ref(r)) }
 // with NewDomain; each goroutine leases a Guard with Acquire and returns it
 // with Release when done. The guard arena starts at Options.MaxWorkers and
 // grows on demand, so concurrent leases are unbounded unless
-// Options.HardMaxWorkers caps them. The arena is split into Options.Shards
-// independent slot pools (see the package-level "Sharding" section);
-// Acquire spreads leases across them by power-of-two-choices, invisibly to
-// the Guard API.
+// Options.HardMaxWorkers caps them.
 type Domain struct {
 	d reclaim.Domain
 }

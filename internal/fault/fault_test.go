@@ -25,7 +25,6 @@ func TestFreezeUnfreezeCycle(t *testing.T) {
 		Workers: 4, HPs: 2, Q: 2,
 		Free:      func(r mem.Ref) { pool.Free(r) },
 		FaultHook: inj.Hook(),
-		Shards:    1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +91,6 @@ func TestTrapIsOneShot(t *testing.T) {
 		Workers: 4, HPs: 2, Q: 1,
 		Free:      func(r mem.Ref) { pool.Free(r) },
 		FaultHook: inj.Hook(),
-		Shards:    1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -154,8 +152,7 @@ func TestRunStormRetires(t *testing.T) {
 	pool := newPool(t)
 	d, err := reclaim.NewQSBR(reclaim.Config{
 		Workers: 8, HPs: 2, Q: 4,
-		Free:   func(r mem.Ref) { pool.Free(r) },
-		Shards: 1,
+		Free: func(r mem.Ref) { pool.Free(r) },
 	})
 	if err != nil {
 		t.Fatal(err)

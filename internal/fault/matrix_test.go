@@ -29,7 +29,7 @@ import (
 // stall was the only thing pinning garbage.
 //
 // Matrix geometry (explicit R/C so the ceiling is deterministic under
-// QSENSE_SHARDS and elastic growth):
+// elastic growth):
 const (
 	mxWorkers = 8
 	mxHPs     = 2
@@ -47,7 +47,7 @@ const mxInterval = 500 * time.Microsecond
 // mxCeiling is the static part of the bound: per-guard unscanned backlog
 // (R), limbo epochs (Q), hazard slots (HPs) across storm+victim+driver
 // guards with generous slack, plus QSense's fallback threshold (C) twice
-// over, plus a flat allowance for batch/orphan rounding across shards.
+// over, plus a flat allowance for batch and orphan-list rounding.
 func mxCeiling() int64 {
 	return int64(4*(mxStorm+2)*(mxR+mxQ+mxHPs) + 2*mxC + 8192)
 }

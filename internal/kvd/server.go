@@ -75,9 +75,6 @@ type Config struct {
 	HardMaxConns int
 	// MaxNodes bounds the map's node pool. 0 = library default.
 	MaxNodes int
-	// Shards splits the map's reclamation domain core (Options.Shards).
-	// 0 = library default (QSENSE_SHARDS, then min(GOMAXPROCS, 8)).
-	Shards int
 
 	// IdleTimeout, when > 0, is the deadline of each socket read: a
 	// connection that sends nothing for this long is disconnected and its
@@ -160,7 +157,6 @@ func New(cfg Config) (*Server, error) {
 		MaxWorkers:     cfg.InitialConns,
 		HardMaxWorkers: cfg.HardMaxConns,
 		MaxNodes:       cfg.MaxNodes,
-		Shards:         cfg.Shards,
 	})
 	if err != nil {
 		return nil, err
@@ -618,8 +614,6 @@ func statsFields(st qsense.Stats) []statKV {
 		{"rooster_passes", int64(st.RoosterPasses)},
 		{"ibr_interval_width", int64(st.IBRIntervalWidth)},
 		{"hyaline_batch_refs", st.HyalineBatchRefs},
-		{"shards", int64(st.Shards)},
-		{"shard_imbalance", int64(st.ShardImbalance)},
 		{"failed", b2i(st.Failed)},
 	}
 }

@@ -15,8 +15,8 @@ import (
 //     every interval T. A hazard pointer therefore becomes visible to scans
 //     at most one full pass after it is stored — the analog of the paper's
 //     context-switch-drains-store-buffer argument. The domain registers one
-//     flush target per shard (recFlusher) that walks the occupancy index, so
-//     a pass flushes only live records however large the arena once grew.
+//     flush target (recFlusher) that walks the occupancy index, so a pass
+//     flushes only live records however large the arena once grew.
 //  2. Deferred reclamation. Retire stamps the node with the current rooster
 //     tick; scan only frees nodes whose stamp is at least two completed
 //     passes old (rooster.OldEnough — Figure 4's T+ε condition in tick

@@ -1,7 +1,6 @@
 package reclaim
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -10,40 +9,31 @@ import (
 
 // TestConformance runs the same concurrent mailbox stress against every
 // scheme: correct schemes must produce zero use-after-free violations, zero
-// leaks after Close, and must actually reclaim memory while running. The
-// whole matrix runs at Shards=1 (the pre-sharding geometry) and Shards=4
-// (slots, orphan lists and walks split four ways) — the reclamation
-// contract must not depend on the shard count.
+// leaks after Close, and must actually reclaim memory while running.
 func TestConformance(t *testing.T) {
 	const workers = 6
 	iters := 30000
 	if testing.Short() {
 		iters = 5000
 	}
-	for _, shards := range []int{1, 4} {
-		for _, name := range Schemes() {
-			name, shards := name, shards
-			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
-				pool := newTestPool()
-				cfg := Config{
-					Workers: workers,
-					HPs:     2,
-					Free:    freeInto(pool),
-					Q:       8,
-					R:       64,
-					Shards:  shards,
-					Rooster: rooster.Config{Interval: 500 * time.Microsecond},
-				}
-				d, err := New(name, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if st := d.Stats(); st.Shards != shards {
-					t.Fatalf("Stats.Shards = %d, want %d", st.Shards, shards)
-				}
-				runMailboxStress(t, pool, d, workers, iters)
-			})
-		}
+	for _, name := range Schemes() {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			pool := newTestPool()
+			cfg := Config{
+				Workers: workers,
+				HPs:     2,
+				Free:    freeInto(pool),
+				Q:       8,
+				R:       64,
+				Rooster: rooster.Config{Interval: 500 * time.Microsecond},
+			}
+			d, err := New(name, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runMailboxStress(t, pool, d, workers, iters)
+		})
 	}
 }
 

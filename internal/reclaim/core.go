@@ -56,16 +56,16 @@ type slotCore struct {
 
 // domainCore owns everything a domain has whatever its scheme: the name,
 // the defaulted Config, counters, the optional threshold tuner and rooster,
-// the sharded slot pool and orphan lists, and the guards' kernel halves.
+// the slot pool and orphan list, and the guards' kernel halves.
 type domainCore struct {
 	name    string
 	cfg     Config
 	cnt     counters
 	tune    *tuner           // nil: no tunable threshold (none, qsbr, hyaline)
 	mgr     *rooster.Manager // nil: no rooster (all but cadence, qsense)
-	slots   *shardedPool
-	orphans shardedOrphans
-	cores   *shardedArena[*slotCore]
+	slots   *slotPool
+	orphans orphanList
+	cores   *arena[*slotCore]
 	// extraStats, when set, adds the scheme's own Stats fields.
 	extraStats func(*Stats)
 }
@@ -78,7 +78,6 @@ func (d *domainCore) init(name string, cfg Config, needFree bool) error {
 	}
 	d.name = name
 	d.cfg = cfg.withDefaults()
-	d.orphans.init(d.cfg.Shards)
 	return nil
 }
 
@@ -87,40 +86,37 @@ func (d *domainCore) init(name string, cfg Config, needFree bool) error {
 // halves (filled here), and the slot pool over both.
 // growFirst, when non-nil, publishes state the guards index into (hazard
 // records) before the guards of a grown segment are built.
-func openGuards[G policy](d *domainCore, growFirst func(shard, hi int), mk func(i int) G) *shardedArena[G] {
-	guards := newShardedArena(d.cfg.Shards, d.cfg.Workers, d.cfg.HardMaxWorkers, mk)
-	d.cores = newShardedArena(d.cfg.Shards, d.cfg.Workers, d.cfg.HardMaxWorkers, func(i int) *slotCore {
+func openGuards[G policy](d *domainCore, growFirst func(hi int), mk func(i int) G) *arena[G] {
+	guards := newArena(d.cfg.Workers, d.cfg.HardMaxWorkers, mk)
+	d.cores = newArena(d.cfg.Workers, d.cfg.HardMaxWorkers, func(i int) *slotCore {
 		g := guards.at(i)
 		c := g.core()
 		*c = guardCore{tc: tunerCache{r: d.cfg.R, c: d.cfg.C}, dom: d, id: i}
 		return &slotCore{guardCore: c, pol: g, pub: g}
 	})
-	d.slots = newShardedPool(d.cfg.Shards, d.cfg.Workers, d.cfg.HardMaxWorkers, d.tune, func(s, hi int) {
+	d.slots = newSlotPool(d.cfg.Workers, d.cfg.HardMaxWorkers, d.tune, func(hi int) {
 		if growFirst != nil {
-			growFirst(s, hi)
+			growFirst(hi)
 		}
-		guards.growShard(s, hi)
-		d.cores.growShard(s, hi)
+		guards.grow(hi)
+		d.cores.grow(hi)
 	})
 	return guards
 }
 
 // openHazardGuards is openGuards for the schemes that publish hazard
 // pointers (hp, cadence, qsense): a record arena the guards index into,
-// and — with a rooster — one occupancy-walking flush target PER SHARD plus
-// the orphan adoption hook. Growth publishes records before their slots can
-// lease, each target walks exactly its own pool's occupied slots and an
-// idle shard's target returns on one load, so rooster registration is a
+// and — with a rooster — one occupancy-walking flush target plus the orphan
+// adoption hook. Growth publishes records before their slots can lease and
+// the target walks exactly the occupied slots, so rooster registration is a
 // construction-time affair and flush passes cost O(live).
-func openHazardGuards[G policy](d *domainCore, mk func(rec *hprec) G) (*shardedArena[*hprec], *shardedArena[G]) {
-	recs := newShardedArena(d.cfg.Shards, d.cfg.Workers, d.cfg.HardMaxWorkers, func(int) *hprec {
+func openHazardGuards[G policy](d *domainCore, mk func(rec *hprec) G) (*arena[*hprec], *arena[G]) {
+	recs := newArena(d.cfg.Workers, d.cfg.HardMaxWorkers, func(int) *hprec {
 		return newHPRec(d.cfg.HPs)
 	})
-	guards := openGuards(d, recs.growShard, func(i int) G { return mk(recs.at(i)) })
+	guards := openGuards(d, recs.grow, func(i int) G { return mk(recs.at(i)) })
 	if d.mgr != nil {
-		for s, p := range d.slots.pools {
-			d.mgr.Register(&recFlusher{p: p, recs: recs.shards[s], cnt: &d.cnt})
-		}
+		d.mgr.Register(&recFlusher{p: d.slots, recs: recs, cnt: &d.cnt})
 		d.mgr.AddHook(1, d.orphans.adoptHook(d.mgr, d.slots, recs, d.cfg, &d.cnt))
 	}
 	return recs, guards
@@ -200,17 +196,17 @@ func (d *domainCore) Close() {
 	if d.mgr != nil {
 		d.mgr.Stop()
 	}
-	d.cores.forEach(func(c *slotCore) {
+	for i, n := 0, d.cores.len(); i < n; i++ {
+		c := d.cores.at(i)
 		c.pol.closeFree()
 		d.cnt.drainTally(&c.tally)
-	})
+	}
 	d.orphans.drain(d.cfg.Free, &d.cnt)
 }
 
 // counters carries the stat counters shared by all schemes. Lease and
-// quiescent-state counts are NOT here: they accrue per shard on the slot
-// pools (slots.go) so the hot Acquire/Release/quiescent paths never touch
-// a domain-wide cache line, and the façade sums them into Stats.
+// quiescent-state counts are NOT here: they accrue on the slot pool
+// (slots.go), next to the state they count.
 type counters struct {
 	retired   atomic.Uint64
 	freed     atomic.Uint64
@@ -377,7 +373,7 @@ func (c *counters) noteAdopted(n int) {
 // read or already in the shared counter we read last — a flush racing the
 // snapshot can only OVER-count Retired transiently (by at most one
 // guard's residue), never show Freed > Retired.
-func (c *counters) fill(s *Stats, p *shardedPool, cores *shardedArena[*slotCore]) {
+func (c *counters) fill(s *Stats, p *slotPool, cores *arena[*slotCore]) {
 	s.AdoptedNodes = c.adopted.Load()
 	s.Freed = c.freed.Load()
 	var res int64

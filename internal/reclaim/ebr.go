@@ -37,7 +37,7 @@ import (
 type EBR struct {
 	domainCore
 	epoch  atomic.Uint64
-	guards *shardedArena[*ebrGuard]
+	guards *arena[*ebrGuard]
 }
 
 type ebrGuard struct {
@@ -91,13 +91,13 @@ func (g *ebrGuard) join() {
 
 // drain: exit the critical section (the guard goes inactive, so it cannot
 // block grace periods while the slot sits vacant), help the epoch along and
-// move the remaining limbo to the guard's OWN shard's orphan list in one
-// batch stamped with the current global epoch, so any worker's Begin adopts
-// it three advances later.
+// move the remaining limbo to the orphan list in one batch stamped with the
+// current global epoch, so any worker's Begin adopts it three advances
+// later.
 func (g *ebrGuard) drain() {
 	g.ClearHPs()
 	g.tryAdvance()
-	g.d.orphans.at(g.id).addRefBuckets(&g.limbo, g.d.epoch.Load(), &g.d.cnt)
+	g.d.orphans.addRefBuckets(&g.limbo, g.d.epoch.Load(), &g.d.cnt)
 }
 
 func (g *ebrGuard) closeFree() {

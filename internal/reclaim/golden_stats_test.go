@@ -5,12 +5,10 @@ import (
 	"testing"
 )
 
-// goldenProject renders the Stats fields that existed before the sharding
-// refactor as one canonical string. The projection deliberately excludes
-// Shards/ShardImbalance (and any future additions) so the literals below,
-// captured on the pre-sharding seed, stay comparable: the Shards=1 path is
-// required to be byte-identical to the single-pool implementation on every
-// one of these fields.
+// goldenProject renders the Stats fields the literals below were captured
+// over as one canonical string. Fields added later stay out of the
+// projection, so the literals stay comparable: the domain core must remain
+// byte-identical to the capture on every one of these fields.
 func goldenProject(s Stats) string {
 	return fmt.Sprintf(
 		"ret=%d freed=%d pend=%d scans=%d scanned=%d quiesce=%d epochs=%d "+
@@ -34,14 +32,13 @@ func goldenProject(s Stats) string {
 // leases that forces one arena growth, retire/advance churn with manual
 // rooster steps, a Release that strands a backlog (orphan handoff), churn
 // that adopts it, then full release (exercising segment parking) and Close.
-func goldenDrive(t *testing.T, scheme string, shards int) (pre, post string) {
+func goldenDrive(t *testing.T, scheme string) (pre, post string) {
 	t.Helper()
 	pool := newTestPool()
 	cfg := Config{
 		Workers: 4, HardMaxWorkers: 16, HPs: 2, Q: 2, R: 8,
 		ManualRooster: true,
 		Free:          freeInto(pool),
-		Shards:        shards,
 	}
 	if scheme == "qsense" {
 		cfg.C = LegalC(cfg)
@@ -60,7 +57,7 @@ func goldenDrive(t *testing.T, scheme string, shards int) (pre, post string) {
 	}
 
 	// One lease held for the whole run (never released: acq ends one
-	// ahead of rel). At Shards=1 it sits on slot 0.
+	// ahead of rel). It sits on slot 0.
 	g0 := acquire(t, d, 1)[0]
 	g0.Begin()
 
@@ -127,11 +124,10 @@ func goldenDrive(t *testing.T, scheme string, shards int) (pre, post string) {
 }
 
 // goldenStats holds the pre/post-Close projections captured by running
-// goldenDrive on the pre-sharding implementation (single slot pool, single
-// orphan list). TestGoldenStatsShards1 asserts the refactored code at
-// Shards=1 reproduces them exactly.
+// goldenDrive on a single slot pool with a single orphan list.
+// TestGoldenStats asserts the domain core reproduces them exactly.
 //
-// Provenance of the current literals: the pre-sharding capture, moved by
+// Provenance of the current literals: the original capture, moved by
 // one stated delta when the drive's fixed worker became a lease (its
 // positional Guard(0) was deleted with the pinned slot state). That one-line
 // edit of the drive, run on the last commit that still had Guard(0), moves
@@ -171,10 +167,10 @@ var goldenStats = map[string][2]string{
 		"ret=224 freed=224 pend=0 scans=28 scanned=0 quiesce=0 epochs=0 tofall=0 tofast=0 evict=0 rejoin=0 acq=6 rel=5 arena=8 hw=6 grows=1 parked=4 parks=1 unparks=0 effR=8 effC=8192 retR=0 retC=0 orph=0 adopt=0 fall=false passes=0 failed=false",
 		"ret=224 freed=224 pend=0 scans=28 scanned=0 quiesce=0 epochs=0 tofall=0 tofast=0 evict=0 rejoin=0 acq=6 rel=5 arena=8 hw=6 grows=1 parked=4 parks=1 unparks=0 effR=8 effC=8192 retR=0 retC=0 orph=0 adopt=0 fall=false passes=0 failed=false",
 	},
-	// ibr and hyaline were born after the sharding refactor, so their goldens
-	// are the Shards=1 capture at introduction rather than a pre-refactor
-	// seed; they gate the same property going forward (determinism of the
-	// drive and Stats-accounting balance at Shards=1). The ibr strings were
+	// ibr and hyaline were born later, so their goldens are the capture at
+	// introduction rather than the original seed; they gate the same
+	// property going forward (determinism of the drive and Stats-accounting
+	// balance). The ibr strings were
 	// re-captured when the era cadence became adaptive (eraQ relaxes under
 	// the drive's narrow reservations, so far fewer epoch advances).
 	"ibr": {
@@ -187,23 +183,23 @@ var goldenStats = map[string][2]string{
 	},
 }
 
-// TestGoldenStatsShards1 is the sharding refactor's regression gate: with
-// Shards=1 the domain must be byte-identical in Stats to the pre-refactor
-// seed across a deterministic drive of every scheme.
-func TestGoldenStatsShards1(t *testing.T) {
+// TestGoldenStats is the domain core's regression gate: the domain must be
+// byte-identical in Stats to the captured literals across a deterministic
+// drive of every scheme.
+func TestGoldenStats(t *testing.T) {
 	for _, scheme := range Schemes() {
 		scheme := scheme
 		t.Run(scheme, func(t *testing.T) {
-			pre, post := goldenDrive(t, scheme, 1)
+			pre, post := goldenDrive(t, scheme)
 			want, ok := goldenStats[scheme]
 			if !ok {
 				t.Fatalf("no golden for %s; captured:\n\tpre:  %q\n\tpost: %q", scheme, pre, post)
 			}
 			if pre != want[0] {
-				t.Errorf("pre-Close stats diverged from pre-sharding seed:\n\tgot:  %s\n\twant: %s", pre, want[0])
+				t.Errorf("pre-Close stats diverged from the golden capture:\n\tgot:  %s\n\twant: %s", pre, want[0])
 			}
 			if post != want[1] {
-				t.Errorf("post-Close stats diverged from pre-sharding seed:\n\tgot:  %s\n\twant: %s", post, want[1])
+				t.Errorf("post-Close stats diverged from the golden capture:\n\tgot:  %s\n\twant: %s", post, want[1])
 			}
 		})
 	}

@@ -31,13 +31,13 @@ type HP struct{ hazardDomain }
 // the kernel plus the record arena their scans snapshot.
 type hazardDomain struct {
 	domainCore
-	recs *shardedArena[*hprec]
+	recs *arena[*hprec]
 }
 
 // hazardGuard is the retire side hp and cadence share: the retire list, the
 // scan over it and the lease hooks. What differs between the two here is
 // the domain's rooster (d.mgr) — nil for hp, whose scan then judges a node
-// by the snapshot alone, which filterDeferred and adoptDetachedAll already
+// by the snapshot alone, which filterDeferred and adoptDetached already
 // encode. Protect, ClearHPs and Retire's stamp stay on each scheme's own
 // guard, so the per-access path never asks which scheme it serves.
 type hazardGuard struct {
@@ -93,7 +93,7 @@ func (g *hazardGuard) drain() {
 		g.scan()
 	}
 	if len(g.rl) > 0 {
-		g.d.orphans.at(g.id).add(nil, g.rl, 0, &g.d.cnt)
+		g.d.orphans.add(nil, g.rl, 0, &g.d.cnt)
 		g.rl = nil
 	}
 }
@@ -144,7 +144,7 @@ func (g *hazardGuard) retire(r mem.Ref, stamp uint64) {
 // Cadence — are old enough. The same snapshot then adopts any orphaned
 // backlog released slots left behind, so a vacated slot's remainder frees
 // as soon as its protectors move on. Order matters: the tick is captured
-// and every shard's orphan chain detached BEFORE the one snapshot. Michael's
+// and the orphan chain detached BEFORE the snapshot. Michael's
 // argument needs every scanned node retired pre-snapshot (a validated
 // protection is then published before the unlink and so before the
 // snapshot) — a batch pushed after the snapshot could hold a node whose
@@ -157,14 +157,14 @@ func (g *hazardGuard) scan() {
 	if d.mgr != nil {
 		tick = d.mgr.Tick()
 	}
-	batches := d.orphans.detachAll()
+	orphans := d.orphans.detach()
 	snap, visited := snapshotShared(d.slots, d.recs, g.scanBuf)
 	d.cnt.tallyScanned(&g.tally, visited)
 	g.scanBuf = snap.vals // reuse the buffer next scan
 	var freed int
 	g.rl, freed = filterDeferred(d.cfg, d.mgr, tick, snap, g.rl)
 	d.cnt.tallyFree(&g.tally, freed)
-	d.orphans.adoptDetachedAll(batches, snap, d.mgr, tick, d.cfg, &d.cnt)
+	d.orphans.adoptDetached(orphans, snap, d.mgr, tick, d.cfg, &d.cnt)
 	d.cnt.flushTally(&g.tally, d.cfg.MemoryLimit)
 	g.tc.refresh(d.tune)
 }

@@ -133,36 +133,52 @@ type hpSnapshot struct {
 }
 
 // recFlusher is the rooster flush target of the fence-free schemes
-// (Cadence, QSense): ONE registered target per SHARD that walks its own
-// pool's occupancy index (shard-local indices) and flushes only occupied
-// records. It replaces the old per-record registration, so rooster passes
-// cost O(live occupancy) too, parked segments are skipped outright (their
-// records were drained at release and cannot re-lease while parked), and
-// growth no longer touches the rooster at all. A record whose lease races
-// a pass publishes its first pending protection after its occupancy bit
-// was set, so the pass that must flush it (the one defining its nodes'
-// old-enough ticks) walks after the bit is visible — the tick-rule
-// argument in rooster's package doc is unchanged. (The snapshot builder
-// that scans these flushed arrays across all shards is snapshotShared in
-// shard.go.)
+// (Cadence, QSense): ONE registered target per domain that walks the
+// occupancy index and flushes only occupied records. It replaces the old
+// per-record registration, so rooster passes cost O(live occupancy) too,
+// parked segments are skipped outright (their records were drained at
+// release and cannot re-lease while parked), and growth no longer touches
+// the rooster at all. A record whose lease races a pass publishes its first
+// pending protection after its occupancy bit was set, so the pass that must
+// flush it (the one defining its nodes' old-enough ticks) walks after the
+// bit is visible — the tick-rule argument in rooster's package doc is
+// unchanged.
 type recFlusher struct {
 	p    *slotPool
 	recs *arena[*hprec]
 	cnt  *counters
 }
 
-// FlushHP implements rooster.Target. An idle shard (zero live occupancy)
-// is skipped outright — not even its segment-0 states are loaded; sound by
-// the same SC edge walk skipping uses (shard.go's file comment).
+// FlushHP implements rooster.Target.
 func (f *recFlusher) FlushHP() {
-	if f.p.live.Load() == 0 {
-		return
-	}
 	n := f.p.walkOccupied(func(w int) bool {
 		f.recs.at(w).FlushHP()
 		return true
 	})
 	f.cnt.scanned.Add(uint64(n))
+}
+
+// snapshotShared collects the non-nil shared HPs of all occupied, active
+// records (an inactive record may be skipped whatever its slots hold; see
+// hprec) and reports how many records it visited. Michael's argument needs
+// every scanned node retired before the snapshot and every relevant
+// protection published (and flushed) before the unlink.
+func snapshotShared(p *slotPool, recs *arena[*hprec], buf []uint64) (hpSnapshot, int) {
+	vals := buf[:0]
+	visited := p.walkOccupied(func(i int) bool {
+		r := recs.at(i)
+		if !r.sharedActive.Load() {
+			return true
+		}
+		for j := range r.shared {
+			if v := r.shared[j].v.Load(); v != 0 {
+				vals = append(vals, v)
+			}
+		}
+		return true
+	})
+	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+	return hpSnapshot{vals: vals}, visited
 }
 
 // contains reports whether r is protected in the snapshot (stage 2 lookup).

@@ -8,7 +8,7 @@ import (
 	"qsense/internal/mem"
 )
 
-func sharedSnapshot(slots *shardedPool, recs *shardedArena[*hprec]) []uint64 {
+func sharedSnapshot(slots *slotPool, recs *arena[*hprec]) []uint64 {
 	snap, _ := snapshotShared(slots, recs, nil)
 	return snap.vals
 }

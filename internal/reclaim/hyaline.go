@@ -52,18 +52,18 @@ import (
 // an inactive inbox and pins nothing either way — Stats reports the live
 // pin mass as HyalineBatchRefs.
 //
-// Release reuses the per-shard orphan-list machinery as its handoff ramp:
-// the leftover local batch moves to the releasing guard's OWN shard's list
-// in one CAS (counted OrphanedNodes), and the next guard to pass a
-// quiescent boundary adopts it by REPUBLISHING it through the inboxes as an
-// orphan-flagged refcounted batch — its zero-crossing free counts
-// AdoptedNodes, and when no inbox is active the republisher frees it on the
-// spot. A vacated slot never strands retired nodes.
+// Release reuses the orphan-list machinery as its handoff ramp: the
+// leftover local batch moves to the list in one CAS (counted
+// OrphanedNodes), and the next guard to pass a quiescent boundary adopts it
+// by REPUBLISHING it through the inboxes as an orphan-flagged refcounted
+// batch — its zero-crossing free counts AdoptedNodes, and when no inbox is
+// active the republisher frees it on the spot. A vacated slot never strands
+// retired nodes.
 type Hyaline struct {
 	domainCore
 	era     EraSource    // birth-era clock for delivery filtering (localEra fallback)
 	outRefs atomic.Int64 // sum of unacknowledged deliveries (Stats)
-	guards  *shardedArena[*hguard]
+	guards  *arena[*hguard]
 }
 
 // hbatch is one published retire batch. refs is the outstanding delivery
@@ -141,14 +141,14 @@ func (g *hguard) join() {
 }
 
 // drain: deactivate (acknowledging any deliveries) and move the leftover
-// local batch to this guard's own shard's orphan list in one CAS, from
-// which any worker's next quiescent boundary republishes it through the
-// inboxes: the nodes count OrphanedNodes now and AdoptedNodes when an
-// adopter's republication crosses zero.
+// local batch to the orphan list in one CAS, from which any worker's next
+// quiescent boundary republishes it through the inboxes: the nodes count
+// OrphanedNodes now and AdoptedNodes when an adopter's republication
+// crosses zero.
 func (g *hguard) drain() {
 	g.ClearHPs()
 	if len(g.batch) > 0 {
-		g.d.orphans.at(g.id).add(g.batch, nil, 0, &g.d.cnt)
+		g.d.orphans.add(g.batch, nil, 0, &g.d.cnt)
 		g.batch = nil
 	}
 }
@@ -239,18 +239,16 @@ func (g *hguard) Retire(r mem.Ref) {
 	g.d.cnt.tallyRetire(&g.tally, g.d.cfg.MemoryLimit)
 }
 
-// adoptOrphans detaches every shard's orphan chain and republishes each
-// batch through the inboxes as an orphan-flagged refcounted batch. Safe
-// from any context: coverage comes from active-inbox delivery, not from
-// the republisher's own state — a slot active since before the batch was
+// adoptOrphans detaches the orphan chain and republishes each batch
+// through the inboxes as an orphan-flagged refcounted batch. Safe from any
+// context: coverage comes from active-inbox delivery, not from the
+// republisher's own state — a slot active since before the batch was
 // orphaned receives a delivery and holds it to its next boundary; a slot
 // activating later began after the nodes were unlinked and cannot reach
 // them.
 func (g *hguard) adoptOrphans() {
-	for _, b := range g.d.orphans.detachAll() {
-		for ; b != nil; b = b.next {
-			g.d.publish(b.refs, true, g)
-		}
+	for b := g.d.orphans.detach(); b != nil; b = b.next {
+		g.d.publish(b.refs, true, g)
 	}
 }
 

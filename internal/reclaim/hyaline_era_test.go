@@ -9,7 +9,7 @@ import "testing"
 // bounded-garbage property in its smallest deterministic form.
 func TestHyalineEraFilterSkipsStaleReader(t *testing.T) {
 	pool := newTestPool()
-	d, err := NewHyaline(Config{Workers: 4, HPs: 2, Q: 2, Free: freeInto(pool), Era: pool, Shards: 1})
+	d, err := NewHyaline(Config{Workers: 4, HPs: 2, Q: 2, Free: freeInto(pool), Era: pool})
 	if err != nil {
 		t.Fatal(err)
 	}

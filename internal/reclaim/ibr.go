@@ -51,7 +51,7 @@ import (
 type IBR struct {
 	domainCore
 	era    EraSource
-	guards *shardedArena[*ibrGuard]
+	guards *arena[*ibrGuard]
 	// eraQ is the adaptive retires-per-era-advance cadence (see the type
 	// comment); eraQFloor/eraQCap bound it. Plain Store races between
 	// concurrent scanners are benign — every written value is in range.
@@ -82,7 +82,7 @@ type ibrGuard struct {
 	lower     atomic.Uint64
 	upper     atomic.Uint64
 	lastSeen  uint64 // last era whose flush this guard performed (Begin)
-	adoptSeen uint64 // last era at which this guard swept the orphan lists
+	adoptSeen uint64 // last era at which this guard swept the orphan list
 	limbo     []retired
 	sinceEra  int // retires since the last era advance (Q cadence)
 	sinceScan int // retires since the last scan (R cadence)
@@ -139,13 +139,13 @@ func (g *ibrGuard) join() {
 }
 
 // drain: deactivate the reservation and move the whole remaining limbo to
-// the releasing guard's own shard's orphan list as one interval-stamped
-// batch — per-node [birth, retire] evidence travels with the batch, so any
-// worker's later scan adopts whatever the then-active reservations miss.
+// the orphan list as one interval-stamped batch — per-node [birth, retire]
+// evidence travels with the batch, so any worker's later scan adopts
+// whatever the then-active reservations miss.
 func (g *ibrGuard) drain() {
 	g.ClearHPs()
 	if len(g.limbo) > 0 {
-		g.d.orphans.at(g.id).add(nil, g.limbo, g.d.era.Era(), &g.d.cnt)
+		g.d.orphans.add(nil, g.limbo, g.d.era.Era(), &g.d.cnt)
 		g.limbo = nil
 	}
 }
@@ -301,13 +301,13 @@ func (g *ibrGuard) collect() []eraInterval {
 	return res
 }
 
-// scan is IBR's reclamation pass: detach the orphan chains, snapshot the
+// scan is IBR's reclamation pass: detach the orphan chain, snapshot the
 // active reservations, free every limbo node whose lifetime misses all of
 // them, then run the same check over the detached orphans (survivors go
-// back to their shard's list).
+// back on the list).
 func (g *ibrGuard) scan() {
 	d := g.d
-	batches := d.orphans.detachAll()
+	orphans := d.orphans.detach()
 	res := g.collect()
 	d.cnt.scans.Add(1)
 	d.retuneEraQ(res)
@@ -325,8 +325,6 @@ func (g *ibrGuard) scan() {
 		g.limbo = kept
 		d.cnt.tallyFree(&g.tally, freed)
 	}
-	if batches != nil {
-		d.orphans.adoptIntervalAll(batches, res, d.cfg.Free, &d.cnt)
-	}
+	d.orphans.adoptInterval(orphans, res, d.cfg.Free, &d.cnt)
 	d.cnt.flushTally(&g.tally, d.cfg.MemoryLimit)
 }

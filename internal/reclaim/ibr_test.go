@@ -13,7 +13,7 @@ func TestIBRAdaptiveEraQ(t *testing.T) {
 	const q = 8
 	d, err := NewIBR(Config{
 		Workers: 2, HPs: 2, Q: q, R: 1, // R=1: every retire scans, so the controller runs per retire
-		Free: freeInto(pool), Era: pool, Shards: 1,
+		Free: freeInto(pool), Era: pool,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -194,7 +194,7 @@ func (m *epochMember) quiescent() {
 		m.mem.active.Store(true)
 	}
 	m.mem.stampQuiesce()
-	d.slots.quiesceAt(m.id)
+	d.slots.quiesce.Add(1)
 	global := d.epoch.Load()
 	// Orphan adoption, at most once per epoch advance: batch maturity only
 	// changes when the epoch does, so retrying within one epoch would just

@@ -9,7 +9,7 @@ import "qsense/internal/mem"
 // exhaust memory on long runs.
 type None struct {
 	domainCore
-	guards *shardedArena[*noneGuard]
+	guards *arena[*noneGuard]
 }
 
 type noneGuard struct {

@@ -78,16 +78,22 @@ package reclaim
 // segment cannot gain an occupant until unpark republishes its slots — and
 // unpark raises parkedFrom before the first push, re-entering the ordering
 // chain above.
+//
+// Nor does walk skipping: a walk that loads a pool live count of zero
+// returns at once, without loading segment 0's states. A tenant's live
+// increment (markOccupied) precedes its every action in SC order, so a walk
+// that loaded zero precedes everything that tenant ever published — the
+// same missed-slot case both arguments above already tolerate.
 
 import "math/bits"
 
 // markOccupied publishes slot i to reclamation walks; called by tryPop
 // after winning the freelist pop, before the guard reaches the tenant. The
-// pool-wide live count is maintained for EVERY slot — it is
-// the exact occupancy that shard selection, walk skipping, high-water and
-// parking all read — while the two-tier index splits as before: segment-0
-// slots need nothing further (their state word IS the index), grown slots
-// set their segment's bitmap bit.
+// pool-wide live count is maintained for EVERY slot — it is the exact
+// occupancy that walk skipping, high-water and parking all read — while
+// the two-tier index splits as before: segment-0 slots need nothing further
+// (their state word IS the index), grown slots set their segment's bitmap
+// bit.
 func (p *slotPool) markOccupied(i int) {
 	p.live.Add(1)
 	if uint32(i) < p.init {
@@ -120,9 +126,13 @@ func (p *slotPool) clearOccupied(i int) {
 // collection, epoch-advance checks, presence sweeps and resets, rooster
 // flush walks — and its cost is O(Config.Workers + occupied slots + bitmap
 // words of unparked segments), independent of how large the arena once
-// grew. See the file comment for why a slot leased concurrently with the
-// walk is either observed or provably irrelevant.
+// grew — and an idle domain's is one load. See the file comment for why a
+// slot leased concurrently with the walk is either observed or provably
+// irrelevant.
 func (p *slotPool) walkOccupied(visit func(i int) bool) int {
+	if p.live.Load() == 0 {
+		return 0
+	}
 	visited := 0
 	// Tier 1: segment 0 by state — occupied means anything but free.
 	for i := range p.seg0.state {
@@ -327,15 +337,17 @@ func (p *slotPool) unparkOneLocked() bool {
 }
 
 // retuneLocked re-derives the scheme's scan/fallback thresholds after a
-// capacity transition (grow, park, unpark) on this pool. Caller holds this
-// pool's growMu. The effective N handed to the tuner is the DOMAIN-WIDE
-// unparked capacity — the façade sums every shard's high minus parked
-// (shard.go) — not the instantaneous occupancy: between transitions
-// occupancy can rise to that capacity without the tuner running again, and
-// C's §6.2 legality bound must hold for every worker count reachable
-// before the next retune. Parking still decays it — a drained arena parks
-// down to its segment 0s, so N_eff falls back to the initial size. No-op
-// for schemes without tunable thresholds (QSBR, None).
+// capacity transition (grow, park, unpark). Caller holds growMu, which
+// serializes every retune. The effective N handed to the tuner is the
+// unparked capacity — high minus parked — not the instantaneous occupancy:
+// between transitions occupancy can rise to that capacity without the tuner
+// running again, and C's §6.2 legality bound must hold for every worker
+// count reachable before the next retune. Parking still decays it — a
+// drained arena parks down to segment 0, so N_eff falls back to the initial
+// size. No-op for schemes without tunable thresholds (QSBR, None).
 func (p *slotPool) retuneLocked() {
-	p.all.retuneShards()
+	if p.tune != nil {
+		hi := int64(p.high.Load())
+		p.tune.retune(hi-p.parkedSlots.Load(), hi)
+	}
 }

@@ -10,7 +10,7 @@ import "testing"
 // segment still protected.)
 func TestSegmentGrownAfterUnparkIsWalked(t *testing.T) {
 	pool := newTestPool()
-	d, err := NewHP(Config{Workers: 2, HPs: 1, Shards: 1, Free: freeInto(pool)})
+	d, err := NewHP(Config{Workers: 2, HPs: 1, Free: freeInto(pool)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,30 +11,7 @@ import (
 // slots it visits (test helper over the shared walk primitive).
 func occupancyCount(t *testing.T, d Domain) int {
 	t.Helper()
-	var p *shardedPool
-	switch dom := d.(type) {
-	case *None:
-		p = dom.slots
-	case *QSBR:
-		p = dom.slots
-	case *HP:
-		p = dom.slots
-	case *Cadence:
-		p = dom.slots
-	case *QSense:
-		p = dom.slots
-	case *EBR:
-		p = dom.slots
-	case *RC:
-		p = dom.slots
-	case *IBR:
-		p = dom.slots
-	case *Hyaline:
-		p = dom.slots
-	default:
-		t.Fatalf("unknown domain %T", d)
-	}
-	return p.walkOccupied(func(int) bool { return true })
+	return corePools(t, d).walkOccupied(func(int) bool { return true })
 }
 
 // burstDomain builds a scheme domain with a small initial arena, drives a
@@ -156,10 +133,6 @@ func TestScanWorkTracksOccupancy(t *testing.T) {
 // segments (republishing their slots) before appending new ones — the
 // arena never grows while parked capacity exists.
 func TestParkedCapacityIsReused(t *testing.T) {
-	// The never-grow-while-parked contract is per shard: a goroutine's
-	// affinity shard may legitimately append segments while a sibling shard
-	// rests parked capacity. Pin to one shard to assert the contract itself.
-	t.Setenv("QSENSE_SHARDS", "1")
 	pool := newTestPool()
 	d := burstDomain(t, "qsbr", pool, 256)
 	defer d.Close()
@@ -194,10 +167,6 @@ func TestParkedCapacityIsReused(t *testing.T) {
 // must still be adopted after its segment parks — the orphan list is
 // domain-global, so parking the birth segment cannot strand the nodes.
 func TestParkedSegmentOrphanAdoption(t *testing.T) {
-	// Deterministic segment geometry (third lease lands in segment 1,
-	// which then parks) only holds with one shard; cross-shard orphan
-	// adoption has its own tests in shard_test.go.
-	t.Setenv("QSENSE_SHARDS", "1")
 	pool := newTestPool()
 	d, err := NewQSBR(Config{Workers: 2, HPs: 1, Free: freeInto(pool), Q: 1})
 	if err != nil {

@@ -49,13 +49,9 @@ package reclaim
 // with one swap, so concurrent adopters own disjoint chains and a node is
 // freed exactly once; ineligible batches are pushed back intact. The empty
 // check is a single pointer load, which keeps the hooks free on the hot
-// path — domains that never strand anything never pay more than that.
-//
-// Under Config.Shards > 1 a domain owns one orphanList per shard behind
-// the shardedOrphans façade (shard.go): a Release pushes its whole backlog
-// to its own shard's list in one CAS — the batch, never the node, is the
-// unit crossing shards — and every adoption pass sweeps all lists. This
-// file stays single-list; the rooster adoption hook lives on the façade.
+// path — domains that never strand anything never pay more than that. A
+// Release pushes its whole backlog in one CAS: the batch, never the node, is
+// the unit that crosses threads (Hyaline's batched handoff).
 
 import (
 	"sync/atomic"
@@ -185,6 +181,24 @@ func (l *orphanList) adoptDetached(b *orphanBatch, snap hpSnapshot, mgr *rooster
 			l.push(b)
 		}
 		b = next
+	}
+}
+
+// adoptHook returns the rooster-pass adoption hook (Cadence, QSense): tick
+// capture, then the detach, then the snapshot — adoptDetached's
+// safety-critical order.
+func (l *orphanList) adoptHook(mgr *rooster.Manager, p *slotPool, recs *arena[*hprec], cfg Config, cnt *counters) func() {
+	var buf []uint64
+	return func() {
+		if l.empty() {
+			return
+		}
+		tick := mgr.Tick()
+		b := l.detach()
+		snap, visited := snapshotShared(p, recs, buf)
+		buf = snap.vals
+		cnt.scanned.Add(uint64(visited))
+		l.adoptDetached(b, snap, mgr, tick, cfg, cnt)
 	}
 }
 

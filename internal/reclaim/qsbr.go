@@ -18,7 +18,7 @@ import "qsense/internal/mem"
 // problem of §3.1); with MemoryLimit set, the domain then reports Failed.
 type QSBR struct {
 	epochDomain
-	guards *shardedArena[*qsbrGuard]
+	guards *arena[*qsbrGuard]
 }
 
 type qsbrGuard struct {
@@ -56,15 +56,14 @@ func (g *qsbrGuard) join() {
 
 // drain: declare a final quiescent state (the caller holds no shared
 // references, per the Release contract), Leave so the slot stops blocking
-// grace periods, and move the remaining limbo backlog to the guard's OWN
-// shard's orphan list in one batch stamped with the current global epoch —
-// any worker's later quiescent state adopts and frees it once three epochs
-// pass, so the vacated slot strands nothing, whether or not it is ever
-// leased again.
+// grace periods, and move the remaining limbo backlog to the orphan list in
+// one batch stamped with the current global epoch — any worker's later
+// quiescent state adopts and frees it once three epochs pass, so the
+// vacated slot strands nothing, whether or not it is ever leased again.
 func (g *qsbrGuard) drain() {
 	g.quiescent()
 	g.Leave()
-	g.d.orphans.at(g.id).addRefBuckets(&g.limbo, g.d.epoch.Load(), &g.d.cnt)
+	g.d.orphans.addRefBuckets(&g.limbo, g.d.epoch.Load(), &g.d.cnt)
 }
 
 func (g *qsbrGuard) closeFree() { g.freeAll() }

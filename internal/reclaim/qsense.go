@@ -46,8 +46,8 @@ import (
 type QSense struct {
 	epochDomain
 	fallback atomic.Bool
-	recs     *shardedArena[*hprec]
-	guards   *shardedArena[*qsenseGuard]
+	recs     *arena[*hprec]
+	guards   *arena[*qsenseGuard]
 }
 
 type qsenseGuard struct {
@@ -282,13 +282,12 @@ func (g *qsenseGuard) Retire(r mem.Ref) {
 
 // scanAll runs the Cadence scan over all three limbo buckets with one
 // snapshot, then adopts eligible orphans against the same snapshot. Tick
-// capture and every shard's detach precede the snapshot (see
-// cadenceGuard.scan).
+// capture and the orphan detach precede the snapshot (see hazardGuard.scan).
 func (g *qsenseGuard) scanAll() {
 	g.d.cnt.scans.Add(1)
 	g.sinceScan = 0
 	tick := g.d.mgr.Tick()
-	batches := g.d.orphans.detachAll()
+	orphans := g.d.orphans.detach()
 	snap, visited := snapshotShared(g.d.slots, g.d.recs, g.scanBuf)
 	g.d.cnt.tallyScanned(&g.tally, visited)
 	g.scanBuf = snap.vals
@@ -301,15 +300,14 @@ func (g *qsenseGuard) scanAll() {
 		freed += f
 	}
 	g.d.cnt.tallyFree(&g.tally, freed)
-	g.d.orphans.adoptDetachedAll(batches, snap, g.d.mgr, tick, g.d.cfg, &g.d.cnt)
+	g.d.orphans.adoptDetached(orphans, snap, g.d.mgr, tick, g.d.cfg, &g.d.cnt)
 	g.finishPass()
 }
 
-// orphanLimbo moves the guard's surviving limbo onto its OWN shard's
-// orphan list in one batch that keeps the nodes' tick stamps and records
-// the current global epoch — dual evidence, so whichever path the domain
-// runs makes progress on it (release drain only; slice ownership passes to
-// the list).
+// orphanLimbo moves the guard's surviving limbo onto the orphan list in
+// one batch that keeps the nodes' tick stamps and records the current
+// global epoch — dual evidence, so whichever path the domain runs makes
+// progress on it (release drain only; slice ownership passes to the list).
 func (g *qsenseGuard) orphanLimbo() {
 	if g.total == 0 {
 		return
@@ -327,5 +325,5 @@ func (g *qsenseGuard) orphanLimbo() {
 		g.limbo[b] = nil
 	}
 	g.total = 0
-	g.d.orphans.at(g.id).add(nil, nodes, g.d.epoch.Load(), &g.d.cnt)
+	g.d.orphans.add(nil, nodes, g.d.epoch.Load(), &g.d.cnt)
 }

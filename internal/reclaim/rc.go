@@ -34,7 +34,7 @@ import (
 type RC struct {
 	domainCore
 	table  countTable
-	guards *shardedArena[*rcGuard]
+	guards *arena[*rcGuard]
 }
 
 type rcGuard struct {
@@ -77,7 +77,7 @@ func (g *rcGuard) drain() {
 		g.sweep()
 	}
 	if len(g.rl) > 0 {
-		g.d.orphans.at(g.id).add(g.rl, nil, 0, &g.d.cnt)
+		g.d.orphans.add(g.rl, nil, 0, &g.d.cnt)
 		g.rl = nil
 	}
 }

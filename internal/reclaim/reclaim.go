@@ -6,7 +6,7 @@
 // domainCore, which every scheme's domain embeds and which implements the
 // whole Domain interface once: it owns the name, the defaulted Config, the
 // counters and per-guard retire tallies, the optional threshold tuner and
-// rooster, the sharded slot pool and orphan lists, and with them
+// rooster, the slot pool and orphan list, and with them
 // Acquire/AcquireWait/Release/Name/Failed/Stats/Close. A scheme file
 // is a policy behind that lifecycle: a constructor that builds its guards,
 // and four hooks — join (what a fresh tenant does before its first
@@ -44,8 +44,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"strconv"
 	"time"
 
 	"qsense/internal/mem"
@@ -230,15 +228,7 @@ type Config struct {
 	// (§5.1); stress tests show it produces use-after-free violations.
 	DisableDeferral bool
 
-	// Shards splits the domain core — slot pool, orphan list, retire
-	// tallies, rooster flush target — into this many independent units.
-	// Acquire picks a shard by power-of-two-choices over live occupancy
-	// and steals from siblings before growing; Release hands a stranded
-	// backlog to the releasing guard's own shard's orphan list in one CAS;
-	// scans, epoch-advance checks and sweeps walk shards independently, so
-	// an idle or fully-parked shard costs zero. 1 (after defaulting) is
-	// exactly the single-pool behaviour. <=0 consults QSENSE_SHARDS, then
-	// defaults to 1; values above Workers are clamped to Workers.
+	// Deprecated: ignored; the domain core has one shard.
 	Shards int
 
 	// Era supplies the birth-era clock for the interval-based scheme; see
@@ -325,17 +315,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PresenceResetTicks <= 0 {
 		c.PresenceResetTicks = 50
-	}
-	if c.Shards <= 0 {
-		c.Shards = 1
-		if v, err := strconv.Atoi(os.Getenv("QSENSE_SHARDS")); err == nil && v > 0 {
-			c.Shards = v
-		}
-	}
-	// More shards than initial slots would leave empty pools that can never
-	// shrink the encoding back; clamp so every shard starts with >= 1 slot.
-	if c.Shards > c.Workers {
-		c.Shards = c.Workers
 	}
 	return c
 }
@@ -506,13 +485,6 @@ type Stats struct {
 	// orphans later freed by other workers' reclamation passes. Orphans
 	// remain Pending (and count against MemoryLimit) until adopted.
 	OrphanedNodes, AdoptedNodes uint64
-	// Shards is the number of independent domain-core units (slot pool +
-	// orphan list + flush target) the domain was built with (Config.Shards
-	// after defaulting). ShardImbalance is the spread max-min of live
-	// occupancy across shards at snapshot time — 0 for a single-shard
-	// domain, and a rough health indicator for the power-of-two-choices
-	// placement otherwise.
-	Shards, ShardImbalance int
 	// IBRIntervalWidth is the widest active reservation interval
 	// (upper-lower, in eras) observed across occupied slots at snapshot
 	// time — a live measure of how much history readers currently pin.

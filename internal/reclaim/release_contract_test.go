@@ -3,9 +3,9 @@ package reclaim
 import "testing"
 
 // TestReleaseContract pins the half of the Domain contract the kernel owns
-// for every scheme (core.go), at the QSENSE_SHARDS default: a guard is
-// released only by the domain that leased it, releasing twice changes
-// nothing, and Close leaves nothing pending.
+// for every scheme (core.go): a guard is released only by the domain that
+// leased it, releasing twice changes nothing, and Close leaves nothing
+// pending.
 func TestReleaseContract(t *testing.T) {
 	pool := newTestPool()
 	cfg := Config{Workers: 2, HPs: 2, Free: freeInto(pool), ManualRooster: true}

@@ -3,13 +3,6 @@ package reclaim
 // Dynamic handle leasing — the elastic slot allocator behind
 // Domain.Acquire/Release.
 //
-// Under Config.Shards > 1 a domain owns S independent instances of this
-// allocator — one per shard, each with its own freelist head, growth lock,
-// occupancy index and parking suffix — behind the shardedPool façade
-// (shard.go) that maps between global and shard-local slot indices. All
-// indices in this file are shard-local; "the arena" below reads as "this
-// shard's share of the arena".
-//
 // A domain owns an arena of guard slots that starts at Config.Workers (the
 // paper's N; the public Options.MaxWorkers) and, by default, GROWS on
 // demand: when Acquire finds the freelist empty, the pool first unparks the
@@ -48,6 +41,7 @@ package reclaim
 // means growth happens only when the *concurrent* lease count exceeds
 // everything released so far, never from mere churn.
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -99,20 +93,24 @@ type slotPool struct {
 
 	seg0 *slotSeg // segment 0, immutable after construction: the fast path
 
-	all *shardedPool // owning façade: retunes, waiter wakeups (shard.go)
+	tune *tuner // nil: the scheme has no tunable threshold
 
-	// live is this pool's exact occupancy, maintained on every occupancy
-	// transition including segment 0's. It is what shard selection
-	// compares, what walks use to skip an idle shard outright, and what the
-	// high-water and parking estimates read.
+	// live is the pool's exact occupancy, maintained on every occupancy
+	// transition including segment 0's. It is what walks use to skip an
+	// idle domain outright, and what the high-water and parking estimates
+	// read.
 	live atomic.Int64
 
-	// Per-shard lease/quiesce tallies, summed into Stats by the façade.
-	// Keeping these RMWs pool-local is the point of sharding: the hot
-	// lease and quiescent paths touch no domain-wide cache line.
+	// Lease and quiescent-state tallies (Stats.AcquiredHandles,
+	// ReleasedHandles, QuiescentStates).
 	acquired atomic.Uint64
 	released atomic.Uint64
 	quiesce  atomic.Uint64
+
+	// leaseWait's parking: waiters counts parked callers, and wake holds
+	// the current wake generation, closed by an unlease that saw waiters.
+	wake    atomic.Pointer[chan struct{}]
+	waiters atomic.Int32
 
 	growMu sync.Mutex
 	// onGrow publishes the owning scheme's per-slot state (guards, hazard
@@ -134,16 +132,18 @@ type slotPool struct {
 }
 
 // newSlotPool builds the allocator with segment 0 (the initial soft size)
-// published and its slots pushed free, low indices on top. The caller (the
-// shardedPool façade) sets p.all before the pool is reachable; tuning and
-// leaseWait wakeups go through that back-pointer.
-func newSlotPool(init, hardMax int, onGrow func(hi int)) *slotPool {
+// published and its slots pushed free, low indices on top. tune, when
+// non-nil, is retuned at every capacity transition.
+func newSlotPool(init, hardMax int, tune *tuner, onGrow func(hi int)) *slotPool {
 	p := &slotPool{
 		init:   uint32(init),
 		cap:    uint32(hardMax),
+		tune:   tune,
 		onGrow: onGrow,
 		segs:   make([]atomic.Pointer[slotSeg], numSegs(uint32(init), uint32(hardMax))),
 	}
+	ch := make(chan struct{})
+	p.wake.Store(&ch)
 	p.seg0 = newSlotSeg(init)
 	p.segs[0].Store(p.seg0)
 	p.high.Store(uint32(init))
@@ -183,10 +183,10 @@ func (p *slotPool) pushSlotVia(nx *atomic.Uint32, i int) {
 }
 
 // tryPop pops a free slot and marks it leased. Returns -1 when the freelist
-// is empty — growth (and shard stealing before it) is the façade's decision,
-// not this pool's. The occupancy index (including the pool live count) is
-// updated before the index is returned, so a tenant's every action is
-// preceded by its slot becoming visible to walks (occupancy.go).
+// is empty — growth is lease's decision. The occupancy index (including the
+// pool live count) is updated before the index is returned, so a tenant's
+// every action is preceded by its slot becoming visible to walks
+// (occupancy.go).
 func (p *slotPool) tryPop() int {
 	for {
 		h := p.head.Load()
@@ -264,13 +264,68 @@ func (p *slotPool) noteHighWater(occ int64) {
 	}
 }
 
-// countLease records a granted lease and folds the moment's occupancy into
-// the high-water mark. Occupancy is the pool's exact live count, which the
-// caller's tryPop already incremented (markOccupied), so the hot path pays
-// one pool-local RMW and one load — nothing domain-wide.
-func (p *slotPool) countLease() {
-	p.acquired.Add(1)
-	p.noteHighWater(p.live.Load())
+// lease pops a free slot, growing the arena while the freelist is empty,
+// and fails with ErrNoSlots only at the hard cap. A granted lease is counted
+// and the moment's occupancy — the live count tryPop already incremented —
+// folded into the high-water mark.
+func (p *slotPool) lease() (int, error) {
+	for {
+		if w := p.tryPop(); w >= 0 {
+			p.acquired.Add(1)
+			p.noteHighWater(p.live.Load())
+			return w, nil
+		}
+		if !p.grow() {
+			return -1, ErrNoSlots
+		}
+	}
+}
+
+// leaseWait is lease that parks while the arena is exhausted at its hard
+// cap, woken by the next unlease, or fails with ctx.Err() when ctx is done
+// first. (An elastic domain grows instead of parking, so leaseWait only
+// ever blocks under a HardMaxWorkers cap.)
+//
+// Lost-wakeup freedom: the waiter loads the wake channel BEFORE its retry,
+// and unlease pushes the slot BEFORE checking the waiter count. If the
+// releaser misses our count (we registered after its check), its push is
+// already visible to our retry; if our retry misses the slot, the releaser
+// saw our count and closes the very channel generation we hold (or a later
+// release does) — either way we cannot sleep through a free slot.
+func (p *slotPool) leaseWait(ctx context.Context) (int, error) {
+	if w, err := p.lease(); err == nil {
+		return w, nil
+	}
+	p.waiters.Add(1)
+	defer p.waiters.Add(-1)
+	for {
+		ch := *p.wake.Load()
+		if w, err := p.lease(); err == nil {
+			return w, nil
+		}
+		select {
+		case <-ctx.Done():
+			return -1, ctx.Err()
+		case <-ch:
+		}
+	}
+}
+
+// fillArena copies the capacity subsystem's counters into a Stats snapshot.
+func (p *slotPool) fillArena(s *Stats) {
+	s.ArenaSize = int(p.high.Load())
+	s.HighWaterWorkers = int(p.highWater.Load())
+	s.ArenaGrowths = p.grows.Load()
+	s.ParkedSlots = int(p.parkedSlots.Load())
+	s.SegmentParks = p.parks.Load()
+	s.SegmentUnparks = p.unparks.Load()
+	s.AcquiredHandles = p.acquired.Load()
+	s.ReleasedHandles = p.released.Load()
+	s.QuiescentStates = p.quiesce.Load()
+	if p.tune != nil {
+		s.EffectiveR = int(p.tune.r.Load())
+		s.EffectiveC = int(p.tune.c.Load())
+	}
 }
 
 // unlease runs the release protocol for slot i: claim the release (exactly
@@ -293,8 +348,9 @@ func (p *slotPool) unlease(i int, drain func()) bool {
 	st.Store(slotFree)
 	p.pushSlotVia(nx, i)
 	p.released.Add(1)
-	if p.all.waiters.Load() > 0 {
-		p.all.wakeWaiters()
+	if p.waiters.Load() > 0 {
+		ch := make(chan struct{})
+		close(*p.wake.Swap(&ch)) // every parked leaseWait retries
 	}
 	p.maybePark()
 	return true

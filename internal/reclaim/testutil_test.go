@@ -38,10 +38,9 @@ func allocNode(p *mem.Pool[tnode], v uint64) mem.Ref {
 	return r
 }
 
-// acquire leases n guards from d, failing the test on error. At Shards=1 a
-// fresh domain hands out slot i to the i-th call (low indices are on top of
-// the freelist); a test that needs a particular slot or shard reads
-// SlotIndex.
+// acquire leases n guards from d, failing the test on error. A fresh domain
+// hands out slot i to the i-th call (low indices are on top of the
+// freelist); a test that needs a particular slot reads SlotIndex.
 func acquire(t testing.TB, d Domain, n int) []Guard {
 	t.Helper()
 	gs := make([]Guard, n)
@@ -53,6 +52,34 @@ func acquire(t testing.TB, d Domain, n int) []Guard {
 		gs[i] = g
 	}
 	return gs
+}
+
+// corePools reaches the slot pool behind any scheme — the white-box handle
+// for tests that assert occupancy and parking beyond what Stats reports.
+func corePools(t *testing.T, d Domain) *slotPool {
+	t.Helper()
+	switch dd := d.(type) {
+	case *None:
+		return dd.slots
+	case *QSBR:
+		return dd.slots
+	case *EBR:
+		return dd.slots
+	case *HP:
+		return dd.slots
+	case *Cadence:
+		return dd.slots
+	case *QSense:
+		return dd.slots
+	case *RC:
+		return dd.slots
+	case *IBR:
+		return dd.slots
+	case *Hyaline:
+		return dd.slots
+	}
+	t.Fatalf("corePools: unknown domain type %T", d)
+	return nil
 }
 
 // violationOf runs f and returns the *mem.Violation it panicked with, or nil.

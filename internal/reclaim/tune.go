@@ -44,11 +44,9 @@ package reclaim
 
 import "sync/atomic"
 
-// tuner owns a domain's effective R and C — ONE tuner per domain, shared
-// across shards: the thresholds are functions of the domain-wide N, so
-// retune is called by the shardedPool façade with summed capacity, under
-// its tuneMu (which serializes capacity transitions racing on different
-// shards' growth locks). R/C/gen are read lock-free by tunerCache.
+// tuner owns a domain's effective R and C. The slot pool calls retune at
+// its capacity transitions, under its growth lock; R/C/gen are read
+// lock-free by tunerCache.
 type tuner struct {
 	cfg Config // defaults applied; cfg.R / cfg.C are the configured values
 	cnt *counters
@@ -66,8 +64,8 @@ func newTuner(cfg Config, cnt *counters) *tuner {
 }
 
 // retune recomputes the effective thresholds for an effective worker count
-// n (the domain-wide unparked capacity) over a high-slot arena. Called at
-// capacity transitions, serialized by the façade's tuneMu.
+// n (the unparked capacity) over a high-slot arena. Called at capacity
+// transitions, serialized by the slot pool's growMu.
 func (t *tuner) retune(n, high int64) {
 	if n < 1 {
 		n = 1

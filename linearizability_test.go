@@ -61,7 +61,7 @@ func decodeID(b []byte) uint64 {
 }
 
 // TestSkipMapLinearizable checks recorded histories of real MapHandles, per
-// key, against the sequential map: every scheme, 1 and 4 shards, 2–4
+// key, against the sequential map: every scheme, 2–4
 // goroutines whose writes COLLIDE on a few dozen zipf keys (the ruler's
 // workers are partitioned; these are not). Each worker returns its lease
 // and takes another every few hundred operations, so a handle — with the
@@ -74,62 +74,60 @@ func TestSkipMapLinearizable(t *testing.T) {
 		opsEach = 1000
 	}
 	for _, scheme := range qsense.SchemeNames() {
-		for _, shards := range []int{1, 4} {
-			for seed := uint64(1); seed <= 2; seed++ {
-				workers := 2 + int((seed+uint64(shards))%3)
-				name := fmt.Sprintf("%s/shards=%d/workers=%d/seed=%d", scheme, shards, workers, seed)
-				t.Run(name, func(t *testing.T) {
-					m, err := qsense.NewSkipMap(qsense.Options{Scheme: qsense.Scheme(scheme), Shards: shards, MaxWorkers: workers})
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer m.Close()
-					clock := lincheck.NewClock()
-					logs := make([]*lincheck.Log, workers)
-					var wg sync.WaitGroup
-					for w := range logs {
-						logs[w] = &lincheck.Log{Who: w, Clock: clock}
-						wg.Add(1)
-						go func(w int) {
-							defer wg.Done()
-							defer func() {
-								if rec := recover(); rec != nil {
-									t.Errorf("worker %d: %v", w, rec)
-								}
-							}()
-							r := &recordedMap{log: logs[w]}
-							rng := workload.NewRNG(seed<<8 | uint64(w))
-							for i := 0; i < opsEach; i++ {
-								if i%300 == 0 {
-									if r.h != nil {
-										r.h.Release()
-									}
-									h, err := m.Acquire()
-									if err != nil {
-										t.Error(err)
-										return
-									}
-									r.h = h
-								}
-								key := rng.ZipfKey(keys, 0.99)
-								switch op := rng.Next() % 8; {
-								case op < 4:
-									r.get(key)
-								case op < 6:
-									r.put(key, uint64(w)<<32|uint64(i), op == 5)
-								default:
-									r.del(key)
-								}
+		for seed := uint64(1); seed <= 2; seed++ {
+			workers := 2 + int((seed+1)%3)
+			name := fmt.Sprintf("%s/workers=%d/seed=%d", scheme, workers, seed)
+			t.Run(name, func(t *testing.T) {
+				m, err := qsense.NewSkipMap(qsense.Options{Scheme: qsense.Scheme(scheme), MaxWorkers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer m.Close()
+				clock := lincheck.NewClock()
+				logs := make([]*lincheck.Log, workers)
+				var wg sync.WaitGroup
+				for w := range logs {
+					logs[w] = &lincheck.Log{Who: w, Clock: clock}
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						defer func() {
+							if rec := recover(); rec != nil {
+								t.Errorf("worker %d: %v", w, rec)
 							}
-							r.h.Release()
-						}(w)
-					}
-					wg.Wait()
-					if err := lincheck.Check(logs...); err != nil && !t.Failed() {
-						t.Fatal(err)
-					}
-				})
-			}
+						}()
+						r := &recordedMap{log: logs[w]}
+						rng := workload.NewRNG(seed<<8 | uint64(w))
+						for i := 0; i < opsEach; i++ {
+							if i%300 == 0 {
+								if r.h != nil {
+									r.h.Release()
+								}
+								h, err := m.Acquire()
+								if err != nil {
+									t.Error(err)
+									return
+								}
+								r.h = h
+							}
+							key := rng.ZipfKey(keys, 0.99)
+							switch op := rng.Next() % 8; {
+							case op < 4:
+								r.get(key)
+							case op < 6:
+								r.put(key, uint64(w)<<32|uint64(i), op == 5)
+							default:
+								r.del(key)
+							}
+						}
+						r.h.Release()
+					}(w)
+				}
+				wg.Wait()
+				if err := lincheck.Check(logs...); err != nil && !t.Failed() {
+					t.Fatal(err)
+				}
+			})
 		}
 	}
 }
@@ -160,7 +158,7 @@ func TestSkipMapFingerAcrossQuiescence(t *testing.T) {
 	for _, scheme := range apiSchemes {
 		for _, quiet := range []string{"idle", "released"} {
 			t.Run(fmt.Sprintf("%s/%s", scheme, quiet), func(t *testing.T) {
-				m, err := qsense.NewSkipMap(qsense.Options{Scheme: scheme, Shards: 1, MaxWorkers: 2, HardMaxWorkers: 2})
+				m, err := qsense.NewSkipMap(qsense.Options{Scheme: scheme, MaxWorkers: 2, HardMaxWorkers: 2})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -64,22 +64,6 @@
 // each Acquire once and hold their handle for the whole run; with
 // MaxWorkers and HardMaxWorkers both N the arena is exactly the paper's.
 //
-// # Sharding
-//
-// The domain core — slot pool, orphan list, retire tallies, flush target —
-// is split into Options.Shards independent units (default min(GOMAXPROCS,
-// 8), override with the QSENSE_SHARDS environment variable), so concurrent
-// Acquire/Release traffic does not serialize on one freelist head and one
-// orphan-list CAS. Acquire picks a shard by power-of-two-choices over live
-// occupancy and steals a free slot from a sibling shard before growing the
-// arena; Release hands any stranded backlog to the releasing slot's own
-// shard in a single batch. Reclamation passes walk shards independently
-// and skip idle or fully-parked shards on one atomic load each, so the
-// cost model above is per shard: a domain with one busy shard and seven
-// idle ones scans like a domain one-eighth the size. Shards = 1 is exactly
-// the unsharded behaviour. Stats.Shards reports the resolved count and
-// Stats.ShardImbalance the live-occupancy spread (max−min) across shards.
-//
 // # Custom structures
 //
 // A structure of your own allocates nodes from a Pool (generation-tagged
@@ -111,7 +95,6 @@ package qsense
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"strings"
 	"time"
@@ -235,14 +218,6 @@ type Options struct {
 	EvictAfter time.Duration
 	// MaxNodes bounds a container's node pool. 0 = default.
 	MaxNodes int
-	// Shards splits the domain core (slot pool, orphan list, retire
-	// tallies, rooster flush target) into this many independent units so
-	// lease and release traffic does not serialize on shared atomics; see
-	// the package-level "Sharding" section. 1 disables sharding. 0 (the
-	// default) consults the QSENSE_SHARDS environment variable, then
-	// min(runtime.GOMAXPROCS(0), 8). Values above the initial arena size
-	// are clamped down so every shard starts with at least one slot.
-	Shards int
 	// Era supplies the era clock SchemeIBR stamps node lifetimes against —
 	// for a custom structure, the structure's own *Pool[T] (which
 	// implements EraSource). The containers wire their internal pools
@@ -291,24 +266,8 @@ func (o Options) reclaimConfig(hps int, free func(mem.Ref)) reclaim.Config {
 		MemoryLimit:    o.MemoryLimit,
 		Rooster:        rooster.Config{Interval: o.RoosterInterval},
 		EvictAfter:     o.EvictAfter,
-		Shards:         o.shards(),
 		Era:            era,
 	}
-}
-
-// shards resolves Options.Shards: an explicit value passes through (the
-// internal layer clamps it to the arena size); 0 defers to the
-// QSENSE_SHARDS environment variable when set, and otherwise defaults to
-// min(GOMAXPROCS, 8) — one unit of lease/orphan traffic per core, capped
-// where further splitting stops paying for its walk overhead.
-func (o Options) shards() int {
-	if o.Shards > 0 {
-		return o.Shards
-	}
-	if os.Getenv("QSENSE_SHARDS") != "" {
-		return 0 // the internal layer parses the override
-	}
-	return min(runtime.GOMAXPROCS(0), 8)
 }
 
 func (o Options) scheme() string {
@@ -384,12 +343,6 @@ type Stats struct {
 	// orphans since freed by other workers' reclamation passes. Orphans
 	// remain Pending (and count against MemoryLimit) until adopted.
 	OrphanedNodes, AdoptedNodes uint64
-	// Shards is the resolved Options.Shards the domain runs with;
-	// ShardImbalance is the live-occupancy spread (max−min) across shards
-	// at snapshot time, 0 for a single-shard domain. A persistently large
-	// imbalance under steady load suggests goroutine affinity is defeating
-	// the two-choice placement.
-	Shards, ShardImbalance int
 	// IBRIntervalWidth is the widest active reservation interval
 	// (upper−lower, in eras) across live workers at snapshot time — how
 	// far SchemeIBR's slowest in-flight operation lags the era clock, and
