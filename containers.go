@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"qsense/internal/bst"
-	"qsense/internal/hashmap"
 	"qsense/internal/list"
 	"qsense/internal/mem"
 	"qsense/internal/queue"
@@ -18,9 +17,9 @@ import (
 // from Acquire. A handle must be used by one goroutine at a time and
 // Released exactly once, when its goroutine is done with the container.
 //
-// Most structures reserve a few extreme int64 values as internal sentinel
-// keys (math.MinInt64 and math.MaxInt64 for Set/SkipSet, the top three
-// values for TreeSet; HashSet reserves none). Reserved keys are out of the
+// Two structures reserve a few extreme int64 values as internal sentinel
+// keys (math.MinInt64 and math.MaxInt64 for SkipSet, the top three values
+// for TreeSet; Set and HashSet reserve none). Reserved keys are out of the
 // container's domain:
 // Contains and Delete report them absent and Insert rejects them with
 // false — they are never stored and never corrupt the structure.
@@ -321,26 +320,27 @@ func NewTreeSet(opts Options) (*TreeSet, error) {
 // Len counts elements; only meaningful while no workers are active.
 func (s *TreeSet) Len() int { return s.t.Len() }
 
-// HashSet is a lock-free hash set backed by Michael's hash table (split
-// ordered bucket chains) — constant-time membership.
+// HashSet is a lock-free hash set backed by Michael's hash table (a fixed
+// array of list.HashBuckets Harris–Michael chains: Set's list, with more
+// buckets) — constant-time membership.
 type HashSet struct {
 	*setCore
-	m *hashmap.Map
+	l *list.List
 }
 
 // NewHashSet builds a hash set wired to a reclamation domain.
 func NewHashSet(opts Options) (*HashSet, error) {
-	m := hashmap.New(hashmap.Config{MaxSlots: opts.MaxNodes})
-	core, err := newSetCore(opts, hashmap.HPs, m.FreeNode, m.Pool(),
-		func(g reclaim.Guard, _ uint64) setOps { return m.NewHandle(g) })
+	l := list.New(list.Config{Buckets: list.HashBuckets, MaxSlots: opts.MaxNodes})
+	core, err := newSetCore(opts, list.HPs, l.FreeNode, l.Pool(),
+		func(g reclaim.Guard, _ uint64) setOps { return l.NewHandle(g) })
 	if err != nil {
 		return nil, err
 	}
-	return &HashSet{setCore: core, m: m}, nil
+	return &HashSet{setCore: core, l: l}, nil
 }
 
 // Len counts elements; only meaningful while no workers are active.
-func (s *HashSet) Len() int { return s.m.Len() }
+func (s *HashSet) Len() int { return s.l.Len() }
 
 // Queue is a lock-free FIFO queue (Michael–Scott) of uint64 values.
 type Queue struct {

@@ -7,7 +7,6 @@ import (
 
 	"qsense"
 	"qsense/internal/bst"
-	"qsense/internal/hashmap"
 	"qsense/internal/list"
 	"qsense/internal/reclaim"
 	"qsense/internal/skiplist"
@@ -50,7 +49,7 @@ func DataStructures() []string { return []string{"list", "skiplist", "bst"} }
 // HPsForDS returns the hazard pointer count each structure needs (§7.3).
 func HPsForDS(ds string, skipLevels int) (int, error) {
 	switch ds {
-	case "list":
+	case "list", "hashmap":
 		return list.HPs, nil
 	case "skiplist":
 		if skipLevels <= 0 {
@@ -59,8 +58,6 @@ func HPsForDS(ds string, skipLevels int) (int, error) {
 		return skiplist.HPsFor(skipLevels), nil
 	case "bst":
 		return bst.HPs, nil
-	case "hashmap":
-		return hashmap.HPs, nil
 	}
 	return 0, fmt.Errorf("harness: unknown data structure %q", ds)
 }
@@ -132,8 +129,12 @@ func buildSet(cfg *Config) (*builtSet, error) {
 	// so ibr stamps true node lifetimes.
 	b := &builtSet{}
 	switch cfg.DS {
-	case "list":
-		l := list.New(list.Config{})
+	case "list", "hashmap":
+		buckets := 1
+		if cfg.DS == "hashmap" {
+			buckets = list.HashBuckets
+		}
+		l := list.New(list.Config{Buckets: buckets})
 		rc.Free, rc.Era = l.FreeNode, l.Pool()
 		b.mkHandle = func(g reclaim.Guard, _ int) SetHandle { return l.NewHandle(g) }
 		b.poolLive = func() uint64 { return l.Pool().Stats().Live }
@@ -147,11 +148,6 @@ func buildSet(cfg *Config) (*builtSet, error) {
 		rc.Free, rc.Era = t.FreeNode, t.Pool()
 		b.mkHandle = func(g reclaim.Guard, _ int) SetHandle { return t.NewHandle(g) }
 		b.poolLive = func() uint64 { return t.Pool().Stats().Live }
-	case "hashmap":
-		m := hashmap.New(hashmap.Config{})
-		rc.Free, rc.Era = m.FreeNode, m.Pool()
-		b.mkHandle = func(g reclaim.Guard, _ int) SetHandle { return m.NewHandle(g) }
-		b.poolLive = func() uint64 { return m.Pool().Stats().Live }
 	default:
 		return nil, fmt.Errorf("harness: unknown data structure %q", cfg.DS)
 	}

@@ -1,7 +1,14 @@
 // Package list implements the lock-free sorted linked list the paper
-// evaluates (Michael, "High performance dynamic lock-free hash tables and
-// list-based sets", SPAA 2002 — reference [24]; the paper's Appendix B shows
-// exactly this structure wired to QSense).
+// evaluates and the hash table built from it (Michael, "High performance
+// dynamic lock-free hash tables and list-based sets", SPAA 2002 — reference
+// [24]; the paper's Appendix B shows exactly this list wired to QSense).
+//
+// One chain engine serves both. A List is a power-of-two array of bucket
+// head words over one node pool, each bucket an ordered Harris–Michael
+// chain in Michael's sentinel-free form: a chain starts at its bucket word
+// and ends at a nil link, so every int64 is an ordinary key. With one bucket
+// it is the sorted list (Config's default); with HashBuckets it is Michael's
+// hash table — the same chains, only shorter.
 //
 // Nodes live in a mem.Pool and link through tagged Refs: bit 0 of a node's
 // next word is the logical-deletion mark. All traversals follow the hazard
@@ -12,7 +19,7 @@
 package list
 
 import (
-	"math"
+	"math/bits"
 	"sync/atomic"
 
 	"qsense/internal/mem"
@@ -22,27 +29,17 @@ import (
 // HPs is the number of hazard pointers a list handle uses: prev, cur, next.
 const HPs = 3
 
+// HashBuckets is the bucket count of the hash table (qsense.NewHashSet and
+// the harness's "hashmap"): a constant, not an option.
+const HashBuckets = 1024
+
 const (
 	hpPrev = 0
 	hpCur  = 1
 	hpNext = 2
 
 	markBit = 1 // low Ref tag bit: target of this link is logically deleted
-
-	headKey = math.MinInt64
-	tailKey = math.MaxInt64
 )
-
-// MinKey and MaxKey bound the usable key domain; the two extremes of int64
-// are the head/tail sentinel keys and are treated as out of domain (never
-// present, never insertable) rather than matching a sentinel.
-const (
-	MinKey = headKey + 1
-	MaxKey = tailKey - 1
-)
-
-// reserved reports whether key collides with a sentinel.
-func reserved(key int64) bool { return key == headKey || key == tailKey }
 
 // node is padded so one node fills a cache line together with its slot
 // header, as ASCYLIB does for its C nodes.
@@ -54,6 +51,8 @@ type node struct {
 
 // Config controls list construction.
 type Config struct {
+	// Buckets is rounded up to a power of two. Default 1: the sorted list.
+	Buckets int
 	// MaxSlots bounds the node pool (default mem default).
 	MaxSlots int
 	// Poison zeroes freed nodes (tests).
@@ -62,24 +61,22 @@ type Config struct {
 
 // List is the shared structure. Obtain one Handle per worker.
 type List struct {
-	pool *mem.Pool[node]
-	head mem.Ref // sentinel -inf; never removed
-	tail mem.Ref // sentinel +inf; never removed
+	pool    *mem.Pool[node]
+	buckets []atomic.Uint64 // head link words; nil ends a chain
+	mask    uint64
 }
 
-// New creates an empty list with head/tail sentinels. Valid user keys lie in
-// (math.MinInt64, math.MaxInt64) exclusive.
+// New creates an empty list.
 func New(cfg Config) *List {
-	pool := mem.NewPool[node](mem.Config{MaxSlots: cfg.MaxSlots, Poison: cfg.Poison, Name: "list"})
-	l := &List{pool: pool}
-	tr, tn := pool.Alloc()
-	tn.key = tailKey
-	tn.next.Store(0)
-	hr, hn := pool.Alloc()
-	hn.key = headKey
-	hn.next.Store(uint64(tr))
-	l.head, l.tail = hr, tr
-	return l
+	n := max(cfg.Buckets, 1)
+	if n&(n-1) != 0 {
+		n = 1 << bits.Len(uint(n))
+	}
+	return &List{
+		pool:    mem.NewPool[node](mem.Config{MaxSlots: cfg.MaxSlots, Poison: cfg.Poison, Name: "list"}),
+		buckets: make([]atomic.Uint64, n),
+		mask:    uint64(n - 1),
+	}
 }
 
 // FreeNode returns a node to the pool; pass it as reclaim.Config.Free.
@@ -87,6 +84,14 @@ func (l *List) FreeNode(r mem.Ref) { l.pool.Free(r) }
 
 // Pool exposes the node pool for stats and tests.
 func (l *List) Pool() *mem.Pool[node] { return l.pool }
+
+// Buckets returns the bucket count.
+func (l *List) Buckets() int { return len(l.buckets) }
+
+// hash is Fibonacci hashing; each bucket's chain stays ordered by key.
+func (l *List) hash(key int64) uint64 {
+	return (uint64(key) * 0x9e3779b97f4a7c15) >> 32 & l.mask
+}
 
 // Handle is a worker's accessor: guard + allocation magazine. Not safe for
 // concurrent use; create one per worker.
@@ -103,27 +108,44 @@ func (l *List) NewHandle(g reclaim.Guard) *Handle {
 
 func isMarked(w uint64) bool { return w&markBit != 0 }
 
-// search locates the first node with key >= key, unlinking (and retiring)
-// any marked nodes it passes — the paper's search_and_cleanup (Algorithm 7).
-// On return prev and cur are protected (which of the two traversal slots
-// holds which rotates as the walk advances), prev.key < key <= cur.key, and
-// prev.next == cur was observed unmarked.
-func (h *Handle) search(key int64) (prev, cur mem.Ref) {
+// link is the word that points at prev's successor: prev's next field,
+// re-checked through pp, or the bucket word head when prev is nil.
+func link(head *atomic.Uint64, prev mem.Ref, pp mem.Resolved[node]) *atomic.Uint64 {
+	if prev.IsNil() {
+		return head
+	}
+	return &pp.Get(prev).next
+}
+
+// search locates the first node of head's chain with key >= key, unlinking
+// (and retiring) any marked nodes it passes — the paper's search_and_cleanup
+// (Algorithm 7). On return cur is that node, or nil at the chain end, and
+// prev its predecessor, or nil for the bucket word; both are protected
+// (which of the two traversal slots holds which rotates as the walk
+// advances), prev.key < key <= cur.key, and prev's link == cur was observed
+// unmarked.
+//
+// Each node is resolved once, right after the link it was loaded from is
+// re-validated — before that a freed node is not yet a fault — and carried
+// as pp/cp from then on. Every later use is Resolved.Get, the generation
+// re-check on the node's own line: only the directory walk is saved, never
+// the check (TestChainDetectionNotThinned).
+func (h *Handle) search(head *atomic.Uint64, key int64) (prev mem.Ref, pp mem.Resolved[node], cur mem.Ref, cp mem.Resolved[node]) {
 	pool := h.l.pool
 retry:
 	for {
 		ps, cs := hpPrev, hpCur
-		prev = h.l.head
-		h.guard.Protect(ps, prev) // head is immortal; protected for uniformity
-		cur = mem.Ref(pool.Get(prev).next.Load()).Untagged()
-		for {
+		prev, pp = 0, mem.Resolved[node]{}
+		cur = mem.Ref(head.Load()).Untagged()
+		for !cur.IsNil() {
 			// Protect cur, then validate the link we got it from
 			// (§3.2 step 4; no fence needed beyond the scheme's own).
 			h.guard.Protect(cs, cur)
-			if mem.Ref(pool.Get(prev).next.Load()) != cur {
+			if mem.Ref(link(head, prev, pp).Load()) != cur {
 				continue retry
 			}
-			nextWord := pool.Get(cur).next.Load()
+			cp = pool.Resolve(cur) // the hop's one directory walk
+			nextWord := cp.Get(cur).next.Load()
 			next := mem.Ref(nextWord).Untagged()
 			if isMarked(nextWord) {
 				// cur is logically deleted: splice it out. The
@@ -132,7 +154,7 @@ retry:
 				// No re-link exposure here (cf. the skip list's
 				// upper-level edge ABA; its package doc's
 				// "non-repeating edges" invariant holds trivially):
-				// a node enters the chain through exactly one link
+				// a node enters a chain through exactly one link
 				// CAS, made while the node is still private —
 				// Insert re-points nptr.next only BEFORE that CAS —
 				// so a marked node can never be published again and
@@ -141,54 +163,51 @@ retry:
 				// still reachable through cur, hence unretired
 				// (skiplist invariant 3): installing it unprotected
 				// is safe.
-				if !pool.Get(prev).next.CompareAndSwap(uint64(cur), uint64(next)) {
+				if !link(head, prev, pp).CompareAndSwap(uint64(cur), uint64(next)) {
 					continue retry
 				}
 				h.guard.Retire(cur)
 				cur = next
 				continue
 			}
-			if pool.Get(cur).key >= key {
-				return prev, cur
+			if cp.Get(cur).key >= key {
+				return prev, pp, cur, cp
 			}
 			// Advance by swapping slot ROLES, never by copying the
 			// protection between slots: scans read slots one at a
 			// time, so a cross-slot copy can be missed by a snapshot
 			// that reads the destination before the copy and the
 			// source after its overwrite — freeing a node mid-use.
-			prev = cur
+			prev, pp = cur, cp
 			ps, cs = cs, ps // cur keeps its slot, now in the prev role
 			cur = next
 		}
+		return prev, pp, 0, mem.Resolved[node]{}
 	}
 }
 
-// Contains reports whether key is in the set. Reserved keys (outside
-// [MinKey, MaxKey]) are never present.
+// bucket is key's bucket head word.
+func (h *Handle) bucket(key int64) *atomic.Uint64 { return &h.l.buckets[h.l.hash(key)] }
+
+// Contains reports whether key is in the set.
 func (h *Handle) Contains(key int64) bool {
-	if reserved(key) {
-		return false
-	}
 	h.guard.Begin()
-	_, cur := h.search(key)
-	found := h.l.pool.Get(cur).key == key
+	_, _, cur, cp := h.search(h.bucket(key), key)
+	found := !cur.IsNil() && cp.Get(cur).key == key
 	h.guard.ClearHPs()
 	return found
 }
 
-// Insert adds key; false if already present or reserved.
+// Insert adds key; false if already present.
 func (h *Handle) Insert(key int64) bool {
-	if reserved(key) {
-		return false
-	}
 	h.guard.Begin()
 	defer h.guard.ClearHPs()
+	head := h.bucket(key)
 	var nref mem.Ref
 	var nptr *node
 	for {
-		prev, cur := h.search(key)
-		pool := h.l.pool
-		if pool.Get(cur).key == key {
+		prev, pp, cur, cp := h.search(head, key)
+		if !cur.IsNil() && cp.Get(cur).key == key {
 			if !nref.IsNil() {
 				// Allocated but never linked: free directly
 				// (node state Allocated -> Free, §2.1).
@@ -201,7 +220,7 @@ func (h *Handle) Insert(key int64) bool {
 			nptr.key = key
 		}
 		nptr.next.Store(uint64(cur))
-		if pool.Get(prev).next.CompareAndSwap(uint64(cur), uint64(nref)) {
+		if link(head, prev, pp).CompareAndSwap(uint64(cur), uint64(nref)) {
 			return true
 		}
 		// Contention: retry with a fresh search (the node is reused).
@@ -210,87 +229,63 @@ func (h *Handle) Insert(key int64) bool {
 
 // Delete removes key; false if absent. Removal is two-phase: mark the
 // node's next word (logical), then unlink (physical); whoever unlinks
-// retires the node. Reserved keys are absent by definition — without the
-// guard, Delete(tailKey) would mark, unlink and retire the tail sentinel.
+// retires the node.
 func (h *Handle) Delete(key int64) bool {
-	if reserved(key) {
-		return false
-	}
 	h.guard.Begin()
 	defer h.guard.ClearHPs()
-	pool := h.l.pool
+	head := h.bucket(key)
 	for {
-		prev, cur := h.search(key)
-		if pool.Get(cur).key != key {
+		prev, pp, cur, cp := h.search(head, key)
+		if cur.IsNil() || cp.Get(cur).key != key {
 			return false
 		}
-		nextWord := pool.Get(cur).next.Load()
+		nextWord := cp.Get(cur).next.Load()
 		if isMarked(nextWord) {
 			// Another deleter got here first; help and retry.
 			continue
 		}
 		// Logical delete: mark cur's next.
-		if !pool.Get(cur).next.CompareAndSwap(nextWord, nextWord|markBit) {
+		if !cp.Get(cur).next.CompareAndSwap(nextWord, nextWord|markBit) {
 			continue
 		}
 		// Physical unlink; on failure a later search cleans up.
-		if pool.Get(prev).next.CompareAndSwap(uint64(cur), nextWord) {
+		if link(head, prev, pp).CompareAndSwap(uint64(cur), nextWord) {
 			h.guard.Retire(cur)
 		} else {
-			h.search(key)
+			h.search(head, key)
 		}
 		return true
 	}
 }
 
-// Len walks the list without synchronization; only meaningful when quiesced.
+// Len is Validate's count of unmarked nodes; only meaningful when quiesced.
 func (l *List) Len() int {
-	n := 0
-	for r := mem.Ref(l.pool.Get(l.head).next.Load()).Untagged(); r != l.tail; {
-		w := l.pool.Get(r).next.Load()
-		if !isMarked(w) {
-			n++
-		}
-		r = mem.Ref(w).Untagged()
-	}
+	n, _ := l.Validate()
 	return n
 }
 
-// Keys returns the unmarked keys in order; only meaningful when quiesced.
-func (l *List) Keys() []int64 {
-	var ks []int64
-	for r := mem.Ref(l.pool.Get(l.head).next.Load()).Untagged(); r != l.tail; {
-		nd := l.pool.Get(r)
-		w := nd.next.Load()
-		if !isMarked(w) {
-			ks = append(ks, nd.key)
-		}
-		r = mem.Ref(w).Untagged()
-	}
-	return ks
-}
-
-// Validate checks structural invariants (sorted, strictly increasing,
-// properly terminated); only meaningful when quiesced. Returns the number
-// of unmarked nodes or an error description.
+// Validate checks that every chain is strictly increasing and every key in
+// its hash's bucket; only meaningful when quiesced. Returns the number of
+// unmarked nodes and an error description ("" if OK).
 func (l *List) Validate() (int, string) {
-	prevKey := int64(headKey)
 	n := 0
-	r := mem.Ref(l.pool.Get(l.head).next.Load()).Untagged()
-	for r != l.tail {
-		if r.IsNil() {
-			return n, "nil link before tail sentinel"
-		}
-		nd := l.pool.Get(r)
-		w := nd.next.Load()
-		if !isMarked(w) {
-			if nd.key <= prevKey {
-				return n, "keys not strictly increasing"
+	for b := range l.buckets {
+		var prev *node
+		for r := mem.Ref(l.buckets[b].Load()).Untagged(); !r.IsNil(); {
+			nd := l.pool.Get(r)
+			w := nd.next.Load()
+			if !isMarked(w) {
+				if l.hash(nd.key) != uint64(b) {
+					return n, "key in wrong bucket"
+				}
+				if prev != nil && nd.key <= prev.key {
+					return n, "chain not strictly increasing"
+				}
+				prev = nd
+				n++
 			}
-			prevKey = nd.key
-			n++
+			r = mem.Ref(w).Untagged()
 		}
-		r = mem.Ref(w).Untagged()
 	}
 	return n, ""
 }

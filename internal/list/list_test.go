@@ -1,9 +1,9 @@
 package list
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -13,9 +13,13 @@ import (
 	"qsense/internal/rooster"
 )
 
-func newSet(t *testing.T, scheme string, workers int) (*List, reclaim.Domain, []*Handle) {
+// chains is the geometry axis of the semantic and stress tests: the sorted
+// list, and a hash table with few enough buckets that its chains collide.
+var chains = []int{1, 16}
+
+func newSet(t *testing.T, scheme string, workers, buckets int) (*List, reclaim.Domain, []*Handle) {
 	t.Helper()
-	l := New(Config{Poison: true})
+	l := New(Config{Poison: true, Buckets: buckets})
 	d, err := reclaim.New(scheme, reclaim.Config{
 		Workers: workers,
 		HPs:     HPs,
@@ -38,40 +42,51 @@ func newSet(t *testing.T, scheme string, workers int) (*List, reclaim.Domain, []
 	return l, d, hs
 }
 
-func TestListBasicSemantics(t *testing.T) {
-	for _, scheme := range reclaim.Schemes() {
-		scheme := scheme
+// eachChain runs f as subtest scheme/buckets=N for every scheme and every
+// geometry in chains.
+func eachChain(t *testing.T, schemes []string, f func(t *testing.T, scheme string, buckets int)) {
+	for _, scheme := range schemes {
 		t.Run(scheme, func(t *testing.T) {
-			_, d, hs := newSet(t, scheme, 1)
-			defer d.Close()
-			h := hs[0]
-			if h.Contains(10) {
-				t.Fatal("empty list contains 10")
-			}
-			if !h.Insert(10) {
-				t.Fatal("insert into empty failed")
-			}
-			if h.Insert(10) {
-				t.Fatal("duplicate insert succeeded")
-			}
-			if !h.Contains(10) {
-				t.Fatal("inserted key not found")
-			}
-			if !h.Delete(10) {
-				t.Fatal("delete failed")
-			}
-			if h.Delete(10) {
-				t.Fatal("double delete succeeded")
-			}
-			if h.Contains(10) {
-				t.Fatal("deleted key still present")
+			for _, buckets := range chains {
+				t.Run(fmt.Sprintf("buckets=%d", buckets), func(t *testing.T) { f(t, scheme, buckets) })
 			}
 		})
 	}
 }
 
+func TestListBasicSemantics(t *testing.T) {
+	eachChain(t, reclaim.Schemes(), func(t *testing.T, scheme string, buckets int) {
+		_, d, hs := newSet(t, scheme, 1, buckets)
+		defer d.Close()
+		h := hs[0]
+		if h.Contains(10) {
+			t.Fatal("empty list contains 10")
+		}
+		if !h.Insert(10) {
+			t.Fatal("insert into empty failed")
+		}
+		if h.Insert(10) {
+			t.Fatal("duplicate insert succeeded")
+		}
+		if !h.Contains(10) {
+			t.Fatal("inserted key not found")
+		}
+		if !h.Delete(10) {
+			t.Fatal("delete failed")
+		}
+		if h.Delete(10) {
+			t.Fatal("double delete succeeded")
+		}
+		if h.Contains(10) {
+			t.Fatal("deleted key still present")
+		}
+	})
+}
+
 func TestListSortedOrder(t *testing.T) {
-	l, d, hs := newSet(t, "qsbr", 1)
+	// One bucket: every key shares the chain, which stays strictly
+	// increasing whatever the insertion order.
+	l, d, hs := newSet(t, "qsbr", 1, 1)
 	defer d.Close()
 	h := hs[0]
 	keys := []int64{5, 1, 9, 3, 7, 2, 8, 4, 6, 0}
@@ -80,140 +95,144 @@ func TestListSortedOrder(t *testing.T) {
 			t.Fatalf("insert %d", k)
 		}
 	}
-	got := l.Keys()
-	want := append([]int64(nil), keys...)
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	if len(got) != len(want) {
-		t.Fatalf("len = %d, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("keys[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-	if n, msg := l.Validate(); msg != "" || n != len(want) {
-		t.Fatalf("validate: n=%d msg=%q", n, msg)
-	}
-}
-
-func TestListExtremeKeys(t *testing.T) {
-	_, d, hs := newSet(t, "hp", 1)
-	defer d.Close()
-	h := hs[0]
-	lo, hi := int64(math.MinInt64+1), int64(math.MaxInt64-1)
-	if !h.Insert(lo) || !h.Insert(hi) || !h.Insert(0) {
-		t.Fatal("extreme inserts failed")
-	}
-	for _, k := range []int64{lo, hi, 0} {
+	for _, k := range keys {
 		if !h.Contains(k) {
 			t.Fatalf("missing %d", k)
 		}
 	}
-	if !h.Delete(lo) || !h.Delete(hi) {
-		t.Fatal("extreme deletes failed")
+	if n, msg := l.Validate(); msg != "" || n != len(keys) {
+		t.Fatalf("validate: n=%d msg=%q", n, msg)
 	}
+}
+
+// TestListExtremeKeys: the chains end at nil, not at sentinel nodes, so the
+// two extreme int64 values are ordinary keys in either geometry.
+func TestListExtremeKeys(t *testing.T) {
+	extremes := []int64{math.MinInt64, math.MaxInt64, math.MinInt64 + 1, math.MaxInt64 - 1, 0}
+	eachChain(t, []string{"hp"}, func(t *testing.T, scheme string, buckets int) {
+		l, d, hs := newSet(t, scheme, 1, buckets)
+		defer d.Close()
+		h := hs[0]
+		for _, k := range extremes {
+			if h.Contains(k) || !h.Insert(k) || h.Insert(k) || !h.Contains(k) {
+				t.Fatalf("key %d: insert/match semantics broken", k)
+			}
+		}
+		if n, msg := l.Validate(); msg != "" || n != len(extremes) {
+			t.Fatalf("validate after inserts: n=%d msg=%q", n, msg)
+		}
+		for _, k := range extremes[:2] {
+			if !h.Delete(k) || h.Delete(k) || h.Contains(k) {
+				t.Fatalf("key %d: delete semantics broken", k)
+			}
+		}
+		if n, msg := l.Validate(); msg != "" || n != len(extremes)-2 {
+			t.Fatalf("validate after deletes: n=%d msg=%q", n, msg)
+		}
+	})
 }
 
 func TestListAgainstModelQuick(t *testing.T) {
 	// Property: any sequence of (op, key) agrees with a map model.
-	f := func(ops []int16) bool {
-		l, d, hs := newSet(t, "qsense", 1)
-		defer d.Close()
-		h := hs[0]
-		model := map[int64]bool{}
-		for _, o := range ops {
-			key := int64(o % 64)
-			switch {
-			case o%3 == 0:
-				if h.Insert(key) == model[key] {
-					return false
-				}
-				model[key] = true
-			case o%3 == 1:
-				if h.Delete(key) != model[key] {
-					return false
-				}
-				delete(model, key)
-			default:
-				if h.Contains(key) != model[key] {
-					return false
+	eachChain(t, []string{"qsense"}, func(t *testing.T, scheme string, buckets int) {
+		f := func(ops []int16) bool {
+			l, d, hs := newSet(t, scheme, 1, buckets)
+			defer d.Close()
+			h := hs[0]
+			model := map[int64]bool{}
+			for _, o := range ops {
+				key := int64(o % 64)
+				switch {
+				case o%3 == 0:
+					if h.Insert(key) == model[key] {
+						return false
+					}
+					model[key] = true
+				case o%3 == 1:
+					if h.Delete(key) != model[key] {
+						return false
+					}
+					delete(model, key)
+				default:
+					if h.Contains(key) != model[key] {
+						return false
+					}
 				}
 			}
+			n, msg := l.Validate()
+			return msg == "" && n == len(model)
 		}
-		if n, msg := l.Validate(); msg != "" || n != len(model) {
-			return false
+		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+			t.Fatal(err)
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
+	})
 }
 
 func TestListReclaimsDeletedNodes(t *testing.T) {
-	l, d, hs := newSet(t, "qsbr", 1)
-	h := hs[0]
-	for round := 0; round < 50; round++ {
-		for k := int64(0); k < 100; k++ {
-			h.Insert(k)
+	eachChain(t, []string{"qsbr"}, func(t *testing.T, scheme string, buckets int) {
+		l, d, hs := newSet(t, scheme, 1, buckets)
+		h := hs[0]
+		for round := 0; round < 50; round++ {
+			for k := int64(0); k < 100; k++ {
+				h.Insert(k)
+			}
+			for k := int64(0); k < 100; k++ {
+				h.Delete(k)
+			}
 		}
-		for k := int64(0); k < 100; k++ {
-			h.Delete(k)
+		d.Close()
+		if live := l.Pool().Stats().Live; live != 0 {
+			t.Fatalf("live nodes after churn+close = %d, want 0", live)
 		}
-	}
-	d.Close()
-	// Exactly the two sentinels remain.
-	if live := l.Pool().Stats().Live; live != 2 {
-		t.Fatalf("live nodes after churn+close = %d, want 2 sentinels", live)
-	}
-	if l.Pool().Stats().Frees == 0 {
-		t.Fatal("nothing was ever reclaimed")
-	}
+		if l.Pool().Stats().Frees == 0 {
+			t.Fatal("nothing was ever reclaimed")
+		}
+	})
 }
 
 func TestListConcurrentDisjointRanges(t *testing.T) {
-	for _, scheme := range reclaim.Schemes() {
-		scheme := scheme
-		t.Run(scheme, func(t *testing.T) {
-			const workers = 4
-			const span = 512
-			l, d, hs := newSet(t, scheme, workers)
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					h := hs[w]
-					base := int64(w * span)
-					for i := 0; i < 3; i++ {
-						for k := base; k < base+span; k++ {
-							if !h.Insert(k) {
-								t.Errorf("w%d: insert %d failed", w, k)
-								return
-							}
-						}
-						for k := base; k < base+span; k++ {
-							if !h.Contains(k) {
-								t.Errorf("w%d: missing %d", w, k)
-								return
-							}
-						}
-						for k := base; k < base+span; k++ {
-							if !h.Delete(k) {
-								t.Errorf("w%d: delete %d failed", w, k)
-								return
-							}
+	span := 512
+	if testing.Short() {
+		span = 128
+	}
+	eachChain(t, reclaim.Schemes(), func(t *testing.T, scheme string, buckets int) {
+		const workers = 4
+		l, d, hs := newSet(t, scheme, workers, buckets)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				h := hs[w]
+				base := int64(w * span)
+				for i := 0; i < 3; i++ {
+					for k := base; k < base+int64(span); k++ {
+						if !h.Insert(k) {
+							t.Errorf("w%d: insert %d failed", w, k)
+							return
 						}
 					}
-				}(w)
-			}
-			wg.Wait()
-			if n, msg := l.Validate(); msg != "" || n != 0 {
-				t.Fatalf("validate: n=%d msg=%q", n, msg)
-			}
-			d.Close()
-		})
-	}
+					for k := base; k < base+int64(span); k++ {
+						if !h.Contains(k) {
+							t.Errorf("w%d: missing %d", w, k)
+							return
+						}
+					}
+					for k := base; k < base+int64(span); k++ {
+						if !h.Delete(k) {
+							t.Errorf("w%d: delete %d failed", w, k)
+							return
+						}
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		if n, msg := l.Validate(); msg != "" || n != 0 {
+			t.Fatalf("validate: n=%d msg=%q", n, msg)
+		}
+		d.Close()
+	})
 }
 
 func TestListConcurrentSameKeyContention(t *testing.T) {
@@ -221,11 +240,10 @@ func TestListConcurrentSameKeyContention(t *testing.T) {
 	// set must alternate, so their totals differ by at most the final
 	// membership.
 	for _, scheme := range []string{"qsbr", "hp", "cadence", "qsense"} {
-		scheme := scheme
 		t.Run(scheme, func(t *testing.T) {
 			const workers = 4
 			const iters = 4000
-			l, d, hs := newSet(t, scheme, workers)
+			l, d, hs := newSet(t, scheme, workers, 1)
 			ins := make([]int64, workers)
 			del := make([]int64, workers)
 			var wg sync.WaitGroup
@@ -260,8 +278,8 @@ func TestListConcurrentSameKeyContention(t *testing.T) {
 			// An insert that lost the key frees its never-linked node
 			// (Allocated -> Free, §2.1) instead of leaking it.
 			d.Close()
-			if live := l.Pool().Stats().Live; live != uint64(final)+2 {
-				t.Fatalf("live=%d, want members %d + 2 sentinels", live, final)
+			if live := l.Pool().Stats().Live; live != uint64(final) {
+				t.Fatalf("live=%d, want members %d", live, final)
 			}
 		})
 	}
@@ -269,66 +287,63 @@ func TestListConcurrentSameKeyContention(t *testing.T) {
 
 func TestListConcurrentMixedChurn(t *testing.T) {
 	// Random 50/25/25 search/insert/delete workload; afterwards the list
-	// must be structurally valid and leak-free (sentinels + remaining
+	// must be structurally valid and leak-free (exactly the remaining
 	// members) — except under none, whose leak must be exact: every retired
 	// node still allocated, none of them reachable, none freed.
-	for _, scheme := range []string{"none", "qsbr", "hp", "cadence", "qsense"} {
-		scheme := scheme
-		t.Run(scheme, func(t *testing.T) {
-			const workers = 4
-			iters := 20000
-			if testing.Short() {
-				iters = 4000
-			}
-			l, d, hs := newSet(t, scheme, workers)
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					h := hs[w]
-					rng := rand.New(rand.NewSource(int64(w + 1)))
-					for i := 0; i < iters; i++ {
-						k := int64(rng.Intn(256))
-						switch rng.Intn(4) {
-						case 0, 1:
-							h.Contains(k)
-						case 2:
-							h.Insert(k)
-						default:
-							h.Delete(k)
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-			n, msg := l.Validate()
-			if msg != "" {
-				t.Fatalf("validate: %s", msg)
-			}
-			d.Close()
-			leaked := uint64(0)
-			if scheme == "none" {
-				st := d.Stats()
-				if st.Retired == 0 {
-					t.Fatal("workload retired nothing; the leak is unobservable")
-				}
-				if st.Freed != 0 {
-					t.Fatalf("leaky scheme freed %d nodes", st.Freed)
-				}
-				leaked = st.Retired
-			}
-			if live := l.Pool().Stats().Live; live != uint64(n)+2+leaked {
-				t.Fatalf("live=%d, want members %d + 2 sentinels + %d leaked", live, n, leaked)
-			}
-		})
+	iters := 20000
+	if testing.Short() {
+		iters = 4000
 	}
+	eachChain(t, []string{"none", "qsbr", "hp", "cadence", "qsense"}, func(t *testing.T, scheme string, buckets int) {
+		const workers = 4
+		l, d, hs := newSet(t, scheme, workers, buckets)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				h := hs[w]
+				rng := rand.New(rand.NewSource(int64(w + 1)))
+				for i := 0; i < iters; i++ {
+					k := int64(rng.Intn(256))
+					switch rng.Intn(4) {
+					case 0, 1:
+						h.Contains(k)
+					case 2:
+						h.Insert(k)
+					default:
+						h.Delete(k)
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		n, msg := l.Validate()
+		if msg != "" {
+			t.Fatalf("validate: %s", msg)
+		}
+		d.Close()
+		leaked := uint64(0)
+		if scheme == "none" {
+			st := d.Stats()
+			if st.Retired == 0 {
+				t.Fatal("workload retired nothing; the leak is unobservable")
+			}
+			if st.Freed != 0 {
+				t.Fatalf("leaky scheme freed %d nodes", st.Freed)
+			}
+			leaked = st.Retired
+		}
+		if live := l.Pool().Stats().Live; live != uint64(n)+leaked {
+			t.Fatalf("live=%d, want members %d + %d leaked", live, n, leaked)
+		}
+	})
 }
 
 func TestListHandleIndependence(t *testing.T) {
 	// Two handles on the same guard-less baseline must see each other's
 	// writes immediately (same shared structure).
-	_, d, hs := newSet(t, "none", 2)
+	_, d, hs := newSet(t, "none", 2, 1)
 	defer d.Close()
 	if !hs[0].Insert(1) {
 		t.Fatal("insert")
@@ -341,5 +356,26 @@ func TestListHandleIndependence(t *testing.T) {
 	}
 	if hs[0].Contains(1) {
 		t.Fatal("stale view")
+	}
+}
+
+func TestListBucketsRounding(t *testing.T) {
+	for _, c := range []struct{ asked, want int }{{0, 1}, {1, 1}, {100, 128}, {64, 64}, {HashBuckets, HashBuckets}} {
+		if got := New(Config{Buckets: c.asked}).Buckets(); got != c.want {
+			t.Errorf("Buckets %d: got %d buckets, want %d", c.asked, got, c.want)
+		}
+	}
+}
+
+func TestListHashDistribution(t *testing.T) {
+	l := New(Config{Buckets: 64})
+	counts := make([]int, 64)
+	for k := int64(0); k < 64*100; k++ {
+		counts[l.hash(k)]++
+	}
+	for b, c := range counts {
+		if c == 0 {
+			t.Fatalf("bucket %d empty across 6400 sequential keys", b)
+		}
 	}
 }
