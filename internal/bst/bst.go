@@ -197,20 +197,14 @@ retry:
 				h.cleanup(key, seekRecord{ancestor: parent, successor: current, parent: current, leaf: next})
 				continue retry
 			}
+			// The edge parent -> current was proven clean before this hop,
+			// so the paper's "if that edge is untagged" step always moves
+			// the ancestor/successor pair down to it.
 			freed := sa
-			if !tagged(parentField) { // always true here; kept for symmetry with the paper
-				anc = parent
-				sa = sp
-				succ = current
-				ss = sl
-			} else {
-				freed = sp // anc/succ stay; only parent's slot frees up
-			}
-			parent = current
-			sp = sl
-			parentField = curField
-			current = next
-			sl = sc
+			anc, sa = parent, sp
+			succ, ss = current, sl
+			parent, sp = current, sl
+			current, sl = next, sc
 			sc = freed
 		}
 	}
@@ -389,42 +383,10 @@ func (h *Handle) Delete(key int64) bool {
 	}
 }
 
-// Len counts user leaves; only meaningful when quiesced.
+// Len is Validate's count of user leaves; only meaningful when quiesced.
 func (t *Tree) Len() int {
-	n, _ := t.walk(t.root)
+	n, _ := t.Validate()
 	return n
-}
-
-func (t *Tree) walk(r mem.Ref) (int, int64) {
-	nd := t.pool.Get(r)
-	if nd.left.Load() == 0 {
-		if nd.key < inf0 {
-			return 1, nd.key
-		}
-		return 0, nd.key
-	}
-	nl, _ := t.walk(addr(nd.left.Load()))
-	nr, _ := t.walk(addr(nd.right.Load()))
-	return nl + nr, nd.key
-}
-
-// Keys returns user keys in sorted order; only meaningful when quiesced.
-func (t *Tree) Keys() []int64 {
-	var ks []int64
-	var rec func(r mem.Ref)
-	rec = func(r mem.Ref) {
-		nd := t.pool.Get(r)
-		if nd.left.Load() == 0 {
-			if nd.key < inf0 {
-				ks = append(ks, nd.key)
-			}
-			return
-		}
-		rec(addr(nd.left.Load()))
-		rec(addr(nd.right.Load()))
-	}
-	rec(t.root)
-	return ks
 }
 
 // Validate checks structural invariants when quiesced: internal nodes have

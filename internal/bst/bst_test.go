@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"qsense/internal/mem"
 	"qsense/internal/reclaim"
 	"qsense/internal/rooster"
 )
@@ -35,6 +36,25 @@ func newSet(t *testing.T, scheme string, workers int) (*Tree, reclaim.Domain, []
 		hs[i] = tr.NewHandle(g)
 	}
 	return tr, d, hs
+}
+
+// sortedKeys returns the user keys in sorted order; only meaningful when quiesced.
+func sortedKeys(t *Tree) []int64 {
+	var ks []int64
+	var rec func(r mem.Ref)
+	rec = func(r mem.Ref) {
+		nd := t.pool.Get(r)
+		if nd.left.Load() == 0 {
+			if nd.key < inf0 {
+				ks = append(ks, nd.key)
+			}
+			return
+		}
+		rec(addr(nd.left.Load()))
+		rec(addr(nd.right.Load()))
+	}
+	rec(t.root)
+	return ks
 }
 
 func TestBSTEmptySkeleton(t *testing.T) {
@@ -100,7 +120,7 @@ func TestBSTSortedKeysAndValidate(t *testing.T) {
 			t.Fatalf("insert %d", k)
 		}
 	}
-	got := tr.Keys()
+	got := sortedKeys(tr)
 	want := append([]int64(nil), keys...)
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 	if len(got) != len(want) {

@@ -1,6 +1,8 @@
 package reclaim
 
 import (
+	"math"
+
 	"qsense/internal/mem"
 	"qsense/internal/rooster"
 )
@@ -69,22 +71,22 @@ func (g *cadenceGuard) Retire(r mem.Ref) {
 	g.retire(r, g.d.mgr.Tick())
 }
 
-// filterDeferred is the body of Cadence's scan (Algorithm 3, lines 14–33):
-// free the nodes of rl that are old enough — judged against a tick the
-// caller captured before taking snap, never the live clock — and
-// unprotected in snap; keep the rest (in place). A nil mgr skips the
-// oldness rule entirely (classic HP has no deferral). Shared by QSense and
-// the orphan adopters.
-func filterDeferred(cfg Config, mgr *rooster.Manager, tick uint64, snap hpSnapshot, rl []retired) ([]retired, int) {
-	kept := rl[:0]
-	freed := 0
-	for _, n := range rl {
-		if (mgr != nil && !cfg.DisableDeferral && !mgr.OldEnoughAt(n.stamp, tick)) || snap.contains(n.ref) {
-			kept = append(kept, n)
-		} else {
-			cfg.Free(n.ref)
-			freed++
-		}
+// scanTick is the tick a deferred scan judges oldness against, captured
+// before its snapshot (rooster.OldEnoughAt). Without deferral — hp has no
+// rooster, and DisableDeferral is the unsafe ablation — it is the largest
+// tick, at which every node is old enough.
+func (d *domainCore) scanTick() uint64 {
+	if d.mgr == nil || d.cfg.DisableDeferral {
+		return math.MaxUint64
 	}
-	return kept, freed
+	return d.mgr.Tick()
+}
+
+// oldAndFree is Cadence's free rule (Algorithm 3, lines 14–33): n is old
+// enough at tick, from scanTick, and unprotected in snap. The hazard scans,
+// QSense's fallback scan and the rooster's adoption hook all sweep with it.
+// It inlines into each sweep, so the age check, which most nodes of a
+// deferred scan fail, costs no call.
+func oldAndFree(tick uint64, snap *hpSnapshot, n retired) bool {
+	return rooster.OldEnoughAt(n.stamp, tick) && !snap.contains(n.ref)
 }

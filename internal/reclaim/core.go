@@ -4,11 +4,16 @@ package reclaim
 // which implements the whole Domain interface once; a scheme file keeps its
 // constructor, the four policy hooks below and the paper's three calls
 // (Begin/Protect/Retire, plus ClearHPs).
+//
+// Every free goes through freeAll or sweep (the end of this file): a scheme
+// states its free rule once, as the canFree it hands sweep, and the same
+// rule judges its own backlog and the orphans it adopts.
 
 import (
 	"context"
 	"sync/atomic"
 
+	"qsense/internal/mem"
 	"qsense/internal/rooster"
 )
 
@@ -117,7 +122,7 @@ func openHazardGuards[G policy](d *domainCore, mk func(rec *hprec) G) (*arena[*h
 	guards := openGuards(d, recs.grow, func(i int) G { return mk(recs.at(i)) })
 	if d.mgr != nil {
 		d.mgr.Register(&recFlusher{p: d.slots, recs: recs, cnt: &d.cnt})
-		d.mgr.AddHook(1, d.orphans.adoptHook(d.mgr, d.slots, recs, d.cfg, &d.cnt))
+		d.mgr.AddHook(1, d.adoptHook(recs))
 	}
 	return recs, guards
 }
@@ -394,4 +399,38 @@ func (c *counters) fill(s *Stats, p *slotPool, cores *arena[*slotCore]) {
 	s.RRetunes = c.retunesR.Load()
 	s.CRetunes = c.retunesC.Load()
 	s.Failed = c.failed.Load()
+}
+
+// retired is a node awaiting reclamation: the paper's timestamped_node, and
+// the one record every backlog holds. stamp is the rooster tick at Retire
+// for cadence and qsense, the retire era for ibr, and 0 otherwise. birth is
+// the node's birth era, set and read by ibr only.
+type retired struct {
+	ref   mem.Ref
+	stamp uint64
+	birth uint64
+}
+
+// freeAll frees every node of rs and reports how many that was.
+func freeAll(free func(mem.Ref), rs []retired) int {
+	for _, n := range rs {
+		free(n.ref)
+	}
+	return len(rs)
+}
+
+// sweep applies a free rule: it frees each node of rs that canFree allows
+// and keeps the rest, in order, in rs's backing array. canFree must not
+// escape (pass a literal or a function of pointers), so a pass that sweeps
+// allocates nothing.
+func sweep(free func(mem.Ref), rs []retired, canFree func(retired) bool) (kept []retired, freed int) {
+	kept = rs[:0]
+	for _, n := range rs {
+		if canFree(n) {
+			free(n.ref)
+		} else {
+			kept = append(kept, n)
+		}
+	}
+	return kept, len(rs) - len(kept)
 }

@@ -45,10 +45,10 @@ type ebrGuard struct {
 	d *EBR
 	// word packs (announced epoch << 1) | active. Peers read it in
 	// tryAdvance; the owner writes it in Begin/ClearHPs.
-	word         atomic.Uint64
-	lastSeen     uint64 // last epoch whose bucket this guard freed
-	adoptSeen    uint64 // last epoch at which this guard tried orphan adoption
-	limbo        [3][]mem.Ref
+	word      atomic.Uint64
+	lastSeen  uint64 // last epoch whose bucket this guard freed
+	adoptSeen uint64 // last epoch at which this guard tried orphan adoption
+	limbo
 	sinceAdvance int
 	_            [40]byte // keep adjacent guards' hot words apart
 }
@@ -78,12 +78,11 @@ func (g *ebrGuard) join() {
 		g.freeBucket(int(e % 3))
 	}
 	g.tryAdvance()
-	// Orphan adoption, at most once per epoch advance (see Begin): batch
-	// maturity only changes with the epoch, so a lease-churn workload must
-	// not detach-and-repush immature batches on every Acquire.
-	if e := d.epoch.Load(); e != g.adoptSeen && !d.orphans.empty() {
-		g.adoptSeen = e
-		d.orphans.adoptEpoch(e, d.cfg.Free, &d.cnt)
+	// Orphan adoption, at most once per epoch advance (adoptOrphans): a
+	// lease-churn workload must not detach-and-repush immature batches on
+	// every Acquire.
+	if !d.orphans.empty() {
+		g.adoptOrphans()
 	}
 	d.cnt.flushTally(&g.tally, d.cfg.MemoryLimit)
 	g.tc.refresh(d.tune)
@@ -97,11 +96,11 @@ func (g *ebrGuard) join() {
 func (g *ebrGuard) drain() {
 	g.ClearHPs()
 	g.tryAdvance()
-	g.d.orphans.addRefBuckets(&g.limbo, g.d.epoch.Load(), &g.d.cnt)
+	g.orphan(&g.d.orphans, g.d.epoch.Load(), &g.d.cnt)
 }
 
 func (g *ebrGuard) closeFree() {
-	for b := range g.limbo {
+	for b := range g.buckets {
 		g.freeBucket(b)
 	}
 }
@@ -128,16 +127,25 @@ func (g *ebrGuard) Begin() {
 	// Orphan adoption: when a released slot left a backlog behind, pure
 	// Begin activity must make progress on it — EBR's epoch otherwise only
 	// advances from Retire/Acquire/Release. The empty check keeps the
-	// common case to one pointer load; adoption itself runs at most once
-	// per epoch advance, since batch maturity only changes when the epoch
-	// does.
+	// common case to one pointer load.
 	if !g.d.orphans.empty() {
 		g.tryAdvance()
-		if e := g.d.epoch.Load(); e != g.adoptSeen {
-			g.adoptSeen = e
-			g.d.orphans.adoptEpoch(e, g.d.cfg.Free, &g.d.cnt)
-		}
+		g.adoptOrphans()
 	}
+}
+
+// adoptOrphans frees the orphan batches whose epoch evidence has matured
+// (the global epoch is three past the batch's stamp: every bucket the
+// batch came from has had a full grace period), at most once per epoch
+// advance, since maturity only changes when the epoch does.
+func (g *ebrGuard) adoptOrphans() {
+	d := g.d
+	e := d.epoch.Load()
+	if e == g.adoptSeen {
+		return
+	}
+	g.adoptSeen = e
+	d.orphans.adopt(d.orphans.detach(), d.cfg.Free, &d.cnt, func(stamp uint64, _ retired) bool { return e >= stamp+3 })
 }
 
 // ClearHPs exits the critical section: the worker no longer pins its
@@ -153,8 +161,7 @@ func (g *ebrGuard) Retire(r mem.Ref) {
 	if r.IsNil() {
 		panic("reclaim: retire of nil Ref")
 	}
-	e := g.word.Load() >> 1
-	g.limbo[e%3] = append(g.limbo[e%3], r.Untagged())
+	g.put(g.word.Load()>>1, retired{ref: r.Untagged()})
 	g.d.cnt.tallyRetire(&g.tally, g.d.cfg.MemoryLimit)
 	g.sinceAdvance++
 	if g.sinceAdvance >= g.tc.r {
@@ -194,13 +201,5 @@ func (g *ebrGuard) tryAdvance() {
 }
 
 func (g *ebrGuard) freeBucket(b int) {
-	bucket := g.limbo[b]
-	if len(bucket) == 0 {
-		return
-	}
-	for _, r := range bucket {
-		g.d.cfg.Free(r)
-	}
-	g.d.cnt.tallyFree(&g.tally, len(bucket))
-	g.limbo[b] = bucket[:0]
+	g.d.cnt.tallyFree(&g.tally, g.free(b, g.d.cfg.Free))
 }

@@ -37,9 +37,9 @@ type hazardDomain struct {
 // hazardGuard is the retire side hp and cadence share: the retire list, the
 // scan over it and the lease hooks. What differs between the two here is
 // the domain's rooster (d.mgr) — nil for hp, whose scan then judges a node
-// by the snapshot alone, which filterDeferred and adoptDetached already
-// encode. Protect, ClearHPs and Retire's stamp stay on each scheme's own
-// guard, so the per-access path never asks which scheme it serves.
+// by the snapshot alone, which oldAndFree already encodes. Protect,
+// ClearHPs and Retire's stamp stay on each scheme's own guard, so the
+// per-access path never asks which scheme it serves.
 type hazardGuard struct {
 	guardCore
 	d         *hazardDomain
@@ -93,16 +93,13 @@ func (g *hazardGuard) drain() {
 		g.scan()
 	}
 	if len(g.rl) > 0 {
-		g.d.orphans.add(nil, g.rl, 0, &g.d.cnt)
+		g.d.orphans.add(g.rl, 0, &g.d.cnt)
 		g.rl = nil
 	}
 }
 
 func (g *hazardGuard) closeFree() {
-	for _, r := range g.rl {
-		g.d.cfg.Free(r.ref)
-	}
-	g.d.cnt.tallyFree(&g.tally, len(g.rl))
+	g.d.cnt.tallyFree(&g.tally, freeAll(g.d.cfg.Free, g.rl))
 	g.rl = g.rl[:0]
 }
 
@@ -148,23 +145,21 @@ func (g *hazardGuard) retire(r mem.Ref, stamp uint64) {
 // argument needs every scanned node retired pre-snapshot (a validated
 // protection is then published before the unlink and so before the
 // snapshot) — a batch pushed after the snapshot could hold a node whose
-// protector the stale snapshot missed; Manager.OldEnoughAt and
-// orphanList.adoptDetached carry the tick's half of the argument.
+// protector the stale snapshot missed; rooster.OldEnoughAt and oldAndFree
+// carry the tick's half of the argument.
 func (g *hazardGuard) scan() {
 	d := g.d
 	d.cnt.scans.Add(1)
-	var tick uint64
-	if d.mgr != nil {
-		tick = d.mgr.Tick()
-	}
+	tick := d.scanTick()
 	orphans := d.orphans.detach()
 	snap, visited := snapshotShared(d.slots, d.recs, g.scanBuf)
 	d.cnt.tallyScanned(&g.tally, visited)
 	g.scanBuf = snap.vals // reuse the buffer next scan
+	canFree := func(n retired) bool { return oldAndFree(tick, &snap, n) }
 	var freed int
-	g.rl, freed = filterDeferred(d.cfg, d.mgr, tick, snap, g.rl)
+	g.rl, freed = sweep(d.cfg.Free, g.rl, canFree)
 	d.cnt.tallyFree(&g.tally, freed)
-	d.orphans.adoptDetached(orphans, snap, d.mgr, tick, d.cfg, &d.cnt)
+	d.orphans.adopt(orphans, d.cfg.Free, &d.cnt, func(_ uint64, n retired) bool { return canFree(n) })
 	d.cnt.flushTally(&g.tally, d.cfg.MemoryLimit)
 	g.tc.refresh(d.tune)
 }

@@ -1,7 +1,7 @@
 package reclaim
 
 import (
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"qsense/internal/mem"
@@ -177,23 +177,16 @@ func snapshotShared(p *slotPool, recs *arena[*hprec], buf []uint64) (hpSnapshot,
 		}
 		return true
 	})
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+	slices.Sort(vals) // sort.Slice would allocate on every scan
 	return hpSnapshot{vals: vals}, visited
 }
 
 // contains reports whether r is protected in the snapshot (stage 2 lookup).
+// Kept out of line: inlined, it would push oldAndFree past the inlining
+// budget, and every node a deferred scan judges would pay a call.
+//
+//go:noinline
 func (s hpSnapshot) contains(r mem.Ref) bool {
-	v := uint64(r.Untagged())
-	i := sort.Search(len(s.vals), func(i int) bool { return s.vals[i] >= v })
-	return i < len(s.vals) && s.vals[i] == v
-}
-
-// retired is a node awaiting reclamation: the paper's timestamped_node.
-// stamp is the rooster tick at Retire time (QSBR ignores it). birth is the
-// node's birth era, read from the domain's EraSource at Retire; only the
-// interval scheme (ibr) sets or reads it — for every other scheme it stays 0.
-type retired struct {
-	ref   mem.Ref
-	stamp uint64
-	birth uint64
+	_, found := slices.BinarySearch(s.vals, uint64(r.Untagged()))
+	return found
 }

@@ -71,7 +71,7 @@ type Hyaline struct {
 // every acknowledgment; the add that lands on exactly 0 frees.
 type hbatch struct {
 	refs   atomic.Int64
-	nodes  []mem.Ref
+	nodes  []retired
 	orphan bool // Release handoff: free via noteAdopted, not the tally
 }
 
@@ -99,7 +99,7 @@ type hguard struct {
 	// at Begin) before the inbox activates, widened by Protect while the
 	// operation runs. Meaningless while the inbox is inactive.
 	upper atomic.Uint64
-	batch []mem.Ref
+	batch []retired
 	_     [40]byte // keep adjacent guards' hot words apart
 }
 
@@ -148,7 +148,7 @@ func (g *hguard) join() {
 func (g *hguard) drain() {
 	g.ClearHPs()
 	if len(g.batch) > 0 {
-		g.d.orphans.add(g.batch, nil, 0, &g.d.cnt)
+		g.d.orphans.add(g.batch, 0, &g.d.cnt)
 		g.batch = nil
 	}
 }
@@ -159,10 +159,7 @@ func (g *hguard) closeFree() {
 	if h := g.inbox.Swap(hInactive); h != nil && h != hInactive {
 		g.ack(h)
 	}
-	for _, r := range g.batch {
-		g.d.cfg.Free(r)
-	}
-	g.d.cnt.tallyFree(&g.tally, len(g.batch))
+	g.d.cnt.tallyFree(&g.tally, freeAll(g.d.cfg.Free, g.batch))
 	g.batch = nil
 }
 
@@ -233,9 +230,9 @@ func (g *hguard) Retire(r mem.Ref) {
 		panic("reclaim: retire of nil Ref")
 	}
 	if g.batch == nil {
-		g.batch = make([]mem.Ref, 0, g.d.cfg.Q)
+		g.batch = make([]retired, 0, g.d.cfg.Q)
 	}
-	g.batch = append(g.batch, r.Untagged())
+	g.batch = append(g.batch, retired{ref: r.Untagged()})
 	g.d.cnt.tallyRetire(&g.tally, g.d.cfg.MemoryLimit)
 }
 
@@ -248,7 +245,7 @@ func (g *hguard) Retire(r mem.Ref) {
 // them.
 func (g *hguard) adoptOrphans() {
 	for b := g.d.orphans.detach(); b != nil; b = b.next {
-		g.d.publish(b.refs, true, g)
+		g.d.publish(b.nodes, true, g)
 	}
 }
 
@@ -264,11 +261,11 @@ func (g *hguard) adoptOrphans() {
 // Each publish also advances the era clock, so birth stamps partition into
 // eras at batch granularity and the filter gains traction without any
 // separate cadence knob.
-func (d *Hyaline) publish(nodes []mem.Ref, orphan bool, g *hguard) {
+func (d *Hyaline) publish(nodes []retired, orphan bool, g *hguard) {
 	b := &hbatch{nodes: nodes, orphan: orphan}
 	bmin := ^uint64(0)
-	for _, r := range nodes {
-		if be := d.era.BirthEra(r); be < bmin {
+	for _, n := range nodes {
+		if be := d.era.BirthEra(n.ref); be < bmin {
 			bmin = be
 		}
 	}
@@ -332,12 +329,10 @@ func (g *hguard) ack(h *hentry) {
 // the calling guard's tally (orphan batches go straight to the shared
 // adopted/freed counters, like every orphan adopter).
 func (d *Hyaline) freeBatch(b *hbatch, g *hguard) {
-	for _, r := range b.nodes {
-		d.cfg.Free(r)
-	}
+	n := freeAll(d.cfg.Free, b.nodes)
 	if b.orphan {
-		d.cnt.noteAdopted(len(b.nodes))
+		d.cnt.noteAdopted(n)
 	} else {
-		d.cnt.tallyFree(&g.tally, len(b.nodes))
+		d.cnt.tallyFree(&g.tally, n)
 	}
 }

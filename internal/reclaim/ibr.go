@@ -83,7 +83,7 @@ type ibrGuard struct {
 	upper     atomic.Uint64
 	lastSeen  uint64 // last era whose flush this guard performed (Begin)
 	adoptSeen uint64 // last era at which this guard swept the orphan list
-	limbo     []retired
+	rl        []retired
 	sinceEra  int // retires since the last era advance (Q cadence)
 	sinceScan int // retires since the last scan (R cadence)
 	resBuf    []eraInterval
@@ -138,24 +138,21 @@ func (g *ibrGuard) join() {
 	g.tc.refresh(d.tune)
 }
 
-// drain: deactivate the reservation and move the whole remaining limbo to
-// the orphan list as one interval-stamped batch — per-node [birth, retire]
-// evidence travels with the batch, so any worker's later scan adopts
-// whatever the then-active reservations miss.
+// drain: deactivate the reservation and move the whole remaining retire
+// list to the orphan list as one batch — per-node [birth, retire] evidence
+// travels with the batch, so any worker's later scan adopts whatever the
+// then-active reservations miss.
 func (g *ibrGuard) drain() {
 	g.ClearHPs()
-	if len(g.limbo) > 0 {
-		g.d.orphans.add(nil, g.limbo, g.d.era.Era(), &g.d.cnt)
-		g.limbo = nil
+	if len(g.rl) > 0 {
+		g.d.orphans.add(g.rl, g.d.era.Era(), &g.d.cnt)
+		g.rl = nil
 	}
 }
 
 func (g *ibrGuard) closeFree() {
-	for _, n := range g.limbo {
-		g.d.cfg.Free(n.ref)
-	}
-	g.d.cnt.tallyFree(&g.tally, len(g.limbo))
-	g.limbo = nil
+	g.d.cnt.tallyFree(&g.tally, freeAll(g.d.cfg.Free, g.rl))
+	g.rl = nil
 }
 
 // Era exposes the current era for tests.
@@ -259,7 +256,7 @@ func (g *ibrGuard) ClearHPs() {
 
 // Retire stamps r with its lifetime interval — birth read back from the
 // era source while the retirer still owns the node, retire era taken now —
-// and banks it in the guard's limbo. Every eraQ retires advance the era
+// and banks it in the guard's retire list. Every eraQ retires advance the era
 // (the 2GEIBR epochFreq cadence, made adaptive — see the type comment);
 // every R retires run a scan.
 func (g *ibrGuard) Retire(r mem.Ref) {
@@ -267,7 +264,7 @@ func (g *ibrGuard) Retire(r mem.Ref) {
 		panic("reclaim: retire of nil Ref")
 	}
 	r = r.Untagged()
-	g.limbo = append(g.limbo, retired{ref: r, stamp: g.d.era.Era(), birth: g.d.era.BirthEra(r)})
+	g.rl = append(g.rl, retired{ref: r, stamp: g.d.era.Era(), birth: g.d.era.BirthEra(r)})
 	g.d.cnt.tallyRetire(&g.tally, g.d.cfg.MemoryLimit)
 	g.sinceEra++
 	if g.sinceEra >= int(g.d.eraQ.Load()) {
@@ -282,11 +279,25 @@ func (g *ibrGuard) Retire(r mem.Ref) {
 	}
 }
 
+// eraInterval is one guard's active reservation [lo, hi], in eras.
+type eraInterval struct{ lo, hi uint64 }
+
+// intervalMissesAll is ibr's free rule: node n's lifetime [birth, stamp] is
+// disjoint from every reservation in res.
+func intervalMissesAll(res []eraInterval, n retired) bool {
+	for _, r := range res {
+		if n.birth <= r.hi && n.stamp >= r.lo {
+			return false
+		}
+	}
+	return true
+}
+
 // collect snapshots every occupied slot's active reservation. The caller
 // must have detached any orphan chains it will judge BEFORE calling (the
-// adoptDetached ordering argument: a node entering the judged set after the
-// collection could be covered by a reservation published after its slot
-// was read).
+// detach-before-snapshot order of orphan.go: a node entering the judged set
+// after the collection could be covered by a reservation published after
+// its slot was read).
 func (g *ibrGuard) collect() []eraInterval {
 	res := g.resBuf[:0]
 	visited := g.d.slots.walkOccupied(func(i int) bool {
@@ -302,29 +313,19 @@ func (g *ibrGuard) collect() []eraInterval {
 }
 
 // scan is IBR's reclamation pass: detach the orphan chain, snapshot the
-// active reservations, free every limbo node whose lifetime misses all of
-// them, then run the same check over the detached orphans (survivors go
-// back on the list).
+// active reservations, free every retired node whose lifetime misses all of
+// them, then run the same rule over the detached orphans (survivors go back
+// on the list).
 func (g *ibrGuard) scan() {
 	d := g.d
 	orphans := d.orphans.detach()
 	res := g.collect()
 	d.cnt.scans.Add(1)
 	d.retuneEraQ(res)
-	if len(g.limbo) > 0 {
-		kept := g.limbo[:0]
-		freed := 0
-		for _, n := range g.limbo {
-			if intervalMissesAll(res, n) {
-				d.cfg.Free(n.ref)
-				freed++
-			} else {
-				kept = append(kept, n)
-			}
-		}
-		g.limbo = kept
-		d.cnt.tallyFree(&g.tally, freed)
-	}
-	d.orphans.adoptInterval(orphans, res, d.cfg.Free, &d.cnt)
+	canFree := func(n retired) bool { return intervalMissesAll(res, n) }
+	var freed int
+	g.rl, freed = sweep(d.cfg.Free, g.rl, canFree)
+	d.cnt.tallyFree(&g.tally, freed)
+	d.orphans.adopt(orphans, d.cfg.Free, &d.cnt, func(_ uint64, n retired) bool { return canFree(n) })
 	d.cnt.flushTally(&g.tally, d.cfg.MemoryLimit)
 }

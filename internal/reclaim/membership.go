@@ -37,6 +37,8 @@ package reclaim
 import (
 	"sync/atomic"
 	"time"
+
+	"qsense/internal/mem"
 )
 
 // Leaver is implemented by guards of the epoch-based schemes (QSBR,
@@ -99,26 +101,88 @@ type epochDomain struct {
 // GlobalEpoch exposes the global epoch for tests.
 func (d *epochDomain) GlobalEpoch() uint64 { return d.epoch.Load() }
 
+// limbo is an epoch scheme's three retire buckets (qsbr, qsense, ebr): a
+// node retired at epoch e waits in bucket e mod 3 until a grace period
+// frees the whole bucket (the arithmetic is on epochMember.quiescent).
+type limbo struct {
+	buckets [3][]retired
+	total   int // nodes across the three buckets
+}
+
+func (l *limbo) put(e uint64, n retired) {
+	b := &l.buckets[e%3]
+	*b = append(*b, n)
+	l.total++
+}
+
+// free frees bucket b wholesale and reports how many nodes it held.
+func (l *limbo) free(b int, free func(mem.Ref)) int {
+	n := freeAll(free, l.buckets[b])
+	l.buckets[b] = l.buckets[b][:0]
+	l.total -= n
+	return n
+}
+
+// orphan moves all three buckets onto the orphan list as one batch stamped
+// with epoch, the release drain of every epoch scheme. The batch owns the
+// buckets' arrays, so the buckets are dropped, not reused.
+func (l *limbo) orphan(list *orphanList, epoch uint64, cnt *counters) {
+	if l.total == 0 {
+		return
+	}
+	var nodes []retired
+	for b := range l.buckets {
+		if len(l.buckets[b]) == 0 {
+			continue
+		}
+		if nodes == nil {
+			nodes = l.buckets[b]
+		} else {
+			nodes = append(nodes, l.buckets[b]...)
+		}
+		l.buckets[b] = nil
+	}
+	l.total = 0
+	list.add(nodes, epoch, cnt)
+}
+
 // epochMember is one worker's half of the QSBR protocol — local epoch,
-// membership, quiescent states, Leave/Join — embedded by qsbrGuard and
-// qsenseGuard. The two differ only in what a limbo bucket holds (plain refs
-// against tick-stamped nodes), so the guard supplies the bucket-free step.
+// limbo, membership, quiescent states, Leave/Join — embedded by qsbrGuard
+// and qsenseGuard.
 type epochMember struct {
 	adoptSeen uint64 // last epoch at which this member tried orphan adoption
 	mem       membership
 	ed        *epochDomain
-	buckets   interface{ freeBucket(b int) } // the embedding guard's three limbo buckets
-	local     atomic.Uint64                  // local epoch, read by peers in the advance check
-	guardCore                                // last: id next to the guard's own first fields
+	limbo
+	local     atomic.Uint64 // local epoch, read by peers in the advance check
+	guardCore               // last: id next to the guard's own first fields
 }
 
 var _ Leaver = (*epochMember)(nil)
 
-// init wires the member to its domain and to the embedding guard's limbo;
-// the member starts inactive.
-func (m *epochMember) init(d *epochDomain, buckets interface{ freeBucket(b int) }) {
-	m.ed, m.buckets = d, buckets
+// init wires the member to its domain; the member starts inactive.
+func (m *epochMember) init(d *epochDomain) {
+	m.ed = d
 	m.mem.init()
+}
+
+// retire banks n in the bucket of the member's local epoch.
+func (m *epochMember) retire(n retired) {
+	m.put(m.local.Load(), n)
+	m.ed.cnt.tallyRetire(&m.tally, m.ed.cfg.MemoryLimit)
+}
+
+// freeBucket frees limbo bucket b wholesale, on the member's tally.
+func (m *epochMember) freeBucket(b int) {
+	m.ed.cnt.tallyFree(&m.tally, m.free(b, m.ed.cfg.Free))
+}
+
+// freeBuckets frees all three buckets: every one has passed a grace period
+// (adopt's three-epoch bound, or Close with every worker stopped).
+func (m *epochMember) freeBuckets() {
+	for b := range m.buckets {
+		m.freeBucket(b)
+	}
 }
 
 // Leave implements Leaver.
@@ -155,16 +219,8 @@ func (m *epochMember) adopt() {
 	m.local.Store(global)
 	m.mem.stampQuiesce()
 	if global >= m.mem.leftEpoch+3 {
-		m.freeAll()
+		m.freeBuckets()
 		m.ed.cnt.flushTally(&m.tally, m.ed.cfg.MemoryLimit)
-	}
-}
-
-// freeAll frees all three buckets: every one has passed a grace period
-// (adopt's three-epoch bound, or Close with every worker stopped).
-func (m *epochMember) freeAll() {
-	for b := 0; b < 3; b++ {
-		m.buckets.freeBucket(b)
 	}
 }
 
@@ -198,14 +254,16 @@ func (m *epochMember) quiescent() {
 	global := d.epoch.Load()
 	// Orphan adoption, at most once per epoch advance: batch maturity only
 	// changes when the epoch does, so retrying within one epoch would just
-	// churn the shared list head.
+	// churn the shared list head. The rule is this method's own: a batch
+	// stamped at epoch e has had a full grace period once the global epoch
+	// reaches e+3.
 	if global != m.adoptSeen && !d.orphans.empty() {
 		m.adoptSeen = global
-		d.orphans.adoptEpoch(global, d.cfg.Free, &d.cnt)
+		d.orphans.adopt(d.orphans.detach(), d.cfg.Free, &d.cnt, func(e uint64, _ retired) bool { return global >= e+3 })
 	}
 	if m.local.Load() != global {
 		m.local.Store(global)
-		m.buckets.freeBucket(int(global % 3))
+		m.freeBucket(int(global % 3))
 		m.finishPass()
 		return
 	}
@@ -236,7 +294,7 @@ func (m *epochMember) quiescent() {
 		d.cnt.epochs.Add(1)
 		// Adopt immediately so a solitary worker still reclaims.
 		m.local.Store(global + 1)
-		m.buckets.freeBucket(int((global + 1) % 3))
+		m.freeBucket(int((global + 1) % 3))
 	}
 	m.finishPass()
 }

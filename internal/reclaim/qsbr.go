@@ -25,7 +25,6 @@ type qsbrGuard struct {
 	epochMember
 	d     *QSBR
 	calls int
-	limbo [3][]mem.Ref
 	_     [40]byte // keep hot fields of adjacent guards apart
 }
 
@@ -38,7 +37,7 @@ func NewQSBR(cfg Config) (*QSBR, error) {
 	d.peer = func(i int) *epochMember { return &d.guards.at(i).epochMember }
 	d.guards = openGuards(&d.domainCore, nil, func(int) *qsbrGuard {
 		g := &qsbrGuard{d: d}
-		g.epochMember.init(&d.epochDomain, g)
+		g.epochMember.init(&d.epochDomain)
 		return g
 	})
 	return d, nil
@@ -63,10 +62,10 @@ func (g *qsbrGuard) join() {
 func (g *qsbrGuard) drain() {
 	g.quiescent()
 	g.Leave()
-	g.d.orphans.addRefBuckets(&g.limbo, g.d.epoch.Load(), &g.d.cnt)
+	g.orphan(&g.d.orphans, g.d.epoch.Load(), &g.d.cnt)
 }
 
-func (g *qsbrGuard) closeFree() { g.freeAll() }
+func (g *qsbrGuard) closeFree() { g.freeBuckets() }
 
 func (g *qsbrGuard) Begin() {
 	g.calls++
@@ -80,18 +79,6 @@ func (g *qsbrGuard) Begin() {
 	g.quiescent()
 }
 
-func (g *qsbrGuard) freeBucket(b int) {
-	bucket := g.limbo[b]
-	if len(bucket) == 0 {
-		return
-	}
-	for _, r := range bucket {
-		g.d.cfg.Free(r)
-	}
-	g.d.cnt.tallyFree(&g.tally, len(bucket))
-	g.limbo[b] = bucket[:0]
-}
-
 // Protect is a no-op: QSBR readers are protected by not being quiescent.
 func (g *qsbrGuard) Protect(i int, r mem.Ref) {}
 
@@ -102,7 +89,5 @@ func (g *qsbrGuard) Retire(r mem.Ref) {
 	if r.IsNil() {
 		panic("reclaim: retire of nil Ref")
 	}
-	b := g.local.Load() % 3
-	g.limbo[b] = append(g.limbo[b], r.Untagged())
-	g.d.cnt.tallyRetire(&g.tally, g.d.cfg.MemoryLimit)
+	g.retire(retired{ref: r.Untagged()})
 }

@@ -58,8 +58,6 @@ type qsenseGuard struct {
 	// cleared by the rooster's periodic reset. It lives on the guard (not
 	// a separate fixed array) so it grows with the elastic arena.
 	presence  atomic.Bool
-	limbo     [3][]retired
-	total     int // nodes across the three buckets
 	calls     int
 	sinceScan int
 	prevFall  bool // prev_seen_fallback_flag
@@ -91,7 +89,7 @@ func NewQSense(cfg Config) (*QSense, error) {
 	// matures the other.
 	d.recs, d.guards = openHazardGuards(&d.domainCore, func(rec *hprec) *qsenseGuard {
 		g := &qsenseGuard{d: d, rec: rec}
-		g.epochMember.init(&d.epochDomain, g)
+		g.epochMember.init(&d.epochDomain)
 		return g
 	})
 	d.startRooster()
@@ -165,11 +163,11 @@ func (g *qsenseGuard) drain() {
 	if g.total > 0 {
 		g.scanAll()
 	}
-	g.orphanLimbo()
+	g.orphan(&g.d.orphans, g.d.epoch.Load(), &g.d.cnt)
 	g.Leave()
 }
 
-func (g *qsenseGuard) closeFree() { g.freeAll() }
+func (g *qsenseGuard) closeFree() { g.freeBuckets() }
 
 // InFallback reports whether the domain currently runs the fallback path.
 func (d *QSense) InFallback() bool { return d.fallback.Load() }
@@ -209,19 +207,6 @@ func (g *qsenseGuard) Begin() {
 	g.prevFall = true
 }
 
-func (g *qsenseGuard) freeBucket(b int) {
-	bucket := g.limbo[b]
-	if len(bucket) == 0 {
-		return
-	}
-	for _, n := range bucket {
-		g.d.cfg.Free(n.ref)
-	}
-	g.d.cnt.tallyFree(&g.tally, len(bucket))
-	g.total -= len(bucket)
-	g.limbo[b] = bucket[:0]
-}
-
 // Protect publishes fence-free, exactly as in Cadence; the hazard pointers
 // must be maintained even on the fast path (§4.1).
 func (g *qsenseGuard) Protect(i int, r mem.Ref) {
@@ -241,10 +226,7 @@ func (g *qsenseGuard) Retire(r mem.Ref) {
 	g.d.mgr.Poll() // cooperative rooster: run an overdue pass inline
 	// Create the timestamped wrapper and add it to the current epoch's
 	// limbo list — always, whatever the current path.
-	b := g.local.Load() % 3
-	g.limbo[b] = append(g.limbo[b], retired{ref: r.Untagged(), stamp: g.d.mgr.Tick()})
-	g.total++
-	g.d.cnt.tallyRetire(&g.tally, g.d.cfg.MemoryLimit)
+	g.retire(retired{ref: r.Untagged(), stamp: g.d.mgr.Tick()})
 	g.sinceScan++
 
 	seen := g.d.fallback.Load()
@@ -281,49 +263,27 @@ func (g *qsenseGuard) Retire(r mem.Ref) {
 }
 
 // scanAll runs the Cadence scan over all three limbo buckets with one
-// snapshot, then adopts eligible orphans against the same snapshot. Tick
-// capture and the orphan detach precede the snapshot (see hazardGuard.scan).
+// snapshot, then adopts orphans against the same snapshot. Tick capture and
+// the orphan detach precede the snapshot (see hazardGuard.scan).
 func (g *qsenseGuard) scanAll() {
-	g.d.cnt.scans.Add(1)
+	d := g.d
+	d.cnt.scans.Add(1)
 	g.sinceScan = 0
-	tick := g.d.mgr.Tick()
-	orphans := g.d.orphans.detach()
-	snap, visited := snapshotShared(g.d.slots, g.d.recs, g.scanBuf)
-	g.d.cnt.tallyScanned(&g.tally, visited)
+	tick := d.scanTick()
+	orphans := d.orphans.detach()
+	snap, visited := snapshotShared(d.slots, d.recs, g.scanBuf)
+	d.cnt.tallyScanned(&g.tally, visited)
 	g.scanBuf = snap.vals
+	canFree := func(n retired) bool { return oldAndFree(tick, &snap, n) }
 	g.total = 0
 	freed := 0
-	for b := range g.limbo {
+	for b := range g.buckets {
 		var f int
-		g.limbo[b], f = filterDeferred(g.d.cfg, g.d.mgr, tick, snap, g.limbo[b])
-		g.total += len(g.limbo[b])
+		g.buckets[b], f = sweep(d.cfg.Free, g.buckets[b], canFree)
+		g.total += len(g.buckets[b])
 		freed += f
 	}
-	g.d.cnt.tallyFree(&g.tally, freed)
-	g.d.orphans.adoptDetached(orphans, snap, g.d.mgr, tick, g.d.cfg, &g.d.cnt)
+	d.cnt.tallyFree(&g.tally, freed)
+	d.orphans.adopt(orphans, d.cfg.Free, &d.cnt, func(_ uint64, n retired) bool { return canFree(n) })
 	g.finishPass()
-}
-
-// orphanLimbo moves the guard's surviving limbo onto the orphan list in
-// one batch that keeps the nodes' tick stamps and records the current
-// global epoch — dual evidence, so whichever path the domain runs makes
-// progress on it (release drain only; slice ownership passes to the list).
-func (g *qsenseGuard) orphanLimbo() {
-	if g.total == 0 {
-		return
-	}
-	var nodes []retired
-	for b := range g.limbo {
-		if len(g.limbo[b]) == 0 {
-			continue
-		}
-		if nodes == nil {
-			nodes = g.limbo[b]
-		} else {
-			nodes = append(nodes, g.limbo[b]...)
-		}
-		g.limbo[b] = nil
-	}
-	g.total = 0
-	g.d.orphans.add(nil, nodes, g.d.epoch.Load(), &g.d.cnt)
 }

@@ -41,7 +41,7 @@ type rcGuard struct {
 	guardCore
 	d          *RC
 	held       []mem.Ref // held[i] = ref currently counted for HP slot i
-	rl         []mem.Ref
+	rl         []retired
 	sinceSweep int
 }
 
@@ -77,17 +77,14 @@ func (g *rcGuard) drain() {
 		g.sweep()
 	}
 	if len(g.rl) > 0 {
-		g.d.orphans.add(g.rl, nil, 0, &g.d.cnt)
+		g.d.orphans.add(g.rl, 0, &g.d.cnt)
 		g.rl = nil
 	}
 }
 
 // closeFree ignores counts: every worker has stopped.
 func (g *rcGuard) closeFree() {
-	for _, r := range g.rl {
-		g.d.cfg.Free(r)
-	}
-	g.d.cnt.tallyFree(&g.tally, len(g.rl))
+	g.d.cnt.tallyFree(&g.tally, freeAll(g.d.cfg.Free, g.rl))
 	g.rl = g.rl[:0]
 }
 
@@ -129,7 +126,7 @@ func (g *rcGuard) Retire(r mem.Ref) {
 	if r.IsNil() {
 		panic("reclaim: retire of nil Ref")
 	}
-	g.rl = append(g.rl, r.Untagged())
+	g.rl = append(g.rl, retired{ref: r.Untagged()})
 	g.d.cnt.tallyRetire(&g.tally, g.d.cfg.MemoryLimit)
 	g.sinceSweep++
 	if g.sinceSweep >= g.tc.r {
@@ -142,22 +139,15 @@ func (g *rcGuard) Retire(r mem.Ref) {
 // next generation (i.e. nobody holds them); the rest stay for later. The
 // same pass adopts orphaned nodes whose holders have since released them.
 func (g *rcGuard) sweep() {
-	g.d.cnt.scans.Add(1)
-	kept := g.rl[:0]
-	freed := 0
-	for _, r := range g.rl {
-		if g.d.table.tryClaim(r) {
-			g.d.cfg.Free(r)
-			freed++
-		} else {
-			kept = append(kept, r)
-		}
-	}
-	g.rl = kept
-	g.d.cnt.tallyFree(&g.tally, freed)
-	g.d.orphans.adoptClaim(&g.d.table, g.d.cfg.Free, &g.d.cnt)
-	g.d.cnt.flushTally(&g.tally, g.d.cfg.MemoryLimit)
-	g.tc.refresh(g.d.tune)
+	d := g.d
+	d.cnt.scans.Add(1)
+	canFree := func(n retired) bool { return d.table.tryClaim(n.ref) }
+	var freed int
+	g.rl, freed = sweep(d.cfg.Free, g.rl, canFree)
+	d.cnt.tallyFree(&g.tally, freed)
+	d.orphans.adopt(d.orphans.detach(), d.cfg.Free, &d.cnt, func(_ uint64, n retired) bool { return canFree(n) })
+	d.cnt.flushTally(&g.tally, d.cfg.MemoryLimit)
+	g.tc.refresh(d.tune)
 }
 
 // countTable maps slot indexes to (generation<<32 | count) words, growing

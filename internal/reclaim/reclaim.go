@@ -16,6 +16,15 @@
 // on its concrete guard type, so the per-operation path never crosses an
 // interface the caller did not already hold.
 //
+// Every scheme's backlog is a []retired (core.go), and every free goes
+// through one of two helpers: freeAll for a backlog that is wholly safe (a
+// matured epoch bucket, Close) and sweep for one judged node by node. A
+// scheme writes its free rule once — epoch matured (qsbr, ebr, qsense's
+// fast path), old enough and unprotected (hp, cadence, qsense's fallback:
+// oldAndFree), lifetime misses every reservation (ibr), count claimed (rc)
+// — and passes the same rule to orphanList.adopt, so the orphans a
+// released slot leaves behind are freed by the rule of whoever adopts them.
+//
 // The three functions of the paper's interface map to:
 //
 //	manage_qsense_state  ->  Guard.Begin

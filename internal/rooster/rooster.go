@@ -5,15 +5,15 @@
 // buffer, so any hazard pointer stored before the switch becomes globally
 // visible. Go offers neither core pinning nor visibility-delayed stores, so
 // this package implements a behavioural analog: workers publish hazard
-// pointers into private *pending* slots, and rooster goroutines periodically
-// copy pending slots into the *shared* slots that reclamation scans read. An
+// pointers into private *pending* slots, and a rooster pass periodically
+// copies pending slots into the *shared* slots that reclamation scans read. An
 // unflushed hazard pointer is genuinely invisible to scans — the moral
 // equivalent of a store stuck in a store buffer — and the flush pass is the
 // moral equivalent of the context switch.
 //
 // Deferred reclamation is expressed in flush passes ("ticks") rather than
 // wall-clock time: a retired node stamped at tick s is old enough once the
-// tick counter reaches s+2+ε. Pass s+2 begins only after pass s+1 completes,
+// tick counter reaches s+2. Pass s+2 begins only after pass s+1 completes,
 // and pass s+1 completes after the stamp was taken, so pass s+2 runs
 // entirely after the node was retired and has therefore flushed every hazard
 // pointer stored before the retirement (paper, Figure 4). Unlike wall-clock
@@ -29,8 +29,7 @@ import (
 )
 
 // OldEnoughTicks is the minimum number of ticks that must elapse past a
-// node's stamp before the node may be reclaimed (the "+2" rule above),
-// excluding any configured ε.
+// node's stamp before the node may be reclaimed (the "+2" rule above).
 const OldEnoughTicks = 2
 
 // A Target has hazard-pointer pending slots that a rooster pass flushes to
@@ -44,21 +43,11 @@ type Target interface {
 type Config struct {
 	// Interval is the rooster sleep interval T. Default 2ms.
 	Interval time.Duration
-	// Roosters is the number of rooster goroutines sharing each pass
-	// (the paper's one-per-core). Default 1; flushing tens of targets
-	// takes microseconds, so more is fidelity rather than necessity.
-	Roosters int
-	// EpsilonTicks is the paper's ε expressed in ticks, added to the
-	// old-enough threshold. Default 0 (the tick rule is jitter-immune).
-	EpsilonTicks int
 }
 
 func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
 		c.Interval = 2 * time.Millisecond
-	}
-	if c.Roosters <= 0 {
-		c.Roosters = 1
 	}
 	return c
 }
@@ -74,7 +63,6 @@ type Manager struct {
 	hooks   []hook
 
 	tick     atomic.Uint64
-	passes   atomic.Uint64 // == tick, kept separate for stats clarity
 	started  atomic.Bool
 	lastPass atomic.Int64 // unix nanos of the last completed pass
 	stopCh   chan struct{}
@@ -90,9 +78,6 @@ type hook struct {
 func NewManager(cfg Config) *Manager {
 	return &Manager{cfg: cfg.withDefaults()}
 }
-
-// Interval returns the configured rooster sleep interval T.
-func (m *Manager) Interval() time.Duration { return m.cfg.Interval }
 
 // Register adds a flush target. Safe before or after Start.
 func (m *Manager) Register(t Target) {
@@ -118,7 +103,7 @@ func (m *Manager) Tick() uint64 { return m.tick.Load() }
 
 // OldEnough reports whether a node stamped at `stamp` may be reclaimed now.
 func (m *Manager) OldEnough(stamp uint64) bool {
-	return m.OldEnoughAt(stamp, m.tick.Load())
+	return OldEnoughAt(stamp, m.tick.Load())
 }
 
 // OldEnoughAt is OldEnough evaluated against a tick value the caller read
@@ -128,13 +113,12 @@ func (m *Manager) OldEnough(stamp uint64) bool {
 // in any snapshot taken after t — whereas judging against the live clock
 // lets a pass that completes mid-scan make a node "old" whose protector's
 // flush the already-taken snapshot missed.
-func (m *Manager) OldEnoughAt(stamp, tick uint64) bool {
-	return tick >= stamp+OldEnoughTicks+uint64(m.cfg.EpsilonTicks)
+func OldEnoughAt(stamp, tick uint64) bool {
+	return tick >= stamp+OldEnoughTicks
 }
 
-// Step runs one synchronous rooster pass: flush all targets (split among
-// cfg.Roosters goroutines as the paper splits cores), run due hooks, then
-// advance the tick. Tests drive reclamation deterministically with Step;
+// Step runs one synchronous rooster pass: flush all targets, run due hooks,
+// then advance the tick. Tests drive reclamation deterministically with Step;
 // Start drives it on a timer.
 func (m *Manager) Step() {
 	m.mu.Lock()
@@ -174,29 +158,8 @@ func (m *Manager) Poll() {
 }
 
 func (m *Manager) passLocked() {
-	n := len(m.targets)
-	r := m.cfg.Roosters
-	if r > n && n > 0 {
-		r = n
-	}
-	if n > 0 {
-		if r <= 1 {
-			for _, t := range m.targets {
-				t.FlushHP()
-			}
-		} else {
-			var wg sync.WaitGroup
-			for i := 0; i < r; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					for j := i; j < n; j += r {
-						m.targets[j].FlushHP()
-					}
-				}(i)
-			}
-			wg.Wait()
-		}
+	for _, t := range m.targets {
+		t.FlushHP()
 	}
 	next := m.tick.Load() + 1
 	for _, h := range m.hooks {
@@ -204,7 +167,6 @@ func (m *Manager) passLocked() {
 			h.f()
 		}
 	}
-	m.passes.Add(1)
 	m.tick.Store(next) // pass complete; only now is the tick visible
 }
 
@@ -251,18 +213,4 @@ func (m *Manager) Stop() {
 	}
 	close(stop)
 	<-done
-}
-
-// Stats is a snapshot of rooster activity.
-type Stats struct {
-	Passes  uint64
-	Targets int
-}
-
-// Stats returns a snapshot.
-func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	n := len(m.targets)
-	m.mu.Unlock()
-	return Stats{Passes: m.passes.Load(), Targets: n}
 }

@@ -28,20 +28,6 @@ func TestStepFlushesAllTargets(t *testing.T) {
 	}
 }
 
-func TestStepMultipleRoosters(t *testing.T) {
-	m := NewManager(Config{Roosters: 3})
-	var ts [10]countTarget
-	for i := range ts {
-		m.Register(&ts[i])
-	}
-	m.Step()
-	for i := range ts {
-		if got := ts[i].flushes.Load(); got != 1 {
-			t.Fatalf("target %d flushed %d times, want 1", i, got)
-		}
-	}
-}
-
 func TestTickAdvancesAfterPass(t *testing.T) {
 	m := NewManager(Config{})
 	if m.Tick() != 0 {
@@ -78,21 +64,6 @@ func TestOldEnough(t *testing.T) {
 	m.Step()
 	if !m.OldEnough(stamp) {
 		t.Fatal("after two complete passes the node must be old enough")
-	}
-}
-
-func TestOldEnoughEpsilon(t *testing.T) {
-	m := NewManager(Config{EpsilonTicks: 2})
-	stamp := m.Tick()
-	for i := 0; i < 3; i++ {
-		m.Step()
-	}
-	if m.OldEnough(stamp) {
-		t.Fatal("epsilon ticks must delay old-enough")
-	}
-	m.Step()
-	if !m.OldEnough(stamp) {
-		t.Fatal("old-enough must hold at 2+epsilon passes")
 	}
 }
 
@@ -162,21 +133,7 @@ func TestStartTwicePanics(t *testing.T) {
 
 func TestDefaults(t *testing.T) {
 	m := NewManager(Config{})
-	if m.Interval() != 2*time.Millisecond {
-		t.Fatalf("default interval = %v", m.Interval())
-	}
-	if m.cfg.Roosters != 1 {
-		t.Fatalf("default roosters = %d", m.cfg.Roosters)
-	}
-}
-
-func TestStats(t *testing.T) {
-	m := NewManager(Config{})
-	var tgt countTarget
-	m.Register(&tgt)
-	m.Step()
-	st := m.Stats()
-	if st.Passes != 1 || st.Targets != 1 {
-		t.Fatalf("stats = %+v", st)
+	if m.cfg.Interval != 2*time.Millisecond {
+		t.Fatalf("default interval = %v", m.cfg.Interval)
 	}
 }
