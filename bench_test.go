@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"qsense"
+	"qsense/internal/bst"
 	"qsense/internal/fence"
 	"qsense/internal/harness"
 	"qsense/internal/list"
@@ -378,6 +379,41 @@ func BenchmarkListOps(b *testing.B) {
 			}
 			defer d.Close()
 			h := l.NewHandle(lease(b, d.Acquire))
+			for k := int64(0); k < 1000; k += 2 {
+				h.Insert(k)
+			}
+			rng := workload.NewRNG(23)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := rng.Key(1000)
+				switch i % 4 {
+				case 0:
+					h.Insert(k)
+				case 1:
+					h.Delete(k)
+				default:
+					h.Contains(k)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkTreeOps is BenchmarkListOps on the external BST: the same schemes,
+// mix and key range, for one worker (no contention).
+func BenchmarkTreeOps(b *testing.B) {
+	for _, scheme := range []string{"qsbr", "cadence", "ebr", "ibr", "hyaline"} {
+		b.Run(scheme, func(b *testing.B) {
+			t := bst.New(bst.Config{})
+			d, err := reclaim.New(scheme, reclaim.Config{
+				Workers: 1, HPs: bst.HPs, Free: t.FreeNode, Era: t.Pool(),
+				Rooster: rooster.Config{Interval: 2 * time.Millisecond},
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer d.Close()
+			h := t.NewHandle(lease(b, d.Acquire))
 			for k := int64(0); k < 1000; k += 2 {
 				h.Insert(k)
 			}

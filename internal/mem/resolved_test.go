@@ -106,6 +106,22 @@ func TestPoolLayout(t *testing.T) {
 	}
 }
 
+// TestSlabLineAligned: a slab is one large allocation, so it starts on a
+// page, and a 112-byte value makes a 128-byte slot — every slot then spans
+// exactly two cache lines, the generation on the first (the skip list's node
+// layout rests on this).
+func TestSlabLineAligned(t *testing.T) {
+	p := NewPool[[14]uint64](Config{Name: "t"})
+	p.Alloc()
+	sl := p.dir[0].Load()
+	if size := unsafe.Sizeof(sl.slots[0]); size != 128 {
+		t.Errorf("slot of a 112-byte value is %d bytes, want 128", size)
+	}
+	if at := uintptr(unsafe.Pointer(&sl.slots[0])); at%64 != 0 {
+		t.Errorf("slab starts at %#x, not on a cache line", at)
+	}
+}
+
 // scrubbed is a node type with an optimistic reader: it clears its own atomic
 // word atomically.
 type scrubbed struct {

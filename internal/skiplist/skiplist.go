@@ -154,10 +154,40 @@
 // binaries. internal/tso's SkipList litmus systems explore that schedule
 // below Go's memory model: the stale-link protocol reaches the violation,
 // the claim-then-link protocol does not, in any interleaving.
+//
+// # Node layout
+//
+// A node is 112 bytes, and mem's 16-byte slot header (generation, free-list
+// link, birth era) makes its pool slot 128. A slab is one page-aligned
+// allocation, so every node is exactly two cache lines, and the first holds
+// what a hop reads: the generation Resolved.Get re-checks, key, val, upper
+// and next[0..1] (TestNodeLayout). Tower heights are geometric(1/2), two
+// levels on average, so only the first inlineLevels next words live in the
+// node; levels inlineLevels..MaxLevel-1 live in an upper array the node
+// points at, which is nil for the 63 of 64 towers six levels high or less.
+// A stored key costs one 128-byte slot. Six, not four: four inline levels
+// make a 112-byte slot, but the walk then follows upper at levels 4 and 5,
+// and kv-read paid 3–9 % more CPU per op for 27 % less memory on the 2-vCPU
+// ruler box.
+//
+// An upper array changes hands only at Alloc (setHeight), when the slot's
+// previous incarnation is already reclaimed: a tall tower keeps the array
+// its slot carries or takes one from upperArrays, a sync.Pool, and a slot
+// reused for a shorter tower or as a value node gives its array back. Head
+// and tail get theirs in New. Once warm, inserts allocate nothing
+// (TestChurnAllocatesNothing). The protocol is unchanged: every level is
+// reached through link after Resolved.Get, so every use re-checks the
+// generation, and the inserter zeroes levels 1..topLevel-1 before its first
+// claim, whichever array it holds — a reused array's words are a dead
+// tower's, marked, and a claim that read one would abandon the tower above
+// it (TestRecycledTowersRelink; testdata/mutants/stale-upper.patch). A
+// finger probe, which loads from its node before any check is conclusive,
+// reads only next[0], which is always inline.
 package skiplist
 
 import (
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"qsense/internal/mem"
@@ -190,6 +220,8 @@ const (
 // reserved reports whether key collides with a sentinel.
 func reserved(key int64) bool { return key == headKey || key == tailKey }
 
+// A node is two cache lines (package doc, "Node layout"); the field order
+// puts everything a hop reads on the first.
 type node struct {
 	key      int64
 	topLevel int32
@@ -201,8 +233,11 @@ type node struct {
 	// by Delete's tombstone swap — all ordered against any reader by the
 	// atomic link/val accesses, so a reader never sees an uninitialized
 	// word. Set-only callers (Insert/Contains) leave it 0.
-	val  atomic.Uint64
-	next [MaxLevel]atomic.Uint64
+	val atomic.Uint64
+	// upper holds levels inlineLevels..MaxLevel-1 of a tower taller than
+	// inlineLevels and is nil on every other node. Set only by setHeight.
+	upper *upperLinks
+	next  [inlineLevels]atomic.Uint64 // the low levels; reach any level by link
 	// payload holds values longer than MaxInline: a node's own first value
 	// (self), written before its link and never after; and the bytes of a
 	// spilled overwrite, in a node that serves as a value node (same pool,
@@ -211,15 +246,53 @@ type node struct {
 	payload mem.Value
 }
 
+// inlineLevels is how many of a tower's next words live in the node itself.
+const inlineLevels = 6
+
+// upperLinks is a tall tower's out-of-line levels.
+type upperLinks [MaxLevel - inlineLevels]atomic.Uint64
+
+// upperArrays holds the upper arrays no slot carries.
+var upperArrays = sync.Pool{New: func() any { return new(upperLinks) }}
+
+// link is level l's next word. Callers reach n through Resolved.Get, so the
+// generation is re-checked on every use. It must inline: every hop calls it.
+func (n *node) link(l int) *atomic.Uint64 {
+	if uint(l) < inlineLevels {
+		return &n.next[l]
+	}
+	return &n.upper[l-inlineLevels]
+}
+
+// setHeight fits a node just allocated for a tower of the given height
+// (0 for a value node) with the upper array it needs, or takes away one it
+// does not need. Alloc only: the slot's previous incarnation is reclaimed,
+// so no reader can hold the array.
+func (n *node) setHeight(levels int) {
+	switch {
+	case levels > inlineLevels && n.upper == nil:
+		n.upper = upperArrays.Get().(*upperLinks)
+	case levels <= inlineLevels && n.upper != nil:
+		upperArrays.Put(n.upper)
+		n.upper = nil
+	}
+}
+
 // Scrub is the pool's poison (mem.Config.Poison) for a node: everything
 // zero, the atomic words by atomic store — a finger probe may be loading
-// next[0] of a slot that is being freed, which a plain store would race.
+// next[0] of a slot that is being freed, which a plain store would race. An
+// upper array stays with its slot, zeroed, for setHeight to keep or return.
 func (n *node) Scrub() {
 	n.key, n.topLevel, n.payload = 0, 0, mem.Value{}
 	n.state.Store(0)
 	n.val.Store(0)
 	for l := range n.next {
 		n.next[l].Store(0)
+	}
+	if n.upper != nil {
+		for l := range n.upper {
+			n.upper[l].Store(0)
+		}
 	}
 }
 
@@ -285,12 +358,14 @@ func New(cfg Config) *SkipList {
 	tr, tn := pool.Alloc()
 	tn.key = tailKey
 	tn.topLevel = int32(cfg.Levels)
+	tn.setHeight(cfg.Levels)
 	hr, hn := pool.Alloc()
 	hn.key = headKey
 	hn.topLevel = int32(cfg.Levels)
+	hn.setHeight(cfg.Levels)
 	for l := 0; l < cfg.Levels; l++ {
-		tn.next[l].Store(0)
-		hn.next[l].Store(uint64(tr))
+		tn.link(l).Store(0)
+		hn.link(l).Store(uint64(tr))
 	}
 	s.head, s.tail = hr, tr
 	return s
@@ -421,7 +496,7 @@ retry:
 		var ap mem.Resolved[node]
 		for lvl := h.s.levels - 1; lvl >= 0; lvl-- {
 			rs := 2 * lvl // right's slot: level lvl's pair is rs and rs^1
-			lw := lp.Get(left).next[lvl].Load()
+			lw := lp.Get(left).link(lvl).Load()
 			if isMarked(lw) {
 				continue retry // left was deleted under us
 			}
@@ -430,12 +505,12 @@ retry:
 				rp := ap
 				if right != above {
 					h.guard.Protect(rs, right)
-					if lp.Get(left).next[lvl].Load() != lw {
+					if lp.Get(left).link(lvl).Load() != lw {
 						continue retry
 					}
 					rp = pool.Resolve(right) // the hop's one directory walk
 				}
-				rw := rp.Get(right).next[lvl].Load()
+				rw := rp.Get(right).link(lvl).Load()
 				if isMarked(rw) {
 					// right is logically deleted at this level:
 					// splice it out from the clean side. Its
@@ -454,11 +529,11 @@ retry:
 					// is snapshot-safe).
 					next := mem.Ref(rw).Untagged()
 					h.guard.Protect(h.hpScratch(), next)
-					if lp.Get(left).next[lvl].Load() != lw {
+					if lp.Get(left).link(lvl).Load() != lw {
 						continue retry
 					}
 					assertFrozenLive(pool, next)
-					if !lp.Get(left).next[lvl].CompareAndSwap(lw, uint64(next)) {
+					if !lp.Get(left).link(lvl).CompareAndSwap(lw, uint64(next)) {
 						continue retry
 					}
 					lw = uint64(next)
@@ -707,6 +782,7 @@ func (h *Handle) upsertWord(key int64, w uint64, spill []byte, upsert bool) bool
 			np = pool.Resolve(nref)
 			nptr.key = key
 			nptr.topLevel = int32(topLevel)
+			nptr.setHeight(topLevel)
 			if spill != nil {
 				nptr.payload.Set(spill) // written once, before the link publishes it
 				vw = uint64(nref)
@@ -716,16 +792,17 @@ func (h *Handle) upsertWord(key int64, w uint64, spill []byte, upsert bool) bool
 			for l := 1; l < topLevel; l++ {
 				// Upper next words stay nil until the level's link
 				// attempt claims them (below): a recycled slot's
-				// stale words must never be publishable, and a word
-				// is meaningful only from its claim on.
-				nptr.next[l].Store(0)
+				// stale words — or a reused upper array's — must
+				// never be publishable, and a word is meaningful
+				// only from its claim on.
+				nptr.link(l).Store(0)
 			}
 		}
-		np.Get(nref).next[0].Store(uint64(h.succs[0]))
+		np.Get(nref).link(0).Store(uint64(h.succs[0]))
 		// Pin our node: a concurrent deleter may retire it the moment
 		// it is reachable, but we keep dereferencing it below.
 		h.guard.Protect(h.hpPin(), nref)
-		if !h.predp[0].Get(h.preds[0]).next[0].CompareAndSwap(uint64(h.succs[0]), uint64(nref)) {
+		if !h.predp[0].Get(h.preds[0]).link(0).CompareAndSwap(uint64(h.succs[0]), uint64(nref)) {
 			continue // contention at level 0: retry with fresh position
 		}
 		h.s.noteInstall(vw, len(spill))
@@ -751,19 +828,19 @@ func (h *Handle) upsertWord(key int64, w uint64, spill []byte, upsert bool) bool
 	// below — observes the top-down mark and prunes.
 	for l := 1; l < topLevel; l++ {
 		for {
-			w := np.Get(nref).next[l].Load()
+			w := np.Get(nref).link(l).Load()
 			for w != uint64(h.succs[l]) {
 				if isMarked(w) {
 					h.prune(key) // final cleanup pass, then done
 					h.finishInsert(nref, np, key)
 					return true
 				}
-				if np.Get(nref).next[l].CompareAndSwap(w, uint64(h.succs[l])) {
+				if np.Get(nref).link(l).CompareAndSwap(w, uint64(h.succs[l])) {
 					break
 				}
-				w = np.Get(nref).next[l].Load() // a deleter marked under us
+				w = np.Get(nref).link(l).Load() // a deleter marked under us
 			}
-			if h.predp[l].Get(h.preds[l]).next[l].CompareAndSwap(uint64(h.succs[l]), uint64(nref)) {
+			if h.predp[l].Get(h.preds[l]).link(l).CompareAndSwap(uint64(h.succs[l]), uint64(nref)) {
 				break
 			}
 			h.search(key) // refresh preds/succs for the next claim
@@ -776,7 +853,7 @@ func (h *Handle) upsertWord(key int64, w uint64, spill []byte, upsert bool) bool
 		}
 	}
 	// Deletion may have raced the top link; ensure cleanup before unpinning.
-	if isMarked(np.Get(nref).next[0].Load()) {
+	if isMarked(np.Get(nref).link(0).Load()) {
 		h.prune(key)
 	}
 	h.finishInsert(nref, np, key)
@@ -825,21 +902,21 @@ func (h *Handle) Delete(key int64) bool {
 	topLevel := int(np.Get(n).topLevel)
 	for l := topLevel - 1; l >= 1; l-- {
 		for {
-			w := np.Get(n).next[l].Load()
+			w := np.Get(n).link(l).Load()
 			if isMarked(w) {
 				break
 			}
-			if np.Get(n).next[l].CompareAndSwap(w, w|markBit) {
+			if np.Get(n).link(l).CompareAndSwap(w, w|markBit) {
 				break
 			}
 		}
 	}
 	for {
-		w := np.Get(n).next[0].Load()
+		w := np.Get(n).link(0).Load()
 		if isMarked(w) {
 			return false // another deleter owns it
 		}
-		if np.Get(n).next[0].CompareAndSwap(w, w|markBit) {
+		if np.Get(n).link(0).CompareAndSwap(w, w|markBit) {
 			// Winning the level-0 mark also wins the value: displace it
 			// with the tombstone and retire a spilled value node exactly
 			// once, while the pin still protects n. Readers that load the
@@ -874,8 +951,8 @@ func (h *Handle) Delete(key int64) bool {
 // Len counts unmarked level-0 nodes; only meaningful when quiesced.
 func (s *SkipList) Len() int {
 	n := 0
-	for r := mem.Ref(s.pool.Get(s.head).next[0].Load()).Untagged(); r != s.tail; {
-		w := s.pool.Get(r).next[0].Load()
+	for r := mem.Ref(s.pool.Get(s.head).link(0).Load()).Untagged(); r != s.tail; {
+		w := s.pool.Get(r).link(0).Load()
 		if !isMarked(w) {
 			n++
 		}
@@ -885,19 +962,21 @@ func (s *SkipList) Len() int {
 }
 
 // Validate checks structural invariants when quiesced: every level sorted,
-// every upper-level node present at level 0 with a consistent tower.
-// Returns the unmarked level-0 count and an error description ("" if OK).
+// every upper-level node present at level 0, and every tower whole — an
+// unmarked level-0 node of height h is linked, unmarked, at every level below
+// h and at none above. Returns the unmarked level-0 count and an error
+// description ("" if OK).
 func (s *SkipList) Validate() (int, string) {
 	pool := s.pool
 	level0 := map[mem.Ref]int64{}
 	prevKey := int64(headKey)
 	n := 0
-	for r := mem.Ref(pool.Get(s.head).next[0].Load()).Untagged(); r != s.tail; {
+	for r := mem.Ref(pool.Get(s.head).link(0).Load()).Untagged(); r != s.tail; {
 		if r.IsNil() {
 			return n, "nil link at level 0"
 		}
 		nd := pool.Get(r)
-		w := nd.next[0].Load()
+		w := nd.link(0).Load()
 		if !isMarked(w) {
 			if nd.key <= prevKey {
 				return n, "level 0 keys not strictly increasing"
@@ -908,14 +987,15 @@ func (s *SkipList) Validate() (int, string) {
 		}
 		r = mem.Ref(w).Untagged()
 	}
+	linked := map[mem.Ref]int{} // upper levels a node is linked at, unmarked
 	for l := 1; l < s.levels; l++ {
 		prev := int64(headKey)
-		for r := mem.Ref(pool.Get(s.head).next[l].Load()).Untagged(); r != s.tail; {
+		for r := mem.Ref(pool.Get(s.head).link(l).Load()).Untagged(); r != s.tail; {
 			if r.IsNil() {
 				return n, "nil link above level 0"
 			}
 			nd := pool.Get(r)
-			w := nd.next[l].Load()
+			w := nd.link(l).Load()
 			if !isMarked(w) {
 				if nd.key <= prev {
 					return n, "upper level keys not strictly increasing"
@@ -927,8 +1007,14 @@ func (s *SkipList) Validate() (int, string) {
 				if _, ok := level0[r]; !ok {
 					return n, "upper level node missing from level 0"
 				}
+				linked[r]++
 			}
 			r = mem.Ref(w).Untagged()
+		}
+	}
+	for r := range level0 {
+		if linked[r] != int(pool.Get(r).topLevel)-1 {
+			return n, "tower not linked at every level below its height"
 		}
 	}
 	return n, ""

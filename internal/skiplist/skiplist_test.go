@@ -13,7 +13,12 @@ import (
 
 func newSet(t *testing.T, scheme string, workers, levels int) (*SkipList, reclaim.Domain, []*Handle) {
 	t.Helper()
-	s := New(Config{Poison: true, Levels: levels})
+	return newSetWith(t, scheme, workers, Config{Poison: true, Levels: levels})
+}
+
+func newSetWith(t *testing.T, scheme string, workers int, cfg Config) (*SkipList, reclaim.Domain, []*Handle) {
+	t.Helper()
+	s := New(cfg)
 	d, err := reclaim.New(scheme, reclaim.Config{
 		Workers: workers,
 		HPs:     HPsFor(s.Levels()),

@@ -5,8 +5,10 @@
 # leave an edge over the node prune found, self-value-retired retires a
 # displaced self value (value.go), finger-hits-leak has probe return the Ref
 # with its way's hit count in the tag bits (so a self word no longer reads as
-# the node's own, and a DEL by finger retires the node twice) — and every
-# test named beside it must FAIL
+# the node's own, and a DEL by finger retires the node twice), stale-upper
+# leaves a reused upper array's words unzeroed (package doc, "Node layout":
+# the stale mark abandons the tower from level 6 up) — and every test named
+# beside it must FAIL
 # on the patched tree. A patch that no longer applies fails loudly (git apply
 # --check) instead of rotting; a named test that passes on a mutant is a test
 # that checks nothing.
@@ -36,6 +38,7 @@ kills=(
 	"finger-hits-leak.patch|./internal/skiplist|TestFingerDetection"
 	"finger-hits-leak.patch|./internal/skiplist|TestFingerInterleavings"
 	"finger-hits-leak.patch|./internal/skiplist|TestPublicationsPerOp"
+	"stale-upper.patch|./internal/skiplist|TestRecycledTowersRelink"
 )
 
 cd "$root"

@@ -191,6 +191,7 @@ func (h *Handle) retireDisplaced(n mem.Ref, np mem.Resolved[node], w uint64) {
 func (h *Handle) overwrite(n mem.Ref, np mem.Resolved[node], w uint64, spill []byte) {
 	if spill != nil {
 		vref, vp := h.cache.Alloc()
+		vp.setHeight(0)
 		vp.payload.Set(spill)
 		w = uint64(vref)
 	}
