@@ -609,12 +609,16 @@ func BenchmarkLeaseChurnParallel(b *testing.B) {
 
 // BenchmarkSkipMapGet prices one GET of a leased MapHandle at the ruler's
 // kv-read shape (2^18 keys, half of them stored, 64-byte values, qsense)
-// under the two key streams that sit either side of the search fingers
-// (skiplist package doc, "Fingers"). zipf is the mechanism: zipf(0.99) ranks
-// scattered over the range, where a handle's 2^12 fingers answer a third of
-// the stream with one node touch instead of a 24-node walk. uniform is the
-// bypass: under 2 % of the stream finds its finger, so it prices the walk
-// plus a failed table lookup and must stay where the walk alone was.
+// under the two key streams that sit either side of the search fingers and
+// the node index (skiplist package doc, "Fingers" and "Node index"). zipf is
+// the mechanism: zipf(0.99) ranks scattered over the range, where a handle's
+// 2^12 fingers answer 64 % of the stream (TestFingerHitRate: 672 551 of
+// 1 Mi) with one node touch instead of a 24-node walk, and the list's 2^17
+// index words answer most of the rest the same way (TestIndexHitRate, two
+// handles in turn: fingers 670 838, index 154 324, walks 223 414). uniform
+// is where the fingers miss: under 2 % of the stream finds its finger
+// (16 216), the index answers 40 % (422 152: most present keys own their
+// word) and the rest — every absent key among them — walks.
 func BenchmarkSkipMapGet(b *testing.B) {
 	const keys = 1 << 18
 	for _, stream := range []struct {

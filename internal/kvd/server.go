@@ -28,7 +28,10 @@
 // A stored key costs one 128-byte pool slot (a skip-list node of two cache
 // lines; the one tower in 64 taller than six levels adds an 80-byte array)
 // plus its value: nothing more up to 7 bytes, a buffer the value's length
-// beyond that, and an overwrite's value one more slot and buffer.
+// beyond that, and an overwrite's value one more slot and buffer. The map
+// adds its node index, shared by every connection: one 8-byte word per two
+// pool slots (skiplist package doc, "Node index"), whatever the connection
+// count.
 //
 // Protocol: RESP arrays or inline commands; integer keys (int64) and
 // arbitrary byte-string values (stored in the SkipMap's reclaimed value

@@ -125,9 +125,11 @@ func sabotage(t *testing.T, op func(h *Handle), key int64, k int, pick victim) (
 	for k := int64(0); k < sabKeys; k += 2 {
 		g.h.PutBytes(k, sabVal)
 	}
-	// A cold handle: these rows are about the walk. The fill left a finger
-	// on most keys; the finger rows are TestFingerDetection's.
+	// A cold handle and an empty node index: these rows are about the walk.
+	// The fill left a finger on most keys and a word on many; the hint rows
+	// are TestFingerDetection's.
 	g.h.fingers = nil
+	s.clearIndex()
 	// The next tower drawn is sabTower high: case (c) needs upper levels.
 	for g.h.rng = 1; ; g.h.rng++ {
 		if probe := *g.h; probe.randomLevel() == sabTower {
@@ -223,7 +225,7 @@ func TestOwnNodeRechecked(t *testing.T) {
 
 // TestSkipListLayout pins the rule stated on SkipList: the gauges every
 // SET/DEL writes may not share a cache line with the words every search
-// reads, wherever the struct lands.
+// reads — the node index's pointer among them — wherever the struct lands.
 func TestSkipListLayout(t *testing.T) {
 	var s SkipList
 	readEnd := max(
@@ -231,6 +233,7 @@ func TestSkipListLayout(t *testing.T) {
 		unsafe.Offsetof(s.levels)+unsafe.Sizeof(s.levels),
 		unsafe.Offsetof(s.head)+unsafe.Sizeof(s.head),
 		unsafe.Offsetof(s.tail)+unsafe.Sizeof(s.tail),
+		unsafe.Offsetof(s.index)+unsafe.Sizeof(s.index),
 	)
 	for name, off := range map[string]uintptr{
 		"vBytes":   unsafe.Offsetof(s.vBytes),
@@ -239,7 +242,7 @@ func TestSkipListLayout(t *testing.T) {
 		"sRetires": unsafe.Offsetof(s.sRetires),
 	} {
 		if off < readEnd+64 {
-			t.Errorf("SkipList.%s at offset %d: gauges must start >= 64 bytes after pool/levels/head/tail end (%d)", name, off, readEnd)
+			t.Errorf("SkipList.%s at offset %d: gauges must start >= 64 bytes after pool/levels/head/tail/index end (%d)", name, off, readEnd)
 		}
 	}
 }

@@ -38,11 +38,17 @@ func (g *hookGuard) arm(at int, hook func(slot int, r mem.Ref)) { g.calls, g.at,
 // recycled: a is the handle under test, b plays every other worker. b
 // allocates straight from the pool's LIFO free list, so the slot the test
 // frees is the slot b's next insert gets.
+//
+// The rig's GETs and DELs start from an empty node index, so a finger that is
+// refused is answered by a walk, unless index is set: then a's operations
+// read the words b's inserts and a's walks left, and the rows about them
+// (TestFingerDetection's "index" rows) set the word under test by hand.
 type fingerRig struct {
-	t    *testing.T
-	s    *SkipList
-	a, b *Handle
-	ga   *hookGuard
+	t     *testing.T
+	s     *SkipList
+	a, b  *Handle
+	ga    *hookGuard
+	index bool
 }
 
 func rigVal(k int64, gen byte) []byte { return bytes.Repeat([]byte{byte(k), gen}, 16) }
@@ -83,6 +89,17 @@ func (h *Handle) fingerOf(key int64) (ref, succ mem.Ref) {
 	return 0, 0
 }
 
+// clearIndex empties the list's node index.
+func (s *SkipList) clearIndex() {
+	x := s.index.Load()
+	for i := range x.words {
+		x.words[i].Store(0)
+	}
+}
+
+// indexed is the Ref key's node index word holds.
+func (s *SkipList) indexed(key int64) mem.Ref { return mem.Ref(s.index.Load().word(key).Load()) }
+
 // node returns key's node as a fresh walk by b finds it.
 func (r *fingerRig) node(key int64) mem.Ref {
 	r.b.search(key)
@@ -97,6 +114,9 @@ func (r *fingerRig) node(key int64) mem.Ref {
 // with.
 func (r *fingerRig) get(key int64) (val []byte, ok bool, protects int, rec any) {
 	defer func() { rec = recover() }()
+	if !r.index {
+		r.s.clearIndex()
+	}
 	before := r.ga.calls
 	val, ok = r.a.GetAppend(key, nil)
 	return val, ok, r.ga.calls - before, nil
@@ -105,6 +125,9 @@ func (r *fingerRig) get(key int64) (val []byte, ok bool, protects int, rec any) 
 // del is get for a's Delete.
 func (r *fingerRig) del(key int64) (ok bool, protects int, rec any) {
 	defer func() { rec = recover() }()
+	if !r.index {
+		r.s.clearIndex()
+	}
 	before := r.ga.calls
 	ok = r.a.Delete(key)
 	return ok, r.ga.calls - before, nil
@@ -333,13 +356,100 @@ func TestFingerDetection(t *testing.T) {
 			t.Fatalf("GET after the DEL: %x %v in %d publications, panic %v; want b's value by finger", v, ok, protects, rec)
 		}
 	})
+
+	// The node index's rows. a keeps no finger on the key, so its GET reads
+	// the word, which names n, and validates it exactly as it would a node
+	// finger; a word that is refused leaves the answer to the walk.
+	primeIndex := func(t *testing.T) (*fingerRig, mem.Ref) {
+		r := newFingerRig(t)
+		r.index = true
+		n := r.node(k)
+		if got := r.s.indexed(k); got != n {
+			t.Fatalf("after b's insert the word is %v, want key's node %v", got, n)
+		}
+		if v, ok, protects, rec := r.get(k); !ok || !bytes.Equal(v, rigVal(k, 0)) || protects != 1 || rec != nil {
+			t.Fatalf("GET by index: %x %v in %d publications, panic %v", v, ok, protects, rec)
+		}
+		if ref, succ := r.a.fingerOf(k); ref != n || !succ.IsNil() {
+			t.Fatalf("after a GET by index the finger is %v -> %v, want key's node %v", ref, succ, n)
+		}
+		r.a.forget(k)
+		return r, n
+	}
+	t.Run("index: names a freed slot", func(t *testing.T) {
+		r, n := primeIndex(t)
+		retireAndFree(r, k, n)
+		if got := r.s.indexed(k); got != n {
+			t.Fatalf("after the DEL the word is %v, want the stale %v (DEL writes no word)", got, n)
+		}
+		if v, ok, protects, rec := r.get(k); ok || rec != nil || protects <= 1 {
+			t.Fatalf("got %x %v in %d publications, panic %v; want the walk's answer: absent", v, ok, protects, rec)
+		}
+	})
+	// The second generation check's row for the index.
+	t.Run("index: slot re-allocated to the same key at its own Protect", func(t *testing.T) {
+		r, n := primeIndex(t)
+		r.ga.arm(1, func(int, mem.Ref) { retireAndFree(r, k, n); reuse(r, k, n) })
+		if v, ok, protects, rec := r.get(k); !ok || !bytes.Equal(v, []byte{1}) || rec != nil || protects <= 1 {
+			t.Fatalf("got %x %v in %d publications, panic %v; want the walk's answer: 01", v, ok, protects, rec)
+		}
+	})
+	// The key compare's row: absent key c shares k's word, so the word
+	// names a live, unmarked node — of another key.
+	t.Run("index: another key's node", func(t *testing.T) {
+		r, n := primeIndex(t)
+		c := int64(k + 1)
+		for r.s.index.Load().word(c) != r.s.index.Load().word(k) {
+			c++
+		}
+		if got := r.s.indexed(c); got != n {
+			t.Fatalf("key %d's word is %v, want key %d's node %v", c, got, k, n)
+		}
+		if v, ok, protects, rec := r.get(c); ok || rec != nil || protects <= 1 {
+			t.Fatalf("GET %d: %x %v in %d publications, panic %v; want the walk's answer: absent", c, v, ok, protects, rec)
+		}
+		if ok, _, rec := r.del(c); ok || rec != nil {
+			t.Fatalf("DEL %d: %v, panic %v; want absent, key %d untouched", c, ok, rec, k)
+		}
+		if r.a.PutBytes(c, rigVal(c, 0)) != true {
+			t.Fatalf("a put of absent key %d must insert, not overwrite key %d's node", c, k)
+		}
+		if v, ok, _, rec := r.get(k); !ok || !bytes.Equal(v, rigVal(k, 0)) || rec != nil {
+			t.Fatalf("GET %d: %x %v, panic %v; want its own value", k, v, ok, rec)
+		}
+	})
+	// The mark check's row for the index: deleted and re-inserted, the old
+	// node retired but not yet freed, and the word put back on it.
+	t.Run("index: a marked node", func(t *testing.T) {
+		r, n := primeIndex(t)
+		r.b.Delete(k)
+		r.b.PutBytes(k, rigVal(k, 1))
+		r.s.index.Load().note(k, n)
+		if v, ok, _, rec := r.get(k); !ok || !bytes.Equal(v, rigVal(k, 1)) || rec != nil {
+			t.Fatalf("got %x %v, panic %v; want the re-inserted value", v, ok, rec)
+		}
+	})
+	t.Run("index: node freed after validation", func(t *testing.T) {
+		r, n := primeIndex(t)
+		r.b.PutBytes(k, rigVal(k, 1)) // spilled: the GET publishes its value node second
+		r.ga.arm(2, func(slot int, _ mem.Ref) {
+			if slot != r.a.hpVal() {
+				t.Fatalf("second publication of a GET by index is slot %d, want the value slot", slot)
+			}
+			r.s.pool.Free(n)
+		})
+		if v, ok, _, rec := r.get(k); !faulted(rec) {
+			t.Errorf("node freed at the value publication: got %x %v, panic %v; want *mem.Violation{Op: get}", v, ok, rec)
+		}
+	})
 }
 
-// TestFingersPinNothing: a finger is a hint, not a protection. A handle
-// whose table is full of fingers on nodes that are then all deleted holds
-// reclamation back by nothing: with its lease returned (the containers keep
-// the handle, table and all, for the slot's next tenant) Pending drains
-// exactly as far as it does without the table.
+// TestFingersPinNothing: a finger is a hint, not a protection, and so is a
+// node index word. A handle whose table is full of fingers, beside an index
+// full of words, on nodes that are then all deleted holds reclamation back by
+// nothing: with its lease returned (the containers keep the handle, table and
+// all, for the slot's next tenant) Pending drains exactly as far as it does
+// without the table and the words.
 func TestFingersPinNothing(t *testing.T) {
 	const keys = 1 << (fingerBits + 2) // enough to fill every way of every set
 	pendingAfter := func(t *testing.T, scheme string, keepFingers bool) int64 {
@@ -363,8 +473,18 @@ func TestFingersPinNothing(t *testing.T) {
 		if held != 1<<fingerBits {
 			t.Fatalf("only %d of %d finger ways filled", held, 1<<fingerBits)
 		}
+		x, words := s.index.Load(), 0
+		for i := range x.words {
+			if x.words[i].Load() != 0 {
+				words++
+			}
+		}
+		if words < len(x.words)/2 {
+			t.Fatalf("only %d of %d node index words hold a Ref", words, len(x.words))
+		}
 		if !keepFingers {
 			a.fingers = nil
+			s.clearIndex()
 		}
 		d.Release(a.guard)
 		for k := int64(0); k < keys; k++ {
@@ -392,17 +512,17 @@ func TestFingersPinNothing(t *testing.T) {
 		}
 		t.Run(scheme, func(t *testing.T) {
 			with, without := pendingAfter(t, scheme, true), pendingAfter(t, scheme, false)
-			t.Logf("pending with %d stale fingers: %d; without: %d", 1<<fingerBits, with, without)
+			t.Logf("pending with %d stale fingers and a full node index: %d; without: %d", 1<<fingerBits, with, without)
 		})
 	}
 }
 
 // fingerSeeds are schedules of exploreFingers recorded when they killed a
 // mutant (testdata/mutants; kill.sh replays them): the first of each row
-// faults with a *mem.Violation once probe's second generation check is
+// faults with a *mem.Violation once validate's second generation check is
 // removed (no seed up to 300 does under hyaline), and on a double free once
 // probe returns a way's Ref with its hit count; seed 1 of every scheme has
-// no linearization once probe's mark check is, and faults on a double free
+// no linearization once validate's mark check is, and faults on a double free
 // once a displaced self value is retired; seed 2 of every scheme has no
 // linearization once Delete leaves an edge over the node prune found. They
 // run before the seeds every run counts through. A seed that fails is
@@ -597,6 +717,66 @@ func TestFingerHitRate(t *testing.T) {
 		t.Logf("%s: %d of %d lookups answered by a finger (%.2f %%)", row.name, hits, lookups, 100*float64(hits)/lookups)
 		if hits != row.want {
 			t.Errorf("%s: %d lookups answered, want exactly %d", row.name, hits, row.want)
+		}
+	}
+}
+
+// TestIndexHitRate pins, as exact counts, which of locate's three answers a
+// lookup gets when two handles share the list: the handle's own finger, the
+// node index, or a walk, which notes the node it found in the index. The key
+// space is TestFingerHitRate's — 2^18 keys, every other one stored, zipf(0.99)
+// ranks scattered by the ruler's multiplier, or uniform — and the two handles
+// take the stream's lookups in turn, as the ruler's two connections do; 1 Mi
+// lookups of warm-up, then 1 Mi counted. The fill grows the index to 2^17
+// words, its last growth empties it, and the warm-up fills it again. Over
+// none nothing is retired, so a hint that is found validates unless it is
+// another key's, and the counts are the tables' policies alone.
+func TestIndexHitRate(t *testing.T) {
+	if raceDetector {
+		t.Skip("4 Mi lookups; the race detector has nothing to find in them")
+	}
+	const (
+		keys    = 1 << 18
+		lookups = 1 << 20
+	)
+	for _, row := range []struct {
+		name                  string
+		theta                 float64
+		finger, index, walked int
+	}{
+		{"zipf", 0.99, 670_838, 154_324, 223_414},
+		{"uniform", 0, 16_216, 422_152, 610_208},
+	} {
+		s, d, hs := newSet(t, "none", 2, 0)
+		for k := int64(0); k < keys; k += 2 {
+			hs[0].Insert(k)
+		}
+		if n := len(s.index.Load().words); n != keys/2 {
+			t.Fatalf("after the fill the index has %d words, want %d: one per two pool slots", n, keys/2)
+		}
+		rng := workload.NewRNG(99)
+		var finger, index, walked int
+		for i := range 2 * lookups {
+			key := rng.ZipfKey(keys, row.theta) * 0x9E3779B1 % keys
+			h := hs[i%2]
+			h.guard.Begin()
+			answer := &walked
+			if _, _, _, ok := h.probe(key, true); ok {
+				answer = &finger
+			} else if _, _, ok := h.byIndex(key); ok {
+				answer = &index
+			} else if n, _, found := h.walk(key); found {
+				s.index.Load().note(key, n)
+			}
+			h.guard.ClearHPs()
+			if i >= lookups {
+				*answer++
+			}
+		}
+		d.Close()
+		t.Logf("%s: finger %d, index %d, walk %d of %d lookups (%.1f %% walked)", row.name, finger, index, walked, lookups, 100*float64(walked)/lookups)
+		if finger != row.finger || index != row.index || walked != row.walked {
+			t.Errorf("%s: finger %d, index %d, walk %d; want exactly %d, %d, %d", row.name, finger, index, walked, row.finger, row.index, row.walked)
 		}
 	}
 }

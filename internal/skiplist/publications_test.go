@@ -17,12 +17,19 @@ func (g *countingGuard) Protect(i int, r mem.Ref) { g.protects++; g.Guard.Protec
 func (g *countingGuard) ClearHPs()                { g.clears++; g.Guard.ClearHPs() }
 
 // forget empties key's whole set of fingers, so that the next operation on
-// key walks and what that walk remembers is admitted.
+// key skips them and what it remembers is admitted.
 func (h *Handle) forget(key int64) {
 	if h.fingers != nil {
 		*h.setOf(key) = fingerSet{}
 	}
 }
+
+// Where a TestPublicationsPerOp sample's operation may find its key.
+const (
+	fromWalk   = iota // key's fingers and node index word forgotten
+	fromIndex         // key's fingers forgotten, its word kept
+	fromFinger        // both kept
+)
 
 // TestPublicationsPerOp pins the contract of search's slot discipline: one
 // Protect per node the walk visits — no descend copy, no re-publication of a
@@ -32,10 +39,10 @@ func (h *Handle) forget(key int64) {
 // the count is the thing to regress on, not a timing. With the descend copy
 // and the re-publications a GET over 2^16 keys made ~54 Protect calls.
 //
-// The walk's rows run with the key's finger forgotten, so they keep pricing
-// the walk (GET 24, SET(overwrite) 23, DEL 51, GET(absent) 23 at 2^16 keys);
-// the rows between them price the same operation answered by the finger the
-// row above just left.
+// The walk's rows run with the key's finger and node index word forgotten,
+// so they keep pricing the walk (GET 24, SET(overwrite) 23, DEL 51,
+// GET(absent) 23 at 2^16 keys); the rows between them price the same
+// operation answered by the finger, or the word, the row above just left.
 func TestPublicationsPerOp(t *testing.T) {
 	const (
 		keys = 1 << 16
@@ -74,39 +81,45 @@ func TestPublicationsPerOp(t *testing.T) {
 	del := func(k int64) { h.Delete(k) }
 	samples := []struct {
 		name     string
-		byFinger bool
+		from     int
 		min, max float64
 		op       func(k int64)
 	}{
-		{"SET(overwrite)", false, 0, 32, put},
-		{"SET(overwrite, by finger)", true, 1, 1, put},
-		{"GET", false, 0, 32, get},
+		{"SET(overwrite)", fromWalk, 0, 32, put},
+		{"SET(overwrite, by finger)", fromFinger, 1, 1, put},
+		{"GET", fromWalk, 0, 32, get},
 		// The pin and the value node.
-		{"GET(by finger)", true, 2, 2, get},
+		{"GET(by finger)", fromFinger, 2, 2, get},
 		// Two searches (locate, then prune) and the pin.
-		{"DEL", false, 0, 64, del},
-		{"GET(absent)", false, 0, 32, get},
+		{"DEL", fromWalk, 0, 64, del},
+		{"GET(absent)", fromWalk, 0, 32, get},
 		// The edge's predecessor, nothing else.
-		{"GET(absent, by gap finger)", true, 1, 1, get},
+		{"GET(absent, by gap finger)", fromFinger, 1, 1, get},
 		// One search and the pin; more only after a failed link CAS.
-		{"SET(insert)", false, 0, 34, put},
-		// The pin alone: the value is the node's own.
-		{"GET(by finger, never overwritten)", true, 1, 1, get},
+		{"SET(insert)", fromWalk, 0, 34, put},
+		// The pin alone: the word the insert left names the node, whose
+		// value is its own.
+		{"GET(by index)", fromIndex, 1, 1, get},
+		// The pin alone again: the GET by index left the finger.
+		{"GET(by finger, never overwritten)", fromFinger, 1, 1, get},
 		// The pin and prune's walk to key+1, which splices the node out.
-		{"DEL(by finger)", true, 0, 29, del},
+		{"DEL(by finger)", fromFinger, 0, 29, del},
 		// The edge prune left.
-		{"GET(absent, right after a DEL)", true, 1, 1, get},
-		{"DEL(absent, by gap finger)", true, 1, 1, del},
+		{"GET(absent, right after a DEL)", fromFinger, 1, 1, get},
+		{"DEL(absent, by gap finger)", fromFinger, 1, 1, del},
 		// An insert walks either way, so it leaves the edge untried: the
 		// walk's count, not one more.
-		{"SET(insert, beside a gap finger)", true, 0, 34, put},
+		{"SET(insert, beside a gap finger)", fromFinger, 0, 34, put},
 	}
 	protects := make([]int, len(samples))
 	for i := 0; i < ops; i++ {
 		k := next()
 		for j, sm := range samples {
-			if !sm.byFinger {
+			if sm.from < fromFinger {
 				h.forget(k)
+			}
+			if sm.from == fromWalk {
+				s.index.Load().word(k).Store(0)
 			}
 			g.protects, g.clears = 0, 0
 			sm.op(k)

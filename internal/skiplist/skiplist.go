@@ -94,7 +94,8 @@
 // admitted over a way whose count is zero, and a refused key decays the
 // whole set — LFU with decay, in the 96 KiB a direct-mapped table of the
 // same 2^12 fingers took. Contains/Get/GetAppend, Delete and an upsert of
-// a present key try the finger first (probe) and walk only if it fails. An
+// a present key try the finger first (probe), then the list's node index
+// (byIndex, "Node index" below), and walk only if both fail. An
 // insert needs preds at every level and always walks, so it leaves an edge
 // finger untried; a Delete that found its node by finger skips the first
 // walk, not prune's. What prune found is the finger Delete leaves: the edge
@@ -104,7 +105,8 @@
 // node would answer "absent" for a present key. A finger is a hint: it holds
 // no protection between operations (TestFingersPinNothing) and outlives
 // leases with its handle, so what it names may be retired, freed, or
-// recycled — into the same key, even. probe validates in this order:
+// recycled — into the same key, even. validate, which probe and byIndex
+// share, checks in this order:
 //
 //	Peek (generation) → Protect(pin) → load next[0] → generation again
 //	→ word unmarked, and: node's key == key | word == succ
@@ -137,14 +139,49 @@
 // load — the publication in between is not yet conclusive — and next[0] of
 // the new tenant read as the old node's: a fault on a correct scheme at
 // best, an "absent" for a present key at worst (both are rows of
-// TestFingerDetection; testdata/mutants holds the two edits, beside the edge
-// over a re-inserted key, a retired self value and a Ref handed out with its
-// hit count, and kill.sh shows the tests that fail on each). probe strips
+// TestFingerDetection, for fingers and for index words; testdata/mutants
+// holds the two edits, beside the key compare dropped, the edge over a
+// re-inserted key, a retired self value and a Ref handed out with its hit
+// count, and kill.sh shows the tests that fail on each). probe strips
 // the count before its first check and bumps it only after validation
 // succeeds: what is validated and used is always the bare Ref. A 30-bit
 // generation that wraps hands out a bit-identical live Ref, as it can for
 // every Ref in this repository; for a finger on a key's node the key compare
 // after validation is what makes that harmless.
+//
+// # Node index
+//
+// A handle's fingers see only that handle's keys, and 2^12 of them: of a
+// zipf stream over the ruler's 2^18 keys they answer 64 %, and every other
+// lookup walked. So the list keeps one node index too, shared by every
+// handle: a power-of-two array of words (nodeIndex), word fingerHash(key)
+// holding the untagged Ref of some key's node, or 0 — direct-mapped, one word
+// per key. A walk by locate or an upsert that found key's node stores its
+// Ref, and so does an insert after its level-0 link; only a Ref the word
+// does not already hold is stored, so a hit, or a walk that found the same
+// node, writes no shared line. Delete writes nothing: a word that names a
+// deleted node fails validation.
+//
+// Why one word and no count: a word is one atomic store and one atomic load,
+// so an entry cannot tear between a reader and a writer, and a hit writes
+// nothing — the finger table's hit counts would make every hit a store to a
+// line the other handles read. Why no new proof: a word is a hint exactly
+// like a finger on a key's node — it protects nothing, and what it names may
+// be retired, freed, recycled or another key's node (two keys share a word) —
+// and byIndex validates it with validate itself, the key compare refusing
+// another key's node; then it is remembered as that handle's finger.
+//
+// Sizing: 2^12 words (32 KiB) at New, then one word per two pool slots. An
+// insert whose node sits at slot index i >= 2·len replaces the index with an
+// empty one of the least power-of-two length above i/2 (fitIndex); the old
+// words were hints and are dropped. So the index allocates only when the
+// pool grows, and its memory follows the stored keys, whatever the number of
+// handles: kv-read's 2^17 keys settle at 2^17 words, 1 MiB beside 16 MiB of
+// nodes. With two handles taking a stream's lookups in turn over the 2^18
+// keys, half of them stored (TestIndexHitRate), fingers answer 670 838 of
+// 1 Mi zipf lookups, the index 154 324, and 223 414 walk (21.3 %, against
+// 36.0 % with fingers alone); of a uniform stream, 16 216, 422 152 and
+// 610 208.
 //
 // The historical violation of invariant 2 — Insert pre-stored every
 // upper next word from the level-0 search and re-claimed a level only
@@ -181,12 +218,13 @@
 // claim, whichever array it holds — a reused array's words are a dead
 // tower's, marked, and a claim that read one would abandon the tower above
 // it (TestRecycledTowersRelink; testdata/mutants/stale-upper.patch). A
-// finger probe, which loads from its node before any check is conclusive,
-// reads only next[0], which is always inline.
+// hint's validation, which loads from its node before any check is
+// conclusive, reads only next[0], which is always inline.
 package skiplist
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -328,17 +366,20 @@ type Config struct {
 
 // SkipList is the shared structure. Obtain one Handle per worker.
 //
-// Layout rule (the one mem.Pool states): pool, levels, head and tail are
-// read by every search and never written after New; the gauges below the pad
-// take 2–5 Adds per SET/DEL. Side by side, one worker's writes invalidate
-// the line the other worker's every search starts from: 5 % of lib-mixed's
-// throughput on the 2-vCPU ruler box. TestSkipListLayout pins the pad;
-// making the gauges per-handle instead was neutral to negative.
+// Layout rule (the one mem.Pool states): pool, levels, head, tail and index
+// are read by every search, the first four never written after New and index
+// only when the node index grows; the gauges below the pad take 2–5 Adds per
+// SET/DEL.
+// Side by side, one worker's writes invalidate the line the other worker's
+// every search starts from: 5 % of lib-mixed's throughput on the 2-vCPU ruler
+// box. TestSkipListLayout pins the pad; making the gauges per-handle instead
+// was neutral to negative.
 type SkipList struct {
 	pool   *mem.Pool[node]
 	levels int
 	head   mem.Ref
 	tail   mem.Ref
+	index  atomic.Pointer[nodeIndex]
 	_      [64]byte
 
 	// value-arena gauges (ValueStats in value.go)
@@ -368,6 +409,7 @@ func New(cfg Config) *SkipList {
 		hn.link(l).Store(uint64(tr))
 	}
 	s.head, s.tail = hr, tr
+	s.index.Store(newNodeIndex(1 << indexBits))
 	return s
 }
 
@@ -597,8 +639,11 @@ type fingerSet struct {
 	ref, succ [fingerWays]mem.Ref
 }
 
+// fingerHash picks key's finger set and node index word, by its top bits.
+func fingerHash(key int64) uint64 { return uint64(key) * 0x9E3779B97F4A7C15 }
+
 func (h *Handle) setOf(key int64) *fingerSet {
-	return &h.fingers[uint64(key)*0x9E3779B97F4A7C15>>(64-fingerBits+2)]
+	return &h.fingers[fingerHash(key)>>(64-fingerBits+2)]
 }
 
 // way is the way that holds key's finger, or -1.
@@ -673,23 +718,36 @@ func (h *Handle) probe(key int64, edges bool) (n mem.Ref, np mem.Resolved[node],
 	if !edges && !succ.IsNil() {
 		return
 	}
-	np, raw, live := h.s.pool.Peek(ref)
-	if live {
-		h.guard.Protect(h.hpPin(), ref)
-		w := raw.next[0].Load()
-		if np.Live(ref) && !isMarked(w) {
-			if succ.IsNil() && np.Get(ref).key == key {
-				t.hit(i)
-				return ref, np, true, true
-			}
-			if !succ.IsNil() && w == uint64(succ) {
-				t.hit(i)
-				return 0, np, false, true
-			}
+	if np, ok = h.validate(key, ref, succ); ok {
+		t.hit(i)
+		if succ.IsNil() {
+			return ref, np, true, true
 		}
+		return 0, np, false, true
 	}
 	t.key[i], t.ref[i], t.succ[i] = 0, 0, 0
 	return
+}
+
+// validate is the proof of every hint, a finger's or the node index's
+// (package doc, "Fingers"): publish ref in the pin slot, load next[0], then
+// the generation — the same incarnation, seen unmarked after the publication
+// and either key's node (succ nil) or still leading to succ, is not yet
+// retired. np is ref's slot, to be used through np.Get from here on.
+func (h *Handle) validate(key int64, ref, succ mem.Ref) (np mem.Resolved[node], ok bool) {
+	np, raw, live := h.s.pool.Peek(ref)
+	if !live {
+		return np, false
+	}
+	h.guard.Protect(h.hpPin(), ref)
+	w := raw.next[0].Load()
+	if !np.Live(ref) || isMarked(w) {
+		return np, false
+	}
+	if succ.IsNil() {
+		return np, np.Get(ref).key == key
+	}
+	return np, w == uint64(succ)
 }
 
 // hit counts a validated answer from way i, saturating at 3.
@@ -699,14 +757,84 @@ func (t *fingerSet) hit(i int) {
 	}
 }
 
-// locate finds key's level-0 position — by finger or, failing that, by
-// walk. When found, n is key's node, protected and resolved (np) for the
-// rest of the operation.
+// indexBits sizes a new list's node index: 2^12 words, 32 KiB. The index
+// then grows with the pool (fitIndex), not with a knob.
+const indexBits = 12
+
+// A nodeIndex is a list's shared table of node hints (package doc, "Node
+// index"): word fingerHash(key)>>shift holds the untagged Ref of some key's
+// node, or 0. A word is a hint like a finger; validate decides whether it
+// still holds, and whether it is key's.
+type nodeIndex struct {
+	shift uint
+	words []atomic.Uint64
+}
+
+func newNodeIndex(n int) *nodeIndex {
+	return &nodeIndex{shift: uint(64 - bits.Len(uint(n)) + 1), words: make([]atomic.Uint64, n)}
+}
+
+func (x *nodeIndex) word(key int64) *atomic.Uint64 { return &x.words[fingerHash(key)>>x.shift] }
+
+// note makes n the hint in key's word. It stores only a Ref the word does
+// not already hold, so a hit, or a walk that found what the word names,
+// writes no shared line.
+func (x *nodeIndex) note(key int64, n mem.Ref) {
+	if w := x.word(key); w.Load() != uint64(n) {
+		w.Store(uint64(n))
+	}
+}
+
+// fitIndex returns the index an insert whose node sits in slot i notes into,
+// first replacing it with an empty one of the least power-of-two length above
+// i/2 when i is at least twice its length: one word per two pool slots. The
+// old words are hints, so they are dropped; an inserter that loses the swap
+// looks again.
+func (s *SkipList) fitIndex(i uint32) *nodeIndex {
+	for {
+		x := s.index.Load()
+		if uint64(i) < 2*uint64(len(x.words)) {
+			return x
+		}
+		s.index.CompareAndSwap(x, newNodeIndex(1<<bits.Len32(i>>1)))
+	}
+}
+
+// byIndex answers "is key's node where the node index says" after a finger
+// miss: key's node, validated exactly like a node finger — so in the pin
+// slot, for np.Get — and remembered as one, or !ok.
+func (h *Handle) byIndex(key int64) (n mem.Ref, np mem.Resolved[node], ok bool) {
+	n = mem.Ref(h.s.index.Load().word(key).Load())
+	if n.IsNil() {
+		return
+	}
+	if np, ok = h.validate(key, n, 0); ok {
+		h.remember(key, n, 0)
+	}
+	return
+}
+
+// hint is probe, then byIndex if the finger fails: where a hint says key is
+// at level 0 (ok), or !ok when the caller must walk.
+func (h *Handle) hint(key int64, edges bool) (n mem.Ref, np mem.Resolved[node], found, ok bool) {
+	if n, np, found, ok = h.probe(key, edges); !ok {
+		n, np, ok = h.byIndex(key)
+		found = ok
+	}
+	return
+}
+
+// locate finds key's level-0 position — by a hint or, failing that, by a
+// walk that notes the node it found in the index. When found, n is key's
+// node, protected and resolved (np) for the rest of the operation.
 func (h *Handle) locate(key int64) (n mem.Ref, np mem.Resolved[node], found bool) {
-	if n, np, found, ok := h.probe(key, true); ok {
+	if n, np, found, ok := h.hint(key, true); ok {
 		return n, np, found
 	}
-	return h.walk(key)
+	if n, np, found = h.walk(key); found {
+		h.s.index.Load().note(key, n)
+	}
+	return n, np, found
 }
 
 // walk is locate's miss path: search, and remember what the walk found. A
@@ -753,7 +881,7 @@ func (h *Handle) upsertWord(key int64, w uint64, spill []byte, upsert bool) bool
 	}
 	h.guard.Begin()
 	defer h.guard.ClearHPs()
-	if n, np, found, _ := h.probe(key, false); found {
+	if n, np, found, _ := h.hint(key, false); found {
 		if upsert {
 			h.overwrite(n, np, w, spill)
 		}
@@ -768,6 +896,7 @@ func (h *Handle) upsertWord(key int64, w uint64, spill []byte, upsert bool) bool
 		h.search(key)
 		if h.succp[0].Get(h.succs[0]).key == key {
 			h.remember(key, h.succs[0], 0)
+			h.s.index.Load().note(key, h.succs[0])
 			if upsert {
 				h.overwrite(h.succs[0], h.succp[0], w, spill)
 			}
@@ -807,6 +936,7 @@ func (h *Handle) upsertWord(key int64, w uint64, spill []byte, upsert bool) bool
 		}
 		h.s.noteInstall(vw, len(spill))
 		h.remember(key, nref, 0)
+		h.s.fitIndex(nref.Index()).note(key, nref)
 		break // linked: the insert has taken effect
 	}
 	// Link the upper levels, one claim-then-link step per attempt: claim
@@ -886,7 +1016,7 @@ func (h *Handle) Delete(key int64) bool {
 	}
 	h.guard.Begin()
 	defer h.guard.ClearHPs()
-	n, np, found, ok := h.probe(key, true) // a finger's node is already in the pin slot
+	n, np, found, ok := h.hint(key, true) // a hint's node is already in the pin slot
 	if !ok {
 		// Pin n before marking: the cleanup search recycles level 0's
 		// slot pair. The pin copy is published strictly before n's

@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
-# The acceptance test of the search fingers' and self values' tests: each
-# patch here is one wrong step — two remove a check of probe's validation
-# (internal/skiplist package doc, "Fingers"), delete-edge-over-key has Delete
+# The acceptance test of the search fingers', node index's and self values'
+# tests: each patch here is one wrong step — two remove a check of validate,
+# the proof a finger and a node index word share (internal/skiplist package
+# doc, "Fingers"), and each must also fail an index row; index-no-key-check
+# drops validate's key compare, so a node index word naming another key's
+# node answers for it (package doc, "Node index"); delete-edge-over-key has Delete
 # leave an edge over the node prune found, self-value-retired retires a
 # displaced self value (value.go), finger-hits-leak has probe return the Ref
 # with its way's hit count in the tag bits (so a self word no longer reads as
@@ -22,11 +25,14 @@ tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
 # patch | package | test that must fail ("recorded seeds": fingerSeeds in
-# finger_test.go for the interleaving checker, seed=1 for the public one)
+# finger_test.go for the interleaving checker, seed=1 for the public one).
+# Test/prefix runs only the subtests whose names start with prefix.
 kills=(
 	"no-second-generation-check.patch|./internal/skiplist|TestFingerDetection"
+	"no-second-generation-check.patch|./internal/skiplist|TestFingerDetection/index"
 	"no-second-generation-check.patch|./internal/skiplist|TestFingerInterleavings"
 	"no-mark-check.patch|./internal/skiplist|TestFingerDetection"
+	"no-mark-check.patch|./internal/skiplist|TestFingerDetection/index"
 	"no-mark-check.patch|./internal/skiplist|TestFingerInterleavings"
 	"no-mark-check.patch|.|TestSkipMapLinearizable"
 	"no-mark-check.patch|.|TestSkipMapFingerAcrossQuiescence"
@@ -39,6 +45,9 @@ kills=(
 	"finger-hits-leak.patch|./internal/skiplist|TestFingerInterleavings"
 	"finger-hits-leak.patch|./internal/skiplist|TestPublicationsPerOp"
 	"stale-upper.patch|./internal/skiplist|TestRecycledTowersRelink"
+	"index-no-key-check.patch|./internal/skiplist|TestFingerDetection/index"
+	"index-no-key-check.patch|./internal/skiplist|TestSkipListBulkSortedAndValid"
+	"index-no-key-check.patch|./internal/kvd|TestPipelinedSetsDoNotAlias"
 )
 
 cd "$root"
@@ -52,8 +61,10 @@ for kill in "${kills[@]}"; do
 		git -C "$tmp" apply "$here/$patch"
 		applied="$patch"
 	fi
+	run="^$name\$"
+	[[ "$name" == */* ]] && run="^${name%%/*}\$/^${name#*/}"
 	start=$SECONDS
-	if out="$(cd "$tmp" && go test -count=1 -run "^$name\$" "$pkg" 2>&1)"; then
+	if out="$(cd "$tmp" && go test -count=1 -run "$run" "$pkg" 2>&1)"; then
 		echo "SURVIVED: $patch passes $name ($pkg)"
 		exit 1
 	fi
