@@ -18,13 +18,15 @@
 // and per socket write, so a pipelined batch pays for them once.
 //
 // What a connection costs in memory: its goroutine, two 4 KiB resp buffers,
-// a guard slot and — from its first GET or SET on — the 96 KiB finger table
-// of the skip-list handle its slot carries (2^12 remembered positions, the
-// reason a repeated key costs one node touch instead of a walk; skiplist
-// package doc, "Fingers"). The table belongs to the slot, not the socket: a
-// later connection leasing the slot inherits it, a connection that only
-// PINGs never allocates one, and a server keeps as many tables as it has
-// ever had connections issuing GET or SET at once — 1000 of them are 94 MiB.
+// a guard slot and — from its first DEL, or GET that finds a key absent,
+// on — the 96 KiB finger table of the skip-list handle its slot carries
+// (2^12 remembered edges, the reason a repeated absent key costs one node
+// touch instead of a walk; a present key's node is the node index's below;
+// skiplist package doc, "Fingers"). The table belongs to the slot, not the
+// socket: a later connection leasing the slot inherits it, a connection that
+// only SETs, or only finds keys present, never allocates one, and a server
+// keeps as many tables as it has ever had such connections at once — 1000 of
+// them are 94 MiB.
 // A stored key costs one 128-byte pool slot (a skip-list node of two cache
 // lines; the one tower in 64 taller than six levels adds an 80-byte array)
 // plus its value: nothing more up to 7 bytes, a buffer the value's length

@@ -32,10 +32,10 @@
 // Resolved saves is the re-walk, never the check.
 //
 // One kind of reader holds a Ref that nothing protects — the skip list's
-// search fingers, hints kept across operations. For it a stale Ref is news,
-// not a fault: Pool.Peek and Resolved.Live are the same check reported
-// instead of raised, and what such a reader has validated it uses through
-// Get like everyone else.
+// fingers and node index words, hints kept across operations. For it a stale
+// Ref is news, not a fault: Pool.Peek and Resolved.Live are the same check
+// reported instead of raised, and what such a reader has validated it uses
+// through Get like everyone else.
 //
 // Nodes are not limited to fixed-shape links: a node type may embed a Value
 // (a length-prefixed byte payload) so variable-length data — the SkipMap's

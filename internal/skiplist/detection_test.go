@@ -247,20 +247,23 @@ func TestSkipListLayout(t *testing.T) {
 	}
 }
 
-// TestFingerTableLayout pins what fingerSet's comment promises: the table is
-// still 96 KiB, and it starts on a cache line, so every set — 96 bytes, at 0
-// or 32 mod 64 — has its four keys on one line.
+// TestFingerTableLayout pins what fingerBits's comment promises: 2^12
+// fingers of 24 bytes, 96 KiB, allocated by the first lookup that finds a key
+// absent — an insert or a hit leaves a handle without one.
 func TestFingerTableLayout(t *testing.T) {
-	if size := unsafe.Sizeof(fingerSet{}) * (1 << fingerBits / fingerWays); size != 96<<10 {
+	if size := unsafe.Sizeof(finger{}) * (1 << fingerBits); size != 96<<10 {
 		t.Errorf("finger table is %d bytes, want 96 KiB", size)
-	}
-	if unsafe.Offsetof(fingerSet{}.key) != 0 || unsafe.Sizeof(fingerSet{}.key) != 32 {
-		t.Errorf("a set's keys are not its first 32 bytes")
 	}
 	_, d, hs := newSet(t, "none", 1, 0)
 	defer d.Close()
-	hs[0].Contains(1)
-	if at := uintptr(unsafe.Pointer(&hs[0].fingers[0])); at%64 != 0 {
-		t.Errorf("finger table at %#x, not on a cache line", at)
+	h := hs[0]
+	h.Insert(2)
+	h.Contains(2)
+	if h.fingers != nil {
+		t.Fatal("an insert and a hit allocated the finger table")
+	}
+	h.Contains(1)
+	if len(h.fingers) != 1<<fingerBits {
+		t.Fatalf("after a miss the table has %d fingers, want %d", len(h.fingers), 1<<fingerBits)
 	}
 }

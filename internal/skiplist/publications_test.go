@@ -16,18 +16,18 @@ type countingGuard struct {
 func (g *countingGuard) Protect(i int, r mem.Ref) { g.protects++; g.Guard.Protect(i, r) }
 func (g *countingGuard) ClearHPs()                { g.clears++; g.Guard.ClearHPs() }
 
-// forget empties key's whole set of fingers, so that the next operation on
-// key skips them and what it remembers is admitted.
+// forget empties key's finger entry, so that the next operation on key
+// skips it.
 func (h *Handle) forget(key int64) {
 	if h.fingers != nil {
-		*h.setOf(key) = fingerSet{}
+		*h.fingerAt(key) = finger{}
 	}
 }
 
 // Where a TestPublicationsPerOp sample's operation may find its key.
 const (
-	fromWalk   = iota // key's fingers and node index word forgotten
-	fromIndex         // key's fingers forgotten, its word kept
+	fromWalk   = iota // key's finger and node index word forgotten
+	fromIndex         // key's finger forgotten, its word kept
 	fromFinger        // both kept
 )
 
@@ -42,7 +42,8 @@ const (
 // The walk's rows run with the key's finger and node index word forgotten,
 // so they keep pricing the walk (GET 24, SET(overwrite) 23, DEL 51,
 // GET(absent) 23 at 2^16 keys); the rows between them price the same
-// operation answered by the finger, or the word, the row above just left.
+// operation answered by the word, or the edge finger, the row above just
+// left.
 func TestPublicationsPerOp(t *testing.T) {
 	const (
 		keys = 1 << 16
@@ -74,7 +75,7 @@ func TestPublicationsPerOp(t *testing.T) {
 	// Each sample is one operation on a random key of the full 2^16-key
 	// list, in this order: a key that holds its first value (its own, self)
 	// is overwritten (a value node), deleted, inserted (self again), deleted
-	// by finger and inserted back.
+	// by index and inserted back.
 	var buf []byte
 	get := func(k int64) { buf, _ = h.GetAppend(k, buf[:0]) }
 	put := func(k int64) { h.PutBytes(k, val) }
@@ -86,10 +87,10 @@ func TestPublicationsPerOp(t *testing.T) {
 		op       func(k int64)
 	}{
 		{"SET(overwrite)", fromWalk, 0, 32, put},
-		{"SET(overwrite, by finger)", fromFinger, 1, 1, put},
+		{"SET(overwrite, by index)", fromIndex, 1, 1, put},
 		{"GET", fromWalk, 0, 32, get},
 		// The pin and the value node.
-		{"GET(by finger)", fromFinger, 2, 2, get},
+		{"GET(by index, spilled)", fromIndex, 2, 2, get},
 		// Two searches (locate, then prune) and the pin.
 		{"DEL", fromWalk, 0, 64, del},
 		{"GET(absent)", fromWalk, 0, 32, get},
@@ -100,10 +101,8 @@ func TestPublicationsPerOp(t *testing.T) {
 		// The pin alone: the word the insert left names the node, whose
 		// value is its own.
 		{"GET(by index)", fromIndex, 1, 1, get},
-		// The pin alone again: the GET by index left the finger.
-		{"GET(by finger, never overwritten)", fromFinger, 1, 1, get},
 		// The pin and prune's walk to key+1, which splices the node out.
-		{"DEL(by finger)", fromFinger, 0, 29, del},
+		{"DEL(by index)", fromIndex, 0, 29, del},
 		// The edge prune left.
 		{"GET(absent, right after a DEL)", fromFinger, 1, 1, get},
 		{"DEL(absent, by gap finger)", fromFinger, 1, 1, del},

@@ -86,27 +86,37 @@
 // # Fingers
 //
 // A walk is ≈ 24 dependent cache misses and half the keys asked for were
-// asked for a moment ago, so a handle remembers, per key, the level-0
-// position its last walk, link or delete found: the key's node, or the edge
-// pred → succ the key falls strictly inside. The table holds 2^12 of them in
-// sets of four ways (fingerBits, fingerSet), and keeps the ones that get hit:
-// each way counts its validated answers in its Ref's two tag bits, a key is
-// admitted over a way whose count is zero, and a refused key decays the
-// whole set — LFU with decay, in the 96 KiB a direct-mapped table of the
-// same 2^12 fingers took. Contains/Get/GetAppend, Delete and an upsert of
-// a present key try the finger first (probe), then the list's node index
-// (byIndex, "Node index" below), and walk only if both fail. An
-// insert needs preds at every level and always walks, so it leaves an edge
-// finger untried; a Delete that found its node by finger skips the first
-// walk, not prune's. What prune found is the finger Delete leaves: the edge
-// preds[0] → succs[0] when preds[0]'s key is below key, and otherwise
-// preds[0] itself as key's node —
-// another worker re-inserted key behind the deleter, and an edge over that
-// node would answer "absent" for a present key. A finger is a hint: it holds
-// no protection between operations (TestFingersPinNothing) and outlives
-// leases with its handle, so what it names may be retired, freed, or
-// recycled — into the same key, even. validate, which probe and byIndex
-// share, checks in this order:
+// asked for a moment ago, so a lookup has two places to look before it walks,
+// one per answer. "Present" is the list's node index ("Node index" below):
+// one word per key, shared by every handle, naming key's node. "Absent" is
+// the handle's own finger: the level-0 edge pred → succ that key fell
+// strictly inside when this handle last found it absent, in a direct-mapped
+// table of 2^12 (fingerBits, finger), 96 KiB, allocated by the handle's first
+// walk that finds a key absent. Contains/Get/GetAppend and Delete try the
+// finger first (probe), then the index (byIndex), and walk only if both fail;
+// an upsert asks the index alone, since an insert needs preds at every level
+// and walks either way. A walk that finds key absent remembers the edge, and
+// a Delete leaves the edge its prune found, preds[0] → succs[0] — unless
+// preds[0]'s key is not below key: another worker re-inserted key behind the
+// deleter, and an edge over that node would answer "absent" for a present
+// key. A Delete that found its node by the index skips the first walk, not
+// prune's.
+//
+// Why a key's node lives in the index only: the index answers a present key
+// for every handle once any of them has walked to it or inserted it, so a
+// private copy of the same Ref answers almost nothing the index does not —
+// of TestIndexHitRate's 1 Mi zipf lookups, 34 566 walk to a present key with
+// the index alone, 34 220 with node fingers in front of it — and each copy
+// is one more hint form to prove and test. Why an edge stays
+// per handle: it is a key and two Refs, which one word cannot hold, and an
+// index word that named an absent key's predecessor would need a check of
+// its own that its successor is still past key — a new proof, not this
+// table's.
+//
+// A hint, finger or word, holds no protection between operations
+// (TestFingersPinNothing) and outlives leases with its handle, so what it
+// names may be retired, freed, or recycled — into the same key, even.
+// validate, which probe and byIndex share, checks in this order:
 //
 //	Peek (generation) → Protect(pin) → load next[0] → generation again
 //	→ word unmarked, and: node's key == key | word == succ
@@ -121,55 +131,50 @@
 // that follows our publication. qsbr, ebr, qsense's fast path: that retire
 // follows this operation's Begin, so the grace period it must wait out
 // contains the rest of this operation. ibr: the node was born before the
-// finger was made, so at or below the upper bound Protect just raised, and
+// hint was made, so at or below the upper bound Protect just raised, and
 // its retire era cannot precede the reservation's lower bound (Begin) — the
 // lifetime meets the reservation.
 // hyaline: enter (Begin) precedes the retire, so the batch waits for this
 // guard. rc: acquire succeeds only on the generation asked for, and a held
-// count blocks the free. From there the node sits in the pin slot and is
-// used through Resolved.Get like any node search found: freed now, it faults
-// (TestFingerDetection). For the edge form the same validation of pred, plus
-// the word still being succ — a generation-tagged Ref, so the very node
+// count blocks the free. From there an index word's node sits in the pin slot
+// and is used through Resolved.Get like any node search found: freed now, it
+// faults (TestFingerDetection). For a finger the same validation of pred,
+// plus the word still being succ — a generation-tagged Ref, so the very node
 // whose key was above key — shows an unmarked pred leading past key in a
 // sorted level 0 at the instant of the load: key is absent.
 //
-// The first check only spares a publication for fingers that are long dead;
+// The first check only spares a publication for hints that are long dead;
 // the second is the proof, and it must come after the load. Without it the
 // slot can be freed and re-allocated between the first check and the
 // load — the publication in between is not yet conclusive — and next[0] of
 // the new tenant read as the old node's: a fault on a correct scheme at
 // best, an "absent" for a present key at worst (both are rows of
-// TestFingerDetection, for fingers and for index words; testdata/mutants
+// TestFingerDetection, for index words and for fingers; testdata/mutants
 // holds the two edits, beside the key compare dropped, the edge over a
-// re-inserted key, a retired self value and a Ref handed out with its hit
-// count, and kill.sh shows the tests that fail on each). probe strips
-// the count before its first check and bumps it only after validation
-// succeeds: what is validated and used is always the bare Ref. A 30-bit
-// generation that wraps hands out a bit-identical live Ref, as it can for
-// every Ref in this repository; for a finger on a key's node the key compare
-// after validation is what makes that harmless.
+// re-inserted key and a retired self value, and kill.sh shows the tests that
+// fail on each). A 30-bit generation that wraps hands out a bit-identical
+// live Ref, as it can for every Ref in this repository; for an index word
+// the key compare after validation is what makes that harmless.
 //
 // # Node index
 //
-// A handle's fingers see only that handle's keys, and 2^12 of them: of a
-// zipf stream over the ruler's 2^18 keys they answer 64 %, and every other
-// lookup walked. So the list keeps one node index too, shared by every
-// handle: a power-of-two array of words (nodeIndex), word fingerHash(key)
-// holding the untagged Ref of some key's node, or 0 — direct-mapped, one word
-// per key. A walk by locate or an upsert that found key's node stores its
-// Ref, and so does an insert after its level-0 link; only a Ref the word
-// does not already hold is stored, so a hit, or a walk that found the same
-// node, writes no shared line. Delete writes nothing: a word that names a
-// deleted node fails validation.
+// The list's one node index is a power-of-two array of words (nodeIndex),
+// word fingerHash(key) holding the untagged Ref of some key's node, or 0 —
+// direct-mapped, one word per key, shared by every handle. A walk by locate
+// or an upsert that found key's node stores its Ref, and so does an insert
+// after its level-0 link; only a Ref the word does not already hold is
+// stored, so a hit, or a walk that found the same node, writes no shared
+// line. Delete writes nothing: a word that names a deleted node fails
+// validation.
 //
 // Why one word and no count: a word is one atomic store and one atomic load,
 // so an entry cannot tear between a reader and a writer, and a hit writes
-// nothing — the finger table's hit counts would make every hit a store to a
-// line the other handles read. Why no new proof: a word is a hint exactly
-// like a finger on a key's node — it protects nothing, and what it names may
-// be retired, freed, recycled or another key's node (two keys share a word) —
-// and byIndex validates it with validate itself, the key compare refusing
-// another key's node; then it is remembered as that handle's finger.
+// nothing — a hit count would make every hit a store to a line the other
+// handles read. Why the proof is validate's: a word protects nothing, and
+// what it names may be retired, freed, recycled or another key's node (two
+// keys share a word), exactly as a remembered position may; validate's key
+// compare refuses another key's node, as its successor compare refuses a
+// finger whose edge moved.
 //
 // Sizing: 2^12 words (32 KiB) at New, then one word per two pool slots. An
 // insert whose node sits at slot index i >= 2·len replaces the index with an
@@ -178,10 +183,9 @@
 // pool grows, and its memory follows the stored keys, whatever the number of
 // handles: kv-read's 2^17 keys settle at 2^17 words, 1 MiB beside 16 MiB of
 // nodes. With two handles taking a stream's lookups in turn over the 2^18
-// keys, half of them stored (TestIndexHitRate), fingers answer 670 838 of
-// 1 Mi zipf lookups, the index 154 324, and 223 414 walk (21.3 %, against
-// 36.0 % with fingers alone); of a uniform stream, 16 216, 422 152 and
-// 610 208.
+// keys, half of them stored (TestIndexHitRate), fingers answer 294 692 of
+// 1 Mi zipf lookups, the index 517 739, and 236 145 walk (22.5 %); of a
+// uniform stream, 16 487, 429 106 and 602 983 (57.5 %).
 //
 // The historical violation of invariant 2 — Insert pre-stored every
 // upper next word from the level-0 search and re-claimed a level only
@@ -317,7 +321,7 @@ func (n *node) setHeight(levels int) {
 }
 
 // Scrub is the pool's poison (mem.Config.Poison) for a node: everything
-// zero, the atomic words by atomic store — a finger probe may be loading
+// zero, the atomic words by atomic store — a hint's validation may be loading
 // next[0] of a slot that is being freed, which a plain store would race. An
 // upper array stays with its slot, zeroed, for setHeight to keep or return.
 func (n *node) Scrub() {
@@ -433,10 +437,9 @@ type Handle struct {
 	// preds/succs as search resolved them; every use re-checks (predp[l].Get)
 	predp [MaxLevel]mem.Resolved[node]
 	succp [MaxLevel]mem.Resolved[node]
-	// fingers is nil until the first remember, so a lease that never looks
-	// a key up costs what it did.
-	fingers []fingerSet
-	victim  uint // where admit's next scan for a zero count starts
+	// fingers is nil until the first remember, so a lease that never finds
+	// a key absent costs what it did.
+	fingers []finger
 }
 
 // NewHandle binds a worker's guard to the skip list. Seed differentiates
@@ -606,127 +609,56 @@ retry:
 // <= MaxKey, so key+1 <= tailKey.
 func (h *Handle) prune(key int64) { h.search(key + 1) }
 
-// fingerBits sizes a handle's finger table: 2^12 fingers of 24 bytes in 2^10
-// sets of fingerWays, 96 KiB per handle that has looked a key up — what the
-// direct-mapped table of 2^12 entries it replaced took, since the hit counts
-// live in bits every Ref already has. A constant, not a knob. Of 1 Mi
-// lookups over the ruler's 2^18 keys, half of them stored (TestFingerHitRate
-// pins the counts), the table answers 672 551 of a zipf(0.99) stream
-// (64.1 %; direct-mapped 573 890, 54.7 %), 16 332 of a uniform one (1.6 %;
-// 16 304) and 654 882 of a zipf stream whose hot set just moved (62.5 %;
-// 560 707). Direct-mapped at 2^14 entries it answered 64.5 % of the zipf
-// stream: four times the memory for what four ways and hit counts buy.
+// fingerBits sizes a handle's finger table: 2^12 edge fingers of 24 bytes,
+// direct-mapped, 96 KiB per handle that has found a key absent. A constant,
+// not a knob. The table answers only "absent" — a present key's node is the
+// node index's (package doc, "Node index") — and of TestIndexHitRate's 1 Mi
+// lookups it answers 294 692 of a zipf stream and 16 487 of a uniform one.
 const fingerBits = 12
 
-// fingerWays is the table's associativity.
-const fingerWays = 4
-
-// A fingerSet holds the fingers of up to fingerWays keys that hash alike.
-// Way i is the level-0 position this handle last saw for key[i]: the key's
-// own node ref[i] (succ[i] nil), or the edge ref[i] → succ[i] that the key
-// falls strictly inside; an empty way has ref[i] nil. A finger is a hint and
-// protects nothing between operations; probe decides whether it still holds
-// (package doc, "Fingers").
-//
-// ref[i]'s tag bits — mem.TagBits, reserved for the structure and otherwise
-// clear on every Ref a finger stores — count the way's hits, 0..3: probe
-// bumps the count after a validation succeeds, and remember decays it
-// (admit). The keys come first: a set is 96 bytes and the table one
-// page-aligned large allocation, so a set starts at 0 or 32 mod 64 and its
-// four keys share one cache line — a miss reads that line alone.
-type fingerSet struct {
-	key       [fingerWays]int64
-	ref, succ [fingerWays]mem.Ref
+// A finger is the level-0 edge pred → succ that key fell strictly inside when
+// this handle last found key absent or deleted it; an empty finger has pred
+// nil. It is a hint and protects nothing between operations; probe decides
+// whether it still holds (package doc, "Fingers").
+type finger struct {
+	key        int64
+	pred, succ mem.Ref
 }
 
-// fingerHash picks key's finger set and node index word, by its top bits.
+// fingerHash picks key's finger and node index word, by its top bits.
 func fingerHash(key int64) uint64 { return uint64(key) * 0x9E3779B97F4A7C15 }
 
-func (h *Handle) setOf(key int64) *fingerSet {
-	return &h.fingers[fingerHash(key)>>(64-fingerBits+2)]
+func (h *Handle) fingerAt(key int64) *finger {
+	return &h.fingers[fingerHash(key)>>(64-fingerBits)]
 }
 
-// way is the way that holds key's finger, or -1.
-func (t *fingerSet) way(key int64) int {
-	for i := range fingerWays {
-		if t.key[i] == key && !t.ref[i].IsNil() {
-			return i
-		}
-	}
-	return -1
-}
-
-// remember stores key's finger. A key that has a way keeps it, and its
-// count; a key that has none is admitted (admit) or refused.
-func (h *Handle) remember(key int64, ref, succ mem.Ref) {
+// remember makes the edge pred → succ key's finger, over whatever its entry
+// held.
+func (h *Handle) remember(key int64, pred, succ mem.Ref) {
 	if h.fingers == nil {
-		h.fingers = make([]fingerSet, 1<<fingerBits/fingerWays)
+		h.fingers = make([]finger, 1<<fingerBits)
 	}
-	t := h.setOf(key)
-	i := t.way(key)
-	if i >= 0 {
-		ref = ref.WithTag(t.ref[i].Tag())
-	} else if i = h.admit(t); i < 0 {
-		return
-	}
-	t.key[i], t.ref[i], t.succ[i] = key, ref, succ
+	*h.fingerAt(key) = finger{key, pred, succ}
 }
 
-// admit picks the way a key without one takes in t: an empty way, else one
-// whose count is zero, scanning from a start that rotates per handle. When
-// every way has been hit since its last decay it returns -1 — the key is
-// refused — and decrements every count, so a key that keeps being asked for
-// is admitted by its fourth miss at the latest, and a set whose keys went cold
-// empties its counts as the new ones knock (LFU with decay).
-func (h *Handle) admit(t *fingerSet) int {
-	for i := range fingerWays {
-		if t.ref[i].IsNil() {
-			return i
-		}
-	}
-	h.victim++
-	for j := range uint(fingerWays) {
-		if i := int((h.victim + j) % fingerWays); t.ref[i].Tag() == 0 {
-			return i
-		}
-	}
-	for i := range fingerWays {
-		t.ref[i] = t.ref[i].WithTag(t.ref[i].Tag() - 1)
-	}
-	return -1
-}
-
-// probe answers "where is key at level 0" from the finger, if the finger
-// still holds (ok): found with key's node in n/np, covered by the pin slot
-// and to be used through np.Get like a node search found, or !found. The
-// order is the argument (package doc, "Fingers"): publish, load next[0],
-// then the generation — the same incarnation, seen unmarked (or still
-// leading to succ) after the publication, is not yet retired. A finger that
-// fails is dropped and the caller walks. A caller that walks on "absent"
-// anyway — an insert — passes edges false, and an edge finger is left
-// untried.
-func (h *Handle) probe(key int64, edges bool) (n mem.Ref, np mem.Resolved[node], found, ok bool) {
+// probe answers "is key absent" from key's finger: true if the edge still
+// holds. The order is the argument (package doc, "Fingers"): publish pred,
+// load next[0], then the generation — the same incarnation, seen unmarked and
+// still leading to succ after the publication, shows key absent. A finger
+// that fails is dropped.
+func (h *Handle) probe(key int64) bool {
 	if h.fingers == nil {
-		return
+		return false
 	}
-	t := h.setOf(key)
-	i := t.way(key)
-	if i < 0 {
-		return
+	f := h.fingerAt(key)
+	if f.key != key || f.pred.IsNil() {
+		return false
 	}
-	ref, succ := t.ref[i].Untagged(), t.succ[i] // the tag bits are the way's count
-	if !edges && !succ.IsNil() {
-		return
+	if _, ok := h.validate(key, f.pred, f.succ); ok {
+		return true
 	}
-	if np, ok = h.validate(key, ref, succ); ok {
-		t.hit(i)
-		if succ.IsNil() {
-			return ref, np, true, true
-		}
-		return 0, np, false, true
-	}
-	t.key[i], t.ref[i], t.succ[i] = 0, 0, 0
-	return
+	*f = finger{}
+	return false
 }
 
 // validate is the proof of every hint, a finger's or the node index's
@@ -748,13 +680,6 @@ func (h *Handle) validate(key int64, ref, succ mem.Ref) (np mem.Resolved[node], 
 		return np, np.Get(ref).key == key
 	}
 	return np, w == uint64(succ)
-}
-
-// hit counts a validated answer from way i, saturating at 3.
-func (t *fingerSet) hit(i int) {
-	if c := t.ref[i].Tag(); c < 3 {
-		t.ref[i] = t.ref[i].WithTag(c + 1)
-	}
 }
 
 // indexBits sizes a new list's node index: 2^12 words, 32 KiB. The index
@@ -800,35 +725,32 @@ func (s *SkipList) fitIndex(i uint32) *nodeIndex {
 	}
 }
 
-// byIndex answers "is key's node where the node index says" after a finger
-// miss: key's node, validated exactly like a node finger — so in the pin
-// slot, for np.Get — and remembered as one, or !ok.
+// byIndex answers "is key's node where the node index says": key's node,
+// validated in the pin slot, for np.Get, or !ok.
 func (h *Handle) byIndex(key int64) (n mem.Ref, np mem.Resolved[node], ok bool) {
 	n = mem.Ref(h.s.index.Load().word(key).Load())
 	if n.IsNil() {
 		return
 	}
-	if np, ok = h.validate(key, n, 0); ok {
-		h.remember(key, n, 0)
-	}
+	np, ok = h.validate(key, n, 0)
 	return
 }
 
-// hint is probe, then byIndex if the finger fails: where a hint says key is
-// at level 0 (ok), or !ok when the caller must walk.
-func (h *Handle) hint(key int64, edges bool) (n mem.Ref, np mem.Resolved[node], found, ok bool) {
-	if n, np, found, ok = h.probe(key, edges); !ok {
-		n, np, ok = h.byIndex(key)
-		found = ok
+// hint is probe, then byIndex: key absent by its finger, or key's node by
+// the node index (ok), or !ok when the caller must walk.
+func (h *Handle) hint(key int64) (n mem.Ref, np mem.Resolved[node], found, ok bool) {
+	if h.probe(key) {
+		return 0, np, false, true
 	}
-	return
+	n, np, found = h.byIndex(key)
+	return n, np, found, found
 }
 
 // locate finds key's level-0 position — by a hint or, failing that, by a
 // walk that notes the node it found in the index. When found, n is key's
 // node, protected and resolved (np) for the rest of the operation.
 func (h *Handle) locate(key int64) (n mem.Ref, np mem.Resolved[node], found bool) {
-	if n, np, found, ok := h.hint(key, true); ok {
+	if n, np, found, ok := h.hint(key); ok {
 		return n, np, found
 	}
 	if n, np, found = h.walk(key); found {
@@ -837,17 +759,15 @@ func (h *Handle) locate(key int64) (n mem.Ref, np mem.Resolved[node], found bool
 	return n, np, found
 }
 
-// walk is locate's miss path: search, and remember what the walk found. A
-// node found is covered by level 0's slot pair, not the pin.
+// walk is locate's miss path: search, and remember the edge if key is
+// absent. A node found is covered by level 0's slot pair, not the pin.
 func (h *Handle) walk(key int64) (n mem.Ref, np mem.Resolved[node], found bool) {
 	h.search(key)
 	n, np = h.succs[0], h.succp[0]
-	if np.Get(n).key != key {
+	if found = np.Get(n).key == key; !found {
 		h.remember(key, h.preds[0], n)
-		return n, np, false
 	}
-	h.remember(key, n, 0)
-	return n, np, true
+	return n, np, found
 }
 
 // Contains reports whether key is in the set. Reserved keys (outside
@@ -881,7 +801,7 @@ func (h *Handle) upsertWord(key int64, w uint64, spill []byte, upsert bool) bool
 	}
 	h.guard.Begin()
 	defer h.guard.ClearHPs()
-	if n, np, found, _ := h.hint(key, false); found {
+	if n, np, found := h.byIndex(key); found {
 		if upsert {
 			h.overwrite(n, np, w, spill)
 		}
@@ -895,7 +815,6 @@ func (h *Handle) upsertWord(key int64, w uint64, spill []byte, upsert bool) bool
 	for {
 		h.search(key)
 		if h.succp[0].Get(h.succs[0]).key == key {
-			h.remember(key, h.succs[0], 0)
 			h.s.index.Load().note(key, h.succs[0])
 			if upsert {
 				h.overwrite(h.succs[0], h.succp[0], w, spill)
@@ -935,7 +854,6 @@ func (h *Handle) upsertWord(key int64, w uint64, spill []byte, upsert bool) bool
 			continue // contention at level 0: retry with fresh position
 		}
 		h.s.noteInstall(vw, len(spill))
-		h.remember(key, nref, 0)
 		h.s.fitIndex(nref.Index()).note(key, nref)
 		break // linked: the insert has taken effect
 	}
@@ -1016,7 +934,7 @@ func (h *Handle) Delete(key int64) bool {
 	}
 	h.guard.Begin()
 	defer h.guard.ClearHPs()
-	n, np, found, ok := h.hint(key, true) // a hint's node is already in the pin slot
+	n, np, found, ok := h.hint(key) // an index word's node is already in the pin slot
 	if !ok {
 		// Pin n before marking: the cleanup search recycles level 0's
 		// slot pair. The pin copy is published strictly before n's
@@ -1054,13 +972,11 @@ func (h *Handle) Delete(key int64) bool {
 			// upserts observe it and refuse to resurrect the node.
 			h.retireDisplaced(n, np, np.Get(n).val.Swap(valTombstone))
 			h.prune(key) // physical cleanup at every level
-			// What prune found is where key is now: the edge over it, or —
-			// if another worker re-inserted key behind us — its new node
-			// (an edge over that node would answer "absent").
+			// What prune found is where key is now: the edge over it —
+			// unless another worker re-inserted key behind us, and an edge
+			// over that node would answer "absent".
 			if p := h.preds[0]; h.predp[0].Get(p).key < key {
 				h.remember(key, p, h.succs[0])
-			} else {
-				h.remember(key, p, 0)
 			}
 			// Retirement ownership: if n's inserter is still linking
 			// upper levels, it can re-link a level our search already

@@ -1,20 +1,17 @@
 #!/usr/bin/env bash
 # The acceptance test of the search fingers', node index's and self values'
 # tests: each patch here is one wrong step — two remove a check of validate,
-# the proof a finger and a node index word share (internal/skiplist package
-# doc, "Fingers"), and each must also fail an index row; index-no-key-check
-# drops validate's key compare, so a node index word naming another key's
-# node answers for it (package doc, "Node index"); delete-edge-over-key has Delete
-# leave an edge over the node prune found, self-value-retired retires a
-# displaced self value (value.go), finger-hits-leak has probe return the Ref
-# with its way's hit count in the tag bits (so a self word no longer reads as
-# the node's own, and a DEL by finger retires the node twice), stale-upper
+# the proof an edge finger and a node index word share (internal/skiplist
+# package doc, "Fingers"), and each must also fail an index row;
+# index-no-key-check drops validate's key compare, so a node index word
+# naming another key's node answers for it (package doc, "Node index");
+# delete-edge-over-key has Delete leave an edge over the node prune found,
+# self-value-retired retires a displaced self value (value.go), stale-upper
 # leaves a reused upper array's words unzeroed (package doc, "Node layout":
 # the stale mark abandons the tower from level 6 up) — and every test named
-# beside it must FAIL
-# on the patched tree. A patch that no longer applies fails loudly (git apply
-# --check) instead of rotting; a named test that passes on a mutant is a test
-# that checks nothing.
+# beside it must FAIL on the patched tree. A patch that no longer applies
+# fails loudly (git apply --check) instead of rotting; a named test that
+# passes on a mutant is a test that checks nothing.
 #
 # Runs on a copy of the tracked files under a temporary directory; the
 # working tree is not touched. Usage: bash internal/skiplist/testdata/mutants/kill.sh
@@ -41,13 +38,11 @@ kills=(
 	"self-value-retired.patch|./internal/skiplist|TestFingerInterleavings"
 	"self-value-retired.patch|./internal/skiplist|TestSlotsPerSpilledValue"
 	"self-value-retired.patch|.|TestSkipMapLinearizable"
-	"finger-hits-leak.patch|./internal/skiplist|TestFingerDetection"
-	"finger-hits-leak.patch|./internal/skiplist|TestFingerInterleavings"
-	"finger-hits-leak.patch|./internal/skiplist|TestPublicationsPerOp"
 	"stale-upper.patch|./internal/skiplist|TestRecycledTowersRelink"
 	"index-no-key-check.patch|./internal/skiplist|TestFingerDetection/index"
 	"index-no-key-check.patch|./internal/skiplist|TestSkipListBulkSortedAndValid"
 	"index-no-key-check.patch|./internal/kvd|TestPipelinedSetsDoNotAlias"
+	"index-no-key-check.patch|.|TestSkipMapLinearizable"
 )
 
 cd "$root"
