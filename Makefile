@@ -16,10 +16,11 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Each committed mutant of the search fingers' validation must still apply
-# and must fail every test named beside it.
+# Each committed mutant (the skip list's validation, values and towers;
+# Cadence's deferral) must still apply and must fail every test named
+# beside it.
 mutants:
-	bash internal/skiplist/testdata/mutants/kill.sh
+	bash testdata/mutants/kill.sh
 
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...

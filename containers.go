@@ -51,38 +51,31 @@ type leasedSet struct {
 }
 
 // leaseCore carries the domain plumbing shared by every leased container:
-// guard leasing, the per-slot structure-handle cache, stats and close. It
-// is generic over the structure's operation surface O and the public handle
+// guard leasing, the per-slot structure handle, stats and close. It is
+// generic over the structure's operation surface O and the public handle
 // type H that wraps it for one lease, so the sets (setOps, SetHandle), the
 // map (mapOps, MapHandle), Queue and Stack run on one machinery; a
 // container adds only its constructor and Len.
-type leaseCore[O comparable, H any] struct {
+//
+// A slot's structure handle is built on the slot's first lease and kept,
+// as a *O, in the slot's client cell (reclaim.SlotClient), so every later
+// tenant reuses it and the Acquire hot path allocates no structure state
+// (for SkipSet that includes its preds/succs buffers). Slot w's guard is a
+// stable object, so the handle's guard binding stays correct across
+// tenants.
+type leaseCore[O, H any] struct {
 	d    reclaim.Domain
 	mk   func(g reclaim.Guard, seed uint64) O
 	wrap func(ops O, d reclaim.Domain, g reclaim.Guard) H
-
-	// handles caches one structure handle per guard slot, built on the
-	// slot's first lease and reused by every later tenant, so the Acquire
-	// hot path allocates no structure state (for SkipSet that includes
-	// its preds/succs buffers). Slot w's guard is a stable object, so the
-	// cached handle's guard binding stays correct across tenants; access
-	// to an entry is exclusive to the slot's current owner, ordered by
-	// the slot pool's lease/release atomics. The table is segmented like
-	// the guard arena itself, so it covers slots minted by elastic
-	// growth; the key is reclaim.SlotIndex, the guard's slot index.
-	handles *reclaim.SlotTable[O]
 }
 
-func newLeaseCore[O comparable, H any](opts Options, hps int, free func(mem.Ref), era reclaim.EraSource,
+func newLeaseCore[O, H any](opts Options, hps int, free func(mem.Ref), era reclaim.EraSource,
 	mk func(g reclaim.Guard, seed uint64) O, wrap func(O, reclaim.Domain, reclaim.Guard) H) (*leaseCore[O, H], error) {
 	d, err := newDomain(withHPs(opts, hps), free, era)
 	if err != nil {
 		return nil, err
 	}
-	return &leaseCore[O, H]{
-		d: d.d, mk: mk, wrap: wrap,
-		handles: reclaim.NewSlotTable[O](opts.arena(), opts.HardMaxWorkers),
-	}, nil
+	return &leaseCore[O, H]{d: d.d, mk: mk, wrap: wrap}, nil
 }
 
 // Acquire leases a handle for the calling goroutine, growing the guard
@@ -107,11 +100,12 @@ func (c *leaseCore[O, H]) leased(g reclaim.Guard, err error) (H, error) {
 		var none H
 		return none, err
 	}
-	w := reclaim.SlotIndex(g)
-	p := c.handles.Get(w)
-	var unbuilt O
-	if *p == unbuilt {
-		*p = c.mk(g, uint64(w)+1)
+	cell := reclaim.SlotClient(g)
+	p, built := (*cell).(*O)
+	if !built {
+		ops := c.mk(g, uint64(reclaim.SlotIndex(g))+1)
+		p = &ops
+		*cell = p
 	}
 	return c.wrap(*p, c.d, g), nil
 }

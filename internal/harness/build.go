@@ -13,11 +13,10 @@ import (
 )
 
 // builtSet bundles a constructed data structure with its reclamation domain
-// and per-slot handles.
+// and the constructor of its per-slot handles.
 type builtSet struct {
 	dom         reclaim.Domain
 	mkHandle    func(g reclaim.Guard, slot int) SetHandle
-	cache       *reclaim.SlotTable[SetHandle]
 	poolLive    func() uint64
 	closeDomain func()
 	closed      bool
@@ -29,14 +28,16 @@ func (b *builtSet) close() {
 	}
 }
 
-// handle returns the slot-cached structure handle for a leased guard,
-// building it on the slot's first lease (same per-slot caching as the
-// public containers: slot ownership serializes access to one entry).
+// handle returns the structure handle kept in a leased guard's slot client
+// cell, building it on the slot's first lease (as the public containers do:
+// slot ownership serializes access to one cell).
 func (b *builtSet) handle(g reclaim.Guard) SetHandle {
-	slot := reclaim.SlotIndex(g)
-	p := b.cache.Get(slot)
-	if *p == nil {
-		*p = b.mkHandle(g, slot)
+	cell := reclaim.SlotClient(g)
+	p, built := (*cell).(*SetHandle)
+	if !built {
+		h := b.mkHandle(g, reclaim.SlotIndex(g))
+		p = &h
+		*cell = p
 	}
 	return *p
 }
@@ -47,15 +48,12 @@ func (b *builtSet) handle(g reclaim.Guard) SetHandle {
 func DataStructures() []string { return []string{"list", "skiplist", "bst"} }
 
 // HPsForDS returns the hazard pointer count each structure needs (§7.3).
-func HPsForDS(ds string, skipLevels int) (int, error) {
+func HPsForDS(ds string) (int, error) {
 	switch ds {
 	case "list", "hashmap":
 		return list.HPs, nil
 	case "skiplist":
-		if skipLevels <= 0 {
-			skipLevels = skiplist.MaxLevel
-		}
-		return skiplist.HPsFor(skipLevels), nil
+		return skiplist.HPsFor(skiplist.MaxLevel), nil
 	case "bst":
 		return bst.HPs, nil
 	}
@@ -107,22 +105,9 @@ func buildSet(cfg *Config) (*builtSet, error) {
 	cfg.Reclaim.FenceCost = fenceCost // Result.Cfg reports what the run paid
 	rc := cfg.Reclaim
 	rc.Workers = cfg.Workers
-	rc.HPs, err = HPsForDS(cfg.DS, cfg.SkipLevels)
+	rc.HPs, err = HPsForDS(cfg.DS)
 	if err != nil {
 		return nil, err
-	}
-	// m: the BST removes a leaf and an internal node per delete.
-	if cfg.DS == "bst" {
-		rc.MaxRemovePerOp = 2
-	} else {
-		rc.MaxRemovePerOp = 1
-	}
-
-	// The applicability matrix is the authority on scheme×structure
-	// pairings — reject an unsound combination with the reason rather
-	// than running it to a crash or a silent unsoundness.
-	if !qsense.Applicable(qsense.Scheme(scheme), cfg.DS) {
-		return nil, fmt.Errorf("harness: scheme %q cannot run structure %q (see qsense.Applicability)", scheme, cfg.DS)
 	}
 
 	// Each structure's pool doubles as the era clock (reclaim.Config.Era)
@@ -139,7 +124,7 @@ func buildSet(cfg *Config) (*builtSet, error) {
 		b.mkHandle = func(g reclaim.Guard, _ int) SetHandle { return l.NewHandle(g) }
 		b.poolLive = func() uint64 { return l.Pool().Stats().Live }
 	case "skiplist":
-		s := skiplist.New(skiplist.Config{Levels: cfg.SkipLevels})
+		s := skiplist.New(skiplist.Config{})
 		rc.Free, rc.Era = s.FreeNode, s.Pool()
 		b.mkHandle = func(g reclaim.Guard, slot int) SetHandle { return s.NewHandle(g, cfg.Seed+uint64(slot)+1) }
 		b.poolLive = func() uint64 { return s.Pool().Stats().Live }
@@ -156,7 +141,6 @@ func buildSet(cfg *Config) (*builtSet, error) {
 		return nil, err
 	}
 	b.dom = dom
-	b.cache = reclaim.NewSlotTable[SetHandle](rc.Workers, rc.HardMaxWorkers)
 	b.closeDomain = func() {
 		if !b.closed {
 			b.closed = true

@@ -208,7 +208,7 @@ type DelayConfig struct {
 // threshold C just above the legal minimum (so the compressed schedules
 // still trigger the switch) and the given or automatic memory budget.
 func DelayReclaim(ds string, workers, memoryLimit int) (reclaim.Config, error) {
-	hps, err := HPsForDS(ds, 0)
+	hps, err := HPsForDS(ds)
 	if err != nil {
 		return reclaim.Config{}, err
 	}

@@ -17,7 +17,7 @@ func TestDelayReclaimBudgetsAreConsistent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hps, _ := HPsForDS(ds, 0)
+		hps, _ := HPsForDS(ds)
 		legal := reclaim.LegalC(reclaim.Config{Workers: 8, HPs: hps, Q: rc.Q})
 		if rc.C < legal {
 			t.Errorf("%s: C=%d below legal %d", ds, rc.C, legal)
@@ -63,7 +63,7 @@ func TestRunHashmapAllSchemes(t *testing.T) {
 }
 
 func TestHPsForHashmap(t *testing.T) {
-	if n, err := HPsForDS("hashmap", 0); err != nil || n != 3 {
+	if n, err := HPsForDS("hashmap"); err != nil || n != 3 {
 		t.Fatalf("hashmap HPs = %d, %v", n, err)
 	}
 }

@@ -49,9 +49,6 @@ type Config struct {
 	// protocol.
 	LeaseEvery int
 
-	// SkipLevels sets the skip list height (default 16).
-	SkipLevels int
-
 	// Delays, when non-nil, stalls a worker per the plan (§7.2).
 	Delays *workload.DelayPlan
 

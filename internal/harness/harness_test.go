@@ -69,16 +69,16 @@ func quickCfgBad(ds, scheme string) Config {
 }
 
 func TestHPsForDS(t *testing.T) {
-	if n, _ := HPsForDS("list", 0); n != 3 {
+	if n, _ := HPsForDS("list"); n != 3 {
 		t.Fatalf("list HPs = %d", n)
 	}
-	if n, _ := HPsForDS("bst", 0); n != 6 {
+	if n, _ := HPsForDS("bst"); n != 6 {
 		t.Fatalf("bst HPs = %d", n)
 	}
-	if n, _ := HPsForDS("skiplist", 16); n != 35 {
+	if n, _ := HPsForDS("skiplist"); n != 35 {
 		t.Fatalf("skiplist HPs = %d (the paper's 'up to 35')", n)
 	}
-	if _, err := HPsForDS("nope", 0); err == nil {
+	if _, err := HPsForDS("nope"); err == nil {
 		t.Fatal("unknown DS must error")
 	}
 }

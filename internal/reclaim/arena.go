@@ -12,8 +12,9 @@ package reclaim
 // initial (soft) Config.Workers slots; each growth appends one segment that
 // doubles total capacity, clamped to the hard cap (Config.HardMaxWorkers,
 // or MaxArenaSlots when elastic). Slot indices are dense and stable, so
-// everything keyed by slot index — guards, hazard records, the public
-// containers' handle caches — survives growth untouched.
+// everything keyed by slot index — guards, hazard records, the client
+// cell where a container keeps the slot's structure handle — survives growth
+// untouched.
 //
 // Concurrency contract. Growth publishes a segment pointer with an atomic
 // store and only then advances the published-slot count (`high`). Readers
@@ -31,7 +32,6 @@ package reclaim
 
 import (
 	"math/bits"
-	"sync"
 	"sync/atomic"
 )
 
@@ -130,55 +130,4 @@ func (a *arena[T]) grow(n int) {
 		a.high.Store(end)
 		hi = end
 	}
-}
-
-// SlotTable is a per-slot side table for a domain's clients (the public
-// containers' structure-handle caches, the harness): entry w belongs
-// exclusively to slot w's current leaseholder, and the table grows with
-// the domain's elastic guard arena — Get publishes the covering segment on
-// first touch. Entries start as T's zero value; the slot owner fills them
-// (slot ownership serializes all access to one entry, so no further
-// locking is needed).
-type SlotTable[T any] struct {
-	init uint32
-	cap  uint32
-	mu   sync.Mutex
-	segs []atomic.Pointer[[]T]
-}
-
-// NewSlotTable sizes a table for a domain built with the same initial and
-// hardMax (0 hardMax = elastic, like Config.HardMaxWorkers).
-func NewSlotTable[T any](initial, hardMax int) *SlotTable[T] {
-	if initial <= 0 {
-		initial = 1
-	}
-	if hardMax <= 0 {
-		hardMax = MaxArenaSlots
-	}
-	if hardMax < initial {
-		hardMax = initial
-	}
-	return &SlotTable[T]{
-		init: uint32(initial),
-		cap:  uint32(hardMax),
-		segs: make([]atomic.Pointer[[]T], numSegs(uint32(initial), uint32(hardMax))),
-	}
-}
-
-// Get returns a pointer to slot w's entry, publishing its segment first if
-// this is the segment's first touch. The hot path is two loads.
-func (t *SlotTable[T]) Get(w int) *T {
-	s, off := segOf(uint32(w), t.init)
-	seg := t.segs[s].Load()
-	if seg == nil {
-		t.mu.Lock()
-		if seg = t.segs[s].Load(); seg == nil {
-			lo, end := segBounds(s, t.init, t.cap)
-			fresh := make([]T, end-lo)
-			seg = &fresh
-			t.segs[s].Store(seg)
-		}
-		t.mu.Unlock()
-	}
-	return &(*seg)[off]
 }

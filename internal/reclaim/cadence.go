@@ -25,9 +25,11 @@ import (
 //     form). By then, any hazard pointer stored before the node was removed
 //     has been flushed, so the shared-slot snapshot is conclusive.
 //
-// Dropping either mechanism is unsafe; the DisableDeferral ablation
-// demonstrably produces use-after-free violations (see cadence tests and
-// the §4.1 model in internal/tso).
+// Dropping either mechanism is unsafe. Without deferral (the committed
+// mutant testdata/mutants/no-deferral.patch, which has scanTick return the
+// largest tick) a pending hazard pointer loses its node: the cadence and
+// qsense deferral tests fail on it with a use-after-free, as the §4.1 model
+// in internal/tso predicts.
 type Cadence struct{ hazardDomain }
 
 // cadenceGuard is hazardGuard (hp.go) under a rooster: what the scheme adds
@@ -72,11 +74,10 @@ func (g *cadenceGuard) Retire(r mem.Ref) {
 }
 
 // scanTick is the tick a deferred scan judges oldness against, captured
-// before its snapshot (rooster.OldEnoughAt). Without deferral — hp has no
-// rooster, and DisableDeferral is the unsafe ablation — it is the largest
-// tick, at which every node is old enough.
+// before its snapshot (rooster.OldEnoughAt). Without a rooster (hp) it is
+// the largest tick, at which every node is old enough.
 func (d *domainCore) scanTick() uint64 {
-	if d.mgr == nil || d.cfg.DisableDeferral {
+	if d.mgr == nil {
 		return math.MaxUint64
 	}
 	return d.mgr.Tick()

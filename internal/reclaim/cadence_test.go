@@ -6,11 +6,11 @@ import (
 	"qsense/internal/mem"
 )
 
-func newCadenceDomain(t *testing.T, pool *mem.Pool[tnode], workers, k, r int, disableDeferral bool) *Cadence {
+func newCadenceDomain(t *testing.T, pool *mem.Pool[tnode], workers, k, r int) *Cadence {
 	t.Helper()
 	d, err := NewCadence(Config{
 		Workers: workers, HPs: k, Free: freeInto(pool), R: r,
-		ManualRooster: true, DisableDeferral: disableDeferral,
+		ManualRooster: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -26,7 +26,7 @@ func newCadenceDomain(t *testing.T, pool *mem.Pool[tnode], workers, k, r int, di
 // retirement and flushed the publication.
 func TestCadenceDeferralProtectsUnflushedHP(t *testing.T) {
 	pool := newTestPool()
-	d := newCadenceDomain(t, pool, 2, 1, 1, false)
+	d := newCadenceDomain(t, pool, 2, 1, 1)
 	gs := acquire(t, d, 2)
 	reclaimer, reader := gs[0], gs[1]
 
@@ -71,30 +71,9 @@ func TestCadenceDeferralProtectsUnflushedHP(t *testing.T) {
 	}
 }
 
-// TestCadenceWithoutDeferralIsUnsafe is the ablation the paper's §4.1
-// rationale predicts: drop the old-enough check and an unflushed hazard
-// pointer loses its node — a real, detected use-after-free.
-func TestCadenceWithoutDeferralIsUnsafe(t *testing.T) {
-	pool := newTestPool()
-	d := newCadenceDomain(t, pool, 2, 1, 1, true /* DisableDeferral */)
-	gs := acquire(t, d, 2)
-	reclaimer, reader := gs[0], gs[1]
-
-	r := allocNode(pool, 7)
-	reader.Protect(0, r) // pending, not flushed
-	reclaimer.Retire(r)  // scan sees no shared HP and no age check: frees!
-
-	viol := violationOf(func() { pool.Get(r) })
-	if viol == nil {
-		t.Fatal("expected a use-after-free violation with deferral disabled; " +
-			"the ablation should demonstrate the §4.1 race")
-	}
-	d.Close()
-}
-
 func TestCadenceUnprotectedFreedAfterTwoPasses(t *testing.T) {
 	pool := newTestPool()
-	d := newCadenceDomain(t, pool, 1, 1, 1, false)
+	d := newCadenceDomain(t, pool, 1, 1, 1)
 	g := acquire(t, d, 1)[0]
 	r := allocNode(pool, 1)
 	g.Retire(r)
@@ -116,7 +95,7 @@ func TestCadenceNoRoosterNoReclamation(t *testing.T) {
 	// "rooster processes never fail"). With the rooster halted, nothing
 	// is ever old enough; once it beats again, reclamation resumes.
 	pool := newTestPool()
-	d := newCadenceDomain(t, pool, 1, 1, 2, false)
+	d := newCadenceDomain(t, pool, 1, 1, 2)
 	g := acquire(t, d, 1)[0]
 	for i := 0; i < 100; i++ {
 		g.Retire(allocNode(pool, uint64(i)))
@@ -138,7 +117,7 @@ func TestCadenceStalledWorkerDelaysOnlyItsNodes(t *testing.T) {
 	// the system's pending count stays bounded while others churn.
 	pool := newTestPool()
 	const workers, k, r = 4, 2, 8
-	d := newCadenceDomain(t, pool, workers, k, r, false)
+	d := newCadenceDomain(t, pool, workers, k, r)
 	stalled := acquire(t, d, 1)[0]
 	pinned := allocNode(pool, 99)
 	stalled.Protect(0, pinned)
@@ -171,7 +150,7 @@ func TestCadenceStalledWorkerDelaysOnlyItsNodes(t *testing.T) {
 
 func TestCadenceScanThresholdR(t *testing.T) {
 	pool := newTestPool()
-	d := newCadenceDomain(t, pool, 1, 1, 5, false)
+	d := newCadenceDomain(t, pool, 1, 1, 5)
 	g := acquire(t, d, 1)[0]
 	for i := 0; i < 4; i++ {
 		g.Retire(allocNode(pool, uint64(i)))
@@ -187,7 +166,7 @@ func TestCadenceScanThresholdR(t *testing.T) {
 
 func TestCadenceStatsRoosterPasses(t *testing.T) {
 	pool := newTestPool()
-	d := newCadenceDomain(t, pool, 1, 1, 1, false)
+	d := newCadenceDomain(t, pool, 1, 1, 1)
 	d.Rooster().Step()
 	d.Rooster().Step()
 	if st := d.Stats(); st.RoosterPasses != 2 {

@@ -196,23 +196,33 @@ func TestConfigDefaults(t *testing.T) {
 	if want := 2*4*3 + 64; c.R != want {
 		t.Errorf("R default = %d, want %d", c.R, want)
 	}
-	if c.MaxRemovePerOp != 2 {
-		t.Errorf("m default = %d", c.MaxRemovePerOp)
-	}
 	if c.C < LegalC(c) {
 		t.Errorf("C default %d below legal %d", c.C, LegalC(c))
-	}
-	if c.PresenceResetTicks != 50 {
-		t.Errorf("presence reset default = %d", c.PresenceResetTicks)
 	}
 }
 
 func TestLegalC(t *testing.T) {
-	c := Config{Workers: 8, HPs: 2, Q: 32, R: 64, MaxRemovePerOp: 2}
+	c := Config{Workers: 8, HPs: 2, Q: 32, R: 64}
 	legal := LegalC(c)
 	// C must exceed mQ = 64, NK+T = 16+64 = 80, (K+T+R)/2 = 65.
 	if legal <= 80 {
 		t.Fatalf("LegalC = %d, must exceed NK+T = 80", legal)
+	}
+	// Pinned values, m = 2 throughout: the BST's m, which also bounds the
+	// list's and skip list's m = 1 (the last row is the harness's list).
+	for _, tc := range []struct {
+		c    Config
+		want int
+	}{
+		{Config{Workers: 4, HPs: 2, Q: 2, R: 8}, 17},   // NK+T = 8+8
+		{Config{Workers: 8, HPs: 2, Q: 32, R: 64}, 81}, // NK+T = 16+64
+		{Config{Workers: 4, HPs: 35}, 485},             // R = 344: NK+T = 140+344
+		{Config{Workers: 8, HPs: 6, Q: 32}, 209},       // R = 160: NK+T = 48+160
+		{Config{Workers: 1, HPs: 1, Q: 64, R: 1}, 129}, // mQ = 2·64
+	} {
+		if got := LegalC(tc.c); got != tc.want {
+			t.Errorf("LegalC(W%d K%d Q%d R%d) = %d, want %d", tc.c.Workers, tc.c.HPs, tc.c.Q, tc.c.R, got, tc.want)
+		}
 	}
 	// QSense must reject an illegal explicit C.
 	pool := newTestPool()

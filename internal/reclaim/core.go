@@ -52,11 +52,13 @@ func (g *guardCore) core() *guardCore { return g }
 // slotCore is the kernel's table entry for one slot: the guard's kernel
 // half plus the guard itself as the kernel calls it (pol) and as Acquire
 // hands it out (pub) — converted once at construction, so the lease path
-// converts nothing.
+// converts nothing — and the slot's client cell (SlotClient), which sits
+// here rather than on guardCore so Protect's cache line stays as it was.
 type slotCore struct {
 	*guardCore
-	pol policy
-	pub Guard
+	pol    policy
+	pub    Guard
+	client any
 }
 
 // domainCore owns everything a domain has whatever its scheme: the name,

@@ -44,7 +44,8 @@ func TestSegGeometry(t *testing.T) {
 
 // TestAcquireGrowsArena is the tentpole contract: with no hard cap, Acquire
 // never returns ErrNoSlots — the arena grows by publish-once segments —
-// and the new capacity stats report the growth.
+// and the new capacity stats report the growth. Each slot, grown or not,
+// has its own client cell, and the cell outlives a lease.
 func TestAcquireGrowsArena(t *testing.T) {
 	const initial, leases = 2, 40
 	for _, scheme := range Schemes() {
@@ -67,10 +68,16 @@ func TestAcquireGrowsArena(t *testing.T) {
 				if err != nil {
 					t.Fatalf("acquire %d on an elastic arena: %v", i, err)
 				}
-				if w := SlotIndex(g); seen[w] {
+				w := SlotIndex(g)
+				if seen[w] {
 					t.Fatalf("slot %d handed out twice", w)
+				}
+				seen[w] = true
+				// Every slot, grown ones included, has its own client cell.
+				if cell := SlotClient(g); *cell != nil {
+					t.Fatalf("slot %d's client cell starts as %v, want nil", w, *cell)
 				} else {
-					seen[w] = true
+					*cell = w
 				}
 				guards[i] = g
 			}
@@ -97,6 +104,9 @@ func TestAcquireGrowsArena(t *testing.T) {
 			g, err := d.Acquire()
 			if err != nil {
 				t.Fatal(err)
+			}
+			if got := *SlotClient(g); got != SlotIndex(g) {
+				t.Fatalf("slot %d's client cell holds %v after a re-lease, want its own index", SlotIndex(g), got)
 			}
 			d.Release(g)
 			if got := d.Stats().ArenaSize; got != size {

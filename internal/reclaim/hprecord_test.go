@@ -60,7 +60,7 @@ func TestInactiveRecordIsInvisible(t *testing.T) {
 // re-activation leaves shared equal to pending.
 func TestFlushFollowsActiveWord(t *testing.T) {
 	pool := newTestPool()
-	d := newCadenceDomain(t, pool, 2, 2, 1, false)
+	d := newCadenceDomain(t, pool, 2, 2, 1)
 	defer d.Close()
 	g := acquire(t, d, 1)[0].(*cadenceGuard)
 	a, b := allocNode(pool, 1), allocNode(pool, 2)

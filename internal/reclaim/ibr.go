@@ -27,9 +27,9 @@ import (
 // source link after Protect, so a node it can still reach has a lifetime
 // intersecting its reservation; a node unlinked before the reader's Begin
 // is unreachable from the root, and the substrate's generation tags plus
-// link re-validation reject anything freed mid-traversal. This is why the
-// applicability matrix requires "tolerates transient access to retired
-// nodes" of IBR's structures — the guarded-traversal containers all do.
+// link re-validation reject anything freed mid-traversal. This is why IBR
+// needs its structures to tolerate transient access to retired nodes —
+// every container here does, as its traversal re-validates each link.
 //
 // The era clock advances every eraQ retires — an ADAPTIVE cadence seeded
 // from Config.Q (the 2GEIBR epochFreq knob) and steered by the observed

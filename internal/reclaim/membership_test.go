@@ -133,8 +133,7 @@ func TestQSenseEvictionRestoresFastPathAfterCrash(t *testing.T) {
 	// ignores it; the system returns to (and stays on) the fast path.
 	pool := newTestPool()
 	cfg := Config{Workers: 2, HPs: 1, Q: 1, R: 1, Free: freeInto(pool),
-		ManualRooster: true, EvictAfter: 20 * time.Millisecond,
-		PresenceResetTicks: 1}
+		ManualRooster: true, EvictAfter: 20 * time.Millisecond}
 	cfg.C = LegalC(cfg)
 	d, err := NewQSense(cfg)
 	if err != nil {
@@ -150,7 +149,7 @@ func TestQSenseEvictionRestoresFastPathAfterCrash(t *testing.T) {
 	if !d.InFallback() {
 		t.Fatal("setup: not in fallback")
 	}
-	d.Rooster().Step() // presence reset: the crashed worker's stale flag clears
+	stepToPresenceReset(d) // the crashed worker's stale flag clears
 	active.Begin()
 	// Checked only while the eviction window is provably still open: on a
 	// loaded machine the set-up above can outlast EvictAfter, and the

@@ -26,7 +26,7 @@ import (
 //     the shared fallback flag and immediately runs a Cadence scan over its
 //     three limbo buckets. Other workers observe the flag in Retire.
 //   - fallback -> fast: workers set their presence flag every Q-th Begin;
-//     the rooster manager clears all flags every PresenceResetTicks passes.
+//     the rooster manager clears all flags every presenceResetTicks passes.
 //     A worker that observes every flag set concludes all workers are live
 //     again, lowers the fallback flag, and declares a quiescent state.
 //
@@ -82,7 +82,7 @@ func NewQSense(cfg Config) (*QSense, error) {
 	d.mgr = rooster.NewManager(d.cfg.Rooster)
 	d.peer = func(i int) *epochMember { return &d.guards.at(i).epochMember }
 	d.extraStats = func(s *Stats) { s.InFallback = d.fallback.Load() }
-	d.mgr.AddHook(d.cfg.PresenceResetTicks, d.resetPresence)
+	d.mgr.AddHook(presenceResetTicks, d.resetPresence)
 	// A QSense orphan batch carries both evidence forms; the rooster's
 	// adoption hook uses the deferred-scan one, which works on either path
 	// — in particular in fallback mode, where the frozen epoch never
@@ -96,10 +96,19 @@ func NewQSense(cfg Config) (*QSense, error) {
 	return d, nil
 }
 
-// resetPresence clears the presence flags of the occupied guards (§5.2,
-// step 3). Vacant guards' flags are irrelevant — allActive skips inactive
-// workers — and a stale flag on a parked segment's guard is cleared by the
-// join path when the slot ever leases again.
+// presenceResetTicks is how many rooster passes elapse between presence
+// resets (§5.2, step 3): 100 ms at the default 2 ms interval. The period
+// must comfortably exceed a scheduler timeslice: with more workers than
+// cores, a healthy worker can sit descheduled for tens of milliseconds, and
+// a shorter period would read that as "not all processes are active" and
+// postpone the switch back to the fast path indefinitely.
+const presenceResetTicks = 50
+
+// resetPresence clears the presence flags of the occupied guards every
+// presenceResetTicks passes (§5.2, step 3). Vacant guards' flags are
+// irrelevant — allActive skips inactive workers — and a stale flag on a
+// parked segment's guard is cleared by the join path when the slot ever
+// leases again.
 func (d *QSense) resetPresence() {
 	n := d.slots.walkOccupied(func(i int) bool {
 		d.guards.at(i).presence.Store(false)

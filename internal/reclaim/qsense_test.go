@@ -149,7 +149,7 @@ func TestQSensePresenceResetBlocksPrematureSwitchBack(t *testing.T) {
 	// After a presence reset, one active worker alone must not conclude
 	// that everyone is back.
 	pool := newTestPool()
-	cfg := Config{Workers: 2, HPs: 1, Q: 1, R: 1, PresenceResetTicks: 1}
+	cfg := Config{Workers: 2, HPs: 1, Q: 1, R: 1}
 	cfg.C = LegalC(cfg)
 	d := newQSenseDomain(t, pool, cfg)
 	gs := acquire(t, d, 2)
@@ -161,9 +161,9 @@ func TestQSensePresenceResetBlocksPrematureSwitchBack(t *testing.T) {
 	if !d.InFallback() {
 		t.Fatal("setup: not in fallback")
 	}
-	stalled.Begin()    // wakes briefly, sets presence...
-	d.Rooster().Step() // ...but the reset hook clears all flags
-	active.Begin()     // sees presence[stalled] == false
+	stalled.Begin()        // wakes briefly, sets presence...
+	stepToPresenceReset(d) // ...but the reset hook clears all flags
+	active.Begin()         // sees presence[stalled] == false
 	if !d.InFallback() {
 		t.Fatal("switched back although the stalled worker is silent again")
 	}

@@ -193,11 +193,6 @@ type Config struct {
 	// raised to stay legal (and falls back once the arena drains; see
 	// tune.go and Stats.CRetunes).
 	C int
-	// MaxRemovePerOp is the paper's m: the most nodes one operation can
-	// remove (2 for the external BST, 1 for list and skip list).
-	// Default 2.
-	MaxRemovePerOp int
-
 	// MemoryLimit, when > 0, marks the domain Failed once more than this
 	// many retired nodes await reclamation (OOM emulation). The retiring
 	// guard checks the limit on every Retire against the shared counters
@@ -212,15 +207,6 @@ type Config struct {
 	// ManualRooster suppresses the manager's timer; tests drive passes
 	// deterministically through Domain-specific Step methods.
 	ManualRooster bool
-	// PresenceResetTicks is how many rooster passes elapse between resets
-	// of QSense's presence-flag array (§5.2, step 3). The reset period
-	// (this value times the rooster interval) must comfortably exceed an
-	// OS/runtime scheduler timeslice: with more workers than cores, a
-	// perfectly healthy worker can sit descheduled for tens of
-	// milliseconds, and a shorter period would read that as "not all
-	// processes are active" and postpone the switch back to the fast
-	// path indefinitely. Default 50 (100ms at the default 2ms interval).
-	PresenceResetTicks int
 
 	// FenceCost, when > 0, adds a modelled stall of this length
 	// (internal/fence's calibrated busy-spin) to every HP Protect, on top
@@ -231,11 +217,6 @@ type Config struct {
 	// (hp@model50ns). Negative is a configuration error; every other
 	// scheme ignores the field.
 	FenceCost time.Duration
-
-	// DisableDeferral removes Cadence's old-enough check. UNSAFE: only
-	// for the ablation demonstrating why deferred reclamation is needed
-	// (§5.1); stress tests show it produces use-after-free violations.
-	DisableDeferral bool
 
 	// Deprecated: ignored; the domain core has one shard.
 	Shards int
@@ -315,15 +296,9 @@ func (c Config) withDefaults() Config {
 		c.R = 2*c.Workers*c.HPs + 64
 		c.rAuto = true // defaulted: re-derive from live occupancy (tune.go)
 	}
-	if c.MaxRemovePerOp <= 0 {
-		c.MaxRemovePerOp = 2
-	}
 	if c.C <= 0 {
 		c.C = max(LegalC(c), 8192)
 		c.cAuto = true
-	}
-	if c.PresenceResetTicks <= 0 {
-		c.PresenceResetTicks = 50
 	}
 	return c
 }
@@ -348,13 +323,17 @@ func (c Config) Validate(needFree bool) error {
 	return nil
 }
 
+// maxRemovePerOp is the paper's m, the most nodes one operation can remove:
+// 2 for the external BST (a leaf and its parent), 1 for every other
+// structure here. LegalC takes the largest, so one bound covers them all.
+const maxRemovePerOp = 2
+
 // LegalC returns the smallest legal fallback threshold per §6.2:
 // C > max(mQ, NK+T, (K+T+R)/2), with the rooster interval T expressed in
 // retired nodes per rooster pass; we bound that by R (a worker scans, and
 // thus caps its backlog growth, every R retires), which keeps the bound
 // sound while staying in node units.
 func LegalC(c Config) int {
-	c.MaxRemovePerOp = max(c.MaxRemovePerOp, 2)
 	if c.Q <= 0 {
 		c.Q = 32
 	}
@@ -363,7 +342,7 @@ func LegalC(c Config) int {
 	}
 	t := c.R // stand-in for T in node units; see doc comment
 	m := max(
-		c.MaxRemovePerOp*c.Q,
+		maxRemovePerOp*c.Q,
 		c.Workers*c.HPs+t,
 		(c.HPs+t+c.R)/2,
 	)
@@ -434,10 +413,6 @@ func Schemes() []string {
 	}
 	return names
 }
-
-// PaperSchemes lists only the five schemes of the paper's evaluation
-// (Figures 3 and 5); the experiment drivers default to these.
-func PaperSchemes() []string { return Schemes()[:5] }
 
 // Stats is a point-in-time snapshot of a domain's counters.
 type Stats struct {
@@ -515,7 +490,20 @@ type Stats struct {
 
 // SlotIndex reports the arena slot index a guard occupies, stable across
 // leases: slot w's guard is the same object for every tenant. The public
-// containers key their per-slot structure-handle caches by it.
+// containers seed a slot's structure handle with it.
 func SlotIndex(g Guard) int {
 	return g.(policy).core().id
+}
+
+// SlotClient returns the client cell of the slot g occupies: one value per
+// slot, nil until set, that survives every lease. The public containers and
+// the harness keep there the structure handle they bind to the slot's guard
+// on its first lease, which stays correct for every later tenant because
+// the guard is the same object. The cell belongs to the slot's current
+// leaseholder, ordered by the slot pool's lease and release atomics, and it
+// lives in the slot's kernel record, so slots minted by elastic growth have
+// one too.
+func SlotClient(g Guard) *any {
+	c := g.(policy).core()
+	return &c.dom.cores.at(c.id).client
 }

@@ -82,19 +82,15 @@ func corePools(t *testing.T, d Domain) *slotPool {
 	return nil
 }
 
-// violationOf runs f and returns the *mem.Violation it panicked with, or nil.
-func violationOf(f func()) (viol *mem.Violation) {
-	defer func() {
-		if r := recover(); r != nil {
-			if v, ok := r.(*mem.Violation); ok {
-				viol = v
-				return
-			}
-			panic(r)
+// stepToPresenceReset steps d's rooster through the next pass that runs
+// QSense's presence reset (every presenceResetTicks passes).
+func stepToPresenceReset(d *QSense) {
+	for {
+		d.Rooster().Step()
+		if d.Rooster().Tick()%presenceResetTicks == 0 {
+			return
 		}
-	}()
-	f()
-	return nil
+	}
 }
 
 // mailbox is a tiny lock-free shared structure used by the cross-scheme

@@ -88,9 +88,11 @@
 // reference counter seeded from the active workers it was delivered to,
 // and the last acknowledger frees the whole batch). ParseScheme validates
 // a scheme name from flags or config; SchemeNames lists the valid names.
-// All containers and the custom-structure API are scheme-agnostic —
-// Applicability reports the full scheme×structure matrix and why each
-// pairing holds.
+// All containers and the custom-structure API are scheme-agnostic: every
+// container runs under every scheme, because each traversal publishes a
+// protection per hop and re-validates the link (what the pointer-based
+// schemes need) and tolerates reading a retired, not yet freed node (what
+// ibr needs).
 package qsense
 
 import (

@@ -1,23 +1,29 @@
 #!/usr/bin/env bash
-# The acceptance test of the search fingers', node index's and self values'
-# tests: each patch here is one wrong step — two remove a check of validate,
-# the proof an edge finger and a node index word share (internal/skiplist
-# package doc, "Fingers"), and each must also fail an index row;
-# index-no-key-check drops validate's key compare, so a node index word
-# naming another key's node answers for it (package doc, "Node index");
-# delete-edge-over-key has Delete leave an edge over the node prune found,
-# self-value-retired retires a displaced self value (value.go), stale-upper
-# leaves a reused upper array's words unzeroed (package doc, "Node layout":
-# the stale mark abandons the tower from level 6 up) — and every test named
-# beside it must FAIL on the patched tree. A patch that no longer applies
-# fails loudly (git apply --check) instead of rotting; a named test that
-# passes on a mutant is a test that checks nothing.
+# The acceptance test of the tests: each patch here is one wrong step, and
+# every test named beside it must FAIL on the patched tree. A patch that no
+# longer applies fails loudly (git apply --check) instead of rotting; a named
+# test that passes on a mutant is a test that checks nothing.
+#
+# The skip list's search fingers, node index and self values
+# (internal/skiplist): two patches remove a check of validate, the proof an
+# edge finger and a node index word share (package doc, "Fingers"), and each
+# must also fail an index row; index-no-key-check drops validate's key
+# compare, so a node index word naming another key's node answers for it
+# (package doc, "Node index"); delete-edge-over-key has Delete leave an edge
+# over the node prune found, self-value-retired retires a displaced self
+# value (value.go), stale-upper leaves a reused upper array's words unzeroed
+# (package doc, "Node layout": the stale mark abandons the tower from level 6
+# up).
+#
+# Reclamation (internal/reclaim): no-deferral drops Cadence's old-enough
+# check, so a scan frees a node whose hazard pointer is still pending — the
+# use-after-free of §4.1, on cadence and on qsense's fallback path.
 #
 # Runs on a copy of the tracked files under a temporary directory; the
-# working tree is not touched. Usage: bash internal/skiplist/testdata/mutants/kill.sh
+# working tree is not touched. Usage: bash testdata/mutants/kill.sh
 set -euo pipefail
 root="$(git -C "$(dirname "${BASH_SOURCE[0]}")" rev-parse --show-toplevel)"
-here="$root/internal/skiplist/testdata/mutants"
+here="$root/testdata/mutants"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
@@ -43,6 +49,8 @@ kills=(
 	"index-no-key-check.patch|./internal/skiplist|TestSkipListBulkSortedAndValid"
 	"index-no-key-check.patch|./internal/kvd|TestPipelinedSetsDoNotAlias"
 	"index-no-key-check.patch|.|TestSkipMapLinearizable"
+	"no-deferral.patch|./internal/reclaim|TestCadenceDeferralProtectsUnflushedHP"
+	"no-deferral.patch|./internal/reclaim|TestQSenseProtectionSurvivesPathSwitch"
 )
 
 cd "$root"
@@ -68,5 +76,5 @@ for kill in "${kills[@]}"; do
 		echo "$out" | tail -20
 		exit 1
 	fi
-	echo "killed: $patch by $name ($pkg) in $((SECONDS - start))s: $(grep -m1 -E 'seed|finger_test|lincheck:' <<<"$out" | cut -c1-160 | sed 's/^ *//')"
+	echo "killed: $patch by $name ($pkg) in $((SECONDS - start))s: $(grep -m1 -E 'seed|finger_test|lincheck:|deferral broken' <<<"$out" | cut -c1-160 | sed 's/^ *//')"
 done
