@@ -17,8 +17,8 @@ vet:
 	$(GO) vet ./...
 
 # Each committed mutant (the skip list's validation, values and towers;
-# Cadence's deferral) must still apply and must fail every test named
-# beside it.
+# Cadence's deferral; the server's Join) must still apply and must fail
+# every test named beside it.
 mutants:
 	bash testdata/mutants/kill.sh
 

@@ -72,8 +72,8 @@ func main() {
 		vsizes   = flag.String("vsizes", "8", "comma-separated base value sizes (bytes) to sweep; >1 entry labels curves scheme@v<N>")
 		vmax     = flag.Int("vmax", 0, "zipf-extend each value up to this many bytes (0 = fixed at the base size)")
 		vtheta   = flag.Float64("vtheta", 0.99, "zipf skew of the value-size extension in (0,1); <=0 = uniform")
-		stalls   = flag.Int("stall-conns", 0, "extra connections that dial, hold their lease and send nothing (stalled-reader chaos)")
-		stallLeg = flag.Int("stall-leg", 0, "append one extra curve: the first scheme rerun with this many stalled connections")
+		stalls   = flag.Int("stall-conns", 0, "extra connections that dial, hold their lease and send nothing (idle clients: each holds a slot, none pins garbage)")
+		stallLeg = flag.Int("stall-leg", 0, "append one extra curve: the first scheme rerun beside this many idle (-stall-conns) connections")
 	)
 	flag.Parse()
 
@@ -146,8 +146,8 @@ type loadOpts struct {
 
 // runLoad sweeps schemes x value sizes x connection counts and renders the
 // curves. With -stall-leg it appends one more curve — the first scheme rerun
-// with that many stalled connections — so a single table carries the
-// stalled-reader leg alongside the clean ones.
+// beside that many idle -stall-conns connections — so a single table carries
+// the idle-client leg alongside the clean ones.
 func runLoad(o loadOpts) {
 	if o.stallLeg > 0 && o.target != "" {
 		fatal(fmt.Errorf("-stall-leg reruns a self-hosted scheme and cannot be combined with -target (use -stall-conns)"))

@@ -207,6 +207,17 @@ type MapHandle interface {
 	// Delete removes key, reporting false if it was absent. The removed
 	// value is retired through the domain alongside the node.
 	Delete(key int64) bool
+	// Leave takes the handle out of reclamation while its goroutine waits
+	// on something other than the map (a socket read, a queue), keeping
+	// the lease: under QSBR and QSense an idle handle otherwise holds
+	// back every grace period, and QSense's fast path with them. Call it
+	// between operations, never inside one; call Join before the next
+	// operation. The pair behaves as Guard.Leave and Guard.Join do, and
+	// is a no-op on schemes without epoch membership.
+	Leave()
+	// Join brings a handle that Left back into reclamation before its
+	// next operation. It is not counted in Stats.Rejoins.
+	Join()
 	// Release returns the handle's reclamation slot to the container so
 	// another goroutine can Acquire it. The handle must not be used
 	// afterwards; extra calls are no-ops.

@@ -189,6 +189,21 @@ func (l *lease) Release() {
 	l.d.Release(l.g)
 }
 
+// Leave and Join are the one implementation of the park protocol behind
+// Guard.Leave/Join and MapHandle.Leave/Join (reclaim.Leaver; no-ops on
+// schemes without epoch membership).
+func (l *lease) Leave() {
+	if m, ok := l.g.(reclaim.Leaver); ok {
+		m.Leave()
+	}
+}
+
+func (l *lease) Join() {
+	if m, ok := l.g.(reclaim.Leaver); ok {
+		m.Join()
+	}
+}
+
 // Guard is a worker's reclamation handle — the paper's three-call
 // interface (§4.2). Methods must be called only by the owning worker.
 // Guards are leased from Domain.Acquire; call Release when done. The zero
@@ -236,17 +251,10 @@ func (g Guard) Release() { g.l.Release() }
 // Join before operating again. On schemes without epoch membership (HP,
 // Cadence, RC, None) Leave is a no-op — those schemes never wait on an
 // idle worker in the first place.
-func (g Guard) Leave() {
-	if l, ok := g.g.(reclaim.Leaver); ok {
-		l.Leave()
-	}
-}
+func (g Guard) Leave() { g.l.Leave() }
 
 // Join re-enters the protocol after Leave: the guard adopts the current
 // epoch, and limbo buckets that aged out while away are freed wholesale.
-// No-op on schemes without epoch membership.
-func (g Guard) Join() {
-	if l, ok := g.g.(reclaim.Leaver); ok {
-		l.Join()
-	}
-}
+// It is the same quiet re-entry a lease makes, so it counts no
+// Stats.Rejoins. No-op on schemes without epoch membership.
+func (g Guard) Join() { g.l.Join() }

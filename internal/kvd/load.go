@@ -42,12 +42,15 @@ type LoadConfig struct {
 	// map contents).
 	NoPrefill bool
 	// StallConns opens this many extra connections that dial, then hold
-	// the socket silently for the whole run — each one pins a leased map
-	// handle server-side while sending nothing. This is the TCP face of
-	// the fault matrix's stalled reader: against a server without
-	// IdleTimeout the leases stay pinned for the run; with IdleTimeout
-	// set the server is expected to evict them (visible as idle_timeouts
-	// in the server's STATS). Healthy workers keep running either way.
+	// the socket silently for the whole run — each one holds a leased map
+	// handle server-side while sending nothing. They are idle clients,
+	// not the fault matrix's stalled reader: the server's handle leaves
+	// reclamation while it waits on the socket, so they cost a slot, a
+	// goroutine and buffers each but pin no garbage. Against a server
+	// without IdleTimeout the leases stay held for the run; with
+	// IdleTimeout set the server is expected to drop them (visible as
+	// idle_timeouts in the server's STATS). Healthy workers keep running
+	// either way.
 	StallConns int
 }
 
@@ -129,7 +132,7 @@ func RunLoad(cfg LoadConfig) (LoadResult, error) {
 	bad := make([]uint64, cfg.Conns)
 	start := time.Now()
 	// Stalled connections dial before the healthy pool so their leases are
-	// pinned for the whole measured window.
+	// held for the whole measured window.
 	stallStop := make(chan struct{})
 	var stallWg sync.WaitGroup
 	for i := 0; i < cfg.StallConns; i++ {

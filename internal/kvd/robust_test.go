@@ -141,11 +141,17 @@ func TestIdleTimeoutReleasesStalledLease(t *testing.T) {
 // TestMemoryPressureBusyAndRecovery: under a stalled reader an epoch
 // scheme's pending grows without bound; with MemoryLimit the server sheds
 // SET/DEL with -BUSY while GET keeps serving, and recovers (writes accepted
-// again) once the stalled connection goes away and reclamation drains.
+// again) once the stalled lease goes away and reclamation drains.
 func TestMemoryPressureBusyAndRecovery(t *testing.T) {
 	const limit = 64
 	s, addr := startServer(t, Config{Scheme: "qsbr", MemoryLimit: limit})
-	stalled := dialClient(t, addr) // pins the epoch: leased handle, no ops
+	// The stalled party is a lease of the server's map that never operates
+	// again: it pins the epoch. (An idle connection would not: its handle
+	// leaves reclamation while it waits; TestIdleConnPinsNothing.)
+	stalled, err := s.m.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
 	w := dialClient(t, addr)
 
 	// Build pending past the limit: each SET+DEL pair retires at least one
@@ -179,23 +185,60 @@ func TestMemoryPressureBusyAndRecovery(t *testing.T) {
 		t.Fatal("busy_rejected counter not incremented")
 	}
 
-	// Recovery: the stalled client goes away; its EOF releases the lease,
-	// the writer's own ops drive quiescence, pending drains, and writes
-	// are accepted again.
-	stalled.c.Close()
+	// Recovery: the stalled lease goes away, the writer's own ops drive
+	// quiescence, pending drains, and writes are accepted again.
+	stalled.Release()
 	deadline = time.Now().Add(15 * time.Second)
 	for {
 		if rp := w.do(t, "SET", "9999", "1"); !rp.IsError() {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("writes still shed %v after the stalled conn closed (pending %d)",
+			t.Fatalf("writes still shed %v after the stalled lease was released (pending %d)",
 				15*time.Second, s.Stats().Pending)
 		}
 		w.do(t, "GET", "0") // keep the epoch machinery turning
 		time.Sleep(5 * time.Millisecond)
 	}
 	leasesBalanced(t, s, "after memory-pressure recovery")
+}
+
+// TestIdleConnPinsNothing: a connection that took its lease and went quiet
+// after one PING is out of reclamation while it waits, so under an epoch
+// scheme the writer's retires keep draining: no -BUSY under a tight
+// MemoryLimit, QSense on its fast path, and no Rejoins — the handle's
+// return after each socket read is the quiet Join, not a recovery.
+func TestIdleConnPinsNothing(t *testing.T) {
+	for _, scheme := range []string{"qsbr", "qsense"} {
+		t.Run(scheme, func(t *testing.T) {
+			const limit, pairs = 64, 20000
+			s, addr := startServer(t, Config{Scheme: scheme, MemoryLimit: limit})
+			idle := dialClient(t, addr)
+			if rp := idle.do(t, "PING"); rp.Str != "PONG" {
+				t.Fatalf("idle conn: %+v", rp)
+			}
+			w := dialClient(t, addr)
+			for i := 0; i < pairs; i++ {
+				k := strconv.Itoa(i % 1024)
+				if rp := w.do(t, "SET", k, "1"); rp.IsError() {
+					t.Fatalf("SET %d of %d: %s (pending %d, limit %d)", i, pairs, rp.Str, s.Stats().Pending, limit)
+				}
+				if rp := w.do(t, "DEL", k); rp.IsError() {
+					t.Fatalf("DEL %d of %d: %s (pending %d, limit %d)", i, pairs, rp.Str, s.Stats().Pending, limit)
+				}
+			}
+			st := s.Stats()
+			if st.InFallback {
+				t.Errorf("QSense on its fallback path beside an idle connection (%d switches)", st.SwitchesToFallback)
+			}
+			if st.Rejoins != 0 {
+				t.Errorf("rejoins %d, want 0: a Join after a socket read is not a recovery", st.Rejoins)
+			}
+			if rp := idle.do(t, "PING"); rp.Str != "PONG" {
+				t.Fatalf("idle conn after the writes: %+v", rp)
+			}
+		})
+	}
 }
 
 // TestPanicRecoveryKeepsServing: a command that panics (node-pool
@@ -241,7 +284,7 @@ func TestPanicRecoveryKeepsServing(t *testing.T) {
 }
 
 // TestRunLoadStallConns: the load generator's -stall-conns mode holds N
-// silent connections (pinning leases) while healthy workers keep scoring
+// silent connections (holding leases) while healthy workers keep scoring
 // ops against the same server.
 func TestRunLoadStallConns(t *testing.T) {
 	s, addr := startServer(t, Config{Scheme: "qsense"})

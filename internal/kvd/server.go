@@ -17,6 +17,14 @@
 // deadline and the MemoryLimit sampler's clock are handled per socket read
 // and per socket write, so a pipelined batch pays for them once.
 //
+// A connection waiting for its next command is out of reclamation: its
+// handle Leaves before each socket read and Joins after it, between
+// commands, where it holds no node. An idle client therefore holds back no
+// grace period, and QSense stays on its fast path beside any number of
+// them; only a connection stalled inside an operation can send it to the
+// fallback path. The Join is the quiet re-entry a lease makes, so STATS
+// rejoins stays 0.
+//
 // What a connection costs in memory: its goroutine, two 4 KiB resp buffers,
 // a guard slot and — from its first DEL, or GET that finds a key absent,
 // on — the 96 KiB finger table of the skip-list handle its slot carries
@@ -88,9 +96,10 @@ type Config struct {
 	// IdleTimeout, when > 0, is the deadline of each socket read: a
 	// connection that sends nothing for this long is disconnected and its
 	// leased map handle released — the defense against stalled readers
-	// over TCP (a parked client would otherwise hold its guard slot, and
-	// under an epoch scheme pin the server's garbage, forever). 0 keeps
-	// the pre-hardening behavior: reads block until the peer speaks or
+	// over TCP (a parked client would otherwise hold its guard slot, its
+	// goroutine and its buffers forever; it pins no garbage, because the
+	// handle leaves reclamation while the connection waits). 0 keeps the
+	// pre-hardening behavior: reads block until the peer speaks or
 	// Shutdown wakes them.
 	IdleTimeout time.Duration
 	// WriteTimeout, when > 0, is the deadline of each socket write,
@@ -301,19 +310,24 @@ func (s *Server) LiveConns() int {
 }
 
 // conn is one connection's state, and the net.Conn its resp reader and
-// writer sit on: deadlines are armed and the clock is read where the system
-// calls are, once per socket read or write (a pipelined batch) rather than
-// once per command, which also covers a large reply's auto-flush inside
-// dispatch.
+// writer sit on: deadlines are armed, the clock is read and the map handle
+// leaves and rejoins reclamation where the system calls are, once per
+// socket read or write (a pipelined batch) rather than once per command,
+// which also covers a large reply's auto-flush inside dispatch.
 type conn struct {
 	net.Conn
 	s      *Server
-	now    time.Time // when the last socket read returned: overLimit's clock
-	valBuf []byte    // scratch for GET copies
+	h      qsense.MapHandle // the connection's lease, set before the first Read
+	now    time.Time        // when the last socket read returned: overLimit's clock
+	valBuf []byte           // scratch for GET copies
 }
 
-// Read gives the peer IdleTimeout to send something: the stalled-reader
-// defense.
+// Read gives the peer IdleTimeout to send something (the stalled-reader
+// defense) and takes the handle out of reclamation while it waits, so an
+// idle connection holds back no grace period. The resp reader reads only
+// between commands, where the handle holds no node: every operation clears
+// its hazard pointers on exit, and GET's bytes are copied before dispatch
+// returns.
 func (c *conn) Read(p []byte) (int, error) {
 	if d := c.s.cfg.IdleTimeout; d > 0 {
 		c.Conn.SetReadDeadline(time.Now().Add(d))
@@ -323,7 +337,9 @@ func (c *conn) Read(p []byte) (int, error) {
 			c.Conn.SetReadDeadline(time.Now())
 		}
 	}
+	c.h.Leave()
 	n, err := c.Conn.Read(p)
+	c.h.Join()
 	c.now = time.Now()
 	return n, err
 }
@@ -361,6 +377,7 @@ func (s *Server) handle(nc net.Conn) {
 		return
 	}
 	defer h.Release()
+	c.h = h
 	// Registered after the Release defer, so it runs FIRST on unwind: a
 	// panicking command (pool exhaustion, a container bug) costs its own
 	// connection an -ERR and a close, never the lease — the slot goes back

@@ -22,7 +22,10 @@ package reclaim
 // epoch and, if at least three epochs elapsed while it was away, its limbo
 // buckets have all passed full grace periods with respect to every worker
 // that could have held references (the other workers advanced those epochs;
-// the owner itself held nothing while away) and are freed wholesale.
+// the owner itself held nothing while away) and are freed wholesale. Join
+// is the same quiet re-entry a lease makes (activate): an announced return
+// is not counted, so a server can Leave before every blocking socket read
+// and Join after it. On an active worker Join is a no-op.
 //
 // Eviction. With Config.EvictAfter > 0, a worker attempting an epoch
 // advance treats any peer that has not declared a quiescent state for that
@@ -31,8 +34,9 @@ package reclaim
 // accesses until it rejoins — eviction models *crash*, not mere slowness.
 // For merely-slow workers leave eviction disabled; QSense's fallback path
 // already keeps memory bounded without it. A worker that was evicted and
-// comes back alive notices at its next quiescent state and rejoins through
-// the same Join path (counted in Stats.Rejoins).
+// comes back alive notices at its next quiescent state and recovers there
+// (rejoin). Stats.Rejoins counts those recoveries and nothing else: an
+// evicted worker, or one that operated after Leave without Join.
 
 import (
 	"sync/atomic"
@@ -48,7 +52,8 @@ type Leaver interface {
 	// Leave removes this worker from grace-period accounting. Call only
 	// from a quiescent point: no references to shared nodes held.
 	Leave()
-	// Join re-enters the protocol; returns with the worker current.
+	// Join re-enters the protocol quietly (no Stats.Rejoins count);
+	// returns with the worker current. A no-op on an active worker.
 	Join()
 }
 
@@ -192,17 +197,15 @@ func (m *epochMember) Leave() {
 }
 
 // Join implements Leaver.
-func (m *epochMember) Join() {
-	m.rejoin()
-	m.mem.active.Store(true)
-}
+func (m *epochMember) Join() { m.activate() }
 
-// activate is the quiet join used when a worker leases an inactive slot:
-// adopt the global epoch, free limbo buckets that aged out while the slot
-// was inactive, and start participating. Unlike Join it does not count a
-// Rejoin — claiming a slot is lease bookkeeping (Stats.AcquiredHandles),
-// not crash recovery. adopt runs only on the false->true transition, so it
-// never resets a live worker's epoch.
+// activate is the quiet join, used when a worker leases an inactive slot
+// and by Join: adopt the global epoch, free limbo buckets that aged out
+// while the member was inactive, and start participating. It counts no
+// Rejoin — claiming a slot is lease bookkeeping (Stats.AcquiredHandles)
+// and a return from Leave is announced, neither is crash recovery. adopt
+// runs only on the false->true transition, so it never resets a live
+// worker's epoch.
 func (m *epochMember) activate() {
 	if m.mem.active.CompareAndSwap(false, true) {
 		m.adopt()
@@ -224,7 +227,9 @@ func (m *epochMember) adopt() {
 	}
 }
 
-// rejoin is adopt plus the Rejoins count — the Join/eviction-recovery path.
+// rejoin is adopt plus the Rejoins count — the recovery path of a worker
+// that reaches a quiescent state while inactive (evicted, or operating
+// after Leave without Join).
 func (m *epochMember) rejoin() {
 	m.adopt()
 	m.ed.cnt.rejoins.Add(1)

@@ -440,7 +440,9 @@ type Stats struct {
 	// SwitchesToFallback / SwitchesToFast count QSense path switches.
 	SwitchesToFallback, SwitchesToFast uint64
 	// Evictions and Rejoins count membership events (membership.go):
-	// workers excluded as crashed and workers that (re-)entered.
+	// workers excluded as crashed, and workers recovered at a quiescent
+	// state they reached while inactive (evicted, or operating after
+	// Leave without Join). A lease or a Join after Leave counts neither.
 	Evictions, Rejoins uint64
 	// AcquiredHandles and ReleasedHandles count slot leases granted and
 	// returned (slots.go); their difference is the leased count now.

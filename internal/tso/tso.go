@@ -30,8 +30,11 @@
 // users run:
 //
 //   - NaiveHybridSystem (unsafe) and CadenceNoDeferralSystem (unsafe):
-//     reclaim.TestCadenceWithoutDeferralIsUnsafe — an unflushed
-//     protection plus an immediate scan is a detected use-after-free.
+//     testdata/mutants/no-deferral.patch — with Cadence's old-enough check
+//     dropped, an unflushed protection plus an immediate scan is a detected
+//     use-after-free, and its two kill rows,
+//     reclaim.TestCadenceDeferralProtectsUnflushedHP and
+//     TestQSenseProtectionSurvivesPathSwitch, fail on the patched tree.
 //   - ClassicHPSystem (safe): reclaim.TestHPProtectedNodeSurvivesScan — a
 //     published protection is in every scan's snapshot, and its release
 //     lets the next scan free the node.

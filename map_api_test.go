@@ -134,3 +134,55 @@ type errWrongValue struct {
 }
 
 func (e errWrongValue) Error() string { return "wrong value word observed" }
+
+// TestMapHandleLeaveJoin: the park protocol on a map handle, over every
+// scheme. Under QSBR and QSense a handle that Left holds back none of
+// another handle's frees, and after Join it operates as before without
+// counting a Rejoin; under every other scheme the pair changes nothing.
+func TestMapHandleLeaveJoin(t *testing.T) {
+	for _, name := range qsense.SchemeNames() {
+		t.Run(name, func(t *testing.T) {
+			scheme := qsense.Scheme(name)
+			m, err := qsense.NewSkipMap(qsense.Options{Scheme: scheme, MaxWorkers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			a, b := lease(t, m.Acquire), lease(t, m.Acquire)
+			defer a.Release()
+			defer b.Release()
+			long := []byte("a value too long to inline")
+			b.Put(1, long)
+
+			before := m.Stats()
+			b.Leave()
+			b.Join()
+			after := m.Stats()
+			before.RoosterPasses, after.RoosterPasses = 0, 0
+			epoch := scheme == qsense.SchemeQSBR || scheme == qsense.SchemeQSense
+			if !epoch && after != before {
+				t.Errorf("Leave/Join moved the stats:\n%+v\n%+v", before, after)
+			}
+
+			b.Leave()
+			for i := 0; i < 4096; i++ {
+				a.Put(2, long) // each overwrite retires the displaced value
+			}
+			st := m.Stats()
+			if epoch && (st.Freed == before.Freed || st.InFallback) {
+				t.Errorf("a left handle holds back frees: freed %d → %d, fallback %v",
+					before.Freed, st.Freed, st.InFallback)
+			}
+			b.Join()
+			if v, ok := b.Get(1); !ok || string(v) != string(long) {
+				t.Fatalf("after Join, Get(1) = %q,%v", v, ok)
+			}
+			if !b.Put(3, long) || !b.Delete(3) || b.Delete(3) {
+				t.Fatal("after Join, Put/Delete semantics")
+			}
+			if st := m.Stats(); st.Rejoins != 0 {
+				t.Errorf("rejoins %d, want 0: Join is not a recovery", st.Rejoins)
+			}
+		})
+	}
+}

@@ -313,8 +313,10 @@ type Stats struct {
 	// (InFallback, below, is the current path).
 	SwitchesToFallback, SwitchesToFast uint64
 	// Evictions counts workers excluded as crashed (Options with
-	// eviction enabled on epoch schemes); Rejoins counts Leave/Join and
-	// crash-recovery re-entries.
+	// eviction enabled on epoch schemes); Rejoins counts recoveries: a
+	// worker that reached a quiescent state while out of the protocol
+	// (evicted, or operating after Leave without Join). A Join after
+	// Leave is not one.
 	Evictions, Rejoins uint64
 	// AcquiredHandles and ReleasedHandles count handle leases granted
 	// and returned; their difference is the number leased right now.

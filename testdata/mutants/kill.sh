@@ -19,6 +19,10 @@
 # check, so a scan frees a node whose hazard pointer is still pending — the
 # use-after-free of §4.1, on cadence and on qsense's fallback path.
 #
+# The server (internal/kvd): kvd-no-join drops the Join after a connection's
+# socket read, so the handle operates while out of reclamation — its next
+# quiescent state recovers it as if it had been evicted, and counts a Rejoin.
+#
 # Runs on a copy of the tracked files under a temporary directory; the
 # working tree is not touched. Usage: bash testdata/mutants/kill.sh
 set -euo pipefail
@@ -51,6 +55,7 @@ kills=(
 	"index-no-key-check.patch|.|TestSkipMapLinearizable"
 	"no-deferral.patch|./internal/reclaim|TestCadenceDeferralProtectsUnflushedHP"
 	"no-deferral.patch|./internal/reclaim|TestQSenseProtectionSurvivesPathSwitch"
+	"kvd-no-join.patch|./internal/kvd|TestIdleConnPinsNothing"
 )
 
 cd "$root"
@@ -76,5 +81,5 @@ for kill in "${kills[@]}"; do
 		echo "$out" | tail -20
 		exit 1
 	fi
-	echo "killed: $patch by $name ($pkg) in $((SECONDS - start))s: $(grep -m1 -E 'seed|finger_test|lincheck:|deferral broken' <<<"$out" | cut -c1-160 | sed 's/^ *//')"
+	echo "killed: $patch by $name ($pkg) in $((SECONDS - start))s: $(grep -m1 -E 'seed|finger_test|lincheck:|deferral broken|rejoins' <<<"$out" | cut -c1-160 | sed 's/^ *//')"
 done
