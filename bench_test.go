@@ -609,16 +609,15 @@ func BenchmarkLeaseChurnParallel(b *testing.B) {
 
 // BenchmarkSkipMapGet prices one GET of a leased MapHandle at the ruler's
 // kv-read shape (2^18 keys, half of them stored, 64-byte values, qsense)
-// under the two key streams that sit either side of the node index and the
-// search fingers (skiplist package doc, "Fingers" and "Node index"). zipf is
-// the mechanism: zipf(0.99) ranks scattered over the range, where the list's
-// 2^17 index words answer a present key with one node touch instead of a
-// 24-node walk, and a handle's 2^12 edge fingers answer an absent key the
-// same way (TestIndexHitRate, two handles in turn: index 517 739, fingers
-// 294 692, walks 236 145 of 1 Mi). uniform is where the hints miss: under 2 %
-// of the stream finds its finger (16 487), the index answers 41 % (429 106:
-// most present keys own their word) and the rest — almost every absent key
-// among them — walks.
+// under the two key streams that sit either side of the node index (skiplist
+// package doc, "Node index"). zipf is the mechanism: zipf(0.99) ranks
+// scattered over the range, where the list's 2^18 index words answer a
+// present key with one node touch instead of a 24-node walk, and an absent
+// key with two, by the edge a word names (TestIndexHitRate, two handles in
+// turn: node form 518 250, edge form 462 300, walks 68 026 of 1 Mi). uniform
+// is where the words are coldest: the node form answers 44 % (460 102), the
+// edge form 44 % (459 638), and 12 % walks (128 836) — absent keys whose
+// word another key took.
 func BenchmarkSkipMapGet(b *testing.B) {
 	const keys = 1 << 18
 	for _, stream := range []struct {
@@ -654,13 +653,13 @@ func BenchmarkSkipMapGet(b *testing.B) {
 // BenchmarkSkipMapMixed prices one operation of lib-mixed's mix — 50 % GET,
 // 25 % SET, 25 % DEL — on a leased MapHandle over a half-filled 2^16-key map
 // with 64-byte values, qsense, keys and operations drawn outside the timer.
-// zipf exercises both of the writers' savings (skiplist package doc,
-// "Fingers"; value.go's self shape): a DEL or SET of a hot key starts from
-// its node index word, a GET or DEL of a key just deleted from the edge
-// finger the DEL left, and a value too long to inline that was never
-// overwritten is read from its own node. uniform mostly misses its hints, so
-// its delta is the self value's alone: one slot per insert, one retire per
-// DEL, one publication less per GET of such a key.
+// zipf exercises both of the writers' savings (skiplist package doc, "Node
+// index"; value.go's self shape): a DEL or SET of a hot key starts from its
+// node index word, a GET or DEL of a key just deleted from the edge the DEL
+// left in that word, and a value too long to inline that was never
+// overwritten is read from its own node. uniform misses its words more
+// often, so more of its delta is the self value's: one slot per insert, one
+// retire per DEL, one publication less per GET of such a key.
 func BenchmarkSkipMapMixed(b *testing.B) {
 	const keys = 1 << 16
 	for _, stream := range []struct {

@@ -2,7 +2,9 @@ package kvd
 
 import (
 	"context"
+	"io"
 	"net"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -352,5 +354,60 @@ func TestRunLoadMuteServer(t *testing.T) {
 			}
 			t.Log(err)
 		})
+	}
+}
+
+// TestAbsentKeyConnsHoldNoTable: a thousand connections that each GET one
+// absent key and then idle cost the server what a connection costs — its two
+// resp buffers, its handler, a guard slot and the map handle the slot
+// carries — and nothing for having found a key absent. The skip list answers
+// a repeated absent key from the node index every connection shares
+// (skiplist package doc, "Node index"), so a handle keeps no table of its
+// own — a 96 KiB table of edges per handle would make them hold 94 MiB. Over
+// qsbr, whose guard slot carries no hazard-pointer record (≈ 4.5 KiB under
+// qsense), the bound leaves room for the socket's own allocations on both
+// ends and for the heap's page granularity.
+func TestAbsentKeyConnsHoldNoTable(t *testing.T) {
+	const conns, perConn = 1000, 16 << 10
+	s, addr := startServer(t, Config{Scheme: "qsbr"})
+	cs := make([]net.Conn, 0, conns+1)
+	t.Cleanup(func() {
+		for _, c := range cs {
+			c.Close()
+		}
+	})
+	get := func(key int) {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs = append(cs, c)
+		k := strconv.Itoa(key)
+		if _, err := c.Write([]byte("*2\r\n$3\r\nGET\r\n$" + strconv.Itoa(len(k)) + "\r\n" + k + "\r\n")); err != nil {
+			t.Fatal(err)
+		}
+		var reply [5]byte
+		if _, err := io.ReadFull(c, reply[:]); err != nil || string(reply[:]) != "$-1\r\n" {
+			t.Fatalf("GET %s: %q, %v; want a nil bulk", k, reply, err)
+		}
+	}
+	get(0) // whatever the map and the listener build once is built before the count
+	heapInuse := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapInuse
+	}
+	before := heapInuse()
+	for i := 1; i <= conns; i++ {
+		get(1_000_000 + i)
+	}
+	if live := s.LiveConns(); live != conns+1 {
+		t.Fatalf("%d connections live, want %d", live, conns+1)
+	}
+	grew := int64(heapInuse()) - int64(before)
+	t.Logf("%d idle connections after an absent GET each: heap in use grew %d KiB, %d bytes a connection", conns, grew>>10, grew/conns)
+	if grew >= conns*perConn {
+		t.Fatalf("heap in use grew %d KiB for %d connections, want under %d KiB (%d KiB a connection)", grew>>10, conns, conns*perConn>>10, perConn>>10)
 	}
 }

@@ -26,22 +26,19 @@
 // rejoins stays 0.
 //
 // What a connection costs in memory: its goroutine, two 4 KiB resp buffers,
-// a guard slot and — from its first DEL, or GET that finds a key absent,
-// on — the 96 KiB finger table of the skip-list handle its slot carries
-// (2^12 remembered edges, the reason a repeated absent key costs one node
-// touch instead of a walk; a present key's node is the node index's below;
-// skiplist package doc, "Fingers"). The table belongs to the slot, not the
-// socket: a later connection leasing the slot inherits it, a connection that
-// only SETs, or only finds keys present, never allocates one, and a server
-// keeps as many tables as it has ever had such connections at once — 1000 of
-// them are 94 MiB.
+// a guard slot and the skip-list handle its slot carries — the same whatever
+// it asks for. A repeated key, present or absent, costs one or two node
+// touches instead of a walk through the map's node index, which every
+// connection shares (skiplist package doc, "Node index"), so no connection
+// keeps a table of its own: a thousand idle connections that each found a
+// key absent hold what a thousand idle connections do
+// (TestAbsentKeyConnsHoldNoTable).
 // A stored key costs one 128-byte pool slot (a skip-list node of two cache
 // lines; the one tower in 64 taller than six levels adds an 80-byte array)
 // plus its value: nothing more up to 7 bytes, a buffer the value's length
 // beyond that, and an overwrite's value one more slot and buffer. The map
-// adds its node index, shared by every connection: one 8-byte word per two
-// pool slots (skiplist package doc, "Node index"), whatever the connection
-// count.
+// adds its node index: one 8-byte word per pool slot, whatever the
+// connection count.
 //
 // Protocol: RESP arrays or inline commands; integer keys (int64) and
 // arbitrary byte-string values (stored in the SkipMap's reclaimed value

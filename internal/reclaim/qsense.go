@@ -178,6 +178,13 @@ func (g *qsenseGuard) drain() {
 
 func (g *qsenseGuard) closeFree() { g.freeBuckets() }
 
+// Leave implements Leaver: the epoch member leaves, with no protection held
+// (asserted in qsensedebug builds, debug_on.go).
+func (g *qsenseGuard) Leave() {
+	assertUnprotected(g.rec)
+	g.epochMember.Leave()
+}
+
 // InFallback reports whether the domain currently runs the fallback path.
 func (d *QSense) InFallback() bool { return d.fallback.Load() }
 

@@ -2,6 +2,7 @@ package skiplist
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 	"testing"
 	"unsafe"
@@ -125,10 +126,8 @@ func sabotage(t *testing.T, op func(h *Handle), key int64, k int, pick victim) (
 	for k := int64(0); k < sabKeys; k += 2 {
 		g.h.PutBytes(k, sabVal)
 	}
-	// A cold handle and an empty node index: these rows are about the walk.
-	// The fill left a finger on most keys and a word on many; the hint rows
-	// are TestFingerDetection's.
-	g.h.fingers = nil
+	// An empty node index: these rows are about the walk. The fill left a
+	// word on many keys; the hint rows are TestFingerDetection's.
 	s.clearIndex()
 	// The next tower drawn is sabTower high: case (c) needs upper levels.
 	for g.h.rng = 1; ; g.h.rng++ {
@@ -247,23 +246,27 @@ func TestSkipListLayout(t *testing.T) {
 	}
 }
 
-// TestFingerTableLayout pins what fingerBits's comment promises: 2^12
-// fingers of 24 bytes, 96 KiB, allocated by the first lookup that finds a key
-// absent — an insert or a hit leaves a handle without one.
-func TestFingerTableLayout(t *testing.T) {
-	if size := unsafe.Sizeof(finger{}) * (1 << fingerBits); size != 96<<10 {
-		t.Errorf("finger table is %d bytes, want 96 KiB", size)
-	}
-	_, d, hs := newSet(t, "none", 1, 0)
+// TestNodeIndexSizing pins fitIndex's rule: 2^12 words at New, then one
+// word per pool slot — an insert into slot i leaves at least i+1 words, and
+// the least power of two that many — whatever the handles do. A lookup that
+// finds a key absent allocates nothing: its edge goes to the shared index.
+func TestNodeIndexSizing(t *testing.T) {
+	s, d, hs := newSet(t, "none", 1, 0)
 	defer d.Close()
 	h := hs[0]
-	h.Insert(2)
-	h.Contains(2)
-	if h.fingers != nil {
-		t.Fatal("an insert and a hit allocated the finger table")
+	if n := len(s.index.Load().words); n != 1<<indexBits {
+		t.Fatalf("a new list's index has %d words, want %d", n, 1<<indexBits)
+	}
+	top := uint32(0)
+	for k := int64(0); k < 40000; k += 2 {
+		h.Insert(k)
+		top = max(top, s.indexed(k).Index())
+		if n, want := len(s.index.Load().words), max(1<<indexBits, 1<<bits.Len32(top)); n != want {
+			t.Fatalf("after inserting key %d (top slot %d) the index has %d words, want %d", k, top, n, want)
+		}
 	}
 	h.Contains(1)
-	if len(h.fingers) != 1<<fingerBits {
-		t.Fatalf("after a miss the table has %d fingers, want %d", len(h.fingers), 1<<fingerBits)
+	if allocs := testing.AllocsPerRun(100, func() { h.Contains(3) }); allocs != 0 {
+		t.Fatalf("a lookup of an absent key allocates %.0f times, want 0", allocs)
 	}
 }

@@ -71,18 +71,6 @@ func newFingerRig(t *testing.T) *fingerRig {
 	return r
 }
 
-// fingerOf is key's finger in h's table: the edge pred → succ, or both nil
-// if h keeps no finger for key.
-func (h *Handle) fingerOf(key int64) (pred, succ mem.Ref) {
-	if h.fingers == nil {
-		return 0, 0
-	}
-	if f := h.fingerAt(key); f.key == key {
-		return f.pred, f.succ
-	}
-	return 0, 0
-}
-
 // clearIndex empties the list's node index.
 func (s *SkipList) clearIndex() {
 	x := s.index.Load()
@@ -121,11 +109,12 @@ func (r *fingerRig) del(key int64) (ok bool, protects int, rec any) {
 	return ok, r.ga.calls - before, nil
 }
 
-// TestFingerDetection is TestDetectionNotThinned for the operations a hint
-// answers: a node index word, for a present key, or a handle's edge finger,
-// for an absent one. A hint is refused — silently, the walk's answer
-// returned — whenever what it names is gone at validation; past validation
-// the node is protected like one a search found, and freeing it faults.
+// TestFingerDetection is TestDetectionNotThinned for the operations a node
+// index word answers: in node form, for a present key, or in edge form, for
+// an absent one. A word is refused — silently, the walk's answer returned —
+// whenever what it names is gone at validation or its edge no longer brackets
+// the key; past validation a node is protected like one a search found, and
+// freeing it faults.
 func TestFingerDetection(t *testing.T) {
 	const k = 50
 
@@ -151,8 +140,7 @@ func TestFingerDetection(t *testing.T) {
 
 	// Every node row starts from k's node index word, which names k's node
 	// and has just answered a GET in one publication, the pin: the rig's
-	// values are the node's own (self). A GET of a present key leaves no
-	// finger.
+	// values are the node's own (self).
 	prime := func(t *testing.T) (*fingerRig, mem.Ref) {
 		r := newFingerRig(t)
 		n := r.node(k)
@@ -162,18 +150,13 @@ func TestFingerDetection(t *testing.T) {
 		if v, ok, protects, rec := r.get(k); !ok || !bytes.Equal(v, rigVal(k, 0)) || protects != 1 || rec != nil {
 			t.Fatalf("GET by index: %x %v in %d publications, panic %v", v, ok, protects, rec)
 		}
-		if pred, succ := r.a.fingerOf(k); !pred.IsNil() {
-			t.Fatalf("after a GET by index a keeps the finger %v -> %v, want none", pred, succ)
-		}
 		return r, n
 	}
 
 	t.Run("index: names a freed slot", func(t *testing.T) {
 		r, n := prime(t)
 		retireAndFree(r, k, n)
-		if got := r.s.indexed(k); got != n {
-			t.Fatalf("after the DEL the word is %v, want the stale %v (DEL writes no word)", got, n)
-		}
+		r.s.index.Load().note(k, n) // over the edge b's DEL left there
 		if v, ok, protects, rec := r.get(k); ok || rec != nil || protects <= 1 {
 			t.Fatalf("got %x %v in %d publications, panic %v; want the walk's answer: absent", v, ok, protects, rec)
 		}
@@ -201,13 +184,13 @@ func TestFingerDetection(t *testing.T) {
 			t.Fatalf("after the walk the word is %v, want the new node %v", got, n2)
 		}
 	})
-	// The key compare's row: absent key c shares k's word, so the word
-	// names a live, unmarked node — of another key.
+	// The key compare's row: absent key c, below k, shares k's word, so the
+	// word names a live, unmarked node — of another key, above c.
 	t.Run("index: another key's node", func(t *testing.T) {
 		r, n := prime(t)
-		c := int64(k + 1)
+		c := int64(k - 1)
 		for r.s.index.Load().word(c) != r.s.index.Load().word(k) {
-			c++
+			c--
 		}
 		if got := r.s.indexed(c); got != n {
 			t.Fatalf("key %d's word is %v, want key %d's node %v", c, got, k, n)
@@ -300,16 +283,17 @@ func TestFingerDetection(t *testing.T) {
 		}
 	})
 
-	// The edge finger's rows. 55 is absent between 50 and 60.
+	// The edge form's rows. 55 is absent between 50 and 60, and a GET that
+	// walked to find it so left 50 in its word: the edge's predecessor.
 	primeGap := func(t *testing.T) (*fingerRig, mem.Ref) {
 		r := newFingerRig(t)
-		p, s := r.node(50), r.node(60)
+		p := r.node(50)
 		r.get(55)
-		if pred, succ := r.a.fingerOf(55); pred != p || succ != s {
-			t.Fatalf("after an absent GET the finger is %v -> %v, want the edge %v -> %v", pred, succ, p, s)
+		if got := r.s.indexed(55); got != p {
+			t.Fatalf("after an absent GET the word is %v, want the edge's predecessor %v", got, p)
 		}
-		if v, ok, protects, rec := r.get(55); ok || protects != 1 || rec != nil {
-			t.Fatalf("absent GET by gap: %x %v in %d publications, panic %v", v, ok, protects, rec)
+		if v, ok, protects, rec := r.get(55); ok || protects != 2 || rec != nil {
+			t.Fatalf("absent GET by edge: %x %v in %d publications, panic %v", v, ok, protects, rec)
 		}
 		return r, p
 	}
@@ -320,21 +304,61 @@ func TestFingerDetection(t *testing.T) {
 			t.Fatalf("got %x %v, panic %v; want the inserted value", v, ok, rec)
 		}
 	})
-	// The second check again, as a wrong answer instead of a fault: 55 is
-	// inserted behind a new predecessor before the GET begins, and at the
-	// GET's publication the old predecessor's slot comes back as key 57 —
-	// whose next[0] is the remembered successor.
+	// The order check's row: the insert noted its node, and the word is put
+	// back on the edge's predecessor by hand. 50 still leads on, unmarked —
+	// to 55 itself, which is not past 55.
+	t.Run("edge: word names 50 while 55 is present", func(t *testing.T) {
+		r, p := primeGap(t)
+		r.b.PutBytes(55, rigVal(55, 0))
+		r.s.index.Load().note(55, p)
+		if v, ok, protects, rec := r.get(55); !ok || !bytes.Equal(v, rigVal(55, 0)) || rec != nil || protects <= 2 {
+			t.Fatalf("got %x %v in %d publications, panic %v; want the walk's answer: the inserted value", v, ok, protects, rec)
+		}
+	})
+	// The mark check on the edge's predecessor: 50 deleted, retired but not
+	// freed, its frozen next[0] still leading to 60 — past 55, which is
+	// present behind it all the same.
+	t.Run("edge: predecessor deleted, its frozen edge over a present key", func(t *testing.T) {
+		r, p := primeGap(t)
+		r.b.Delete(50)
+		r.b.PutBytes(55, rigVal(55, 0))
+		r.s.index.Load().note(55, p)
+		if v, ok, _, rec := r.get(55); !ok || !bytes.Equal(v, rigVal(55, 0)) || rec != nil {
+			t.Fatalf("got %x %v, panic %v; want the inserted value", v, ok, rec)
+		}
+	})
+	// The second check again, on the predecessor: 55 is inserted behind a new
+	// predecessor before the GET begins, and at the GET's publication the old
+	// predecessor's slot comes back as key 57 — unmarked, below 55's
+	// successor.
 	t.Run("gap predecessor recycled at the finger's own Protect", func(t *testing.T) {
 		r, p := primeGap(t)
 		r.b.Delete(50)
 		r.b.PutBytes(55, rigVal(55, 0))
+		r.s.index.Load().note(55, p)
 		r.ga.arm(1, func(int, mem.Ref) { r.s.pool.Free(p); reuse(r, 57, p) })
 		if v, ok, _, rec := r.get(55); !ok || !bytes.Equal(v, rigVal(55, 0)) || rec != nil {
 			t.Fatalf("got %x %v, panic %v; want the value put before the GET began", v, ok, rec)
 		}
 	})
+	// The edge re-load's row: at the successor's publication in the scratch
+	// slot, 60 is deleted and its slot freed. The re-load sees 50 lead to 70
+	// now, and the edge is refused before 60's key is read.
+	t.Run("edge: successor freed at the scratch Protect", func(t *testing.T) {
+		r, _ := primeGap(t)
+		succ := r.node(60)
+		r.ga.arm(2, func(slot int, _ mem.Ref) {
+			if slot != r.a.hpScratch() {
+				t.Fatalf("second publication of a GET by edge is slot %d, want the scratch slot", slot)
+			}
+			retireAndFree(r, 60, succ)
+		})
+		if v, ok, protects, rec := r.get(55); ok || rec != nil || protects <= 2 {
+			t.Fatalf("got %x %v in %d publications, panic %v; want the walk's answer: absent", v, ok, protects, rec)
+		}
+	})
 
-	// Delete takes the same hints, and leaves an edge finger behind.
+	// Delete takes the same hints, and leaves its word in edge form.
 	t.Run("DEL: freed at the index word's own Protect", func(t *testing.T) {
 		r, n := prime(t)
 		r.ga.arm(1, func(int, mem.Ref) { retireAndFree(r, k, n) })
@@ -348,13 +372,13 @@ func TestFingerDetection(t *testing.T) {
 		if ok, _, rec := r.del(k); !ok || rec != nil {
 			t.Fatalf("got %v, panic %v; want deleted", ok, rec)
 		}
-		if pred, succ := r.a.fingerOf(k); pred != p || succ != s {
-			t.Fatalf("after the DEL the finger is %v -> %v, want the edge %v -> %v", pred, succ, p, s)
+		if got := r.s.indexed(k); got != p {
+			t.Fatalf("after the DEL the word is %v, want the edge's predecessor %v (%v leads on to %v)", got, p, p, s)
 		}
-		if v, ok, protects, rec := r.get(k); ok || protects != 1 || rec != nil {
+		if v, ok, protects, rec := r.get(k); ok || protects != 2 || rec != nil {
 			t.Fatalf("GET after the DEL: %x %v in %d publications, panic %v; want absent by the edge", v, ok, protects, rec)
 		}
-		if ok, protects, rec := r.del(k); ok || protects != 1 || rec != nil {
+		if ok, protects, rec := r.del(k); ok || protects != 2 || rec != nil {
 			t.Fatalf("DEL after the DEL: %v in %d publications, panic %v; want absent by the edge", ok, protects, rec)
 		}
 	})
@@ -369,17 +393,16 @@ func TestFingerDetection(t *testing.T) {
 		}
 	})
 	// b re-inserts the key while a's cleanup walk is under way: what the
-	// walk then finds below key+1 is b's node, and a must leave no edge over
-	// it — that would answer a's next GET "absent". The word b's insert left
-	// answers it.
+	// walk then finds below key+1 is b's node, which a's DEL leaves in the
+	// word — in node form, so a's next GET finds it.
 	t.Run("DEL: key re-inserted inside its prune", func(t *testing.T) {
 		r, _ := prime(t)
 		r.ga.arm(2, func(int, mem.Ref) { r.b.PutBytes(k, rigVal(k, 1)) })
 		if ok, _, rec := r.del(k); !ok || rec != nil {
 			t.Fatalf("got %v, panic %v; want deleted", ok, rec)
 		}
-		if pred, succ := r.a.fingerOf(k); !pred.IsNil() {
-			t.Fatalf("after the DEL the finger is %v -> %v, want none: key %d is b's again", pred, succ, k)
+		if got, n := r.s.indexed(k), r.node(k); got != n {
+			t.Fatalf("after the DEL the word is %v, want b's node %v", got, n)
 		}
 		if v, ok, protects, rec := r.get(k); !ok || !bytes.Equal(v, rigVal(k, 1)) || protects != 1 || rec != nil {
 			t.Fatalf("GET after the DEL: %x %v in %d publications, panic %v; want b's value by index", v, ok, protects, rec)
@@ -387,15 +410,15 @@ func TestFingerDetection(t *testing.T) {
 	})
 }
 
-// TestFingersPinNothing: a finger is a hint, not a protection, and so is a
-// node index word. A handle whose table is full of fingers, beside an index
-// full of words, on nodes that are then all deleted holds reclamation back by
-// nothing: with its lease returned (the containers keep the handle, table and
-// all, for the slot's next tenant) Pending drains exactly as far as it does
-// without the table and the words.
+// TestFingersPinNothing: a node index word is a hint, not a protection, in
+// either form. An index full of words — most of them edges, left by a
+// handle's lookups of absent keys — on nodes that are then all deleted holds
+// reclamation back by nothing: with the handle's lease returned (the
+// containers keep the handle for the slot's next tenant) Pending drains
+// exactly as far as it does with the words cleared.
 func TestFingersPinNothing(t *testing.T) {
-	const keys = 1 << (fingerBits + 2) // the even ones stored; the odd ones, absent, fill every finger
-	pendingAfter := func(t *testing.T, scheme string, keepFingers bool) int64 {
+	const keys = 1 << 14 // the even ones stored; the odd ones, absent, leave their words in edge form
+	pendingAfter := func(t *testing.T, scheme string, keepWords bool) int64 {
 		s, d, hs := newSet(t, scheme, 2, 16)
 		defer d.Close()
 		a, b := hs[0], hs[1]
@@ -405,26 +428,17 @@ func TestFingersPinNothing(t *testing.T) {
 		for k := int64(0); k < keys; k++ {
 			a.GetAppend(k, nil)
 		}
-		held := 0
-		for _, f := range a.fingers {
-			if !f.pred.IsNil() {
-				held++
-			}
-		}
-		if held != 1<<fingerBits {
-			t.Fatalf("only %d of %d fingers filled", held, 1<<fingerBits)
-		}
-		x, words := s.index.Load(), 0
+		x, edges := s.index.Load(), 0
 		for i := range x.words {
-			if x.words[i].Load() != 0 {
-				words++
+			// An edge form word names a node whose own key hashes elsewhere.
+			if r := mem.Ref(x.words[i].Load()); !r.IsNil() && x.word(s.pool.Get(r).key) != &x.words[i] {
+				edges++
 			}
 		}
-		if words < len(x.words)/2 {
-			t.Fatalf("only %d of %d node index words hold a Ref", words, len(x.words))
+		if edges < len(x.words)/4 {
+			t.Fatalf("only %d of %d node index words hold an edge", edges, len(x.words))
 		}
-		if !keepFingers {
-			a.fingers = nil
+		if !keepWords {
 			s.clearIndex()
 		}
 		d.Release(a.guard)
@@ -443,17 +457,17 @@ func TestFingersPinNothing(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 		if live() > residue {
-			t.Errorf("%s, fingers kept=%v: %d of %d deleted nodes still not freed", scheme, keepFingers, live(), keys/2)
+			t.Errorf("%s, words kept=%v: %d of %d deleted nodes still not freed", scheme, keepWords, live(), keys/2)
 		}
 		return d.Stats().Pending
 	}
 	for _, scheme := range reclaim.Schemes() {
 		if scheme == "none" {
-			continue // frees nothing, fingers or no fingers
+			continue // frees nothing, words or no words
 		}
 		t.Run(scheme, func(t *testing.T) {
 			with, without := pendingAfter(t, scheme, true), pendingAfter(t, scheme, false)
-			t.Logf("pending with %d stale fingers and a full node index: %d; without: %d", 1<<fingerBits, with, without)
+			t.Logf("pending with a node index full of stale words: %d; without: %d", with, without)
 		})
 	}
 }
@@ -465,9 +479,11 @@ func TestFingersPinNothing(t *testing.T) {
 // up to 300 does under hyaline; rc's 9 and ebr's and ibr's 12 did against an
 // earlier finger table); seed 1 of every scheme has no linearization once
 // validate's mark check is, and faults on a double free once a displaced self
-// value is retired; seed 2 of every scheme has no linearization once Delete
-// leaves an edge over the node prune found. They run before the seeds every
-// run counts through. A seed that fails is printed; add it here.
+// value is retired; seed 2 of every scheme had no linearization once Delete
+// left an edge finger over the node prune found (a mutant the node index's
+// edge form retired: that node is key's, and its word is then in node form).
+// They run before the seeds every run counts through. A seed that fails is
+// printed; add it here.
 var fingerSeeds = map[string][]uint64{
 	"hp": {19, 1, 2}, "rc": {9, 1, 2, 8}, "qsbr": {1, 2, 3}, "ebr": {12, 1, 2, 4}, "ibr": {12, 1, 2, 8}, "hyaline": {1, 2},
 }
@@ -575,16 +591,17 @@ func exploreFingers(t *testing.T, scheme string, seed uint64) (err error) {
 var raceDetector bool
 
 // TestIndexHitRate pins, as exact counts, which of locate's three answers a
-// lookup gets when two handles share the list: the handle's own edge finger
-// (absent keys only), the node index (present keys only), or a walk, which
-// notes the node it found in the index or remembers the edge it found. The
-// key space is the ruler's — 2^18 keys, every other one stored, zipf(0.99)
-// ranks scattered by the ruler's multiplier, or uniform — and the two handles
-// take the stream's lookups in turn, as the ruler's two connections do; 1 Mi
-// lookups of warm-up, then 1 Mi counted. The fill grows the index to 2^17
-// words, its last growth empties it, and the warm-up fills it again. Over
-// none nothing is retired, so a hint that is found validates unless it is
-// another key's, and the counts are the tables' policies alone.
+// lookup gets when two handles share the list: the node index word in edge
+// form (absent keys only), in node form (present keys only), or a walk, which
+// notes the node it found or the edge's predecessor in the word. The key
+// space is the ruler's — 2^18 keys, every other one stored, zipf(0.99) ranks
+// scattered by the ruler's multiplier, or uniform — and the two handles take
+// the stream's lookups in turn, as the ruler's two connections do; 1 Mi
+// lookups of warm-up, then 1 Mi counted. The fill grows the index to 2^18
+// words, one per pool slot, its last growth empties it, and the warm-up fills
+// it again. Over none nothing is retired, so a word that is found validates
+// unless it is another key's and no edge of it brackets the key, and the
+// counts are the index's policy alone.
 func TestIndexHitRate(t *testing.T) {
 	if raceDetector {
 		t.Skip("4 Mi lookups; the race detector has nothing to find in them")
@@ -594,31 +611,31 @@ func TestIndexHitRate(t *testing.T) {
 		lookups = 1 << 20
 	)
 	for _, row := range []struct {
-		name                  string
-		theta                 float64
-		finger, index, walked int
+		name                string
+		theta               float64
+		edge, index, walked int
 	}{
-		{"zipf", 0.99, 294_692, 517_739, 236_145},
-		{"uniform", 0, 16_487, 429_106, 602_983},
+		{"zipf", 0.99, 462_300, 518_250, 68_026},
+		{"uniform", 0, 459_638, 460_102, 128_836},
 	} {
 		s, d, hs := newSet(t, "none", 2, 0)
 		for k := int64(0); k < keys; k += 2 {
 			hs[0].Insert(k)
 		}
-		if n := len(s.index.Load().words); n != keys/2 {
-			t.Fatalf("after the fill the index has %d words, want %d: one per two pool slots", n, keys/2)
+		if n := len(s.index.Load().words); n != keys {
+			t.Fatalf("after the fill the index has %d words, want %d: one per pool slot", n, keys)
 		}
 		rng := workload.NewRNG(99)
-		var finger, index, walked int
+		var edge, index, walked int
 		for i := range 2 * lookups {
 			key := rng.ZipfKey(keys, row.theta) * 0x9E3779B1 % keys
 			h := hs[i%2]
 			h.guard.Begin()
 			answer := &walked
-			if h.probe(key) {
-				answer = &finger
-			} else if _, _, ok := h.byIndex(key); ok {
+			if _, _, found, ok := h.hint(key); ok && found {
 				answer = &index
+			} else if ok {
+				answer = &edge
 			} else if n, _, found := h.walk(key); found {
 				s.index.Load().note(key, n)
 			}
@@ -628,9 +645,9 @@ func TestIndexHitRate(t *testing.T) {
 			}
 		}
 		d.Close()
-		t.Logf("%s: finger %d, index %d, walk %d of %d lookups (%.1f %% walked)", row.name, finger, index, walked, lookups, 100*float64(walked)/lookups)
-		if finger != row.finger || index != row.index || walked != row.walked {
-			t.Errorf("%s: finger %d, index %d, walk %d; want exactly %d, %d, %d", row.name, finger, index, walked, row.finger, row.index, row.walked)
+		t.Logf("%s: edge %d, index %d, walk %d of %d lookups (%.1f %% walked)", row.name, edge, index, walked, lookups, 100*float64(walked)/lookups)
+		if edge != row.edge || index != row.index || walked != row.walked {
+			t.Errorf("%s: edge %d, index %d, walk %d; want exactly %d, %d, %d", row.name, edge, index, walked, row.edge, row.index, row.walked)
 		}
 	}
 }

@@ -16,19 +16,10 @@ type countingGuard struct {
 func (g *countingGuard) Protect(i int, r mem.Ref) { g.protects++; g.Guard.Protect(i, r) }
 func (g *countingGuard) ClearHPs()                { g.clears++; g.Guard.ClearHPs() }
 
-// forget empties key's finger entry, so that the next operation on key
-// skips it.
-func (h *Handle) forget(key int64) {
-	if h.fingers != nil {
-		*h.fingerAt(key) = finger{}
-	}
-}
-
 // Where a TestPublicationsPerOp sample's operation may find its key.
 const (
-	fromWalk   = iota // key's finger and node index word forgotten
-	fromIndex         // key's finger forgotten, its word kept
-	fromFinger        // both kept
+	fromWalk  = iota // key's node index word emptied
+	fromIndex        // the word kept, in whichever form the row above left it
 )
 
 // TestPublicationsPerOp pins the contract of search's slot discipline: one
@@ -39,11 +30,10 @@ const (
 // the count is the thing to regress on, not a timing. With the descend copy
 // and the re-publications a GET over 2^16 keys made ~54 Protect calls.
 //
-// The walk's rows run with the key's finger and node index word forgotten,
-// so they keep pricing the walk (GET 24, SET(overwrite) 23, DEL 51,
-// GET(absent) 23 at 2^16 keys); the rows between them price the same
-// operation answered by the word, or the edge finger, the row above just
-// left.
+// The walk's rows run with the key's node index word emptied, so they keep
+// pricing the walk (GET 24, SET(overwrite) 23, DEL 51, GET(absent) 23 at 2^16
+// keys); the rows between them price the same operation answered by the word
+// the row above just left, in node or edge form.
 func TestPublicationsPerOp(t *testing.T) {
 	const (
 		keys = 1 << 16
@@ -94,8 +84,8 @@ func TestPublicationsPerOp(t *testing.T) {
 		// Two searches (locate, then prune) and the pin.
 		{"DEL", fromWalk, 0, 64, del},
 		{"GET(absent)", fromWalk, 0, 32, get},
-		// The edge's predecessor, nothing else.
-		{"GET(absent, by gap finger)", fromFinger, 1, 1, get},
+		// The edge's predecessor, then its successor.
+		{"GET(absent, by index edge)", fromIndex, 2, 2, get},
 		// One search and the pin; more only after a failed link CAS.
 		{"SET(insert)", fromWalk, 0, 34, put},
 		// The pin alone: the word the insert left names the node, whose
@@ -104,19 +94,16 @@ func TestPublicationsPerOp(t *testing.T) {
 		// The pin and prune's walk to key+1, which splices the node out.
 		{"DEL(by index)", fromIndex, 0, 29, del},
 		// The edge prune left.
-		{"GET(absent, right after a DEL)", fromFinger, 1, 1, get},
-		{"DEL(absent, by gap finger)", fromFinger, 1, 1, del},
+		{"GET(absent, right after a DEL)", fromIndex, 2, 2, get},
+		{"DEL(absent, by index edge)", fromIndex, 2, 2, del},
 		// An insert walks either way, so it leaves the edge untried: the
-		// walk's count, not one more.
-		{"SET(insert, beside a gap finger)", fromFinger, 0, 34, put},
+		// pin the word's node takes before its key is read, then the walk.
+		{"SET(insert, beside an index edge)", fromIndex, 1, 35, put},
 	}
 	protects := make([]int, len(samples))
 	for i := 0; i < ops; i++ {
 		k := next()
 		for j, sm := range samples {
-			if sm.from < fromFinger {
-				h.forget(k)
-			}
 			if sm.from == fromWalk {
 				s.index.Load().word(k).Store(0)
 			}

@@ -12,9 +12,10 @@
 //
 // Hazard pointer budget: searches keep a (pred, succ) pair protected per
 // level plus one scratch slot that covers a frozen successor across a
-// splice, one pin slot that insert/delete hold on their own node, and one
-// value slot that covers a spilled value node while its bytes are copied
-// out — 2*levels+3 in total, exactly the paper's "up to 35 hazard
+// splice (and an index edge's successor, "Node index" below), one pin slot
+// that insert/delete hold on their own node and a hint on the node its word
+// names, and one value slot that covers a spilled value node while its bytes
+// are copied out — 2*levels+3 in total, exactly the paper's "up to 35 hazard
 // pointers" for the skip list at 16 levels (§7.3), and the reason QSense's
 // gap to QSBR is widest on this structure.
 //
@@ -83,43 +84,34 @@
 //     one out from the clean side, whichever node shadows it. Searches that look a key up or position a link keep the
 //     plain key: they want the first node of key k, which is the live one.
 //
-// # Fingers
+// # Node index
 //
 // A walk is ≈ 24 dependent cache misses and half the keys asked for were
-// asked for a moment ago, so a lookup has two places to look before it walks,
-// one per answer. "Present" is the list's node index ("Node index" below):
-// one word per key, shared by every handle, naming key's node. "Absent" is
-// the handle's own finger: the level-0 edge pred → succ that key fell
-// strictly inside when this handle last found it absent, in a direct-mapped
-// table of 2^12 (fingerBits, finger), 96 KiB, allocated by the handle's first
-// walk that finds a key absent. Contains/Get/GetAppend and Delete try the
-// finger first (probe), then the index (byIndex), and walk only if both fail;
-// an upsert asks the index alone, since an insert needs preds at every level
-// and walks either way. A walk that finds key absent remembers the edge, and
-// a Delete leaves the edge its prune found, preds[0] → succs[0] — unless
-// preds[0]'s key is not below key: another worker re-inserted key behind the
-// deleter, and an edge over that node would answer "absent" for a present
-// key. A Delete that found its node by the index skips the first walk, not
-// prune's.
+// asked for a moment ago, so a lookup has one place to look before it walks:
+// the list's node index, a power-of-two array of words (nodeIndex) shared by
+// every handle. Word indexHash(key) holds one untagged Ref, or 0, in one of
+// two forms. In node form it names key's node: a walk by locate or an upsert
+// that found the node notes it, and so does an insert after its level-0
+// link. In edge form it names a node below key: the level-0 predecessor that
+// a walk which found key absent ended at, or that Delete's prune ended at
+// (key's own node, if another worker re-inserted key behind the deleter).
+// Contains, Get, GetAppend and Delete ask the word first (hint) and walk only
+// if it fails; an upsert asks for the node form alone (byIndex), since an
+// insert needs preds at every level and walks either way. A Delete that
+// found its node by the word skips the first walk, not prune's. note stores
+// only a Ref the word does not already hold, so a hit, or a walk that found
+// what the word names, writes no shared line.
 //
-// Why a key's node lives in the index only: the index answers a present key
-// for every handle once any of them has walked to it or inserted it, so a
-// private copy of the same Ref answers almost nothing the index does not —
-// of TestIndexHitRate's 1 Mi zipf lookups, 34 566 walk to a present key with
-// the index alone, 34 220 with node fingers in front of it — and each copy
-// is one more hint form to prove and test. Why an edge stays
-// per handle: it is a key and two Refs, which one word cannot hold, and an
-// index word that named an absent key's predecessor would need a check of
-// its own that its successor is still past key — a new proof, not this
-// table's.
-//
-// A hint, finger or word, holds no protection between operations
-// (TestFingersPinNothing) and outlives leases with its handle, so what it
-// names may be retired, freed, or recycled — into the same key, even.
-// validate, which probe and byIndex share, checks in this order:
+// A word holds no protection between operations (TestFingersPinNothing), and
+// what it names may be retired, freed, recycled — into the same key, even —
+// or another key's node: two keys share a word. hint checks, in this order:
 //
 //	Peek (generation) → Protect(pin) → load next[0] → generation again
-//	→ word unmarked, and: node's key == key | word == succ
+//	→ word unmarked, and then by the node's key:
+//	  == key: key's node
+//	  >  key: refused
+//	  <  key: Protect(scratch, succ = next[0]) → re-load next[0] == succ
+//	          → succ's key > key: key absent
 //
 // Generations only grow, so the second check passing means the load read the
 // remembered incarnation, and after the publication. Unmarked at level 0
@@ -131,61 +123,71 @@
 // that follows our publication. qsbr, ebr, qsense's fast path: that retire
 // follows this operation's Begin, so the grace period it must wait out
 // contains the rest of this operation. ibr: the node was born before the
-// hint was made, so at or below the upper bound Protect just raised, and
+// word was noted, so at or below the upper bound Protect just raised, and
 // its retire era cannot precede the reservation's lower bound (Begin) — the
 // lifetime meets the reservation.
 // hyaline: enter (Begin) precedes the retire, so the batch waits for this
 // guard. rc: acquire succeeds only on the generation asked for, and a held
-// count blocks the free. From there an index word's node sits in the pin slot
-// and is used through Resolved.Get like any node search found: freed now, it
-// faults (TestFingerDetection). For a finger the same validation of pred,
-// plus the word still being succ — a generation-tagged Ref, so the very node
-// whose key was above key — shows an unmarked pred leading past key in a
-// sorted level 0 at the instant of the load: key is absent.
+// count blocks the free. From there the node sits in the pin slot and is
+// used through Resolved.Get like any node search found: freed now, it faults
+// (TestFingerDetection). In node form the key compare is what makes it key's
+// node; a node above key proves nothing, and the caller walks.
 //
-// The first check only spares a publication for hints that are long dead;
-// the second is the proof, and it must come after the load. Without it the
-// slot can be freed and re-allocated between the first check and the
-// load — the publication in between is not yet conclusive — and next[0] of
-// the new tenant read as the old node's: a fault on a correct scheme at
-// best, an "absent" for a present key at worst (both are rows of
-// TestFingerDetection, for index words and for fingers; testdata/mutants
-// holds the two edits, beside the key compare dropped, the edge over a
-// re-inserted key and a retired self value, and kill.sh shows the tests that
-// fail on each). A 30-bit generation that wraps hands out a bit-identical
-// live Ref, as it can for every Ref in this repository; for an index word
-// the key compare after validation is what makes that harmless.
+// In edge form the node n is below key, and the edge is read live, not
+// stored. The re-load is conclusive for succ as search's per-hop
+// re-validation is for its right (invariants 1–3): n is pinned and was
+// unretired at the first load, so the re-load reads the same incarnation,
+// and reads it unmarked, so n — on level 0 when the word was noted, and
+// unlinked from level 0 only once marked — is on level 0 still, and n → succ
+// is a clean edge at the instant of the re-load, which follows succ's
+// publication. succ's deleter must splice it out of that edge, or out of the
+// frozen word n leaves if n is marked later (invariant 3), before it may
+// retire it (invariant 1), and an edge it was spliced out of never names it
+// again (invariant 2): succ was unretired when the scratch publication took
+// effect, and the scratch slot covers it like a search's slot while its key
+// is read through Resolved.Get. Level 0 is sorted, so an unmarked n below
+// key leading straight to succ past key, at one instant, leaves no node of
+// key on level 0 then: key is absent. Nothing in that argument asks which
+// key wrote the word or when: any bracketing edge proves absence. An edge
+// that no longer brackets key — succ is key's node, or below it — is refused
+// and the caller walks; so is a marked n, whose frozen next[0] is no edge of
+// level 0.
 //
-// # Node index
-//
-// The list's one node index is a power-of-two array of words (nodeIndex),
-// word fingerHash(key) holding the untagged Ref of some key's node, or 0 —
-// direct-mapped, one word per key, shared by every handle. A walk by locate
-// or an upsert that found key's node stores its Ref, and so does an insert
-// after its level-0 link; only a Ref the word does not already hold is
-// stored, so a hit, or a walk that found the same node, writes no shared
-// line. Delete writes nothing: a word that names a deleted node fails
-// validation.
+// The first generation check only spares a publication for words that are
+// long dead; the second is the proof, and it must come after the load.
+// Without it the slot can be freed and re-allocated between the first check
+// and the load — the publication in between is not yet conclusive — and
+// next[0] of the new tenant read as the old node's: a fault on a correct
+// scheme at best, a wrong answer at worst. Without the re-load, succ can be
+// deleted and freed between the first load and its publication, and reading
+// its key faults. Without the order check, an edge that key's insert closed
+// answers "absent" for a present key. Each is a row of TestFingerDetection;
+// testdata/mutants holds those edits, beside the mark check and the key
+// compare dropped, a retired self value and a stale upper array, and kill.sh
+// shows the tests that fail on each. A 30-bit generation that wraps hands
+// out a bit-identical live Ref, as it can for every Ref in this repository;
+// the key compares after validation are what make that harmless.
 //
 // Why one word and no count: a word is one atomic store and one atomic load,
 // so an entry cannot tear between a reader and a writer, and a hit writes
 // nothing — a hit count would make every hit a store to a line the other
-// handles read. Why the proof is validate's: a word protects nothing, and
-// what it names may be retired, freed, recycled or another key's node (two
-// keys share a word), exactly as a remembered position may; validate's key
-// compare refuses another key's node, as its successor compare refuses a
-// finger whose edge moved.
+// handles read. Why an edge fits one word: it needs only its predecessor,
+// since the successor is read live, and a predecessor that any key noted
+// serves every key it brackets. A handle keeps no table of its own, so a
+// connection costs the same whatever it asks for.
 //
-// Sizing: 2^12 words (32 KiB) at New, then one word per two pool slots. An
-// insert whose node sits at slot index i >= 2·len replaces the index with an
-// empty one of the least power-of-two length above i/2 (fitIndex); the old
-// words were hints and are dropped. So the index allocates only when the
-// pool grows, and its memory follows the stored keys, whatever the number of
-// handles: kv-read's 2^17 keys settle at 2^17 words, 1 MiB beside 16 MiB of
-// nodes. With two handles taking a stream's lookups in turn over the 2^18
-// keys, half of them stored (TestIndexHitRate), fingers answer 294 692 of
-// 1 Mi zipf lookups, the index 517 739, and 236 145 walk (22.5 %); of a
-// uniform stream, 16 487, 429 106 and 602 983 (57.5 %).
+// Sizing: 2^12 words (32 KiB) at New, then one word per pool slot. An insert
+// whose node sits at slot index i >= len replaces the index with an empty one
+// of the least power-of-two length above i (fitIndex); the old words were
+// hints and are dropped. So the index allocates only when the pool grows, and
+// its memory follows the stored keys, whatever the number of handles:
+// kv-read's 2^17 keys settle at 2^18 words, 2 MiB beside 16 MiB of nodes.
+// With two handles taking a stream's lookups in turn over the 2^18 keys, half
+// of them stored (TestIndexHitRate), the edge form answers 462 300 of 1 Mi
+// zipf lookups, the node form 518 250, and 68 026 walk (6.5 %); of a uniform
+// stream, 459 638, 460 102 and 128 836 (12.3 %). At one word per two slots,
+// where absent keys had to share the words of present ones, 17.1 % of the
+// zipf stream and 50.1 % of the uniform one walked.
 //
 // The historical violation of invariant 2 — Insert pre-stored every
 // upper next word from the level-0 search and re-claimed a level only
@@ -437,9 +439,6 @@ type Handle struct {
 	// preds/succs as search resolved them; every use re-checks (predp[l].Get)
 	predp [MaxLevel]mem.Resolved[node]
 	succp [MaxLevel]mem.Resolved[node]
-	// fingers is nil until the first remember, so a lease that never finds
-	// a key absent costs what it did.
-	fingers []finger
 }
 
 // NewHandle binds a worker's guard to the skip list. Seed differentiates
@@ -609,87 +608,17 @@ retry:
 // <= MaxKey, so key+1 <= tailKey.
 func (h *Handle) prune(key int64) { h.search(key + 1) }
 
-// fingerBits sizes a handle's finger table: 2^12 edge fingers of 24 bytes,
-// direct-mapped, 96 KiB per handle that has found a key absent. A constant,
-// not a knob. The table answers only "absent" — a present key's node is the
-// node index's (package doc, "Node index") — and of TestIndexHitRate's 1 Mi
-// lookups it answers 294 692 of a zipf stream and 16 487 of a uniform one.
-const fingerBits = 12
-
-// A finger is the level-0 edge pred → succ that key fell strictly inside when
-// this handle last found key absent or deleted it; an empty finger has pred
-// nil. It is a hint and protects nothing between operations; probe decides
-// whether it still holds (package doc, "Fingers").
-type finger struct {
-	key        int64
-	pred, succ mem.Ref
-}
-
-// fingerHash picks key's finger and node index word, by its top bits.
-func fingerHash(key int64) uint64 { return uint64(key) * 0x9E3779B97F4A7C15 }
-
-func (h *Handle) fingerAt(key int64) *finger {
-	return &h.fingers[fingerHash(key)>>(64-fingerBits)]
-}
-
-// remember makes the edge pred → succ key's finger, over whatever its entry
-// held.
-func (h *Handle) remember(key int64, pred, succ mem.Ref) {
-	if h.fingers == nil {
-		h.fingers = make([]finger, 1<<fingerBits)
-	}
-	*h.fingerAt(key) = finger{key, pred, succ}
-}
-
-// probe answers "is key absent" from key's finger: true if the edge still
-// holds. The order is the argument (package doc, "Fingers"): publish pred,
-// load next[0], then the generation — the same incarnation, seen unmarked and
-// still leading to succ after the publication, shows key absent. A finger
-// that fails is dropped.
-func (h *Handle) probe(key int64) bool {
-	if h.fingers == nil {
-		return false
-	}
-	f := h.fingerAt(key)
-	if f.key != key || f.pred.IsNil() {
-		return false
-	}
-	if _, ok := h.validate(key, f.pred, f.succ); ok {
-		return true
-	}
-	*f = finger{}
-	return false
-}
-
-// validate is the proof of every hint, a finger's or the node index's
-// (package doc, "Fingers"): publish ref in the pin slot, load next[0], then
-// the generation — the same incarnation, seen unmarked after the publication
-// and either key's node (succ nil) or still leading to succ, is not yet
-// retired. np is ref's slot, to be used through np.Get from here on.
-func (h *Handle) validate(key int64, ref, succ mem.Ref) (np mem.Resolved[node], ok bool) {
-	np, raw, live := h.s.pool.Peek(ref)
-	if !live {
-		return np, false
-	}
-	h.guard.Protect(h.hpPin(), ref)
-	w := raw.next[0].Load()
-	if !np.Live(ref) || isMarked(w) {
-		return np, false
-	}
-	if succ.IsNil() {
-		return np, np.Get(ref).key == key
-	}
-	return np, w == uint64(succ)
-}
+// indexHash picks key's node index word, by its top bits.
+func indexHash(key int64) uint64 { return uint64(key) * 0x9E3779B97F4A7C15 }
 
 // indexBits sizes a new list's node index: 2^12 words, 32 KiB. The index
 // then grows with the pool (fitIndex), not with a knob.
 const indexBits = 12
 
-// A nodeIndex is a list's shared table of node hints (package doc, "Node
-// index"): word fingerHash(key)>>shift holds the untagged Ref of some key's
-// node, or 0. A word is a hint like a finger; validate decides whether it
-// still holds, and whether it is key's.
+// A nodeIndex is a list's shared table of hints (package doc, "Node index"):
+// word indexHash(key)>>shift holds the untagged Ref of key's node, of a node
+// below key, or 0. hint decides whether a word still holds, and what it
+// answers.
 type nodeIndex struct {
 	shift uint
 	words []atomic.Uint64
@@ -699,7 +628,7 @@ func newNodeIndex(n int) *nodeIndex {
 	return &nodeIndex{shift: uint(64 - bits.Len(uint(n)) + 1), words: make([]atomic.Uint64, n)}
 }
 
-func (x *nodeIndex) word(key int64) *atomic.Uint64 { return &x.words[fingerHash(key)>>x.shift] }
+func (x *nodeIndex) word(key int64) *atomic.Uint64 { return &x.words[indexHash(key)>>x.shift] }
 
 // note makes n the hint in key's word. It stores only a Ref the word does
 // not already hold, so a hit, or a walk that found what the word names,
@@ -712,38 +641,56 @@ func (x *nodeIndex) note(key int64, n mem.Ref) {
 
 // fitIndex returns the index an insert whose node sits in slot i notes into,
 // first replacing it with an empty one of the least power-of-two length above
-// i/2 when i is at least twice its length: one word per two pool slots. The
-// old words are hints, so they are dropped; an inserter that loses the swap
-// looks again.
+// i when i is not below its length: one word per pool slot. The old words are
+// hints, so they are dropped; an inserter that loses the swap looks again.
 func (s *SkipList) fitIndex(i uint32) *nodeIndex {
 	for {
 		x := s.index.Load()
-		if uint64(i) < 2*uint64(len(x.words)) {
+		if int(i) < len(x.words) {
 			return x
 		}
-		s.index.CompareAndSwap(x, newNodeIndex(1<<bits.Len32(i>>1)))
+		s.index.CompareAndSwap(x, newNodeIndex(1<<bits.Len32(i)))
 	}
 }
 
-// byIndex answers "is key's node where the node index says": key's node,
-// validated in the pin slot, for np.Get, or !ok.
-func (h *Handle) byIndex(key int64) (n mem.Ref, np mem.Resolved[node], ok bool) {
+// byIndex validates key's word (package doc, "Node index"): publish its node
+// in the pin slot, load next[0], then the generation — the same incarnation,
+// seen unmarked after the publication, is not yet retired. n is that node,
+// for np.Get, and w the next[0] word the load read; !ok if the word is empty
+// or its node gone.
+func (h *Handle) byIndex(key int64) (n mem.Ref, np mem.Resolved[node], w uint64, ok bool) {
 	n = mem.Ref(h.s.index.Load().word(key).Load())
 	if n.IsNil() {
 		return
 	}
-	np, ok = h.validate(key, n, 0)
-	return
+	np, raw, live := h.s.pool.Peek(n)
+	if !live {
+		return
+	}
+	h.guard.Protect(h.hpPin(), n)
+	w = raw.next[0].Load()
+	return n, np, w, np.Live(n) && !isMarked(w)
 }
 
-// hint is probe, then byIndex: key absent by its finger, or key's node by
-// the node index (ok), or !ok when the caller must walk.
+// hint answers key from its node index word: key's node, pinned, for np.Get
+// (found), or key absent by the edge from the node the word names (ok,
+// !found), or !ok when the caller must walk. The edge is read live: its
+// successor published in the scratch slot, the edge re-loaded unchanged, and
+// the successor's key past key.
 func (h *Handle) hint(key int64) (n mem.Ref, np mem.Resolved[node], found, ok bool) {
-	if h.probe(key) {
-		return 0, np, false, true
+	n, np, w, ok := h.byIndex(key)
+	if !ok {
+		return
 	}
-	n, np, found = h.byIndex(key)
-	return n, np, found, found
+	if nk := np.Get(n).key; nk >= key {
+		return n, np, nk == key, nk == key
+	}
+	succ := mem.Ref(w)
+	h.guard.Protect(h.hpScratch(), succ)
+	if np.Get(n).next[0].Load() != w {
+		return n, np, false, false
+	}
+	return n, np, false, h.s.pool.Resolve(succ).Get(succ).key > key
 }
 
 // locate finds key's level-0 position — by a hint or, failing that, by a
@@ -759,13 +706,14 @@ func (h *Handle) locate(key int64) (n mem.Ref, np mem.Resolved[node], found bool
 	return n, np, found
 }
 
-// walk is locate's miss path: search, and remember the edge if key is
-// absent. A node found is covered by level 0's slot pair, not the pin.
+// walk is locate's miss path: search, and note the edge's predecessor in the
+// index if key is absent. A node found is covered by level 0's slot pair, not
+// the pin.
 func (h *Handle) walk(key int64) (n mem.Ref, np mem.Resolved[node], found bool) {
 	h.search(key)
 	n, np = h.succs[0], h.succp[0]
 	if found = np.Get(n).key == key; !found {
-		h.remember(key, h.preds[0], n)
+		h.s.index.Load().note(key, h.preds[0])
 	}
 	return n, np, found
 }
@@ -801,7 +749,7 @@ func (h *Handle) upsertWord(key int64, w uint64, spill []byte, upsert bool) bool
 	}
 	h.guard.Begin()
 	defer h.guard.ClearHPs()
-	if n, np, found := h.byIndex(key); found {
+	if n, np, _, ok := h.byIndex(key); ok && np.Get(n).key == key {
 		if upsert {
 			h.overwrite(n, np, w, spill)
 		}
@@ -972,12 +920,9 @@ func (h *Handle) Delete(key int64) bool {
 			// upserts observe it and refuse to resurrect the node.
 			h.retireDisplaced(n, np, np.Get(n).val.Swap(valTombstone))
 			h.prune(key) // physical cleanup at every level
-			// What prune found is where key is now: the edge over it —
-			// unless another worker re-inserted key behind us, and an edge
-			// over that node would answer "absent".
-			if p := h.preds[0]; h.predp[0].Get(p).key < key {
-				h.remember(key, p, h.succs[0])
-			}
+			// What prune found is where key is now: below it, or key's
+			// node if another worker re-inserted key behind us.
+			h.s.index.Load().note(key, h.preds[0])
 			// Retirement ownership: if n's inserter is still linking
 			// upper levels, it can re-link a level our search already
 			// passed — retiring now would leave a reachable retired

@@ -104,7 +104,7 @@ func TestChurnAllocatesNothing(t *testing.T) {
 		}
 	}
 	for range 100 {
-		batch() // grows the pool, the retire buckets and the finger table
+		batch() // grows the pool, the retire buckets and the node index
 	}
 	tall = 0
 	allocs := testing.AllocsPerRun(100, batch)

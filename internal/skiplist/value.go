@@ -56,11 +56,11 @@ import (
 //
 // A reader that finds a self word needs none of that: it linearizes at the
 // load, like an inline word, and copies n's payload with no publication.
-// n is already covered — the caller located it, by walk or by finger, and
-// every use re-checks its generation (a node freed under the copy faults,
-// TestFingerDetection) — and its payload was written once, before the link
-// that made n reachable, and is never written again while n is allocated,
-// so a displacement after the load cannot tear the copy.
+// n is already covered — the caller located it, by walk or by its node
+// index word, and every use re-checks its generation (a node freed under the
+// copy faults, TestFingerDetection) — and its payload was written once,
+// before the link that made n reachable, and is never written again while n
+// is allocated, so a displacement after the load cannot tear the copy.
 const (
 	valInlineBit = 1 // bit 0: value stored in the word itself
 	valLenShift  = 1

@@ -64,16 +64,17 @@ func decodeID(b []byte) uint64 {
 // key, against the sequential map: every scheme, 2–4
 // goroutines whose writes COLLIDE on a few dozen zipf keys (the ruler's
 // workers are partitioned; these are not). Each worker returns its lease
-// and takes another every few hundred operations, so a handle — with the
-// edge fingers its last tenant left — changes hands while others delete and
-// re-insert what the fingers and the node index point at. Run it with -race
-// -cpu=2,4; a failure prints its seed.
+// and takes another every few hundred operations, so a handle changes hands
+// while others delete and re-insert what the node index words — node and
+// edge form alike — point at. Run it with -race -cpu=2,4; a failure prints
+// its seed.
 func TestSkipMapLinearizable(t *testing.T) {
 	const keys = 32
 	// shared, the zipf stream's coldest rank, is one key outside [0, keys)
-	// whose node index word — the top 12 bits of the skip list's fingerHash,
+	// whose node index word — the top 12 bits of the skip list's indexHash,
 	// at the index's starting 2^12 words — is also an in-range key's: a word
-	// taken for the wrong key's node shows as that key's value.
+	// taken for the wrong key's node shows as that key's value, and an edge
+	// one key left that is taken to bracket the other shows as a lost value.
 	word := func(k int64) uint64 { return uint64(k) * 0x9E3779B97F4A7C15 >> 52 }
 	sharesWord := func(c int64) bool {
 		for k := int64(0); k < keys; k++ {
@@ -155,18 +156,17 @@ func TestSkipMapLinearizable(t *testing.T) {
 
 // TestSkipMapFingerAcrossQuiescence is the attack ROADMAP names on search
 // hints: handle a looks keys up (leaving hints: the node index word on a
-// present key's node, a's own finger on the edge an absent key falls in),
-// then takes no step for many epochs while handle b deletes, re-inserts and
-// churns those very keys until their slots have been freed and re-used many
-// times over; then a asks again. What the words and a's fingers remember
-// names nodes that are gone, recycled, or — worst — recycled into the same
-// key, and a's answers must still be the map's. Two ways of being quiet:
-// idle with the lease held (under qsbr that blocks reclamation — the hints
-// then point at retired, unfreed nodes; under qsense it forces the fallback
-// path), and lease returned, the slot's handle with its fingers picked up
-// again afterwards (two slots, one held by b, so Acquire has only a's old
-// slot to give). The history is sequential; the checker is the judge all the
-// same.
+// present key's node, and on the predecessor of the edge an absent key falls
+// in), then takes no step for many epochs while handle b deletes, re-inserts
+// and churns those very keys until their slots have been freed and re-used
+// many times over; then a asks again. What the words remember names nodes
+// that are gone, recycled, or — worst — recycled into the same key, and a's
+// answers must still be the map's. Two ways of being quiet: idle with the
+// lease held (under qsbr that blocks reclamation — the hints then point at
+// retired, unfreed nodes; under qsense it forces the fallback path), and
+// lease returned, the slot's handle picked up again afterwards (two slots,
+// one held by b, so Acquire has only a's old slot to give). The history is
+// sequential; the checker is the judge all the same.
 func TestSkipMapFingerAcrossQuiescence(t *testing.T) {
 	const (
 		kHot, kGone, kGap, kNew = 40, 50, 65, 75 // 10, 20 … 90 present at the start; kGap and kNew absent
@@ -200,7 +200,7 @@ func TestSkipMapFingerAcrossQuiescence(t *testing.T) {
 					}
 				}
 				ask()
-				ask() // by index word and finger
+				ask() // by index word, node and edge form
 
 				// Deleted and re-inserted, the old node retired but not yet
 				// freed: generation intact, only the mark gives it away.
@@ -225,7 +225,7 @@ func TestSkipMapFingerAcrossQuiescence(t *testing.T) {
 				st := m.Stats()
 				if quiet == "released" || scheme != qsense.SchemeQSBR {
 					if st.Freed < rounds {
-						t.Errorf("only %d of %d retired nodes were freed: the fingers' slots were not churned", st.Freed, st.Retired)
+						t.Errorf("only %d of %d retired nodes were freed: the hinted nodes' slots were not churned", st.Freed, st.Retired)
 					}
 				}
 				if scheme == qsense.SchemeQSense && (quiet == "idle") != (st.SwitchesToFallback > 0) {

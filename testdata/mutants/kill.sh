@@ -4,16 +4,17 @@
 # longer applies fails loudly (git apply --check) instead of rotting; a named
 # test that passes on a mutant is a test that checks nothing.
 #
-# The skip list's search fingers, node index and self values
-# (internal/skiplist): two patches remove a check of validate, the proof an
-# edge finger and a node index word share (package doc, "Fingers"), and each
-# must also fail an index row; index-no-key-check drops validate's key
-# compare, so a node index word naming another key's node answers for it
-# (package doc, "Node index"); delete-edge-over-key has Delete leave an edge
-# over the node prune found, self-value-retired retires a displaced self
-# value (value.go), stale-upper leaves a reused upper array's words unzeroed
-# (package doc, "Node layout": the stale mark abandons the tower from level 6
-# up).
+# The skip list's node index, self values and towers (internal/skiplist):
+# two patches remove a check of byIndex, the validation both forms of a node
+# index word share (package doc, "Node index"), and each must also fail an
+# index row; index-no-key-check drops the node form's key compare, so a word
+# naming another key's node answers for it; edge-no-succ-recheck skips the
+# re-load of the edge after its successor's publication, so a successor freed
+# in between is read; edge-no-order-check drops the successor's key compare,
+# so an edge an insert closed answers "absent"; self-value-retired retires a
+# displaced self value (value.go), stale-upper leaves a reused upper array's
+# words unzeroed (package doc, "Node layout": the stale mark abandons the
+# tower from level 6 up).
 #
 # Reclamation (internal/reclaim): no-deferral drops Cadence's old-enough
 # check, so a scan frees a node whose hazard pointer is still pending — the
@@ -42,9 +43,10 @@ kills=(
 	"no-mark-check.patch|./internal/skiplist|TestFingerDetection/index"
 	"no-mark-check.patch|./internal/skiplist|TestFingerInterleavings"
 	"no-mark-check.patch|.|TestSkipMapLinearizable"
-	"no-mark-check.patch|.|TestSkipMapFingerAcrossQuiescence"
-	"delete-edge-over-key.patch|./internal/skiplist|TestFingerDetection"
-	"delete-edge-over-key.patch|./internal/skiplist|TestFingerInterleavings"
+	"edge-no-succ-recheck.patch|./internal/skiplist|TestFingerDetection/edge:_successor"
+	"edge-no-succ-recheck.patch|./internal/skiplist|TestFingerInterleavings"
+	"edge-no-order-check.patch|./internal/skiplist|TestFingerDetection/edge:_word"
+	"edge-no-order-check.patch|.|TestSkipMapLinearizable"
 	"self-value-retired.patch|./internal/skiplist|TestFingerInterleavings"
 	"self-value-retired.patch|./internal/skiplist|TestSlotsPerSpilledValue"
 	"self-value-retired.patch|.|TestSkipMapLinearizable"
