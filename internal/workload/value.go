@@ -6,6 +6,8 @@ package workload
 // VerifyPayload — a torn or freed value read by the server is detected at
 // the client as a checksum mismatch, not just a wrong byte.
 
+import "encoding/binary"
+
 // SizeDist describes a value-size distribution: every value is at least
 // Base bytes, optionally extended by a zipf-skewed amount up to Max (small
 // extensions are the common case, near-Max ones the tail — the shape of
@@ -46,20 +48,18 @@ func AppendPayload(dst []byte, key int64, salt uint64, n int) []byte {
 	if n < 8 {
 		salt = 0
 	}
-	s := payloadSeed(key, salt, n)
-	rng := RNG{state: s}
-	i := 0
+	rng := RNG{state: payloadSeed(key, salt, n)}
 	if n >= 8 {
-		for ; i < 8; i++ {
-			dst = append(dst, byte(salt>>(8*i)))
-		}
+		dst = binary.LittleEndian.AppendUint64(dst, salt)
+		n -= 8
 	}
-	for i < n {
-		w := rng.Next()
-		for b := 0; b < 8 && i < n; b++ {
-			dst = append(dst, byte(w>>(8*b)))
-			i++
-		}
+	for ; n >= 8; n -= 8 {
+		dst = binary.LittleEndian.AppendUint64(dst, rng.Next())
+	}
+	if n > 0 {
+		var w [8]byte
+		binary.LittleEndian.PutUint64(w[:], rng.Next())
+		dst = append(dst, w[:n]...)
 	}
 	return dst
 }
@@ -70,23 +70,18 @@ func VerifyPayload(b []byte, key int64) bool {
 	n := len(b)
 	var salt uint64
 	if n >= 8 {
-		for i := 0; i < 8; i++ {
-			salt |= uint64(b[i]) << (8 * i)
-		}
+		salt, b = binary.LittleEndian.Uint64(b), b[8:]
 	}
 	rng := RNG{state: payloadSeed(key, salt, n)}
-	i := 0
-	if n >= 8 {
-		i = 8
-	}
-	for i < n {
-		w := rng.Next()
-		for bi := 0; bi < 8 && i < n; bi++ {
-			if b[i] != byte(w>>(8*bi)) {
-				return false
-			}
-			i++
+	for ; len(b) >= 8; b = b[8:] {
+		if binary.LittleEndian.Uint64(b) != rng.Next() {
+			return false
 		}
+	}
+	if len(b) > 0 {
+		var w [8]byte
+		binary.LittleEndian.PutUint64(w[:], rng.Next())
+		return string(b) == string(w[:len(b)])
 	}
 	return true
 }

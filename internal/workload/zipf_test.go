@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -121,6 +122,79 @@ func TestPhaseActiveWorkers(t *testing.T) {
 	for _, c := range cases {
 		if got := (Phase{Load: c.load}).ActiveWorkers(c.n); got != c.want {
 			t.Fatalf("ActiveWorkers(load=%v, n=%d) = %d want %d", c.load, c.n, got, c.want)
+		}
+	}
+}
+
+// TestZipfExpMatchesPow holds next's exp(alpha·ln x) to the math.Pow form it
+// replaced: over 4 Mi draws for each skew and key range the ruler and the
+// layer benchmarks use, not one key differs, so every stream recorded before
+// the change — and every count pinned on one — is the same stream.
+func TestZipfExpMatchesPow(t *testing.T) {
+	const draws = 4 << 20
+	for _, theta := range []float64{0.99, 0.5} {
+		for _, n := range []int64{1 << 16, 1 << 18} {
+			z := newZipfGen(n, theta)
+			pow := func(u float64) int64 { // next as it was, with math.Pow
+				uz := u * z.zetan
+				if uz < 1 {
+					return 0
+				}
+				if uz < 1+z.half {
+					return 1
+				}
+				return min(max(int64(float64(z.n)*math.Pow(z.eta*u-z.eta+1, z.alpha)), 0), z.n-1)
+			}
+			rng := NewRNG(uint64(n) ^ math.Float64bits(theta))
+			for i := 0; i < draws; i++ {
+				u := float64(rng.Next()>>11) / (1 << 53)
+				if got, want := z.next(u), pow(u); got != want {
+					t.Fatalf("theta %v, range %d, draw %d (u=%v): key %d, math.Pow gives %d", theta, n, i, u, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestPayloadMatchesBytewise holds the word-at-a-time payload codec to the
+// byte-at-a-time stream it replaced, at every length around the salt and the
+// word boundaries, and checks that one flipped byte fails verification
+// (but in an 8-byte payload, which is its salt alone).
+func TestPayloadMatchesBytewise(t *testing.T) {
+	bytewise := func(key int64, salt uint64, n int) []byte {
+		if n < 8 {
+			salt = 0
+		}
+		rng := RNG{state: payloadSeed(key, salt, n)}
+		var out []byte
+		for i := 0; i < 8 && n >= 8; i++ {
+			out = append(out, byte(salt>>(8*i)))
+		}
+		for len(out) < n {
+			w := rng.Next()
+			for b := 0; b < 8 && len(out) < n; b++ {
+				out = append(out, byte(w>>(8*b)))
+			}
+		}
+		return out
+	}
+	for n := 0; n <= 40; n++ {
+		for _, key := range []int64{0, 7, -3, 1 << 40} {
+			salt := uint64(key)*31 + uint64(n)
+			got := AppendPayload([]byte("x"), key, salt, n)
+			if want := bytewise(key, salt, n); string(got[1:]) != string(want) || got[0] != 'x' {
+				t.Fatalf("key %d, n %d: %x, byte-wise %x", key, n, got[1:], want)
+			}
+			if !VerifyPayload(got[1:], key) {
+				t.Fatalf("key %d, n %d: its own payload fails verification", key, n)
+			}
+			for i := 1; i < len(got); i++ {
+				got[i] ^= 0x40
+				if VerifyPayload(got[1:], key) && n != 8 { // 8 bytes are all salt
+					t.Fatalf("key %d, n %d: byte %d flipped still verifies", key, n, i-1)
+				}
+				got[i] ^= 0x40
+			}
 		}
 	}
 }
