@@ -614,9 +614,9 @@ func BenchmarkLeaseChurnParallel(b *testing.B) {
 // scattered over the range, where the list's 2^18 index words answer a
 // present key with one node touch instead of a 24-node walk, and an absent
 // key with two, by the edge a word names (TestIndexHitRate, two handles in
-// turn: node form 518 250, edge form 462 300, walks 68 026 of 1 Mi). uniform
-// is where the words are coldest: the node form answers 44 % (460 102), the
-// edge form 44 % (459 638), and 12 % walks (128 836) — absent keys whose
+// turn: node form 535 236, edge form 462 300, walks 51 040 of 1 Mi). uniform
+// is where the words are coldest: the node form answers 44 % (461 511), the
+// edge form 44 % (459 638), and 12 % walks (127 427) — absent keys whose
 // word another key took.
 func BenchmarkSkipMapGet(b *testing.B) {
 	const keys = 1 << 18

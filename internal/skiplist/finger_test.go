@@ -598,8 +598,8 @@ var raceDetector bool
 // scattered by the ruler's multiplier, or uniform — and the two handles take
 // the stream's lookups in turn, as the ruler's two connections do; 1 Mi
 // lookups of warm-up, then 1 Mi counted. The fill grows the index to 2^18
-// words, one per pool slot, its last growth empties it, and the warm-up fills
-// it again. Over none nothing is retired, so a word that is found validates
+// words, one per pool slot; each growth keeps the hints the fill noted, and
+// the warm-up fills in the rest. Over none nothing is retired, so a word that is found validates
 // unless it is another key's and no edge of it brackets the key, and the
 // counts are the index's policy alone.
 func TestIndexHitRate(t *testing.T) {
@@ -615,8 +615,8 @@ func TestIndexHitRate(t *testing.T) {
 		theta               float64
 		edge, index, walked int
 	}{
-		{"zipf", 0.99, 462_300, 518_250, 68_026},
-		{"uniform", 0, 459_638, 460_102, 128_836},
+		{"zipf", 0.99, 462_300, 535_236, 51_040},
+		{"uniform", 0, 459_638, 461_511, 127_427},
 	} {
 		s, d, hs := newSet(t, "none", 2, 0)
 		for k := int64(0); k < keys; k += 2 {

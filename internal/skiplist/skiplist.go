@@ -177,17 +177,21 @@
 // connection costs the same whatever it asks for.
 //
 // Sizing: 2^12 words (32 KiB) at New, then one word per pool slot. An insert
-// whose node sits at slot index i >= len replaces the index with an empty one
-// of the least power-of-two length above i (fitIndex); the old words were
-// hints and are dropped. So the index allocates only when the pool grows, and
-// its memory follows the stored keys, whatever the number of handles:
-// kv-read's 2^17 keys settle at 2^18 words, 2 MiB beside 16 MiB of nodes.
-// With two handles taking a stream's lookups in turn over the 2^18 keys, half
-// of them stored (TestIndexHitRate), the edge form answers 462 300 of 1 Mi
-// zipf lookups, the node form 518 250, and 68 026 walk (6.5 %); of a uniform
-// stream, 459 638, 460 102 and 128 836 (12.3 %). At one word per two slots,
-// where absent keys had to share the words of present ones, 17.1 % of the
-// zipf stream and 50.1 % of the uniform one walked.
+// whose node sits at slot index i >= len replaces the index with one of the
+// least power-of-two length above i (fitIndex), each of whose words starts as
+// the old word its keys hashed to (grown): the hints survive the growth, and
+// a word that now serves fewer keys is refused for the others like any other
+// key's word. So the index allocates only when the pool grows, and its
+// memory follows the stored keys, whatever the number of handles: kv-read's
+// 2^17 keys settle at 2^18 words, 2 MiB beside 16 MiB of nodes. With two
+// handles taking a stream's lookups in turn over the 2^18 keys, half of them
+// stored (TestIndexHitRate), the edge form answers 462 300 of 1 Mi zipf
+// lookups, the node form 535 236, and 51 040 walk (4.9 %); of a uniform
+// stream, 459 638, 461 511 and 127 427 (12.2 %). Dropping the old words at a
+// growth instead — the fill's last insert doubles the index — left 68 026 and
+// 128 836 to walk. At one word per two slots, where absent keys had to share
+// the words of present ones, 17.1 % of the zipf stream and 50.1 % of the
+// uniform one walked.
 //
 // The historical violation of invariant 2 — Insert pre-stored every
 // upper next word from the level-0 search and re-claimed a level only
@@ -640,17 +644,30 @@ func (x *nodeIndex) note(key int64, n mem.Ref) {
 }
 
 // fitIndex returns the index an insert whose node sits in slot i notes into,
-// first replacing it with an empty one of the least power-of-two length above
-// i when i is not below its length: one word per pool slot. The old words are
-// hints, so they are dropped; an inserter that loses the swap looks again.
+// first replacing it with a grown one of the least power-of-two length above
+// i when i is not below its length: one word per pool slot. An inserter that
+// loses the swap looks again.
 func (s *SkipList) fitIndex(i uint32) *nodeIndex {
 	for {
 		x := s.index.Load()
 		if int(i) < len(x.words) {
 			return x
 		}
-		s.index.CompareAndSwap(x, newNodeIndex(1<<bits.Len32(i)))
+		s.index.CompareAndSwap(x, x.grown(1<<bits.Len32(i)))
 	}
+}
+
+// grown returns an index of n words that keeps x's hints: a key's word in the
+// new index is word j, and in x it was word j>>d, d the growth in bits, so
+// word j starts as that word. No key is read: a word may name any node. A
+// note that lands in x during the copy is lost, as a hint may be.
+func (x *nodeIndex) grown(n int) *nodeIndex {
+	y := newNodeIndex(n)
+	d := x.shift - y.shift
+	for j := range y.words {
+		y.words[j].Store(x.words[j>>d].Load())
+	}
+	return y
 }
 
 // byIndex validates key's word (package doc, "Node index"): publish its node
