@@ -207,6 +207,12 @@ type MapHandle interface {
 	// Delete removes key, reporting false if it was absent. The removed
 	// value is retired through the domain alongside the node.
 	Delete(key int64) bool
+	// Prefetch loads into the cache what the next operations on keys
+	// will touch first, all keys' misses at once, so that a batch of
+	// operations does not wait out one cache miss after another. It
+	// changes nothing and answers nothing: a batch that calls it and then
+	// runs its operations gets the same results as one that does not.
+	Prefetch(keys []int64)
 	// Leave takes the handle out of reclamation while its goroutine waits
 	// on something other than the map (a socket read, a queue), keeping
 	// the lease: under QSBR and QSense an idle handle otherwise holds
@@ -234,6 +240,7 @@ type mapOps interface {
 	GetAppend(key int64, dst []byte) ([]byte, bool)
 	PutBytes(key int64, val []byte) bool
 	Delete(key int64) bool
+	Prefetch(keys []int64)
 }
 
 // leasedMap is a map structure handle for the length of one lease, adapting
@@ -251,6 +258,7 @@ func (h *leasedMap) Put(key int64, val []byte) bool       { return h.ops.PutByte
 func (h *leasedMap) PutUint64(key int64, val uint64) bool { return h.ops.Put(key, val) }
 func (h *leasedMap) GetUint64(key int64) (uint64, bool)   { return h.ops.Get(key) }
 func (h *leasedMap) Delete(key int64) bool                { return h.ops.Delete(key) }
+func (h *leasedMap) Prefetch(keys []int64)                { h.ops.Prefetch(keys) }
 
 // SkipMap is a lock-free sorted key→value map: the Fraser skip list of
 // SkipSet with a per-node value word. It is the structure qsense-kvd

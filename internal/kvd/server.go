@@ -17,6 +17,16 @@
 // deadline and the MemoryLimit sampler's clock are handled per socket read
 // and per socket write, so a pipelined batch pays for them once.
 //
+// A pipelined batch is served as a batch. resp.Reader.ReadBatch returns the
+// next command and every command the same socket read left whole in the
+// buffer behind it, each parsed once; handle collects the keys of the
+// batch's GET, SET and DEL commands, has the map load what their lookups
+// will touch first (MapHandle.Prefetch: every key's node index word and the
+// node lines it names, all the batch's cache misses at once), and then
+// dispatches the commands in order, exactly as one at a time: the replies,
+// their order and the flush rule — flush when the read buffer is drained,
+// or on QUIT — are the same.
+//
 // A connection waiting for its next command is out of reclamation: its
 // handle Leaves before each socket read and Joins after it, between
 // commands, where it holds no node. An idle client therefore holds back no
@@ -27,12 +37,14 @@
 //
 // What a connection costs in memory: its goroutine, two 4 KiB resp buffers,
 // a guard slot and the skip-list handle its slot carries — the same whatever
-// it asks for. A repeated key, present or absent, costs one or two node
-// touches instead of a walk through the map's node index, which every
-// connection shares (skiplist package doc, "Node index"), so no connection
-// keeps a table of its own: a thousand idle connections that each found a
-// key absent hold what a thousand idle connections do
-// (TestAbsentKeyConnsHoldNoTable).
+// it asks for — and the views of its largest batch: a slice header per
+// command and per argument in the reader, and a key per command here, which
+// the 4 KiB read buffer bounds (a 64-GET batch holds 5 KiB of them). A
+// repeated key, present or absent, costs one or two node touches instead of
+// a walk through the map's node index, which every connection shares
+// (skiplist package doc, "Node index"), so no connection keeps a table of
+// its own: a thousand idle connections that each found a key absent hold
+// what a thousand idle connections do (TestAbsentKeyConnsHoldNoTable).
 // A stored key costs one 128-byte pool slot (a skip-list node of two cache
 // lines; the one tower in 64 taller than six levels adds an 80-byte array)
 // plus its value: nothing more up to 7 bytes, a buffer the value's length
@@ -317,6 +329,7 @@ type conn struct {
 	h      qsense.MapHandle // the connection's lease, set before the first Read
 	now    time.Time        // when the last socket read returned: overLimit's clock
 	valBuf []byte           // scratch for GET copies
+	keys   []int64          // the keys of a batch's GET, SET and DEL commands
 }
 
 // Read gives the peer IdleTimeout to send something (the stalled-reader
@@ -354,8 +367,9 @@ func (c *conn) Write(p []byte) (int, error) {
 }
 
 // handle owns one connection: one leased SkipMap handle for the
-// connection's lifetime, a read-dispatch loop, and a flush whenever the
-// pipeline drains.
+// connection's lifetime, a loop that reads a pipelined batch, has the map
+// load what the batch's keys will touch first and then dispatches the
+// commands in order, and a flush whenever the pipeline drains.
 func (s *Server) handle(nc net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -389,7 +403,7 @@ func (s *Server) handle(nc net.Conn) {
 	}()
 	rd := resp.NewReader(c)
 	for {
-		args, err := rd.ReadCommand()
+		batch, err := rd.ReadBatch()
 		if err != nil {
 			// Framing violations get a reply; EOF, drain deadlines and
 			// network errors close quietly. An idle timeout on a healthy
@@ -404,9 +418,21 @@ func (s *Server) handle(nc net.Conn) {
 			}
 			return
 		}
-		quit := s.dispatch(c, h, wr, args) || s.draining.Load()
-		if quit || rd.Buffered() == 0 {
-			if err := wr.Flush(); err != nil || quit {
+		c.keys = c.keys[:0]
+		for _, args := range batch {
+			if k, ok := keyOf(args); ok {
+				c.keys = append(c.keys, k)
+			}
+		}
+		h.Prefetch(c.keys)
+		for _, args := range batch {
+			if s.dispatch(c, h, wr, args) || s.draining.Load() {
+				wr.Flush()
+				return
+			}
+		}
+		if rd.Buffered() == 0 {
+			if err := wr.Flush(); err != nil {
 				return
 			}
 		}
@@ -442,16 +468,8 @@ func (s *Server) overLimit(now time.Time) bool {
 // The reply writer copies a GET's bytes into its own buffer before dispatch
 // returns, so c.valBuf is reusable across commands.
 func (s *Server) dispatch(c *conn, h qsense.MapHandle, wr *resp.Writer, args [][]byte) bool {
-	// The verb in upper case, on the stack: clearing 0x20 maps a-z onto A-Z
-	// and no other byte onto a letter. One too long to be a verb stays "".
 	var upper [8]byte
-	verb := upper[:0]
-	if len(args[0]) <= len(upper) {
-		for _, b := range args[0] {
-			verb = append(verb, b&^0x20)
-		}
-	}
-	switch string(verb) {
+	switch string(verbOf(args[0], &upper)) {
 	case "PING":
 		wr.SimpleString("PONG")
 	case "QUIT":
@@ -508,6 +526,32 @@ func (s *Server) dispatch(c *conn, h qsense.MapHandle, wr *resp.Writer, args [][
 		wr.Error("ERR unknown command '" + sanitize(string(args[0])) + "'")
 	}
 	return false
+}
+
+// verbOf is a command's verb in upper case, in buf: clearing 0x20 maps a-z
+// onto A-Z and no other byte onto a letter. One too long to be a verb is "".
+func verbOf(verb []byte, buf *[8]byte) []byte {
+	upper := buf[:0]
+	if len(verb) <= len(buf) {
+		for _, b := range verb {
+			upper = append(upper, b&^0x20)
+		}
+	}
+	return upper
+}
+
+// keyOf is the key of a GET, SET or DEL command, for the batch's Prefetch:
+// a hint, so a command that dispatch will refuse may still give one.
+func keyOf(args [][]byte) (int64, bool) {
+	var upper [8]byte
+	switch string(verbOf(args[0], &upper)) {
+	case "GET", "SET", "DEL":
+		if len(args) > 1 {
+			k, err := parseKey(args[1])
+			return k, err == nil
+		}
+	}
+	return 0, false
 }
 
 // wantKey validates arity and parses the key argument. The two extreme

@@ -15,7 +15,7 @@ import (
 
 // startServer spins up a server on a loopback port and returns it with its
 // address and a cleanup.
-func startServer(t *testing.T, cfg Config) (*Server, string) {
+func startServer(t testing.TB, cfg Config) (*Server, string) {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
@@ -41,7 +41,7 @@ type client struct {
 	wr *resp.Writer
 }
 
-func dialClient(t *testing.T, addr string) *client {
+func dialClient(t testing.TB, addr string) *client {
 	t.Helper()
 	c, err := net.Dial("tcp", addr)
 	if err != nil {

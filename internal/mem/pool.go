@@ -136,9 +136,9 @@ func (s Resolved[T]) Get(r Ref) *T {
 }
 
 // Peek is Resolve for an optimistic reader holding a Ref it kept across
-// operations and protected by nothing (the skip list's fingers and node
-// index words): a stale r is reported, not raised — nothing is wrong yet,
-// the hint is merely old. raw is for the atomic loads the reader validates
+// operations and protected by nothing (the skip list's node index words, and
+// its Prefetch, which follows them and the links they lead to): a stale r is
+// reported, not raised — nothing is wrong yet, the hint is merely old. raw is for the atomic loads the reader validates
 // afterwards with Live; plain fields, and everything once Live has passed, go
 // through Get.
 // r must have come from this pool's Alloc.

@@ -32,8 +32,9 @@
 // Resolved saves is the re-walk, never the check.
 //
 // One kind of reader holds a Ref that nothing protects — the skip list's
-// fingers and node index words, hints kept across operations. For it a stale
-// Ref is news, not a fault: Pool.Peek and Resolved.Live are the same check
+// node index words, hints kept across operations, and its Prefetch, which
+// loads what they name ahead of a batch of lookups. For it a stale Ref is
+// news, not a fault: Pool.Peek and Resolved.Live are the same check
 // reported instead of raised, and what such a reader has validated it uses
 // through Get like everyone else.
 //

@@ -94,7 +94,10 @@ func (c *chunked) Read(p []byte) (int, error) {
 // FuzzReadCommand feeds arbitrary bytes in arbitrary chunkings to the
 // buffer-reusing reader and holds it to the reference: the same commands,
 // the same kind of ending, no panic, and no argument whose capacity reaches
-// past its own bytes into the scratch its neighbours share.
+// past its own bytes into the scratch its neighbours share. It reads every
+// input twice, a command at a time and a batch at a time (ReadBatch), and a
+// batch is checked only once it has all been parsed, so an argument that a
+// later command of its batch moved or overwrote fails too.
 func FuzzReadCommand(f *testing.F) {
 	for _, in := range garbageCommands {
 		f.Add([]byte(in), uint16(1))
@@ -121,12 +124,11 @@ func FuzzReadCommand(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte, chunk uint16) {
 		want, wantEnd := refCommands(data)
-		r := NewReader(&chunked{data: data, n: int(chunk) + 1})
-		for i, w := range want {
-			args, err := r.ReadCommand()
-			if err != nil {
-				t.Fatalf("command %d: %v, reference parsed %q", i, err, w)
+		same := func(i int, args [][]byte) {
+			if i >= len(want) {
+				t.Fatalf("command %d: %q, reference ends after %d with %v", i, args, len(want), wantEnd)
 			}
+			w := want[i]
 			if len(args) != len(w) {
 				t.Fatalf("command %d: %d args %q, reference %d %q", i, len(args), args, len(w), w)
 			}
@@ -139,9 +141,38 @@ func FuzzReadCommand(f *testing.F) {
 				}
 			}
 		}
-		args, err := r.ReadCommand()
-		if err == nil || (err == io.EOF) != (wantEnd == io.EOF) || IsProtocol(err) != IsProtocol(wantEnd) {
-			t.Fatalf("after %d commands: %q, %v; reference ends with %v", len(want), args, err, wantEnd)
+		end := func(how string, parsed int, err error) {
+			if parsed != len(want) || err == nil || (err == io.EOF) != (wantEnd == io.EOF) || IsProtocol(err) != IsProtocol(wantEnd) {
+				t.Fatalf("%s: after %d commands: %v; reference ends after %d with %v", how, parsed, err, len(want), wantEnd)
+			}
+		}
+
+		r := NewReader(&chunked{data: data, n: int(chunk) + 1})
+		for i := range want {
+			args, err := r.ReadCommand()
+			if err != nil {
+				t.Fatalf("command %d: %v, reference parsed %q", i, err, want[i])
+			}
+			same(i, args)
+		}
+		_, err := r.ReadCommand()
+		end("ReadCommand", len(want), err)
+
+		r = NewReader(&chunked{data: data, n: int(chunk) + 1})
+		parsed := 0
+		for {
+			batch, err := r.ReadBatch()
+			if err != nil {
+				end("ReadBatch", parsed, err)
+				break
+			}
+			if len(batch) == 0 {
+				t.Fatalf("ReadBatch: an empty batch after %d commands", parsed)
+			}
+			for _, args := range batch {
+				same(parsed, args)
+				parsed++
+			}
 		}
 	})
 }

@@ -7,8 +7,11 @@
 // memory: payload space grows as bytes arrive, never on a declared length
 // — and buffered, so pipelined commands parse back to back without extra
 // reads. A command that already lies wholly in the read buffer is parsed in
-// place: its arguments alias the buffered bytes, nothing is copied. Neither
-// direction allocates in steady state.
+// place: its arguments alias the buffered bytes, nothing is copied. ReadBatch
+// hands a server a pipelined batch at once: the next command, and behind it
+// every command the same socket read left whole in the buffer, each parsed
+// once, so the server can look at every key before it runs the first
+// command. Neither direction allocates in steady state.
 package resp
 
 import (
@@ -56,16 +59,18 @@ func IsProtocol(err error) bool {
 }
 
 // Reader parses RESP commands (the server half) or replies (the client
-// half) from a stream. Every slice it returns — command arguments,
-// Reply.Bulk — lives in storage the Reader owns and reuses: the payload
-// scratch, or, for a command that was wholly buffered when ReadCommand was
-// called, the read buffer itself. It is valid until the next ReadCommand or
-// ReadReply call and must be copied to be kept.
+// half) from a stream. Every slice it returns — a batch, its commands, their
+// arguments, Reply.Bulk — lives in storage the Reader owns and reuses: the
+// payload scratch, the read buffer itself for a command that was wholly
+// buffered when it was parsed, and the argument and command views, which
+// grow to the largest batch seen. It is valid until the next ReadBatch,
+// ReadCommand or ReadReply call and must be copied to be kept.
 type Reader struct {
 	br   *bufio.Reader
-	args [][]byte // the returned command
-	buf  []byte   // payload bytes of the current command or reply
-	str  string   // text of the last simple-string or error reply
+	args [][]byte   // the arguments of every returned command, back to back
+	cmds [][][]byte // the returned batch: views of args
+	buf  []byte     // payload bytes of the current command or reply
+	str  string     // text of the last simple-string or error reply
 }
 
 // NewReader wraps r for command parsing.
@@ -76,13 +81,37 @@ func NewReader(r io.Reader) *Reader { return &Reader{br: bufio.NewReader(r)} }
 // moment to flush replies.
 func (r *Reader) Buffered() int { return r.br.Buffered() }
 
-// reset empties the payload scratch for the next command or reply,
-// letting go of one grown past scratchKeep.
+// reset empties the payload scratch and the argument views for the next
+// command or reply, letting go of a scratch grown past scratchKeep.
 func (r *Reader) reset() {
 	if len(r.buf) > scratchKeep {
 		r.buf = nil
 	}
 	r.buf = r.buf[:0]
+	r.args = r.args[:0]
+}
+
+// ReadBatch reads the next command as ReadCommand does and then every
+// command that already lies wholly in the read buffer behind it, parsed in
+// place (inPlace): a pipelined batch, in order, each command parsed once. Only
+// the first command may read the socket, so the views into the read buffer
+// stay put until the next call. The batch ends at the first command that
+// inPlace declines — one cut at the buffer's edge, an inline command, a
+// framing error — which the next call parses, or reports, on the general
+// path.
+func (r *Reader) ReadBatch() ([][][]byte, error) {
+	first, err := r.ReadCommand()
+	if err != nil {
+		return nil, err
+	}
+	r.cmds = append(r.cmds[:0], first)
+	for {
+		args := r.inPlace()
+		if args == nil {
+			return r.cmds, nil
+		}
+		r.cmds = append(r.cmds, args)
+	}
 }
 
 // ReadCommand reads one command: either a RESP array of bulk strings or
@@ -123,7 +152,6 @@ func (r *Reader) ReadCommand() ([][]byte, error) {
 		if n == 0 {
 			continue // empty array: ignore, per server convention
 		}
-		r.args = r.args[:0]
 		for i := int64(0); i < n; i++ {
 			from := len(r.buf)
 			if err := r.readBulk(); err != nil {
@@ -145,12 +173,13 @@ func (r *Reader) ReadCommand() ([][]byte, error) {
 
 // inPlace parses one array command that lies wholly in the read buffer
 // without copying it: each argument is a sub-slice of the buffered bytes
-// with its capacity cut at its length, and the command's bytes are consumed
-// only once it has parsed. It never reads the socket. Anything else — a
-// command not yet wholly buffered, an inline command, *0, a length with a
-// sign, a leading zero or ten digits, a missing CRLF, a MaxArgs or MaxBulk
-// breach — returns nil having consumed nothing, and the general path parses
-// it, so every framing error, limit and message is that path's.
+// with its capacity cut at its length, appended to args behind the batch's
+// earlier commands, and the command's bytes are consumed only once it has
+// parsed. It never reads the socket. Anything else — a command not yet
+// wholly buffered, an inline command, *0, a length with a sign, a leading
+// zero or ten digits, a missing CRLF, a MaxArgs or MaxBulk breach — returns
+// nil having consumed nothing, and the general path parses it, so every
+// framing error, limit and message is that path's.
 func (r *Reader) inPlace() [][]byte {
 	buf, _ := r.br.Peek(r.br.Buffered())
 	if len(buf) == 0 || buf[0] != '*' {
@@ -160,7 +189,7 @@ func (r *Reader) inPlace() [][]byte {
 	if !ok || n == 0 || n > MaxArgs {
 		return nil
 	}
-	r.args = r.args[:0]
+	args, first := r.args, len(r.args)
 	for range n {
 		if at >= len(buf) || buf[at] != '$' {
 			return nil
@@ -173,11 +202,12 @@ func (r *Reader) inPlace() [][]byte {
 		if end+2 > len(buf) || buf[end] != '\r' || buf[end+1] != '\n' {
 			return nil
 		}
-		r.args = append(r.args, buf[from:end:end])
+		args = append(args, buf[from:end:end])
 		at = end + 2
 	}
+	r.args = args
 	r.br.Discard(at)
-	return r.args
+	return args[first:len(args):len(args)]
 }
 
 // length parses the length that starts at buf[at] and its CRLF: one to nine

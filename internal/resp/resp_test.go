@@ -356,6 +356,59 @@ func TestReadCommandInPlace(t *testing.T) {
 	}
 }
 
+// TestReadBatch: a batch that one socket read left wholly in the buffer
+// comes back from one ReadBatch, every argument still the buffered bytes once
+// the whole batch has parsed, with no allocation once the reader's views have
+// grown; a batch cut at the buffer's edge comes back in pieces that end where
+// the buffer does, the same commands in the same order as ReadCommand gives.
+func TestReadBatch(t *testing.T) {
+	batch := getBatch(64)
+	src := bytes.NewReader(nil)
+	r := NewReader(src)
+	read := func() [][][]byte {
+		src.Reset(batch)
+		cmds, err := r.ReadBatch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cmds
+	}
+	cmds := read()
+	if len(cmds) != 64 {
+		t.Fatalf("one read of 64 GETs gave a batch of %d", len(cmds))
+	}
+	one := NewReader(bytes.NewReader(batch))
+	for i, args := range cmds {
+		want, err := one.ReadCommand()
+		if err != nil || cmdString(args) != cmdString(want) || cap(args[1]) != len(args[1]) {
+			t.Fatalf("command %d: %q (capacity %d), ReadCommand %q, %v", i, cmdString(args), cap(args[1]), cmdString(want), err)
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() { read() }); n != 0 {
+		t.Errorf("ReadBatch: %v allocations per batch of 64, want 0", n)
+	}
+
+	batch = getBatch(200)
+	whole, single := NewReader(bytes.NewReader(batch)), NewReader(bytes.NewReader(batch))
+	var sizes []int
+	for done := 0; done < 200; {
+		cmds, err := whole.ReadBatch()
+		if err != nil {
+			t.Fatalf("after %d commands: %v", done, err)
+		}
+		for _, args := range cmds {
+			if want, err := single.ReadCommand(); err != nil || cmdString(args) != cmdString(want) {
+				t.Fatalf("command %d: %q, ReadCommand %q, %v", done, cmdString(args), cmdString(want), err)
+			}
+			done++
+		}
+		sizes = append(sizes, len(cmds))
+	}
+	if len(sizes) < 2 || sizes[0] != 4096/25 {
+		t.Fatalf("200 GETs of 25 bytes came in batches of %v; want the first to end at the 4 KiB buffer's edge, after %d", sizes, 4096/25)
+	}
+}
+
 // BenchmarkReadCommand prices parsing one pipelined batch of 64 GETs (an
 // op is the batch). buffered is the in-place parse: one read brings the
 // batch, its first command takes the general path and the other 63 are

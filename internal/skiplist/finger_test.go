@@ -358,6 +358,52 @@ func TestFingerDetection(t *testing.T) {
 		}
 	})
 
+	// Prefetch loads what a word names before anything validates it, so it
+	// must not fault on what a stale word or a frozen edge leads to, and the
+	// GET after it gives the walk's answer, not the stale one.
+	prefetch := func(r *fingerRig, key int64) (rec any) {
+		defer func() { rec = recover() }()
+		r.a.Prefetch([]int64{key})
+		return nil
+	}
+	t.Run("prefetch: word names a freed slot", func(t *testing.T) {
+		r, n := prime(t)
+		retireAndFree(r, k, n)
+		r.s.index.Load().note(k, n)
+		if rec := prefetch(r, k); rec != nil {
+			t.Fatalf("Prefetch panicked: %v", rec)
+		}
+		if v, ok, _, rec := r.get(k); ok || rec != nil {
+			t.Fatalf("GET after the Prefetch: %x %v, panic %v; want absent", v, ok, rec)
+		}
+	})
+	t.Run("prefetch: word names a recycled slot", func(t *testing.T) {
+		r, n := prime(t)
+		retireAndFree(r, k, n)
+		reuse(r, k, n)
+		r.s.index.Load().note(k, n)
+		if rec := prefetch(r, k); rec != nil {
+			t.Fatalf("Prefetch panicked: %v", rec)
+		}
+		if v, ok, _, rec := r.get(k); !ok || !bytes.Equal(v, []byte{1}) || rec != nil {
+			t.Fatalf("GET after the Prefetch: %x %v, panic %v; want 01", v, ok, rec)
+		}
+	})
+	// 55's word names 50, deleted first, so its next[0] is frozen at 60;
+	// then 60 is deleted and its slot freed.
+	t.Run("prefetch: edge whose successor was freed", func(t *testing.T) {
+		r, _ := primeGap(t)
+		succ := r.node(60)
+		r.b.Delete(50)
+		retireAndFree(r, 60, succ)
+		if rec := prefetch(r, 55); rec != nil {
+			t.Fatalf("Prefetch panicked: %v", rec)
+		}
+		if v, ok, _, rec := r.get(55); ok || rec != nil {
+			t.Fatalf("GET after the Prefetch: %x %v, panic %v; want absent", v, ok, rec)
+		}
+	})
+
 	// Delete takes the same hints, and leaves its word in edge form.
 	t.Run("DEL: freed at the index word's own Protect", func(t *testing.T) {
 		r, n := prime(t)
@@ -468,6 +514,64 @@ func TestFingersPinNothing(t *testing.T) {
 		t.Run(scheme, func(t *testing.T) {
 			with, without := pendingAfter(t, scheme, true), pendingAfter(t, scheme, false)
 			t.Logf("pending with a node index full of stale words: %d; without: %d", with, without)
+		})
+	}
+}
+
+// TestPrefetchPinsNothing: Prefetch publishes nothing, so the nodes it
+// loaded are reclaimed once deleted, as if it had never run. Handle a
+// prefetches every key, present or absent, and then leaves reclamation
+// keeping its lease, as a kvd connection does before its next socket read; b
+// deletes every stored key and returns its lease, and c drives reclamation —
+// adopting b's backlog — until each of the deleted nodes' slots is freed. (c
+// and not b: a hazard pointer guard's scan runs inside its own operation,
+// where the slots its earlier walks left hold nodes it deleted.)
+func TestPrefetchPinsNothing(t *testing.T) {
+	const keys = 1 << 10 // the even ones stored
+	for _, scheme := range reclaim.Schemes() {
+		if scheme == "none" {
+			continue // frees nothing
+		}
+		t.Run(scheme, func(t *testing.T) {
+			s, d, hs := newSet(t, scheme, 3, 16)
+			defer d.Close()
+			a, b, c := hs[0], hs[1], hs[2]
+			var stored []mem.Ref
+			all := make([]int64, keys)
+			for k := range all {
+				all[k] = int64(k)
+				if k%2 == 0 {
+					b.PutBytes(int64(k), sabVal)
+					stored = append(stored, s.indexed(int64(k)))
+				}
+			}
+			a.Prefetch(all)
+			if l, ok := a.guard.(reclaim.Leaver); ok {
+				l.Leave()
+				defer l.Join()
+			}
+			for k := int64(0); k < keys; k += 2 {
+				b.Delete(k)
+			}
+			d.Release(b.guard)
+			held := func() (n int) {
+				for _, r := range stored {
+					if s.pool.Valid(r) {
+						n++
+					}
+				}
+				return n
+			}
+			for deadline := time.Now().Add(5 * time.Second); held() > 0 && time.Now().Before(deadline); {
+				for i := 0; i < 100; i++ {
+					c.Insert(-1)
+					c.Delete(-1)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if n := held(); n > 0 {
+				t.Errorf("%d of %d deleted nodes still not freed after a's Prefetch", n, len(stored))
+			}
 		})
 	}
 }

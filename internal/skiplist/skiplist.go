@@ -193,6 +193,25 @@
 // the words of present ones, 17.1 % of the zipf stream and 50.1 % of the
 // uniform one walked.
 //
+// Prefetch: a server that holds a pipelined batch of keys can have their
+// first touches overlap instead of paying them one lookup at a time.
+// Handle.Prefetch loads, for up to 64 keys at a time, every key's word, then
+// the first line and next[2] (the second line, where a self value's header
+// sits) of each node a word names, then each such node's level-0 successor —
+// what hint's Peek, load and key reads will touch. Those loads protect
+// nothing and validate nothing, and they are safe for the reason VBR
+// (PAPERS.md) gives for its optimistic reads: pool slots are type-stable
+// memory — a slab is never given back, so any Ref a word or a link word ever
+// held resolves to a slot of node type, whatever its tenant now — and every
+// word a node's next[0] holds is 0 or such a Ref. They are atomic loads,
+// because the slot may be scrubbed or relinked under them, go through Peek
+// and no Resolve or Get, because a stale Ref there is news and not a fault
+// (TestFingerDetection's prefetch rows), and publish nothing, so what they
+// loaded is reclaimed as if they had not run (TestPrefetchPinsNothing). What
+// they load decides nothing: the operation that follows validates its word
+// from scratch, and a self value's bytes, behind a slice header only a
+// validated read may follow, are not touched.
+//
 // The historical violation of invariant 2 — Insert pre-stored every
 // upper next word from the level-0 search and re-claimed a level only
 // after a failed link CAS there, so a level's first link attempt could
@@ -733,6 +752,40 @@ func (h *Handle) walk(key int64) (n mem.Ref, np mem.Resolved[node], found bool) 
 		h.s.index.Load().note(key, h.preds[0])
 	}
 	return n, np, found
+}
+
+// prefetchKeys is how many keys each of Prefetch's passes covers at a time.
+const prefetchKeys = 64
+
+// Prefetch loads what the lookups of keys will touch first (package doc,
+// "Prefetch"), in three passes over up to 64 keys at a time so that their
+// cache misses overlap: each key's index word; the node the word names — its
+// first line, through Peek, and its second, through next[2]; and that node's
+// level-0 successor. Atomic loads only, with no Protect, Resolve or Get,
+// because a word may name a freed or recycled slot; it stores nothing and
+// answers nothing.
+func (h *Handle) Prefetch(keys []int64) {
+	x, pool := h.s.index.Load(), h.s.pool
+	var refs [prefetchKeys]mem.Ref
+	for len(keys) > 0 {
+		batch := keys[:min(len(keys), prefetchKeys)]
+		keys = keys[len(batch):]
+		for i, key := range batch {
+			refs[i] = mem.Ref(x.word(key).Load())
+		}
+		for i, n := range refs[:len(batch)] {
+			if !n.IsNil() {
+				_, raw, _ := pool.Peek(n)
+				refs[i] = mem.Ref(raw.next[0].Load()).Untagged()
+				raw.next[2].Load()
+			}
+		}
+		for _, succ := range refs[:len(batch)] {
+			if !succ.IsNil() {
+				pool.Peek(succ)
+			}
+		}
+	}
 }
 
 // Contains reports whether key is in the set. Reserved keys (outside

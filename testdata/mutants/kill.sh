@@ -14,7 +14,12 @@
 # so an edge an insert closed answers "absent"; self-value-retired retires a
 # displaced self value (value.go), stale-upper leaves a reused upper array's
 # words unzeroed (package doc, "Node layout": the stale mark abandons the
-# tower from level 6 up).
+# tower from level 6 up). Two break Prefetch's rule that it loads and
+# nothing more (package doc, "Node index"): prefetch-resolves reaches a
+# word's node and its successor through Resolve, which faults on a slot that
+# was freed or recycled, and prefetch-protects publishes each node in the pin
+# slot and leaves it there, so a node deleted after the Prefetch is never
+# freed under hazard pointers.
 #
 # Reclamation (internal/reclaim): no-deferral drops Cadence's old-enough
 # check, so a scan frees a node whose hazard pointer is still pending — the
@@ -55,6 +60,9 @@ kills=(
 	"index-no-key-check.patch|./internal/skiplist|TestSkipListBulkSortedAndValid"
 	"index-no-key-check.patch|./internal/kvd|TestPipelinedSetsDoNotAlias"
 	"index-no-key-check.patch|.|TestSkipMapLinearizable"
+	"prefetch-resolves.patch|./internal/skiplist|TestFingerDetection/prefetch:_word"
+	"prefetch-resolves.patch|./internal/skiplist|TestFingerDetection/prefetch:_edge"
+	"prefetch-protects.patch|./internal/skiplist|TestPrefetchPinsNothing/hp"
 	"no-deferral.patch|./internal/reclaim|TestCadenceDeferralProtectsUnflushedHP"
 	"no-deferral.patch|./internal/reclaim|TestQSenseProtectionSurvivesPathSwitch"
 	"kvd-no-join.patch|./internal/kvd|TestIdleConnPinsNothing"
